@@ -1,10 +1,11 @@
 package evoprot
 
 // One benchmark per figure and in-text table of the paper's evaluation
-// (§3), plus the ablation benches called out in DESIGN.md. Benchmarks run
-// at reduced scale (fewer records and generations than the paper) so the
-// suite completes in minutes; cmd/experiments -full regenerates everything
-// at paper scale. Custom metrics attach the quantities the paper reports —
+// (§3), plus ablation benches for design choices the paper leaves open
+// (selection, crowding, aggregation, domain size, parallel evaluation).
+// Benchmarks run at reduced scale (fewer records and generations than the
+// paper) so the suite completes in minutes; cmd/experiments -full
+// regenerates everything at paper scale. Custom metrics attach the quantities the paper reports —
 // improvement percentages, population balance, timing shares — to the
 // standard ns/op output.
 
@@ -248,7 +249,7 @@ func newBenchEngine(b *testing.B, forceOp string) *core.Engine {
 	return eng
 }
 
-// --- Ablations (DESIGN.md §4) ---
+// --- Ablations ---
 
 // BenchmarkAblationSelection compares the selection policies: the literal
 // Eq. 3 (raw-proportional) vs the paper's described semantics

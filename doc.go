@@ -276,6 +276,17 @@
 // mutation offspring at paper scale, see BenchmarkEvaluateDeltaSpeedup).
 // core.Config.DisableDelta restores full re-evaluation.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record of every figure and table.
+// Full evaluations still run — once per seed protection when an engine
+// starts, and for every crossover whose gene window is too wide to patch —
+// and there the two record linkages used to dominate: DBRL and PRL compare
+// every original record with every masked record, O(n²·attrs). Both
+// comparisons depend only on the two records' protected tuples, and with
+// a few protected attributes tuples repeat (205 distinct original tuples
+// among flare's 1066 records), so both measures — full Risk and the
+// Prepare of their delta states alike — group the records by tuple and
+// compare each pair of distinct tuples once, weighted by how many masked
+// records share the tuple — O(D_orig·D_masked·attrs) for D
+// distinct tuples, never more than the record scan. The tallies are exact
+// integers, so results are bit-identical to the pairwise scans, which
+// internal/risk keeps as test oracles (see BenchmarkLinkagePaperScale).
 package evoprot

@@ -79,7 +79,7 @@ const (
 	SelectInverseProportional SelectionPolicy = iota
 	// SelectRawProportional draws with probability proportional to Score,
 	// the literal reading of the paper's Eq. 3 (which favours bad
-	// individuals; kept for the ablation study, see DESIGN.md).
+	// individuals; kept for the ablation study, BenchmarkAblationSelection).
 	SelectRawProportional
 	// SelectRank draws with probability proportional to N-rank, a
 	// scale-free alternative.

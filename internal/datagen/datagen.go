@@ -10,7 +10,7 @@
 // dependency chain. All masking methods, information-loss and
 // disclosure-risk measures, and both evolutionary operators act only on
 // this categorical structure, so the substitution preserves the behaviour
-// the paper evaluates (see DESIGN.md §3). Real UCI CSVs can be used instead
+// the paper evaluates. Real UCI CSVs can be used instead
 // via dataset.ReadCSV.
 //
 // Generation model: attributes are sampled left to right. Attribute i draws

@@ -98,7 +98,7 @@ type Report struct {
 	// final populations; HVInit/HVFinal the hypervolumes dominated within
 	// [0,100]² (larger = closer to the ideal (0,0) protection). These
 	// extend the paper's single-score summaries with the standard
-	// multi-objective view (DESIGN.md).
+	// multi-objective view.
 	FrontInit, FrontFinal int
 	HVInit, HVFinal       float64
 	// AcceptedOffspring/TotalOffspring expose the elitist replacement's

@@ -580,6 +580,9 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 
+	if runErr != nil && ctx.Err() != nil {
+		r.alignActive(ctx)
+	}
 	reason := core.StopCompleted
 	if runErr != nil {
 		reason = core.StopReasonForContext(runErr)
@@ -632,7 +635,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 // index i of the coordinator slices.
 func (r *Runner) runEpoch(ctx context.Context, i int) {
 	e := r.engines[i]
-	window := r.perIsland[i].NoImprovementWindow
 	steps := r.effEvery
 	if remaining := e.MaxGenerations() - r.executed[i]; steps > remaining {
 		steps = remaining
@@ -641,22 +643,71 @@ func (r *Runner) runEpoch(ctx context.Context, i int) {
 		if ctx.Err() != nil {
 			return
 		}
-		gs := e.Step()
-		r.executed[i]++
-		if gs.Improved {
-			r.sinceImprove[i] = 0
-		} else {
-			r.sinceImprove[i]++
-		}
-		r.emit(Event{Island: i, Stats: gs})
-		if window > 0 && r.sinceImprove[i] >= window {
-			r.finish(i, core.StopStagnated)
+		if r.step(i) {
 			return
 		}
 	}
 	if r.executed[i] >= e.MaxGenerations() {
 		r.finish(i, core.StopCompleted)
 	}
+}
+
+// step advances island i by one generation and reports whether the
+// island stagnated, which finishes it.
+func (r *Runner) step(i int) bool {
+	gs := r.engines[i].Step()
+	r.executed[i]++
+	if gs.Improved {
+		r.sinceImprove[i] = 0
+	} else {
+		r.sinceImprove[i]++
+	}
+	r.emit(Event{Island: i, Stats: gs})
+	if window := r.perIsland[i].NoImprovementWindow; window > 0 && r.sinceImprove[i] >= window {
+		r.finish(i, core.StopStagnated)
+		return true
+	}
+	return false
+}
+
+// alignActive runs after a cancellation. Each island notices the
+// cancellation between its own generations, so the active islands stop
+// mid-epoch having run unequal numbers of generations; alignActive
+// advances the laggards to the leader's count (within the epoch, so
+// usually by a generation or none). Islands that started the Run aligned
+// end it aligned, as at a barrier, and a checkpoint of the run resumes
+// every island to exactly its budget instead of carrying the leaders
+// past it.
+func (r *Runner) alignActive(ctx context.Context) {
+	target := 0
+	for i, done := range r.done {
+		if !done {
+			target = max(target, r.executed[i])
+		}
+	}
+	var lag []int
+	for i, done := range r.done {
+		if !done && r.executed[i] < target {
+			lag = append(lag, i)
+		}
+	}
+	if len(lag) == 0 {
+		return
+	}
+	// The catch-up is bounded by one epoch, so it runs to completion even
+	// though the context has ended; the barrier's own error would only
+	// repeat the cancellation already being reported.
+	_ = r.cfg.Barrier.RunEpoch(context.WithoutCancel(ctx), lag, func(i int) {
+		e := r.engines[i]
+		for r.executed[i] < min(target, e.MaxGenerations()) {
+			if r.step(i) {
+				return
+			}
+		}
+		if r.executed[i] >= e.MaxGenerations() {
+			r.finish(i, core.StopCompleted)
+		}
+	})
 }
 
 // finish marks island i done and emits its Done event.

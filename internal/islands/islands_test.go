@@ -275,6 +275,21 @@ func TestCancellationReturnsPartialResult(t *testing.T) {
 	if res.Best == nil {
 		t.Fatal("cancelled run has no best individual")
 	}
+	// The cancel lands mid-epoch; the run still ends with every island at
+	// the same generation, so a checkpoint of it resumes to the exact
+	// budget (regression: leaders were carried past it).
+	for i, ir := range res.Islands {
+		if ir.Generations != res.Islands[0].Generations {
+			t.Fatalf("island %d stopped at generation %d, island 0 at %d", i, ir.Generations, res.Islands[0].Generations)
+		}
+	}
+	var snap bytes.Buffer
+	if err := r.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if meta, err := Peek(&snap); err != nil || meta.MinGeneration != meta.Generation {
+		t.Fatalf("cancellation checkpoint: %+v, %v; want aligned generations", meta, err)
+	}
 	// All island goroutines must have exited when Run returned.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

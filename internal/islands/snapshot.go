@@ -252,11 +252,12 @@ type Meta struct {
 	// Generation is the largest per-island generation executed — the same
 	// number Runner.Generation reports right after a Resume.
 	Generation int
-	// MinGeneration is the smallest per-island generation. Barrier
-	// checkpoints have every island aligned (MinGeneration ==
-	// Generation); cancellation-point checkpoints taken mid-epoch can
-	// differ. Budget arithmetic for a resume should count from
-	// MinGeneration so no island ends up short of its configured budget.
+	// MinGeneration is the smallest per-island generation. Barrier and
+	// cancellation-point checkpoints have every active island aligned
+	// (Runner.Run aligns them after a cancellation); the two differ only when an island stopped
+	// early, by stagnating or on a smaller per-island budget. Budget
+	// arithmetic for a resume should count from MinGeneration so no
+	// island ends up short of its configured budget.
 	MinGeneration int
 	// Heterogeneous reports whether the checkpoint carries per-island
 	// configuration overrides.

@@ -11,9 +11,15 @@ import (
 )
 
 func benchPair(b *testing.B, rows int) (*dataset.Dataset, *dataset.Dataset, []int) {
+	return benchPairOf(b, "flare", rows)
+}
+
+// benchPairOf generates the named dataset and a PRAM masking of its
+// protected attributes.
+func benchPairOf(b *testing.B, name string, rows int) (*dataset.Dataset, *dataset.Dataset, []int) {
 	b.Helper()
-	d := datagen.MustByName("flare", rows, 5)
-	names, _ := datagen.ProtectedAttrs("flare")
+	d := datagen.MustByName(name, rows, 5)
+	names, _ := datagen.ProtectedAttrs(name)
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {
 		b.Fatal(err)
@@ -39,6 +45,31 @@ func BenchmarkIntervalDisclosure(b *testing.B)   { benchMeasure(b, &IntervalDisc
 func BenchmarkDistanceLinkage(b *testing.B)      { benchMeasure(b, &DistanceLinkage{}, 500) }
 func BenchmarkProbabilisticLinkage(b *testing.B) { benchMeasure(b, &ProbabilisticLinkage{}, 500) }
 func BenchmarkRankIntervalLinkage(b *testing.B)  { benchMeasure(b, &RankIntervalLinkage{}, 500) }
+
+// BenchmarkLinkagePaperScale times full DBRL and PRL Risk and Prepare on
+// 1000-record files: flare and german, whose protected tuples repeat
+// heavily, and adult, the paper's dataset with the most distinct tuples.
+// These are the grouped kernels of grouped.go; a return to record-pair
+// scans costs several times their ns/op.
+func BenchmarkLinkagePaperScale(b *testing.B) {
+	for _, name := range []string{"flare", "german", "adult"} {
+		orig, masked, attrs := benchPairOf(b, name, 1000)
+		for _, m := range []Incremental{&DistanceLinkage{}, &ProbabilisticLinkage{}} {
+			b.Run(m.Name()+"/Risk/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					m.Risk(orig, masked, attrs)
+				}
+			})
+			b.Run(m.Name()+"/Prepare/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					m.Prepare(orig, masked, attrs)
+				}
+			})
+		}
+	}
+}
 
 // BenchmarkDistanceLinkageSampled shows the quadratic-cost mitigation the
 // paper's §4 asks for: 4x outer sampling should cut cost ~4x.

@@ -12,16 +12,18 @@ package risk
 //   - ID keeps one integer (the disclosed-window count) and per-attribute
 //     contribution tables that depend only on the original file.
 //   - DBRL caches each original record's nearest-masked-record distance,
-//     tie count and true-match distance. A cell change moves one masked
+//     tie count and true-match distance, computed at Prepare once per
+//     distinct tuple (grouped.go). A cell change moves one masked
 //     record, so exactly one distance per original record is replaced;
 //     only when the unique minimum is displaced upward does one row
 //     rescan (O(n)) occur — rare in practice, so updates are ~O(n·attrs)
 //     per changed cell.
 //   - PRL caches each original record's histogram of agreement patterns
-//     against all masked records. A cell change flips one pattern bit for
-//     the original records whose value matches the old or new category;
-//     EM then reruns over the (tiny) pattern tally and records are
-//     re-linked from their histograms in O(n·2^attrs).
+//     against all masked records, built at Prepare once per distinct
+//     tuple and copied to the records sharing it. A cell change flips one
+//     pattern bit for the original records whose value matches the old or
+//     new category; EM then reruns over the (tiny) pattern tally and
+//     records are re-linked from their histograms in O(n·2^attrs).
 //   - RSRL keeps the masked file's per-attribute category frequencies,
 //     mid-ranks, window intervals and candidate bitsets, plus per-profile
 //     candidate counts. A cell change shifts only the mid-ranks between the
@@ -262,8 +264,12 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 	for a, c := range attrs {
 		st.pos[c] = a
 	}
-	for i := 0; i < n; i += st.stride {
-		st.rescan(i)
+	lg := groupLinkage(st.oc, st.mc, n, st.stride)
+	defer linkGroupsPool.Put(lg)
+	lg.nearest(st.tables)
+	for i, k := 0, 0; i < n; i, k = i+st.stride, k+1 {
+		g := lg.orig.of[k]
+		st.best[i], st.count[i] = lg.best[g], int32(lg.count[g])
 		st.trueDist[i] = st.dist(i, i)
 	}
 	return st
@@ -442,13 +448,15 @@ func (s *prlState) CloneState() State {
 // stride-sampled record set only, indexed densely by i/stride.
 func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 	n := orig.Rows()
-	if n == 0 || len(attrs) == 0 || len(attrs) > 16 {
+	if n == 0 || len(attrs) == 0 || len(attrs) > MaxPRLAttrs {
 		return nil
 	}
 	if 1<<len(attrs) > n {
 		// The per-record pattern histograms cost O(n·2^attrs) to store,
 		// clone and re-link; once the pattern space outgrows the record
-		// count the full O(n²·attrs) recompute is the cheaper path.
+		// count the full recompute, O(n·attrs) grouping plus
+		// O(D_orig·D_masked·attrs) for D distinct tuples, is the cheaper
+		// path.
 		return nil
 	}
 	iters := pl.EMIters
@@ -477,11 +485,17 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 			st.ocByCat[a][v] = append(st.ocByCat[a][v], i)
 		}
 	}
+	// Records sharing a tuple share a histogram row: build each group's
+	// row once, at its first record, and copy it to the others.
+	lg := groupLinkage(st.oc, st.mc, n, stride)
+	defer linkGroupsPool.Put(lg)
 	for i := 0; i < n; i += stride {
 		si := i / stride
 		row := st.cnt[si*numPat : (si+1)*numPat]
-		for j := 0; j < n; j++ {
-			row[pattern(i, j, st.oc, st.mc)]++
+		if f := int(lg.orig.first[lg.orig.of[si]]); f == si {
+			lg.histogram(int(lg.orig.of[si]), row)
+		} else {
+			copy(row, st.cnt[f*numPat:])
 		}
 		st.truePat[si] = int32(pattern(i, i, st.oc, st.mc))
 		for pat, c := range row {

@@ -30,28 +30,19 @@ func (dl *DistanceLinkage) Risk(orig, masked *dataset.Dataset, attrs []int) floa
 	tables := distanceTables(orig, attrs)
 	stride := sampleStride(n, dl.MaxRecords)
 
+	// Nearest distances and tie counts depend only on tuples (grouped.go).
+	lg := groupLinkage(oc, mc, n, stride)
+	defer linkGroupsPool.Put(lg)
+	lg.nearest(tables)
 	credit := 0.0
-	for i := 0; i < n; i += stride {
-		best := int64(1) << 62
-		count := 0
-		containsTrue := false
-		for j := 0; j < n; j++ {
-			var d int64
-			for a := range tables {
-				d += tables[a].at(oc[a][i], mc[a][j])
-			}
-			switch {
-			case d < best:
-				best, count, containsTrue = d, 1, j == i
-			case d == best:
-				count++
-				if j == i {
-					containsTrue = true
-				}
-			}
+	for i, k := 0, 0; i < n; i, k = i+stride, k+1 {
+		var d int64
+		for a := range tables {
+			d += tables[a].at(oc[a][i], mc[a][i])
 		}
-		if containsTrue {
-			credit += 1 / float64(count)
+		// The true counterpart is among the nearest.
+		if g := lg.orig.of[k]; d == lg.best[g] {
+			credit += 1 / float64(lg.count[g])
 		}
 	}
 	return 100 * credit / float64(sampledCount(n, stride))

@@ -25,6 +25,10 @@ type ProbabilisticLinkage struct {
 	MaxRecords int
 }
 
+// MaxPRLAttrs is the most protected attributes ProbabilisticLinkage
+// links over: its agreement patterns index 2^attrs-entry tables.
+const MaxPRLAttrs = 16
+
 // Name implements Measure.
 func (pl *ProbabilisticLinkage) Name() string { return "PRL" }
 
@@ -38,9 +42,9 @@ func (pl *ProbabilisticLinkage) Risk(orig, masked *dataset.Dataset, attrs []int)
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
-	if len(attrs) > 16 {
-		// 2^a patterns; 16 attributes is far beyond any sane QI set.
-		panic("risk: probabilistic linkage over more than 16 attributes")
+	if len(attrs) > MaxPRLAttrs {
+		// Callers validate the attribute count (score.NewEvaluator does).
+		panic("risk: probabilistic linkage over more than MaxPRLAttrs attributes")
 	}
 	oc, mc := columns(orig, attrs), columns(masked, attrs)
 	numPat := 1 << len(attrs)
@@ -49,13 +53,13 @@ func (pl *ProbabilisticLinkage) Risk(orig, masked *dataset.Dataset, attrs []int)
 
 	// Tally agreement patterns over the (possibly sampled) pairs. Every
 	// sampled original record is compared against the full masked file, so
-	// exactly one true-match pair per sampled record is included.
+	// exactly one true-match pair per sampled record is included. Patterns
+	// depend only on tuples, so the pairs are tallied per distinct tuple
+	// pair (grouped.go).
+	lg := groupLinkage(oc, mc, n, stride)
+	defer linkGroupsPool.Put(lg)
 	patCount := make([]float64, numPat)
-	for i := 0; i < n; i += stride {
-		for j := 0; j < n; j++ {
-			patCount[pattern(i, j, oc, mc)]++
-		}
-	}
+	lg.tally(patCount)
 	totalPairs := float64(sampled) * float64(n)
 
 	m, u, _ := emEstimate(patCount, len(attrs), totalPairs, float64(sampled), iters)
@@ -74,25 +78,12 @@ func (pl *ProbabilisticLinkage) Risk(orig, masked *dataset.Dataset, attrs []int)
 		weights[pat] = w
 	}
 
+	lg.strongest(weights)
 	credit := 0.0
-	for i := 0; i < n; i += stride {
-		best := math.Inf(-1)
-		count := 0
-		containsTrue := false
-		for j := 0; j < n; j++ {
-			w := weights[pattern(i, j, oc, mc)]
-			switch {
-			case w > best:
-				best, count, containsTrue = w, 1, j == i
-			case w == best:
-				count++
-				if j == i {
-					containsTrue = true
-				}
-			}
-		}
-		if containsTrue {
-			credit += 1 / float64(count)
+	for i, k := 0, 0; i < n; i, k = i+stride, k+1 {
+		// The true counterpart is among the strongest links.
+		if g := lg.orig.of[k]; weights[pattern(i, i, oc, mc)] == lg.bestW[g] {
+			credit += 1 / float64(lg.count[g])
 		}
 	}
 	return 100 * credit / float64(sampled)

@@ -1,11 +1,14 @@
 package risk
 
 // The paper's §4 names the cost of computing the disclosure-risk measures
-// as the approach's major drawback. The three linkage measures are
-// quadratic in the number of records: every original record is compared
-// against every masked record. This file adds the standard mitigation —
-// deterministic record sampling on the intruder side — as an optional
-// knob on each linkage measure.
+// as the approach's major drawback. The three linkage measures link every
+// original record against the whole masked file. DBRL and PRL do so per
+// distinct protected tuple (grouped.go), and RSRL per original category
+// profile with bitset candidate sets, so their cost grows with the number
+// of distinct tuples rather than records — but with every tuple distinct
+// it is still quadratic in the number of records. This file adds the
+// standard mitigation — deterministic record sampling on the intruder
+// side — as an optional knob on each linkage measure.
 //
 // Sampling the *outer* (original) records leaves the per-record linkage
 // problem untouched: each sampled record is still linked against the full

@@ -139,6 +139,12 @@ func NewEvaluator(orig *dataset.Dataset, attrs []int, cfg Config) (*Evaluator, e
 	if len(cfg.IL) == 0 || len(cfg.DR) == 0 {
 		return nil, fmt.Errorf("score: empty measure battery")
 	}
+	for _, m := range cfg.DR {
+		if _, ok := m.(*risk.ProbabilisticLinkage); ok && len(attrs) > risk.MaxPRLAttrs {
+			return nil, fmt.Errorf("score: probabilistic record linkage supports at most %d protected attributes, got %d",
+				risk.MaxPRLAttrs, len(attrs))
+		}
+	}
 	if cfg.Aggregator == nil {
 		cfg.Aggregator = Max{}
 	}

@@ -8,6 +8,7 @@ import (
 	"evoprot/internal/datagen"
 	"evoprot/internal/dataset"
 	"evoprot/internal/protection"
+	"evoprot/internal/risk"
 )
 
 func testSetup(t *testing.T) (*dataset.Dataset, []int) {
@@ -68,6 +69,16 @@ func TestNewEvaluatorErrors(t *testing.T) {
 	}
 	if _, err := NewEvaluator(d, []int{99}, Config{}); err == nil {
 		t.Error("out-of-range attr accepted")
+	}
+	wide := make([]int, risk.MaxPRLAttrs+1)
+	for i := range wide {
+		wide[i] = i % d.Cols()
+	}
+	if _, err := NewEvaluator(d, wide, Config{}); err == nil {
+		t.Error("more attributes than PRL supports accepted with PRL in the battery")
+	}
+	if _, err := NewEvaluator(d, wide, Config{DR: []risk.Measure{&risk.DistanceLinkage{}}}); err != nil {
+		t.Errorf("wide attribute set refused without PRL in the battery: %v", err)
 	}
 }
 

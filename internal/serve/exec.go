@@ -167,14 +167,15 @@ func (e *engine) executeJob(ctx context.Context, j *job) (*evoprot.RunResult, er
 			return nil, fmt.Errorf("reading checkpoint: %w", err)
 		}
 		ckptGen = meta.Generation
-		// Budget from the laggard island: a cancellation-point checkpoint
-		// can catch islands mid-epoch at unequal generations, and the
-		// per-Run budget applies to every island alike. Counting from the
-		// minimum guarantees no island ends short of the spec's budget
-		// (islands ahead may run a few generations past it). Under early
-		// stopping the laggard is usually a stagnated island that should
-		// NOT be topped up — its stagnation window does not persist — so
-		// there the leader's generation bounds the budget instead.
+		// Budget from the laggard island: a checkpoint can hold islands at
+		// unequal generations when some stopped before the others (a
+		// smaller per-island budget; cancellation-point checkpoints align
+		// the active islands), and the per-Run budget applies to every
+		// island alike. Counting from the minimum guarantees no island
+		// ends short of the spec's budget. Under early stopping the
+		// laggard is usually a stagnated island that should NOT be topped
+		// up — its stagnation window does not persist — so there the
+		// leader's generation bounds the budget instead.
 		if spec.EarlyStop > 0 {
 			resumeFrom = meta.Generation
 		} else {

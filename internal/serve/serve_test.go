@@ -372,6 +372,47 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestWidePRLSpecRejectedServerStaysUp is the regression test for a job
+// over more protected attributes than probabilistic record linkage
+// supports: admission must answer 400, and the server keeps serving. The
+// spec used to be admitted, and its evaluation panicked on the worker
+// goroutine, taking the whole daemon down.
+func TestWidePRLSpecRejectedServerStaysUp(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1})
+	const cols, rows = 17, 40
+	var sb strings.Builder
+	names := make([]string, cols)
+	for c := range names {
+		names[c] = fmt.Sprintf("Q%d", c)
+	}
+	sb.WriteString(strings.Join(names, ",") + "\n")
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString([]string{"lo", "hi"}[(r>>(c%5)+c)&1])
+		}
+		sb.WriteByte('\n')
+	}
+	body, _ := json.Marshal(evoprot.JobSpec{DatasetCSV: sb.String(), Attributes: names, Generations: 2})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	json.NewDecoder(resp.Body).Decode(&apiErr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "at most 16") {
+		t.Fatalf("17-attribute spec: HTTP %d %q, want 400 naming the PRL limit", resp.StatusCode, apiErr.Error)
+	}
+	status := postJob(t, ts.URL, smallSpec())
+	done := waitFor(t, ts.URL, status.ID, 60*time.Second, func(s JobStatus) bool { return s.State.Terminal() })
+	if done.State != StateDone {
+		t.Fatalf("job after the rejected spec finished as %s (error %q)", done.State, done.Error)
+	}
+}
+
 func TestCancelRunningJob(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	spec := smallSpec()

@@ -8,8 +8,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,6 +240,57 @@ func TestNewRunnerValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), orig, attrs, WithGrid("flare"), WithGenerations(5), WithIslands(-1)); err == nil {
 		t.Error("negative island count accepted")
+	}
+}
+
+// wideCSV returns a CSV file of rows records over cols two-category
+// columns named Q0, Q1, ... and their names.
+func wideCSV(cols, rows int) (string, []string) {
+	var sb strings.Builder
+	names := make([]string, cols)
+	for c := range names {
+		names[c] = fmt.Sprintf("Q%d", c)
+	}
+	sb.WriteString(strings.Join(names, ",") + "\n")
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString([]string{"lo", "hi"}[(r>>(c%5)+c)&1])
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String(), names
+}
+
+// TestNewRunnerRejectsTooManyPRLAttributes is the regression test for a
+// job over more protected attributes than probabilistic record linkage
+// supports: NewRunner (and so service admission) must refuse it with an
+// error; it used to accept it and panic in the first Run's evaluation.
+func TestNewRunnerRejectsTooManyPRLAttributes(t *testing.T) {
+	csv, names := wideCSV(17, 40)
+	orig, err := ReadCSV(strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRunner(orig, names, WithGrid("flare")); err == nil || !strings.Contains(err.Error(), "at most 16") {
+		t.Fatalf("17 protected attributes: NewRunner error %v, want the PRL limit", err)
+	}
+	spec := JobSpec{DatasetCSV: csv, Attributes: names, Generations: 2}
+	specOrig, err := spec.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := spec.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRunner(specOrig, spec.Attributes, opts...); err == nil {
+		t.Fatal("17-attribute job spec accepted by NewRunner")
+	}
+	if _, err := NewRunner(orig, names[:16], WithGrid("flare")); err != nil {
+		t.Fatalf("16 protected attributes refused: %v", err)
 	}
 }
 
