@@ -21,6 +21,7 @@ import (
 	"evoprot/internal/dataset"
 	"evoprot/internal/experiment"
 	"evoprot/internal/score"
+	"evoprot/internal/score/scoretest"
 )
 
 // benchRows/benchGens set the reduced benchmark scale.
@@ -415,21 +416,23 @@ func BenchmarkEvaluateSingle(b *testing.B) {
 // paper's record count, 1066 for Flare) ---
 //
 // BenchmarkEvaluateFullPaperScale is the "before": a mutation offspring
-// re-scored from scratch. BenchmarkEvaluateDeltaPaperScale is the
-// "after": the same offspring scored by advancing the parent's
-// incremental state by the single changed cell. The acceptance bar for
-// the delta subsystem is >= 5x; the measured gap is orders of magnitude
-// (results are bit-identical — see the equivalence property tests in
-// internal/score and internal/core).
+// scored through the engine's batch route over the capability-stripped
+// battery, so every measure recomputes in full. BenchmarkEvaluateDeltaPaperScale
+// is the "after": the same offspring scored by applying the single
+// changed cell to the parent's incremental state, reading, and undoing.
+// The acceptance bar for the delta subsystem is >= 5x; the measured gap is
+// orders of magnitude (results are bit-identical — see the equivalence
+// property tests in internal/score and internal/core).
 
-// paperScaleDeltaFixture builds a paper-scale evaluator, a masked parent
-// with its prepared delta state, and a single-cell mutation child.
-func paperScaleDeltaFixture(b *testing.B) (*score.Evaluator, score.Evaluation, *score.DeltaState, *dataset.Dataset, []dataset.CellChange) {
+// paperScaleDeltaFixture builds a paper-scale evaluator over the given
+// battery, a masked parent with its prepared delta state, and a
+// single-cell mutation child.
+func paperScaleDeltaFixture(b *testing.B, sc score.Config) (*score.Evaluator, score.Evaluation, *score.DeltaState, *dataset.Dataset, []dataset.CellChange) {
 	b.Helper()
 	orig := datagen.MustByName("flare", 0, benchSeed)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, _ := orig.Schema().Indices(names...)
-	eval, err := score.NewEvaluator(orig, attrs, score.Config{})
+	eval, err := score.NewEvaluator(orig, attrs, sc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -458,39 +461,54 @@ func paperScaleDeltaFixture(b *testing.B) (*score.Evaluator, score.Evaluation, *
 	return eval, parentEval, state, child, changes
 }
 
-func BenchmarkEvaluateFullPaperScale(b *testing.B) {
-	eval, _, _, child, _ := paperScaleDeltaFixture(b)
+// offspringFixture shapes paperScaleDeltaFixture into one batch group
+// holding the single mutation offspring — a mutation generation's shape.
+func offspringFixture(b *testing.B, sc score.Config) (*score.Evaluator, []score.BatchGroup) {
+	b.Helper()
+	eval, parentEval, state, child, changes := paperScaleDeltaFixture(b, sc)
+	return eval, []score.BatchGroup{{
+		Parent:    parentEval,
+		State:     state,
+		Offspring: []score.BatchOffspring{{Child: child, Changes: changes}},
+	}}
+}
+
+func benchEvaluateBatch(b *testing.B, eval *score.Evaluator, groups []score.BatchGroup, workers int) {
+	b.Helper()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Evaluate(child); err != nil {
+		if err := eval.EvaluateBatch(groups, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkEvaluateFullPaperScale(b *testing.B) {
+	eval, groups := offspringFixture(b, scoretest.Strip(score.Config{}))
+	benchEvaluateBatch(b, eval, groups, 1)
 }
 
 func BenchmarkEvaluateDeltaPaperScale(b *testing.B) {
-	eval, parentEval, state, child, changes := paperScaleDeltaFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eval.EvaluateDelta(parentEval, state, child, changes); err != nil {
-			b.Fatal(err)
-		}
-	}
+	eval, groups := offspringFixture(b, score.Config{})
+	benchEvaluateBatch(b, eval, groups, 1)
 }
 
 // BenchmarkEvaluateDeltaSpeedup reports the measured full/delta ratio for
-// a paper-scale mutation offspring directly as a custom metric.
+// a paper-scale mutation offspring directly as a custom metric: the same
+// route over the stripped and the default battery.
 func BenchmarkEvaluateDeltaSpeedup(b *testing.B) {
-	eval, parentEval, state, child, changes := paperScaleDeltaFixture(b)
+	fullEval, fullGroups := offspringFixture(b, scoretest.Strip(score.Config{}))
+	eval, groups := offspringFixture(b, score.Config{})
 	var full, delta time.Duration
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		if _, err := eval.Evaluate(child); err != nil {
+		if err := fullEval.EvaluateBatch(fullGroups, 1); err != nil {
 			b.Fatal(err)
 		}
 		full += time.Since(start)
 		start = time.Now()
-		if _, _, err := eval.EvaluateDelta(parentEval, state, child, changes); err != nil {
+		if err := eval.EvaluateBatch(groups, 1); err != nil {
 			b.Fatal(err)
 		}
 		delta += time.Since(start)
@@ -500,13 +518,11 @@ func BenchmarkEvaluateDeltaSpeedup(b *testing.B) {
 	}
 }
 
-// --- Generation-batch evaluation: the apply/undo offspring pool ---
+// --- Generation-batch evaluation: crossover-shaped generations ---
 //
-// The delta path above still clones the parent's whole incremental state
-// per offspring. EvaluateBatch scores a generation's offspring against
-// the shared parent states with apply/undo instead; compare allocs/op
-// with BenchmarkEvaluateDeltaPaperScale — the batch steady state
-// allocates nothing proportional to the file.
+// A crossover generation scores two offspring; each parent group is
+// evaluated against the shared parent state with apply/undo, so the steady
+// state allocates nothing proportional to the file.
 
 // paperScaleBatchFixture shapes paperScaleDeltaFixture's parent into
 // nGroups batch groups of two narrow offspring each (a crossover-shaped
@@ -514,7 +530,7 @@ func BenchmarkEvaluateDeltaSpeedup(b *testing.B) {
 // are the unit of parallelism.
 func paperScaleBatchFixture(b *testing.B, nGroups int) (*score.Evaluator, []score.BatchGroup) {
 	b.Helper()
-	eval, parentEval, state, child, changes := paperScaleDeltaFixture(b)
+	eval, parentEval, state, child, changes := paperScaleDeltaFixture(b, score.Config{})
 	groups := make([]score.BatchGroup, nGroups)
 	for g := range groups {
 		st := state
@@ -535,58 +551,13 @@ func paperScaleBatchFixture(b *testing.B, nGroups int) (*score.Evaluator, []scor
 
 func BenchmarkEvaluateBatchPaperScale(b *testing.B) {
 	eval, groups := paperScaleBatchFixture(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eval.EvaluateBatch(groups, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchEvaluateBatch(b, eval, groups, 1)
 }
 
 func BenchmarkEvaluateBatchParallel(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	eval, groups := paperScaleBatchFixture(b, workers)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eval.EvaluateBatch(groups, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEvaluateBatchSpeedup reports the per-offspring-delta vs batch
-// ratio for one crossover-shaped generation (two narrow offspring of one
-// parent) directly as a custom metric.
-func BenchmarkEvaluateBatchSpeedup(b *testing.B) {
-	eval, parentEval, state, child, changes := paperScaleDeltaFixture(b)
-	groups := []score.BatchGroup{{
-		Parent: parentEval,
-		State:  state,
-		Offspring: []score.BatchOffspring{
-			{Child: child, Changes: changes},
-			{Child: child, Changes: changes},
-		},
-	}}
-	var delta, batch time.Duration
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		for k := 0; k < len(groups[0].Offspring); k++ {
-			if _, _, err := eval.EvaluateDelta(parentEval, state, child, changes); err != nil {
-				b.Fatal(err)
-			}
-		}
-		delta += time.Since(start)
-		start = time.Now()
-		if err := eval.EvaluateBatch(groups, 1); err != nil {
-			b.Fatal(err)
-		}
-		batch += time.Since(start)
-	}
-	if batch > 0 {
-		b.ReportMetric(float64(delta)/float64(batch), "delta/batch_ratio")
-	}
+	benchEvaluateBatch(b, eval, groups, workers)
 }
 
 // BenchmarkEvaluateBatchGenerations reports end-to-end engine throughput

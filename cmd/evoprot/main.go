@@ -71,7 +71,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ckpt      = fs.String("checkpoint", "", "write engine snapshots to this path")
 		ckptEvery = fs.Int("checkpoint-every", 500, "snapshot interval in generations")
 		resume    = fs.String("resume", "", "resume from a snapshot written by -checkpoint")
-		noDelta   = fs.Bool("no-delta", false, "disable incremental (delta) offspring evaluation; identical results, much slower")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -132,9 +131,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if *adaptive {
 		options = append(options, evoprot.WithAdaptiveMigration(evoprot.AdaptiveMigration{}))
-	}
-	if *noDelta {
-		options = append(options, evoprot.WithoutDelta())
 	}
 	if *ckpt != "" {
 		options = append(options, evoprot.WithCheckpoint(*ckpt, *ckptEvery))

@@ -192,14 +192,6 @@
 // implementation, cmd/evoprotd/README.md for the wire reference, and
 // examples/client for a complete API client.
 //
-// # Deprecated entry points
-//
-// The pre-context surface is kept as thin wrappers for compatibility:
-// Optimize(orig, attrs, OptimizeOptions{...}) delegates to Run with the
-// equivalent options (same trajectory for the same seed), and
-// Engine.SetOnGeneration survives — now safe under concurrent use — in
-// favour of the streamed progress options. New code should not use either.
-//
 // # Architecture
 //
 // The facade re-exports the implementation packages:
@@ -219,62 +211,51 @@
 //
 // The paper's timing table (§3.2) shows fitness evaluation dominating run
 // time, yet each mutation changes a single cell and each crossover a gene
-// window. The engine therefore scores offspring incrementally: measures
-// implementing the infoloss.Incremental / risk.Incremental capability
-// interfaces precompute a per-individual State (contingency tables,
-// distance sums, transition matrices, nearest-neighbour,
-// agreement-pattern and rank-window caches) and patch it per changed
-// cell, and score.Evaluator.EvaluateDelta routes each measure of the
-// battery to its fast path. The whole default battery is incremental —
-// CTBIL, DBIL, EBIL, ID, DBRL, PRL and RSRL; the rank-window linkage,
-// formerly the one full-recompute fallback, patches its category
-// frequencies, mid-rank windows and candidate bitsets in place and
-// re-intersects only the record profiles a change actually touches
+// window. The engine therefore scores offspring incrementally, through
+// one route. Measures implementing the infoloss.Reversible /
+// risk.Reversible contract precompute a per-individual State
+// (contingency tables, distance sums, transition matrices,
+// nearest-neighbour, agreement-pattern and rank-window caches) and patch
+// it per changed cell. The whole default battery is reversible — CTBIL,
+// DBIL, EBIL, ID, DBRL, PRL and RSRL; the rank-window linkage patches its
+// category frequencies, mid-rank windows and candidate bitsets in place
+// and re-intersects only the record profiles a change actually touches
 // (~17x faster than its own bitset-accelerated recompute, see
 // BenchmarkRankIntervalLinkageDeltaSpeedup). Initial populations are
-// delta-prepared inside the evaluation worker pool, so the first
-// reproduction of every parent skips the lazy state build
-// (core.Config.LazyPrepare restores the lazy behavior).
+// delta-prepared inside the evaluation worker pool.
 //
-// The steady-state delta path is also allocation-conscious: measure
-// states keep reusable scratch buffers (candidate bitsets, EM and weight
-// arrays), the operators reuse their change-list buffers across
-// generations, and short change lists are validated without heap
-// allocation — RSRL's Apply runs allocation-free, and a paper-scale
-// mutation offspring costs ~4x fewer allocations per EvaluateDelta than
-// before (run the benchmarks with -benchmem; CI records both metrics in
-// its BENCH_<sha>.json artifacts, which cmd/benchdiff compares across
-// pushes).
-//
-// On top of the per-offspring delta path sits generation-batch
-// evaluation, the engine's default: instead of cloning the parent's
-// whole state for every child, the engine stages a generation's
-// offspring, groups them by parent, and score.Evaluator.EvaluateBatch
-// scores each group against the parent's own state through the
-// measures' reversible capability (infoloss.Reversible /
-// risk.Reversible) — apply the change list, read the value, undo it by
+// Each generation the engine stages its offspring, groups them by parent,
+// and score.Evaluator.EvaluateBatch scores each group against the
+// parent's own state: apply the change list, read the value, undo it by
 // inverse replay or bitset-diff journaling (stats.BitsetJournal), so
 // evaluating a losing offspring touches memory proportional to the edit
-// instead of the file. Independent parent groups shard across a worker
-// pool sized by core.Config.EvalWorkers (0 inherits InitWorkers;
-// WithEvalWorkers and JobSpec.EvalWorkers thread it through the stack),
-// and only the children that survive replacement are handed a state —
-// the evicted parent's advanced in place, a clone when the parent lives
-// on. Results are bit-identical to the per-offspring path at any worker
-// width — histories, event feeds and snapshots included, standalone and
-// across heterogeneous islands exchanging migrants (see the equivalence
-// and fuzz harnesses in internal/score and internal/core) — while a
-// paper-scale crossover generation costs ~2x less wall clock and ~50x
-// fewer allocated bytes than two per-offspring deltas
-// (BenchmarkEvaluateBatchSpeedup, BenchmarkEvaluateBatchPaperScale).
-// core.Config.DisableBatch restores the per-offspring path.
+// instead of the file. Full Evaluate survives in three roles only: for a
+// crossover whose gene window is too wide to patch, for a measure without
+// a state (the ML-utility measure is recomputed per offspring while the
+// rest of the battery stays incremental), and as the test oracle — the
+// equivalence suites in internal/core and internal/islands run every
+// trajectory against a capability-stripped battery
+// (internal/score/scoretest) that scores each offspring in full.
+// Independent parent groups shard across a worker pool sized by
+// core.Config.EvalWorkers (0 inherits InitWorkers; WithEvalWorkers and
+// JobSpec.EvalWorkers thread it through the stack), and only the children
+// that survive replacement are handed a state — the evicted parent's
+// advanced in place, a clone when the parent lives on.
+//
+// The route is allocation-conscious: measure states keep reusable scratch
+// buffers (candidate bitsets, EM and weight arrays), the operators reuse
+// their change-list buffers across generations, and short change lists
+// are validated without heap allocation (run the benchmarks with
+// -benchmem; CI records both metrics in its BENCH_<sha>.json artifacts,
+// which cmd/benchdiff compares across pushes).
 //
 // Delta evaluation is bit-for-bit identical to a full Evaluate — the
 // states keep exact integer summaries and share their final value
 // arithmetic with the full paths — so trajectories, snapshots and resumed
-// runs are unchanged; it is purely a speedup (two orders of magnitude per
-// mutation offspring at paper scale, see BenchmarkEvaluateDeltaSpeedup).
-// core.Config.DisableDelta restores full re-evaluation.
+// runs are unchanged; it is purely a speedup (about 10x per mutation
+// offspring at paper scale since full linkage scoring groups tuples; the
+// full/delta_ratio metric of the paper-scale speedup benchmark in
+// bench_test.go measures it).
 //
 // Full evaluations still run — once per seed protection when an engine
 // starts, and for every crossover whose gene window is too wide to patch —

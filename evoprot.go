@@ -1,7 +1,6 @@
 package evoprot
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -48,7 +47,7 @@ type (
 	// Evaluation is a full fitness breakdown (IL, DR, Score, per-measure).
 	Evaluation = score.Evaluation
 	// DeltaState carries the incremental-evaluation state of one masked
-	// dataset; see Evaluator.Prepare and Evaluator.EvaluateDelta.
+	// dataset; see Evaluator.Prepare and Evaluator.EvaluateBatch.
 	DeltaState = score.DeltaState
 	// CellChange records one cell edit, the unit of delta evaluation.
 	CellChange = dataset.CellChange
@@ -196,59 +195,3 @@ func Hypervolume(pairs []Pair, ref Pair) (float64, error) { return pareto.Hyperv
 // DefaultParetoRef is the hypervolume reference point Pareto-mode runs
 // use when WithParetoRef is not given (see core.DefaultParetoRef).
 var DefaultParetoRef = core.DefaultParetoRef
-
-// OptimizeOptions parameterizes Optimize, the pre-context entry point.
-//
-// Deprecated: use the functional options of Run / NewRunner instead.
-type OptimizeOptions struct {
-	// Dataset names a paper masking grid ("housing", "german", "flare",
-	// "adult") used to seed the population when Seeds is nil. Required in
-	// that case.
-	Dataset string
-	// Seeds optionally supplies a ready-made initial population of masked
-	// datasets; overrides Dataset-based seeding.
-	Seeds []*Dataset
-	// Aggregator is "mean" (Eq. 1) or "max" (Eq. 2, default).
-	Aggregator string
-	// Generations is the evolution budget (default 400).
-	Generations int
-	// Seed drives all randomness.
-	Seed uint64
-	// Workers parallelizes initial-population evaluation (0 = sequential).
-	Workers int
-	// NoImprovementWindow stops early after that many stagnant
-	// generations (0 = disabled).
-	NoImprovementWindow int
-}
-
-// Optimize runs the full pipeline on an original dataset: build (or
-// accept) an initial population of protections over the named attributes,
-// evolve it, and return the result with the best protection first.
-//
-// Deprecated: Optimize cannot express cancellation, deadlines, streamed
-// progress or multi-island runs. It is kept as a thin wrapper over Run —
-// same trajectory for the same seed — for compatibility; new code should
-// call Run (or NewRunner) with context and functional options.
-func Optimize(orig *Dataset, attrNames []string, opts OptimizeOptions) (*Result, error) {
-	options := []Option{WithSeed(opts.Seed), WithWorkers(opts.Workers)}
-	if opts.Seeds != nil {
-		options = append(options, WithSeeds(opts.Seeds...))
-	}
-	if opts.Dataset != "" {
-		options = append(options, WithGrid(opts.Dataset))
-	}
-	if opts.Aggregator != "" {
-		options = append(options, WithAggregator(opts.Aggregator))
-	}
-	if opts.Generations != 0 {
-		options = append(options, WithGenerations(opts.Generations))
-	}
-	if opts.NoImprovementWindow != 0 {
-		options = append(options, WithEarlyStop(opts.NoImprovementWindow))
-	}
-	res, err := Run(context.Background(), orig, attrNames, options...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Islands[0], nil
-}

@@ -96,15 +96,12 @@ func TestPaperCompositionFacade(t *testing.T) {
 func TestOptimizeEndToEnd(t *testing.T) {
 	orig, _ := GenerateDataset("adult", 100, 11)
 	attrs, _ := ProtectedAttributes("adult")
-	res, err := Optimize(orig, attrs, OptimizeOptions{
-		Dataset:     "adult",
-		Generations: 25,
-		Seed:        11,
-		Workers:     8,
-	})
+	run, err := Run(context.Background(), orig, attrs,
+		WithGrid("adult"), WithGenerations(25), WithSeed(11), WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Islands[0]
 	if len(res.Population) != 86 {
 		t.Fatalf("population = %d, want 86", len(res.Population))
 	}
@@ -133,33 +130,30 @@ func TestOptimizeWithExplicitSeeds(t *testing.T) {
 		}
 		seeds = append(seeds, masked)
 	}
-	res, err := Optimize(orig, attrs, OptimizeOptions{
-		Seeds:       seeds,
-		Aggregator:  "mean",
-		Generations: 15,
-		Seed:        13,
-	})
+	res, err := Run(context.Background(), orig, attrs,
+		WithSeeds(seeds...), WithAggregator("mean"), WithGenerations(15), WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Population) != 4 {
-		t.Fatalf("population = %d", len(res.Population))
+	if n := len(res.Islands[0].Population); n != 4 {
+		t.Fatalf("population = %d", n)
 	}
 }
 
 func TestOptimizeValidation(t *testing.T) {
 	orig, _ := GenerateDataset("flare", 50, 17)
 	attrs, _ := ProtectedAttributes("flare")
-	if _, err := Optimize(orig, attrs, OptimizeOptions{}); err == nil {
-		t.Error("missing Dataset and Seeds accepted")
+	ctx := context.Background()
+	if _, err := Run(ctx, orig, attrs); err == nil {
+		t.Error("missing grid and seeds accepted")
 	}
-	if _, err := Optimize(orig, attrs, OptimizeOptions{Seeds: []*Dataset{orig}}); err == nil {
+	if _, err := Run(ctx, orig, attrs, WithSeeds(orig)); err == nil {
 		t.Error("single seed accepted")
 	}
-	if _, err := Optimize(orig, []string{"GHOST"}, OptimizeOptions{Dataset: "flare"}); err == nil {
+	if _, err := Run(ctx, orig, []string{"GHOST"}, WithGrid("flare")); err == nil {
 		t.Error("unknown attribute accepted")
 	}
-	if _, err := Optimize(orig, attrs, OptimizeOptions{Dataset: "flare", Aggregator: "median"}); err == nil {
+	if _, err := Run(ctx, orig, attrs, WithGrid("flare"), WithAggregator("median")); err == nil {
 		t.Error("unknown aggregator accepted")
 	}
 }

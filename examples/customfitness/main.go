@@ -118,13 +118,13 @@ func main() {
 
 	// Under a risk-averse fitness the winning protections have DR well
 	// below IL — compare with a symmetric run.
-	symmetric, err := evoprot.Optimize(orig, attrNames, evoprot.OptimizeOptions{
-		Dataset:     "german",
-		Aggregator:  "max",
-		Generations: 150,
-		Seed:        7,
-		Workers:     runtime.GOMAXPROCS(0),
-	})
+	symmetric, err := evoprot.Run(context.Background(), orig, attrNames,
+		evoprot.WithGrid("german"),
+		evoprot.WithAggregator("max"),
+		evoprot.WithGenerations(150),
+		evoprot.WithSeed(7),
+		evoprot.WithWorkers(runtime.GOMAXPROCS(0)),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,12 +69,12 @@ func TestRenderPairsFacade(t *testing.T) {
 func TestRenderEvolutionAndDispersionFacade(t *testing.T) {
 	orig, _ := GenerateDataset("flare", 70, 3)
 	attrs, _ := ProtectedAttributes("flare")
-	res, err := Optimize(orig, attrs, OptimizeOptions{
-		Dataset: "flare", Generations: 8, Seed: 3, Workers: 8,
-	})
+	run, err := Run(context.Background(), orig, attrs,
+		WithGrid("flare"), WithGenerations(8), WithSeed(3), WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Islands[0]
 	maxS := make([]float64, len(res.History))
 	meanS := make([]float64, len(res.History))
 	minS := make([]float64, len(res.History))
@@ -139,9 +139,8 @@ func TestResumeEngineFacade(t *testing.T) {
 func TestOptimizeWithExtendedAggregator(t *testing.T) {
 	orig, _ := GenerateDataset("adult", 80, 17)
 	attrs, _ := ProtectedAttributes("adult")
-	res, err := Optimize(orig, attrs, OptimizeOptions{
-		Dataset: "adult", Aggregator: "weighted:0.7", Generations: 10, Seed: 17, Workers: 8,
-	})
+	res, err := Run(context.Background(), orig, attrs,
+		WithGrid("adult"), WithAggregator("weighted:0.7"), WithGenerations(10), WithSeed(17), WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}

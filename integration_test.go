@@ -6,6 +6,7 @@ package evoprot
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"sort"
 	"testing"
@@ -142,15 +143,12 @@ func TestIntegrationMaskedFilesRemainLoadable(t *testing.T) {
 	}
 	orig, _ := GenerateDataset("german", 100, 9)
 	attrs, _ := ProtectedAttributes("german")
-	res, err := Optimize(orig, attrs, OptimizeOptions{
-		Dataset:     "german",
-		Generations: 30,
-		Seed:        9,
-		Workers:     runtime.GOMAXPROCS(0),
-	})
+	run, err := Run(context.Background(), orig, attrs,
+		WithGrid("german"), WithGenerations(30), WithSeed(9), WithWorkers(runtime.GOMAXPROCS(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Islands[0]
 	for i, ind := range res.Population[:10] {
 		var buf bytes.Buffer
 		if err := ind.Data.WriteCSV(&buf); err != nil {
@@ -179,15 +177,12 @@ func TestIntegrationEvaluationConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(orig, attrs, OptimizeOptions{
-		Dataset:     "adult",
-		Generations: 40,
-		Seed:        31,
-		Workers:     runtime.GOMAXPROCS(0),
-	})
+	run, err := Run(context.Background(), orig, attrs,
+		WithGrid("adult"), WithGenerations(40), WithSeed(31), WithWorkers(runtime.GOMAXPROCS(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Islands[0]
 	for i, ind := range res.Population {
 		ev, err := eval.Evaluate(ind.Data)
 		if err != nil {

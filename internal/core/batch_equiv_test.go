@@ -1,8 +1,8 @@
 package core
 
-// Equivalence tests for generation-batch offspring evaluation: the batch
-// path (the default) must walk bit-identical trajectories to the
-// per-offspring clone-and-apply delta path and to full re-evaluation —
+// Equivalence tests for generation-batch offspring evaluation, the
+// engine's one route: it must walk bit-identical trajectories to the
+// capability-stripped oracle, which scores every offspring in full —
 // histories, event feeds and final populations — at every worker width,
 // under both crowding policies, and across heterogeneous engines
 // exchanging migrants.
@@ -13,34 +13,34 @@ import (
 	"testing"
 
 	"evoprot/internal/dataset"
+	"evoprot/internal/score"
+	"evoprot/internal/score/scoretest"
 )
 
-// TestBatchRunMatchesPerOffspringRun: same seed, three evaluation modes —
-// batch (default), DisableBatch (per-offspring delta), DisableDelta (full
-// re-evaluation) — at EvalWorkers 1 and 4. All histories, streamed
-// OnGeneration feeds and best individuals must agree bit for bit.
+// TestBatchRunMatchesPerOffspringRun: same seed, batch route against the
+// oracle's full per-offspring evaluation, at EvalWorkers 1 and 4. The
+// histories, streamed OnGeneration feeds, acceptance counts and best
+// individuals must agree bit for bit.
 func TestBatchRunMatchesPerOffspringRun(t *testing.T) {
 	for _, seed := range []uint64{7, 42, 1001} {
 		for _, workers := range []int{1, 4} {
-			var batchFeed, cloneFeed []GenStats
+			var batchFeed, fullFeed []GenStats
 			batch := mustRun(t, testEngine(t, Config{
 				Generations: 60, Seed: seed, EvalWorkers: workers,
 				OnGeneration: func(gs GenStats) { batchFeed = append(batchFeed, gs) },
 			}))
-			clone := mustRun(t, testEngine(t, Config{
-				Generations: 60, Seed: seed, DisableBatch: true,
-				OnGeneration: func(gs GenStats) { cloneFeed = append(cloneFeed, gs) },
+			full := mustRun(t, oracleEngine(t, Config{
+				Generations: 60, Seed: seed,
+				OnGeneration: func(gs GenStats) { fullFeed = append(fullFeed, gs) },
 			}))
-			full := mustRun(t, testEngine(t, Config{Generations: 60, Seed: seed, DisableDelta: true}))
-			sameHistories(t, "batch vs per-offspring", batch.History, clone.History)
-			sameHistories(t, "batch vs full", batch.History, full.History)
-			sameHistories(t, "batch feed vs per-offspring feed", batchFeed, cloneFeed)
-			if !batch.Best.Data.Equal(clone.Best.Data) || !batch.Best.Data.Equal(full.Best.Data) {
+			sameHistories(t, "batch vs oracle", batch.History, full.History)
+			sameHistories(t, "batch feed vs oracle feed", batchFeed, fullFeed)
+			if !batch.Best.Data.Equal(full.Best.Data) {
 				t.Fatalf("seed %d workers %d: best individuals diverged", seed, workers)
 			}
-			if batch.AcceptedOffspring != clone.AcceptedOffspring {
+			if batch.AcceptedOffspring != full.AcceptedOffspring {
 				t.Fatalf("seed %d workers %d: accepted %d vs %d", seed, workers,
-					batch.AcceptedOffspring, clone.AcceptedOffspring)
+					batch.AcceptedOffspring, full.AcceptedOffspring)
 			}
 		}
 	}
@@ -48,18 +48,15 @@ func TestBatchRunMatchesPerOffspringRun(t *testing.T) {
 
 // TestBatchRunCrowdingSwapEquivalence drives the cross-parentage state
 // commit: under CrowdNearestParent a child can win a slot whose occupant
-// is not its biological parent, so the batch path must clone or transfer
+// is not its biological parent, so the batch route must clone or transfer
 // the right parent's state. Forced crossover maximizes swap traffic.
 func TestBatchRunCrowdingSwapEquivalence(t *testing.T) {
 	for _, seed := range []uint64{11, 67} {
-		cfg := Config{Generations: 80, Seed: seed, ForceOp: "crossover", Crowding: CrowdNearestParent}
-		batchCfg, cloneCfg := cfg, cfg
-		cloneCfg.DisableBatch = true
-		batchCfg.EvalWorkers = 2
-		batch := mustRun(t, testEngine(t, batchCfg))
-		clone := mustRun(t, testEngine(t, cloneCfg))
-		sameHistories(t, "crowding batch vs per-offspring", batch.History, clone.History)
-		if !batch.Best.Data.Equal(clone.Best.Data) {
+		cfg := Config{Generations: 80, Seed: seed, ForceOp: "crossover", Crowding: CrowdNearestParent, EvalWorkers: 2}
+		batch := mustRun(t, testEngine(t, cfg))
+		full := mustRun(t, oracleEngine(t, cfg))
+		sameHistories(t, "crowding batch vs oracle", batch.History, full.History)
+		if !batch.Best.Data.Equal(full.Best.Data) {
 			t.Fatalf("seed %d: crowding-swap runs diverged", seed)
 		}
 	}
@@ -87,10 +84,12 @@ func TestBatchStatesStayConsistent(t *testing.T) {
 		child := ind.Data.Clone()
 		rng := rand.New(rand.NewPCG(9, uint64(i)))
 		changes := []dataset.CellChange{dataset.RandomChange(rng, child, e.attrs)}
-		got, _, err := e.eval.EvaluateDelta(ind.Eval, ind.state, child, changes)
-		if err != nil {
+		groups := []score.BatchGroup{{Parent: ind.Eval, State: ind.state,
+			Offspring: []score.BatchOffspring{{Child: child, Changes: changes}}}}
+		if err := e.eval.EvaluateBatch(groups, 1); err != nil {
 			t.Fatalf("individual %d: carried state rejected a delta evaluation: %v", i, err)
 		}
+		got := groups[0].Offspring[0].Eval
 		fresh, err := e.eval.Evaluate(child)
 		if err != nil {
 			t.Fatal(err)
@@ -105,15 +104,14 @@ func TestBatchStatesStayConsistent(t *testing.T) {
 // TestBatchHeterogeneousEnginesEquivalence is the niched-islands
 // equivalence: heterogeneous engines (different aggregators, selection,
 // crossover and crowding policies) sharing one initial population, with
-// periodic migration between them, must be bit-identical with and
-// without batch evaluation.
+// periodic migration between them, must match the oracle bit for bit.
 func TestBatchHeterogeneousEnginesEquivalence(t *testing.T) {
-	run := func(disableBatch bool) [][]GenStats {
-		eval, pop := testPopulation(t)
+	run := func(sc score.Config) [][]GenStats {
+		eval, pop := testPopulationWith(t, sc)
 		cfgs := []Config{
-			{Generations: 30, Seed: 31, Aggregator: "mean", EvalWorkers: 4, DisableBatch: disableBatch},
-			{Generations: 30, Seed: 32, Selection: SelectRank, CrossoverPoints: 3, DisableBatch: disableBatch},
-			{Generations: 30, Seed: 33, Crowding: CrowdNearestParent, ForceOp: "crossover", DisableBatch: disableBatch},
+			{Generations: 30, Seed: 31, Aggregator: "mean", EvalWorkers: 4},
+			{Generations: 30, Seed: 32, Selection: SelectRank, CrossoverPoints: 3},
+			{Generations: 30, Seed: 33, Crowding: CrowdNearestParent, ForceOp: "crossover"},
 		}
 		engines, err := NewEngines(context.Background(), eval, pop, cfgs)
 		if err != nil {
@@ -136,8 +134,8 @@ func TestBatchHeterogeneousEnginesEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	batch, clone := run(false), run(true)
+	batch, full := run(score.Config{}), run(scoretest.Strip(score.Config{}))
 	for i := range batch {
-		sameHistories(t, "hetero island", batch[i], clone[i])
+		sameHistories(t, "hetero island", batch[i], full[i])
 	}
 }

@@ -1,22 +1,22 @@
 package core
 
-// Generation-batch offspring evaluation. The per-offspring delta path
-// (evaluateOffspring) clones the parent's full incremental state for
-// every child — a whole set of per-measure summary copies that is pure
-// garbage whenever the child loses its survival tournament, which is the
-// common case. The batch path instead stages the generation's offspring
-// first, groups them by parent, and scores each group against the
-// parent's own state through score.EvaluateBatch: the measures'
-// reversible (apply/undo) capability advances the state by the change
-// list, reads the value, and rolls back, touching memory proportional to
-// the edit instead of the file. Only the offspring that actually survive
-// replacement are handed a state afterwards — the evicted parent's own
-// state advanced in place when possible, a clone otherwise.
+// Generation-batch offspring evaluation, the engine's one offspring
+// route. A generation's offspring are staged first, grouped by parent,
+// and each group is scored against the parent's own state through
+// score.EvaluateBatch: the measures' reversible (apply/undo) capability
+// advances the state by the change list, reads the value, and rolls back,
+// touching memory proportional to the edit instead of the file. A measure
+// without a state (such as ML utility) is recomputed in full per
+// offspring inside the same call, and so is every wide-edit offspring.
+// Only the offspring that actually survive replacement are handed a state
+// afterwards — the evicted parent's own state advanced in place when
+// possible, a clone otherwise.
 //
 // A crossover generation's two parent groups are independent, so they
 // shard across Config.EvalWorkers workers. Results are bit-for-bit
-// identical to the per-offspring path at any width (see the equivalence
-// tests in batch_equiv_test.go); only allocations and wall-clock change.
+// identical to full evaluation of every offspring at any width (see the
+// oracle tests in batch_equiv_test.go); only allocations and wall-clock
+// change.
 
 import (
 	"fmt"
@@ -25,17 +25,9 @@ import (
 	"evoprot/internal/score"
 )
 
-// useBatch reports whether this generation's offspring go through
-// score.EvaluateBatch: delta evaluation on, batching not disabled, and
-// every measure reversible. Without the capability the engine stays on
-// the per-offspring path, which handles partly-incremental batteries.
-func (e *Engine) useBatch() bool {
-	return e.batchable && !e.cfg.DisableDelta && !e.cfg.DisableBatch
-}
-
-// ensureState lazily materializes an individual's delta state — shared
-// by the batch and per-offspring paths, so switching paths mid-run (or
-// resuming from a snapshot) rebuilds states transparently.
+// ensureState lazily materializes an individual's delta state: resumed
+// individuals and wide-edit offspring carry none until they first parent
+// a narrow edit.
 func (e *Engine) ensureState(ind *Individual) {
 	if ind.state != nil {
 		return
@@ -53,10 +45,10 @@ func (e *Engine) ensureState(ind *Individual) {
 // offspring — share one group and therefore one state. Parents are
 // delta-prepared lazily, but only when one of their offspring actually
 // needs the state (narrow, non-empty edits); wide-edit offspring are
-// fully evaluated inside the batch without forcing a state build,
-// matching the per-offspring path's laziness. Evaluations land in the
-// children; no child receives a state here — commitBatchState hands
-// states to the survivors once the tournament has decided.
+// fully evaluated inside the batch without forcing a state build.
+// Evaluations land in the children; no child receives a state here —
+// commitBatchState hands states to the survivors once the tournament has
+// decided.
 func (e *Engine) batchEvaluateGeneration(parents, children []*Individual, changes [][]dataset.CellChange) {
 	offs := e.bOffs[:0]
 	for i, c := range children {
@@ -99,9 +91,8 @@ func (e *Engine) batchEvaluateGeneration(parents, children []*Individual, change
 // biological parent's own state advanced in place when the parent was
 // evicted by this generation's replacement (a zero-allocation transfer),
 // or a clone of it when the parent lives on. Wide-edit children stay
-// state-less — the same nil-state contract as EvaluateDelta — and
-// rebuild lazily if they ever reproduce; so do children of state-less
-// parents.
+// state-less and rebuild lazily if they ever reproduce; so do children of
+// state-less parents.
 func (e *Engine) commitBatchState(child, parent *Individual, changes []dataset.CellChange, parentEvicted bool) {
 	if parent.state == nil || e.eval.WideEdit(changes) {
 		return

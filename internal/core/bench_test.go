@@ -7,6 +7,7 @@ import (
 	"evoprot/internal/datagen"
 	"evoprot/internal/protection"
 	"evoprot/internal/score"
+	"evoprot/internal/score/scoretest"
 )
 
 func benchEngine(b *testing.B, forceOp string) *Engine {
@@ -16,13 +17,19 @@ func benchEngine(b *testing.B, forceOp string) *Engine {
 
 func benchEngineCfg(b *testing.B, cfg Config) *Engine {
 	b.Helper()
+	return benchEngineWith(b, cfg, score.Config{})
+}
+
+// benchEngineWith is benchEngineCfg over the given measure battery.
+func benchEngineWith(b *testing.B, cfg Config, sc score.Config) *Engine {
+	b.Helper()
 	d := datagen.MustByName("flare", 300, 5)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eval, err := score.NewEvaluator(d, attrs, score.Config{})
+	eval, err := score.NewEvaluator(d, attrs, sc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,10 +67,12 @@ func BenchmarkStepCrossover(b *testing.B) {
 }
 
 // BenchmarkStepMutationFullEval is the pre-delta baseline: identical
-// generations with incremental evaluation disabled. Compare against
-// BenchmarkStepMutation for the engine-level delta speedup.
+// generations over the capability-stripped battery, so every offspring is
+// scored in full. Compare against BenchmarkStepMutation for the
+// engine-level delta speedup.
 func BenchmarkStepMutationFullEval(b *testing.B) {
-	e := benchEngineCfg(b, Config{Generations: 1 << 30, Seed: 5, ForceOp: "mutation", InitWorkers: 8, DisableDelta: true})
+	e := benchEngineWith(b, Config{Generations: 1 << 30, Seed: 5, ForceOp: "mutation", InitWorkers: 8},
+		scoretest.Strip(score.Config{}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
@@ -71,7 +80,8 @@ func BenchmarkStepMutationFullEval(b *testing.B) {
 }
 
 func BenchmarkStepCrossoverFullEval(b *testing.B) {
-	e := benchEngineCfg(b, Config{Generations: 1 << 30, Seed: 5, ForceOp: "crossover", InitWorkers: 8, DisableDelta: true})
+	e := benchEngineWith(b, Config{Generations: 1 << 30, Seed: 5, ForceOp: "crossover", InitWorkers: 8},
+		scoretest.Strip(score.Config{}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
@@ -90,14 +100,16 @@ func BenchmarkMutateOperator(b *testing.B) {
 }
 
 // BenchmarkEvaluateOffspringDelta isolates a single mutation offspring's
-// delta evaluation (states already warm) from the operator itself.
+// delta evaluation (states already warm) from the operator itself: the
+// batch route's apply, read and undo against the parent's state.
 func BenchmarkEvaluateOffspringDelta(b *testing.B) {
 	e := benchEngine(b, "mutation")
 	parent := e.pop[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		child, changes := e.mutate(parent)
-		e.evaluateOffspring(parent, child, changes)
+		e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, child, changes
+		e.batchEvaluateGeneration(e.bParents[:1], e.bChildren[:1], e.bChanges[:1])
 	}
 }
 
@@ -110,31 +122,21 @@ func BenchmarkCrossOperator(b *testing.B) {
 	}
 }
 
-// BenchmarkInitialPopulationPrepare quantifies the delta-aware initial
-// population: with eager Prepare (default) the states are built inside the
-// InitWorkers pool at construction, so the first selection of every parent
-// goes straight to delta evaluation; with LazyPrepare each first-time
-// parent pays a full Prepare on the evolution hot path. Timed over the
-// first 20 mutation generations, construction excluded.
+// BenchmarkInitialPopulationPrepare times the first 20 mutation
+// generations of a fresh engine, construction excluded: the states are
+// built inside the InitWorkers pool at construction, so the first
+// selection of every parent goes straight to delta evaluation.
 func BenchmarkInitialPopulationPrepare(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		lazy bool
-	}{{"eager", false}, {"lazy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := benchEngineCfg(b, Config{
-					Generations: 1 << 30, Seed: 5, ForceOp: "mutation",
-					InitWorkers: 8, LazyPrepare: mode.lazy,
-				})
-				b.StartTimer()
-				for g := 0; g < 20; g++ {
-					e.Step()
-				}
+	b.Run("eager", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := benchEngineCfg(b, Config{Generations: 1 << 30, Seed: 5, ForceOp: "mutation", InitWorkers: 8})
+			b.StartTimer()
+			for g := 0; g < 20; g++ {
+				e.Step()
 			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkSelectIndex(b *testing.B) {

@@ -12,13 +12,14 @@
 // engine records the max/mean/min score trajectory and the evaluation
 // timings the paper reports.
 //
-// Offspring are scored through incremental (delta) evaluation by default:
-// the operators report exactly which cells they changed, and
-// score.EvaluateDelta advances the parent's cached per-measure state by
-// that change list instead of rescanning the whole file — bit-identical
-// results at a fraction of the cost (see internal/score/delta.go). Each
-// individual lazily carries its delta state; Config.DisableDelta restores
-// the full re-evaluation path.
+// Offspring are scored through incremental (delta) evaluation: the
+// operators report exactly which cells they changed, and
+// score.Evaluator.EvaluateBatch applies that change list to the parent's
+// cached per-measure state, reads the value and rolls the state back
+// instead of rescanning the whole file — bit-identical results at a
+// fraction of the cost (see batcheval.go and internal/score). Individuals
+// carry their delta states; only offspring that survive replacement
+// receive one.
 package core
 
 import (
@@ -27,7 +28,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
-	"sync"
 	"time"
 
 	"evoprot/internal/dataset"
@@ -47,11 +47,12 @@ type Individual struct {
 	// label for seeds, or "mutation"/"crossover" for offspring.
 	Origin string
 
-	// state is the incremental-evaluation state describing Data, built
-	// lazily the first time the individual becomes a parent and carried
-	// to offspring through score.EvaluateDelta. It is nil until then, on
-	// individuals loaded from a snapshot (Resume rebuilds it lazily too),
-	// and permanently when Config.DisableDelta is set.
+	// state is the incremental-evaluation state describing Data. Engine
+	// construction prepares it for the initial population, and a
+	// surviving offspring inherits its parent's, advanced by the
+	// offspring's change list. It is nil on individuals loaded from a
+	// snapshot and on wide-edit offspring; such an individual rebuilds it
+	// the first time it parents a narrow edit.
 	state *score.DeltaState
 
 	// rank and crowd are the NSGA-II non-domination rank (0 = first
@@ -258,22 +259,6 @@ type Config struct {
 	// InitWorkers; negative values force sequential batch evaluation.
 	// Results are identical at any width — only wall-clock changes.
 	EvalWorkers int
-	// DisableDelta turns off incremental (delta) offspring evaluation:
-	// every offspring is fully re-scored from scratch, the pre-delta
-	// behavior. Results are bit-identical either way — delta evaluation
-	// only changes speed — so this is a benchmarking and debugging knob.
-	DisableDelta bool
-	// DisableBatch turns off generation-batch (apply/undo) offspring
-	// evaluation, restoring the per-offspring clone-and-apply delta path.
-	// Results are bit-identical either way — batching only changes speed
-	// — so this is a benchmarking and debugging knob like DisableDelta.
-	DisableBatch bool
-	// LazyPrepare skips the eager delta-preparation of the initial
-	// population: states are then built lazily the first time each
-	// individual reproduces, the pre-Runner behavior. Trades slower first
-	// selections for a cheaper construction — a benchmarking and
-	// memory-pressure knob; results are bit-identical either way.
-	LazyPrepare bool
 	// OnGeneration, when non-nil, is called synchronously with each
 	// generation's statistics — progress reporting for long runs.
 	OnGeneration func(GenStats)
@@ -353,7 +338,6 @@ func (c Config) Validate() error {
 // override: MutationRate 0.0 needs the AllCrossover sentinel (as
 // everywhere), and the zero-valued Selection and Crowding policies (the
 // defaults) cannot override a template that sets a non-default policy.
-// Boolean knobs can only be switched on, never back off.
 func (c Config) Merged(o Config) Config {
 	out := c
 	if o.Generations != 0 {
@@ -385,15 +369,6 @@ func (c Config) Merged(o Config) Config {
 	}
 	if o.EvalWorkers != 0 {
 		out.EvalWorkers = o.EvalWorkers
-	}
-	if o.DisableDelta {
-		out.DisableDelta = true
-	}
-	if o.DisableBatch {
-		out.DisableBatch = true
-	}
-	if o.LazyPrepare {
-		out.LazyPrepare = true
 	}
 	if o.CrossoverPoints != 0 {
 		out.CrossoverPoints = o.CrossoverPoints
@@ -497,11 +472,6 @@ type Engine struct {
 	// front extraction, reused across generations.
 	pairBuf []score.Pair
 
-	// batchable caches whether every measure of the engine's evaluator
-	// supports reversible (apply/undo) delta evaluation — the capability
-	// gate of the generation-batch path; without it the engine stays on
-	// the per-offspring clone-and-apply path.
-	batchable bool
 	// bParents/bChildren/bChanges stage one generation's offspring for
 	// batch evaluation, and bOffs/bGroups are the score.EvaluateBatch
 	// buffers; all reused across Steps (a generation has at most two
@@ -511,18 +481,14 @@ type Engine struct {
 	bChanges  [2][]dataset.CellChange
 	bOffs     []score.BatchOffspring
 	bGroups   []score.BatchGroup
-
-	mu    sync.Mutex // guards onGen
-	onGen func(GenStats)
 }
 
 // NewEngine builds an engine and evaluates the initial population. The
 // initial individuals' Data must share the original dataset's schema and
 // shape; their Eval is computed here (any existing value is ignored).
-// Unless delta evaluation is disabled (or LazyPrepare set), each
-// individual's incremental state is built alongside its evaluation in the
-// same InitWorkers pool, so the first reproduction of every parent skips
-// the lazy state build.
+// Each individual's incremental state is built alongside its evaluation
+// in the same InitWorkers pool, so every parent enters reproduction ready
+// for batch evaluation.
 func NewEngine(eval *score.Evaluator, initial []*Individual, cfg Config) (*Engine, error) {
 	engines, err := NewEngines(context.Background(), eval, initial, []Config{cfg})
 	if err != nil {
@@ -533,11 +499,10 @@ func NewEngine(eval *score.Evaluator, initial []*Individual, cfg Config) (*Engin
 
 // NewEngines builds several engines over one shared evaluator and initial
 // population — the island-model constructor. The population is evaluated
-// (and, where any config wants delta evaluation, delta-prepared) exactly
-// once; engine i receives its own individual wrappers under cfgs[i], with
-// the datasets shared (they are copy-on-write throughout the engine) and
-// the prepared states cloned per engine so concurrent islands never share
-// mutable evaluation state. The context bounds the initial evaluation —
+// and delta-prepared exactly once; engine i receives its own individual
+// wrappers under cfgs[i], with the datasets shared (they are copy-on-write
+// throughout the engine) and the prepared states cloned per engine so
+// concurrent islands never share mutable evaluation state. The context bounds the initial evaluation —
 // the expensive part of construction — so cancellation works during
 // startup, not just between generations.
 func NewEngines(ctx context.Context, eval *score.Evaluator, initial []*Individual, cfgs []Config) ([]*Engine, error) {
@@ -548,16 +513,12 @@ func NewEngines(ctx context.Context, eval *score.Evaluator, initial []*Individua
 		return nil, fmt.Errorf("core: no engine configs")
 	}
 	resolved := make([]Config, len(cfgs))
-	prepare := false
 	for i, cfg := range cfgs {
 		c, err := cfg.withDefaults()
 		if err != nil {
 			return nil, err
 		}
 		resolved[i] = c
-		if !c.DisableDelta && !c.LazyPrepare {
-			prepare = true
-		}
 	}
 	if len(initial) < 2 {
 		return nil, fmt.Errorf("core: population of %d, need at least 2", len(initial))
@@ -575,14 +536,7 @@ func NewEngines(ctx context.Context, eval *score.Evaluator, initial []*Individua
 			workers = c.InitWorkers
 		}
 	}
-	var evs []score.Evaluation
-	var states []*score.DeltaState
-	var err error
-	if prepare {
-		evs, states, err = eval.EvaluateAllPrepared(ctx, data, workers)
-	} else {
-		evs, err = eval.EvaluateAll(ctx, data, workers)
-	}
+	evs, states, err := eval.EvaluateAllPrepared(ctx, data, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -606,25 +560,21 @@ func NewEngines(ctx context.Context, eval *score.Evaluator, initial []*Individua
 				// aggregator-independent.
 				pop[i].Eval.Score = engEval.Aggregator().Combine(evs[i].IL, evs[i].DR)
 			}
-			if states != nil && !c.DisableDelta && !c.LazyPrepare {
-				if k == len(resolved)-1 {
-					pop[i].state = states[i] // last engine takes ownership
-				} else {
-					pop[i].state = states[i].Clone()
-				}
+			if k == len(resolved)-1 {
+				pop[i].state = states[i] // last engine takes ownership
+			} else {
+				pop[i].state = states[i].Clone()
 			}
 		}
 		pcg := rand.NewPCG(c.Seed, 0x853c49e6748fea9b)
 		e := &Engine{
-			eval:      engEval,
-			cfg:       c,
-			rng:       rand.New(pcg),
-			pcg:       pcg,
-			pop:       pop,
-			attrs:     eval.Attrs(),
-			mutable:   mutable,
-			batchable: engEval.Batchable(),
-			onGen:     c.OnGeneration,
+			eval:    engEval,
+			cfg:     c,
+			rng:     rand.New(pcg),
+			pcg:     pcg,
+			pop:     pop,
+			attrs:   eval.Attrs(),
+			mutable: mutable,
 		}
 		e.evals = len(pop)
 		e.sortPop()
@@ -691,28 +641,6 @@ func (e *Engine) ExecutedGenerations() int { return e.gen - e.startGen }
 
 // Evaluations returns the total number of fitness evaluations so far.
 func (e *Engine) Evaluations() int { return e.evals }
-
-// SetOnGeneration installs (or replaces) the per-generation callback.
-// Intended for callers that need the engine reference inside the hook —
-// e.g. periodic checkpointing — which Config cannot express because the
-// engine does not exist yet when the config is written. Safe to call
-// concurrently with a running engine.
-//
-// Deprecated: prefer Config.OnGeneration, or the streamed progress options
-// of the islands and facade layers, which carry island ids and stop
-// reasons.
-func (e *Engine) SetOnGeneration(fn func(GenStats)) {
-	e.mu.Lock()
-	e.onGen = fn
-	e.mu.Unlock()
-}
-
-// onGeneration returns the installed per-generation callback, if any.
-func (e *Engine) onGeneration() func(GenStats) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.onGen
-}
 
 // History returns the per-generation statistics recorded so far.
 func (e *Engine) History() []GenStats {
@@ -791,7 +719,7 @@ func (e *Engine) Step() GenStats {
 		gs.Improved = e.pop[0].Eval.Score < prevBest
 	}
 	e.history = append(e.history, gs)
-	if fn := e.onGeneration(); fn != nil {
+	if fn := e.cfg.OnGeneration; fn != nil {
 		fn(gs)
 	}
 	return gs
@@ -828,11 +756,6 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	}
 	return e.MakeResult(reason), runErr
 }
-
-// RunContext is Run under its pre-redesign name.
-//
-// Deprecated: use Run, which now takes the context directly.
-func (e *Engine) RunContext(ctx context.Context) (*Result, error) { return e.Run(ctx) }
 
 // MakeResult assembles the engine's current state into a Result with the
 // given stop reason — the builder Run uses, exported so coordinators that
@@ -948,56 +871,20 @@ func (e *Engine) stepMutation() (evalTime time.Duration, accepted int) {
 	idx := e.selectIndex()
 	parent := e.pop[idx]
 	child, changes := e.mutate(parent)
-	batch := e.useBatch()
+	e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, child, changes
 	evalStart := time.Now()
-	if batch {
-		e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, child, changes
-		e.batchEvaluateGeneration(e.bParents[:1], e.bChildren[:1], e.bChanges[:1])
-	} else {
-		e.evaluateOffspring(parent, child, changes)
-	}
+	e.batchEvaluateGeneration(e.bParents[:1], e.bChildren[:1], e.bChanges[:1])
 	evalTime = time.Since(evalStart)
 	if e.paretoMode() {
-		e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, child, changes
-		accepted = e.paretoReplace(e.bParents[:1], e.bChildren[:1], e.bChanges[:1], batch)
+		accepted = e.paretoReplace(e.bParents[:1], e.bChildren[:1], e.bChanges[:1])
 		return evalTime, accepted
 	}
 	if child.Eval.Score < parent.Eval.Score {
 		e.pop[idx] = child
 		accepted++
-		if batch {
-			e.commitBatchState(child, parent, changes, true)
-		}
+		e.commitBatchState(child, parent, changes, true)
 	}
 	return evalTime, accepted
-}
-
-// evaluateOffspring scores a child derived from parent by the given cell
-// changes, preferring the incremental path: the parent's delta state is
-// built on first use, cloned, and advanced by the change list, so the cost
-// is proportional to the edit size rather than the dataset size. With
-// DisableDelta set (or for measures without incremental support) the child
-// is fully re-scored; the resulting Eval is bit-identical either way.
-func (e *Engine) evaluateOffspring(parent, child *Individual, changes []dataset.CellChange) {
-	if e.cfg.DisableDelta || e.eval.WideEdit(changes) {
-		// Wide crossover windows fall back to a full evaluation anyway, so
-		// skip building a parent state that would go unused; the child
-		// stays state-less and rebuilds lazily if it ever reproduces.
-		ev, err := e.eval.Evaluate(child.Data)
-		if err != nil {
-			// The child is a clone of a valid individual; evaluation can
-			// only fail on a programming error.
-			panic(fmt.Sprintf("core: evaluating %s offspring: %v", child.Origin, err))
-		}
-		child.Eval = ev
-		return
-	}
-	e.ensureState(parent)
-	ev, state, err := e.eval.EvaluateDelta(parent.Eval, parent.state, child.Data, changes)
-	if err != nil {
-		panic(fmt.Sprintf("core: delta-evaluating %s offspring: %v", child.Origin, err))
-	}
-	child.Eval, child.state = ev, state
 }
 
 // stepCrossover is the crossover branch of Algorithm 1: one parent from
@@ -1014,26 +901,18 @@ func (e *Engine) stepCrossover() (evalTime time.Duration, accepted int) {
 	}
 	p1, p2 := e.pop[i1], e.pop[i2]
 	c1, c2, ch1, ch2 := e.cross(p1, p2)
+	e.bParents[0], e.bChildren[0], e.bChanges[0] = p1, c1, ch1
+	e.bParents[1], e.bChildren[1], e.bChanges[1] = p2, c2, ch2
 
-	batch := e.useBatch()
 	evalStart := time.Now()
-	if batch {
-		e.bParents[0], e.bChildren[0], e.bChanges[0] = p1, c1, ch1
-		e.bParents[1], e.bChildren[1], e.bChanges[1] = p2, c2, ch2
-		e.batchEvaluateGeneration(e.bParents[:2], e.bChildren[:2], e.bChanges[:2])
-	} else {
-		e.evaluateOffspring(p1, c1, ch1)
-		e.evaluateOffspring(p2, c2, ch2)
-	}
+	e.batchEvaluateGeneration(e.bParents[:2], e.bChildren[:2], e.bChanges[:2])
 	evalTime = time.Since(evalStart)
 
 	if e.paretoMode() {
 		// Global NSGA-II replacement over population + both children; the
 		// crowding pairing below is a scalar-mode concept (children compete
 		// for their parents' slots) and does not apply.
-		e.bParents[0], e.bChildren[0], e.bChanges[0] = p1, c1, ch1
-		e.bParents[1], e.bChildren[1], e.bChanges[1] = p2, c2, ch2
-		accepted = e.paretoReplace(e.bParents[:2], e.bChildren[:2], e.bChanges[:2], batch)
+		accepted = e.paretoReplace(e.bParents[:2], e.bChildren[:2], e.bChanges[:2])
 		return evalTime, accepted
 	}
 
@@ -1065,21 +944,19 @@ func (e *Engine) stepCrossover() (evalTime time.Duration, accepted int) {
 		e.pop[i2] = c2
 		accepted++
 	}
-	if batch {
-		// Hand the survivors their states. A biological parent is gone
-		// from the population when a winning child took its slot (with
-		// i1 == i2 both children fought the same occupant); its state can
-		// then transfer without a clone. Skip a child that won its
-		// tournament but was itself overwritten by the other child.
-		evicted := func(b *Individual) bool {
-			return (win1 && b == p1) || (win2 && b == p2)
-		}
-		if win1 && !(i1 == i2 && win2) {
-			e.commitBatchState(c1, b1, ch1, evicted(b1))
-		}
-		if win2 {
-			e.commitBatchState(c2, b2, ch2, evicted(b2))
-		}
+	// Hand the survivors their states. A biological parent is gone from
+	// the population when a winning child took its slot (with i1 == i2
+	// both children fought the same occupant); its state can then
+	// transfer without a clone. Skip a child that won its tournament but
+	// was itself overwritten by the other child.
+	evicted := func(b *Individual) bool {
+		return (win1 && b == p1) || (win2 && b == p2)
+	}
+	if win1 && !(i1 == i2 && win2) {
+		e.commitBatchState(c1, b1, ch1, evicted(b1))
+	}
+	if win2 {
+		e.commitBatchState(c2, b2, ch2, evicted(b2))
 	}
 	return evalTime, accepted
 }

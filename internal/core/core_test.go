@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand/v2"
@@ -11,6 +12,7 @@ import (
 	"evoprot/internal/dataset"
 	"evoprot/internal/protection"
 	"evoprot/internal/score"
+	"evoprot/internal/score/scoretest"
 )
 
 // mustRun executes a full run under a background context, failing the
@@ -36,7 +38,26 @@ func testEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+// oracleEngine builds testEngine's engine over the capability-stripped
+// battery: every offspring is scored by full Loss/Risk, the reference
+// trajectory the batch route must reproduce bit for bit.
+func oracleEngine(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	eval, pop := testPopulationWith(t, scoretest.Strip(score.Config{}))
+	e, err := NewEngine(eval, pop, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func testPopulation(t *testing.T) (*score.Evaluator, []*Individual) {
+	t.Helper()
+	return testPopulationWith(t, score.Config{})
+}
+
+// testPopulationWith is testPopulation over the given measure battery.
+func testPopulationWith(t *testing.T, sc score.Config) (*score.Evaluator, []*Individual) {
 	t.Helper()
 	d := datagen.MustByName("flare", 90, 23)
 	names, _ := datagen.ProtectedAttrs("flare")
@@ -44,7 +65,7 @@ func testPopulation(t *testing.T) (*score.Evaluator, []*Individual) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := score.NewEvaluator(d, attrs, score.Config{})
+	eval, err := score.NewEvaluator(d, attrs, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,15 +510,14 @@ func TestCrossoverOriginLabels(t *testing.T) {
 }
 
 func TestRunContextCancellation(t *testing.T) {
-	e := testEngine(t, Config{Generations: 10000, Seed: 79})
 	ctx, cancel := context.WithCancel(context.Background())
 	gens := 0
-	e.SetOnGeneration(func(GenStats) {
+	e := testEngine(t, Config{Generations: 10000, Seed: 79, OnGeneration: func(GenStats) {
 		gens++
 		if gens == 7 {
 			cancel()
 		}
-	})
+	}})
 	res, err := e.Run(ctx)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
@@ -551,17 +571,24 @@ func TestInitialPopulationEagerlyPrepared(t *testing.T) {
 			t.Fatalf("individual %d has no delta state after construction", i)
 		}
 	}
-	lazy := testEngine(t, Config{Generations: 5, Seed: 87, LazyPrepare: true})
-	for _, ind := range lazy.pop {
-		if ind.state != nil {
-			t.Fatal("LazyPrepare engine carries eager delta states")
-		}
-	}
 }
 
+// TestEagerPrepareMatchesLazyTrajectory: an engine resumed from a
+// generation-0 snapshot starts with no states and builds each one when
+// the individual first reproduces; it must walk the eagerly prepared
+// engine's trajectory.
 func TestEagerPrepareMatchesLazyTrajectory(t *testing.T) {
 	eager := mustRun(t, testEngine(t, Config{Generations: 40, Seed: 89}))
-	lazy := mustRun(t, testEngine(t, Config{Generations: 40, Seed: 89, LazyPrepare: true}))
+	var buf bytes.Buffer
+	if err := testEngine(t, Config{Generations: 40, Seed: 89}).Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	eval, _ := testPopulation(t)
+	resumed, err := Resume(eval, &buf, Config{Generations: 40, Seed: 89})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := mustRun(t, resumed)
 	if len(eager.History) != len(lazy.History) {
 		t.Fatalf("history lengths %d vs %d", len(eager.History), len(lazy.History))
 	}
@@ -660,21 +687,6 @@ func TestEmigrantsAndImmigrate(t *testing.T) {
 	if got := a.Emigrants(1 << 20); len(got) != len(a.Population()) {
 		t.Fatalf("oversized Emigrants = %d", len(got))
 	}
-}
-
-// TestSetOnGenerationConcurrent exercises the deprecated mutator while the
-// engine is stepping on another goroutine — must be clean under -race.
-func TestSetOnGenerationConcurrent(t *testing.T) {
-	e := testEngine(t, Config{Generations: 200, Seed: 91})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			e.SetOnGeneration(func(GenStats) {})
-		}
-	}()
-	mustRun(t, e)
-	<-done
 }
 
 func TestOnGenerationCallback(t *testing.T) {

@@ -6,28 +6,23 @@ import (
 )
 
 // TestDeltaRunMatchesFullEvaluationRun is the engine-level equivalence
-// property: the same seed run with delta evaluation (default) and with
-// DisableDelta must produce bit-identical histories — every generation's
-// operator, scores and acceptance — across several seeds. Both runs draw
-// the same random stream, so any divergence can only come from a delta
-// evaluation that is not bit-equal to the full one.
+// property per operator: with every generation pinned to mutation (one
+// offspring, always a narrow edit) or to crossover (two offspring, some
+// past the wide-edit break-even point), the batch route and the
+// full-evaluation oracle must produce bit-identical histories across
+// several seeds. Both runs draw the same random stream, so any divergence
+// can only come from a delta evaluation that is not bit-equal to the full
+// one.
 func TestDeltaRunMatchesFullEvaluationRun(t *testing.T) {
-	for _, seed := range []uint64{7, 42, 1001} {
-		delta := mustRun(t, testEngine(t, Config{Generations: 60, Seed: seed}))
-		full := mustRun(t, testEngine(t, Config{Generations: 60, Seed: seed, DisableDelta: true}))
-		if len(delta.History) != len(full.History) {
-			t.Fatalf("seed %d: history lengths %d vs %d", seed, len(delta.History), len(full.History))
-		}
-		for i := range delta.History {
-			a, b := delta.History[i], full.History[i]
-			a.EvalTime, a.TotalTime = 0, 0
-			b.EvalTime, b.TotalTime = 0, 0
-			if a != b {
-				t.Fatalf("seed %d generation %d diverged:\ndelta: %+v\nfull:  %+v", seed, i+1, a, b)
+	for _, op := range []string{"mutation", "crossover"} {
+		for _, seed := range []uint64{7, 42, 1001} {
+			cfg := Config{Generations: 60, Seed: seed, ForceOp: op}
+			delta := mustRun(t, testEngine(t, cfg))
+			full := mustRun(t, oracleEngine(t, cfg))
+			sameHistories(t, op+" delta vs oracle", delta.History, full.History)
+			if !delta.Best.Data.Equal(full.Best.Data) {
+				t.Fatalf("%s seed %d: best individuals diverged", op, seed)
 			}
-		}
-		if !delta.Best.Data.Equal(full.Best.Data) {
-			t.Fatalf("seed %d: best individuals diverged", seed)
 		}
 	}
 }
@@ -120,17 +115,5 @@ func TestOffspringCarryDeltaState(t *testing.T) {
 	}
 	if withState == 0 {
 		t.Fatal("no individual carries a delta state after an accepting run")
-	}
-}
-
-// TestDisableDeltaNeverBuildsStates: the escape hatch must keep the
-// engine entirely on the full-evaluation path.
-func TestDisableDeltaNeverBuildsStates(t *testing.T) {
-	e := testEngine(t, Config{Generations: 30, Seed: 88, DisableDelta: true})
-	mustRun(t, e)
-	for i, ind := range e.Population() {
-		if ind.state != nil {
-			t.Fatalf("individual %d carries a delta state despite DisableDelta", i)
-		}
 	}
 }

@@ -76,8 +76,7 @@ func TestMergedInheritance(t *testing.T) {
 	if got := template.Merged(Config{}); got.Generations != 100 || got.MutationRate != 0.4 ||
 		got.LeaderFraction != 0.2 || got.Selection != SelectRank || got.Crowding != CrowdNearestParent ||
 		got.Seed != 7 || got.NoImprovementWindow != 50 || got.ForceOp != "mutation" ||
-		got.InitWorkers != 3 || got.CrossoverPoints != 3 || got.Aggregator != "mean" ||
-		got.DisableDelta || got.LazyPrepare {
+		got.InitWorkers != 3 || got.CrossoverPoints != 3 || got.Aggregator != "mean" {
 		t.Fatalf("zero override mutated the template: %+v", got)
 	}
 	// A full override replaces everything it sets.
@@ -92,14 +91,11 @@ func TestMergedInheritance(t *testing.T) {
 		InitWorkers:         8,
 		CrossoverPoints:     5,
 		Aggregator:          "euclidean",
-		DisableDelta:        true,
-		LazyPrepare:         true,
 	}
 	got := template.Merged(ov)
 	if got.Generations != 5 || got.MutationRate != AllCrossover || got.LeaderFraction != 0.5 ||
 		got.Selection != SelectUniform || got.NoImprovementWindow != 2 || got.ForceOp != "crossover" ||
-		got.InitWorkers != 8 || got.CrossoverPoints != 5 || got.Aggregator != "euclidean" ||
-		!got.DisableDelta || !got.LazyPrepare {
+		got.InitWorkers != 8 || got.CrossoverPoints != 5 || got.Aggregator != "euclidean" {
 		t.Fatalf("override not applied: %+v", got)
 	}
 	// Zero-valued policies are the documented blind spot: they inherit.
@@ -123,12 +119,13 @@ func TestCrossoverPointsPaperPathIdentical(t *testing.T) {
 }
 
 // TestKPointCrossoverDeltaOracle: for non-paper cut counts the engine's
-// change lists must describe the offspring exactly — the delta path and
-// the full-recompute path walk bit-identical trajectories.
+// change lists must describe the offspring exactly — the batch route and
+// the full-evaluation oracle walk bit-identical trajectories.
 func TestKPointCrossoverDeltaOracle(t *testing.T) {
 	for _, points := range []int{1, 3, 4, 5} {
-		delta := mustRun(t, testEngine(t, Config{Generations: 40, Seed: 17, CrossoverPoints: points, ForceOp: "crossover"}))
-		full := mustRun(t, testEngine(t, Config{Generations: 40, Seed: 17, CrossoverPoints: points, ForceOp: "crossover", DisableDelta: true}))
+		cfg := Config{Generations: 40, Seed: 17, CrossoverPoints: points, ForceOp: "crossover"}
+		delta := mustRun(t, testEngine(t, cfg))
+		full := mustRun(t, oracleEngine(t, cfg))
 		sameHistories(t, "k-point delta vs full", delta.History, full.History)
 		if !delta.Best.Data.Equal(full.Best.Data) {
 			t.Fatalf("points=%d: delta and full evaluation diverged", points)

@@ -213,12 +213,12 @@ func containsIndividual(s []*Individual, ind *Individual) bool {
 }
 
 // paretoReplace is Pareto mode's replacement step: environmental selection
-// over population + children. Surviving children of the batch-evaluation
-// path receive their delta states here — transferred without a clone when
-// the biological parent was itself evicted, cloned when it survived; when
-// two surviving children share one evicted parent the first (by child
-// index) takes the state and the second rebuilds lazily, deterministically.
-func (e *Engine) paretoReplace(parents, children []*Individual, changes [][]dataset.CellChange, batch bool) (accepted int) {
+// over population + children. Surviving children receive their delta
+// states here — transferred without a clone when the biological parent
+// was itself evicted, cloned when it survived; when two surviving children
+// share one evicted parent the first (by child index) takes the state and
+// the second rebuilds lazily, deterministically.
+func (e *Engine) paretoReplace(parents, children []*Individual, changes [][]dataset.CellChange) (accepted int) {
 	pool := make([]*Individual, 0, len(e.pop)+len(children))
 	pool = append(pool, e.pop...)
 	pool = append(pool, children...)
@@ -228,9 +228,7 @@ func (e *Engine) paretoReplace(parents, children []*Individual, changes [][]data
 			continue
 		}
 		accepted++
-		if batch {
-			e.commitBatchState(c, parents[i], changes[i], !containsIndividual(kept, parents[i]))
-		}
+		e.commitBatchState(c, parents[i], changes[i], !containsIndividual(kept, parents[i]))
 	}
 	e.pop = append(e.pop[:0], kept...)
 	return accepted

@@ -210,23 +210,18 @@ func TestParetoBestOnFirstFront(t *testing.T) {
 	}
 }
 
-// TestParetoBatchMatchesPerOffspring: Pareto mode must be bit-identical
-// across the three evaluation modes, like scalar mode is — replacement
-// and selection read only the (IL, DR) pairs, which the modes produce
+// TestParetoBatchMatchesPerOffspring: Pareto mode must match the
+// full-evaluation oracle bit for bit, like scalar mode does — replacement
+// and selection read only the (IL, DR) pairs, which both routes produce
 // identically, and the environmental-selection state handoff must not
 // disturb the trajectory.
 func TestParetoBatchMatchesPerOffspring(t *testing.T) {
 	for _, seed := range []uint64{7, 42} {
-		base := paretoCfg(Config{Generations: 60, Seed: seed})
-		cloneCfg, fullCfg := base, base
-		cloneCfg.DisableBatch = true
-		fullCfg.DisableDelta = true
-		batch := mustRun(t, testEngine(t, base))
-		clone := mustRun(t, testEngine(t, cloneCfg))
-		full := mustRun(t, testEngine(t, fullCfg))
-		sameHistories(t, "pareto batch vs per-offspring", batch.History, clone.History)
-		sameHistories(t, "pareto batch vs full", batch.History, full.History)
-		if !batch.Best.Data.Equal(clone.Best.Data) || !batch.Best.Data.Equal(full.Best.Data) {
+		cfg := paretoCfg(Config{Generations: 60, Seed: seed, EvalWorkers: 2})
+		batch := mustRun(t, testEngine(t, cfg))
+		full := mustRun(t, oracleEngine(t, cfg))
+		sameHistories(t, "pareto batch vs oracle", batch.History, full.History)
+		if !batch.Best.Data.Equal(full.Best.Data) {
 			t.Fatalf("seed %d: best individuals diverged", seed)
 		}
 	}

@@ -178,14 +178,12 @@ func Resume(eval *score.Evaluator, r io.Reader, cfg Config) (*Engine, error) {
 		pop:       pop,
 		attrs:     attrs,
 		mutable:   mutable,
-		batchable: engEval.Batchable(),
 		history:   snap.History,
 		evals:     snap.Evals,
 		gen:       snap.Gen,
 		startGen:  snap.Gen,
 		accepted:  snap.Accepted,
 		offspring: snap.Offspring,
-		onGen:     c.OnGeneration,
 	}
 	e.sortPop()
 	return e, nil

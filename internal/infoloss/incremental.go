@@ -3,10 +3,11 @@ package infoloss
 // Incremental (delta) evaluation: the evolutionary engine's operators
 // change one cell (mutation) or a gene window (crossover) of an otherwise
 // already-scored dataset, so rescoring from scratch wastes almost all of
-// its work. Measures that can do better implement Incremental: Prepare
+// its work. Measures that can do better implement Reversible: Prepare
 // builds a per-masked-file State whose summaries (contingency tables,
-// distance sums, transition matrices) support O(changes) patching, and
-// Apply advances the state by a change list and returns the new value.
+// distance sums, transition matrices) support O(changes) patching, Apply
+// advances the state by a change list and returns the new value, and
+// ApplyUndo/Undo do the same with rollback.
 //
 // Every state stores exact integer summaries and funnels them through the
 // same value helpers the full Loss methods use (ctbilValue, dbilValue,
@@ -19,17 +20,18 @@ import (
 	"evoprot/internal/stats"
 )
 
-// State is an opaque per-masked-dataset summary maintained by an
-// Incremental measure. States are single-goroutine values; use Clone to
+// State is an opaque per-masked-dataset summary maintained by a
+// Reversible measure. States are single-goroutine values; use Clone to
 // branch one (e.g. for an offspring that may be discarded).
 type State interface {
 	// CloneState returns an independent deep copy.
 	CloneState() State
 }
 
-// Incremental is the capability interface for measures that can rescore a
-// masked dataset in time proportional to the number of changed cells
-// rather than the dataset size.
+// Incremental is the Prepare/Apply half of Reversible: rescoring a masked
+// dataset in time proportional to the number of changed cells rather than
+// the dataset size. Evaluators build states only for Reversible measures;
+// a measure implementing Incremental alone is recomputed in full.
 type Incremental interface {
 	Measure
 	// Prepare builds the incremental state for masked against orig over
@@ -45,8 +47,8 @@ type Incremental interface {
 	Apply(state State, changes []dataset.CellChange) float64
 }
 
-// Reversible is the capability interface of Incremental measures whose
-// states can advance by a change list and then roll back exactly — the
+// Reversible is the measure-state contract of delta evaluation: states
+// that advance by a change list and then roll back exactly — the
 // primitive behind generation-batch evaluation (score.Evaluator
 // EvaluateBatch), which scores every offspring of a generation against
 // one shared parent state with undo instead of cloning the state per

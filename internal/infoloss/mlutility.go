@@ -14,8 +14,8 @@ package infoloss
 // of its inputs and delta-evaluated engines stay bit-reproducible.
 //
 // MLUtility is deliberately not part of Default(): it needs a target
-// column, and it is not Incremental — engines fall back to full
-// recomputation for it (and disable generation-batch evaluation), which
+// column, and it is not Reversible — evaluators recompute it in full for
+// every offspring while the rest of the battery runs incrementally, which
 // is correct but slower.
 
 import (

@@ -69,7 +69,7 @@ func BenchmarkIslands(b *testing.B) {
 					Islands:      n,
 					MigrateEvery: 50,
 					Migrants:     2,
-					Engine:       core.Config{Generations: gensPerIsland, Seed: 42, LazyPrepare: true},
+					Engine:       core.Config{Generations: gensPerIsland, Seed: 42},
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -729,7 +729,7 @@ func TestMergedRoundTripsThroughSnapshotJSON(t *testing.T) {
 		{},
 		{MutationRate: core.AllCrossover, Selection: core.SelectUniform, Crowding: core.CrowdNearestParent},
 		{MutationRate: 0.65, LeaderFraction: 0.3, CrossoverPoints: 5, Aggregator: "weighted:0.3",
-			Generations: 123, NoImprovementWindow: 9, ForceOp: "mutation", DisableDelta: true, LazyPrepare: true},
+			Generations: 123, NoImprovementWindow: 9, ForceOp: "mutation"},
 	}
 	template := core.Config{Generations: 40, Seed: 99, InitWorkers: 4}
 	for i, ov := range overrides {

@@ -147,3 +147,53 @@ func TestParetoSnapshotVersion(t *testing.T) {
 		t.Fatalf("pareto-ref snapshot is version %d, want 3", v)
 	}
 }
+
+// TestLegacyRouteKnobsInCheckpointIgnored: version-3 checkpoints written
+// while overrides could still carry the evaluation-route knobs
+// ("disable_delta", "lazy_prepare") resume exactly like the same
+// checkpoint without them — the knobs never changed a result, so
+// decoding drops them.
+func TestLegacyRouteKnobsInCheckpointIgnored(t *testing.T) {
+	eval, pop := testPopulation(t)
+	r, err := New(context.Background(), eval, pop, paretoNicheConfig(t, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap["version"] != float64(3) {
+		t.Fatalf("snapshot version = %v, want 3", snap["version"])
+	}
+	for _, c := range snap["configs"].([]any) {
+		c.(map[string]any)["disable_delta"] = true
+		c.(map[string]any)["lazy_prepare"] = true
+	}
+	legacy, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func(raw []byte) *Result {
+		t.Helper()
+		cfg := paretoNicheConfig(t, 10)
+		cfg.PerIsland = nil
+		rr, err := Resume(eval, bytes.NewReader(raw), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rr.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	sameResults(t, "legacy route knobs", resume(buf.Bytes()), resume(legacy))
+}

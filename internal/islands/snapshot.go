@@ -55,7 +55,9 @@ type adaptiveStateJSON struct {
 // template", matching the Merged contract, so round-tripping an override
 // through JSON reproduces the identical merged configuration. A custom
 // programmatic aggregator cannot be serialized; PerIsland aggregators are
-// names, which round-trip exactly.
+// names, which round-trip exactly. Checkpoints written before the
+// evaluation-route knobs were removed may still carry "disable_delta" and
+// "lazy_prepare"; decoding ignores them, as they never changed a result.
 type islandConfigJSON struct {
 	Generations         int     `json:"generations,omitempty"`
 	MutationRate        float64 `json:"mutation_rate,omitempty"`
@@ -69,8 +71,6 @@ type islandConfigJSON struct {
 	Objective           string  `json:"objective,omitempty"`
 	ParetoRefIL         float64 `json:"pareto_ref_il,omitempty"`
 	ParetoRefDR         float64 `json:"pareto_ref_dr,omitempty"`
-	DisableDelta        bool    `json:"disable_delta,omitempty"`
-	LazyPrepare         bool    `json:"lazy_prepare,omitempty"`
 }
 
 // needsV3 reports whether an override carries the objective fields that
@@ -91,8 +91,6 @@ func configToJSON(c core.Config) islandConfigJSON {
 		Objective:           c.Objective,
 		ParetoRefIL:         c.ParetoRef.IL,
 		ParetoRefDR:         c.ParetoRef.DR,
-		DisableDelta:        c.DisableDelta,
-		LazyPrepare:         c.LazyPrepare,
 	}
 	if c.Selection != 0 {
 		j.Selection = c.Selection.String()
@@ -128,8 +126,6 @@ func configFromJSON(j islandConfigJSON) (core.Config, error) {
 		Aggregator:          j.Aggregator,
 		Objective:           obj,
 		ParetoRef:           score.Pair{IL: j.ParetoRefIL, DR: j.ParetoRefDR},
-		DisableDelta:        j.DisableDelta,
-		LazyPrepare:         j.LazyPrepare,
 	}, nil
 }
 

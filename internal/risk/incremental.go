@@ -3,7 +3,8 @@ package risk
 // Incremental (delta) evaluation for the disclosure-risk battery. See the
 // twin file internal/infoloss/incremental.go for the overall contract:
 // Prepare builds a per-masked-file State, Apply advances it by a cell
-// change list and returns the measure's value, and every state keeps
+// change list and returns the measure's value, ApplyUndo/Undo do the same
+// with rollback, and every state keeps
 // exact integer summaries so delta values are bit-for-bit identical to a
 // full recompute.
 //
@@ -50,10 +51,9 @@ package risk
 //
 // Measured at bench_test.go scale (500 records), a single-cell Apply costs
 // ~3.3µs against ~56µs for the bitset-accelerated full RSRL recompute
-// (~17x, the last hot recompute of the per-offspring path) and runs
-// allocation-free — the states keep reusable scratch buffers, so cloning a
-// parent state is the only steady-state allocation of the delta chain
-// (and the batch path's apply/undo avoids even that).
+// (~17x) and runs allocation-free — the states keep reusable scratch
+// buffers, so cloning the state of a survivor whose parent lives on is
+// the only steady-state allocation of the delta chain.
 
 import (
 	"math"
@@ -61,17 +61,19 @@ import (
 	"evoprot/internal/dataset"
 )
 
-// State is an opaque per-masked-dataset summary maintained by an
-// Incremental measure. States are single-goroutine values; use CloneState
+// State is an opaque per-masked-dataset summary maintained by a
+// Reversible measure. States are single-goroutine values; use CloneState
 // to branch one.
 type State interface {
 	// CloneState returns an independent deep copy.
 	CloneState() State
 }
 
-// Incremental is the capability interface for measures that can rescore a
-// masked dataset in time roughly proportional to the number of changed
-// cells rather than quadratic in the dataset size.
+// Incremental is the Prepare/Apply half of Reversible: rescoring a masked
+// dataset in time roughly proportional to the number of changed cells
+// rather than quadratic in the dataset size. Evaluators build states only
+// for Reversible measures; a measure implementing Incremental alone is
+// recomputed in full.
 type Incremental interface {
 	Measure
 	// Prepare builds the incremental state for masked against orig over
@@ -87,8 +89,8 @@ type Incremental interface {
 	Apply(state State, changes []dataset.CellChange) float64
 }
 
-// Reversible is the capability interface of Incremental measures whose
-// states can advance by a change list and then roll back exactly — the
+// Reversible is the measure-state contract of delta evaluation: states
+// that advance by a change list and then roll back exactly — the
 // primitive behind generation-batch evaluation. See the twin interface
 // in internal/infoloss for the full contract.
 type Reversible interface {

@@ -23,7 +23,7 @@ import (
 // mid-ranks, so the attack adapts to however the masking reshaped the
 // distribution.
 //
-// RankIntervalLinkage also implements Incremental: Prepare builds a
+// RankIntervalLinkage also implements Reversible: Prepare builds a
 // patchable window/bitset state so a cell change is applied in time
 // proportional to the affected categories and profiles rather than the
 // file size (see rsrl_incremental.go).

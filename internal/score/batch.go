@@ -1,21 +1,18 @@
 package score
 
-// Generation-batch delta evaluation. The engine's reproduction step
-// scores every offspring of a generation before any replacement
-// decision, so the offspring of one parent form a natural batch: they
-// all branch from the same delta state. EvaluateDelta serves that shape
-// by cloning the parent state once per offspring — one full set of
-// per-measure summary copies whose only purpose, for a losing offspring,
-// is to be garbage. EvaluateBatch removes those clones: it applies each
-// offspring's change list against the parent's own state through the
-// measures' reversible (apply/undo) capability and rolls the state back
-// before the next offspring, touching memory proportional to the edit
-// instead of to the file. Groups are independent (each owns its state),
-// so they shard across a worker pool.
+// Generation-batch delta evaluation, the engine's one offspring route.
+// The engine's reproduction step scores every offspring of a generation
+// before any replacement decision, so the offspring of one parent form a
+// natural batch: they all branch from the same delta state. EvaluateBatch
+// applies each offspring's change list against the parent's own state
+// through the measures' reversible (apply/undo) capability and rolls the
+// state back before the next offspring, touching memory proportional to
+// the edit instead of to the file. Groups are independent (each owns its
+// state), so they shard across a worker pool.
 //
-// Results are bit-for-bit identical to the per-offspring EvaluateDelta
-// path: Undo restores states exactly (property-tested per measure), and
-// the accumulation below mirrors EvaluateDelta's battery order.
+// Results are bit-for-bit identical to Evaluate of each child: Undo
+// restores states exactly (property-tested per measure), and the
+// accumulation below mirrors Evaluate's battery order.
 
 import (
 	"fmt"
@@ -31,12 +28,14 @@ import (
 // parent by Changes. Eval is an output: EvaluateBatch fills it in.
 type BatchOffspring struct {
 	// Child is the offspring dataset — the parent's file with Changes
-	// applied, same contract as EvaluateDelta's child.
+	// applied.
 	Child *dataset.Dataset
-	// Changes derives Child from the group's parent file, in order.
+	// Changes derives Child from the group's parent file, in order. It
+	// is only read during EvaluateBatch, so callers may reuse its
+	// backing array.
 	Changes []dataset.CellChange
-	// Eval receives the offspring's evaluation, bit-identical to what
-	// EvaluateDelta would return for the same (parent, changes) pair.
+	// Eval receives the offspring's evaluation, bit-identical to
+	// Evaluate(Child).
 	Eval Evaluation
 }
 
@@ -46,11 +45,11 @@ type BatchOffspring struct {
 // delta-evaluation ancestor afterwards.
 type BatchGroup struct {
 	// Parent is the parent's evaluation, returned verbatim for
-	// offspring with empty change lists (same as EvaluateDelta).
+	// offspring with empty change lists.
 	Parent Evaluation
 	// State is the parent's delta state; it must describe the file the
 	// offspring's Changes start from. Nil-slot measures are recomputed
-	// in full per offspring, exactly like EvaluateDelta. A nil State is
+	// in full per offspring. A nil State is
 	// allowed only when no offspring needs one — every change list empty
 	// or past the wide-edit break-even point (both are scored without
 	// touching the state).
@@ -60,11 +59,9 @@ type BatchGroup struct {
 }
 
 // Batchable reports whether every configured measure supports reversible
-// delta evaluation, i.e. whether EvaluateBatch runs allocation-free over
-// narrow edits. EvaluateBatch works either way — a measure without the
-// capability falls back to clone-and-apply or a full recompute — but a
-// caller choosing between the batch and per-offspring paths for
-// performance reasons wants the distinction.
+// delta evaluation, i.e. whether EvaluateBatch scores narrow edits without
+// any full recompute. It is informational: EvaluateBatch works either way,
+// recomputing a measure without the capability in full per offspring.
 func (e *Evaluator) Batchable() bool {
 	for _, m := range e.cfg.IL {
 		if _, ok := m.(infoloss.Reversible); !ok {
@@ -84,8 +81,8 @@ func (e *Evaluator) Batchable() bool {
 // evaluated sequentially against the group's shared state (apply, read,
 // undo); distinct groups are independent and are sharded across workers
 // goroutines when workers > 1. Each evaluation is bit-for-bit identical
-// to EvaluateDelta over the same (parent, state, child, changes), and
-// every group's State is restored to its incoming value before return.
+// to Evaluate of the child, and every group's State is restored to its
+// incoming value before return.
 //
 // On error the groups' states are still intact — the per-offspring
 // checks run before the state is touched — but Eval fields of offspring
@@ -176,39 +173,28 @@ func (e *Evaluator) evaluateGroup(grp *BatchGroup) error {
 			ILParts: make(map[string]float64, len(e.cfg.IL)),
 			DRParts: make(map[string]float64, len(e.cfg.DR)),
 		}
-		// Accumulate in battery order, exactly like EvaluateDelta.
+		// Accumulate in battery order, exactly like Evaluate. Prepare
+		// fills a slot only for a Reversible measure.
 		for i, m := range e.cfg.IL {
 			var v float64
-			switch {
-			case st.il[i] == nil:
+			if st.il[i] == nil {
 				v = m.Loss(e.orig, off.Child, e.attrs)
-			default:
-				if rev, ok := m.(infoloss.Reversible); ok {
-					v = rev.ApplyUndo(st.il[i], off.Changes)
-					rev.Undo(st.il[i])
-				} else {
-					// Incremental but not reversible: branch a throwaway
-					// copy, the per-offspring cost EvaluateDelta pays.
-					inc := m.(infoloss.Incremental)
-					v = inc.Apply(st.il[i].CloneState(), off.Changes)
-				}
+			} else {
+				rev := m.(infoloss.Reversible)
+				v = rev.ApplyUndo(st.il[i], off.Changes)
+				rev.Undo(st.il[i])
 			}
 			ev.ILParts[m.Name()] = v
 			ev.IL += v
 		}
 		for i, m := range e.cfg.DR {
 			var v float64
-			switch {
-			case st.dr[i] == nil:
+			if st.dr[i] == nil {
 				v = m.Risk(e.orig, off.Child, e.attrs)
-			default:
-				if rev, ok := m.(risk.Reversible); ok {
-					v = rev.ApplyUndo(st.dr[i], off.Changes)
-					rev.Undo(st.dr[i])
-				} else {
-					inc := m.(risk.Incremental)
-					v = inc.Apply(st.dr[i].CloneState(), off.Changes)
-				}
+			} else {
+				rev := m.(risk.Reversible)
+				v = rev.ApplyUndo(st.dr[i], off.Changes)
+				rev.Undo(st.dr[i])
 			}
 			ev.DRParts[m.Name()] = v
 			ev.DR += v
@@ -221,16 +207,15 @@ func (e *Evaluator) evaluateGroup(grp *BatchGroup) error {
 	return nil
 }
 
-// Advance commits changes into state in place: every incremental slot is
-// advanced by the change list (disarming any pending undo). It is the
-// zero-allocation way to promote a winning offspring's evaluation into a
-// reusable delta state when the parent's state is no longer needed —
-// where EvaluateDelta would have cloned. The same validation as
-// EvaluateDelta applies; child is the dataset the changes produce.
+// Advance commits changes into state in place: every slot is advanced by
+// the change list (disarming any pending undo). It is the zero-allocation
+// way to promote a winning offspring's evaluation into a reusable delta
+// state when the parent's state is no longer needed. The same validation
+// as EvaluateBatch applies; child is the dataset the changes produce.
 //
 // Advance refuses wide edits: past the incremental break-even point
-// callers should drop the state and re-Prepare lazily, matching
-// EvaluateDelta's nil-state contract for wide offspring.
+// callers should drop the state and re-Prepare lazily, should the wide
+// offspring ever reproduce.
 func (e *Evaluator) Advance(state *DeltaState, child *dataset.Dataset, changes []dataset.CellChange) error {
 	if state == nil {
 		return fmt.Errorf("score: nil delta state")
@@ -249,13 +234,13 @@ func (e *Evaluator) Advance(state *DeltaState, child *dataset.Dataset, changes [
 		return err
 	}
 	for i, m := range e.cfg.IL {
-		if inc, ok := m.(infoloss.Incremental); ok && state.il[i] != nil {
-			inc.Apply(state.il[i], changes)
+		if state.il[i] != nil {
+			m.(infoloss.Reversible).Apply(state.il[i], changes)
 		}
 	}
 	for i, m := range e.cfg.DR {
-		if inc, ok := m.(risk.Incremental); ok && state.dr[i] != nil {
-			inc.Apply(state.dr[i], changes)
+		if state.dr[i] != nil {
+			m.(risk.Reversible).Apply(state.dr[i], changes)
 		}
 	}
 	return nil

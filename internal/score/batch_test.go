@@ -47,30 +47,27 @@ func buildBatch(t *testing.T, eval *Evaluator, rng *rand.Rand, parents []*datase
 	return groups
 }
 
-// checkBatchAgainstDelta runs EvaluateBatch at the given worker width and
-// requires every offspring evaluation to equal the per-offspring
-// EvaluateDelta path bit for bit, and every group state to still be a
-// valid ancestor afterwards (a further delta evaluation from it must
-// match a from-scratch evaluation).
-func checkBatchAgainstDelta(t *testing.T, eval *Evaluator, groups []BatchGroup, workers int, context string) {
+// checkBatchAgainstEvaluate runs EvaluateBatch at the given worker width
+// and requires every offspring evaluation to equal a full Evaluate of the
+// child bit for bit.
+func checkBatchAgainstEvaluate(t *testing.T, eval *Evaluator, groups []BatchGroup, workers int, context string) {
 	t.Helper()
 	if err := eval.EvaluateBatch(groups, workers); err != nil {
 		t.Fatalf("%s: EvaluateBatch: %v", context, err)
 	}
 	for g := range groups {
-		grp := &groups[g]
-		for k := range grp.Offspring {
-			off := &grp.Offspring[k]
-			want, _, err := eval.EvaluateDelta(grp.Parent, grp.State, off.Child, off.Changes)
+		for k := range groups[g].Offspring {
+			off := &groups[g].Offspring[k]
+			want, err := eval.Evaluate(off.Child)
 			if err != nil {
-				t.Fatalf("%s group %d offspring %d: EvaluateDelta: %v", context, g, k, err)
+				t.Fatalf("%s group %d offspring %d: Evaluate: %v", context, g, k, err)
 			}
 			requireIdentical(t, context, off.Eval, want)
 		}
 	}
 }
 
-func TestEvaluateBatchMatchesEvaluateDelta(t *testing.T) {
+func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	eval, orig := deltaTestEvaluator(t)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, _ := orig.Schema().Indices(names...)
@@ -83,7 +80,7 @@ func TestEvaluateBatchMatchesEvaluateDelta(t *testing.T) {
 			parents[i] = p
 		}
 		groups := buildBatch(t, eval, rng, parents, attrs, 4)
-		checkBatchAgainstDelta(t, eval, groups, workers, "default battery")
+		checkBatchAgainstEvaluate(t, eval, groups, workers, "default battery")
 
 		// States stay valid ancestors after the batch: evaluate a fresh
 		// child per group through the (rolled-back) state and compare
@@ -91,7 +88,7 @@ func TestEvaluateBatchMatchesEvaluateDelta(t *testing.T) {
 		for g := range groups {
 			child := parents[g].Clone()
 			changes := applyRandomChanges(rng, child, attrs, 3)
-			got, _, err := eval.EvaluateDelta(groups[g].Parent, groups[g].State, child, changes)
+			got, err := deltaEvaluate(eval, groups[g].Parent, groups[g].State, child, changes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +140,7 @@ func TestEvaluateBatchSampledAndFallbackBatteries(t *testing.T) {
 			parents[i] = p
 		}
 		groups := buildBatch(t, eval, rng, parents, attrs, 3)
-		checkBatchAgainstDelta(t, eval, groups, 2, tc.name)
+		checkBatchAgainstEvaluate(t, eval, groups, 2, tc.name)
 	}
 }
 
@@ -225,7 +222,7 @@ func TestAdvance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := eval.EvaluateDelta(ce, state, grand, gchanges)
+		got, err := deltaEvaluate(eval, ce, state, grand, gchanges)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -249,7 +246,7 @@ func TestAdvance(t *testing.T) {
 
 // FuzzEvaluateBatchGrouping fuzzes the change-list grouping: arbitrary
 // group/offspring shapes drawn from the fuzz inputs must keep the batch
-// path bit-identical to the per-offspring path at both worker widths.
+// path bit-identical to full evaluation at both worker widths.
 func FuzzEvaluateBatchGrouping(f *testing.F) {
 	f.Add(uint64(1), uint(3), uint(4))
 	f.Add(uint64(99), uint(1), uint(1))
@@ -299,7 +296,7 @@ func FuzzEvaluateBatchGrouping(f *testing.F) {
 			for g := range groups {
 				for k := range groups[g].Offspring {
 					off := &groups[g].Offspring[k]
-					want, _, err := eval.EvaluateDelta(groups[g].Parent, groups[g].State, off.Child, off.Changes)
+					want, err := eval.Evaluate(off.Child)
 					if err != nil {
 						t.Fatal(err)
 					}

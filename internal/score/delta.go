@@ -3,16 +3,16 @@ package score
 // Delta (incremental) evaluation. A genetic operator derives an offspring
 // from an already-scored parent by changing a handful of cells, so most of
 // a full re-evaluation repeats work the parent's evaluation already did.
-// EvaluateDelta instead advances per-measure incremental states (see
-// infoloss.Incremental and risk.Incremental) by the operator's change
-// list, in time proportional to the number of changed cells for the
-// incremental measures; measures without an incremental implementation
-// (or whose configuration rules one out) are recomputed in full.
+// Prepare builds per-measure states (see infoloss.Reversible and
+// risk.Reversible) that EvaluateBatch advances by an offspring's change
+// list, reads, and rolls back, in time proportional to the number of
+// changed cells; measures without a state (or whose configuration rules
+// one out) are recomputed in full.
 //
-// Delta evaluation is bit-for-bit identical to Evaluate: the incremental
-// measures maintain exact integer summaries and share their final value
-// arithmetic with the full path, and EvaluateDelta accumulates the
-// battery sums in the same order Evaluate does.
+// Delta evaluation is bit-for-bit identical to Evaluate: the states
+// maintain exact integer summaries and share their final value
+// arithmetic with the full path, and the battery sums accumulate in the
+// same order Evaluate uses.
 
 import (
 	"fmt"
@@ -23,18 +23,18 @@ import (
 )
 
 // DeltaState carries the per-measure incremental states describing one
-// masked dataset. It is produced by Prepare or EvaluateDelta, always
-// describes exactly one masked file, and must only be advanced with
-// change lists for that file. A nil slot means the corresponding measure
-// runs without a fast path and is fully recomputed on every delta
-// evaluation.
+// masked dataset. It is produced by Prepare, always describes exactly one
+// masked file, and must only be advanced with change lists for that file.
+// A nil slot means the corresponding measure runs without a fast path and
+// is fully recomputed for every offspring.
 type DeltaState struct {
 	il []infoloss.State
 	dr []risk.State
 }
 
-// Clone returns an independent deep copy — the branch point for an
-// offspring whose survival is not yet known.
+// Clone returns an independent deep copy — the state of a surviving
+// offspring whose parent lives on, or of a migrant joining another
+// population.
 func (s *DeltaState) Clone() *DeltaState {
 	out := &DeltaState{
 		il: make([]infoloss.State, len(s.il)),
@@ -53,9 +53,10 @@ func (s *DeltaState) Clone() *DeltaState {
 	return out
 }
 
-// Prepare builds the incremental evaluation state for a masked dataset.
-// The cost is comparable to one full evaluation; every EvaluateDelta from
-// the state then costs a small fraction of that.
+// Prepare builds the incremental evaluation state for a masked dataset:
+// one slot per Reversible measure, nil for every other. The cost is
+// comparable to one full evaluation; every offspring scored against the
+// state then costs a small fraction of that.
 func (e *Evaluator) Prepare(masked *dataset.Dataset) (*DeltaState, error) {
 	if masked == nil {
 		return nil, fmt.Errorf("score: nil masked dataset")
@@ -69,13 +70,13 @@ func (e *Evaluator) Prepare(masked *dataset.Dataset) (*DeltaState, error) {
 		dr: make([]risk.State, len(e.cfg.DR)),
 	}
 	for i, m := range e.cfg.IL {
-		if inc, ok := m.(infoloss.Incremental); ok {
-			s.il[i] = inc.Prepare(e.orig, masked, e.attrs)
+		if rev, ok := m.(infoloss.Reversible); ok {
+			s.il[i] = rev.Prepare(e.orig, masked, e.attrs)
 		}
 	}
 	for i, m := range e.cfg.DR {
-		if inc, ok := m.(risk.Incremental); ok {
-			s.dr[i] = inc.Prepare(e.orig, masked, e.attrs)
+		if rev, ok := m.(risk.Reversible); ok {
+			s.dr[i] = rev.Prepare(e.orig, masked, e.attrs)
 		}
 	}
 	return s, nil
@@ -88,7 +89,8 @@ func (e *Evaluator) Prepare(masked *dataset.Dataset) (*DeltaState, error) {
 // allocation against an expensive evaluation) fall back to a map.
 const replayScanLimit = 32
 
-// validateChanges checks the change-list contract of EvaluateDelta: only
+// validateChanges checks the change-list contract of EvaluateBatch and
+// Advance: only
 // in-domain edits of protected cells may appear — the states index their
 // summaries by protected-attribute position and category, so an unchecked
 // foreign column or out-of-domain value would silently corrupt them.
@@ -162,8 +164,8 @@ func (e *Evaluator) validateChanges(child *dataset.Dataset, changes []dataset.Ce
 // deltaRebuildFraction bounds when patching states change-by-change stops
 // paying off: once a change list touches more than rows/deltaRebuildFraction
 // cells (a wide crossover window), the per-change updates of the linkage
-// states approach the cost of rebuilding them, so EvaluateDelta rebuilds
-// from the child instead. Results are identical either way.
+// states approach the cost of a full evaluation, so EvaluateBatch scores
+// the child in full instead. Results are identical either way.
 const deltaRebuildFraction = 2
 
 // protected reports whether col is one of the protected attributes.
@@ -177,91 +179,9 @@ func (e *Evaluator) protected(col int) bool {
 }
 
 // WideEdit reports whether a change list is past the incremental
-// break-even point: EvaluateDelta will then evaluate the child in full
-// and return a nil state, so callers holding no state for the parent can
-// skip building one.
+// break-even point: EvaluateBatch then evaluates the child in full without
+// touching the parent's state, and Advance refuses the list, so callers
+// holding no state for the parent can skip building one.
 func (e *Evaluator) WideEdit(changes []dataset.CellChange) bool {
 	return len(changes)*deltaRebuildFraction > e.orig.Rows()
-}
-
-// EvaluateDelta scores child — the dataset obtained by applying changes,
-// in order, to the masked file parentState describes — and returns its
-// evaluation together with its own state. parent is that file's
-// evaluation; it is returned unchanged (with a cloned state) when changes
-// is empty. parentState is never modified.
-//
-// For edits wider than the incremental break-even point the child is
-// fully evaluated instead and the returned state is nil: building fresh
-// linkage states costs as much as the evaluation itself and is wasted
-// whenever the caller discards the child (an offspring losing its
-// survival tournament), so callers re-Prepare lazily if such a child
-// ever needs to parent a delta evaluation.
-//
-// The result is bit-for-bit identical to Evaluate(child), including the
-// per-measure parts maps.
-//
-// The changes slice is only read during the call — neither EvaluateDelta
-// nor any measure state retains it — so callers may reuse its backing
-// array across calls (the engine's operators do).
-func (e *Evaluator) EvaluateDelta(parent Evaluation, parentState *DeltaState, child *dataset.Dataset, changes []dataset.CellChange) (Evaluation, *DeltaState, error) {
-	if child == nil {
-		return Evaluation{}, nil, fmt.Errorf("score: nil child dataset")
-	}
-	if parentState == nil {
-		return Evaluation{}, nil, fmt.Errorf("score: nil parent delta state")
-	}
-	if len(parentState.il) != len(e.cfg.IL) || len(parentState.dr) != len(e.cfg.DR) {
-		return Evaluation{}, nil, fmt.Errorf("score: delta state has %d+%d measure slots, evaluator has %d+%d",
-			len(parentState.il), len(parentState.dr), len(e.cfg.IL), len(e.cfg.DR))
-	}
-	if child.Rows() != e.orig.Rows() || child.Cols() != e.orig.Cols() {
-		return Evaluation{}, nil, fmt.Errorf("score: child dataset is %dx%d, original is %dx%d",
-			child.Rows(), child.Cols(), e.orig.Rows(), e.orig.Cols())
-	}
-	if err := e.validateChanges(child, changes); err != nil {
-		return Evaluation{}, nil, err
-	}
-	if len(changes) == 0 {
-		return parent, parentState.Clone(), nil
-	}
-	if e.WideEdit(changes) {
-		// Wide edit: evaluate in full and let the caller rebuild a state
-		// lazily if this child ever needs one.
-		ev, err := e.Evaluate(child)
-		if err != nil {
-			return Evaluation{}, nil, err
-		}
-		return ev, nil, nil
-	}
-
-	out := parentState.Clone()
-	ev := Evaluation{
-		ILParts: make(map[string]float64, len(e.cfg.IL)),
-		DRParts: make(map[string]float64, len(e.cfg.DR)),
-	}
-	// Accumulate in battery order, exactly like Evaluate.
-	for i, m := range e.cfg.IL {
-		var v float64
-		if inc, ok := m.(infoloss.Incremental); ok && out.il[i] != nil {
-			v = inc.Apply(out.il[i], changes)
-		} else {
-			v = m.Loss(e.orig, child, e.attrs)
-		}
-		ev.ILParts[m.Name()] = v
-		ev.IL += v
-	}
-	for i, m := range e.cfg.DR {
-		var v float64
-		if inc, ok := m.(risk.Incremental); ok && out.dr[i] != nil {
-			v = inc.Apply(out.dr[i], changes)
-		} else {
-			v = m.Risk(e.orig, child, e.attrs)
-		}
-		ev.DRParts[m.Name()] = v
-		ev.DR += v
-	}
-	ev.IL /= float64(len(e.cfg.IL))
-	ev.DR /= float64(len(e.cfg.DR))
-	ev.Score = e.cfg.Aggregator.Combine(ev.IL, ev.DR)
-	return ev, out, nil
 }

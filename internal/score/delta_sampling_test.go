@@ -2,7 +2,7 @@ package score
 
 // Intruder-side sampling (MaxRecords) used to knock the DBRL and PRL
 // measures out of the incremental path — Prepare returned a nil slot and
-// EvaluateDelta recomputed just those measures in full each step. The
+// delta evaluation recomputed just those measures in full each step. The
 // linkage states are stride-aware now, so a sampling-configured battery
 // runs fully incrementally; this file keeps the end-to-end oracle that
 // guarded the old fallback, which is exactly as binding on the new path.
@@ -21,7 +21,7 @@ import (
 
 // TestSampledLinkageFallbackMatchesFromScratch is the property test: for
 // several datasets, MaxRecords strides and seeds, a chain of random
-// mutation batches evaluated through Prepare/EvaluateDelta (with every
+// mutation batches evaluated through Prepare/EvaluateBatch/Advance (with every
 // linkage measure on its stride-aware incremental state) must equal
 // Evaluate-from-scratch bit for bit at every step.
 func TestSampledLinkageFallbackMatchesFromScratch(t *testing.T) {
@@ -69,7 +69,7 @@ func TestSampledLinkageFallbackMatchesFromScratch(t *testing.T) {
 					child := masked.Clone()
 					batch := 1 + rng.IntN(4) // mutations and small crossover windows
 					changes := applyRandomChanges(rng, child, attrs, batch)
-					gotEval, gotState, err := eval.EvaluateDelta(parentEval, state, child, changes)
+					gotEval, err := deltaEvaluate(eval, parentEval, state, child, changes)
 					if err != nil {
 						t.Fatalf("%s/max%d/seed%d step %d: %v", grid.name, maxRecords, seed, step, err)
 					}
@@ -79,10 +79,10 @@ func TestSampledLinkageFallbackMatchesFromScratch(t *testing.T) {
 					}
 					requireIdentical(t,
 						grid.name+" sampled delta step", gotEval, want)
-					if gotState == nil {
-						t.Fatalf("%s/max%d/seed%d step %d: narrow edit returned no state", grid.name, maxRecords, seed, step)
+					if err := eval.Advance(state, child, changes); err != nil {
+						t.Fatalf("%s/max%d/seed%d step %d: narrow edit not committed: %v", grid.name, maxRecords, seed, step, err)
 					}
-					masked, parentEval, state = child, gotEval, gotState
+					masked, parentEval = child, gotEval
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"evoprot/internal/datagen"
 	"evoprot/internal/dataset"
+	"evoprot/internal/infoloss"
 	"evoprot/internal/risk"
 )
 
@@ -64,10 +65,21 @@ func requireIdentical(t *testing.T, context string, got, want Evaluation) {
 	}
 }
 
+// deltaEvaluate scores child — derived by changes from the file st
+// describes — as a single-offspring EvaluateBatch group, leaving st
+// describing the parent.
+func deltaEvaluate(eval *Evaluator, parent Evaluation, st *DeltaState, child *dataset.Dataset, changes []dataset.CellChange) (Evaluation, error) {
+	groups := []BatchGroup{{Parent: parent, State: st, Offspring: []BatchOffspring{{Child: child, Changes: changes}}}}
+	err := eval.EvaluateBatch(groups, 1)
+	return groups[0].Offspring[0].Eval, err
+}
+
 // TestEvaluateDeltaMatchesEvaluate is the core equivalence property: over
 // long randomized change chains — small batches (the incremental path) and
-// wide batches (the rebuild path) — EvaluateDelta must equal a fresh
-// Evaluate bit-for-bit, parts maps included.
+// wide batches (the full-evaluation path) — single-offspring batch groups
+// must equal a fresh Evaluate bit-for-bit, parts maps included. Each step
+// commits the child as the next parent the way the engine does: Advance
+// for narrow edits, a fresh Prepare after a wide one.
 func TestEvaluateDeltaMatchesEvaluate(t *testing.T) {
 	for _, seed := range []uint64{3, 29, 127} {
 		eval, orig := deltaTestEvaluator(t)
@@ -84,10 +96,10 @@ func TestEvaluateDeltaMatchesEvaluate(t *testing.T) {
 		for step := 0; step < 25; step++ {
 			batch := 1 + rng.IntN(3)
 			if step%7 == 6 {
-				batch = orig.Rows() // force the wide-edit rebuild path
+				batch = orig.Rows() // force the wide-edit full evaluation
 			}
 			changes := applyRandomChanges(rng, masked, attrs, batch)
-			got, nextSt, err := eval.EvaluateDelta(ev, st, masked, changes)
+			got, err := deltaEvaluate(eval, ev, st, masked, changes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,15 +108,15 @@ func TestEvaluateDeltaMatchesEvaluate(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireIdentical(t, "step", got, want)
-			if batch*2 > orig.Rows() {
-				// The wide-edit path returns no state; rebuild lazily as
-				// the engine would.
-				if nextSt != nil {
-					t.Fatal("wide edit returned a state; want nil (lazy rebuild)")
+			if eval.WideEdit(changes) {
+				if err := eval.Advance(st, masked, changes); err == nil {
+					t.Fatal("Advance accepted a wide edit; want a fresh Prepare")
 				}
-				nextSt = mustPrepare(t, eval, masked)
+				st = mustPrepare(t, eval, masked)
+			} else if err := eval.Advance(st, masked, changes); err != nil {
+				t.Fatal(err)
 			}
-			ev, st = got, nextSt
+			ev = got
 		}
 	}
 }
@@ -123,26 +135,45 @@ func TestEvaluateDeltaLeavesParentStateIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spawn several divergent offspring from the same parent state.
+	// Spawn several divergent offspring from the same parent state; each
+	// one after the first also proves the state rolled back.
 	for k := 0; k < 5; k++ {
 		child := parentData.Clone()
 		changes := applyRandomChanges(rng, child, attrs, 2)
-		got, _, err := eval.EvaluateDelta(parentEval, parentState, child, changes)
+		got, err := deltaEvaluate(eval, parentEval, parentState, child, changes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, _ := eval.Evaluate(child)
 		requireIdentical(t, "offspring", got, want)
 	}
-	// The parent state must still describe parentData exactly.
-	got, _, err := eval.EvaluateDelta(parentEval, parentState, parentData, nil)
+	// The parent state must still describe parentData exactly: committing
+	// it forward matches a state prepared from scratch.
+	child := parentData.Clone()
+	changes := applyRandomChanges(rng, child, attrs, 1)
+	fresh := mustPrepare(t, eval, parentData)
+	if err := eval.Advance(parentState, child, changes); err != nil {
+		t.Fatal(err)
+	}
+	if err := eval.Advance(fresh, child, changes); err != nil {
+		t.Fatal(err)
+	}
+	grand := child.Clone()
+	gchanges := applyRandomChanges(rng, grand, attrs, 2)
+	ce, _ := eval.Evaluate(child)
+	got, err := deltaEvaluate(eval, ce, parentState, grand, gchanges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, "parent after offspring", got, parentEval)
+	want, err := deltaEvaluate(eval, ce, fresh, grand, gchanges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "parent after offspring", got, want)
 }
 
-// TestEvaluateDeltaEmptyChanges returns the parent evaluation unchanged.
+// TestEvaluateDeltaEmptyChanges returns the parent evaluation unchanged
+// and leaves the group's state in place.
 func TestEvaluateDeltaEmptyChanges(t *testing.T) {
 	eval, orig := deltaTestEvaluator(t)
 	masked := orig.Clone()
@@ -151,36 +182,42 @@ func TestEvaluateDeltaEmptyChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st2, err := eval.EvaluateDelta(ev, st, masked, nil)
-	if err != nil {
+	groups := []BatchGroup{{Parent: ev, State: st, Offspring: []BatchOffspring{{Child: masked}}}}
+	if err := eval.EvaluateBatch(groups, 1); err != nil {
 		t.Fatal(err)
 	}
-	if st2 == st {
-		t.Fatal("empty-changes delta returned the parent state itself, not a clone")
+	if groups[0].State != st {
+		t.Fatal("empty-changes batch replaced the group state")
 	}
-	requireIdentical(t, "empty changes", got, ev)
+	requireIdentical(t, "empty changes", groups[0].Offspring[0].Eval, ev)
 }
 
-// TestEvaluateDeltaErrors covers the argument contract.
+// TestEvaluateDeltaErrors covers the argument contract of EvaluateBatch.
 func TestEvaluateDeltaErrors(t *testing.T) {
 	eval, orig := deltaTestEvaluator(t)
 	masked := orig.Clone()
 	st := mustPrepare(t, eval, masked)
 	ev, _ := eval.Evaluate(masked)
-	if _, _, err := eval.EvaluateDelta(ev, st, nil, nil); err == nil {
+	attrs := eval.Attrs()
+	card := orig.Schema().Attr(attrs[0]).Cardinality()
+	narrowChild := masked.Clone()
+	old := narrowChild.At(0, attrs[0])
+	narrowChild.Set(0, attrs[0], (old+1)%card)
+	narrow := []dataset.CellChange{{Row: 0, Col: attrs[0], Old: old, New: (old + 1) % card}}
+
+	if _, err := deltaEvaluate(eval, ev, st, nil, nil); err == nil {
 		t.Error("nil child accepted")
 	}
-	if _, _, err := eval.EvaluateDelta(ev, nil, masked, nil); err == nil {
-		t.Error("nil state accepted")
+	if _, err := deltaEvaluate(eval, ev, nil, narrowChild, narrow); err == nil {
+		t.Error("nil state accepted for a narrow edit")
 	}
 	small := dataset.New(orig.Schema(), orig.Rows()-1)
-	if _, _, err := eval.EvaluateDelta(ev, st, small, nil); err == nil {
+	if _, err := deltaEvaluate(eval, ev, st, small, nil); err == nil {
 		t.Error("shape mismatch accepted")
 	}
-	if _, _, err := eval.EvaluateDelta(ev, &DeltaState{}, masked, nil); err == nil {
+	if _, err := deltaEvaluate(eval, ev, &DeltaState{}, masked, nil); err == nil {
 		t.Error("foreign state shape accepted")
 	}
-	attrs := eval.Attrs()
 	unprotected := -1
 	for c := 0; c < orig.Cols(); c++ {
 		if !slicesContain(attrs, c) {
@@ -190,26 +227,22 @@ func TestEvaluateDeltaErrors(t *testing.T) {
 	}
 	if unprotected >= 0 {
 		bad := []dataset.CellChange{{Row: 0, Col: unprotected, Old: 0, New: 0}}
-		if _, _, err := eval.EvaluateDelta(ev, st, masked, bad); err == nil {
+		if _, err := deltaEvaluate(eval, ev, st, masked, bad); err == nil {
 			t.Error("change on unprotected column accepted")
 		}
 	}
 	oob := []dataset.CellChange{{Row: orig.Rows(), Col: attrs[0], Old: 0, New: 1}}
-	if _, _, err := eval.EvaluateDelta(ev, st, masked, oob); err == nil {
+	if _, err := deltaEvaluate(eval, ev, st, masked, oob); err == nil {
 		t.Error("out-of-range change row accepted")
 	}
-	card := orig.Schema().Attr(attrs[0]).Cardinality()
 	badVal := []dataset.CellChange{{Row: 0, Col: attrs[0], Old: 0, New: card}}
-	if _, _, err := eval.EvaluateDelta(ev, st, masked, badVal); err == nil {
+	if _, err := deltaEvaluate(eval, ev, st, masked, badVal); err == nil {
 		t.Error("out-of-domain change value accepted")
 	}
 	// A diff taken in the wrong direction must be rejected, not silently
 	// corrupt the state: the replayed list does not land on the child.
-	child := masked.Clone()
-	old := child.At(0, attrs[0])
-	child.Set(0, attrs[0], (old+1)%card)
 	swapped := []dataset.CellChange{{Row: 0, Col: attrs[0], Old: (old + 1) % card, New: old}}
-	if _, _, err := eval.EvaluateDelta(ev, st, child, swapped); err == nil {
+	if _, err := deltaEvaluate(eval, ev, st, narrowChild, swapped); err == nil {
 		t.Error("swapped Old/New change list accepted")
 	}
 	// A per-cell chain whose second edit does not start where the first
@@ -219,10 +252,17 @@ func TestEvaluateDeltaErrors(t *testing.T) {
 			{Row: 0, Col: attrs[0], Old: masked.At(0, attrs[0]), New: (masked.At(0, attrs[0]) + 1) % card},
 			{Row: 0, Col: attrs[0], Old: (masked.At(0, attrs[0]) + 2) % card, New: masked.At(0, attrs[0])},
 		}
-		if _, _, err := eval.EvaluateDelta(ev, st, masked, broken); err == nil {
+		if _, err := deltaEvaluate(eval, ev, st, masked, broken); err == nil {
 			t.Error("broken per-cell change chain accepted")
 		}
 	}
+	// The state survived every rejected call intact.
+	got, err := deltaEvaluate(eval, ev, st, narrowChild, narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := eval.Evaluate(narrowChild)
+	requireIdentical(t, "after rejected calls", got, want)
 	// Prepare mirrors Evaluate's argument validation.
 	if _, err := eval.Prepare(nil); err == nil {
 		t.Error("Prepare accepted a nil dataset")
@@ -241,18 +281,24 @@ func slicesContain(xs []int, x int) bool {
 	return false
 }
 
-// TestEvaluateDeltaWithNonIncrementalBattery: a battery of measures with
-// no incremental implementations must still work (pure fallback) and the
-// parallel-evaluation flag must not change delta results.
+// TestEvaluateDeltaWithNonIncrementalBattery: measures without a
+// reversible state — a plain Measure, and one implementing only the
+// Prepare/Apply half — get nil slots and are recomputed in full for
+// every offspring, bit-identical to Evaluate.
 func TestEvaluateDeltaWithNonIncrementalBattery(t *testing.T) {
 	_, orig := deltaTestEvaluator(t)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, _ := orig.Schema().Indices(names...)
-	for _, cfg := range []Config{
-		{DR: []risk.Measure{&RankOnly{}}},
-		{Parallel: true},
+	il := infoloss.Default()
+	il[0] = incOnly{il[0].(infoloss.Incremental)}
+	for _, tc := range []struct {
+		cfg          Config
+		nilIL, nilDR int // the slot Prepare must leave nil, -1 for none
+	}{
+		{cfg: Config{DR: []risk.Measure{&RankOnly{}}}, nilIL: -1, nilDR: 0},
+		{cfg: Config{IL: il}, nilIL: 0, nilDR: -1},
 	} {
-		eval, err := NewEvaluator(orig, attrs, cfg)
+		eval, err := NewEvaluator(orig, attrs, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,22 +306,39 @@ func TestEvaluateDeltaWithNonIncrementalBattery(t *testing.T) {
 		masked := orig.Clone()
 		applyRandomChanges(rng, masked, attrs, 10)
 		st := mustPrepare(t, eval, masked)
+		for i, slot := range st.il {
+			if (slot == nil) != (i == tc.nilIL) {
+				t.Fatalf("IL slot %d: nil=%v, want nil only at %d", i, slot == nil, tc.nilIL)
+			}
+		}
+		for i, slot := range st.dr {
+			if (slot == nil) != (i == tc.nilDR) {
+				t.Fatalf("DR slot %d: nil=%v, want nil only at %d", i, slot == nil, tc.nilDR)
+			}
+		}
 		ev, err := eval.Evaluate(masked)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for step := 0; step < 8; step++ {
 			changes := applyRandomChanges(rng, masked, attrs, 1)
-			got, nextSt, err := eval.EvaluateDelta(ev, st, masked, changes)
+			got, err := deltaEvaluate(eval, ev, st, masked, changes)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, _ := eval.Evaluate(masked)
 			requireIdentical(t, "fallback battery", got, want)
-			ev, st = got, nextSt
+			if err := eval.Advance(st, masked, changes); err != nil {
+				t.Fatal(err)
+			}
+			ev = got
 		}
 	}
 }
+
+// incOnly exposes only the Prepare/Apply half of a measure's state
+// capability: without ApplyUndo/Undo an evaluator builds it no slot.
+type incOnly struct{ infoloss.Incremental }
 
 // RankOnly is a tiny non-incremental test measure wrapping RSRL's full
 // Risk with a fixed window: it implements only risk.Measure, keeping the

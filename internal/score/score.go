@@ -103,9 +103,6 @@ type Config struct {
 	// Aggregator combines IL and DR; nil selects Max (Eq. 2), the
 	// aggregation the paper concludes works better for categorical data.
 	Aggregator Aggregator
-	// Parallel evaluates the IL and DR batteries concurrently when true.
-	// Results are identical; only wall-clock changes.
-	Parallel bool
 }
 
 // Evaluator computes evaluations of masked datasets against one fixed
@@ -188,44 +185,15 @@ func (e *Evaluator) Evaluate(masked *dataset.Dataset) (Evaluation, error) {
 		ILParts: make(map[string]float64, len(e.cfg.IL)),
 		DRParts: make(map[string]float64, len(e.cfg.DR)),
 	}
-	if e.cfg.Parallel {
-		var wg sync.WaitGroup
-		ilVals := make([]float64, len(e.cfg.IL))
-		drVals := make([]float64, len(e.cfg.DR))
-		for i, m := range e.cfg.IL {
-			wg.Add(1)
-			go func(i int, m infoloss.Measure) {
-				defer wg.Done()
-				ilVals[i] = m.Loss(e.orig, masked, e.attrs)
-			}(i, m)
-		}
-		for i, m := range e.cfg.DR {
-			wg.Add(1)
-			go func(i int, m risk.Measure) {
-				defer wg.Done()
-				drVals[i] = m.Risk(e.orig, masked, e.attrs)
-			}(i, m)
-		}
-		wg.Wait()
-		for i, m := range e.cfg.IL {
-			ev.ILParts[m.Name()] = ilVals[i]
-			ev.IL += ilVals[i]
-		}
-		for i, m := range e.cfg.DR {
-			ev.DRParts[m.Name()] = drVals[i]
-			ev.DR += drVals[i]
-		}
-	} else {
-		for _, m := range e.cfg.IL {
-			v := m.Loss(e.orig, masked, e.attrs)
-			ev.ILParts[m.Name()] = v
-			ev.IL += v
-		}
-		for _, m := range e.cfg.DR {
-			v := m.Risk(e.orig, masked, e.attrs)
-			ev.DRParts[m.Name()] = v
-			ev.DR += v
-		}
+	for _, m := range e.cfg.IL {
+		v := m.Loss(e.orig, masked, e.attrs)
+		ev.ILParts[m.Name()] = v
+		ev.IL += v
+	}
+	for _, m := range e.cfg.DR {
+		v := m.Risk(e.orig, masked, e.attrs)
+		ev.DRParts[m.Name()] = v
+		ev.DR += v
 	}
 	ev.IL /= float64(len(e.cfg.IL))
 	ev.DR /= float64(len(e.cfg.DR))
@@ -234,7 +202,8 @@ func (e *Evaluator) Evaluate(masked *dataset.Dataset) (Evaluation, error) {
 }
 
 // EvaluateAll evaluates many masked datasets with the given worker-pool
-// width (<=1 means sequential), preserving order. The context is checked
+// width (<=1 means sequential; never more workers than datasets),
+// preserving order. The context is checked
 // between datasets, so a whole-population evaluation — the startup cost of
 // an engine — honours cancellation.
 func (e *Evaluator) EvaluateAll(ctx context.Context, masked []*dataset.Dataset, workers int) ([]Evaluation, error) {
@@ -244,8 +213,7 @@ func (e *Evaluator) EvaluateAll(ctx context.Context, masked []*dataset.Dataset, 
 
 // EvaluateAllPrepared is EvaluateAll plus incremental preparation: the
 // worker that evaluates a dataset also builds its delta state (see
-// Prepare), so a population enters the engine ready for delta evaluation
-// and the first reproduction of every parent skips the lazy state build.
+// Prepare), so a population enters the engine ready for batch evaluation.
 // The returned states are aligned with the evaluations.
 func (e *Evaluator) EvaluateAllPrepared(ctx context.Context, masked []*dataset.Dataset, workers int) ([]Evaluation, []*DeltaState, error) {
 	return e.evaluateAll(ctx, masked, workers, true)
@@ -280,6 +248,9 @@ func (e *Evaluator) evaluateAll(ctx context.Context, masked []*dataset.Dataset, 
 		}
 		return nil
 	}
+	// The width comes from callers' specs; cap it at one worker per
+	// dataset so an outsized value cannot spawn idle goroutines.
+	workers = min(workers, len(masked))
 	if workers <= 1 {
 		for i := range masked {
 			if err := one(i); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"evoprot/internal/datagen"
 	"evoprot/internal/dataset"
@@ -150,21 +151,59 @@ func TestScoreIsAggregateOfParts(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential: batch groups sharded across a worker
+// pool score bit-identically to the same groups evaluated in sequence.
 func TestParallelMatchesSequential(t *testing.T) {
+	eval, orig := deltaTestEvaluator(t)
+	attrs := eval.Attrs()
+	build := func() []BatchGroup {
+		rng := rand.New(rand.NewPCG(8, 8))
+		parents := make([]*dataset.Dataset, 4)
+		for i := range parents {
+			parents[i] = orig.Clone()
+			applyRandomChanges(rng, parents[i], attrs, 10+i)
+		}
+		return buildBatch(t, eval, rng, parents, attrs, 3)
+	}
+	seq, par := build(), build()
+	if err := eval.EvaluateBatch(seq, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := eval.EvaluateBatch(par, 4); err != nil {
+		t.Fatal(err)
+	}
+	for g := range seq {
+		for k := range seq[g].Offspring {
+			requireIdentical(t, "parallel batch", par[g].Offspring[k].Eval, seq[g].Offspring[k].Eval)
+		}
+	}
+}
+
+// TestEvaluateAllCapsWorkersAtDatasets: the pool width arrives from job
+// specs unbounded, so an outsized value must cost no more than one worker
+// per dataset. Spawning 1<<22 idle goroutines takes seconds; two datasets
+// take milliseconds.
+func TestEvaluateAllCapsWorkersAtDatasets(t *testing.T) {
 	d, attrs := testSetup(t)
-	masked := maskWith(t, d, attrs, "rankswap:p=10", 11)
-	seq, _ := NewEvaluator(d, attrs, Config{})
-	par, _ := NewEvaluator(d, attrs, Config{Parallel: true})
-	a, err := seq.Evaluate(masked)
+	e, _ := NewEvaluator(d, attrs, Config{})
+	maskings := []*dataset.Dataset{d, maskWith(t, d, attrs, "pram:theta=0.5", 3)}
+	want, _, err := e.EvaluateAllPrepared(context.Background(), maskings, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.Evaluate(masked)
+	start := time.Now()
+	got, states, err := e.EvaluateAllPrepared(context.Background(), maskings, 1<<22)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.IL != b.IL || a.DR != b.DR || a.Score != b.Score {
-		t.Fatalf("parallel (%v,%v,%v) != sequential (%v,%v,%v)", b.IL, b.DR, b.Score, a.IL, a.DR, a.Score)
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("two datasets with a 1<<22-wide pool took %v; the pool is not capped", el)
+	}
+	for i := range maskings {
+		requireIdentical(t, "capped pool", got[i], want[i])
+		if states[i] == nil {
+			t.Fatalf("dataset %d: no prepared state", i)
+		}
 	}
 }
 

@@ -366,3 +366,63 @@ func TestRestartRecoversQueuedJobs(t *testing.T) {
 		t.Fatalf("recovered queued job: state %s, resumes %d", done.State, done.Resumes)
 	}
 }
+
+// TestRestartLoadsSpecWithRemovedRouteKnobs: specs persisted while
+// JobSpec still had "disable_delta" and "lazy_prepare" must keep loading
+// on restart. The store decodes leniently, so the dropped knobs are
+// ignored and the recovered job runs to completion.
+func TestRestartLoadsSpecWithRemovedRouteKnobs(t *testing.T) {
+	cfg := Config{Store: storage.NewMem(), Workers: 1, Logf: t.Logf}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No Start: the job can only queue.
+	ts1 := httptest.NewServer(s1.Handler())
+	status := postJob(t, ts1.URL, smallSpec())
+	ts1.Close()
+	stopCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	if err := s1.Stop(stopCtx); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+
+	raw, err := cfg.Store.Get(status.ID, statusKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	spec := doc["spec"].(map[string]any)
+	spec["disable_delta"] = true
+	spec["lazy_prepare"] = true
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Store.Put(status.ID, statusKey, raw); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Start()
+	ts2 := httptest.NewServer(s2.Handler())
+	defer func() {
+		ts2.Close()
+		stopCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s2.Stop(stopCtx); err != nil {
+			t.Error(err)
+		}
+	}()
+	done := waitFor(t, ts2.URL, status.ID, 60*time.Second, func(s JobStatus) bool {
+		return s.State.Terminal()
+	})
+	if done.State != StateDone {
+		t.Fatalf("recovered job with legacy spec fields: state %s (error %q)", done.State, done.Error)
+	}
+}

@@ -372,6 +372,26 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestRemovedRouteKnobRejected: the evaluation-route knobs are gone from
+// JobSpec, and the strict submit decoder answers a spec still carrying
+// one with a 400 that names the field.
+func TestRemovedRouteKnobRejected(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, field := range []string{"disable_delta", "lazy_prepare"} {
+		body := `{"dataset":"flare","rows":60,"generations":2,"` + field + `":true}`
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr apiError
+		json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, field) {
+			t.Fatalf("spec with %s: HTTP %d %q, want 400 naming the field", field, resp.StatusCode, apiErr.Error)
+		}
+	}
+}
+
 // TestWidePRLSpecRejectedServerStaysUp is the regression test for a job
 // over more protected attributes than probabilistic record linkage
 // supports: admission must answer 400, and the server keeps serving. The

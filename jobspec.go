@@ -52,15 +52,16 @@ type JobSpec struct {
 	// MLTarget, when set, appends the machine-learning-utility measure to
 	// the information-loss battery: a naive Bayes proxy classifier
 	// predicting this attribute, scoring the held-out accuracy drop of a
-	// model trained on the protected file. Disables delta and batch
-	// evaluation speedups (the measure is not incremental).
+	// model trained on the protected file. The measure has no incremental
+	// state, so it is recomputed in full for every offspring.
 	MLTarget string `json:"ml_target,omitempty"`
 	// Generations is each island's total evolution budget
 	// (0 = DefaultGenerations).
 	Generations int `json:"generations,omitempty"`
 	// Seed fixes the run seed; the whole parallel run reproduces from it.
 	Seed uint64 `json:"seed"`
-	// Workers parallelizes initial-population evaluation (0 = sequential).
+	// Workers parallelizes initial-population evaluation (0 = sequential;
+	// never more workers than seed protections).
 	Workers int `json:"workers,omitempty"`
 	// EvalWorkers parallelizes generation-batch offspring evaluation (0
 	// inherits Workers, negative forces sequential). Identical results at
@@ -94,12 +95,6 @@ type JobSpec struct {
 	// within its bounds (zero-valued bounds select defaults derived from
 	// the schedule).
 	Adaptive *AdaptiveMigration `json:"adaptive,omitempty"`
-	// DisableDelta turns off incremental offspring evaluation — identical
-	// results, much slower; a benchmarking knob.
-	DisableDelta bool `json:"disable_delta,omitempty"`
-	// LazyPrepare skips eager delta-preparation of the initial population —
-	// a memory-pressure knob; identical results.
-	LazyPrepare bool `json:"lazy_prepare,omitempty"`
 	// Priority orders service-side scheduling (0-9, higher runs first; 0
 	// is the default). It is a service concern, not an engine option: a
 	// high-priority submission may preempt lower-priority running work,
@@ -191,8 +186,6 @@ func (s *JobSpec) islandsConfig() (islands.Config, error) {
 			NoImprovementWindow: s.EarlyStop,
 			InitWorkers:         s.Workers,
 			EvalWorkers:         s.EvalWorkers,
-			DisableDelta:        s.DisableDelta,
-			LazyPrepare:         s.LazyPrepare,
 		},
 	}, nil
 }
@@ -315,12 +308,6 @@ func (s *JobSpec) Options() ([]Option, error) {
 	}
 	if s.Adaptive != nil {
 		opts = append(opts, WithAdaptiveMigration(*s.Adaptive))
-	}
-	if s.DisableDelta {
-		opts = append(opts, WithoutDelta())
-	}
-	if s.LazyPrepare {
-		opts = append(opts, WithLazyPrepare())
 	}
 	return opts, nil
 }

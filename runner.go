@@ -4,8 +4,7 @@ package evoprot
 // the island-model redesign. A Runner owns a prepared evaluator and
 // initial population and executes cancellable, observable optimization
 // runs — single-engine or island-model — configured through functional
-// options instead of zero-value-overloaded structs. The pre-context
-// Optimize entry point survives as a thin deprecated wrapper.
+// options instead of zero-value-overloaded structs.
 
 import (
 	"bytes"
@@ -88,8 +87,6 @@ type runnerOptions struct {
 	adaptive        *AdaptiveMigration
 	onEvent         func(Event)
 	events          chan<- Event
-	disableDelta    bool
-	lazyPrepare     bool
 	checkpointPath  string
 	checkpointSink  func(snapshot []byte) error
 	checkpointEvery int
@@ -308,8 +305,9 @@ func WithParetoRef(il, dr float64) Option {
 // named target attribute, scoring the held-out accuracy drop of a model
 // trained on the protected file instead of the original. The target may
 // be any schema attribute; when it is itself protected it is excluded
-// from the classifier's features. The measure is not incremental, so runs
-// using it forgo delta and generation-batch evaluation speedups.
+// from the classifier's features. The measure has no incremental state, so
+// it is recomputed in full for every offspring while the rest of the
+// battery stays incremental.
 func WithMLUtility(target string) Option { return func(o *runnerOptions) { o.mlTarget = target } }
 
 // WithGenerations sets each island's evolution budget per Run call (0
@@ -397,15 +395,6 @@ func WithProgress(fn func(Event)) Option { return func(o *runnerOptions) { o.onE
 // so the caller must drain; the channel is closed when the run finishes. A
 // channel serves a single Run call.
 func WithEvents(ch chan<- Event) Option { return func(o *runnerOptions) { o.events = ch } }
-
-// WithoutDelta disables incremental (delta) offspring evaluation —
-// identical results, much slower; a benchmarking knob.
-func WithoutDelta() Option { return func(o *runnerOptions) { o.disableDelta = true } }
-
-// WithLazyPrepare skips the eager delta-preparation of the initial
-// population, rebuilding states lazily on first reproduction instead — a
-// memory-pressure knob; identical results.
-func WithLazyPrepare() Option { return func(o *runnerOptions) { o.lazyPrepare = true } }
 
 // WithCheckpoint writes atomic engine snapshots to path at every migration
 // barrier once at least `every` generations have passed since the last
@@ -558,8 +547,6 @@ func (r *Runner) islandsConfig() (islands.Config, error) {
 			Selection:           sel,
 			Objective:           r.opts.objective,
 			ParetoRef:           r.opts.paretoRef,
-			DisableDelta:        r.opts.disableDelta,
-			LazyPrepare:         r.opts.lazyPrepare,
 		},
 		OnEvent:  r.opts.onEvent,
 		Events:   r.opts.events,

@@ -72,14 +72,6 @@ func TestRunMatchesLegacyEngineTrajectory(t *testing.T) {
 		if !ref.Best.Data.Equal(res.Best.Data) {
 			t.Fatalf("seed %d: best individuals diverged", seed)
 		}
-		// And the deprecated wrapper rides the same path.
-		legacy, err := Optimize(orig, attrs, OptimizeOptions{Dataset: "flare", Generations: 30, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if legacy.Best.Eval.Score != ref.Best.Eval.Score || !legacy.Best.Data.Equal(ref.Best.Data) {
-			t.Fatalf("seed %d: deprecated Optimize diverged from the engine trajectory", seed)
-		}
 	}
 }
 
