@@ -227,7 +227,7 @@ func report(w io.Writer, res *evoprot.RunResult, plots bool) {
 	fmt.Fprintf(w, "  min score:  %7.2f -> %7.2f\n", first.Min, last.Min)
 	fmt.Fprintf(w, "best protection: origin=%s IL=%.2f DR=%.2f score=%.2f\n",
 		res.Best.Origin, res.Best.Eval.IL, res.Best.Eval.DR, res.Best.Eval.Score)
-	if front := last.Front; front != nil {
+	if front := lead.Front; front != nil {
 		fmt.Fprintf(w, "pareto front: %d point(s), hypervolume %.2f\n", front.Size, front.Hypervolume)
 	}
 	if plots {
@@ -279,9 +279,7 @@ func printPlots(w io.Writer, res *evoprot.Result) {
 	}
 	fmt.Fprintln(w, evoprot.RenderEvolution(maxS, meanS, minS, 72, 18))
 	fmt.Fprintln(w, evoprot.RenderDispersion(res.Population, 72, 18))
-	if len(res.History) > 0 {
-		if front := res.History[len(res.History)-1].Front; front != nil {
-			fmt.Fprintln(w, evoprot.RenderFront(res.Population, front.Pairs, 72, 18))
-		}
+	if front := res.Front; front != nil {
+		fmt.Fprintln(w, evoprot.RenderFront(res.Population, front.Pairs, 72, 18))
 	}
 }

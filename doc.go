@@ -110,13 +110,17 @@
 //
 // The paper scalarizes the IL/DR trade-off through an aggregator before
 // selection ever sees it. WithObjective("pareto") keeps both objectives:
-// selection and replacement run NSGA-II-style — fast non-dominated
-// sorting with crowding-distance tie-breaks over raw (IL, DR) pairs — so
-// a single run evolves a whole front of trade-offs instead of one
-// compromise point. Each generation's GenStats (and every streamed
-// Event) carries a FrontStats payload: the first front's (IL, DR) pairs
-// and its hypervolume against the reference point (WithParetoRef;
-// defaults to DefaultParetoRef, components must be finite and positive).
+// selection and replacement run NSGA-II-style — non-dominated sorting
+// with crowding-distance tie-breaks over raw (IL, DR) pairs — so a
+// single run evolves a whole front of trade-offs instead of one
+// compromise point. With two objectives the sort is an O(n log n) sweep,
+// run once per generation over population + offspring; it also yields
+// the generation's front already in order. Each generation's GenStats
+// (and every streamed Event) carries a FrontStats payload: the first
+// front's (IL, DR) pairs and its hypervolume against the reference point
+// (WithParetoRef; defaults to DefaultParetoRef, components must be finite
+// and positive). Each island's Result.Front summarizes its final
+// population, migrants accepted after the last generation included.
 // Scalar runs are byte-for-byte unaffected — the payload is omitted from
 // their JSON — and Pareto mode keeps every determinism guarantee:
 // fixed-seed runs, snapshots and resumed runs reproduce fronts bit for
@@ -127,7 +131,7 @@
 //		evoprot.WithObjective("pareto"),
 //		evoprot.WithParetoRef(120, 120),
 //	)
-//	front := res.Islands[0].History[len(res.Islands[0].History)-1].Front
+//	front := res.Islands[0].Front
 //	fmt.Printf("%d trade-offs, hypervolume %.1f\n", front.Size, front.Hypervolume)
 //
 // The knobs travel the whole stack: JobSpec carries "objective" and

@@ -61,8 +61,9 @@ type (
 	EngineConfig = core.Config
 	// GenStats is one generation's history record.
 	GenStats = core.GenStats
-	// FrontStats is a Pareto-mode generation's non-dominated front summary
-	// (GenStats.Front; nil on scalarized runs).
+	// FrontStats is a Pareto-mode non-dominated front summary: a
+	// generation's (GenStats.Front) or a final population's
+	// (Result.Front); nil on scalarized runs.
 	FrontStats = core.FrontStats
 	// Result is the outcome of an evolutionary run.
 	Result = core.Result

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"time"
 
@@ -57,9 +58,9 @@ type Individual struct {
 
 	// rank and crowd are the NSGA-II non-domination rank (0 = first
 	// front) and crowding distance of Pareto mode. They are derived data:
-	// recomputed from the population's (IL, DR) pairs every sort and never
-	// serialized — a resumed engine re-derives them deterministically.
-	// Unused (zero) in scalar mode.
+	// re-derived from the (IL, DR) pairs by every ranking (see nsga2.go)
+	// and never serialized — a resumed engine re-derives them
+	// deterministically. Unused (zero) in scalar mode.
 	rank  int
 	crowd float64
 }
@@ -441,6 +442,11 @@ type Result struct {
 	AcceptedOffspring, TotalOffspring int
 	// Best is the best individual of the final population.
 	Best *Individual
+	// Front summarizes the final population's non-dominated front in
+	// Pareto mode; nil in scalar mode. It can differ from the last
+	// History entry's: an island model migrates after the final
+	// generation too.
+	Front *FrontStats `json:",omitempty"`
 }
 
 // Engine runs the evolutionary algorithm over a population of protections
@@ -468,9 +474,15 @@ type Engine struct {
 	// cutBuf holds the k-point crossover's sorted cut positions, reused
 	// across generations (unused on the 2-point paper path).
 	cutBuf []int
-	// pairBuf stages the population's (IL, DR) pairs for Pareto-mode
-	// front extraction, reused across generations.
-	pairBuf []score.Pair
+	// nsga is Pareto mode's ranking state and scratch, and poolBuf stages
+	// environmental selection's population + offspring pool; both reused
+	// across generations. hv is the hypervolume of the current
+	// population's front when hvValid: Step records it, and anything else
+	// that changes the population clears hvValid.
+	nsga    nsgaSort
+	poolBuf []*Individual
+	hv      float64
+	hvValid bool
 
 	// bParents/bChildren/bChanges stage one generation's offspring for
 	// batch evaluation, and bOffs/bGroups are the score.EvaluateBatch
@@ -680,7 +692,10 @@ func (e *Engine) Step() GenStats {
 	prevBest := e.pop[0].Eval.Score
 	var prevHV float64
 	if e.paretoMode() {
-		prevHV = e.frontStats().Hypervolume
+		if !e.hvValid {
+			e.hv = e.frontStats().Hypervolume
+		}
+		prevHV = e.hv
 	}
 	e.gen++
 	gs := GenStats{Gen: e.gen}
@@ -706,7 +721,11 @@ func (e *Engine) Step() GenStats {
 	e.evals += gs.Evals
 	e.accepted += gs.Accepted
 	e.offspring += gs.Evals
-	e.sortPop()
+	if e.paretoMode() {
+		e.sortRanked() // paretoReplace left the survivors ranked and crowded
+	} else {
+		e.sortPop()
+	}
 
 	gs = e.popStats(gs)
 	gs.EvalTime = evalTime
@@ -715,6 +734,7 @@ func (e *Engine) Step() GenStats {
 		fs := e.frontStats()
 		gs.Front = &fs
 		gs.Improved = fs.Hypervolume > prevHV
+		e.hv, e.hvValid = fs.Hypervolume, true
 	} else {
 		gs.Improved = e.pop[0].Eval.Score < prevBest
 	}
@@ -762,7 +782,7 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 // drive the engine through Step (the island model) can report results in
 // the same shape.
 func (e *Engine) MakeResult(reason StopReason) *Result {
-	return &Result{
+	res := &Result{
 		Population:        e.Population(),
 		History:           e.History(),
 		Generations:       e.ExecutedGenerations(),
@@ -772,6 +792,11 @@ func (e *Engine) MakeResult(reason StopReason) *Result {
 		TotalOffspring:    e.offspring,
 		Best:              e.Best(),
 	}
+	if e.paretoMode() {
+		fs := e.frontStats()
+		res.Front = &fs
+	}
+	return res
 }
 
 // Emigrants returns copies of the k best individuals for injection into
@@ -822,6 +847,7 @@ func (e *Engine) Emigrants(k int) []*Individual {
 func (e *Engine) Immigrate(migrants []*Individual) int {
 	accepted := 0
 	agg := e.eval.Aggregator()
+	e.hvValid = false
 	for _, m := range migrants {
 		if m == nil || m.Data == nil {
 			continue
@@ -830,10 +856,9 @@ func (e *Engine) Immigrate(migrants []*Individual) int {
 		ev.Score = agg.Combine(ev.IL, ev.DR)
 		if e.paretoMode() {
 			imm := &Individual{Data: m.Data, Eval: ev, Origin: m.Origin}
-			pool := make([]*Individual, 0, len(e.pop)+1)
-			pool = append(pool, e.pop...)
-			pool = append(pool, imm)
-			kept := envSelect(pool, len(e.pop))
+			pool := append(append(e.poolBuf[:0], e.pop...), imm)
+			e.poolBuf = pool
+			kept := e.nsga.envSelect(pool, len(e.pop))
 			if containsIndividual(kept, imm) {
 				if m.state != nil {
 					imm.state = m.state.Clone()
@@ -1120,21 +1145,27 @@ func (e *Engine) cross(p1, p2 *Individual) (c1, c2 *Individual, ch1, ch2 []datas
 // sortPop keeps the population sorted by ascending score; ties preserve
 // the previous order (stable), matching §2.4's sorted-population model.
 // Pareto mode sorts by (rank, score) instead — recomputing rank and
-// crowding first, so every caller (construction, Resume, migration, Step)
+// crowding first, so every caller (construction, Resume, migration)
 // leaves the population with fresh NSGA-II state and pop[0] is the first
-// front's best-compromise member.
+// front's best-compromise member. Step needs no recomputation: its
+// environmental selection already ranked the survivors (see envSelect).
 func (e *Engine) sortPop() {
 	if e.paretoMode() {
 		e.refreshPareto()
-		sort.SliceStable(e.pop, func(i, j int) bool {
-			if e.pop[i].rank != e.pop[j].rank {
-				return e.pop[i].rank < e.pop[j].rank
-			}
-			return e.pop[i].Eval.Score < e.pop[j].Eval.Score
-		})
+		e.sortRanked()
 		return
 	}
 	sort.SliceStable(e.pop, func(i, j int) bool {
 		return e.pop[i].Eval.Score < e.pop[j].Eval.Score
+	})
+}
+
+// sortRanked stably sorts a ranked Pareto population by (rank, score).
+func (e *Engine) sortRanked() {
+	slices.SortStableFunc(e.pop, func(a, b *Individual) int {
+		if a.rank != b.rank {
+			return lessCmp(a.rank < b.rank)
+		}
+		return lessCmp(a.Eval.Score < b.Eval.Score)
 	})
 }

@@ -2,9 +2,9 @@ package core
 
 // NSGA-II-style Pareto mode (Config.Objective == ObjectivePareto): instead
 // of folding (IL, DR) into one aggregated score, the engine ranks the
-// population by fast non-dominated sorting (Deb et al. 2002) and breaks
-// ties inside a front by crowding distance. Reproduction selection becomes
-// a crowded binary tournament, and replacement becomes mu+lambda
+// population by non-dominated sorting (Deb et al. 2002) and breaks ties
+// inside a front by crowding distance. Reproduction selection becomes a
+// crowded binary tournament, and replacement becomes mu+lambda
 // environmental selection over population + offspring — a child may evict
 // any dominated individual, not just its own parent. Evaluation is
 // untouched: rank and crowding are computed from the Evaluation.Pair()
@@ -12,15 +12,23 @@ package core
 // and the aggregated Score keeps being computed as the in-front
 // tie-breaker and the currency of statistics and cross-mode migration.
 //
-// Rank and crowding are derived data. They are recomputed on every
-// population sort and never serialized; snapshot/resume re-derives them
-// from the restored pairs, so a resumed Pareto run continues the identical
-// trajectory (gated by TestParetoSnapshotResume).
+// With two objectives the non-dominated sort is a sweep: one sort of the
+// pool by (IL, DR), then one binary search over the fronts per member —
+// O(n log n) instead of the pairwise O(n²). A generation ranks once:
+// environmental selection ranks and crowds the pool, the survivors keep
+// those ranks, and only the truncated front is re-crowded. The sweep
+// also leaves the first front in (IL, DR) order, so the generation's
+// FrontStats needs no further sort. Every buffer is engine-owned.
+//
+// Rank and crowding are derived data, never serialized; construction,
+// snapshot/resume and migration re-derive them from the population's
+// pairs with a full ranking, so a resumed Pareto run continues the
+// identical trajectory (gated by TestParetoSnapshotResume).
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"evoprot/internal/dataset"
 	"evoprot/internal/pareto"
@@ -74,14 +82,13 @@ type FrontStats struct {
 // paretoMode reports whether the engine runs NSGA-II selection.
 func (e *Engine) paretoMode() bool { return e.cfg.Objective == ObjectivePareto }
 
-// frontStats extracts the current population's non-dominated front and
-// scores it against the configured reference point.
+// frontStats summarizes the current population's non-dominated front and
+// scores it against the configured reference point. It reads the
+// engine's last ranking, which always describes the current population:
+// construction, Resume and Immigrate end in a full ranking of it, and a
+// Step's environmental selection ranks the pool the survivors came from.
 func (e *Engine) frontStats() FrontStats {
-	e.pairBuf = e.pairBuf[:0]
-	for _, ind := range e.pop {
-		e.pairBuf = append(e.pairBuf, ind.Eval.Pair())
-	}
-	front := pareto.Front(e.pairBuf)
+	front := e.nsga.front()
 	hv, err := pareto.Hypervolume(front, e.cfg.ParetoRef)
 	if err != nil {
 		// withDefaults validated the reference point; an error here is a
@@ -91,64 +98,161 @@ func (e *Engine) frontStats() FrontStats {
 	return FrontStats{Size: len(front), Hypervolume: hv, Pairs: front}
 }
 
-// assignRanks performs fast non-dominated sorting over the individuals'
-// (IL, DR) pairs: every member of the returned fronts[k] is dominated only
-// by members of earlier fronts, and ind.rank is set to k. Within a front,
+// nsgaSort ranks a pool by non-dominated sorting and crowds its fronts.
+// An engine owns one and reuses its buffers, so a warm engine ranks and
+// replaces without allocating. The fronts it returns alias its buffers
+// and stay valid until the next ranking.
+type nsgaSort struct {
+	keys    []sweepKey      // the finite members, sorted by (IL, DR, index)
+	rank    []int           // rank by member index
+	tops    []score.Pair    // per front, its lowest-DR member's pair
+	size    []int           // per front, its member count
+	fronts  [][]*Individual // fronts[k] lists front k in input order
+	members []*Individual   // backing store of fronts
+	first   []*Individual   // front 0's finite members in key order
+	evicted []*Individual   // the truncated front's evicted tail
+	crowded []*Individual   // assignCrowding's sort buffer
+	kept    []*Individual   // envSelect's survivors
+}
+
+// sweepKey is one finite member's sort key in the two-objective sweep.
+type sweepKey struct {
+	il, dr float64
+	i      int
+}
+
+func cmpSweepKey(a, b sweepKey) int {
+	switch {
+	case a.il != b.il:
+		return lessCmp(a.il < b.il)
+	case a.dr != b.dr:
+		return lessCmp(a.dr < b.dr)
+	}
+	return a.i - b.i
+}
+
+// lessCmp turns a strict less-than result into the comparison the
+// generic stable sort takes. slices.SortStableFunc runs the algorithm of
+// sort.SliceStable and only ever asks whether the comparison is negative
+// where sort.SliceStable asked less, so both order any input alike —
+// NaN keys included, which no consistent three-way comparison could
+// reproduce.
+func lessCmp(less bool) int {
+	if less {
+		return -1
+	}
+	return 1
+}
+
+// assignRanks performs non-dominated sorting over the individuals' (IL,
+// DR) pairs: every member of the returned fronts[k] is dominated only by
+// members of earlier fronts, and ind.rank is set to k. Within a front,
 // individuals keep their input order, so the result — and everything
-// built on it — is deterministic for a deterministic input order.
-func assignRanks(inds []*Individual) [][]*Individual {
+// built on it — is deterministic for a deterministic input order. A
+// non-finite pair neither dominates nor is dominated (pareto.Dominates)
+// and ranks 0.
+//
+// The finite members are swept in (IL, DR, index) order, so everything
+// that can dominate a member comes before it, and each member joins the
+// first front that does not dominate it. A front dominates p when its
+// lowest DR is below p.DR, or equal to it at a lower IL: equal pairs
+// never dominate each other, and one front cannot hold two members with
+// the same DR and different IL. Whatever dominates a member of front k
+// is dominated by a member of front k-1, so the dominating fronts form a
+// prefix and a binary search finds the first other one. Cost: one
+// O(n log n) sort plus O(n log fronts).
+func (s *nsgaSort) assignRanks(inds []*Individual) [][]*Individual {
 	n := len(inds)
-	domCount := make([]int, n)
-	dominated := make([][]int, n)
-	for i := 0; i < n; i++ {
-		pi := inds[i].Eval.Pair()
-		for j := i + 1; j < n; j++ {
-			pj := inds[j].Eval.Pair()
-			switch {
-			case pareto.Dominates(pi, pj):
-				dominated[i] = append(dominated[i], j)
-				domCount[j]++
-			case pareto.Dominates(pj, pi):
-				dominated[j] = append(dominated[j], i)
-				domCount[i]++
+	s.keys = s.keys[:0]
+	s.rank = slices.Grow(s.rank[:0], n)[:n]
+	for i, ind := range inds {
+		s.rank[i] = 0
+		if p := ind.Eval.Pair(); pareto.Finite(p) {
+			s.keys = append(s.keys, sweepKey{il: p.IL, dr: p.DR, i: i})
+		}
+	}
+	slices.SortFunc(s.keys, cmpSweepKey)
+	s.tops = s.tops[:0]
+	for _, k := range s.keys {
+		lo, hi := 0, len(s.tops)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if t := s.tops[mid]; t.DR < k.dr || (t.DR == k.dr && t.IL < k.il) {
+				lo = mid + 1
+			} else {
+				hi = mid
 			}
 		}
+		switch {
+		case lo == len(s.tops):
+			s.tops = append(s.tops, score.Pair{IL: k.il, DR: k.dr})
+		case k.dr < s.tops[lo].DR:
+			s.tops[lo] = score.Pair{IL: k.il, DR: k.dr}
+		}
+		s.rank[k.i] = lo
 	}
-	var fronts [][]*Individual
-	current := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if domCount[i] == 0 {
-			current = append(current, i)
+
+	nf := len(s.tops)
+	if nf == 0 && n > 0 {
+		nf = 1 // only non-finite members: all rank 0
+	}
+	s.size = slices.Grow(s.size[:0], nf)[:nf]
+	clear(s.size)
+	for _, r := range s.rank {
+		s.size[r]++
+	}
+	s.members = slices.Grow(s.members[:0], n)[:n]
+	s.fronts = slices.Grow(s.fronts[:0], nf)[:nf]
+	off := 0
+	for k, size := range s.size {
+		s.fronts[k] = s.members[off : off : off+size]
+		off += size
+	}
+	for i, ind := range inds {
+		r := s.rank[i]
+		ind.rank = r
+		s.fronts[r] = append(s.fronts[r], ind)
+	}
+	s.first = s.first[:0]
+	for _, k := range s.keys {
+		if s.rank[k.i] == 0 {
+			s.first = append(s.first, inds[k.i])
 		}
 	}
-	rank := 0
-	for len(current) > 0 {
-		front := make([]*Individual, len(current))
-		var next []int
-		for k, i := range current {
-			inds[i].rank = rank
-			front[k] = inds[i]
-			for _, j := range dominated[i] {
-				domCount[j]--
-				if domCount[j] == 0 {
-					next = append(next, j)
-				}
-			}
+	s.evicted = nil
+	return s.fronts
+}
+
+// front returns the distinct (IL, DR) points of the last ranking's first
+// front, in increasing IL — pareto.Front of the ranked population, read
+// off the sweep order instead of sorted again. Members envSelect evicted
+// are skipped.
+func (s *nsgaSort) front() []score.Pair {
+	var front []score.Pair // nil when empty, like pareto.Front
+	for _, ind := range s.first {
+		if slices.Contains(s.evicted, ind) {
+			continue
 		}
-		sort.Ints(next) // restore input order within the next front
-		fronts = append(fronts, front)
-		current = next
-		rank++
+		p := ind.Eval.Pair()
+		if len(front) > 0 && front[len(front)-1] == p {
+			continue // a duplicate of the previous point
+		}
+		if front == nil {
+			front = make([]score.Pair, 0, len(s.first))
+		}
+		front = append(front, p)
 	}
-	return fronts
+	return front
 }
 
 // assignCrowding computes the NSGA-II crowding distance of one front:
 // boundary points of each objective get +Inf, interior points accumulate
 // the normalized gap between their neighbors. Larger means less crowded
 // and is preferred, which pressures the front to spread across the
-// trade-off curve instead of clumping.
-func assignCrowding(front []*Individual) {
+// trade-off curve instead of clumping. The front's order is untouched;
+// the DR pass sorts the IL pass's order, so ties resolve as they always
+// have. Cost: two stable sorts of the front.
+func (s *nsgaSort) assignCrowding(front []*Individual) {
 	for _, ind := range front {
 		ind.crowd = 0
 	}
@@ -158,28 +262,35 @@ func assignCrowding(front []*Individual) {
 		}
 		return
 	}
-	s := make([]*Individual, len(front))
-	copy(s, front)
-	for _, value := range []func(*Individual) float64{
-		func(ind *Individual) float64 { return ind.Eval.IL },
-		func(ind *Individual) float64 { return ind.Eval.DR },
-	} {
-		sort.SliceStable(s, func(i, j int) bool { return value(s[i]) < value(s[j]) })
-		lo, hi := value(s[0]), value(s[len(s)-1])
-		s[0].crowd = math.Inf(1)
-		s[len(s)-1].crowd = math.Inf(1)
+	c := append(s.crowded[:0], front...)
+	s.crowded = c
+	for axis := 0; axis < 2; axis++ {
+		slices.SortStableFunc(c, func(a, b *Individual) int {
+			return lessCmp(objective(a, axis) < objective(b, axis))
+		})
+		lo, hi := objective(c[0], axis), objective(c[len(c)-1], axis)
+		c[0].crowd = math.Inf(1)
+		c[len(c)-1].crowd = math.Inf(1)
 		if span := hi - lo; span > 0 {
-			for i := 1; i < len(s)-1; i++ {
-				s[i].crowd += (value(s[i+1]) - value(s[i-1])) / span
+			for i := 1; i < len(c)-1; i++ {
+				c[i].crowd += (objective(c[i+1], axis) - objective(c[i-1], axis)) / span
 			}
 		}
 	}
 }
 
+// objective returns an individual's IL (axis 0) or DR (axis 1).
+func objective(ind *Individual, axis int) float64 {
+	if axis == 0 {
+		return ind.Eval.IL
+	}
+	return ind.Eval.DR
+}
+
 // refreshPareto re-derives rank and crowding for the current population.
 func (e *Engine) refreshPareto() {
-	for _, f := range assignRanks(e.pop) {
-		assignCrowding(f)
+	for _, f := range e.nsga.assignRanks(e.pop) {
+		e.nsga.assignCrowding(f)
 	}
 }
 
@@ -187,19 +298,28 @@ func (e *Engine) refreshPareto() {
 // non-dominated sorted, whole fronts are admitted best-first, and the
 // first front that does not fit is truncated by descending crowding
 // distance (ties keep pool order, so the survivor set is deterministic).
-// Rank and crowding of the pool are (re)assigned as a side effect.
-func envSelect(pool []*Individual, n int) []*Individual {
-	kept := make([]*Individual, 0, n)
-	for _, f := range assignRanks(pool) {
-		assignCrowding(f)
+// Rank and crowding of the pool are (re)assigned as a side effect, and
+// the survivors leave with exactly the rank and crowding a fresh ranking
+// of them in the returned order would give: every dominator of a kept
+// member sits in an earlier, whole front, so ranks carry over, and whole
+// fronts keep their members and order, so only the truncated front is
+// re-crowded. The returned slice is the sorter's buffer.
+func (s *nsgaSort) envSelect(pool []*Individual, n int) []*Individual {
+	kept := s.kept[:0]
+	for _, f := range s.assignRanks(pool) {
+		s.assignCrowding(f)
 		if len(kept)+len(f) <= n {
 			kept = append(kept, f...)
 			continue
 		}
-		sort.SliceStable(f, func(i, j int) bool { return f[i].crowd > f[j].crowd })
-		kept = append(kept, f[:n-len(kept)]...)
+		slices.SortStableFunc(f, func(a, b *Individual) int { return lessCmp(a.crowd > b.crowd) })
+		cut := n - len(kept)
+		kept = append(kept, f[:cut]...)
+		s.evicted = f[cut:]
+		s.assignCrowding(f[:cut])
 		break
 	}
+	s.kept = kept
 	return kept
 }
 
@@ -213,16 +333,16 @@ func containsIndividual(s []*Individual, ind *Individual) bool {
 }
 
 // paretoReplace is Pareto mode's replacement step: environmental selection
-// over population + children. Surviving children receive their delta
-// states here — transferred without a clone when the biological parent
-// was itself evicted, cloned when it survived; when two surviving children
-// share one evicted parent the first (by child index) takes the state and
-// the second rebuilds lazily, deterministically.
+// over population + children, leaving the survivors ranked and crowded
+// for sortRanked. Surviving children receive their delta states here —
+// transferred without a clone when the biological parent was itself
+// evicted, cloned when it survived; when two surviving children share one
+// evicted parent the first (by child index) takes the state and the
+// second rebuilds lazily, deterministically.
 func (e *Engine) paretoReplace(parents, children []*Individual, changes [][]dataset.CellChange) (accepted int) {
-	pool := make([]*Individual, 0, len(e.pop)+len(children))
-	pool = append(pool, e.pop...)
-	pool = append(pool, children...)
-	kept := envSelect(pool, len(e.pop))
+	pool := append(append(e.poolBuf[:0], e.pop...), children...)
+	e.poolBuf = pool
+	kept := e.nsga.envSelect(pool, len(e.pop))
 	for i, c := range children {
 		if !containsIndividual(kept, c) {
 			continue

@@ -95,7 +95,7 @@ func TestEnvSelectSingleObjectiveMatchesScalar(t *testing.T) {
 			// A small integer domain forces plenty of exact ties.
 			pairs[i] = score.Pair{IL: float64(rng.IntN(12)), DR: dr}
 		}
-		kept := envSelect(pairPool(pairs), n)
+		kept := new(nsgaSort).envSelect(pairPool(pairs), n)
 		if len(kept) != n {
 			t.Fatalf("trial %d: kept %d of %d", trial, len(kept), n)
 		}
@@ -128,7 +128,7 @@ func TestEnvSelectKeepsNonDominated(t *testing.T) {
 			pairs[i] = score.Pair{IL: rng.Float64() * 100, DR: rng.Float64() * 100}
 		}
 		pool := pairPool(pairs)
-		kept := envSelect(pool, n)
+		kept := new(nsgaSort).envSelect(pool, n)
 		for _, ind := range pool {
 			if containsIndividual(kept, ind) {
 				continue

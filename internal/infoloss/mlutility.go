@@ -16,7 +16,11 @@ package infoloss
 // MLUtility is deliberately not part of Default(): it needs a target
 // column, and it is not Reversible — evaluators recompute it in full for
 // every offspring while the rest of the battery runs incrementally, which
-// is correct but slower.
+// is correct but slower. A full Loss trains and tests two classifiers
+// (original- and masked-trained); each tabulates its smoothed
+// log-likelihood once per (feature, class, value), so scoring a test row
+// is table lookups and additions, summed in the order the per-row
+// formula used — bit-identical to taking the logarithms row by row.
 
 import (
 	"math"
@@ -116,11 +120,30 @@ func (m *MLUtility) accuracy(train, test *dataset.Dataset, feats []int, stride i
 		return 0
 	}
 
-	// Laplace-smoothed log-likelihoods; the argmax tie-breaks toward the
-	// lowest class index so prediction is deterministic.
+	// Laplace-smoothed log-likelihoods, one per (feature, class, value)
+	// plus a last slot per (feature, class) for values outside the
+	// schema's range (count 0); the argmax tie-breaks toward the lowest
+	// class index so prediction is deterministic.
 	logPrior := make([]float64, classes)
 	for k := 0; k < classes; k++ {
 		logPrior[k] = math.Log(float64(classCount[k]+1) / float64(trained+classes))
+	}
+	logLike := make([][][]float64, len(feats))
+	for f := range feats {
+		logLike[f] = make([][]float64, classes)
+		for k := 0; k < classes; k++ {
+			counts := valueCount[f][k]
+			card := len(counts)
+			ll := make([]float64, card+1)
+			for v := 0; v <= card; v++ {
+				count := 0
+				if v < card {
+					count = counts[v]
+				}
+				ll[v] = math.Log(float64(count+1) / float64(classCount[k]+card))
+			}
+			logLike[f][k] = ll
+		}
 	}
 	correct, tested := 0, 0
 	for r := 0; r < test.Rows(); r += stride {
@@ -132,13 +155,12 @@ func (m *MLUtility) accuracy(train, test *dataset.Dataset, feats []int, stride i
 		for k := 0; k < classes; k++ {
 			score := logPrior[k]
 			for f, c := range feats {
-				card := len(valueCount[f][k])
+				ll := logLike[f][k]
 				v := test.At(r, c)
-				count := 0
-				if v >= 0 && v < card {
-					count = valueCount[f][k][v]
+				if v < 0 || v >= len(ll)-1 {
+					v = len(ll) - 1
 				}
-				score += math.Log(float64(count+1) / float64(classCount[k]+card))
+				score += ll[v]
 			}
 			if k == 0 || score > bestScore {
 				best, bestScore = k, score

@@ -1,9 +1,11 @@
 package infoloss
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
+	"evoprot/internal/datagen"
 	"evoprot/internal/dataset"
 )
 
@@ -123,5 +125,107 @@ func TestMLUtilityStride(t *testing.T) {
 	def := (&MLUtility{Target: target}).Loss(d, masked, attrs)
 	if got := (&MLUtility{Target: target, TestStride: 1}).Loss(d, masked, attrs); got != def {
 		t.Fatalf("TestStride 1 (%v) does not match the default stride (%v)", got, def)
+	}
+}
+
+// accuracyPerRow is the per-row formula the log-likelihood tables
+// replaced: one logarithm per test row, class and feature. The oracle
+// for TestMLUtilityMatchesPerRowLogs.
+func accuracyPerRow(m *MLUtility, train, test *dataset.Dataset, feats []int, stride int) float64 {
+	s := train.Schema()
+	classes := s.Attr(m.Target).Cardinality()
+	classCount := make([]int, classes)
+	valueCount := make([][][]int, len(feats))
+	for f, c := range feats {
+		valueCount[f] = make([][]int, classes)
+		for k := range valueCount[f] {
+			valueCount[f][k] = make([]int, s.Attr(c).Cardinality())
+		}
+	}
+	trained := 0
+	for r := 0; r < train.Rows(); r++ {
+		k := train.At(r, m.Target)
+		if r%stride == 0 || k < 0 || k >= classes {
+			continue
+		}
+		classCount[k]++
+		trained++
+		for f, c := range feats {
+			if v := train.At(r, c); v >= 0 && v < len(valueCount[f][k]) {
+				valueCount[f][k][v]++
+			}
+		}
+	}
+	if trained == 0 {
+		return 0
+	}
+	correct, tested := 0, 0
+	for r := 0; r < test.Rows(); r += stride {
+		label := test.At(r, m.Target)
+		if label < 0 || label >= classes {
+			continue
+		}
+		best, bestScore := 0, 0.0
+		for k := 0; k < classes; k++ {
+			score := math.Log(float64(classCount[k]+1) / float64(trained+classes))
+			for f, c := range feats {
+				card := len(valueCount[f][k])
+				v := test.At(r, c)
+				count := 0
+				if v >= 0 && v < card {
+					count = valueCount[f][k][v]
+				}
+				score += math.Log(float64(count+1) / float64(classCount[k]+card))
+			}
+			if k == 0 || score > bestScore {
+				best, bestScore = k, score
+			}
+		}
+		if best == label {
+			correct++
+		}
+		tested++
+	}
+	if tested == 0 {
+		return 0
+	}
+	return float64(correct) / float64(tested)
+}
+
+// TestMLUtilityMatchesPerRowLogs: the tabulated classifier reproduces the
+// per-row formula's accuracy bit for bit — on the original and on
+// increasingly perturbed training files, every protected attribute a
+// feature, the target included among them or not.
+func TestMLUtilityMatchesPerRowLogs(t *testing.T) {
+	for _, name := range []string{"german", "adult", "flare"} {
+		d := datagen.MustByName(name, 400, 3)
+		attrs := make([]int, d.Schema().NumAttrs())
+		for i := range attrs {
+			attrs[i] = i
+		}
+		rng := rand.New(rand.NewPCG(9, 9))
+		for target := 0; target < len(attrs); target++ {
+			m := &MLUtility{Target: target, TestStride: 2 + target%4}
+			var feats []int
+			for _, c := range attrs {
+				if c != target {
+					feats = append(feats, c)
+				}
+			}
+			masked := d.Clone()
+			for round := 0; round < 4; round++ {
+				for _, train := range []*dataset.Dataset{d, masked} {
+					got := m.accuracy(train, d, feats, m.stride())
+					want := accuracyPerRow(m, train, d, feats, m.stride())
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s target %d round %d: accuracy %v, per-row logs %v", name, target, round, got, want)
+					}
+				}
+				for k := 0; k < d.Rows(); k++ { // perturb ~one cell per row
+					c := attrs[rng.IntN(len(attrs))]
+					masked.Set(rng.IntN(d.Rows()), c, rng.IntN(d.Schema().Attr(c).Cardinality()))
+				}
+			}
+		}
 	}
 }

@@ -10,9 +10,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"evoprot/internal/core"
+	"evoprot/internal/pareto"
+	"evoprot/internal/score"
 )
 
 // paretoNicheConfig builds the canonical mixed-objective run: three
@@ -196,4 +199,50 @@ func TestLegacyRouteKnobsInCheckpointIgnored(t *testing.T) {
 		return res
 	}
 	sameResults(t, "legacy route knobs", resume(buf.Bytes()), resume(legacy))
+}
+
+// TestParetoResultFrontIsFinal: the runner migrates after the final
+// epoch too, so an island's last generation can describe a population
+// that no longer exists. Each island's Result.Front must be the front of
+// its final population; the last history front is stale in most of
+// these runs, which is what makes the check bite.
+func TestParetoResultFrontIsFinal(t *testing.T) {
+	eval, pop := testPopulation(t)
+	stale := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		r, err := New(context.Background(), eval, pop, Config{
+			Islands:      2,
+			MigrateEvery: 5,
+			Topology:     Ring,
+			Engine:       core.Config{Generations: 20, Seed: seed, Objective: core.ObjectivePareto},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, isl := range res.Islands {
+			pairs := make([]score.Pair, len(isl.Population))
+			for k, ind := range isl.Population {
+				pairs[k] = ind.Eval.Pair()
+			}
+			want := pareto.Front(pairs)
+			hv, err := pareto.Hypervolume(want, core.DefaultParetoRef)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := isl.Front
+			if f == nil || f.Size != len(want) || f.Hypervolume != hv || !slices.Equal(f.Pairs, want) {
+				t.Fatalf("seed %d island %d: result front %+v, final population's front %v (hypervolume %v)", seed, i, f, want, hv)
+			}
+			if last := isl.History[len(isl.History)-1].Front; !slices.Equal(last.Pairs, want) {
+				stale++
+			}
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no run migrated onto its final front; the check has no teeth")
+	}
 }

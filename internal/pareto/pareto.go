@@ -3,9 +3,11 @@
 // paper folds both objectives into one score (Eq. 1/Eq. 2) and names
 // richer aggregations as future work (§4); the Pareto view is the standard
 // lens for judging how well a population covers the trade-off curve. The
-// engine's Pareto mode (core.ObjectivePareto) ranks populations with these
-// primitives, and the experiment reports use them to compare initial and
-// final populations beyond single-score summaries.
+// engine's Pareto mode (core.ObjectivePareto) ranks populations under the
+// same dominance and finiteness rules — its sweep reads the first front
+// off the ranking, so it scores fronts with Hypervolume but never calls
+// Front — and the experiment reports use these primitives to compare
+// initial and final populations beyond single-score summaries.
 //
 // Finiteness contract: a pair with a NaN or ±Inf component — a failed or
 // degenerate evaluation — takes no part in dominance. Front drops such
@@ -39,6 +41,7 @@ func Finite(p score.Pair) bool {
 // inequality — both objectives are minimized. Duplicates of a front point
 // appear once; non-finite pairs are dropped (see the package contract),
 // so the result is independent of input order even in their presence.
+// Cost: one O(n log n) sort and a linear scan.
 func Front(pairs []score.Pair) []score.Pair {
 	if len(pairs) == 0 {
 		return nil
@@ -104,11 +107,19 @@ var ErrReference = errors.New("pareto: reference point must have finite positive
 // zero-area sliver and contributes nothing. Non-finite pairs are dropped
 // (package contract). A reference point with a non-finite, zero or
 // negative component does not bound a box and yields ErrReference.
+//
+// The area is a staircase sweep over Front(pairs). Pairs that already
+// form a front in Front's order — finite, IL strictly increasing, DR
+// strictly decreasing, as the engine hands over each generation's front
+// — are swept as given: Front would return them unchanged.
 func Hypervolume(pairs []score.Pair, ref score.Pair) (float64, error) {
 	if !Finite(ref) || ref.IL <= 0 || ref.DR <= 0 {
 		return 0, fmt.Errorf("%w: got (%v, %v)", ErrReference, ref.IL, ref.DR)
 	}
-	front := Front(pairs)
+	front := pairs
+	if !isFront(pairs) {
+		front = Front(pairs)
+	}
 	area := 0.0
 	lastIL := 0.0
 	minDR := ref.DR
@@ -134,6 +145,17 @@ func Hypervolume(pairs []score.Pair, ref score.Pair) (float64, error) {
 	}
 	area += (ref.IL - lastIL) * (ref.DR - minDR)
 	return area, nil
+}
+
+// isFront reports whether pairs is already its own Front: finite, with IL
+// strictly increasing and DR strictly decreasing.
+func isFront(pairs []score.Pair) bool {
+	for i, p := range pairs {
+		if !Finite(p) || (i > 0 && (p.IL <= pairs[i-1].IL || p.DR >= pairs[i-1].DR)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Coverage returns the fraction of pairs lying on their own front

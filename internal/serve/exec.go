@@ -343,23 +343,18 @@ func (e *engine) onEvent(ctx context.Context, j *job, ev evoprot.Event) {
 // document: the best island's when it ran Pareto selection, otherwise the
 // Pareto island with the largest final hypervolume (ties keep the lowest
 // island index, so the choice is deterministic). Nil when no island ran
-// Pareto selection.
+// Pareto selection. Fronts are read off the islands' final populations,
+// not their last generations: migration after the final epoch can still
+// change a population.
 func finalFront(res *evoprot.RunResult) *evoprot.FrontStats {
-	last := func(i int) *evoprot.FrontStats {
-		h := res.Islands[i].History
-		if len(h) == 0 {
-			return nil
-		}
-		return h[len(h)-1].Front
-	}
 	if res.BestIsland >= 0 && res.BestIsland < len(res.Islands) {
-		if f := last(res.BestIsland); f != nil {
+		if f := res.Islands[res.BestIsland].Front; f != nil {
 			return f
 		}
 	}
 	var best *evoprot.FrontStats
-	for i := range res.Islands {
-		if f := last(i); f != nil && (best == nil || f.Hypervolume > best.Hypervolume) {
+	for _, isl := range res.Islands {
+		if f := isl.Front; f != nil && (best == nil || f.Hypervolume > best.Hypervolume) {
 			best = f
 		}
 	}

@@ -167,3 +167,24 @@ func TestKillAndRestartParetoJob(t *testing.T) {
 		t.Fatal("resumed run's protected dataset differs from the uninterrupted run's")
 	}
 }
+
+// TestFinalFrontReadsFinalPopulation: the result document's front is
+// each island's final-population front, never its last generation's —
+// migration after the final epoch can move a population past its last
+// GenStats — both for the best island and for the hypervolume pick
+// among Pareto islands when the best island ran scalarized.
+func TestFinalFrontReadsFinalPopulation(t *testing.T) {
+	stale := &evoprot.FrontStats{Size: 1, Hypervolume: 9000, Pairs: []evoprot.Pair{{IL: 10, DR: 10}}}
+	final := &evoprot.FrontStats{Size: 1, Hypervolume: 8100, Pairs: []evoprot.Pair{{IL: 10, DR: 10.5}}}
+	paretoIsl := &evoprot.Result{History: []evoprot.GenStats{{Gen: 20, Front: stale}}, Front: final}
+	scalar := &evoprot.Result{History: []evoprot.GenStats{{Gen: 20}}}
+	if got := finalFront(&evoprot.RunResult{Islands: []*evoprot.Result{paretoIsl, scalar}, BestIsland: 0}); got != final {
+		t.Fatalf("best island's front %+v, want the final population's %+v", got, final)
+	}
+	if got := finalFront(&evoprot.RunResult{Islands: []*evoprot.Result{scalar, paretoIsl}, BestIsland: 0}); got != final {
+		t.Fatalf("largest-hypervolume front %+v, want the final population's %+v", got, final)
+	}
+	if got := finalFront(&evoprot.RunResult{Islands: []*evoprot.Result{scalar}, BestIsland: 0}); got != nil {
+		t.Fatalf("scalar run reported front %+v", got)
+	}
+}
