@@ -5,6 +5,12 @@
 // Ctrl-C (or -timeout) cancels gracefully: the run stops at the next
 // generation boundary and still reports (and saves) the best so far.
 //
+// The flags fill one evoprot.JobSpec — the same run description the
+// evoprotd job service accepts as JSON — so the CLI validates and
+// resolves inputs exactly as the service does: exactly one of -dataset
+// or -orig, and -attrs naming the protected attributes (required with
+// -orig, overriding the built-in dataset's protected set otherwise).
+//
 // Islands may be heterogeneous (-niches spreads a preset of search
 // behaviors across them, -per-island overrides single islands as JSON)
 // and the migration schedule may adapt to cross-island divergence
@@ -47,8 +53,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var (
 		name      = fs.String("dataset", "", "built-in dataset: housing|german|flare|adult")
 		origCSV   = fs.String("orig", "", "original CSV (alternative to -dataset)")
-		attrCSV   = fs.String("attrs", "", "attributes to protect when using -orig")
-		grid      = fs.String("grid", "", "masking grid for -orig runs (defaults to -dataset, else flare)")
+		attrCSV   = fs.String("attrs", "", "comma-separated attributes to protect (required with -orig; defaults to the -dataset's protected set)")
+		grid      = fs.String("grid", "", "masking grid (defaults to -dataset, else flare)")
 		rows      = fs.Int("rows", 0, "records when generating (0 = paper scale)")
 		agg       = fs.String("agg", "max", "fitness aggregation: mean | max | euclidean | weighted:<w>")
 		objective = fs.String("objective", "", "selection objective: scalar (default) | pareto (NSGA-II over raw IL/DR)")
@@ -81,61 +87,53 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		defer cancel()
 	}
 
-	orig, attrNames, gridName, err := resolveInput(*name, *origCSV, *attrCSV, *grid, *rows, *seed)
-	if err != nil {
-		return err
+	spec := evoprot.JobSpec{
+		Dataset:      *name,
+		DatasetPath:  *origCSV,
+		Rows:         *rows,
+		Grid:         *grid,
+		Aggregator:   *agg,
+		Objective:    *objective,
+		MLTarget:     *mlTarget,
+		Generations:  *gens,
+		Seed:         *seed,
+		Workers:      *workers,
+		EarlyStop:    *stall,
+		Islands:      *nIslands,
+		MigrateEvery: *migEvery,
+		Migrants:     *migrants,
+		Topology:     *topoName,
+		Niches:       *niches,
 	}
-	topo, err := evoprot.TopologyByName(*topoName)
-	if err != nil {
-		return err
-	}
-	options := []evoprot.Option{
-		evoprot.WithGrid(gridName),
-		evoprot.WithAggregator(*agg),
-		evoprot.WithGenerations(*gens),
-		evoprot.WithSeed(*seed),
-		evoprot.WithWorkers(*workers),
-		evoprot.WithEarlyStop(*stall),
-		evoprot.WithMigration(*migEvery, *migrants),
-		evoprot.WithTopology(topo),
-	}
-	if *objective != "" {
-		options = append(options, evoprot.WithObjective(*objective))
-	}
-	if *mlTarget != "" {
-		options = append(options, evoprot.WithMLUtility(*mlTarget))
+	if *attrCSV != "" {
+		spec.Attributes = strings.Split(*attrCSV, ",")
 	}
 	if *paretoRef != "" {
-		var il, dr float64
-		if _, err := fmt.Sscanf(*paretoRef, "%f,%f", &il, &dr); err != nil {
+		spec.ParetoRef = new(evoprot.ParetoRef)
+		if _, err := fmt.Sscanf(*paretoRef, "%f,%f", &spec.ParetoRef.IL, &spec.ParetoRef.DR); err != nil {
 			return fmt.Errorf(`parsing -pareto-ref: want "il,dr", got %q`, *paretoRef)
 		}
-		options = append(options, evoprot.WithParetoRef(il, dr))
-	}
-	if *nIslands != 0 {
-		// Left unset, -per-island implies one island per override (and a
-		// single island otherwise); forcing WithIslands(1) here would
-		// defeat that. Non-zero values — including invalid negatives —
-		// pass through to validation.
-		options = append(options, evoprot.WithIslands(*nIslands))
-	}
-	if *niches != "" {
-		options = append(options, evoprot.WithNiches(*niches))
 	}
 	if *perIsland != "" {
-		var overrides []evoprot.IslandConfig
-		if err := json.Unmarshal([]byte(*perIsland), &overrides); err != nil {
+		if err := json.Unmarshal([]byte(*perIsland), &spec.PerIsland); err != nil {
 			return fmt.Errorf("parsing -per-island: %w", err)
 		}
-		options = append(options, evoprot.WithPerIsland(overrides...))
 	}
 	if *adaptive {
-		options = append(options, evoprot.WithAdaptiveMigration(evoprot.AdaptiveMigration{}))
+		spec.Adaptive = &evoprot.AdaptiveMigration{}
+	}
+	orig, err := spec.Materialize()
+	if err != nil {
+		return err
+	}
+	options, err := spec.Options()
+	if err != nil {
+		return err
 	}
 	if *ckpt != "" {
 		options = append(options, evoprot.WithCheckpoint(*ckpt, *ckptEvery))
 	}
-	runner, err := evoprot.NewRunner(orig, attrNames, options...)
+	runner, err := evoprot.NewRunner(orig, spec.Attributes, options...)
 	if err != nil {
 		return err
 	}
@@ -232,40 +230,6 @@ func report(w io.Writer, res *evoprot.RunResult, plots bool) {
 	}
 	if plots {
 		printPlots(w, lead)
-	}
-}
-
-// resolveInput loads or generates the original dataset and resolves the
-// protected attributes and masking grid.
-func resolveInput(name, origCSV, attrCSV, grid string, rows int, seed uint64) (*evoprot.Dataset, []string, string, error) {
-	switch {
-	case name != "":
-		orig, err := evoprot.GenerateDataset(name, rows, seed)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		attrNames, err := evoprot.ProtectedAttributes(name)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if grid == "" {
-			grid = name
-		}
-		return orig, attrNames, grid, nil
-	case origCSV != "":
-		orig, err := evoprot.LoadCSV(origCSV)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if attrCSV == "" {
-			return nil, nil, "", fmt.Errorf("-attrs is required with -orig")
-		}
-		if grid == "" {
-			grid = "flare" // the 3-attribute grid with the smallest domains
-		}
-		return orig, strings.Split(attrCSV, ","), grid, nil
-	default:
-		return nil, nil, "", fmt.Errorf("one of -dataset or -orig is required")
 	}
 }
 

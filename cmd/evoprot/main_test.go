@@ -216,6 +216,8 @@ func TestRunTimeoutFlag(t *testing.T) {
 	}
 }
 
+// TestRunExternalCSV: -orig/-attrs runs over a CSV file, and -attrs
+// also selects the protected attributes of a built-in -dataset.
 func TestRunExternalCSV(t *testing.T) {
 	dir := t.TempDir()
 	origPath := filepath.Join(dir, "orig.csv")
@@ -234,6 +236,46 @@ func TestRunExternalCSV(t *testing.T) {
 	if !strings.Contains(out.String(), "evolved 104 individuals") {
 		t.Fatalf("output:\n%s", out.String())
 	}
+
+	// -attrs narrows a built-in dataset's protected set, as "attributes"
+	// does in a job spec: the best protection differs from the original
+	// only in the named attribute, and an unknown name is rejected.
+	attrs, err := evoprot.ProtectedAttributes("flare")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bestPath := filepath.Join(dir, "best.csv")
+	out.Reset()
+	if err := runCLI(t, []string{
+		"-dataset", "flare", "-rows", "80", "-gens", "5", "-seed", "3",
+		"-attrs", attrs[0], "-best", bestPath,
+	}, &out); err != nil {
+		t.Fatal(err)
+	}
+	orig, _ := evoprot.GenerateDataset("flare", 80, 3)
+	best, err := evoprot.LoadCSV(bestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := orig.Records(), best.Records()
+	changed := false
+	for c, name := range orig.Schema().AttrNames() {
+		for r := range want {
+			if want[r][c] == got[r][c] {
+				continue
+			}
+			if name != attrs[0] {
+				t.Fatalf("attribute %s changed at row %d; only %s is protected", name, r, attrs[0])
+			}
+			changed = true
+		}
+	}
+	if !changed {
+		t.Fatalf("best protection leaves %s untouched", attrs[0])
+	}
+	if err := runCLI(t, []string{"-dataset", "flare", "-rows", "50", "-attrs", "GHOST"}, &out); err == nil {
+		t.Fatal("unknown -attrs name accepted with -dataset")
+	}
 }
 
 func TestRunValidation(t *testing.T) {
@@ -246,6 +288,9 @@ func TestRunValidation(t *testing.T) {
 		{"-dataset", "flare", "-rows", "50", "-topology", "star"},    // bad topology
 		{"-dataset", "flare", "-rows", "50", "-islands", "-2"},       // bad island count
 		{"-dataset", "flare", "-rows", "50", "-migrate-every", "-1"}, // bad epoch
+		{"-dataset", "flare", "-rows", "50", "-workers", "-1"},       // bad worker count
+		{"-dataset", "flare", "-rows", "50", "-stall", "-1"},         // bad stagnation window
+		{"-dataset", "flare", "-orig", "x.csv", "-attrs", "A"},       // two dataset sources
 	}
 	for _, args := range cases {
 		if err := runCLI(t, args, &strings.Builder{}); err == nil {

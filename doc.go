@@ -37,6 +37,11 @@
 // Lower scores are better; 0 would be a protection that loses nothing and
 // discloses nothing.
 //
+// A run has one description, JobSpec: each option above sets one of its
+// fields (WithGrid sets Grid, WithGenerations sets Generations, ...), so
+// the options, the evoprotd wire format and the cmd/evoprot flags are
+// three ways to fill the same struct and are validated by the same check.
+//
 // # Island-model parallel evolution
 //
 // WithIslands(n) evolves n islands concurrently — one engine per
@@ -102,9 +107,9 @@
 // reproduce the homogeneous trajectory exactly; one island equals a
 // plain engine under the merged config; barrier snapshots resume onto
 // the uninterrupted trajectory, controller state and per-island configs
-// included). The same knobs travel the whole stack: JobSpec.PerIsland /
-// Niches / Adaptive on the wire, and -niches / -per-island / -adaptive
-// on cmd/evoprot.
+// included). The options set the JobSpec fields PerIsland / Niches /
+// Adaptive, which carry the same knobs on the wire, and cmd/evoprot's
+// -niches / -per-island / -adaptive fill them.
 //
 // # Pareto mode: true multi-objective search
 //
@@ -134,9 +139,9 @@
 //	front := res.Islands[0].Front
 //	fmt.Printf("%d trade-offs, hypervolume %.1f\n", front.Size, front.Hypervolume)
 //
-// The knobs travel the whole stack: JobSpec carries "objective" and
-// "pareto_ref" on the wire and evoprotd's job result reports the final
-// front with its hypervolume; cmd/evoprot takes -objective and
+// The options set JobSpec's "objective" and "pareto_ref" fields, which
+// travel on the wire, and evoprotd's job result reports the final front
+// with its hypervolume; cmd/evoprot fills them from -objective and
 // -pareto-ref and renders the front as a scatter plot (RenderFront).
 // Per-island Objective overrides compose with heterogeneity — the
 // "scalar-pareto" niche preset runs scalarized and Pareto islands side
@@ -149,9 +154,10 @@
 // # Running as a service
 //
 // cmd/evoprotd serves optimizations as HTTP jobs for parameter sweeps and
-// batch protection workloads: POST a JobSpec — the option surface above
-// expressed as JSON, with the original dataset named (built-ins), inlined
-// as CSV, or referenced by server-side path — and the daemon queues it
+// batch protection workloads: POST a JobSpec — the run description the
+// options above fill, as JSON, with the original dataset named
+// (built-ins), inlined as CSV, or referenced by server-side path — and
+// the daemon queues it
 // onto a bounded worker pool. Per-generation Events stream from
 // GET /v1/jobs/{id}/events as NDJSON or SSE, replayable from any offset
 // (each event's Seq is its stable position in the feed); the terminal
@@ -169,13 +175,13 @@
 // store (the historical data-dir layout, byte for byte, with fsync'd
 // atomic writes) and an in-memory store for tests and throwaway
 // daemons, selected by evoprotd's -store flag ("fs:<dir>" or "mem").
-// The admission queue is likewise an interface (serve.JobQueue, bounded
-// FIFO by default), and the island model's epoch rendezvous is a
-// pluggable EpochBarrier (WithEpochBarrier) whose contract guarantees
-// any conforming execution — serial, parallel, or on remote workers —
-// reproduces the identical run bit for bit. Together the three are the
-// seams a distributed deployment slots into without touching handler or
-// coordinator logic.
+// The island model's epoch rendezvous is likewise a pluggable
+// EpochBarrier (WithEpochBarrier) whose contract guarantees any
+// conforming execution — serial, parallel, or on remote workers —
+// reproduces the identical run bit for bit, and the bounded priority
+// admission queue (serve.JobQueue) can be shared with a coordinator that
+// drains it through leases. Together they are the seams a distributed
+// deployment slots into without touching handler or coordinator logic.
 //
 // The distributed deployment exists: evoprotd -role coordinator runs
 // admission, queue and store as one process, and evoprotd -role worker
@@ -187,8 +193,9 @@
 // run bit for bit — worker death costs at most one checkpoint
 // interval, exactly like a standalone hard crash.
 //
-// The pieces compose from this package: JobSpec.Materialize /
-// JobSpec.Options bridge specs to Runner options, WithFirstEventSeq keeps
+// The pieces compose from this package: JobSpec.Materialize loads a
+// spec's dataset and JobSpec.Options installs the spec on a Runner (the
+// options set spec fields, so nothing is translated), WithFirstEventSeq keeps
 // event offsets contiguous across restarts, PeekCheckpoint sizes a
 // resumed job's remaining budget, WithCheckpointSink routes checkpoint
 // bytes to any store, and Runner.Best exposes a resumed checkpoint's

@@ -150,3 +150,57 @@ func TestOptimizeWithExtendedAggregator(t *testing.T) {
 		t.Fatalf("score %v != weighted combination %v", best.Score, want)
 	}
 }
+
+// TestRunnerCheckpointSinkFacade: the service-facing Runner surface —
+// WithCheckpointSink receives every checkpoint as bytes, WithFirstEventSeq
+// numbers the feed from the given origin, Best and WriteCheckpoint refuse
+// before the first Run, and a sink checkpoint resumes to the same best.
+func TestRunnerCheckpointSinkFacade(t *testing.T) {
+	orig, _ := GenerateDataset("flare", 60, 41)
+	attrs, _ := ProtectedAttributes("flare")
+	var snaps [][]byte
+	var seqs []uint64
+	r, err := NewRunner(orig, attrs,
+		WithGrid("flare"), WithGenerations(6), WithSeed(41), WithEvalWorkers(-1),
+		WithCheckpointSink(func(b []byte) error { snaps = append(snaps, b); return nil }, 3),
+		WithFirstEventSeq(100),
+		WithProgress(func(ev Event) { seqs = append(seqs, ev.Seq) }),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Best() != nil || r.Islands() != 1 {
+		t.Fatalf("before Run: best %v, islands %d", r.Best(), r.Islands())
+	}
+	if err := r.WriteCheckpoint(t.TempDir() + "/early.ckpt"); err == nil {
+		t.Fatal("WriteCheckpoint before the first Run succeeded")
+	}
+	res, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seqs) == 0 || seqs[0] != 100 {
+		t.Fatalf("feed starts at seq %v, want 100", seqs)
+	}
+	if len(snaps) == 0 {
+		t.Fatal("checkpoint sink never called")
+	}
+	meta, err := PeekCheckpoint(bytes.NewReader(snaps[len(snaps)-1]))
+	if err != nil || meta.Generation != 6 {
+		t.Fatalf("final sink checkpoint: generation %d, err %v", meta.Generation, err)
+	}
+	path := t.TempDir() + "/run.ckpt"
+	if err := r.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := NewRunner(orig, attrs, WithGrid("flare"), WithSeed(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.Resume(bytes.NewReader(snaps[len(snaps)-1])); err != nil {
+		t.Fatal(err)
+	}
+	if r2.Best().Eval.Score != res.Best.Eval.Score || r2.Generation() != 6 {
+		t.Fatalf("resumed best %v at generation %d, want %v at 6", r2.Best().Eval.Score, r2.Generation(), res.Best.Eval.Score)
+	}
+}

@@ -90,7 +90,7 @@ type Coordinator struct {
 	cfg   Config
 	srv   *serve.Server
 	store storage.Store
-	queue *leaseQueue
+	queue *serve.JobQueue
 	logf  func(format string, args ...any)
 
 	mu     sync.Mutex
@@ -122,7 +122,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		store:  cfg.Serve.Store,
-		queue:  newLeaseQueue(bound),
+		queue:  serve.NewFIFOQueue(bound),
 		leases: make(map[string]*lease),
 		jobMu:  make(map[string]*sync.Mutex),
 		stop:   make(chan struct{}),

@@ -397,57 +397,6 @@ func TestClusterHealth(t *testing.T) {
 	}
 }
 
-// TestLeaseQueueAccounting: the coordinator's queue keeps the FIFO
-// admission contract (bounded Push, exempt ForcePush, ordered drain)
-// plus its own non-blocking TryPop.
-func TestLeaseQueueAccounting(t *testing.T) {
-	q := newLeaseQueue(2)
-	if q.Cap() != 2 {
-		t.Fatalf("Cap() = %d", q.Cap())
-	}
-	if !q.Push("a", 0) || !q.Push("b", 0) {
-		t.Fatal("push under the bound refused")
-	}
-	if q.Push("c", 0) {
-		t.Fatal("push over the bound admitted")
-	}
-	if !q.ForcePush("c", 0) {
-		t.Fatal("ForcePush refused")
-	}
-	if q.Depth() != 3 {
-		t.Fatalf("Depth() = %d", q.Depth())
-	}
-	// A late high-priority submission outranks the FIFO backlog, and
-	// MaxPriority reports it while queued.
-	if !q.ForcePush("urgent", 7) {
-		t.Fatal("ForcePush refused")
-	}
-	if pri, ok := q.MaxPriority(); !ok || pri != 7 {
-		t.Fatalf("MaxPriority = %d, %v; want 7, true", pri, ok)
-	}
-	for _, want := range []struct {
-		id  string
-		pri int
-	}{{"urgent", 7}, {"a", 0}, {"b", 0}, {"c", 0}} {
-		if id, pri, ok := q.TryPop(); !ok || id != want.id || pri != want.pri {
-			t.Fatalf("TryPop = %q, %d, %v; want %q, %d", id, pri, ok, want.id, want.pri)
-		}
-	}
-	if _, _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on an empty queue delivered")
-	}
-	if q.Closed() {
-		t.Fatal("queue reports closed before Close")
-	}
-	q.Close()
-	if !q.Closed() || q.Push("d", 0) || q.ForcePush("d", 0) {
-		t.Fatal("closed queue still admitting")
-	}
-	if _, _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on a closed queue delivered")
-	}
-}
-
 // TestWorkerRunsLeasedJob: the simplest end-to-end cluster path — one
 // coordinator, one worker, one job — delivers a queryable result and
 // a contiguous event feed through the coordinator's public API.

@@ -1,7 +1,6 @@
 package cluster
 
-// Edge-of-the-protocol units: queue blocking semantics, config
-// validation, and the error branches a healthy cluster never walks —
+// Edge-of-the-protocol units: config validation, and the error branches a healthy cluster never walks —
 // unreachable coordinators, refused leases, garbage payloads.
 
 import (
@@ -17,55 +16,6 @@ import (
 	"evoprot/internal/serve"
 	"evoprot/internal/storage"
 )
-
-// TestLeaseQueuePopBlocks: the serve.JobQueue half of the contract —
-// a blocking Pop parks until a push arrives, and Close wakes it empty.
-func TestLeaseQueuePopBlocks(t *testing.T) {
-	q := newLeaseQueue(4)
-	got := make(chan string, 1)
-	go func() {
-		id, ok := q.Pop()
-		if !ok {
-			got <- ""
-			return
-		}
-		got <- id
-	}()
-	time.Sleep(20 * time.Millisecond) // let Pop park
-	if !q.Push("j1", 0) {
-		t.Fatal("push refused")
-	}
-	select {
-	case id := <-got:
-		if id != "j1" {
-			t.Fatalf("popped %q, want j1", id)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Pop never woke")
-	}
-
-	go func() {
-		_, ok := q.Pop()
-		if ok {
-			got <- "unexpected item"
-			return
-		}
-		got <- "closed"
-	}()
-	time.Sleep(20 * time.Millisecond)
-	q.Close()
-	select {
-	case r := <-got:
-		if r != "closed" {
-			t.Fatalf("Pop after Close: %s", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not wake Pop")
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop on a closed queue returned an item")
-	}
-}
 
 // TestConfigValidation: both constructors refuse configs they cannot
 // serve.

@@ -272,13 +272,19 @@ func (e *engine) healFeed(j *job, ckptGen int) {
 // finalization). Only what the quiescent runner exposes is available:
 // best individual, island count and the generation marker. Evaluation
 // counts and per-island histories of the pre-crash legs are gone with
-// the process; the durable event log remains the trajectory of record.
+// the process, so each island's result is empty; the durable event log
+// remains the trajectory of record.
 func (e *engine) resultFromRunner(r *evoprot.Runner) *evoprot.RunResult {
-	return &evoprot.RunResult{
+	res := &evoprot.RunResult{
 		Best:        r.Best(),
+		Islands:     make([]*evoprot.Result, r.Islands()),
 		Generations: r.Generation(),
 		StopReason:  evoprot.StopCompleted,
 	}
+	for i := range res.Islands {
+		res.Islands[i] = &evoprot.Result{}
+	}
+	return res
 }
 
 // onEvent is the runner's progress callback: append to the durable feed,
@@ -374,17 +380,6 @@ func (e *engine) finalize(j *job, res *evoprot.RunResult, state jobState, errMsg
 		if snap.Generation > generations {
 			generations = snap.Generation
 		}
-		// res.Islands is empty on the finalize-from-checkpoint path; the
-		// spec still knows the run's shape (a per_island spec without an
-		// explicit count runs one island per override).
-		islands := len(res.Islands)
-		if islands == 0 {
-			if islands = snap.Spec.Islands; islands < 1 {
-				if islands = len(snap.Spec.PerIsland); islands < 1 {
-					islands = 1
-				}
-			}
-		}
 		result := JobResult{
 			ID:          j.id,
 			State:       state,
@@ -392,7 +387,7 @@ func (e *engine) finalize(j *job, res *evoprot.RunResult, state jobState, errMsg
 			Generations: generations,
 			Evaluations: res.Evaluations,
 			Migrations:  res.Migrations,
-			Islands:     islands,
+			Islands:     len(res.Islands),
 			BestIsland:  res.BestIsland,
 			Best: BestSummary{
 				Score:  res.Best.Eval.Score,
@@ -402,9 +397,7 @@ func (e *engine) finalize(j *job, res *evoprot.RunResult, state jobState, errMsg
 				Origin: res.Best.Origin,
 			},
 		}
-		if len(res.Islands) > 0 {
-			result.History = res.Islands[res.BestIsland].History
-		}
+		result.History = res.Islands[res.BestIsland].History
 		if front := finalFront(res); front != nil {
 			result.Front = front.Pairs
 			result.FrontSize = front.Size

@@ -234,63 +234,3 @@ func TestStoresBitIdentical(t *testing.T) {
 		t.Fatal("protected datasets differ between storage backends")
 	}
 }
-
-// TestFIFOQueueAccounting pins the admission arithmetic at the unit
-// level: force-pushed items count toward the bound exactly like pushed
-// ones.
-func TestFIFOQueueAccounting(t *testing.T) {
-	q := NewFIFOQueue(2)
-	if !q.ForcePush("a", 0) || !q.ForcePush("b", 0) || !q.ForcePush("c", 0) {
-		t.Fatal("ForcePush must not respect the bound")
-	}
-	if q.Push("d", 0) {
-		t.Fatal("Push admitted over a force-filled queue")
-	}
-	if id, ok := q.Pop(); !ok || id != "a" {
-		t.Fatalf("Pop = %q, %v; want \"a\", true", id, ok)
-	}
-	// Two remain — still at the bound of 2.
-	if q.Push("d", 0) {
-		t.Fatal("Push admitted at the bound")
-	}
-	q.Pop()
-	if !q.Push("d", 0) {
-		t.Fatal("Push refused under the bound")
-	}
-	if q.Depth() != 2 {
-		t.Fatalf("depth %d, want 2", q.Depth())
-	}
-	q.Close()
-	if q.Push("e", 0) || q.ForcePush("f", 0) {
-		t.Fatal("pushes admitted after Close")
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop delivered after Close; close must win over queued items")
-	}
-}
-
-// TestFIFOQueuePriorityOrder pins the scheduling contract: higher
-// priorities pop first, arrival order breaks ties, and MaxPriority
-// reports the queue head.
-func TestFIFOQueuePriorityOrder(t *testing.T) {
-	q := NewFIFOQueue(8)
-	if _, ok := q.MaxPriority(); ok {
-		t.Fatal("MaxPriority on an empty queue reported a value")
-	}
-	for _, it := range []struct {
-		id  string
-		pri int
-	}{{"low1", 0}, {"high1", 5}, {"low2", 0}, {"mid", 3}, {"high2", 5}} {
-		if !q.Push(it.id, it.pri) {
-			t.Fatalf("push %q refused", it.id)
-		}
-	}
-	if pri, ok := q.MaxPriority(); !ok || pri != 5 {
-		t.Fatalf("MaxPriority = %d, %v; want 5, true", pri, ok)
-	}
-	for _, want := range []string{"high1", "high2", "mid", "low1", "low2"} {
-		if id, ok := q.Pop(); !ok || id != want {
-			t.Fatalf("Pop = %q, %v; want %q", id, ok, want)
-		}
-	}
-}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"evoprot"
 	"evoprot/internal/storage"
 )
 
@@ -202,5 +203,54 @@ func TestLoadKeyringFromFile(t *testing.T) {
 	}
 	if _, err := LoadKeyring(bad); err == nil {
 		t.Fatal("malformed auth file accepted")
+	}
+}
+
+// TestExecutorFinalizesExhaustedCheckpoint: a job whose final checkpoint
+// already holds its whole budget (the crash landed before finalization)
+// is finalized from the resumed state without running, and its result
+// still reports the run's shape — here a per_island spec with no island
+// count, which runs one island per override.
+func TestExecutorFinalizesExhaustedCheckpoint(t *testing.T) {
+	be := storage.NewMem()
+	s, err := New(Config{Store: be, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	spec := smallSpec()
+	spec.Islands = 0
+	spec.Generations = 10
+	spec.PerIsland = []evoprot.IslandConfig{{}, {Selection: "rank"}, {}}
+	id := postJob(t, ts.URL, spec).ID
+
+	x := NewExecutor(be, 5, t.Logf)
+	if done, err := x.Execute(context.Background(), id); err != nil || done.State != StateDone {
+		t.Fatalf("first execution: state %s, err %v", done.State, err)
+	}
+	// Re-queue the finished job as if finalization never happened.
+	st := &store{be: be}
+	var status JobStatus
+	if err := st.loadJSON(id, statusKey, &status); err != nil {
+		t.Fatal(err)
+	}
+	status.State = StateQueued
+	if err := st.saveJSON(id, statusKey, status); err != nil {
+		t.Fatal(err)
+	}
+	if done, err := x.Execute(context.Background(), id); err != nil || done.State != StateDone {
+		t.Fatalf("finalizing execution: state %s, err %v", done.State, err)
+	}
+	var result JobResult
+	if err := st.loadJSON(id, resultKey, &result); err != nil {
+		t.Fatal(err)
+	}
+	if result.Evaluations != 0 {
+		t.Fatalf("result reports %d evaluations: the job ran again instead of finalizing", result.Evaluations)
+	}
+	if result.Islands != 3 || result.Generations != 10 || result.Best.Score <= 0 {
+		t.Fatalf("finalized result: %d islands, %d generations, best %v; want 3 islands, 10 generations",
+			result.Islands, result.Generations, result.Best.Score)
 	}
 }

@@ -2,12 +2,14 @@ package serve
 
 import "sync"
 
-// JobQueue is the admission seam between the HTTP layer and the worker
-// pool: submissions enter through Push under the queue's admission
-// policy, recovery re-enqueues persisted work through ForcePush, and
-// workers drain through Pop. The default NewFIFOQueue is a bounded
-// in-memory priority queue; a distributed deployment can substitute a
-// shared queue without the server noticing.
+// JobQueue is the admission queue between the HTTP layer and the
+// workers: a bounded in-memory priority queue, FIFO within each priority
+// (and plain FIFO when every submission uses the default priority 0).
+// Submissions enter through Push under the admission bound, recovery and
+// requeues through ForcePush; the in-process worker pool drains it
+// through the blocking Pop, a cluster coordinator's lease endpoint
+// through the non-blocking TryPop. A coordinator shares its queue with
+// its serve.Server through Config.Queue.
 //
 // The contract:
 //
@@ -23,24 +25,23 @@ import "sync"
 //     return through ForcePush too — they already passed admission
 //     once.
 //   - Pop blocks until an item arrives or the queue closes; ok reports
-//     whether an item was delivered. The highest-priority item pops
-//     first; equal priorities pop in arrival order. Close wins over
-//     queued items, so workers exit promptly on shutdown.
-//   - Close wakes every blocked Pop and refuses further pushes.
-//   - Depth reports how many ids are queued right now.
-//   - Cap reports the admission bound Push enforces. Depth may exceed it
-//     while a recovered (ForcePushed) backlog drains.
+//     whether an item was delivered. Close wins over queued items, so
+//     workers exit promptly on shutdown.
+//   - TryPop is Pop without blocking, reporting the item's priority.
+//   - Close wakes every blocked Pop and refuses further pushes; Closed
+//     reports whether it was called.
+//   - Depth reports how many ids are queued right now; Cap the admission
+//     bound Push enforces. Depth may exceed Cap while a recovered
+//     (ForcePushed) backlog drains.
 //   - MaxPriority reports the highest priority currently queued, false
 //     when the queue is empty — the probe a preemption policy compares
 //     running work against.
-type JobQueue interface {
-	Push(id string, pri int) bool
-	ForcePush(id string, pri int) bool
-	Pop() (id string, ok bool)
-	Close()
-	Depth() int
-	Cap() int
-	MaxPriority() (pri int, ok bool)
+type JobQueue struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	items  []qitem // sorted: priority descending, arrival order within
+	bound  int
+	closed bool
 }
 
 // qitem is one queued id with its priority.
@@ -49,21 +50,10 @@ type qitem struct {
 	pri int
 }
 
-// fifoQueue is the default JobQueue: a bounded in-memory priority queue,
-// FIFO within each priority (and plain FIFO when every submission uses
-// the default priority 0).
-type fifoQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []qitem // sorted: priority descending, arrival order within
-	bound  int
-	closed bool
-}
-
-// NewFIFOQueue builds the default bounded queue admitting at most bound
-// queued jobs at a time.
-func NewFIFOQueue(bound int) JobQueue {
-	q := &fifoQueue{bound: bound}
+// NewFIFOQueue builds a queue admitting at most bound queued jobs at a
+// time through Push.
+func NewFIFOQueue(bound int) *JobQueue {
+	q := &JobQueue{bound: bound}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -85,7 +75,7 @@ func insert(items []qitem, it qitem) []qitem {
 // full or closed. Recovered jobs enqueued by ForcePush count toward the
 // fullness check: admission control sees the true backlog, not just the
 // part of it that arrived over HTTP.
-func (q *fifoQueue) Push(id string, pri int) bool {
+func (q *JobQueue) Push(id string, pri int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed || len(q.items) >= q.bound {
@@ -98,7 +88,7 @@ func (q *fifoQueue) Push(id string, pri int) bool {
 
 // ForcePush enqueues id at priority pri regardless of the bound — the
 // recovery and preemption-requeue path. Still refused after Close.
-func (q *fifoQueue) ForcePush(id string, pri int) bool {
+func (q *JobQueue) ForcePush(id string, pri int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -113,7 +103,7 @@ func (q *fifoQueue) ForcePush(id string, pri int) bool {
 // whether an item was delivered. Close wins over queued items: workers
 // exit promptly on shutdown and whatever remains is re-enqueued from the
 // store on the next boot.
-func (q *fifoQueue) Pop() (id string, ok bool) {
+func (q *JobQueue) Pop() (id string, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
@@ -127,26 +117,46 @@ func (q *fifoQueue) Pop() (id string, ok bool) {
 	return id, true
 }
 
+// TryPop pops the highest-priority head without blocking, reporting its
+// priority alongside; false when empty or closed.
+func (q *JobQueue) TryPop() (id string, pri int, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed || len(q.items) == 0 {
+		return "", 0, false
+	}
+	it := q.items[0]
+	q.items = q.items[1:]
+	return it.id, it.pri, true
+}
+
 // Close wakes every blocked Pop and refuses further pushes.
-func (q *fifoQueue) Close() {
+func (q *JobQueue) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }
 
+// Closed reports whether Close has been called.
+func (q *JobQueue) Closed() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closed
+}
+
 // Depth returns the number of queued ids.
-func (q *fifoQueue) Depth() int {
+func (q *JobQueue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items)
 }
 
 // Cap returns the admission bound.
-func (q *fifoQueue) Cap() int { return q.bound }
+func (q *JobQueue) Cap() int { return q.bound }
 
 // MaxPriority returns the highest queued priority; false when empty.
-func (q *fifoQueue) MaxPriority() (int, bool) {
+func (q *JobQueue) MaxPriority() (int, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.items) == 0 {

@@ -1,6 +1,6 @@
 // Package serve is the optimization job service behind cmd/evoprotd: an
 // HTTP layer over the evoprot Runner that accepts JSON job specs, runs
-// them on a bounded worker pool fed by a pluggable JobQueue, streams
+// them on a bounded worker pool fed by a priority JobQueue, streams
 // every run's per-generation events (replayable from any offset, as
 // NDJSON or SSE), and persists enough — spec, dataset, status, event
 // log, checkpoints — that a restarted server resumes in-flight jobs from
@@ -71,14 +71,14 @@ type Config struct {
 	// Store selects the persistence backend; nil selects the filesystem
 	// store over DataDir (the historical on-disk layout, byte for byte).
 	Store storage.Store
-	// Queue overrides the admission queue; nil selects the bounded FIFO
-	// of depth QueueDepth.
-	Queue JobQueue
+	// Queue shares an existing admission queue (a cluster coordinator's,
+	// drained by leases); nil selects a new one of depth QueueDepth.
+	Queue *JobQueue
 	// Workers bounds how many jobs evolve concurrently.
 	Workers int
 	// QueueDepth bounds how many accepted jobs may wait for a worker;
 	// submissions beyond it are refused with 503. Ignored when Queue is
-	// set — a custom queue brings its own admission policy.
+	// set — a shared queue brings its own bound.
 	QueueDepth int
 	// CheckpointEvery is the minimum generation distance between periodic
 	// checkpoint writes — the most work a hard crash can lose.
@@ -239,7 +239,7 @@ func (j *job) snapshotStatus() JobStatus {
 type Server struct {
 	*engine
 	cfg     Config
-	queue   JobQueue
+	queue   *JobQueue
 	limiter *tenantLimiter
 
 	ctx      context.Context
@@ -562,8 +562,8 @@ func (s *Server) submit(tenant string, spec evoprot.JobSpec, orig *evoprot.Datas
 	// The dataset is persisted once at admission and runs/resumes always
 	// reload it from the store, so an inline upload need not travel in the
 	// spec. The persisted spec points at the stored dataset instead, so it
-	// stays a valid one-source spec for the execution-time Options()
-	// bridge and names the true dataset even if a client round-trips it.
+	// stays a valid one-source spec when execution installs it on a Runner
+	// and names the true dataset even if a client round-trips it.
 	if spec.DatasetCSV != "" || spec.DatasetPath != "" {
 		spec.DatasetCSV = ""
 		spec.DatasetPath = s.specDatasetPath(id)

@@ -1,10 +1,11 @@
 package evoprot
 
-// JobSpec is the JSON-expressible description of one optimization job:
-// the functional-option surface of Run/NewRunner as data, and the wire
-// format of the evoprotd job service (internal/serve, cmd/evoprotd).
-// Campaign tooling builds specs, ships them over HTTP, and the service
-// turns them back into options with the Options bridge.
+// JobSpec is the one description of an optimization run: every
+// functional option of Run/NewRunner that configures the run writes a
+// JobSpec field, and the same struct is the wire format of the evoprotd
+// job service (internal/serve, cmd/evoprotd) and what cmd/evoprot fills
+// from its flags. Campaign tooling builds specs, ships them over HTTP,
+// and the service installs them on a Runner with Options.
 
 import (
 	"fmt"
@@ -17,8 +18,8 @@ import (
 // JobSpec describes one optimization job. Exactly one dataset source must
 // be set: a built-in generator name (Dataset), an inline CSV upload
 // (DatasetCSV), or a server-side path (DatasetPath). Zero values of the
-// remaining fields select the paper's defaults, mirroring the option
-// functions they bridge to.
+// remaining fields select the paper's defaults; each run field is the
+// one the matching With* option sets.
 type JobSpec struct {
 	// Dataset names a built-in synthetic dataset: housing, german, flare
 	// or adult.
@@ -102,9 +103,11 @@ type JobSpec struct {
 	Priority int `json:"priority,omitempty"`
 }
 
-// Validate checks the spec's internal consistency: exactly one dataset
-// source, attributes present for CSV sources, and every symbolic name
-// resolvable. It does not touch the filesystem or generate data.
+// Validate checks the spec's internal consistency: the source checks
+// (exactly one dataset source, attributes present for CSV sources, a
+// non-negative row count, a priority in 0..9) and the run-field check
+// NewRunner applies to its options, so admission and run time reject the
+// same inputs. It does not touch the filesystem or generate data.
 func (s *JobSpec) Validate() error {
 	sources := 0
 	for _, set := range []bool{s.Dataset != "", s.DatasetCSV != "", s.DatasetPath != ""} {
@@ -118,37 +121,14 @@ func (s *JobSpec) Validate() error {
 	if s.Dataset == "" && len(s.Attributes) == 0 {
 		return fmt.Errorf("evoprot: job spec needs attributes for CSV dataset sources")
 	}
-	if s.Aggregator != "" {
-		if _, err := AggregatorByName(s.Aggregator); err != nil {
-			return err
-		}
-	}
-	if _, err := core.SelectionByName(s.Selection); err != nil {
-		return err
-	}
-	if _, err := TopologyByName(s.Topology); err != nil {
-		return err
-	}
-	if s.Grid != "" {
-		if _, err := PaperComposition(s.Grid); err != nil {
-			return err
-		}
-	}
-	if s.Generations < 0 || s.Islands < 0 || s.Rows < 0 || s.Workers < 0 ||
-		s.EarlyStop < 0 || s.MigrateEvery < 0 || s.Migrants < 0 {
-		return fmt.Errorf("evoprot: job spec counts must be non-negative")
+	if s.Rows < 0 {
+		return fmt.Errorf("evoprot: job spec rows must be non-negative, got %d", s.Rows)
 	}
 	if s.Priority < 0 || s.Priority > 9 {
 		return fmt.Errorf("evoprot: job spec priority must be 0..9, got %d", s.Priority)
 	}
-	// Heterogeneity and adaptive migration are validated by building the
-	// exact island configuration the job would run — admission rejects
-	// whatever run time would reject, before any evaluation work happens.
-	icfg, err := s.islandsConfig()
-	if err != nil {
-		return err
-	}
-	return icfg.Validate()
+	_, err := s.islandsConfig()
+	return err
 }
 
 // refPair maps an optional wire reference point onto the engine's Pair
@@ -160,34 +140,85 @@ func refPair(r *ParetoRef) Pair {
 	return Pair{IL: r.IL, DR: r.DR}
 }
 
-// islandsConfig mirrors the spec onto the islands.Config the job would
-// execute with, through the same resolveIslandSetup the functional
-// options use — the single source of truth for admission-time validation
-// of heterogeneous and adaptive jobs.
-func (s *JobSpec) islandsConfig() (islands.Config, error) {
-	sel, _ := core.SelectionByName(s.Selection) // validated by the caller
-	topo, _ := TopologyByName(s.Topology)
-	nIslands, perIsland, adaptive, err := resolveIslandSetup(s.Islands, s.PerIsland, s.Niches, s.Adaptive)
-	if err != nil {
-		return islands.Config{}, err
+// islandCount is the run's effective island count: Islands, or one
+// island per PerIsland override when no count is given, and at least 1.
+func (s *JobSpec) islandCount() int {
+	if s.Islands == 0 && len(s.PerIsland) > 0 {
+		return len(s.PerIsland)
 	}
-	return islands.Config{
-		Islands:      nIslands,
+	return max(s.Islands, 1)
+}
+
+// islandsConfig is the run-field check and the only mapping of a run
+// onto islands.Config. It resolves every symbolic name, rejects negative
+// counts, and validates the result — per-island overrides, niche preset,
+// adaptive bounds, engine template — exactly the way islands.New would,
+// so both Validate and NewRunner reject whatever a run would. The
+// Runner adds the runtime hooks a spec cannot carry.
+func (s *JobSpec) islandsConfig() (islands.Config, error) {
+	var zero islands.Config
+	if s.Generations < 0 || s.Islands < 0 || s.Workers < 0 || s.EarlyStop < 0 ||
+		s.MigrateEvery < 0 || s.Migrants < 0 {
+		return zero, fmt.Errorf("evoprot: generations, islands, workers, early-stop and migration counts must be non-negative")
+	}
+	if s.Aggregator != "" {
+		if _, err := AggregatorByName(s.Aggregator); err != nil {
+			return zero, err
+		}
+	}
+	if s.Grid != "" {
+		if _, err := PaperComposition(s.Grid); err != nil {
+			return zero, err
+		}
+	}
+	sel, err := core.SelectionByName(s.Selection)
+	if err != nil {
+		return zero, err
+	}
+	topo, err := TopologyByName(s.Topology)
+	if err != nil {
+		return zero, err
+	}
+	cfg := islands.Config{
+		Islands:      s.islandCount(),
 		MigrateEvery: s.MigrateEvery,
 		Migrants:     s.Migrants,
 		Topology:     topo,
-		PerIsland:    perIsland,
-		Adaptive:     adaptive,
 		Engine: core.Config{
 			Generations:         s.Generations,
+			Seed:                s.Seed,
+			InitWorkers:         s.Workers,
+			EvalWorkers:         s.EvalWorkers,
+			NoImprovementWindow: s.EarlyStop,
 			Selection:           sel,
 			Objective:           s.Objective,
 			ParetoRef:           refPair(s.ParetoRef),
-			NoImprovementWindow: s.EarlyStop,
-			InitWorkers:         s.Workers,
-			EvalWorkers:         s.EvalWorkers,
 		},
-	}, nil
+	}
+	switch {
+	case s.Niches != "" && len(s.PerIsland) > 0:
+		return zero, fmt.Errorf("evoprot: niches and per-island overrides are mutually exclusive")
+	case s.Niches != "":
+		if cfg.Islands < 2 {
+			// One implied island would make every preset a silent no-op;
+			// demand the count the niches should spread over.
+			return zero, fmt.Errorf("evoprot: niches %q needs an island count of at least 2 (set WithIslands / islands)", s.Niches)
+		}
+		if cfg.PerIsland, err = islands.NichesByName(s.Niches, cfg.Islands); err != nil {
+			return zero, err
+		}
+	case len(s.PerIsland) > 0:
+		cfg.PerIsland = make([]core.Config, len(s.PerIsland))
+		for i, ov := range s.PerIsland {
+			if cfg.PerIsland[i], err = ov.toCore(); err != nil {
+				return zero, fmt.Errorf("evoprot: island %d override: %w", i, err)
+			}
+		}
+	}
+	if s.Adaptive != nil {
+		cfg.Adaptive = s.Adaptive.toIslands()
+	}
+	return cfg, cfg.Validate()
 }
 
 // Materialize validates the spec, loads or generates the original dataset
@@ -252,62 +283,15 @@ func (s *JobSpec) Budget() int {
 	return DefaultGenerations
 }
 
-// Options bridges the spec to the functional options of Run/NewRunner.
-// Call Materialize first when the spec relies on defaults it fills in
+// Options returns the single option that installs the spec as a
+// Runner's run configuration, replacing whatever run fields earlier
+// options set; later options still override single fields. Call
+// Materialize first when the spec relies on defaults it fills in
 // (attributes, grid); Options itself never touches the filesystem.
 func (s *JobSpec) Options() ([]Option, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	topo, err := TopologyByName(s.Topology)
-	if err != nil {
-		return nil, err
-	}
-	opts := []Option{WithSeed(s.Seed), WithTopology(topo)}
-	if s.Grid != "" {
-		opts = append(opts, WithGrid(s.Grid))
-	}
-	if s.Aggregator != "" {
-		opts = append(opts, WithAggregator(s.Aggregator))
-	}
-	if s.Objective != "" {
-		opts = append(opts, WithObjective(s.Objective))
-	}
-	if s.ParetoRef != nil {
-		opts = append(opts, WithParetoRef(s.ParetoRef.IL, s.ParetoRef.DR))
-	}
-	if s.MLTarget != "" {
-		opts = append(opts, WithMLUtility(s.MLTarget))
-	}
-	if s.Generations > 0 {
-		opts = append(opts, WithGenerations(s.Generations))
-	}
-	if s.Workers > 0 {
-		opts = append(opts, WithWorkers(s.Workers))
-	}
-	if s.EvalWorkers != 0 {
-		opts = append(opts, WithEvalWorkers(s.EvalWorkers))
-	}
-	if s.EarlyStop > 0 {
-		opts = append(opts, WithEarlyStop(s.EarlyStop))
-	}
-	if s.Selection != "" {
-		opts = append(opts, WithSelection(s.Selection))
-	}
-	if s.Islands > 0 {
-		opts = append(opts, WithIslands(s.Islands))
-	}
-	if s.MigrateEvery > 0 || s.Migrants > 0 {
-		opts = append(opts, WithMigration(s.MigrateEvery, s.Migrants))
-	}
-	if len(s.PerIsland) > 0 {
-		opts = append(opts, WithPerIsland(s.PerIsland...))
-	}
-	if s.Niches != "" {
-		opts = append(opts, WithNiches(s.Niches))
-	}
-	if s.Adaptive != nil {
-		opts = append(opts, WithAdaptiveMigration(*s.Adaptive))
-	}
-	return opts, nil
+	spec := *s
+	return []Option{func(o *runnerOptions) { o.spec = spec }}, nil
 }

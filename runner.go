@@ -18,7 +18,6 @@ import (
 	"evoprot/internal/experiment"
 	"evoprot/internal/infoloss"
 	"evoprot/internal/islands"
-	"evoprot/internal/protection"
 	"evoprot/internal/score"
 )
 
@@ -63,28 +62,15 @@ const (
 	StopDeadline  = core.StopDeadline
 )
 
-// runnerOptions collects everything the functional options configure.
+// runnerOptions collects what the functional options configure: the
+// run's JobSpec, which every option with a spec field writes, plus only
+// what a spec cannot carry — seed protections, a custom Aggregator
+// value, the event hook and channel, the checkpoint destination and
+// cadence, the feed's first sequence number and the epoch barrier.
 type runnerOptions struct {
-	grid            string
+	spec            JobSpec
 	seeds           []*Dataset
-	aggregatorName  string
 	aggregator      Aggregator
-	objective       string
-	paretoRef       Pair
-	mlTarget        string
-	generations     int
-	seed            uint64
-	workers         int
-	evalWorkers     int
-	window          int
-	selection       string
-	islands         int
-	migrateEvery    int
-	migrants        int
-	topology        Topology
-	perIsland       []IslandConfig
-	niches          string
-	adaptive        *AdaptiveMigration
 	onEvent         func(Event)
 	events          chan<- Event
 	checkpointPath  string
@@ -166,7 +152,7 @@ func (c IslandConfig) toCore() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	cfg := core.Config{
+	return core.Config{
 		Selection:           sel,
 		Crowding:            crowd,
 		MutationRate:        c.MutationRate,
@@ -174,13 +160,10 @@ func (c IslandConfig) toCore() (core.Config, error) {
 		CrossoverPoints:     c.CrossoverPoints,
 		Aggregator:          c.Aggregator,
 		Objective:           obj,
+		ParetoRef:           refPair(c.ParetoRef),
 		Generations:         c.Generations,
 		NoImprovementWindow: c.EarlyStop,
-	}
-	if c.ParetoRef != nil {
-		cfg.ParetoRef = Pair{IL: c.ParetoRef.IL, DR: c.ParetoRef.DR}
-	}
-	return cfg, nil
+	}, nil
 }
 
 // AdaptiveMigration bounds the divergence-driven migration controller
@@ -215,59 +198,15 @@ func (a AdaptiveMigration) toIslands() islands.Adaptive {
 	}
 }
 
-// resolveIslandSetup is the single resolution of the heterogeneity
-// surface, shared by the functional options and the JobSpec wire format
-// so admission-time validation can never drift from run-time behavior:
-// it returns the effective island count (per-island overrides imply one
-// island each when no count is given), the resolved override configs
-// (niche preset or explicit overrides — mutually exclusive), and the
-// adaptive controller config.
-func resolveIslandSetup(nIslands int, perIsland []IslandConfig, niches string, adaptive *AdaptiveMigration) (int, []core.Config, islands.Adaptive, error) {
-	var zero islands.Adaptive
-	if niches != "" && len(perIsland) > 0 {
-		return 0, nil, zero, fmt.Errorf("evoprot: niches and per-island overrides are mutually exclusive")
-	}
-	if nIslands == 0 && len(perIsland) > 0 {
-		nIslands = len(perIsland)
-	}
-	var overrides []core.Config
-	switch {
-	case niches != "":
-		if nIslands < 2 {
-			// One implied island would make every preset a silent no-op;
-			// demand the count the niches should spread over.
-			return 0, nil, zero, fmt.Errorf("evoprot: niches %q needs an island count of at least 2 (set WithIslands / islands)", niches)
-		}
-		var err error
-		overrides, err = islands.NichesByName(niches, nIslands)
-		if err != nil {
-			return 0, nil, zero, err
-		}
-	case len(perIsland) > 0:
-		overrides = make([]core.Config, len(perIsland))
-		for i, ov := range perIsland {
-			oc, err := ov.toCore()
-			if err != nil {
-				return 0, nil, zero, fmt.Errorf("evoprot: island %d override: %w", i, err)
-			}
-			overrides[i] = oc
-		}
-	}
-	var a islands.Adaptive
-	if adaptive != nil {
-		a = adaptive.toIslands()
-	}
-	return nIslands, overrides, a, nil
-}
-
-// Option configures a Runner. Zero/omitted options select the paper's
-// defaults (400 generations, max aggregation, a single island).
+// Option configures a Runner. Options with a JobSpec counterpart set that
+// spec field; zero/omitted options select the paper's defaults (400
+// generations, max aggregation, a single island).
 type Option func(*runnerOptions)
 
 // WithGrid seeds the initial population from a paper masking grid:
 // "housing", "german", "flare" or "adult". One of WithGrid / WithSeeds is
 // required.
-func WithGrid(name string) Option { return func(o *runnerOptions) { o.grid = name } }
+func WithGrid(name string) Option { return func(o *runnerOptions) { o.spec.Grid = name } }
 
 // WithSeeds supplies a ready-made initial population of masked datasets
 // (at least 2); overrides WithGrid.
@@ -275,7 +214,7 @@ func WithSeeds(seeds ...*Dataset) Option { return func(o *runnerOptions) { o.see
 
 // WithAggregator selects the fitness aggregation by name: "mean" (Eq. 1),
 // "max" (Eq. 2, default), "euclidean", or "weighted:<w>".
-func WithAggregator(name string) Option { return func(o *runnerOptions) { o.aggregatorName = name } }
+func WithAggregator(name string) Option { return func(o *runnerOptions) { o.spec.Aggregator = name } }
 
 // WithCustomAggregator installs an Aggregator value directly — custom
 // fitness shapes beyond the named ones. Overrides WithAggregator.
@@ -290,14 +229,14 @@ func WithCustomAggregator(agg Aggregator) Option {
 // result carry the current non-dominated front and its hypervolume; the
 // configured aggregation keeps scoring individuals for statistics,
 // in-front tie-breaking and cross-mode migration.
-func WithObjective(name string) Option { return func(o *runnerOptions) { o.objective = name } }
+func WithObjective(name string) Option { return func(o *runnerOptions) { o.spec.Objective = name } }
 
 // WithParetoRef sets the hypervolume reference point of Pareto-mode runs:
 // the worst corner of the (IL, DR) box fronts are measured against. Both
 // components must be finite and positive; the zero value selects the
 // (100, 100) corner of the measures' natural range.
 func WithParetoRef(il, dr float64) Option {
-	return func(o *runnerOptions) { o.paretoRef = Pair{IL: il, DR: dr} }
+	return func(o *runnerOptions) { o.spec.ParetoRef = &ParetoRef{IL: il, DR: dr} }
 }
 
 // WithMLUtility appends a machine-learning-utility measure to the
@@ -308,46 +247,46 @@ func WithParetoRef(il, dr float64) Option {
 // from the classifier's features. The measure has no incremental state, so
 // it is recomputed in full for every offspring while the rest of the
 // battery stays incremental.
-func WithMLUtility(target string) Option { return func(o *runnerOptions) { o.mlTarget = target } }
+func WithMLUtility(target string) Option { return func(o *runnerOptions) { o.spec.MLTarget = target } }
 
 // WithGenerations sets each island's evolution budget per Run call (0
 // selects the paper's 400).
-func WithGenerations(n int) Option { return func(o *runnerOptions) { o.generations = n } }
+func WithGenerations(n int) Option { return func(o *runnerOptions) { o.spec.Generations = n } }
 
 // WithSeed fixes the top-level run seed; a fixed seed reproduces the full
 // run — islands, migrations and all — bit for bit.
-func WithSeed(seed uint64) Option { return func(o *runnerOptions) { o.seed = seed } }
+func WithSeed(seed uint64) Option { return func(o *runnerOptions) { o.spec.Seed = seed } }
 
 // WithWorkers parallelizes initial-population evaluation (0 = sequential).
-func WithWorkers(n int) Option { return func(o *runnerOptions) { o.workers = n } }
+func WithWorkers(n int) Option { return func(o *runnerOptions) { o.spec.Workers = n } }
 
 // WithEvalWorkers sets the worker-pool width for generation-batch
 // offspring evaluation (0 inherits WithWorkers, negative forces
 // sequential). Results are identical at any width — only wall-clock
 // changes.
-func WithEvalWorkers(n int) Option { return func(o *runnerOptions) { o.evalWorkers = n } }
+func WithEvalWorkers(n int) Option { return func(o *runnerOptions) { o.spec.EvalWorkers = n } }
 
 // WithEarlyStop stops an island after window stagnant generations
 // (0 = disabled).
-func WithEarlyStop(window int) Option { return func(o *runnerOptions) { o.window = window } }
+func WithEarlyStop(window int) Option { return func(o *runnerOptions) { o.spec.EarlyStop = window } }
 
 // WithSelection names the reproduction-selection policy
 // ("inverse-proportional" default, "raw-proportional", "rank", "uniform").
-func WithSelection(name string) Option { return func(o *runnerOptions) { o.selection = name } }
+func WithSelection(name string) Option { return func(o *runnerOptions) { o.spec.Selection = name } }
 
 // WithIslands evolves n islands concurrently, exchanging elites under the
 // configured migration schedule (0 or 1 = a single island).
-func WithIslands(n int) Option { return func(o *runnerOptions) { o.islands = n } }
+func WithIslands(n int) Option { return func(o *runnerOptions) { o.spec.Islands = n } }
 
 // WithMigration sets the migration schedule: islands synchronize every
 // `every` generations and each emits `migrants` elites (zeros select the
 // defaults of 25 and 2).
 func WithMigration(every, migrants int) Option {
-	return func(o *runnerOptions) { o.migrateEvery, o.migrants = every, migrants }
+	return func(o *runnerOptions) { o.spec.MigrateEvery, o.spec.Migrants = every, migrants }
 }
 
 // WithTopology selects the migration topology (Ring default, Broadcast).
-func WithTopology(t Topology) Option { return func(o *runnerOptions) { o.topology = t } }
+func WithTopology(t Topology) Option { return func(o *runnerOptions) { o.spec.Topology = t.String() } }
 
 // WithPerIsland specializes islands: override i applies to island i on
 // top of the run's shared configuration (zero-valued fields inherit), so
@@ -357,7 +296,7 @@ func WithTopology(t Topology) Option { return func(o *runnerOptions) { o.topolog
 // per override. All-zero overrides reproduce the homogeneous run bit for
 // bit. Mutually exclusive with WithNiches.
 func WithPerIsland(overrides ...IslandConfig) Option {
-	return func(o *runnerOptions) { o.perIsland = overrides }
+	return func(o *runnerOptions) { o.spec.PerIsland = overrides }
 }
 
 // WithNiches spreads a named heterogeneity preset across the islands:
@@ -370,7 +309,7 @@ func WithPerIsland(overrides ...IslandConfig) Option {
 // the shared configuration, and WithIslands must ask for at least 2 —
 // a single island would make every preset a silent no-op. See
 // NicheNames. Mutually exclusive with WithPerIsland.
-func WithNiches(name string) Option { return func(o *runnerOptions) { o.niches = name } }
+func WithNiches(name string) Option { return func(o *runnerOptions) { o.spec.Niches = name } }
 
 // WithAdaptiveMigration ties the migration schedule to cross-island
 // population divergence: at every barrier the coordinator measures how
@@ -381,7 +320,7 @@ func WithNiches(name string) Option { return func(o *runnerOptions) { o.niches =
 // schedule. Adaptive runs stay bit-reproducible from the top-level seed;
 // Island -1 events carry an EpochInfo per barrier.
 func WithAdaptiveMigration(am AdaptiveMigration) Option {
-	return func(o *runnerOptions) { o.adaptive = &am }
+	return func(o *runnerOptions) { o.spec.Adaptive = &am }
 }
 
 // NicheNames returns the built-in niche preset names for WithNiches.
@@ -460,16 +399,20 @@ func NewRunner(orig *Dataset, attrNames []string, options ...Option) (*Runner, e
 	if err != nil {
 		return nil, err
 	}
+	// The spec's run-field check — the one JobSpec.Validate runs at
+	// admission — validates every name and count and the whole island
+	// configuration, so a bad setup fails here instead of after the
+	// initial population was paid for.
+	if _, err := o.spec.islandsConfig(); err != nil {
+		return nil, err
+	}
 	agg := o.aggregator
-	if agg == nil && o.aggregatorName != "" {
-		agg, err = AggregatorByName(o.aggregatorName)
-		if err != nil {
-			return nil, err
-		}
+	if agg == nil && o.spec.Aggregator != "" {
+		agg, _ = AggregatorByName(o.spec.Aggregator) // checked above
 	}
 	scoreCfg := score.Config{Aggregator: agg}
-	if o.mlTarget != "" {
-		target, err := orig.Schema().Indices(o.mlTarget)
+	if o.spec.MLTarget != "" {
+		target, err := orig.Schema().Indices(o.spec.MLTarget)
 		if err != nil {
 			return nil, fmt.Errorf("evoprot: ml-utility target: %w", err)
 		}
@@ -484,29 +427,10 @@ func NewRunner(orig *Dataset, attrNames []string, options ...Option) (*Runner, e
 		if len(o.seeds) < 2 {
 			return nil, fmt.Errorf("evoprot: need at least 2 seed protections, got %d", len(o.seeds))
 		}
-	case o.grid != "":
-		if _, err := protection.PaperComposition(o.grid); err != nil {
-			return nil, err
-		}
-	default:
+	case o.spec.Grid == "":
 		return nil, fmt.Errorf("evoprot: need seed protections (WithSeeds) or a masking grid (WithGrid)")
 	}
-	if _, err := core.SelectionByName(o.selection); err != nil {
-		return nil, err
-	}
-	r := &Runner{orig: orig, attrs: attrs, eval: eval, opts: o}
-	// Validate the whole island configuration — per-island overrides,
-	// niche preset, adaptive bounds, engine template — exactly the way the
-	// first Run would, so a bad heterogeneous setup fails here instead of
-	// after the initial population was paid for.
-	cfg, err := r.islandsConfig()
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return &Runner{orig: orig, attrs: attrs, eval: eval, opts: o}, nil
 }
 
 // buildInitial materializes the initial population the options describe.
@@ -518,41 +442,21 @@ func (r *Runner) buildInitial() ([]*Individual, error) {
 		}
 		return initial, nil
 	}
-	return experiment.BuildPopulation(r.orig, r.attrs, r.opts.grid, r.opts.seed)
+	return experiment.BuildPopulation(r.orig, r.attrs, r.opts.spec.Grid, r.opts.spec.Seed)
 }
 
-// islandsConfig assembles the islands.Config the options describe.
+// islandsConfig is the spec's islands.Config plus the runtime hooks a
+// spec cannot carry: the event feed, the barrier and the checkpoint
+// cadence.
 func (r *Runner) islandsConfig() (islands.Config, error) {
-	sel, err := core.SelectionByName(r.opts.selection)
+	cfg, err := r.opts.spec.islandsConfig()
 	if err != nil {
 		return islands.Config{}, err
 	}
-	nIslands, perIsland, adaptive, err := resolveIslandSetup(r.opts.islands, r.opts.perIsland, r.opts.niches, r.opts.adaptive)
-	if err != nil {
-		return islands.Config{}, err
-	}
-	cfg := islands.Config{
-		Islands:      nIslands,
-		MigrateEvery: r.opts.migrateEvery,
-		Migrants:     r.opts.migrants,
-		Topology:     r.opts.topology,
-		PerIsland:    perIsland,
-		Adaptive:     adaptive,
-		Engine: core.Config{
-			Generations:         r.opts.generations,
-			Seed:                r.opts.seed,
-			InitWorkers:         r.opts.workers,
-			EvalWorkers:         r.opts.evalWorkers,
-			NoImprovementWindow: r.opts.window,
-			Selection:           sel,
-			Objective:           r.opts.objective,
-			ParetoRef:           r.opts.paretoRef,
-		},
-		OnEvent:  r.opts.onEvent,
-		Events:   r.opts.events,
-		FirstSeq: r.opts.firstSeq,
-		Barrier:  r.opts.barrier,
-	}
+	cfg.OnEvent = r.opts.onEvent
+	cfg.Events = r.opts.events
+	cfg.FirstSeq = r.opts.firstSeq
+	cfg.Barrier = r.opts.barrier
 	if write := r.checkpointWriter(); write != nil {
 		every := r.opts.checkpointEvery
 		if every < 1 {
@@ -713,24 +617,25 @@ func (r *Runner) Generation() int {
 // the checkpoint's count).
 func (r *Runner) Islands() int {
 	if r.ir == nil {
-		if r.opts.islands < 1 {
-			if n := len(r.opts.perIsland); n > 0 {
-				return n
-			}
-			return 1
-		}
-		return r.opts.islands
+		return r.opts.spec.islandCount()
 	}
 	return r.ir.Islands()
 }
 
 // EffectiveMigration returns the migration schedule currently in force:
-// the configured one before the first Run and on fixed-schedule runs, the
-// adaptive controller's latest decision otherwise. Only valid while no
-// Run is in flight.
+// the configured one, defaults applied, before the first Run and on
+// fixed-schedule runs, the adaptive controller's latest decision
+// otherwise. Only valid while no Run is in flight.
 func (r *Runner) EffectiveMigration() (every, migrants int) {
 	if r.ir == nil {
-		return r.opts.migrateEvery, r.opts.migrants
+		every, migrants = r.opts.spec.MigrateEvery, r.opts.spec.Migrants
+		if every == 0 {
+			every = islands.DefaultMigrateEvery
+		}
+		if migrants == 0 {
+			migrants = islands.DefaultMigrants
+		}
+		return every, migrants
 	}
 	return r.ir.EffectiveMigration()
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"evoprot/internal/experiment"
+	"evoprot/internal/islands"
 )
 
 // TestRunMatchesLegacyEngineTrajectory is the redesign's acceptance
@@ -232,6 +234,83 @@ func TestNewRunnerValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), orig, attrs, WithGrid("flare"), WithGenerations(5), WithIslands(-1)); err == nil {
 		t.Error("negative island count accepted")
+	}
+}
+
+// TestValidationParity: every invalid run value is rejected both by the
+// functional options at NewRunner and by JobSpec.Validate (and so by
+// JobSpec.Options) — admission and run time share one check.
+func TestValidationParity(t *testing.T) {
+	orig, _ := GenerateDataset("flare", 40, 17)
+	attrs, _ := ProtectedAttributes("flare")
+	cases := []struct {
+		name string
+		opts []Option
+		spec func(*JobSpec)
+	}{
+		{"negative generations", []Option{WithGenerations(-1)}, func(s *JobSpec) { s.Generations = -1 }},
+		{"negative islands", []Option{WithIslands(-2)}, func(s *JobSpec) { s.Islands = -2 }},
+		{"negative workers", []Option{WithWorkers(-1)}, func(s *JobSpec) { s.Workers = -1 }},
+		{"negative early stop", []Option{WithEarlyStop(-1)}, func(s *JobSpec) { s.EarlyStop = -1 }},
+		{"negative migrate-every", []Option{WithMigration(-1, 0)}, func(s *JobSpec) { s.MigrateEvery = -1 }},
+		{"negative migrants", []Option{WithMigration(0, -1)}, func(s *JobSpec) { s.Migrants = -1 }},
+		{"unknown aggregator", []Option{WithAggregator("median")}, func(s *JobSpec) { s.Aggregator = "median" }},
+		{"unknown selection", []Option{WithSelection("tournament")}, func(s *JobSpec) { s.Selection = "tournament" }},
+		{"unknown topology", []Option{WithTopology(Topology(7))}, func(s *JobSpec) { s.Topology = "star" }},
+		{"unknown grid", []Option{WithGrid("nosuch")}, func(s *JobSpec) { s.Grid = "nosuch" }},
+		{"unknown objective", []Option{WithObjective("lexicographic")}, func(s *JobSpec) { s.Objective = "lexicographic" }},
+		{"unknown niches", []Option{WithIslands(2), WithNiches("nope")}, func(s *JobSpec) { s.Islands, s.Niches = 2, "nope" }},
+		{"bad per-island selection", []Option{WithPerIsland(IslandConfig{Selection: "bogus"})},
+			func(s *JobSpec) { s.PerIsland = []IslandConfig{{Selection: "bogus"}} }},
+		{"negative pareto_ref", []Option{WithObjective("pareto"), WithParetoRef(-5, 100)},
+			func(s *JobSpec) { s.Objective, s.ParetoRef = "pareto", &ParetoRef{IL: -5, DR: 100} }},
+		{"non-finite pareto_ref", []Option{WithParetoRef(math.Inf(1), 100)},
+			func(s *JobSpec) { s.ParetoRef = &ParetoRef{IL: math.Inf(1), DR: 100} }},
+	}
+	base := JobSpec{Dataset: "flare", Grid: "flare", Generations: 5}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("base spec rejected: %v", err)
+	}
+	if _, err := NewRunner(orig, attrs, WithGrid("flare"), WithGenerations(5)); err != nil {
+		t.Fatalf("base options rejected: %v", err)
+	}
+	for _, c := range cases {
+		opts := append([]Option{WithGrid("flare"), WithGenerations(5)}, c.opts...)
+		if _, err := NewRunner(orig, attrs, opts...); err == nil {
+			t.Errorf("%s: accepted by NewRunner", c.name)
+		}
+		spec := base
+		c.spec(&spec)
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%s: accepted by JobSpec.Validate", c.name)
+		}
+		if _, err := spec.Options(); err == nil {
+			t.Errorf("%s: accepted by JobSpec.Options", c.name)
+		}
+	}
+}
+
+// TestEffectiveMigrationBeforeRun: before the first Run the schedule in
+// force is the configured one with the islands defaults filled in.
+func TestEffectiveMigrationBeforeRun(t *testing.T) {
+	orig, _ := GenerateDataset("flare", 40, 17)
+	attrs, _ := ProtectedAttributes("flare")
+	for _, c := range []struct {
+		opts                   []Option
+		wantEvery, wantMigrant int
+	}{
+		{nil, islands.DefaultMigrateEvery, islands.DefaultMigrants},
+		{[]Option{WithMigration(10, 0)}, 10, islands.DefaultMigrants},
+		{[]Option{WithMigration(0, 3)}, islands.DefaultMigrateEvery, 3},
+		{[]Option{WithMigration(7, 4), WithAdaptiveMigration(AdaptiveMigration{})}, 7, 4},
+	} {
+		r, err := NewRunner(orig, attrs, append([]Option{WithGrid("flare"), WithIslands(2)}, c.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if every, migrants := r.EffectiveMigration(); every != c.wantEvery || migrants != c.wantMigrant {
+			t.Errorf("EffectiveMigration() = (%d, %d), want (%d, %d)", every, migrants, c.wantEvery, c.wantMigrant)
+		}
 	}
 }
 
