@@ -240,13 +240,18 @@
 // parent's own state: apply the change list, read the value, undo it by
 // inverse replay or bitset-diff journaling (stats.BitsetJournal), so
 // evaluating a losing offspring touches memory proportional to the edit
-// instead of the file. Full Evaluate survives in three roles only: for a
-// crossover whose gene window is too wide to patch, for a measure without
-// a state (the ML-utility measure is recomputed per offspring while the
-// rest of the battery stays incremental), and as the test oracle — the
-// equivalence suites in internal/core and internal/islands run every
-// trajectory against a capability-stripped battery
-// (internal/score/scoretest) that scores each offspring in full.
+// instead of the file. The DBRL and PRL states route each change list
+// themselves: from the tuple counts of their last full link they estimate
+// what patching would cost, and past that break-even they re-link in full
+// with the grouped kernel of their Risk, inside the state, so the rest of
+// the battery stays incremental. Full Evaluate survives in three roles
+// only: for a crossover whose gene window touches more than half the
+// rows, for a measure without a state (the ML-utility measure is
+// recomputed per offspring while the rest of the battery stays
+// incremental), and as the test oracle — the equivalence suites in
+// internal/core and internal/islands run every trajectory against a
+// capability-stripped battery (internal/score/scoretest) that scores each
+// offspring in full.
 // Independent parent groups shard across a worker pool sized by
 // core.Config.EvalWorkers (0 inherits InitWorkers; WithEvalWorkers and
 // JobSpec.EvalWorkers thread it through the stack), and only the children
@@ -268,17 +273,19 @@
 // full/delta_ratio metric of the paper-scale speedup benchmark in
 // bench_test.go measures it).
 //
-// Full evaluations still run — once per seed protection when an engine
-// starts, and for every crossover whose gene window is too wide to patch —
-// and there the two record linkages used to dominate: DBRL and PRL compare
-// every original record with every masked record, O(n²·attrs). Both
-// comparisons depend only on the two records' protected tuples, and with
-// a few protected attributes tuples repeat (205 distinct original tuples
-// among flare's 1066 records), so both measures — full Risk and the
-// Prepare of their delta states alike — group the records by tuple and
-// compare each pair of distinct tuples once, weighted by how many masked
-// records share the tuple — O(D_orig·D_masked·attrs) for D
-// distinct tuples, never more than the record scan. The tallies are exact
-// integers, so results are bit-identical to the pairwise scans, which
-// internal/risk keeps as test oracles (see BenchmarkLinkagePaperScale).
+// Full linkage still runs — once per seed protection when an engine
+// starts, for every crossover whose gene window touches more than half the
+// rows, and inside the DBRL and PRL states for every change list past
+// their own break-even — and there the two record linkages used to
+// dominate: DBRL and PRL compare every original record with every masked
+// record, O(n²·attrs). Both comparisons depend only on the two records'
+// protected tuples, and with a few protected attributes tuples repeat
+// (205 distinct original tuples among flare's 1066 records), so both
+// measures — full Risk, the Prepare of their delta states and their wide
+// edits alike — group the records by tuple and compare each pair of
+// distinct tuples once, weighted by how many masked records share the
+// tuple — O(D_orig·D_masked·attrs) for D distinct tuples, never more than
+// the record scan. The tallies are exact integers, so results are
+// bit-identical to the pairwise scans, which internal/risk keeps as test
+// oracles (see BenchmarkLinkagePaperScale and BenchmarkLinkageDeltaWidth).
 package evoprot

@@ -1,6 +1,7 @@
 package risk
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -16,18 +17,18 @@ func benchPair(b *testing.B, rows int) (*dataset.Dataset, *dataset.Dataset, []in
 
 // benchPairOf generates the named dataset and a PRAM masking of its
 // protected attributes.
-func benchPairOf(b *testing.B, name string, rows int) (*dataset.Dataset, *dataset.Dataset, []int) {
-	b.Helper()
+func benchPairOf(tb testing.TB, name string, rows int) (*dataset.Dataset, *dataset.Dataset, []int) {
+	tb.Helper()
 	d := datagen.MustByName(name, rows, 5)
 	names, _ := datagen.ProtectedAttrs(name)
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(5, 5))
 	masked, err := protection.Must("pram:theta=0.7").Protect(d, attrs, rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return d, masked, attrs
 }
@@ -69,6 +70,42 @@ func BenchmarkLinkagePaperScale(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkLinkageDeltaWidth times one speculative offspring on the DBRL
+// and PRL states of the paper-scale flare file: ApplyUndo of a change
+// list of the given width, then Undo. Narrow lists are patched cell by
+// cell; past each state's own break-even the state re-links in full with
+// the grouped kernel, so the cost levels off near one full Risk instead
+// of growing with the width. A return to per-cell patching of wide lists
+// multiplies the ns/op of the wide sub-benchmarks.
+func BenchmarkLinkageDeltaWidth(b *testing.B) {
+	orig, masked, attrs := benchPair(b, 0)
+	for _, m := range []Reversible{&DistanceLinkage{}, &ProbabilisticLinkage{}} {
+		st := m.Prepare(orig, masked, attrs)
+		for _, width := range []int{1, 16, 64, 256, orig.Rows() / 2} {
+			changes := randomChanges(masked, attrs, width, uint64(width))
+			b.Run(fmt.Sprintf("%s/width=%d", m.Name(), width), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					m.ApplyUndo(st, changes)
+					m.Undo(st)
+				}
+			})
+		}
+	}
+}
+
+// randomChanges draws width random edits of the protected cells of d,
+// chained as a change list from d, without editing d.
+func randomChanges(d *dataset.Dataset, attrs []int, width int, seed uint64) []dataset.CellChange {
+	work := d.Clone()
+	rng := rand.New(rand.NewPCG(seed, 21))
+	changes := make([]dataset.CellChange, width)
+	for i := range changes {
+		changes[i] = dataset.RandomChange(rng, work, attrs)
+	}
+	return changes
 }
 
 // BenchmarkDistanceLinkageSampled shows the quadratic-cost mitigation the

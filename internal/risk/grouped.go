@@ -19,6 +19,8 @@ package risk
 import (
 	"math"
 	"sync"
+
+	"evoprot/internal/dataset"
 )
 
 // tupleGroups partitions a record set by protected tuple. Groups are
@@ -101,18 +103,21 @@ func resize[T any](s []T, n int) []T {
 }
 
 // linkGroups is the working memory of one grouped DBRL or PRL pass:
-// the sampled original records and the masked records grouped by tuple,
-// one original group's row of distances or patterns against every masked
-// group, and per original group the best score found and how many masked
-// records attain it. It is pooled, so once warm the grouping adds no
-// allocation to full Risk calls on the evolution hot path.
+// the protected columns of a full Risk call, the sampled original records
+// and the masked records grouped by tuple, one original group's row of
+// distances or patterns against every masked group, per original group
+// the best score found and how many masked records attain it, and a full
+// PRL's EM scratch. It is pooled, so once warm a full Risk call on the
+// evolution hot path allocates no column copies or grouping buffers.
 type linkGroups struct {
+	oc, mc       [][]int // Risk's copies of the protected columns
 	orig, masked tupleGroups
 	dist         []int64   // DBRL row: distance to each masked group
 	pats         []int     // PRL row: agreement pattern with each masked group
 	best         []int64   // DBRL: nearest distance per original group
 	bestW        []float64 // PRL: highest weight per original group
 	count        []int64   // masked records attaining best / bestW
+	em           emScratch // PRL Risk: pattern tally, EM and weights
 }
 
 var linkGroupsPool = sync.Pool{New: func() any { return new(linkGroups) }}
@@ -122,9 +127,40 @@ var linkGroupsPool = sync.Pool{New: func() any { return new(linkGroups) }}
 // linkGroupsPool when done.
 func groupLinkage(oc, mc [][]int, n, stride int) *linkGroups {
 	lg := linkGroupsPool.Get().(*linkGroups)
+	lg.group(oc, mc, n, stride)
+	return lg
+}
+
+// group regroups lg's records: the original records 0, stride,
+// 2·stride, ... < n of oc and every masked record of mc.
+func (lg *linkGroups) group(oc, mc [][]int, n, stride int) {
 	lg.orig.group(oc, n, stride)
 	lg.masked.group(mc, n, 1)
-	return lg
+}
+
+// relinkCost estimates the work of one grouped pass from the last
+// grouping's tuple counts: D_orig·D_masked·attrs to compare the distinct
+// tuple pairs plus n·attrs to group the records.
+func (lg *linkGroups) relinkCost(n, numAttrs int) int {
+	return (len(lg.orig.mult)*len(lg.masked.mult) + n) * numAttrs
+}
+
+// columns fills lg's column buffers with the protected columns of orig
+// and masked and returns them.
+func (lg *linkGroups) columns(orig, masked *dataset.Dataset, attrs []int) (oc, mc [][]int) {
+	lg.oc = columnsInto(lg.oc, orig, attrs)
+	lg.mc = columnsInto(lg.mc, masked, attrs)
+	return lg.oc, lg.mc
+}
+
+// columnsInto is columns reusing the buffers of cols.
+func columnsInto(cols [][]int, d *dataset.Dataset, attrs []int) [][]int {
+	cols = resize(cols, len(attrs))
+	for a, c := range attrs {
+		cols[a] = resize(cols[a], d.Rows())
+		d.ColumnInto(cols[a], c)
+	}
+	return cols
 }
 
 // distances returns original group g's distance to every masked group.

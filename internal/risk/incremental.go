@@ -17,8 +17,8 @@ package risk
 //     distinct tuple (grouped.go). A cell change moves one masked
 //     record, so exactly one distance per original record is replaced;
 //     only when the unique minimum is displaced upward does one row
-//     rescan (O(n)) occur — rare in practice, so updates are ~O(n·attrs)
-//     per changed cell.
+//     rescan (O(n)) occur — rare in practice, so a change costs
+//     ~O(sampled·attrs).
 //   - PRL caches each original record's histogram of agreement patterns
 //     against all masked records, built at Prepare once per distinct
 //     tuple and copied to the records sharing it. A cell change flips one
@@ -33,11 +33,24 @@ package risk
 //     interval boundaries, and only profiles holding an affected category
 //     re-intersect (see rsrl_incremental.go).
 //
+// DBRL and PRL route each change list themselves. Patching costs grow
+// with the list, while a full re-link with the grouped kernel of their
+// Risk costs about D_orig·D_masked·attrs + n·attrs for D distinct
+// tuples, whatever the list. Each state counts both in per-attribute
+// comparisons, from the list and from the tuple counts of its last full
+// link, and re-links in full once patching would cost more: a wide
+// ApplyUndo writes the list into the state's masked columns only, scores
+// them with the kernel and leaves the rows or histograms untouched for
+// Undo, which then restores just those columns; a wide Apply (a commit)
+// re-links and rebuilds the rows or histograms in place, as Prepare does.
+// The estimate reads counts only, never a clock, so the route of every
+// call is deterministic, and both routes give bit-identical values.
+//
 // All four states support intruder-side stride sampling (MaxRecords)
 // directly: the sampled record set is deterministic, so the sampled
 // summaries (DBRL's per-record rows and PRL's pattern histograms exist
-// only for sampled records) are patched exactly like the full ones and
-// there is no full-recompute fallback left in the default battery.
+// only for sampled records) are patched and re-linked exactly like the
+// full ones.
 //
 // All four measures are also Reversible: ApplyUndo journals enough to
 // roll a change list back exactly, so generation-batch evaluation
@@ -45,8 +58,9 @@ package risk
 // generation against one shared parent state instead of cloning it per
 // offspring. ID, DBRL and PRL undo by replaying the inverted change list
 // in reverse through the same exact integer patches (their summaries are
-// pure functions of the masked columns); RSRL undoes through word-level
-// bitset-diff journaling plus scalar row snapshots (see
+// pure functions of the masked columns), or after a wide DBRL or PRL
+// ApplyUndo by restoring the masked columns alone; RSRL undoes through
+// word-level bitset-diff journaling plus scalar row snapshots (see
 // rsrl_incremental.go), skipping the candidate re-intersections entirely.
 //
 // Measured at bench_test.go scale (500 records), a single-cell Apply costs
@@ -127,6 +141,24 @@ type undoLog struct {
 func (u *undoLog) arm(changes []dataset.CellChange) {
 	u.changes = append(u.changes[:0], changes...)
 	u.active = true
+}
+
+// setCells writes changes, in order, into the protected columns mc, where
+// pos maps a dataset column to its position in mc.
+func setCells(mc [][]int, pos map[int]int, changes []dataset.CellChange) {
+	for _, ch := range changes {
+		mc[pos[ch.Col]][ch.Row] = ch.New
+	}
+}
+
+// restoreCells writes the pending changes' old values back into mc, last
+// change first: the whole rollback of a wide ApplyUndo, which touches
+// nothing else.
+func (u *undoLog) restoreCells(mc [][]int, pos map[int]int) {
+	for k := len(u.changes) - 1; k >= 0; k-- {
+		ch := u.changes[k]
+		mc[pos[ch.Col]][ch.Row] = ch.Old
+	}
 }
 
 // --- ID (interval disclosure) ---
@@ -228,12 +260,21 @@ type dbrlState struct {
 	best     []int64
 	count    []int32
 	trueDist []int64
-	undo     undoLog // pending ApplyUndo journal; never shared by clones
+	// relinkCost is the estimated cost of a full grouped re-link, from
+	// the tuple counts of the last one (linkGroups.relinkCost).
+	relinkCost int
+	// stale marks rows that lag mc: a wide ApplyUndo wrote its edits into
+	// mc only. Undo clears it; in a clone, the next Apply re-links.
+	stale bool
+	undo  undoLog // pending ApplyUndo journal; never shared by clones
 }
 
 // CloneState implements State.
 func (s *dbrlState) CloneState() State {
-	out := &dbrlState{n: s.n, stride: s.stride, attrs: s.attrs, pos: s.pos, oc: s.oc, tables: s.tables}
+	out := &dbrlState{
+		n: s.n, stride: s.stride, attrs: s.attrs, pos: s.pos, oc: s.oc, tables: s.tables,
+		relinkCost: s.relinkCost, stale: s.stale,
+	}
 	out.mc = make([][]int, len(s.mc))
 	for a, col := range s.mc {
 		own := make([]int, len(col))
@@ -266,15 +307,31 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 	for a, c := range attrs {
 		st.pos[c] = a
 	}
-	lg := groupLinkage(st.oc, st.mc, n, st.stride)
+	st.relink()
+	return st
+}
+
+// relink rebuilds every sampled record's row from the masked columns in
+// one grouped pass.
+func (st *dbrlState) relink() {
+	lg := groupLinkage(st.oc, st.mc, st.n, st.stride)
 	defer linkGroupsPool.Put(lg)
 	lg.nearest(st.tables)
-	for i, k := 0, 0; i < n; i, k = i+st.stride, k+1 {
+	for i, k := 0, 0; i < st.n; i, k = i+st.stride, k+1 {
 		g := lg.orig.of[k]
 		st.best[i], st.count[i] = lg.best[g], int32(lg.count[g])
 		st.trueDist[i] = st.dist(i, i)
 	}
-	return st
+	st.relinkCost = lg.relinkCost(st.n, len(st.attrs))
+	st.stale = false
+}
+
+// wide reports whether patching changes in and out again would cost more
+// than a full grouped re-link. Both are counted in per-attribute table
+// reads: a change re-sums the distance of every sampled record to the
+// edited masked record, twice.
+func (st *dbrlState) wide(changes []dataset.CellChange) bool {
+	return 2*len(changes)*sampledCount(st.n, st.stride)*len(st.attrs) > st.relinkCost
 }
 
 // dist returns the mixed categorical distance between original record i
@@ -369,21 +426,38 @@ func (st *dbrlState) value() float64 {
 }
 
 // Apply implements Incremental. A plain Apply commits any pending
-// ApplyUndo.
+// ApplyUndo. A wide change list, or a pending wide ApplyUndo, re-links
+// the rows in full instead of patching them.
 func (dl *DistanceLinkage) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*dbrlState)
 	st.undo.active = false
-	for _, ch := range changes {
-		st.patchOne(ch)
+	if st.stale || st.wide(changes) {
+		setCells(st.mc, st.pos, changes)
+		st.relink()
+	} else {
+		for _, ch := range changes {
+			st.patchOne(ch)
+		}
 	}
 	return st.value()
 }
 
-// ApplyUndo implements Reversible.
+// ApplyUndo implements Reversible. A wide change list is written into the
+// masked columns alone and scored by the grouped kernel of full Risk,
+// leaving the rows to describe the unedited file.
 func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) float64 {
-	v := dl.Apply(state, changes)
-	state.(*dbrlState).undo.arm(changes)
-	return v
+	st := state.(*dbrlState)
+	if !st.wide(changes) {
+		v := dl.Apply(state, changes)
+		st.undo.arm(changes)
+		return v
+	}
+	setCells(st.mc, st.pos, changes)
+	st.undo.arm(changes)
+	st.stale = true
+	lg := linkGroupsPool.Get().(*linkGroups)
+	defer linkGroupsPool.Put(lg)
+	return dbrlGrouped(lg, st.oc, st.mc, st.tables, st.n, st.stride)
 }
 
 // Undo implements Reversible.
@@ -393,6 +467,11 @@ func (dl *DistanceLinkage) Undo(state State) {
 		return
 	}
 	st.undo.active = false
+	if st.stale {
+		st.undo.restoreCells(st.mc, st.pos)
+		st.stale = false
+		return
+	}
 	for k := len(st.undo.changes) - 1; k >= 0; k-- {
 		st.patchOne(st.undo.changes[k].Inverted())
 	}
@@ -418,13 +497,18 @@ type prlState struct {
 	cnt      []int32
 	patCount []float64
 	truePat  []int32 // pattern(i, i) per sampled record, indexed i/stride
-	// Reusable Apply scratch (EM buffers and pattern weights), lazily
-	// built and never shared: CloneState leaves it nil, so steady-state
-	// Apply calls allocate nothing.
-	scrWeights       []float64
-	scrM, scrU       []float64
-	scrMNum, scrUNum []float64
-	undo             undoLog // pending ApplyUndo journal; never shared by clones
+	// relinkCost is the estimated cost of a full grouped re-link, from
+	// the tuple counts of the last one (linkGroups.relinkCost).
+	relinkCost int
+	// stale marks histograms that lag mc: a wide ApplyUndo wrote its
+	// edits into mc only. Undo clears it; in a clone, the next Apply
+	// re-links.
+	stale bool
+	// Reusable EM and weight scratch of value and of wide ApplyUndo,
+	// lazily sized and never shared: CloneState leaves it empty, so
+	// steady-state Apply calls allocate nothing.
+	em   emScratch
+	undo undoLog // pending ApplyUndo journal; never shared by clones
 }
 
 // CloneState implements State.
@@ -432,6 +516,7 @@ func (s *prlState) CloneState() State {
 	out := &prlState{
 		n: s.n, stride: s.stride, sampled: s.sampled,
 		numAttrs: s.numAttrs, iters: s.iters, pos: s.pos, oc: s.oc, ocByCat: s.ocByCat,
+		relinkCost: s.relinkCost, stale: s.stale,
 	}
 	out.mc = make([][]int, len(s.mc))
 	for a, col := range s.mc {
@@ -487,12 +572,23 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 			st.ocByCat[a][v] = append(st.ocByCat[a][v], i)
 		}
 	}
-	// Records sharing a tuple share a histogram row: build each group's
-	// row once, at its first record, and copy it to the others.
-	lg := groupLinkage(st.oc, st.mc, n, stride)
+	st.relink()
+	return st
+}
+
+// relink rebuilds every sampled record's pattern histogram, the
+// true-match patterns and the pattern tally from the masked columns in
+// one grouped pass. Records sharing a tuple share a histogram row: each
+// group's row is built once, at its first record, and copied to the
+// others.
+func (st *prlState) relink() {
+	numPat := 1 << st.numAttrs
+	lg := groupLinkage(st.oc, st.mc, st.n, st.stride)
 	defer linkGroupsPool.Put(lg)
-	for i := 0; i < n; i += stride {
-		si := i / stride
+	clear(st.cnt)
+	clear(st.patCount)
+	for i := 0; i < st.n; i += st.stride {
+		si := i / st.stride
 		row := st.cnt[si*numPat : (si+1)*numPat]
 		if f := int(lg.orig.first[lg.orig.of[si]]); f == si {
 			lg.histogram(int(lg.orig.of[si]), row)
@@ -504,7 +600,24 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 			st.patCount[pat] += float64(c)
 		}
 	}
-	return st
+	st.relinkCost = lg.relinkCost(st.n, st.numAttrs)
+	st.stale = false
+}
+
+// wide reports whether patching changes in and out again would cost more
+// than a full grouped re-link, counted in per-attribute comparisons as
+// for DBRL: a change re-derives the pattern of every sampled original
+// record holding its old or new category, twice.
+func (st *prlState) wide(changes []dataset.CellChange) bool {
+	cost := 0
+	for _, ch := range changes {
+		byCat := st.ocByCat[st.pos[ch.Col]]
+		cost += 2 * (len(byCat[ch.Old]) + len(byCat[ch.New])) * st.numAttrs
+		if cost > st.relinkCost {
+			return true
+		}
+	}
+	return false
 }
 
 // patchOne advances the pattern histograms by one cell change. All
@@ -551,28 +664,8 @@ func (st *prlState) patchOne(ch dataset.CellChange) {
 // estimates, weights and credit.
 func (st *prlState) value() float64 {
 	numPat := 1 << st.numAttrs
-	if st.scrWeights == nil {
-		st.scrWeights = make([]float64, numPat)
-		st.scrM = make([]float64, st.numAttrs)
-		st.scrU = make([]float64, st.numAttrs)
-		st.scrMNum = make([]float64, st.numAttrs)
-		st.scrUNum = make([]float64, st.numAttrs)
-	}
-	totalPairs := float64(st.sampled) * float64(st.n)
-	m, u := st.scrM, st.scrU
-	emEstimateInto(m, u, st.scrMNum, st.scrUNum, st.patCount, totalPairs, float64(st.sampled), st.iters)
-	weights := st.scrWeights
-	for pat := 0; pat < numPat; pat++ {
-		w := 0.0
-		for a := 0; a < st.numAttrs; a++ {
-			if pat&(1<<a) != 0 {
-				w += math.Log2(m[a] / u[a])
-			} else {
-				w += math.Log2((1 - m[a]) / (1 - u[a]))
-			}
-		}
-		weights[pat] = w
-	}
+	st.em.size(st.numAttrs)
+	weights := st.em.matchWeights(st.patCount, float64(st.sampled)*float64(st.n), float64(st.sampled), st.iters)
 	credit := 0.0
 	for si := 0; si < st.sampled; si++ {
 		row := st.cnt[si*numPat : (si+1)*numPat]
@@ -598,31 +691,54 @@ func (st *prlState) value() float64 {
 }
 
 // Apply implements Incremental. A plain Apply commits any pending
-// ApplyUndo.
+// ApplyUndo. A wide change list, or a pending wide ApplyUndo, re-links
+// the histograms in full instead of patching them.
 func (pl *ProbabilisticLinkage) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*prlState)
 	st.undo.active = false
-	for _, ch := range changes {
-		st.patchOne(ch)
+	if st.stale || st.wide(changes) {
+		setCells(st.mc, st.pos, changes)
+		st.relink()
+	} else {
+		for _, ch := range changes {
+			st.patchOne(ch)
+		}
 	}
 	return st.value()
 }
 
-// ApplyUndo implements Reversible.
+// ApplyUndo implements Reversible. A wide change list is written into the
+// masked columns alone and scored by the grouped kernel of full Risk,
+// leaving the histograms to describe the unedited file.
 func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellChange) float64 {
-	v := pl.Apply(state, changes)
-	state.(*prlState).undo.arm(changes)
-	return v
+	st := state.(*prlState)
+	if !st.wide(changes) {
+		v := pl.Apply(state, changes)
+		st.undo.arm(changes)
+		return v
+	}
+	setCells(st.mc, st.pos, changes)
+	st.undo.arm(changes)
+	st.stale = true
+	lg := linkGroupsPool.Get().(*linkGroups)
+	defer linkGroupsPool.Put(lg)
+	return prlGrouped(lg, &st.em, st.oc, st.mc, st.n, st.stride, st.iters)
 }
 
 // Undo implements Reversible. The EM re-estimation and re-link are pure
-// reads of the tallies, so undo only reverses the integer patches.
+// reads of the tallies, so undo only reverses the integer patches — or,
+// after a wide ApplyUndo, only the masked columns.
 func (pl *ProbabilisticLinkage) Undo(state State) {
 	st := state.(*prlState)
 	if !st.undo.active {
 		return
 	}
 	st.undo.active = false
+	if st.stale {
+		st.undo.restoreCells(st.mc, st.pos)
+		st.stale = false
+		return
+	}
 	for k := len(st.undo.changes) - 1; k >= 0; k-- {
 		st.patchOne(st.undo.changes[k].Inverted())
 	}

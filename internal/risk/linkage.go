@@ -26,13 +26,19 @@ func (dl *DistanceLinkage) Risk(orig, masked *dataset.Dataset, attrs []int) floa
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
-	oc, mc := columns(orig, attrs), columns(masked, attrs)
-	tables := distanceTables(orig, attrs)
-	stride := sampleStride(n, dl.MaxRecords)
-
-	// Nearest distances and tie counts depend only on tuples (grouped.go).
-	lg := groupLinkage(oc, mc, n, stride)
+	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
+	oc, mc := lg.columns(orig, masked, attrs)
+	return dbrlGrouped(lg, oc, mc, distanceTables(orig, attrs), n, sampleStride(n, dl.MaxRecords))
+}
+
+// dbrlGrouped is DBRL over the protected columns oc (original) and mc
+// (masked) of n records, linking the original records 0, stride,
+// 2·stride, ... It is the kernel of full Risk and of the delta state's
+// wide edits. Nearest distances and tie counts depend only on tuples, so
+// it groups the records into lg first (grouped.go).
+func dbrlGrouped(lg *linkGroups, oc, mc [][]int, tables []distTable, n, stride int) float64 {
+	lg.group(oc, mc, n, stride)
 	lg.nearest(tables)
 	credit := 0.0
 	for i, k := 0, 0; i < n; i, k = i+stride, k+1 {

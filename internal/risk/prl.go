@@ -46,38 +46,28 @@ func (pl *ProbabilisticLinkage) Risk(orig, masked *dataset.Dataset, attrs []int)
 		// Callers validate the attribute count (score.NewEvaluator does).
 		panic("risk: probabilistic linkage over more than MaxPRLAttrs attributes")
 	}
-	oc, mc := columns(orig, attrs), columns(masked, attrs)
-	numPat := 1 << len(attrs)
-	stride := sampleStride(n, pl.MaxRecords)
-	sampled := sampledCount(n, stride)
+	lg := linkGroupsPool.Get().(*linkGroups)
+	defer linkGroupsPool.Put(lg)
+	oc, mc := lg.columns(orig, masked, attrs)
+	return prlGrouped(lg, &lg.em, oc, mc, n, sampleStride(n, pl.MaxRecords), iters)
+}
 
+// prlGrouped is PRL over the protected columns oc (original) and mc
+// (masked) of n records, tallying and linking the original records 0,
+// stride, 2·stride, ... with iters EM iterations. It is the kernel of
+// full Risk and of the delta state's wide edits; em is the caller's EM
+// scratch. Agreement patterns depend only on tuples, so it groups the
+// records into lg first (grouped.go).
+func prlGrouped(lg *linkGroups, em *emScratch, oc, mc [][]int, n, stride, iters int) float64 {
+	sampled := sampledCount(n, stride)
 	// Tally agreement patterns over the (possibly sampled) pairs. Every
 	// sampled original record is compared against the full masked file, so
-	// exactly one true-match pair per sampled record is included. Patterns
-	// depend only on tuples, so the pairs are tallied per distinct tuple
-	// pair (grouped.go).
-	lg := groupLinkage(oc, mc, n, stride)
-	defer linkGroupsPool.Put(lg)
-	patCount := make([]float64, numPat)
-	lg.tally(patCount)
-	totalPairs := float64(sampled) * float64(n)
-
-	m, u, _ := emEstimate(patCount, len(attrs), totalPairs, float64(sampled), iters)
-
-	// Per-pattern match weight: sum of per-attribute log likelihood ratios.
-	weights := make([]float64, numPat)
-	for pat := 0; pat < numPat; pat++ {
-		w := 0.0
-		for a := range attrs {
-			if pat&(1<<a) != 0 {
-				w += math.Log2(m[a] / u[a])
-			} else {
-				w += math.Log2((1 - m[a]) / (1 - u[a]))
-			}
-		}
-		weights[pat] = w
-	}
-
+	// exactly one true-match pair per sampled record is included.
+	lg.group(oc, mc, n, stride)
+	em.size(len(oc))
+	clear(em.patCount)
+	lg.tally(em.patCount)
+	weights := em.matchWeights(em.patCount, float64(sampled)*float64(n), float64(sampled), iters)
 	lg.strongest(weights)
 	credit := 0.0
 	for i, k := 0, 0; i < n; i, k = i+stride, k+1 {
@@ -87,6 +77,45 @@ func (pl *ProbabilisticLinkage) Risk(orig, masked *dataset.Dataset, attrs []int)
 		}
 	}
 	return 100 * credit / float64(sampled)
+}
+
+// emScratch holds the buffers of one PRL linkage: a pattern tally, the
+// EM estimates and accumulators, and the per-pattern match weights.
+type emScratch struct {
+	patCount, weights []float64
+	m, u, mNum, uNum  []float64
+}
+
+// size shapes the buffers for numAttrs attributes, reallocating only when
+// the shape changes.
+func (s *emScratch) size(numAttrs int) {
+	if len(s.m) == numAttrs {
+		return
+	}
+	numPat := 1 << numAttrs
+	s.patCount, s.weights = make([]float64, numPat), make([]float64, numPat)
+	s.m, s.u = make([]float64, numAttrs), make([]float64, numAttrs)
+	s.mNum, s.uNum = make([]float64, numAttrs), make([]float64, numAttrs)
+}
+
+// matchWeights estimates m and u by EM over the pattern tally patCount
+// and returns each pattern's match weight: the sum of its per-attribute
+// log likelihood ratios. The buffers must be sized.
+func (s *emScratch) matchWeights(patCount []float64, totalPairs, trueMatches float64, iters int) []float64 {
+	m, u := s.m, s.u
+	emEstimateInto(m, u, s.mNum, s.uNum, patCount, totalPairs, trueMatches, iters)
+	for pat := range s.weights {
+		w := 0.0
+		for a := range m {
+			if pat&(1<<a) != 0 {
+				w += math.Log2(m[a] / u[a])
+			} else {
+				w += math.Log2((1 - m[a]) / (1 - u[a]))
+			}
+		}
+		s.weights[pat] = w
+	}
+	return s.weights
 }
 
 // pattern returns the agreement bitmask between original record i and
@@ -113,7 +142,7 @@ func emEstimate(patCount []float64, numAttrs int, totalPairs, trueMatches float6
 }
 
 // emEstimateInto is emEstimate into caller-provided buffers — the
-// allocation-free variant the incremental PRL state calls on every Apply.
+// allocation-free variant every PRL linkage runs through emScratch.
 // m and u receive the estimates; mNum and uNum are per-iteration
 // accumulators. All four must hold numAttrs elements. The arithmetic is
 // identical to emEstimate's, so results are bit-for-bit the same.

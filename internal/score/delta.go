@@ -162,10 +162,13 @@ func (e *Evaluator) validateChanges(child *dataset.Dataset, changes []dataset.Ce
 }
 
 // deltaRebuildFraction bounds when patching states change-by-change stops
-// paying off: once a change list touches more than rows/deltaRebuildFraction
-// cells (a wide crossover window), the per-change updates of the linkage
-// states approach the cost of a full evaluation, so EvaluateBatch scores
-// the child in full instead. Results are identical either way.
+// paying off for the battery as a whole: once a change list touches more
+// than rows/deltaRebuildFraction cells (a wide crossover window),
+// EvaluateBatch scores the child in full instead. The DBRL and PRL states
+// do not wait for it: each routes a narrower list to a full grouped
+// re-link of its own once patching would cost more (see
+// internal/risk/incremental.go), so this fraction now governs only the
+// rest of the battery. Results are identical either way.
 const deltaRebuildFraction = 2
 
 // protected reports whether col is one of the protected attributes.
@@ -178,10 +181,12 @@ func (e *Evaluator) protected(col int) bool {
 	return false
 }
 
-// WideEdit reports whether a change list is past the incremental
-// break-even point: EvaluateBatch then evaluates the child in full without
-// touching the parent's state, and Advance refuses the list, so callers
-// holding no state for the parent can skip building one.
+// WideEdit reports whether a change list is past the battery's
+// incremental break-even point: EvaluateBatch then evaluates the child in
+// full without touching the parent's state, and Advance refuses the list,
+// so callers holding no state for the parent can skip building one.
+// Narrower lists still reach the states, where DBRL and PRL pick their own
+// route from their tuple counts.
 func (e *Evaluator) WideEdit(changes []dataset.CellChange) bool {
 	return len(changes)*deltaRebuildFraction > e.orig.Rows()
 }
