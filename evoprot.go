@@ -132,7 +132,7 @@ func ParseMethod(spec string) (Method, error) { return protection.Parse(spec) }
 // AggregatorByName resolves every built-in fitness aggregation: "mean"
 // (Eq. 1), "max" (Eq. 2), "euclidean", and "weighted:<w>".
 func AggregatorByName(name string) (Aggregator, error) {
-	return score.ExtendedAggregatorByName(name)
+	return score.AggregatorByName(name)
 }
 
 // DefaultAggregatorName names the aggregation selected when none is

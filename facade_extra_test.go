@@ -25,8 +25,10 @@ func TestAggregatorByNameFacade(t *testing.T) {
 			t.Errorf("%s -> %q, want %q", spec, agg.Name(), want)
 		}
 	}
-	if _, err := AggregatorByName("harmonic"); err == nil {
-		t.Error("unknown aggregator accepted")
+	for _, bad := range []string{"harmonic", "weighted:NaN", "weighted:0.5junk"} {
+		if _, err := AggregatorByName(bad); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
 	}
 }
 

@@ -300,7 +300,7 @@ func (c *Config) withDefaults() (Config, error) {
 		return out, fmt.Errorf("core: CrossoverPoints must be positive, got %d", out.CrossoverPoints)
 	}
 	if out.Aggregator != "" {
-		if _, err := score.ExtendedAggregatorByName(out.Aggregator); err != nil {
+		if _, err := score.AggregatorByName(out.Aggregator); err != nil {
 			return out, err
 		}
 	}
@@ -603,7 +603,7 @@ func engineEvaluator(eval *score.Evaluator, c Config) (*score.Evaluator, error) 
 	if c.Aggregator == "" {
 		return eval, nil
 	}
-	agg, err := score.ExtendedAggregatorByName(c.Aggregator)
+	agg, err := score.AggregatorByName(c.Aggregator)
 	if err != nil {
 		return nil, err
 	}

@@ -164,7 +164,7 @@ func RunContext(ctx context.Context, spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg, err := score.ExtendedAggregatorByName(spec.Aggregator)
+	agg, err := score.AggregatorByName(spec.Aggregator)
 	if err != nil {
 		return nil, err
 	}

@@ -10,8 +10,9 @@ package infoloss
 // The proxy model is naive Bayes with Laplace smoothing over the
 // categorical protected attributes, the standard low-variance choice for
 // utility benchmarking on categorical microdata. The hold-out split is a
-// deterministic row stride — no RNG — so the measure is a pure function
-// of its inputs and delta-evaluated engines stay bit-reproducible.
+// deterministic row stride (testStride) — no RNG — so the measure is a
+// pure function of its inputs and delta-evaluated engines stay
+// bit-reproducible.
 //
 // MLUtility is deliberately not part of Default(): it needs a target
 // column, and it is not Reversible — evaluators recompute it in full for
@@ -35,22 +36,15 @@ type MLUtility struct {
 	// predicts. It is excluded from the feature set when it is itself a
 	// protected attribute.
 	Target int
-	// TestStride holds out every TestStride-th row (rows with
-	// index % TestStride == 0) as the test split; the rest train. Values
-	// below 2 select the default of 4 (a 25% hold-out).
-	TestStride int
 }
+
+// testStride holds out every testStride-th row (rows with
+// index % testStride == 0) as the test split, a 25% hold-out; the rest
+// train.
+const testStride = 4
 
 // Name implements Measure.
 func (m *MLUtility) Name() string { return "MLU" }
-
-// stride resolves the effective hold-out stride.
-func (m *MLUtility) stride() int {
-	if m.TestStride < 2 {
-		return 4
-	}
-	return m.TestStride
-}
 
 // Loss implements Measure: 100 times the held-out accuracy drop of the
 // masked-trained classifier relative to the original-trained one, clamped
@@ -60,8 +54,7 @@ func (m *MLUtility) stride() int {
 // no modelling utility.
 func (m *MLUtility) Loss(orig, masked *dataset.Dataset, attrs []int) float64 {
 	n := orig.Rows()
-	stride := m.stride()
-	if n < stride || m.Target < 0 || m.Target >= orig.Schema().NumAttrs() {
+	if n < testStride || m.Target < 0 || m.Target >= orig.Schema().NumAttrs() {
 		return 0
 	}
 	feats := make([]int, 0, len(attrs))
@@ -73,8 +66,8 @@ func (m *MLUtility) Loss(orig, masked *dataset.Dataset, attrs []int) float64 {
 	if len(feats) == 0 || orig.Schema().Attr(m.Target).Cardinality() < 2 {
 		return 0
 	}
-	accOrig := m.accuracy(orig, orig, feats, stride)
-	accMasked := m.accuracy(masked, orig, feats, stride)
+	accOrig := m.accuracy(orig, orig, feats)
+	accMasked := m.accuracy(masked, orig, feats)
 	if drop := accOrig - accMasked; drop > 0 {
 		return 100 * drop
 	}
@@ -83,7 +76,7 @@ func (m *MLUtility) Loss(orig, masked *dataset.Dataset, attrs []int) float64 {
 
 // accuracy trains naive Bayes on train's non-held-out rows and scores it
 // on test's held-out rows against test's labels.
-func (m *MLUtility) accuracy(train, test *dataset.Dataset, feats []int, stride int) float64 {
+func (m *MLUtility) accuracy(train, test *dataset.Dataset, feats []int) float64 {
 	s := train.Schema()
 	classes := s.Attr(m.Target).Cardinality()
 
@@ -100,7 +93,7 @@ func (m *MLUtility) accuracy(train, test *dataset.Dataset, feats []int, stride i
 	}
 	trained := 0
 	for r := 0; r < train.Rows(); r++ {
-		if r%stride == 0 {
+		if r%testStride == 0 {
 			continue
 		}
 		k := train.At(r, m.Target)
@@ -146,7 +139,7 @@ func (m *MLUtility) accuracy(train, test *dataset.Dataset, feats []int, stride i
 		}
 	}
 	correct, tested := 0, 0
-	for r := 0; r < test.Rows(); r += stride {
+	for r := 0; r < test.Rows(); r += testStride {
 		label := test.At(r, m.Target)
 		if label < 0 || label >= classes {
 			continue

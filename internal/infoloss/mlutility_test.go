@@ -106,32 +106,10 @@ func TestMLUtilityDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestMLUtilityStride: the stride knob changes the split (and generally
-// the value) but stays deterministic per stride.
-func TestMLUtilityStride(t *testing.T) {
-	d, attrs, target := mlTestData(t, 400)
-	masked := scramble(d, attrs, 5)
-	for _, stride := range []int{2, 4, 10} {
-		m := &MLUtility{Target: target, TestStride: stride}
-		a, b := m.Loss(d, masked, attrs), m.Loss(d, masked, attrs)
-		if a != b {
-			t.Fatalf("stride %d not deterministic: %v vs %v", stride, a, b)
-		}
-		if a < 0 || a > 100 {
-			t.Fatalf("stride %d out of range: %v", stride, a)
-		}
-	}
-	// Values below 2 select the default of 4.
-	def := (&MLUtility{Target: target}).Loss(d, masked, attrs)
-	if got := (&MLUtility{Target: target, TestStride: 1}).Loss(d, masked, attrs); got != def {
-		t.Fatalf("TestStride 1 (%v) does not match the default stride (%v)", got, def)
-	}
-}
-
 // accuracyPerRow is the per-row formula the log-likelihood tables
 // replaced: one logarithm per test row, class and feature. The oracle
 // for TestMLUtilityMatchesPerRowLogs.
-func accuracyPerRow(m *MLUtility, train, test *dataset.Dataset, feats []int, stride int) float64 {
+func accuracyPerRow(m *MLUtility, train, test *dataset.Dataset, feats []int) float64 {
 	s := train.Schema()
 	classes := s.Attr(m.Target).Cardinality()
 	classCount := make([]int, classes)
@@ -145,7 +123,7 @@ func accuracyPerRow(m *MLUtility, train, test *dataset.Dataset, feats []int, str
 	trained := 0
 	for r := 0; r < train.Rows(); r++ {
 		k := train.At(r, m.Target)
-		if r%stride == 0 || k < 0 || k >= classes {
+		if r%testStride == 0 || k < 0 || k >= classes {
 			continue
 		}
 		classCount[k]++
@@ -160,7 +138,7 @@ func accuracyPerRow(m *MLUtility, train, test *dataset.Dataset, feats []int, str
 		return 0
 	}
 	correct, tested := 0, 0
-	for r := 0; r < test.Rows(); r += stride {
+	for r := 0; r < test.Rows(); r += testStride {
 		label := test.At(r, m.Target)
 		if label < 0 || label >= classes {
 			continue
@@ -205,7 +183,7 @@ func TestMLUtilityMatchesPerRowLogs(t *testing.T) {
 		}
 		rng := rand.New(rand.NewPCG(9, 9))
 		for target := 0; target < len(attrs); target++ {
-			m := &MLUtility{Target: target, TestStride: 2 + target%4}
+			m := &MLUtility{Target: target}
 			var feats []int
 			for _, c := range attrs {
 				if c != target {
@@ -215,8 +193,8 @@ func TestMLUtilityMatchesPerRowLogs(t *testing.T) {
 			masked := d.Clone()
 			for round := 0; round < 4; round++ {
 				for _, train := range []*dataset.Dataset{d, masked} {
-					got := m.accuracy(train, d, feats, m.stride())
-					want := accuracyPerRow(m, train, d, feats, m.stride())
+					got := m.accuracy(train, d, feats)
+					want := accuracyPerRow(m, train, d, feats)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s target %d round %d: accuracy %v, per-row logs %v", name, target, round, got, want)
 					}

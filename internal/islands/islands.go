@@ -460,7 +460,7 @@ func New(ctx context.Context, eval *score.Evaluator, initial []*core.Individual,
 // by withDefaults; resolution cannot fail here.
 func runAggregator(eval *score.Evaluator, c Config) score.Aggregator {
 	if c.Engine.Aggregator != "" {
-		if agg, err := score.ExtendedAggregatorByName(c.Engine.Aggregator); err == nil {
+		if agg, err := score.AggregatorByName(c.Engine.Aggregator); err == nil {
 			return agg
 		}
 	}

@@ -108,12 +108,6 @@ func randomChanges(d *dataset.Dataset, attrs []int, width int, seed uint64) []da
 	return changes
 }
 
-// BenchmarkDistanceLinkageSampled shows the quadratic-cost mitigation the
-// paper's §4 asks for: 4x outer sampling should cut cost ~4x.
-func BenchmarkDistanceLinkageSampled(b *testing.B) {
-	benchMeasure(b, &DistanceLinkage{MaxRecords: 125}, 500)
-}
-
 // BenchmarkRankIntervalLinkageDelta is the tentpole "after": one mutation
 // offspring scored by patching the incremental RSRL state, against the
 // full bitset recompute above (BenchmarkRankIntervalLinkage). Steady-state

@@ -1,20 +1,22 @@
 package risk
 
-// Grouped linkage. DBRL and PRL compare every (sampled) original record
-// against every masked record, but both comparisons depend only on the
-// two records' protected tuples — the agreement pattern for PRL, the
-// integer distance for DBRL — and with a few protected attributes tuples
-// repeat heavily: the paper-scale flare file has 205 distinct original
-// tuples among its 1066 records. Both measures therefore group the
-// original and the masked records by tuple, compare each pair of distinct
-// tuples once, weighted by the masked tuple's multiplicity, and read each
-// record's linkage summary back from its tuple. Every tally is an exact
-// integer and credit is still summed in record order, so the results are
-// bit-identical to the record-by-record scans (grouped_test.go keeps
-// those as the oracles prlReference and dbrlReference). The pair work
-// drops from O(n²·attrs) to O(D_orig·D_masked·attrs) for D distinct
-// tuples, plus an O(n·attrs) grouping pass; with all tuples distinct it
-// is the old scan.
+// Grouped linkage. The paper's §4 names the cost of computing the
+// disclosure-risk measures as the approach's major drawback. DBRL and PRL
+// compare every original record against every masked record, but both
+// comparisons depend only on the two records' protected tuples — the
+// agreement pattern for PRL, the integer distance for DBRL — and with a
+// few protected attributes tuples repeat heavily: the paper-scale flare
+// file has 205 distinct original tuples among its 1066 records. Both
+// measures therefore group the original and the masked records by tuple,
+// compare each pair of distinct tuples once, weighted by the masked
+// tuple's multiplicity, and read each record's linkage summary back from
+// its tuple. This answers the §4 concern exactly, with no sampling: every
+// tally is an exact integer and credit is still summed in record order,
+// so the results are bit-identical to the record-by-record scans
+// (grouped_test.go keeps those as the oracles prlReference and
+// dbrlReference). The pair work drops from O(n²·attrs) to
+// O(D_orig·D_masked·attrs) for D distinct tuples, plus an O(n·attrs)
+// grouping pass; with all tuples distinct it is the old scan.
 
 import (
 	"math"
@@ -31,19 +33,19 @@ type tupleGroups struct {
 	cols [][]int
 	// mult counts the records of each group.
 	mult []int64
-	// of maps the k-th record of the set to its group.
+	// of maps each record to its group.
 	of []int32
-	// first is the set position k of each group's first record.
+	// first is the first record of each group.
 	first []int32
 	// slots is the open-addressing table of the grouping pass, sized by
 	// the record count: 0 marks a free slot, g+1 group g.
 	slots []int32
 }
 
-// group partitions the records 0, stride, 2·stride, ... < n of cols.
-func (g *tupleGroups) group(cols [][]int, n, stride int) {
+// group partitions the records 0 ... n-1 of cols.
+func (g *tupleGroups) group(cols [][]int, n int) {
 	shift := uint(63)
-	for size := 2; size < 2*sampledCount(n, stride); size <<= 1 {
+	for size := 2; size < 2*n; size <<= 1 {
 		shift--
 	}
 	g.slots = resize(g.slots, 1<<(64-shift))
@@ -54,7 +56,7 @@ func (g *tupleGroups) group(cols [][]int, n, stride int) {
 	}
 	g.mult, g.of, g.first = g.mult[:0], g.of[:0], g.first[:0]
 	mask := uint64(len(g.slots) - 1)
-	for i := 0; i < n; i += stride {
+	for i := 0; i < n; i++ {
 		var h uint64
 		for _, col := range cols {
 			h = (h ^ uint64(col[i])) * 0x9e3779b97f4a7c15
@@ -103,11 +105,11 @@ func resize[T any](s []T, n int) []T {
 }
 
 // linkGroups is the working memory of one grouped DBRL or PRL pass:
-// the protected columns of a full Risk call, the sampled original records
-// and the masked records grouped by tuple, one original group's row of
-// distances or patterns against every masked group, per original group
-// the best score found and how many masked records attain it, and a full
-// PRL's EM scratch. It is pooled, so once warm a full Risk call on the
+// the protected columns of a full Risk call, the original and the masked
+// records grouped by tuple, one original group's row of distances or
+// patterns against every masked group, per original group the best score
+// found and how many masked records attain it, and a full PRL's EM
+// scratch. It is pooled, so once warm a full Risk call on the
 // evolution hot path allocates no column copies or grouping buffers.
 type linkGroups struct {
 	oc, mc       [][]int // Risk's copies of the protected columns
@@ -122,20 +124,19 @@ type linkGroups struct {
 
 var linkGroupsPool = sync.Pool{New: func() any { return new(linkGroups) }}
 
-// groupLinkage groups the original records 0, stride, 2·stride, ... < n
-// of oc and every masked record of mc by tuple. Return the result to
-// linkGroupsPool when done.
-func groupLinkage(oc, mc [][]int, n, stride int) *linkGroups {
+// groupLinkage groups the n original records of oc and the n masked
+// records of mc by tuple. Return the result to linkGroupsPool when done.
+func groupLinkage(oc, mc [][]int, n int) *linkGroups {
 	lg := linkGroupsPool.Get().(*linkGroups)
-	lg.group(oc, mc, n, stride)
+	lg.group(oc, mc, n)
 	return lg
 }
 
-// group regroups lg's records: the original records 0, stride,
-// 2·stride, ... < n of oc and every masked record of mc.
-func (lg *linkGroups) group(oc, mc [][]int, n, stride int) {
-	lg.orig.group(oc, n, stride)
-	lg.masked.group(mc, n, 1)
+// group regroups lg's records: the n original records of oc and the n
+// masked records of mc.
+func (lg *linkGroups) group(oc, mc [][]int, n int) {
+	lg.orig.group(oc, n)
+	lg.masked.group(mc, n)
 }
 
 // relinkCost estimates the work of one grouped pass from the last

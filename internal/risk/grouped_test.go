@@ -13,16 +13,15 @@ import (
 // dbrlReference is the literal pairwise O(n²·attrs) distance-based record
 // linkage the grouped kernel in grouped.go replaced; kept as the oracle
 // for the equivalence properties below.
-func dbrlReference(dl *DistanceLinkage, orig, masked *dataset.Dataset, attrs []int) float64 {
+func dbrlReference(orig, masked *dataset.Dataset, attrs []int) float64 {
 	n := orig.Rows()
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
 	oc, mc := columns(orig, attrs), columns(masked, attrs)
 	tables := distanceTables(orig, attrs)
-	stride := sampleStride(n, dl.MaxRecords)
 	credit := 0.0
-	for i := 0; i < n; i += stride {
+	for i := 0; i < n; i++ {
 		best := int64(1) << 62
 		count := 0
 		containsTrue := false
@@ -45,7 +44,7 @@ func dbrlReference(dl *DistanceLinkage, orig, masked *dataset.Dataset, attrs []i
 			credit += 1 / float64(count)
 		}
 	}
-	return 100 * credit / float64(sampledCount(n, stride))
+	return 100 * credit / float64(n)
 }
 
 // prlReference is the literal pairwise O(n²·attrs) probabilistic record
@@ -62,15 +61,13 @@ func prlReference(pl *ProbabilisticLinkage, orig, masked *dataset.Dataset, attrs
 	}
 	oc, mc := columns(orig, attrs), columns(masked, attrs)
 	numPat := 1 << len(attrs)
-	stride := sampleStride(n, pl.MaxRecords)
-	sampled := sampledCount(n, stride)
 	patCount := make([]float64, numPat)
-	for i := 0; i < n; i += stride {
+	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			patCount[pattern(i, j, oc, mc)]++
 		}
 	}
-	m, u, _ := emEstimate(patCount, len(attrs), float64(sampled)*float64(n), float64(sampled), iters)
+	m, u, _ := emEstimate(patCount, len(attrs), float64(n)*float64(n), float64(n), iters)
 	weights := make([]float64, numPat)
 	for pat := range weights {
 		for a := range attrs {
@@ -82,7 +79,7 @@ func prlReference(pl *ProbabilisticLinkage, orig, masked *dataset.Dataset, attrs
 		}
 	}
 	credit := 0.0
-	for i := 0; i < n; i += stride {
+	for i := 0; i < n; i++ {
 		best := math.Inf(-1)
 		count := 0
 		containsTrue := false
@@ -102,7 +99,7 @@ func prlReference(pl *ProbabilisticLinkage, orig, masked *dataset.Dataset, attrs
 			credit += 1 / float64(count)
 		}
 	}
-	return 100 * credit / float64(sampled)
+	return 100 * credit / float64(n)
 }
 
 // linkageCase is one oracle fixture: an original file, a masking of it
@@ -164,11 +161,10 @@ type groupedOracle struct {
 }
 
 // groupedReferences returns DBRL and PRL with their pairwise oracles.
-func groupedReferences(maxRecords int) []groupedOracle {
-	dl := &DistanceLinkage{MaxRecords: maxRecords}
-	pl := &ProbabilisticLinkage{MaxRecords: maxRecords}
+func groupedReferences() []groupedOracle {
+	pl := &ProbabilisticLinkage{}
 	return []groupedOracle{
-		{dl, func(o, m *dataset.Dataset, a []int) float64 { return dbrlReference(dl, o, m, a) }},
+		{&DistanceLinkage{}, dbrlReference},
 		{pl, func(o, m *dataset.Dataset, a []int) float64 { return prlReference(pl, o, m, a) }},
 	}
 }
@@ -176,21 +172,21 @@ func groupedReferences(maxRecords int) []groupedOracle {
 // checkGrouped demands bit-identical DBRL and PRL values from the
 // pairwise oracles, full Risk and Prepare then Apply(nil) on one fixture.
 // It returns the incremental states, nil where Prepare declines.
-func checkGrouped(t *testing.T, fx linkageCase, maxRecords int) []State {
+func checkGrouped(t *testing.T, fx linkageCase) []State {
 	t.Helper()
 	var states []State
-	for _, gr := range groupedReferences(maxRecords) {
+	for _, gr := range groupedReferences() {
 		want := gr.ref(fx.orig, fx.masked, fx.attrs)
 		if got := gr.m.Risk(fx.orig, fx.masked, fx.attrs); got != want {
-			t.Fatalf("%s %s MaxRecords=%d: Risk %v != pairwise reference %v", fx.name, gr.m.Name(), maxRecords, got, want)
+			t.Fatalf("%s %s: Risk %v != pairwise reference %v", fx.name, gr.m.Name(), got, want)
 		}
 		st := gr.m.Prepare(fx.orig, fx.masked.Clone(), fx.attrs)
 		if st != nil {
 			if got := gr.m.Apply(st, nil); got != want {
-				t.Fatalf("%s %s MaxRecords=%d: Prepare+Apply(nil) %v != pairwise reference %v", fx.name, gr.m.Name(), maxRecords, got, want)
+				t.Fatalf("%s %s: Prepare+Apply(nil) %v != pairwise reference %v", fx.name, gr.m.Name(), got, want)
 			}
 		} else if _, ok := gr.m.(*ProbabilisticLinkage); !ok || 1<<len(fx.attrs) <= fx.orig.Rows() {
-			t.Fatalf("%s %s MaxRecords=%d: Prepare returned nil", fx.name, gr.m.Name(), maxRecords)
+			t.Fatalf("%s %s: Prepare returned nil", fx.name, gr.m.Name())
 		}
 		states = append(states, st)
 	}
@@ -199,8 +195,8 @@ func checkGrouped(t *testing.T, fx linkageCase, maxRecords int) []State {
 
 // TestGroupedLinkageMatchesPairwise is the oracle for the grouped DBRL and
 // PRL kernels: over random grids with 1–6 attributes, duplicate-heavy,
-// mixed and all-unique tuples, n = 1…150 and with and without sampling
-// strides, full Risk, Prepare then Apply(nil), and random
+// mixed and all-unique tuples and n = 1…150, full Risk, Prepare then
+// Apply(nil), and random
 // Apply/ApplyUndo/Undo chains must all equal the literal pairwise scans
 // bit for bit.
 func TestGroupedLinkageMatchesPairwise(t *testing.T) {
@@ -212,15 +208,14 @@ func TestGroupedLinkageMatchesPairwise(t *testing.T) {
 			n = 1 + c // the smallest files, where every record is its own tie
 		}
 		fx := linkageGrid(rng, n, 1+rng.IntN(6), shapes[c%len(shapes)])
-		maxRecords := 0
 		if c%2 == 1 {
-			maxRecords = 1 + rng.IntN(n)
+			rng.IntN(n) // a spare draw that keeps the case stream fixed
 		}
-		states := checkGrouped(t, fx, maxRecords)
+		states := checkGrouped(t, fx)
 		if c%5 != 0 {
 			continue
 		}
-		for k, gr := range groupedReferences(maxRecords) {
+		for k, gr := range groupedReferences() {
 			st := states[k]
 			if st == nil {
 				continue
@@ -259,10 +254,10 @@ func TestGroupedLinkageMatchesPairwise(t *testing.T) {
 // bits) and ordering (high bit), and every following 2·attrs bytes one
 // record: its original then its masked tuple.
 func FuzzLinkageGrouped(f *testing.F) {
-	f.Add(uint8(0), []byte{2, 1, 1, 1, 0})
-	f.Add(uint8(3), []byte{2, 0x83, 2, 0, 1, 1, 0, 2, 2, 0, 0, 1, 1, 2, 1, 0, 0})
-	f.Add(uint8(0), []byte{1, 0x85, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 4})
-	f.Fuzz(func(t *testing.T, maxRecords uint8, data []byte) {
+	f.Add([]byte{2, 1, 1, 1, 0})
+	f.Add([]byte{2, 0x83, 2, 0, 1, 1, 0, 2, 2, 0, 0, 1, 1, 2, 1, 0, 0})
+	f.Add([]byte{1, 0x85, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
 		}
@@ -297,7 +292,7 @@ func FuzzLinkageGrouped(f *testing.F) {
 				masked.Set(r, a, int(rec[numAttrs+a])%card)
 			}
 		}
-		checkGrouped(t, linkageCase{name: "fuzz", orig: orig, masked: masked, attrs: attrs}, int(maxRecords))
+		checkGrouped(t, linkageCase{name: "fuzz", orig: orig, masked: masked, attrs: attrs})
 	})
 }
 
@@ -308,12 +303,12 @@ func FuzzLinkageGrouped(f *testing.F) {
 func TestTupleGroupsPartition(t *testing.T) {
 	var g tupleGroups
 	rng := rand.New(rand.NewPCG(3, 3))
-	for _, size := range []struct{ n, stride, card int }{{200, 1, 3}, {7, 1, 2}, {300, 4, 5}, {1, 1, 2}, {150, 1, 1000}} {
+	for _, size := range []struct{ n, card int }{{200, 3}, {7, 2}, {300, 5}, {1, 2}, {150, 1000}} {
 		cols := [][]int{make([]int, size.n), make([]int, size.n)}
 		for i := 0; i < size.n; i++ {
 			cols[0][i], cols[1][i] = rng.IntN(size.card), rng.IntN(3)
 		}
-		g.group(cols, size.n, size.stride)
+		g.group(cols, size.n)
 		total := int64(0)
 		for k, m := range g.mult {
 			total += m
@@ -321,16 +316,16 @@ func TestTupleGroupsPartition(t *testing.T) {
 				t.Fatalf("%+v: group %d first seen at %d, out of order", size, k, f)
 			}
 		}
-		if want := sampledCount(size.n, size.stride); int(total) != want || len(g.of) != want {
-			t.Fatalf("%+v: %d records grouped (%d mapped), want %d", size, total, len(g.of), want)
+		if int(total) != size.n || len(g.of) != size.n {
+			t.Fatalf("%+v: %d records grouped (%d mapped), want %d", size, total, len(g.of), size.n)
 		}
-		for k, i := 0, 0; i < size.n; k, i = k+1, i+size.stride {
-			if !g.holds(int(g.of[k]), cols, i) {
-				t.Fatalf("%+v: record %d mapped to group %d with another tuple", size, i, g.of[k])
+		for i, k := range g.of {
+			if !g.holds(int(k), cols, i) {
+				t.Fatalf("%+v: record %d mapped to group %d with another tuple", size, i, k)
 			}
 			for h := range g.mult {
-				if h != int(g.of[k]) && g.holds(h, cols, i) {
-					t.Fatalf("%+v: tuple of record %d split over groups %d and %d", size, i, g.of[k], h)
+				if h != int(k) && g.holds(h, cols, i) {
+					t.Fatalf("%+v: tuple of record %d split over groups %d and %d", size, i, k, h)
 				}
 			}
 		}

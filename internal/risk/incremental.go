@@ -18,7 +18,7 @@ package risk
 //     record, so exactly one distance per original record is replaced;
 //     only when the unique minimum is displaced upward does one row
 //     rescan (O(n)) occur — rare in practice, so a change costs
-//     ~O(sampled·attrs).
+//     ~O(n·attrs).
 //   - PRL caches each original record's histogram of agreement patterns
 //     against all masked records, built at Prepare once per distinct
 //     tuple and copied to the records sharing it. A cell change flips one
@@ -45,12 +45,6 @@ package risk
 // re-links and rebuilds the rows or histograms in place, as Prepare does.
 // The estimate reads counts only, never a clock, so the route of every
 // call is deterministic, and both routes give bit-identical values.
-//
-// All four states support intruder-side stride sampling (MaxRecords)
-// directly: the sampled record set is deterministic, so the sampled
-// summaries (DBRL's per-record rows and PRL's pattern histograms exist
-// only for sampled records) are patched and re-linked exactly like the
-// full ones.
 //
 // All four measures are also Reversible: ApplyUndo journals enough to
 // roll a change list back exactly, so generation-batch evaluation
@@ -247,16 +241,14 @@ func (id *IntervalDisclosure) Undo(state State) {
 
 type dbrlState struct {
 	n      int
-	stride int // intruder-side sampling stride; rows i = 0, stride, 2·stride...
 	attrs  []int
 	pos    map[int]int
 	oc     [][]int     // original protected columns, shared read-only
 	mc     [][]int     // masked protected columns, owned
 	tables []distTable // shared (schema-only)
-	// Per sampled original record (full n-sized arrays; only sampled
-	// indices are maintained and read): distance to its nearest masked
-	// record, how many masked records tie at that distance, and the
-	// distance to its true masked counterpart.
+	// Per original record: distance to its nearest masked record, how
+	// many masked records tie at that distance, and the distance to its
+	// true masked counterpart.
 	best     []int64
 	count    []int32
 	trueDist []int64
@@ -272,7 +264,7 @@ type dbrlState struct {
 // CloneState implements State.
 func (s *dbrlState) CloneState() State {
 	out := &dbrlState{
-		n: s.n, stride: s.stride, attrs: s.attrs, pos: s.pos, oc: s.oc, tables: s.tables,
+		n: s.n, attrs: s.attrs, pos: s.pos, oc: s.oc, tables: s.tables,
 		relinkCost: s.relinkCost, stale: s.stale,
 	}
 	out.mc = make([][]int, len(s.mc))
@@ -287,17 +279,15 @@ func (s *dbrlState) CloneState() State {
 	return out
 }
 
-// Prepare implements Incremental. Intruder-side sampling (MaxRecords) is
-// handled by maintaining rows for the deterministic stride-sampled
-// record set only — the same set the sampled full recompute links.
+// Prepare implements Incremental. The rows come from one grouped pass
+// (grouped.go).
 func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 	n := orig.Rows()
 	if n == 0 || len(attrs) == 0 {
 		return nil
 	}
 	st := &dbrlState{
-		n: n, stride: sampleStride(n, dl.MaxRecords),
-		attrs: attrs, pos: make(map[int]int, len(attrs)),
+		n: n, attrs: attrs, pos: make(map[int]int, len(attrs)),
 		oc: columns(orig, attrs), mc: columns(masked, attrs),
 		tables:   distanceTables(orig, attrs),
 		best:     make([]int64, n),
@@ -311,14 +301,14 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 	return st
 }
 
-// relink rebuilds every sampled record's row from the masked columns in
-// one grouped pass.
+// relink rebuilds every record's row from the masked columns in one
+// grouped pass.
 func (st *dbrlState) relink() {
-	lg := groupLinkage(st.oc, st.mc, st.n, st.stride)
+	lg := groupLinkage(st.oc, st.mc, st.n)
 	defer linkGroupsPool.Put(lg)
 	lg.nearest(st.tables)
-	for i, k := 0, 0; i < st.n; i, k = i+st.stride, k+1 {
-		g := lg.orig.of[k]
+	for i := 0; i < st.n; i++ {
+		g := lg.orig.of[i]
 		st.best[i], st.count[i] = lg.best[g], int32(lg.count[g])
 		st.trueDist[i] = st.dist(i, i)
 	}
@@ -328,10 +318,10 @@ func (st *dbrlState) relink() {
 
 // wide reports whether patching changes in and out again would cost more
 // than a full grouped re-link. Both are counted in per-attribute table
-// reads: a change re-sums the distance of every sampled record to the
+// reads: a change re-sums the distance of every original record to the
 // edited masked record, twice.
 func (st *dbrlState) wide(changes []dataset.CellChange) bool {
-	return 2*len(changes)*sampledCount(st.n, st.stride)*len(st.attrs) > st.relinkCost
+	return 2*len(changes)*st.n*len(st.attrs) > st.relinkCost
 }
 
 // dist returns the mixed categorical distance between original record i
@@ -363,14 +353,14 @@ func (s *dbrlState) rescan(i int) {
 
 // patchOne advances the per-record linkage rows by one cell change. The
 // rows are pure functions of the masked columns (minimum, multiplicity
-// and true-match distance of each sampled record's distance multiset),
+// and true-match distance of each record's distance multiset),
 // so replaying inverted changes in reverse restores them exactly.
 func (st *dbrlState) patchOne(ch dataset.CellChange) {
 	a0 := st.pos[ch.Col]
 	j0 := ch.Row
 	t := st.tables[a0]
 	st.mc[a0][j0] = ch.New
-	for i := 0; i < st.n; i += st.stride {
+	for i := 0; i < st.n; i++ {
 		dOldA, dNewA := t.at(st.oc[a0][i], ch.Old), t.at(st.oc[a0][i], ch.New)
 		if dOldA == dNewA && i != j0 {
 			continue // the replaced distance is unchanged
@@ -414,15 +404,15 @@ func (st *dbrlState) patchOne(ch dataset.CellChange) {
 }
 
 // value assembles the linkage percentage from the maintained rows with
-// the same arithmetic and record order as the (sampled) full Risk.
+// the same arithmetic and record order as the full Risk.
 func (st *dbrlState) value() float64 {
 	credit := 0.0
-	for i := 0; i < st.n; i += st.stride {
+	for i := 0; i < st.n; i++ {
 		if st.trueDist[i] == st.best[i] {
 			credit += 1 / float64(st.count[i])
 		}
 	}
-	return 100 * credit / float64(sampledCount(st.n, st.stride))
+	return 100 * credit / float64(st.n)
 }
 
 // Apply implements Incremental. A plain Apply commits any pending
@@ -457,7 +447,7 @@ func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) 
 	st.stale = true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	return dbrlGrouped(lg, st.oc, st.mc, st.tables, st.n, st.stride)
+	return dbrlGrouped(lg, st.oc, st.mc, st.tables, st.n)
 }
 
 // Undo implements Reversible.
@@ -481,22 +471,18 @@ func (dl *DistanceLinkage) Undo(state State) {
 
 type prlState struct {
 	n        int
-	stride   int // intruder-side sampling stride
-	sampled  int // number of sampled original records (histogram rows)
 	numAttrs int
 	iters    int
 	pos      map[int]int
 	oc       [][]int   // shared read-only
 	mc       [][]int   // owned
-	ocByCat  [][][]int // shared: per attr, per category, sampled original record indices
-	// cnt[(i/stride)*numPat+pat] counts masked records j with
-	// pattern(i,j) == pat, for sampled original records i (the sampled
-	// set {0, stride, 2·stride, ...} indexes rows densely as i/stride);
-	// patCount aggregates cnt over all sampled i (exact integers in
-	// float64).
+	ocByCat  [][][]int // shared: per attr, per category, original record indices
+	// cnt[i*numPat+pat] counts masked records j with pattern(i,j) == pat
+	// for original record i; patCount aggregates cnt over all i (exact
+	// integers in float64).
 	cnt      []int32
 	patCount []float64
-	truePat  []int32 // pattern(i, i) per sampled record, indexed i/stride
+	truePat  []int32 // pattern(i, i) per record
 	// relinkCost is the estimated cost of a full grouped re-link, from
 	// the tuple counts of the last one (linkGroups.relinkCost).
 	relinkCost int
@@ -514,8 +500,7 @@ type prlState struct {
 // CloneState implements State.
 func (s *prlState) CloneState() State {
 	out := &prlState{
-		n: s.n, stride: s.stride, sampled: s.sampled,
-		numAttrs: s.numAttrs, iters: s.iters, pos: s.pos, oc: s.oc, ocByCat: s.ocByCat,
+		n: s.n, numAttrs: s.numAttrs, iters: s.iters, pos: s.pos, oc: s.oc, ocByCat: s.ocByCat,
 		relinkCost: s.relinkCost, stale: s.stale,
 	}
 	out.mc = make([][]int, len(s.mc))
@@ -530,9 +515,8 @@ func (s *prlState) CloneState() State {
 	return out
 }
 
-// Prepare implements Incremental. Intruder-side sampling (MaxRecords) is
-// handled by keeping pattern histograms for the deterministic
-// stride-sampled record set only, indexed densely by i/stride.
+// Prepare implements Incremental. The histograms come from one grouped
+// pass (grouped.go).
 func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 	n := orig.Rows()
 	if n == 0 || len(attrs) == 0 || len(attrs) > MaxPRLAttrs {
@@ -550,25 +534,21 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 	if iters <= 0 {
 		iters = 30
 	}
-	stride := sampleStride(n, pl.MaxRecords)
-	sampled := sampledCount(n, stride)
 	numPat := 1 << len(attrs)
 	st := &prlState{
-		n: n, stride: stride, sampled: sampled,
-		numAttrs: len(attrs), iters: iters,
+		n: n, numAttrs: len(attrs), iters: iters,
 		pos: make(map[int]int, len(attrs)),
 		oc:  columns(orig, attrs), mc: columns(masked, attrs),
-		cnt:      make([]int32, sampled*numPat),
+		cnt:      make([]int32, n*numPat),
 		patCount: make([]float64, numPat),
-		truePat:  make([]int32, sampled),
+		truePat:  make([]int32, n),
 	}
 	st.ocByCat = make([][][]int, len(attrs))
 	for a, c := range attrs {
 		st.pos[c] = a
 		card := orig.Schema().Attr(c).Cardinality()
 		st.ocByCat[a] = make([][]int, card)
-		for i := 0; i < n; i += stride {
-			v := st.oc[a][i]
+		for i, v := range st.oc[a] {
 			st.ocByCat[a][v] = append(st.ocByCat[a][v], i)
 		}
 	}
@@ -576,26 +556,25 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 	return st
 }
 
-// relink rebuilds every sampled record's pattern histogram, the
-// true-match patterns and the pattern tally from the masked columns in
-// one grouped pass. Records sharing a tuple share a histogram row: each
-// group's row is built once, at its first record, and copied to the
-// others.
+// relink rebuilds every record's pattern histogram, the true-match
+// patterns and the pattern tally from the masked columns in one grouped
+// pass. Records sharing a tuple share a histogram row: each group's row
+// is built once, at its first record, and copied to the others.
 func (st *prlState) relink() {
 	numPat := 1 << st.numAttrs
-	lg := groupLinkage(st.oc, st.mc, st.n, st.stride)
+	lg := groupLinkage(st.oc, st.mc, st.n)
 	defer linkGroupsPool.Put(lg)
 	clear(st.cnt)
 	clear(st.patCount)
-	for i := 0; i < st.n; i += st.stride {
-		si := i / st.stride
-		row := st.cnt[si*numPat : (si+1)*numPat]
-		if f := int(lg.orig.first[lg.orig.of[si]]); f == si {
-			lg.histogram(int(lg.orig.of[si]), row)
+	for i := 0; i < st.n; i++ {
+		row := st.cnt[i*numPat : (i+1)*numPat]
+		g := lg.orig.of[i]
+		if f := int(lg.orig.first[g]); f == i {
+			lg.histogram(int(g), row)
 		} else {
 			copy(row, st.cnt[f*numPat:])
 		}
-		st.truePat[si] = int32(pattern(i, i, st.oc, st.mc))
+		st.truePat[i] = int32(pattern(i, i, st.oc, st.mc))
 		for pat, c := range row {
 			st.patCount[pat] += float64(c)
 		}
@@ -606,8 +585,8 @@ func (st *prlState) relink() {
 
 // wide reports whether patching changes in and out again would cost more
 // than a full grouped re-link, counted in per-attribute comparisons as
-// for DBRL: a change re-derives the pattern of every sampled original
-// record holding its old or new category, twice.
+// for DBRL: a change re-derives the pattern of every original record
+// holding its old or new category, twice.
 func (st *prlState) wide(changes []dataset.CellChange) bool {
 	cost := 0
 	for _, ch := range changes {
@@ -627,8 +606,8 @@ func (st *prlState) patchOne(ch dataset.CellChange) {
 	numPat := 1 << st.numAttrs
 	a0 := st.pos[ch.Col]
 	j0 := ch.Row
-	// Only sampled original records agreeing with the old or new category
-	// see their pattern against masked record j0 flip bit a0.
+	// Only original records agreeing with the old or new category see
+	// their pattern against masked record j0 flip bit a0.
 	for _, cat := range [2]int{ch.Old, ch.New} {
 		for _, i := range st.ocByCat[a0][cat] {
 			patOld := 0
@@ -645,30 +624,27 @@ func (st *prlState) patchOne(ch dataset.CellChange) {
 			if st.oc[a0][i] == ch.New {
 				patNew |= 1 << a0
 			}
-			si := i / st.stride
-			st.cnt[si*numPat+patOld]--
-			st.cnt[si*numPat+patNew]++
+			st.cnt[i*numPat+patOld]--
+			st.cnt[i*numPat+patNew]++
 			st.patCount[patOld]--
 			st.patCount[patNew]++
 		}
 	}
 	st.mc[a0][j0] = ch.New
-	// The true-match pattern of record j0 itself, when j0 is sampled.
-	if j0%st.stride == 0 {
-		st.truePat[j0/st.stride] = int32(pattern(j0, j0, st.oc, st.mc))
-	}
+	// The true-match pattern of record j0 itself.
+	st.truePat[j0] = int32(pattern(j0, j0, st.oc, st.mc))
 }
 
 // value re-estimates and re-links from the pattern tallies — identical
-// inputs and arithmetic to the (sampled) full Risk, so identical m/u
-// estimates, weights and credit.
+// inputs and arithmetic to the full Risk, so identical m/u estimates,
+// weights and credit.
 func (st *prlState) value() float64 {
 	numPat := 1 << st.numAttrs
 	st.em.size(st.numAttrs)
-	weights := st.em.matchWeights(st.patCount, float64(st.sampled)*float64(st.n), float64(st.sampled), st.iters)
+	weights := st.em.matchWeights(st.patCount, float64(st.n)*float64(st.n), float64(st.n), st.iters)
 	credit := 0.0
-	for si := 0; si < st.sampled; si++ {
-		row := st.cnt[si*numPat : (si+1)*numPat]
+	for i := 0; i < st.n; i++ {
+		row := st.cnt[i*numPat : (i+1)*numPat]
 		best := math.Inf(-1)
 		count := int32(0)
 		for pat, c := range row {
@@ -683,11 +659,11 @@ func (st *prlState) value() float64 {
 				count += c
 			}
 		}
-		if weights[st.truePat[si]] == best && row[st.truePat[si]] > 0 {
+		if weights[st.truePat[i]] == best && row[st.truePat[i]] > 0 {
 			credit += 1 / float64(count)
 		}
 	}
-	return 100 * credit / float64(st.sampled)
+	return 100 * credit / float64(st.n)
 }
 
 // Apply implements Incremental. A plain Apply commits any pending
@@ -722,7 +698,7 @@ func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellCha
 	st.stale = true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	return prlGrouped(lg, &st.em, st.oc, st.mc, st.n, st.stride, st.iters)
+	return prlGrouped(lg, &st.em, st.oc, st.mc, st.n, st.iters)
 }
 
 // Undo implements Reversible. The EM re-estimation and re-link are pure

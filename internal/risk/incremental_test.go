@@ -103,65 +103,7 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestSampledLinkageStatesAreStrideAware checks the updated contract:
-// intruder-side sampling (MaxRecords) no longer disables any linkage
-// state — DBRL and PRL maintain summaries for the deterministic sampled
-// record set directly, like RSRL always did, so the delta path has no
-// full-recompute fallback left.
-func TestSampledLinkageStatesAreStrideAware(t *testing.T) {
-	d, attrs := testData(t)
-	if st := (&DistanceLinkage{MaxRecords: 50}).Prepare(d, d.Clone(), attrs); st == nil {
-		t.Error("sampled DBRL returned no incremental state; stride sampling is patchable")
-	}
-	if st := (&ProbabilisticLinkage{MaxRecords: 50}).Prepare(d, d.Clone(), attrs); st == nil {
-		t.Error("sampled PRL returned no incremental state; stride sampling is patchable")
-	}
-	if st := (&RankIntervalLinkage{MaxRecords: 50}).Prepare(d, d.Clone(), attrs); st == nil {
-		t.Error("sampled RSRL returned no incremental state; stride sampling is patchable")
-	}
-}
-
-// TestSampledIncrementalMatchesFullRisk is the oracle for the
-// stride-aware DBRL/PRL states: under every sampling stride the
-// incremental chain must stay bit-identical to the sampled from-scratch
-// recompute at every step, exactly as the unsampled states do.
-func TestSampledIncrementalMatchesFullRisk(t *testing.T) {
-	d, attrs := testData(t)
-	for _, maxRecords := range []int{1, 7, 40, 70, 99, 100} {
-		measures := []Incremental{
-			&DistanceLinkage{MaxRecords: maxRecords},
-			&ProbabilisticLinkage{MaxRecords: maxRecords},
-			&RankIntervalLinkage{MaxRecords: maxRecords},
-		}
-		rng := rand.New(rand.NewPCG(uint64(maxRecords), 17))
-		for _, inc := range measures {
-			work := scramble(d, attrs, 29)
-			st := inc.Prepare(d, work, attrs)
-			if st == nil {
-				t.Fatalf("%s MaxRecords=%d: Prepare returned nil", inc.Name(), maxRecords)
-			}
-			if got, want := inc.Apply(st, nil), inc.Risk(d, work, attrs); got != want {
-				t.Fatalf("%s MaxRecords=%d: Apply(nil) = %v, full = %v", inc.Name(), maxRecords, got, want)
-			}
-			for step := 0; step < 40; step++ {
-				batch := 1 + rng.IntN(3)
-				changes := make([]dataset.CellChange, batch)
-				for i := range changes {
-					changes[i] = dataset.RandomChange(rng, work, attrs)
-				}
-				got := inc.Apply(st, changes)
-				want := inc.Risk(d, work, attrs)
-				if got != want {
-					t.Fatalf("%s MaxRecords=%d step %d: delta %v != full %v",
-						inc.Name(), maxRecords, step, got, want)
-				}
-			}
-		}
-	}
-}
-
-// reversibleBattery returns the reversible risk measures under test,
-// plain and sampled.
+// reversibleBattery returns the reversible risk measures under test.
 func reversibleBattery(t *testing.T) []Reversible {
 	t.Helper()
 	var out []Reversible
@@ -172,11 +114,7 @@ func reversibleBattery(t *testing.T) []Reversible {
 		}
 		out = append(out, rev)
 	}
-	return append(out,
-		&DistanceLinkage{MaxRecords: 40},
-		&ProbabilisticLinkage{MaxRecords: 40},
-		&RankIntervalLinkage{MaxRecords: 40},
-	)
+	return out
 }
 
 // TestReversibleApplyUndo drives every reversible risk state through
@@ -267,8 +205,7 @@ func randomGrid(t *testing.T, rng *rand.Rand, n, numAttrs, maxCard int) (*datase
 // random mutation- and crossover-sized change sequences — over the
 // standard test data and over random grids — and demands bit-identical
 // agreement with both the literal O(n²) pairwise oracle (rsrlReference)
-// and the full bitset Risk at every step, across window widths and
-// sampling strides.
+// and the full bitset Risk at every step, across window widths.
 func TestRSRLDeltaMatchesReference(t *testing.T) {
 	type fixture struct {
 		name  string
@@ -284,9 +221,9 @@ func TestRSRLDeltaMatchesReference(t *testing.T) {
 		fixtures = append(fixtures, fixture{fmt.Sprintf("grid%d", k), g, gattrs})
 	}
 	for _, fx := range fixtures {
-		for _, cfg := range []RankIntervalLinkage{{}, {P: 2}, {P: 60}, {MaxRecords: 70}, {P: 5, MaxRecords: 40}} {
-			rl := cfg
-			name := fmt.Sprintf("%s/P=%v,MaxRecords=%d", fx.name, rl.P, rl.MaxRecords)
+		for _, p := range []float64{0, 2, 60, 5} {
+			rl := RankIntervalLinkage{P: p}
+			name := fmt.Sprintf("%s/P=%v", fx.name, p)
 			work := scramble(fx.d, fx.attrs, 13)
 			st := rl.Prepare(fx.d, work, fx.attrs)
 			if st == nil {
@@ -414,9 +351,8 @@ func rsrlReference(rl *RankIntervalLinkage, orig, masked *dataset.Dataset, attrs
 	}
 	oc, mc := columns(orig, attrs), columns(masked, attrs)
 	lo, hi := rsrlWindows(orig, oc, mc, attrs, p)
-	stride := sampleStride(n, rl.MaxRecords)
 	credit := 0.0
-	for i := 0; i < n; i += stride {
+	for i := 0; i < n; i++ {
 		count := 0
 		containsTrue := false
 		for j := 0; j < n; j++ {
@@ -440,12 +376,12 @@ func rsrlReference(rl *RankIntervalLinkage, orig, masked *dataset.Dataset, attrs
 			credit += 1 / float64(count)
 		}
 	}
-	return 100 * credit / float64(sampledCount(n, stride))
+	return 100 * credit / float64(n)
 }
 
 // TestRSRLBitsetMatchesPairwiseReference property-tests the accelerated
-// RSRL against the literal pairwise scan across maskings, window widths
-// and sampling strides.
+// RSRL against the literal pairwise scan across maskings and window
+// widths.
 func TestRSRLBitsetMatchesPairwiseReference(t *testing.T) {
 	d, attrs := testData(t)
 	rng := rand.New(rand.NewPCG(31, 14))
@@ -456,14 +392,12 @@ func TestRSRLBitsetMatchesPairwiseReference(t *testing.T) {
 	}
 	maskings = append(maskings, work)
 	for _, p := range []float64{0, 1, 5, 15, 60, 100} {
-		for _, maxRecords := range []int{0, 70} {
-			rl := &RankIntervalLinkage{P: p, MaxRecords: maxRecords}
-			for mi, masked := range maskings {
-				got := rl.Risk(d, masked, attrs)
-				want := rsrlReference(rl, d, masked, attrs)
-				if got != want {
-					t.Fatalf("P=%v MaxRecords=%d masking %d: bitset %v != reference %v", p, maxRecords, mi, got, want)
-				}
+		rl := &RankIntervalLinkage{P: p}
+		for mi, masked := range maskings {
+			got := rl.Risk(d, masked, attrs)
+			want := rsrlReference(rl, d, masked, attrs)
+			if got != want {
+				t.Fatalf("P=%v masking %d: bitset %v != reference %v", p, mi, got, want)
 			}
 		}
 	}

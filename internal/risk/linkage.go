@@ -11,11 +11,7 @@ import (
 // counterpart is among the nearest; ties earn fractional credit 1/|ties|,
 // the expected success of an intruder breaking ties at random. The result
 // is the percentage of re-identified records.
-type DistanceLinkage struct {
-	// MaxRecords caps the number of original records linked (deterministic
-	// stride sampling; see sampling.go). 0 links every record exactly.
-	MaxRecords int
-}
+type DistanceLinkage struct{}
 
 // Name implements Measure.
 func (dl *DistanceLinkage) Name() string { return "DBRL" }
@@ -29,29 +25,28 @@ func (dl *DistanceLinkage) Risk(orig, masked *dataset.Dataset, attrs []int) floa
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
 	oc, mc := lg.columns(orig, masked, attrs)
-	return dbrlGrouped(lg, oc, mc, distanceTables(orig, attrs), n, sampleStride(n, dl.MaxRecords))
+	return dbrlGrouped(lg, oc, mc, distanceTables(orig, attrs), n)
 }
 
 // dbrlGrouped is DBRL over the protected columns oc (original) and mc
-// (masked) of n records, linking the original records 0, stride,
-// 2·stride, ... It is the kernel of full Risk and of the delta state's
-// wide edits. Nearest distances and tie counts depend only on tuples, so
-// it groups the records into lg first (grouped.go).
-func dbrlGrouped(lg *linkGroups, oc, mc [][]int, tables []distTable, n, stride int) float64 {
-	lg.group(oc, mc, n, stride)
+// (masked) of n records. It is the kernel of full Risk and of the delta
+// state's wide edits. Nearest distances and tie counts depend only on
+// tuples, so it groups the records into lg first (grouped.go).
+func dbrlGrouped(lg *linkGroups, oc, mc [][]int, tables []distTable, n int) float64 {
+	lg.group(oc, mc, n)
 	lg.nearest(tables)
 	credit := 0.0
-	for i, k := 0, 0; i < n; i, k = i+stride, k+1 {
+	for i := 0; i < n; i++ {
 		var d int64
 		for a := range tables {
 			d += tables[a].at(oc[a][i], mc[a][i])
 		}
 		// The true counterpart is among the nearest.
-		if g := lg.orig.of[k]; d == lg.best[g] {
+		if g := lg.orig.of[i]; d == lg.best[g] {
 			credit += 1 / float64(lg.count[g])
 		}
 	}
-	return 100 * credit / float64(sampledCount(n, stride))
+	return 100 * credit / float64(n)
 }
 
 // columns extracts the given columns of d as int slices.

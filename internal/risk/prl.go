@@ -19,10 +19,6 @@ type ProbabilisticLinkage struct {
 	// EMIters is the number of EM iterations; defaults to 30, which is
 	// plenty for the ≤2^len(attrs) distinct agreement patterns.
 	EMIters int
-	// MaxRecords caps the number of original records tallied and linked
-	// (deterministic stride sampling; see sampling.go). 0 uses every
-	// record exactly.
-	MaxRecords int
 }
 
 // MaxPRLAttrs is the most protected attributes ProbabilisticLinkage
@@ -49,34 +45,30 @@ func (pl *ProbabilisticLinkage) Risk(orig, masked *dataset.Dataset, attrs []int)
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
 	oc, mc := lg.columns(orig, masked, attrs)
-	return prlGrouped(lg, &lg.em, oc, mc, n, sampleStride(n, pl.MaxRecords), iters)
+	return prlGrouped(lg, &lg.em, oc, mc, n, iters)
 }
 
 // prlGrouped is PRL over the protected columns oc (original) and mc
-// (masked) of n records, tallying and linking the original records 0,
-// stride, 2·stride, ... with iters EM iterations. It is the kernel of
+// (masked) of n records with iters EM iterations. It is the kernel of
 // full Risk and of the delta state's wide edits; em is the caller's EM
 // scratch. Agreement patterns depend only on tuples, so it groups the
 // records into lg first (grouped.go).
-func prlGrouped(lg *linkGroups, em *emScratch, oc, mc [][]int, n, stride, iters int) float64 {
-	sampled := sampledCount(n, stride)
-	// Tally agreement patterns over the (possibly sampled) pairs. Every
-	// sampled original record is compared against the full masked file, so
-	// exactly one true-match pair per sampled record is included.
-	lg.group(oc, mc, n, stride)
+func prlGrouped(lg *linkGroups, em *emScratch, oc, mc [][]int, n, iters int) float64 {
+	// Tally agreement patterns over all n² pairs, n of them true matches.
+	lg.group(oc, mc, n)
 	em.size(len(oc))
 	clear(em.patCount)
 	lg.tally(em.patCount)
-	weights := em.matchWeights(em.patCount, float64(sampled)*float64(n), float64(sampled), iters)
+	weights := em.matchWeights(em.patCount, float64(n)*float64(n), float64(n), iters)
 	lg.strongest(weights)
 	credit := 0.0
-	for i, k := 0, 0; i < n; i, k = i+stride, k+1 {
+	for i := 0; i < n; i++ {
 		// The true counterpart is among the strongest links.
-		if g := lg.orig.of[k]; weights[pattern(i, i, oc, mc)] == lg.bestW[g] {
+		if g := lg.orig.of[i]; weights[pattern(i, i, oc, mc)] == lg.bestW[g] {
 			credit += 1 / float64(lg.count[g])
 		}
 	}
-	return 100 * credit / float64(sampled)
+	return 100 * credit / float64(n)
 }
 
 // emScratch holds the buffers of one PRL linkage: a pattern tally, the

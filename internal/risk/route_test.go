@@ -1,7 +1,6 @@
 package risk
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -53,13 +52,13 @@ func edited(d *dataset.Dataset, changes []dataset.CellChange) *dataset.Dataset {
 // TestLinkageRouteAcrossBreakEven drives the DBRL and PRL states with
 // change lists of one cell, just below and just above each state's own
 // break-even, and rows/2, on the paper-scale flare file and the small
-// german test file, exact and stride-sampled. Every ApplyUndo must equal
+// german test file. Every ApplyUndo must equal
 // full Risk of the edited file bit for bit, Undo must leave the state
 // describing the unedited file, and a committed wide Apply followed by
 // narrow commits must match a control state that patched every commit
 // cell by cell; so must a clone taken while a wide ApplyUndo is pending,
 // and a plain Apply that commits one. Both routes must run on every
-// configuration.
+// fixture and measure.
 func TestLinkageRouteAcrossBreakEven(t *testing.T) {
 	flare, flareMasked, flareAttrs := benchPairOf(t, "flare", 0)
 	german, germanAttrs := testData(t)
@@ -68,11 +67,8 @@ func TestLinkageRouteAcrossBreakEven(t *testing.T) {
 		{name: "german", orig: german, masked: scramble(german, germanAttrs, 3), attrs: germanAttrs},
 	}
 	for _, fx := range fixtures {
-		for _, maxRecords := range []int{0, fx.orig.Rows() / 3} {
-			for _, m := range []Reversible{&DistanceLinkage{MaxRecords: maxRecords}, &ProbabilisticLinkage{MaxRecords: maxRecords}} {
-				name := fmt.Sprintf("%s/%s/MaxRecords=%d", fx.name, m.Name(), maxRecords)
-				checkRouteAcrossBreakEven(t, name, m, fx)
-			}
+		for _, m := range []Reversible{&DistanceLinkage{}, &ProbabilisticLinkage{}} {
+			checkRouteAcrossBreakEven(t, fx.name+"/"+m.Name(), m, fx)
 		}
 	}
 }
@@ -151,14 +147,14 @@ func checkRouteAcrossBreakEven(t *testing.T, name string, m Reversible, fx linka
 // cells; each width byte is one list, committed when its high bit is set
 // and applied then undone otherwise.
 func FuzzLinkageRoute(f *testing.F) {
-	f.Add(uint64(1), uint8(0), []byte{1, 0x90, 40, 0xff, 3})
-	f.Add(uint64(7), uint8(9), []byte{0x7f, 2, 0x81, 64})
-	f.Add(uint64(12), uint8(0), []byte{0xc0, 0x40, 1, 1, 0x85})
-	f.Fuzz(func(t *testing.T, seed uint64, maxRecords uint8, widths []byte) {
+	f.Add(uint64(1), []byte{1, 0x90, 40, 0xff, 3})
+	f.Add(uint64(7), []byte{0x7f, 2, 0x81, 64})
+	f.Add(uint64(12), []byte{0xc0, 0x40, 1, 1, 0x85})
+	f.Fuzz(func(t *testing.T, seed uint64, widths []byte) {
 		rng := rand.New(rand.NewPCG(seed, 3))
 		shapes := []string{"dup", "mixed", "unique"}
 		fx := linkageGrid(rng, 2+rng.IntN(120), 1+rng.IntN(5), shapes[seed%3])
-		for _, gr := range groupedReferences(int(maxRecords)) {
+		for _, gr := range groupedReferences() {
 			st := gr.m.Prepare(fx.orig, fx.masked.Clone(), fx.attrs)
 			if st == nil {
 				continue // PRL declines more patterns than records

@@ -32,10 +32,6 @@ type RankIntervalLinkage struct {
 	// records; defaults to 15, a conservative upper bound on the rank
 	// swapping grids used in practice.
 	P float64
-	// MaxRecords caps the number of original records attacked
-	// (deterministic stride sampling; see sampling.go). 0 attacks every
-	// record exactly.
-	MaxRecords int
 }
 
 // Name implements Measure.
@@ -88,9 +84,8 @@ func (rl *RankIntervalLinkage) Risk(orig, masked *dataset.Dataset, attrs []int) 
 	}
 	_, cacheable := profileRadix(cards)
 	cache := make(map[uint64]*profile)
-	stride := sampleStride(n, rl.MaxRecords)
 	credit := 0.0
-	for i := 0; i < n; i += stride {
+	for i := 0; i < n; i++ {
 		var pr *profile
 		if cacheable {
 			var key uint64
@@ -117,7 +112,7 @@ func (rl *RankIntervalLinkage) Risk(orig, masked *dataset.Dataset, attrs []int) 
 			credit += 1 / float64(pr.count)
 		}
 	}
-	return 100 * credit / float64(sampledCount(n, stride))
+	return 100 * credit / float64(n)
 }
 
 // profileRadix returns the mixed-radix size of the joint category space of

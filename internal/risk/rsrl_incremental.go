@@ -17,9 +17,9 @@ package risk
 //     subtract exactly (AndNotWith) and categories entering add (OrWith);
 //     the moved record itself is one Clear+Set.
 //  3. Per-profile candidate intersections. Profiles are over the original
-//     file and therefore static: sampled records are grouped once in
-//     Prepare, and a change invalidates exactly the groups whose profile
-//     holds a category whose candidate union changed — those few groups
+//     file and therefore static: records are grouped once in Prepare,
+//     and a change invalidates exactly the groups whose profile holds a
+//     category whose candidate union changed — those few groups
 //     re-intersect against a reusable scratch bitset; all others keep
 //     their counts.
 //
@@ -28,11 +28,6 @@ package risk
 // order with the same float operations as the full Risk, so Apply is
 // bit-for-bit identical to a full recompute — rsrlReference, the literal
 // O(n²) pairwise scan, property-tests the whole chain.
-//
-// Like the other linkage states, the RSRL state supports MaxRecords
-// stride sampling: the sampled record set is deterministic, so only
-// sampled records are grouped and the patched credit sum is exactly the
-// sampled full recompute.
 //
 // The state is also Reversible, through journaling rather than inverse
 // replay: ApplyUndo records word-level before-images of every byCat and
@@ -49,20 +44,19 @@ import (
 	"evoprot/internal/stats"
 )
 
-// rsrlGroup is one equivalence class of sampled original records sharing a
+// rsrlGroup is one equivalence class of original records sharing a
 // protected-attribute profile, together with the size of the profile's
 // candidate set under the current masked file.
 type rsrlGroup struct {
 	rep     int32   // representative record; the profile is oc[·][rep]
 	count   int32   // |candidate intersection| for this profile
-	members []int32 // sampled records with this profile (shared, immutable)
+	members []int32 // records with this profile (shared, immutable)
 }
 
 // rsrlState is the incremental state of RankIntervalLinkage for one masked
 // file. See the file comment for the update strategy.
 type rsrlState struct {
 	n      int
-	stride int
 	window float64
 	pos    map[int]int // protected column -> attribute position
 
@@ -71,7 +65,7 @@ type rsrlState struct {
 	cards       []int
 	oRanks      [][]float64
 	byCatGroups [][][]int32 // attr position -> category -> groups holding it
-	recGroup    []int32     // sampled record -> its group (-1 when unsampled)
+	recGroup    []int32     // record -> its group
 
 	// Masked-file summaries: owned, deep-copied by CloneState.
 	mFreq  [][]int
@@ -80,7 +74,7 @@ type rsrlState struct {
 	byCat  [][]*stats.Bitset // partition of masked records by category
 	cand   [][]*stats.Bitset // per original category: ∪ byCat over [lo,hi]
 	groups []rsrlGroup       // count owned; rep/members shared
-	recHit []bool            // sampled record i: candidate set contains masked record i
+	recHit []bool            // record i: candidate set contains masked record i
 
 	// Reusable scratch, lazily built and never shared between clones, so
 	// steady-state Apply calls allocate nothing.
@@ -115,7 +109,6 @@ func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []in
 	}
 	st := &rsrlState{
 		n:      n,
-		stride: sampleStride(n, rl.MaxRecords),
 		window: rl.pOrDefault() * float64(n) / 100,
 		pos:    make(map[int]int, len(attrs)),
 		oc:     columns(orig, attrs),
@@ -149,18 +142,18 @@ func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []in
 	return st
 }
 
-// buildGroups partitions the sampled records by their (static) original
-// profile and indexes the groups by the categories they hold, so a change
-// can invalidate exactly the groups it affects.
+// buildGroups partitions the records by their (static) original profile
+// and indexes the groups by the categories they hold, so a change can
+// invalidate exactly the groups it affects.
 func (st *rsrlState) buildGroups() {
-	sampled := make([]int32, 0, sampledCount(st.n, st.stride))
-	for i := 0; i < st.n; i += st.stride {
-		sampled = append(sampled, int32(i))
+	recs := make([]int32, st.n)
+	for i := range recs {
+		recs[i] = int32(i)
 	}
 	// Grouping by sort avoids any profile-key width limit: the comparator
 	// works for QI sets whose cardinality product overflows uint64 too.
-	sort.Slice(sampled, func(x, y int) bool {
-		i, j := sampled[x], sampled[y]
+	sort.Slice(recs, func(x, y int) bool {
+		i, j := recs[x], recs[y]
 		for a := range st.oc {
 			if st.oc[a][i] != st.oc[a][j] {
 				return st.oc[a][i] < st.oc[a][j]
@@ -169,18 +162,15 @@ func (st *rsrlState) buildGroups() {
 		return i < j
 	})
 	st.recGroup = make([]int32, st.n)
-	for i := range st.recGroup {
-		st.recGroup[i] = -1
-	}
 	st.recHit = make([]bool, st.n)
-	for k := 0; k < len(sampled); {
+	for k := 0; k < len(recs); {
 		j := k + 1
-		for j < len(sampled) && st.sameProfile(sampled[k], sampled[j]) {
+		for j < len(recs) && st.sameProfile(recs[k], recs[j]) {
 			j++
 		}
 		g := int32(len(st.groups))
-		members := sampled[k:j:j]
-		st.groups = append(st.groups, rsrlGroup{rep: sampled[k], members: members})
+		members := recs[k:j:j]
+		st.groups = append(st.groups, rsrlGroup{rep: recs[k], members: members})
 		for _, i := range members {
 			st.recGroup[i] = g
 		}
@@ -263,12 +253,12 @@ func (st *rsrlState) refreshGroup(g int32) {
 // results bit-identical.
 func (st *rsrlState) value() float64 {
 	credit := 0.0
-	for i := 0; i < st.n; i += st.stride {
+	for i := 0; i < st.n; i++ {
 		if st.recHit[i] {
 			credit += 1 / float64(st.groups[st.recGroup[i]].count)
 		}
 	}
-	return 100 * credit / float64(sampledCount(st.n, st.stride))
+	return 100 * credit / float64(st.n)
 }
 
 // CloneState implements State. Original-file summaries are shared;
@@ -276,7 +266,7 @@ func (st *rsrlState) value() float64 {
 // so clones are independent single-goroutine values.
 func (s *rsrlState) CloneState() State {
 	out := &rsrlState{
-		n: s.n, stride: s.stride, window: s.window, pos: s.pos,
+		n: s.n, window: s.window, pos: s.pos,
 		oc: s.oc, cards: s.cards, oRanks: s.oRanks,
 		byCatGroups: s.byCatGroups, recGroup: s.recGroup,
 	}

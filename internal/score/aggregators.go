@@ -3,6 +3,8 @@ package score
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // The paper's §4 names "some other ways to aggregate [IL and DR] in order
@@ -18,9 +20,10 @@ type Weighted struct {
 	W float64
 }
 
-// NewWeighted validates the weight.
+// NewWeighted validates the weight: NaN is rejected with the values
+// outside [0,1].
 func NewWeighted(w float64) (Weighted, error) {
-	if w < 0 || w > 1 {
+	if !(w >= 0 && w <= 1) {
 		return Weighted{}, fmt.Errorf("score: weight %v outside [0,1]", w)
 	}
 	return Weighted{W: w}, nil
@@ -46,17 +49,23 @@ func (Euclidean) Combine(il, dr float64) float64 {
 	return math.Sqrt((il*il + dr*dr) / 2)
 }
 
-// ExtendedAggregatorByName resolves all built-in aggregators: "mean",
-// "max", "euclidean", and "weighted:<w>" (e.g. "weighted:0.7").
-func ExtendedAggregatorByName(name string) (Aggregator, error) {
-	if agg, err := AggregatorByName(name); err == nil {
-		return agg, nil
-	}
-	if name == "euclidean" {
+// AggregatorByName resolves every built-in aggregator: "mean", "max",
+// "euclidean", and "weighted:<w>" (e.g. "weighted:0.7"), where the whole
+// suffix w must parse as a number in [0,1].
+func AggregatorByName(name string) (Aggregator, error) {
+	switch name {
+	case "mean":
+		return Mean{}, nil
+	case "max":
+		return Max{}, nil
+	case "euclidean":
 		return Euclidean{}, nil
 	}
-	var w float64
-	if n, err := fmt.Sscanf(name, "weighted:%f", &w); err == nil && n == 1 {
+	if s, ok := strings.CutPrefix(name, "weighted:"); ok {
+		w, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return nil, fmt.Errorf("score: aggregator %q: weight %q is not a number", name, s)
+		}
 		return NewWeighted(w)
 	}
 	return nil, fmt.Errorf("score: unknown aggregator %q (want mean|max|euclidean|weighted:<w>)", name)

@@ -38,6 +38,9 @@ func TestWeightedValidation(t *testing.T) {
 	if _, err := NewWeighted(1.1); err == nil {
 		t.Error("weight > 1 accepted")
 	}
+	if _, err := NewWeighted(math.NaN()); err == nil {
+		t.Error("NaN weight accepted")
+	}
 }
 
 func TestEuclideanProperties(t *testing.T) {
@@ -64,18 +67,40 @@ func TestEuclideanProperties(t *testing.T) {
 	}
 }
 
+// TestAggregatorByName pins the paper's two aggregators and the rejection
+// of names the resolver does not know.
+func TestAggregatorByName(t *testing.T) {
+	for _, name := range []string{"mean", "max"} {
+		agg, err := AggregatorByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if agg.Name() != name {
+			t.Errorf("%s -> %q", name, agg.Name())
+		}
+	}
+	for _, bad := range []string{"", "median", "chebyshev", "Weighted:0.5"} {
+		if agg, err := AggregatorByName(bad); err == nil {
+			t.Errorf("%q accepted as %s", bad, agg.Name())
+		}
+	}
+}
+
+// TestExtendedAggregatorByName pins the aggregators beyond the paper's
+// pair and the parsing of the weighted:<w> spec.
 func TestExtendedAggregatorByName(t *testing.T) {
 	cases := []struct {
 		spec string
 		want string
 	}{
-		{"mean", "mean"},
-		{"max", "max"},
 		{"euclidean", "euclidean"},
 		{"weighted:0.25", "weighted(0.25)"},
+		{"weighted:0", "weighted(0.00)"},
+		{"weighted:1", "weighted(1.00)"},
+		{"weighted:1e-1", "weighted(0.10)"},
 	}
 	for _, c := range cases {
-		agg, err := ExtendedAggregatorByName(c.spec)
+		agg, err := AggregatorByName(c.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
@@ -83,11 +108,36 @@ func TestExtendedAggregatorByName(t *testing.T) {
 			t.Errorf("%s -> %q, want %q", c.spec, agg.Name(), c.want)
 		}
 	}
-	for _, bad := range []string{"", "chebyshev", "weighted:2", "weighted:x"} {
-		if _, err := ExtendedAggregatorByName(bad); err == nil {
-			t.Errorf("%q accepted", bad)
+	for _, bad := range []string{
+		"weighted:", "weighted:x", "weighted:2", "weighted:-0.1",
+		"weighted:NaN", "weighted:nan", "weighted:Inf", "weighted:0.5junk", "weighted:1e-1x",
+		"weighted: 0.5", "weighted:0.5 ",
+	} {
+		if agg, err := AggregatorByName(bad); err == nil {
+			t.Errorf("%q accepted as %s", bad, agg.Name())
 		}
 	}
+}
+
+// FuzzAggregatorByName: every name the resolver accepts combines finite
+// (IL, DR) inputs into a finite score.
+func FuzzAggregatorByName(f *testing.F) {
+	for _, name := range []string{"mean", "max", "euclidean", "weighted:0.3", "weighted:NaN", "weighted:0.5junk", "weighted:1e-1"} {
+		f.Add(name, 10.0, 20.0)
+	}
+	f.Fuzz(func(t *testing.T, name string, il, dr float64) {
+		agg, err := AggregatorByName(name)
+		if err != nil {
+			return
+		}
+		if math.IsNaN(il) || math.IsInf(il, 0) || math.IsNaN(dr) || math.IsInf(dr, 0) {
+			return
+		}
+		il, dr = math.Mod(il, 1e6), math.Mod(dr, 1e6) // the measures' scale, not float64's edge
+		if got := agg.Combine(il, dr); math.IsNaN(got) || math.IsInf(got, 0) {
+			t.Fatalf("%q accepted, but Combine(%v, %v) = %v", name, il, dr, got)
+		}
+	})
 }
 
 func TestAggregatorsInEvaluator(t *testing.T) {

@@ -101,47 +101,32 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchSampledAndFallbackBatteries runs the equivalence over
-// a stride-sampling battery (every linkage state stride-aware) and over a
-// battery containing a measure with no incremental support at all (the
+// TestEvaluateBatchFallbackBattery runs the equivalence over a battery
+// containing a measure with no incremental support at all (the
 // per-offspring full-recompute routing inside a batch).
-func TestEvaluateBatchSampledAndFallbackBatteries(t *testing.T) {
+func TestEvaluateBatchFallbackBattery(t *testing.T) {
 	orig := datagen.MustByName("flare", 90, 11)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, err := orig.Schema().Indices(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := []struct {
-		name string
-		cfg  Config
-	}{
-		{"sampled", Config{DR: []risk.Measure{
-			&risk.IntervalDisclosure{MaxP: 10},
-			&risk.DistanceLinkage{MaxRecords: 30},
-			&risk.ProbabilisticLinkage{EMIters: 10, MaxRecords: 30},
-			&risk.RankIntervalLinkage{P: 15, MaxRecords: 30},
-		}}},
-		{"non-incremental", Config{DR: []risk.Measure{
-			&risk.IntervalDisclosure{MaxP: 10},
-			&RankOnly{},
-		}}},
+	eval, err := NewEvaluator(orig, attrs, Config{DR: []risk.Measure{
+		&risk.IntervalDisclosure{MaxP: 10},
+		&RankOnly{},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cfgs {
-		eval, err := NewEvaluator(orig, attrs, tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewPCG(5, 23))
-		parents := make([]*dataset.Dataset, 3)
-		for i := range parents {
-			p := orig.Clone()
-			applyRandomChanges(rng, p, attrs, 15)
-			parents[i] = p
-		}
-		groups := buildBatch(t, eval, rng, parents, attrs, 3)
-		checkBatchAgainstEvaluate(t, eval, groups, 2, tc.name)
+	rng := rand.New(rand.NewPCG(5, 23))
+	parents := make([]*dataset.Dataset, 3)
+	for i := range parents {
+		p := orig.Clone()
+		applyRandomChanges(rng, p, attrs, 15)
+		parents[i] = p
 	}
+	groups := buildBatch(t, eval, rng, parents, attrs, 3)
+	checkBatchAgainstEvaluate(t, eval, groups, 2, "non-incremental")
 }
 
 func TestBatchableCapability(t *testing.T) {

@@ -59,18 +59,6 @@ func (Max) Combine(il, dr float64) float64 {
 // aggregator values against this single constant.
 const DefaultAggregatorName = "max"
 
-// AggregatorByName resolves "mean" or "max".
-func AggregatorByName(name string) (Aggregator, error) {
-	switch name {
-	case "mean":
-		return Mean{}, nil
-	case "max":
-		return Max{}, nil
-	default:
-		return nil, fmt.Errorf("score: unknown aggregator %q (want mean|max)", name)
-	}
-}
-
 // Pair is an (IL, DR) point, e.g. one individual in a dispersion plot.
 type Pair struct {
 	IL float64

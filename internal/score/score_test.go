@@ -48,18 +48,6 @@ func TestAggregators(t *testing.T) {
 	}
 }
 
-func TestAggregatorByName(t *testing.T) {
-	if a, err := AggregatorByName("mean"); err != nil || a.Name() != "mean" {
-		t.Errorf("mean: %v %v", a, err)
-	}
-	if a, err := AggregatorByName("max"); err != nil || a.Name() != "max" {
-		t.Errorf("max: %v %v", a, err)
-	}
-	if _, err := AggregatorByName("median"); err == nil {
-		t.Error("unknown aggregator accepted")
-	}
-}
-
 func TestNewEvaluatorErrors(t *testing.T) {
 	d, attrs := testSetup(t)
 	if _, err := NewEvaluator(nil, attrs, Config{}); err == nil {

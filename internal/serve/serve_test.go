@@ -338,6 +338,8 @@ func TestSubmitValidation(t *testing.T) {
 		"unknown field":   {`{"dataset":"flare","turbo":true}`, http.StatusBadRequest},
 		"bad dataset":     {`{"dataset":"census"}`, http.StatusBadRequest},
 		"bad aggregator":  {`{"dataset":"flare","aggregator":"median"}`, http.StatusBadRequest},
+		"NaN weight":      {`{"dataset":"flare","aggregator":"weighted:NaN"}`, http.StatusBadRequest},
+		"weight + junk":   {`{"dataset":"flare","aggregator":"weighted:0.5junk"}`, http.StatusBadRequest},
 		"csv sans attrs":  {`{"dataset_csv":"A\nx\n"}`, http.StatusBadRequest},
 		"rows unbounded":  {`{"dataset":"flare","rows":999999999}`, http.StatusBadRequest},
 		"forbidden paths": {`{"dataset_path":"/etc/passwd","attributes":["A"]}`, http.StatusForbidden},

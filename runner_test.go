@@ -255,6 +255,8 @@ func TestValidationParity(t *testing.T) {
 		{"negative migrate-every", []Option{WithMigration(-1, 0)}, func(s *JobSpec) { s.MigrateEvery = -1 }},
 		{"negative migrants", []Option{WithMigration(0, -1)}, func(s *JobSpec) { s.Migrants = -1 }},
 		{"unknown aggregator", []Option{WithAggregator("median")}, func(s *JobSpec) { s.Aggregator = "median" }},
+		{"NaN aggregator weight", []Option{WithAggregator("weighted:NaN")}, func(s *JobSpec) { s.Aggregator = "weighted:NaN" }},
+		{"trailing aggregator text", []Option{WithAggregator("weighted:0.5junk")}, func(s *JobSpec) { s.Aggregator = "weighted:0.5junk" }},
 		{"unknown selection", []Option{WithSelection("tournament")}, func(s *JobSpec) { s.Selection = "tournament" }},
 		{"unknown topology", []Option{WithTopology(Topology(7))}, func(s *JobSpec) { s.Topology = "star" }},
 		{"unknown grid", []Option{WithGrid("nosuch")}, func(s *JobSpec) { s.Grid = "nosuch" }},
