@@ -231,8 +231,8 @@
 // DBIL, EBIL, ID, DBRL, PRL and RSRL; the rank-window linkage patches its
 // category frequencies, mid-rank windows and candidate bitsets in place
 // and re-intersects only the record profiles a change actually touches
-// (~17x faster than its own bitset-accelerated recompute, see
-// BenchmarkRankIntervalLinkageDeltaSpeedup). Initial populations are
+// (~9x faster than a full RSRL evaluation, which prepares that state
+// afresh; see BenchmarkRankIntervalLinkageDeltaSpeedup). Initial populations are
 // delta-prepared inside the evaluation worker pool.
 //
 // Each generation the engine stages its offspring, groups them by parent,

@@ -47,15 +47,16 @@ func BenchmarkDistanceLinkage(b *testing.B)      { benchMeasure(b, &DistanceLink
 func BenchmarkProbabilisticLinkage(b *testing.B) { benchMeasure(b, &ProbabilisticLinkage{}, 500) }
 func BenchmarkRankIntervalLinkage(b *testing.B)  { benchMeasure(b, &RankIntervalLinkage{}, 500) }
 
-// BenchmarkLinkagePaperScale times full DBRL and PRL Risk and Prepare on
-// 1000-record files: flare and german, whose protected tuples repeat
-// heavily, and adult, the paper's dataset with the most distinct tuples.
-// These are the grouped kernels of grouped.go; a return to record-pair
-// scans costs several times their ns/op.
+// BenchmarkLinkagePaperScale times full DBRL, PRL and RSRL Risk and
+// Prepare on 1000-record files: flare and german, whose protected tuples
+// repeat heavily, and adult, the paper's dataset with the most distinct
+// tuples. These are the kernels that group records through tupleGroups
+// (grouped.go); a return to record-pair scans, or to a second grouping
+// for RSRL, costs several times their ns/op.
 func BenchmarkLinkagePaperScale(b *testing.B) {
 	for _, name := range []string{"flare", "german", "adult"} {
 		orig, masked, attrs := benchPairOf(b, name, 1000)
-		for _, m := range []Incremental{&DistanceLinkage{}, &ProbabilisticLinkage{}} {
+		for _, m := range []Incremental{&DistanceLinkage{}, &ProbabilisticLinkage{}, &RankIntervalLinkage{}} {
 			b.Run(m.Name()+"/Risk/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
@@ -108,11 +109,10 @@ func randomChanges(d *dataset.Dataset, attrs []int, width int, seed uint64) []da
 	return changes
 }
 
-// BenchmarkRankIntervalLinkageDelta is the tentpole "after": one mutation
-// offspring scored by patching the incremental RSRL state, against the
-// full bitset recompute above (BenchmarkRankIntervalLinkage). Steady-state
-// Apply calls reuse the state's scratch buffers and should report ~zero
-// allocations.
+// BenchmarkRankIntervalLinkageDelta times one mutation offspring scored
+// by patching the RSRL state, against BenchmarkRankIntervalLinkage, whose
+// full Risk prepares that state afresh. Steady-state Apply calls reuse
+// the state's scratch buffers and should report ~zero allocations.
 func BenchmarkRankIntervalLinkageDelta(b *testing.B) {
 	orig, masked, attrs := benchPair(b, 500)
 	rl := &RankIntervalLinkage{}

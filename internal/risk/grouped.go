@@ -104,7 +104,8 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// linkGroups is the working memory of one grouped DBRL or PRL pass:
+// linkGroups is the working memory of one grouped DBRL or PRL pass, or
+// of one RSRL Prepare (its masked columns and original grouping only):
 // the protected columns of a full Risk call, the original and the masked
 // records grouped by tuple, one original group's row of distances or
 // patterns against every masked group, per original group the best score
@@ -154,7 +155,8 @@ func (lg *linkGroups) columns(orig, masked *dataset.Dataset, attrs []int) (oc, m
 	return lg.oc, lg.mc
 }
 
-// columnsInto is columns reusing the buffers of cols.
+// columnsInto extracts the given columns of d as int slices, reusing the
+// buffers of cols; a nil cols yields fresh copies.
 func columnsInto(cols [][]int, d *dataset.Dataset, attrs []int) [][]int {
 	cols = resize(cols, len(attrs))
 	for a, c := range attrs {

@@ -18,7 +18,7 @@ func dbrlReference(orig, masked *dataset.Dataset, attrs []int) float64 {
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
-	oc, mc := columns(orig, attrs), columns(masked, attrs)
+	oc, mc := columnsInto(nil, orig, attrs), columnsInto(nil, masked, attrs)
 	tables := distanceTables(orig, attrs)
 	credit := 0.0
 	for i := 0; i < n; i++ {
@@ -59,7 +59,7 @@ func prlReference(pl *ProbabilisticLinkage, orig, masked *dataset.Dataset, attrs
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
-	oc, mc := columns(orig, attrs), columns(masked, attrs)
+	oc, mc := columnsInto(nil, orig, attrs), columnsInto(nil, masked, attrs)
 	numPat := 1 << len(attrs)
 	patCount := make([]float64, numPat)
 	for i := 0; i < n; i++ {
@@ -160,16 +160,20 @@ type groupedOracle struct {
 	ref func(orig, masked *dataset.Dataset, attrs []int) float64
 }
 
-// groupedReferences returns DBRL and PRL with their pairwise oracles.
+// groupedReferences returns DBRL, PRL and RSRL with their pairwise
+// oracles. RSRL comes last, so the random draws of its chains follow
+// those of DBRL and PRL.
 func groupedReferences() []groupedOracle {
 	pl := &ProbabilisticLinkage{}
+	rl := &RankIntervalLinkage{}
 	return []groupedOracle{
 		{&DistanceLinkage{}, dbrlReference},
 		{pl, func(o, m *dataset.Dataset, a []int) float64 { return prlReference(pl, o, m, a) }},
+		{rl, func(o, m *dataset.Dataset, a []int) float64 { return rsrlReference(rl, o, m, a) }},
 	}
 }
 
-// checkGrouped demands bit-identical DBRL and PRL values from the
+// checkGrouped demands bit-identical DBRL, PRL and RSRL values from the
 // pairwise oracles, full Risk and Prepare then Apply(nil) on one fixture.
 // It returns the incremental states, nil where Prepare declines.
 func checkGrouped(t *testing.T, fx linkageCase) []State {
@@ -193,14 +197,16 @@ func checkGrouped(t *testing.T, fx linkageCase) []State {
 	return states
 }
 
-// TestGroupedLinkageMatchesPairwise is the oracle for the grouped DBRL and
-// PRL kernels: over random grids with 1–6 attributes, duplicate-heavy,
-// mixed and all-unique tuples and n = 1…150, full Risk, Prepare then
-// Apply(nil), and random
+// TestGroupedLinkageMatchesPairwise is the oracle for the DBRL, PRL and
+// RSRL kernels that group records through tupleGroups: over random grids
+// with 1–6 attributes, duplicate-heavy, mixed and all-unique tuples and
+// n = 1…150, full Risk, Prepare then Apply(nil), and random
 // Apply/ApplyUndo/Undo chains must all equal the literal pairwise scans
-// bit for bit.
+// bit for bit. RSRL's chains draw from their own generator, so the DBRL
+// and PRL cases stay those of the two-measure suite.
 func TestGroupedLinkageMatchesPairwise(t *testing.T) {
 	rng := rand.New(rand.NewPCG(97, 13))
+	rsrlRng := rand.New(rand.NewPCG(98, 13))
 	shapes := []string{"dup", "mixed", "unique"}
 	for c := 0; c < 300; c++ {
 		n := 1 + rng.IntN(150)
@@ -219,6 +225,10 @@ func TestGroupedLinkageMatchesPairwise(t *testing.T) {
 			st := states[k]
 			if st == nil {
 				continue
+			}
+			rng := rng
+			if _, ok := gr.m.(*RankIntervalLinkage); ok {
+				rng = rsrlRng
 			}
 			work := fx.masked.Clone()
 			for step := 0; step < 12; step++ {
@@ -248,8 +258,8 @@ func TestGroupedLinkageMatchesPairwise(t *testing.T) {
 	}
 }
 
-// FuzzLinkageGrouped feeds arbitrary small files through the grouped DBRL
-// and PRL kernels and the pairwise oracles. The first byte picks the
+// FuzzLinkageGrouped feeds arbitrary small files through the grouped DBRL,
+// PRL and RSRL kernels and the pairwise oracles. The first byte picks the
 // attribute count (1–6), the next ones each attribute's cardinality (low
 // bits) and ordering (high bit), and every following 2·attrs bytes one
 // record: its original then its masked tuple.
@@ -341,7 +351,7 @@ func TestGroupedLinkageConcurrent(t *testing.T) {
 	for k := range cases {
 		cases[k] = linkageGrid(rng, 20+rng.IntN(100), 1+rng.IntN(4), []string{"dup", "mixed", "unique"}[k%3])
 	}
-	measures := []Incremental{&DistanceLinkage{}, &ProbabilisticLinkage{}}
+	measures := []Incremental{&DistanceLinkage{}, &ProbabilisticLinkage{}, &RankIntervalLinkage{}}
 	want := make([][]float64, len(cases))
 	for k, fx := range cases {
 		for _, m := range measures {

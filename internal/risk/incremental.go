@@ -57,11 +57,12 @@ package risk
 // word-level bitset-diff journaling plus scalar row snapshots (see
 // rsrl_incremental.go), skipping the candidate re-intersections entirely.
 //
-// Measured at bench_test.go scale (500 records), a single-cell Apply costs
-// ~3.3µs against ~56µs for the bitset-accelerated full RSRL recompute
-// (~17x) and runs allocation-free — the states keep reusable scratch
-// buffers, so cloning the state of a survivor whose parent lives on is
-// the only steady-state allocation of the delta chain.
+// Measured at bench_test.go scale (500 records, on a 2-vCPU Xeon), a
+// single-cell RSRL Apply costs ~4.5µs against ~61µs for a full RSRL Risk,
+// which prepares a fresh state (~9x, BenchmarkRankIntervalLinkageDeltaSpeedup),
+// and runs allocation-free — the states keep reusable scratch buffers, so
+// cloning the state of a survivor whose parent lives on is the only
+// steady-state allocation of the delta chain.
 
 import (
 	"math"
@@ -288,7 +289,7 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 	}
 	st := &dbrlState{
 		n: n, attrs: attrs, pos: make(map[int]int, len(attrs)),
-		oc: columns(orig, attrs), mc: columns(masked, attrs),
+		oc: columnsInto(nil, orig, attrs), mc: columnsInto(nil, masked, attrs),
 		tables:   distanceTables(orig, attrs),
 		best:     make([]int64, n),
 		count:    make([]int32, n),
@@ -538,7 +539,7 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 	st := &prlState{
 		n: n, numAttrs: len(attrs), iters: iters,
 		pos: make(map[int]int, len(attrs)),
-		oc:  columns(orig, attrs), mc: columns(masked, attrs),
+		oc:  columnsInto(nil, orig, attrs), mc: columnsInto(nil, masked, attrs),
 		cnt:      make([]int32, n*numPat),
 		patCount: make([]float64, numPat),
 		truePat:  make([]int32, n),

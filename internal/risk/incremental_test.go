@@ -316,30 +316,9 @@ func TestRSRLSweepMatchesScan(t *testing.T) {
 	}
 }
 
-// TestProfileRadixGuard is the regression test for the profile-cache
-// overflow probe: a zero cardinality must disable the cache (the previous
-// probe divided by the cardinality), overflowing products must disable it,
-// and ordinary QI sets must keep it with the exact product.
-func TestProfileRadixGuard(t *testing.T) {
-	if _, ok := profileRadix([]int{4, 0, 7}); ok {
-		t.Error("zero cardinality reported cacheable")
-	}
-	if _, ok := profileRadix(
-		[]int{100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100}); ok {
-		t.Error("100^11 > 2^64 reported cacheable")
-	}
-	radix, ok := profileRadix([]int{4, 5, 6})
-	if !ok || radix != 120 {
-		t.Errorf("profileRadix(4,5,6) = %d,%v; want 120,true", radix, ok)
-	}
-	if radix, ok := profileRadix(nil); !ok || radix != 1 {
-		t.Errorf("profileRadix() = %d,%v; want 1,true", radix, ok)
-	}
-}
-
 // rsrlReference is the literal pairwise O(n²) rank-interval linkage the
-// bitset implementation in rsrl.go replaced; kept as the oracle for the
-// equivalence property below.
+// bitset kernel of rsrl.go and rsrl_incremental.go replaced; kept as the
+// oracle for the equivalence properties below and in grouped_test.go.
 func rsrlReference(rl *RankIntervalLinkage, orig, masked *dataset.Dataset, attrs []int) float64 {
 	p := rl.P
 	if p <= 0 {
@@ -349,7 +328,7 @@ func rsrlReference(rl *RankIntervalLinkage, orig, masked *dataset.Dataset, attrs
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
-	oc, mc := columns(orig, attrs), columns(masked, attrs)
+	oc, mc := columnsInto(nil, orig, attrs), columnsInto(nil, masked, attrs)
 	lo, hi := rsrlWindows(orig, oc, mc, attrs, p)
 	credit := 0.0
 	for i := 0; i < n; i++ {
@@ -409,9 +388,9 @@ func TestRSRLBitsetMatchesPairwiseReference(t *testing.T) {
 	}
 }
 
-// TestRSRLProfileKeyOverflow covers the uncached path: with a QI set
-// whose cardinality product overflows uint64 the profile cache must be
-// bypassed (not silently collide) and results still match the reference.
+// TestRSRLProfileKeyOverflow checks that wide QI sets group exactly: with
+// 11 attributes of 100 categories the joint profile space (100^11) dwarfs
+// any fixed-width key, and the result must still match the reference.
 func TestRSRLProfileKeyOverflow(t *testing.T) {
 	const numAttrs, card, n = 11, 100, 40 // 100^11 ≈ 1e22 > 2^64
 	cats := make([]string, card)

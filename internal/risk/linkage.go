@@ -49,15 +49,6 @@ func dbrlGrouped(lg *linkGroups, oc, mc [][]int, tables []distTable, n int) floa
 	return 100 * credit / float64(n)
 }
 
-// columns extracts the given columns of d as int slices.
-func columns(d *dataset.Dataset, attrs []int) [][]int {
-	out := make([][]int, len(attrs))
-	for a, c := range attrs {
-		out[a] = d.Column(c)
-	}
-	return out
-}
-
 // distTable is a dense card×card matrix of integer-scaled category
 // distances. Integer distances keep tie detection exact — float sums of
 // per-attribute fractions would make "equal distance" depend on rounding.

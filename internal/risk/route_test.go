@@ -143,7 +143,8 @@ func checkRouteAcrossBreakEven(t *testing.T, name string, m Reversible, fx linka
 // FuzzLinkageRoute drives the DBRL and PRL states of a random grid
 // through change lists whose widths the input draws, so that lists land
 // on both sides of each state's break-even, and demands every value equal
-// the pairwise oracle of the edited file. The seed picks the grid and the
+// the pairwise oracle of the edited file. The RSRL state, which patches
+// every list cell by cell, runs the same lists after them. The seed picks the grid and the
 // cells; each width byte is one list, committed when its high bit is set
 // and applied then undone otherwise.
 func FuzzLinkageRoute(f *testing.F) {

@@ -1,8 +1,6 @@
 package risk
 
 import (
-	"math"
-
 	"evoprot/internal/dataset"
 	"evoprot/internal/stats"
 )
@@ -23,10 +21,19 @@ import (
 // mid-ranks, so the attack adapts to however the masking reshaped the
 // distribution.
 //
-// RankIntervalLinkage also implements Reversible: Prepare builds a
-// patchable window/bitset state so a cell change is applied in time
-// proportional to the affected categories and profiles rather than the
-// file size (see rsrl_incremental.go).
+// The candidate predicate factors per attribute into "masked category v
+// is admissible for original category u", so instead of testing all n²
+// record pairs the measure intersects per-attribute candidate bitsets,
+// once per distinct original profile: records are grouped by profile with
+// the tupleGroups pass DBRL and PRL use (grouped.go), and each
+// intersection costs n/64 word operations per attribute. The candidate
+// counts, and therefore the result, are bit-identical to the pairwise
+// scan (incremental_test.go keeps it as the oracle rsrlReference).
+//
+// Risk and the Reversible delta path share that one kernel: Risk is the
+// value of a freshly prepared state, and Apply patches the state so a
+// cell change costs time proportional to the affected categories and
+// profiles rather than the file size (see rsrl_incremental.go).
 type RankIntervalLinkage struct {
 	// P is the window half-width as a percentage of the number of
 	// records; defaults to 15, a conservative upper bound on the rank
@@ -45,91 +52,14 @@ func (rl *RankIntervalLinkage) pOrDefault() float64 {
 	return rl.P
 }
 
-// Risk implements Measure.
-//
-// The candidate predicate factors per attribute into "masked category v is
-// admissible for original category u", so instead of testing all n² record
-// pairs the measure intersects per-attribute candidate bitsets: records
-// sharing an original category profile share one intersection, and each
-// intersection costs n/64 word operations per attribute. The candidate
-// counts, and therefore the result, are bit-identical to the pairwise
-// scan (incremental_test.go keeps the literal O(n²) implementation as a
-// reference oracle, rsrlReference).
+// Risk implements Measure. It is the value of a freshly prepared state
+// (rsrl_incremental.go), so full and delta evaluation share one kernel.
 func (rl *RankIntervalLinkage) Risk(orig, masked *dataset.Dataset, attrs []int) float64 {
-	n := orig.Rows()
-	if n == 0 || len(attrs) == 0 {
+	st := rl.Prepare(orig, masked, attrs)
+	if st == nil {
 		return 0
 	}
-
-	oc, mc := columns(orig, attrs), columns(masked, attrs)
-	lo, hi := rsrlWindows(orig, oc, mc, attrs, rl.pOrDefault())
-
-	// cand[a][u] is the set of masked records admissible for original
-	// category u of attribute a, assembled from per-category record sets.
-	cards := make([]int, len(attrs))
-	cand := make([][]*stats.Bitset, len(attrs))
-	for a, c := range attrs {
-		cards[a] = orig.Schema().Attr(c).Cardinality()
-		cand[a] = rsrlUnions(rsrlByCat(mc[a], cards[a], n), lo[a], hi[a], n)
-	}
-
-	// Records with the same original profile share their candidate set;
-	// intersect once per distinct profile. The mixed-radix profile key
-	// only fits a uint64 while the cardinality product does; beyond that
-	// (absurdly wide QI sets) the cache is skipped rather than risking
-	// silent key collisions — results are identical, just uncached.
-	type profile struct {
-		count int
-		set   *stats.Bitset
-	}
-	_, cacheable := profileRadix(cards)
-	cache := make(map[uint64]*profile)
-	credit := 0.0
-	for i := 0; i < n; i++ {
-		var pr *profile
-		if cacheable {
-			var key uint64
-			for a := range attrs {
-				key = key*uint64(cards[a]) + uint64(oc[a][i])
-			}
-			pr = cache[key]
-			if pr == nil {
-				set := cand[0][oc[0][i]].Clone()
-				for a := 1; a < len(attrs); a++ {
-					set.AndWith(cand[a][oc[a][i]])
-				}
-				pr = &profile{count: set.Count(), set: set}
-				cache[key] = pr
-			}
-		} else {
-			set := cand[0][oc[0][i]].Clone()
-			for a := 1; a < len(attrs); a++ {
-				set.AndWith(cand[a][oc[a][i]])
-			}
-			pr = &profile{count: set.Count(), set: set}
-		}
-		if pr.set.Test(i) {
-			credit += 1 / float64(pr.count)
-		}
-	}
-	return 100 * credit / float64(n)
-}
-
-// profileRadix returns the mixed-radix size of the joint category space of
-// the given cardinalities and whether it fits a uint64 — the condition for
-// the profile cache key. A zero cardinality (an attribute with an empty
-// domain) disables the cache outright instead of dividing by zero in an
-// overflow probe.
-func profileRadix(cards []int) (uint64, bool) {
-	radix := uint64(1)
-	for _, card := range cards {
-		c := uint64(card)
-		if c == 0 || radix > math.MaxUint64/c {
-			return 0, false
-		}
-		radix *= c
-	}
-	return radix, true
+	return st.(*rsrlState).value()
 }
 
 // rsrlWindows precomputes, per attribute, the contiguous masked-category

@@ -17,17 +17,18 @@ package risk
 //     subtract exactly (AndNotWith) and categories entering add (OrWith);
 //     the moved record itself is one Clear+Set.
 //  3. Per-profile candidate intersections. Profiles are over the original
-//     file and therefore static: records are grouped once in Prepare,
-//     and a change invalidates exactly the groups whose profile holds a
-//     category whose candidate union changed — those few groups
-//     re-intersect against a reusable scratch bitset; all others keep
-//     their counts.
+//     file and therefore static: records are grouped once in Prepare, by
+//     the tupleGroups pass DBRL and PRL use, and a change invalidates
+//     exactly the groups whose profile holds a category whose candidate
+//     union changed — those few groups re-intersect against a reusable
+//     scratch bitset; all others keep their counts.
 //
 // Every summary is exact (integer frequencies, exact half-integer ranks,
-// bitsets), and the final credit sum is re-accumulated in the same record
-// order with the same float operations as the full Risk, so Apply is
-// bit-for-bit identical to a full recompute — rsrlReference, the literal
-// O(n²) pairwise scan, property-tests the whole chain.
+// bitsets), and the credit sum is accumulated in record order from them
+// alone. Full Risk is the value of a freshly prepared state, so Apply is
+// bit-for-bit identical to a full recompute by construction —
+// rsrlReference, the literal O(n²) pairwise scan, property-tests the
+// whole chain.
 //
 // The state is also Reversible, through journaling rather than inverse
 // replay: ApplyUndo records word-level before-images of every byCat and
@@ -38,7 +39,7 @@ package risk
 // re-intersections on the way back.
 
 import (
-	"sort"
+	"slices"
 
 	"evoprot/internal/dataset"
 	"evoprot/internal/stats"
@@ -100,8 +101,8 @@ type rsrlState struct {
 	undoActive     bool
 }
 
-// Prepare implements Incremental. The state costs about one full Risk to
-// build; every Apply then costs a small fraction of that.
+// Prepare implements Incremental. Building the state is the whole cost of
+// a full Risk; every Apply then costs a small fraction of that.
 func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 	n := orig.Rows()
 	if n == 0 || len(attrs) == 0 {
@@ -111,10 +112,15 @@ func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []in
 		n:      n,
 		window: rl.pOrDefault() * float64(n) / 100,
 		pos:    make(map[int]int, len(attrs)),
-		oc:     columns(orig, attrs),
+		oc:     columnsInto(nil, orig, attrs),
 		cards:  orig.Schema().Cardinalities(attrs),
 	}
-	mc := columns(masked, attrs)
+	// The masked columns and the grouping pass are scratch: pooled, like
+	// the grouped DBRL and PRL passes.
+	lg := linkGroupsPool.Get().(*linkGroups)
+	defer linkGroupsPool.Put(lg)
+	lg.mc = columnsInto(lg.mc, masked, attrs)
+	mc := lg.mc
 	st.oRanks = make([][]float64, len(attrs))
 	st.mFreq = make([][]int, len(attrs))
 	st.mRanks = make([][]float64, len(attrs))
@@ -134,7 +140,7 @@ func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []in
 		st.byCat[a] = rsrlByCat(mc[a], card, n)
 		st.cand[a] = rsrlUnions(st.byCat[a], st.lo[a], st.hi[a], n)
 	}
-	st.buildGroups()
+	st.buildGroups(&lg.orig)
 	st.ensureScratch()
 	for g := range st.groups {
 		st.refreshGroup(int32(g))
@@ -143,61 +149,43 @@ func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []in
 }
 
 // buildGroups partitions the records by their (static) original profile
-// and indexes the groups by the categories they hold, so a change can
-// invalidate exactly the groups it affects.
-func (st *rsrlState) buildGroups() {
-	recs := make([]int32, st.n)
-	for i := range recs {
-		recs[i] = int32(i)
-	}
-	// Grouping by sort avoids any profile-key width limit: the comparator
-	// works for QI sets whose cardinality product overflows uint64 too.
-	sort.Slice(recs, func(x, y int) bool {
-		i, j := recs[x], recs[y]
-		for a := range st.oc {
-			if st.oc[a][i] != st.oc[a][j] {
-				return st.oc[a][i] < st.oc[a][j]
-			}
-		}
-		return i < j
-	})
-	st.recGroup = make([]int32, st.n)
+// with the grouping scratch tg (grouped.go) and indexes the groups by the
+// categories they hold, so a change can invalidate exactly the groups it
+// affects.
+func (st *rsrlState) buildGroups(tg *tupleGroups) {
+	tg.group(st.oc, st.n)
+	st.recGroup = slices.Clone(tg.of)
 	st.recHit = make([]bool, st.n)
-	for k := 0; k < len(recs); {
-		j := k + 1
-		for j < len(recs) && st.sameProfile(recs[k], recs[j]) {
-			j++
-		}
-		g := int32(len(st.groups))
-		members := recs[k:j:j]
-		st.groups = append(st.groups, rsrlGroup{rep: recs[k], members: members})
-		for _, i := range members {
-			st.recGroup[i] = g
-		}
-		k = j
+	st.groups = make([]rsrlGroup, len(tg.mult))
+	for g, members := range buckets(st.recGroup, len(tg.mult)) {
+		st.groups[g] = rsrlGroup{rep: tg.first[g], members: members}
 	}
 	st.byCatGroups = make([][][]int32, len(st.oc))
-	for a := range st.oc {
-		st.byCatGroups[a] = make([][]int32, st.cards[a])
-	}
-	for g := range st.groups {
-		rep := st.groups[g].rep
-		for a := range st.oc {
-			u := st.oc[a][rep]
-			st.byCatGroups[a][u] = append(st.byCatGroups[a][u], int32(g))
-		}
+	for a, col := range tg.cols {
+		st.byCatGroups[a] = buckets(col, st.cards[a])
 	}
 }
 
-// sameProfile reports whether records i and j agree on every protected
-// attribute of the original file.
-func (st *rsrlState) sameProfile(i, j int32) bool {
-	for a := range st.oc {
-		if st.oc[a][i] != st.oc[a][j] {
-			return false
-		}
+// buckets lists, for every k < num, the positions i with keys[i] == k in
+// increasing order. One counting pass sizes the lists, which share one
+// backing array.
+func buckets[K int | int32](keys []K, num int) [][]int32 {
+	end := make([]int, num+1)
+	for _, k := range keys {
+		end[k+1]++
 	}
-	return true
+	for k := 1; k <= num; k++ {
+		end[k] += end[k-1]
+	}
+	flat := make([]int32, len(keys))
+	out := make([][]int32, num)
+	for k := range out {
+		out[k] = flat[end[k]:end[k]:end[k+1]]
+	}
+	for i, k := range keys {
+		out[k] = append(out[k], int32(i))
+	}
+	return out
 }
 
 // ensureScratch (re)builds the reusable scratch buffers; clones drop them,
@@ -248,9 +236,8 @@ func (st *rsrlState) refreshGroup(g int32) {
 	}
 }
 
-// value folds the per-record hits into the measure value with the same
-// accumulation order and float operations as the full Risk, keeping delta
-// results bit-identical.
+// value folds the per-record hits into the measure value, summing credit
+// in record order. It is the value of Risk as well as of every Apply.
 func (st *rsrlState) value() float64 {
 	credit := 0.0
 	for i := 0; i < st.n; i++ {

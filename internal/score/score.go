@@ -110,10 +110,17 @@ func NewEvaluator(orig *dataset.Dataset, attrs []int, cfg Config) (*Evaluator, e
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("score: no protected attributes")
 	}
+	// A repeated index would give the measures' delta states two copies
+	// of one column to keep in step, and they track only one.
+	seen := make([]bool, orig.Cols())
 	for _, a := range attrs {
 		if a < 0 || a >= orig.Cols() {
 			return nil, fmt.Errorf("score: attribute index %d out of range [0,%d)", a, orig.Cols())
 		}
+		if seen[a] {
+			return nil, fmt.Errorf("score: protected attribute %q listed twice", orig.Schema().Attr(a).Name())
+		}
+		seen[a] = true
 	}
 	if cfg.IL == nil {
 		cfg.IL = infoloss.Default()

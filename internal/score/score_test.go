@@ -2,6 +2,7 @@ package score
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -50,24 +51,37 @@ func TestAggregators(t *testing.T) {
 
 func TestNewEvaluatorErrors(t *testing.T) {
 	d, attrs := testSetup(t)
-	if _, err := NewEvaluator(nil, attrs, Config{}); err == nil {
-		t.Error("nil original accepted")
+	specs := make([]*dataset.Attribute, risk.MaxPRLAttrs+1)
+	wide := make([]int, len(specs))
+	for i := range specs {
+		specs[i] = dataset.MustAttribute(fmt.Sprintf("q%d", i), []string{"x", "y"}, false)
+		wide[i] = i
 	}
-	if _, err := NewEvaluator(d, nil, Config{}); err == nil {
-		t.Error("no attrs accepted")
-	}
-	if _, err := NewEvaluator(d, []int{99}, Config{}); err == nil {
-		t.Error("out-of-range attr accepted")
-	}
-	wide := make([]int, risk.MaxPRLAttrs+1)
-	for i := range wide {
-		wide[i] = i % d.Cols()
-	}
-	if _, err := NewEvaluator(d, wide, Config{}); err == nil {
-		t.Error("more attributes than PRL supports accepted with PRL in the battery")
-	}
-	if _, err := NewEvaluator(d, wide, Config{DR: []risk.Measure{&risk.DistanceLinkage{}}}); err != nil {
-		t.Errorf("wide attribute set refused without PRL in the battery: %v", err)
+	wideData := dataset.New(dataset.MustSchema(specs...), 10)
+	dbrlOnly := Config{DR: []risk.Measure{&risk.DistanceLinkage{}}}
+	for _, c := range []struct {
+		name  string
+		orig  *dataset.Dataset
+		attrs []int
+		cfg   Config
+		ok    bool
+	}{
+		{"valid", d, attrs, Config{}, true},
+		{"nil original", nil, attrs, Config{}, false},
+		{"no attrs", d, nil, Config{}, false},
+		{"out-of-range attr", d, []int{99}, Config{}, false},
+		{"repeated attr", d, []int{attrs[0], attrs[0], attrs[1]}, Config{}, false},
+		{"repeated attr without PRL", d, []int{attrs[1], attrs[0], attrs[1]}, dbrlOnly, false},
+		{"more attrs than PRL supports", wideData, wide, Config{}, false},
+		{"wide attrs without PRL", wideData, wide, dbrlOnly, true},
+	} {
+		_, err := NewEvaluator(c.orig, c.attrs, c.cfg)
+		if c.ok && err != nil {
+			t.Errorf("%s: refused: %v", c.name, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }
 

@@ -342,6 +342,7 @@ func TestSubmitValidation(t *testing.T) {
 		"weight + junk":   {`{"dataset":"flare","aggregator":"weighted:0.5junk"}`, http.StatusBadRequest},
 		"csv sans attrs":  {`{"dataset_csv":"A\nx\n"}`, http.StatusBadRequest},
 		"rows unbounded":  {`{"dataset":"flare","rows":999999999}`, http.StatusBadRequest},
+		"repeated attr":   {`{"dataset":"flare","attributes":["ACTIVITY","ACTIVITY","EVOLUTION"]}`, http.StatusBadRequest},
 		"forbidden paths": {`{"dataset_path":"/etc/passwd","attributes":["A"]}`, http.StatusForbidden},
 		"bad json":        {`{`, http.StatusBadRequest},
 	}

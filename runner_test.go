@@ -226,6 +226,15 @@ func TestNewRunnerValidation(t *testing.T) {
 	if _, err := NewRunner(orig, []string{"GHOST"}, WithGrid("flare")); err == nil {
 		t.Error("unknown attribute accepted")
 	}
+	// A repeated attribute once ran on delta scores that disagreed with
+	// full evaluation.
+	repeated := []string{attrs[0], attrs[0], attrs[1]}
+	if _, err := NewRunner(orig, repeated, WithGrid("flare")); err == nil {
+		t.Error("repeated attribute accepted")
+	}
+	if _, err := NewRunner(orig, repeated, WithSeeds(orig, orig.Clone())); err == nil {
+		t.Error("repeated attribute with explicit seeds accepted")
+	}
 	if _, err := NewRunner(orig, attrs, WithGrid("flare"), WithAggregator("median")); err == nil {
 		t.Error("unknown aggregator accepted")
 	}
