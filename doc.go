@@ -268,8 +268,9 @@
 // Delta evaluation is bit-for-bit identical to a full Evaluate — the
 // states keep exact integer summaries and share their final value
 // arithmetic with the full paths — so trajectories, snapshots and resumed
-// runs are unchanged; it is purely a speedup (about 10x per mutation
-// offspring at paper scale since full linkage scoring groups tuples; the
+// runs are unchanged; it is purely a speedup (about 20x per mutation
+// offspring at paper scale since full linkage scoring groups tuples and
+// the DBRL and PRL states keep one row per distinct original tuple; the
 // full/delta_ratio metric of the paper-scale speedup benchmark in
 // bench_test.go measures it).
 //

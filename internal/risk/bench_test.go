@@ -97,6 +97,54 @@ func BenchmarkLinkageDeltaWidth(b *testing.B) {
 	}
 }
 
+// BenchmarkLinkageDeltaPaperScale times the narrow route of every
+// mutation offspring on the DBRL and PRL states of 1000-record flare,
+// german and adult files: a single-cell ApplyUndo then Undo, and the
+// CloneState that hands a surviving child its own state. Both scale with
+// the state's distinct original tuples, not its records, so a return to
+// per-record rows multiplies their ns/op and B/op.
+func BenchmarkLinkageDeltaPaperScale(b *testing.B) {
+	for _, name := range []string{"flare", "german", "adult"} {
+		orig, masked, attrs := benchPairOf(b, name, 1000)
+		cells := singleChanges(masked, attrs, 64, 3)
+		for _, m := range []Reversible{&DistanceLinkage{}, &ProbabilisticLinkage{}} {
+			st := m.Prepare(orig, masked, attrs)
+			if st == nil {
+				b.Fatalf("%s/%s: Prepare returned nil", m.Name(), name)
+			}
+			b.Run(m.Name()+"/ApplyUndo/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				k := 0
+				for b.Loop() {
+					m.ApplyUndo(st, cells[k:k+1])
+					m.Undo(st)
+					k = (k + 1) % len(cells)
+				}
+			})
+			b.Run(m.Name()+"/CloneState/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					st.CloneState()
+				}
+			})
+		}
+	}
+}
+
+// singleChanges draws k random one-cell edits of the protected cells of
+// d, each an edit of d itself, so any one of them is a valid change list
+// from d. d is left unedited.
+func singleChanges(d *dataset.Dataset, attrs []int, k int, seed uint64) []dataset.CellChange {
+	work := d.Clone()
+	rng := rand.New(rand.NewPCG(seed, 22))
+	changes := make([]dataset.CellChange, k)
+	for i := range changes {
+		changes[i] = dataset.RandomChange(rng, work, attrs)
+		work.Set(changes[i].Row, changes[i].Col, changes[i].Old)
+	}
+	return changes
+}
+
 // randomChanges draws width random edits of the protected cells of d,
 // chained as a change list from d, without editing d.
 func randomChanges(d *dataset.Dataset, attrs []int, width int, seed uint64) []dataset.CellChange {

@@ -16,10 +16,14 @@ package risk
 // (grouped_test.go keeps those as the oracles prlReference and
 // dbrlReference). The pair work drops from O(n²·attrs) to
 // O(D_orig·D_masked·attrs) for D distinct tuples, plus an O(n·attrs)
-// grouping pass; with all tuples distinct it is the old scan.
+// grouping pass; with all tuples distinct it is the old scan. Full Risk
+// groups both files on every call; the DBRL and PRL delta states group
+// the original file once, at Prepare, keep that grouping and pass it to
+// the same kernels, and key their own rows by its tuples.
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"evoprot/internal/dataset"
@@ -104,14 +108,69 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// linkGroups is the working memory of one grouped DBRL or PRL pass, or
-// of one RSRL Prepare (its masked columns and original grouping only):
-// the protected columns of a full Risk call, the original and the masked
-// records grouped by tuple, one original group's row of distances or
-// patterns against every masked group, per original group the best score
-// found and how many masked records attain it, and a full PRL's EM
-// scratch. It is pooled, so once warm a full Risk call on the
-// evolution hot path allocates no column copies or grouping buffers.
+// compact returns an exact-size copy of g's tuple columns,
+// multiplicities and record map, without the hash slots or the
+// first-record index: the original grouping a DBRL or PRL state keeps
+// and shares read-only with its clones.
+func (g *tupleGroups) compact() *tupleGroups {
+	num := len(g.mult)
+	out := &tupleGroups{
+		cols: make([][]int, len(g.cols)),
+		mult: slices.Clone(g.mult),
+		of:   slices.Clone(g.of),
+	}
+	flat := make([]int, len(g.cols)*num)
+	for a, col := range g.cols {
+		out.cols[a] = flat[a*num : (a+1)*num : (a+1)*num]
+		copy(out.cols[a], col)
+	}
+	return out
+}
+
+// groupOriginal groups the original records of orig over attrs through
+// pooled scratch and returns the compact grouping.
+func groupOriginal(orig *dataset.Dataset, attrs []int) *tupleGroups {
+	lg := linkGroupsPool.Get().(*linkGroups)
+	defer linkGroupsPool.Put(lg)
+	lg.oc = columnsInto(lg.oc, orig, attrs)
+	lg.orig.group(lg.oc, orig.Rows())
+	return lg.orig.compact()
+}
+
+// pattern returns the agreement bitmask between original tuple k and
+// masked record j of mc: bit a is set when they agree on attribute a.
+func (g *tupleGroups) pattern(k int, mc [][]int, j int) int {
+	pat := 0
+	for a, col := range g.cols {
+		if col[k] == mc[a][j] {
+			pat |= 1 << a
+		}
+	}
+	return pat
+}
+
+// distance returns the mixed categorical distance between original tuple
+// k and masked record j of mc.
+func (g *tupleGroups) distance(k int, mc [][]int, j int, tables []distTable) int64 {
+	var d int64
+	for a, col := range g.cols {
+		d += tables[a].at(col[k], mc[a][j])
+	}
+	return d
+}
+
+// linkGroups is the working memory of one grouped DBRL or PRL pass, of
+// the original grouping of a DBRL or PRL Prepare (groupOriginal), or of
+// one RSRL Prepare (its masked columns and original grouping only): the
+// protected columns of a full Risk call, the original records grouped by
+// tuple for a full Risk or a Prepare, the masked records grouped by tuple,
+// one original group's row of distances or patterns against every masked
+// group, per original group the best score found and how many masked
+// records attain it, and a full PRL's EM scratch. The kernels below read
+// the original grouping they are passed: full Risk passes lg.orig, a
+// DBRL or PRL state its own compact grouping, which lg never keeps. It
+// is pooled, so once warm a full Risk call on the evolution hot path
+// allocates no column copies or grouping buffers.
 type linkGroups struct {
 	oc, mc       [][]int // Risk's copies of the protected columns
 	orig, masked tupleGroups
@@ -125,26 +184,12 @@ type linkGroups struct {
 
 var linkGroupsPool = sync.Pool{New: func() any { return new(linkGroups) }}
 
-// groupLinkage groups the n original records of oc and the n masked
-// records of mc by tuple. Return the result to linkGroupsPool when done.
-func groupLinkage(oc, mc [][]int, n int) *linkGroups {
-	lg := linkGroupsPool.Get().(*linkGroups)
-	lg.group(oc, mc, n)
-	return lg
-}
-
-// group regroups lg's records: the n original records of oc and the n
-// masked records of mc.
-func (lg *linkGroups) group(oc, mc [][]int, n int) {
-	lg.orig.group(oc, n)
-	lg.masked.group(mc, n)
-}
-
-// relinkCost estimates the work of one grouped pass from the last
-// grouping's tuple counts: D_orig·D_masked·attrs to compare the distinct
-// tuple pairs plus n·attrs to group the records.
-func (lg *linkGroups) relinkCost(n, numAttrs int) int {
-	return (len(lg.orig.mult)*len(lg.masked.mult) + n) * numAttrs
+// relinkCost estimates the work of one grouped pass against the original
+// grouping o from the tuple counts of the last masked grouping:
+// D_orig·D_masked·attrs to compare the distinct tuple pairs plus n·attrs
+// to group the masked records and read back each record's summary.
+func (lg *linkGroups) relinkCost(o *tupleGroups, n, numAttrs int) int {
+	return (len(o.mult)*len(lg.masked.mult) + n) * numAttrs
 }
 
 // columns fills lg's column buffers with the protected columns of orig
@@ -166,13 +211,14 @@ func columnsInto(cols [][]int, d *dataset.Dataset, attrs []int) [][]int {
 	return cols
 }
 
-// distances returns original group g's distance to every masked group.
-func (lg *linkGroups) distances(g int, tables []distTable) []int64 {
+// distances returns original group g of o's distance to every masked
+// group.
+func (lg *linkGroups) distances(o *tupleGroups, g int, tables []distTable) []int64 {
 	dist := resize(lg.dist, len(lg.masked.mult))
 	clear(dist)
 	for a, col := range lg.masked.cols {
 		t := tables[a]
-		u := lg.orig.cols[a][g]
+		u := o.cols[a][g]
 		row := t.d[u*t.card : (u+1)*t.card]
 		for h, v := range col {
 			dist[h] += row[v]
@@ -182,13 +228,13 @@ func (lg *linkGroups) distances(g int, tables []distTable) []int64 {
 	return dist
 }
 
-// patterns returns original group g's agreement pattern with every
+// patterns returns original group g of o's agreement pattern with every
 // masked group: bit a is set when the two tuples agree on attribute a.
-func (lg *linkGroups) patterns(g int) []int {
+func (lg *linkGroups) patterns(o *tupleGroups, g int) []int {
 	pats := resize(lg.pats, len(lg.masked.mult))
 	clear(pats)
 	for a, col := range lg.masked.cols {
-		markAgreement(pats, col, lg.orig.cols[a][g], 1<<a)
+		markAgreement(pats, col, o.cols[a][g], 1<<a)
 	}
 	lg.pats = pats
 	return pats
@@ -206,16 +252,17 @@ func markAgreement(pats, col []int, u, bit int) {
 	}
 }
 
-// nearest sets, for every original group, best to its smallest distance
-// to a masked record and count to how many masked records lie at it.
-func (lg *linkGroups) nearest(tables []distTable) {
-	numOrig := len(lg.orig.mult)
+// nearest sets, for every original group of o, best to its smallest
+// distance to a masked record and count to how many masked records lie
+// at it.
+func (lg *linkGroups) nearest(o *tupleGroups, tables []distTable) {
+	numOrig := len(o.mult)
 	lg.best = resize(lg.best, numOrig)
 	lg.count = resize(lg.count, numOrig)
 	mult := lg.masked.mult
 	for g := 0; g < numOrig; g++ {
 		best, count := int64(1)<<62, int64(0)
-		for h, d := range lg.distances(g, tables) {
+		for h, d := range lg.distances(o, g, tables) {
 			switch {
 			case d < best:
 				best, count = d, mult[h]
@@ -228,27 +275,28 @@ func (lg *linkGroups) nearest(tables []distTable) {
 }
 
 // tally adds every original–masked record pair's agreement pattern to
-// patCount, one distinct tuple pair at a time.
-func (lg *linkGroups) tally(patCount []float64) {
+// patCount, one distinct tuple pair at a time, for the original grouping
+// o.
+func (lg *linkGroups) tally(o *tupleGroups, patCount []float64) {
 	mult := lg.masked.mult
-	for g, om := range lg.orig.mult {
-		for h, pat := range lg.patterns(g) {
+	for g, om := range o.mult {
+		for h, pat := range lg.patterns(o, g) {
 			patCount[pat] += float64(om * mult[h])
 		}
 	}
 }
 
-// strongest sets, for every original group, bestW to the highest pattern
-// weight against a masked record and count to how many masked records
-// attain it.
-func (lg *linkGroups) strongest(weights []float64) {
-	numOrig := len(lg.orig.mult)
+// strongest sets, for every original group of o, bestW to the highest
+// pattern weight against a masked record and count to how many masked
+// records attain it.
+func (lg *linkGroups) strongest(o *tupleGroups, weights []float64) {
+	numOrig := len(o.mult)
 	lg.bestW = resize(lg.bestW, numOrig)
 	lg.count = resize(lg.count, numOrig)
 	mult := lg.masked.mult
 	for g := 0; g < numOrig; g++ {
 		best, count := math.Inf(-1), int64(0)
-		for h, pat := range lg.patterns(g) {
+		for h, pat := range lg.patterns(o, g) {
 			w := weights[pat]
 			switch {
 			case w > best:
@@ -262,10 +310,10 @@ func (lg *linkGroups) strongest(weights []float64) {
 }
 
 // histogram adds to row, indexed by agreement pattern, how many masked
-// records original group g agrees with in each pattern.
-func (lg *linkGroups) histogram(g int, row []int32) {
+// records original group g of o agrees with in each pattern.
+func (lg *linkGroups) histogram(o *tupleGroups, g int, row []int32) {
 	mult := lg.masked.mult
-	for h, pat := range lg.patterns(g) {
+	for h, pat := range lg.patterns(o, g) {
 		row[pat] += int32(mult[h])
 	}
 }

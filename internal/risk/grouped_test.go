@@ -102,6 +102,18 @@ func prlReference(pl *ProbabilisticLinkage, orig, masked *dataset.Dataset, attrs
 	return 100 * credit / float64(n)
 }
 
+// pattern returns the agreement bitmask between original record i and
+// masked record j: bit a is set when they agree on attribute a.
+func pattern(i, j int, oc, mc [][]int) int {
+	pat := 0
+	for a := range oc {
+		if oc[a][i] == mc[a][j] {
+			pat |= 1 << a
+		}
+	}
+	return pat
+}
+
 // linkageCase is one oracle fixture: an original file, a masking of it
 // and the protected attributes.
 type linkageCase struct {
@@ -230,30 +242,39 @@ func TestGroupedLinkageMatchesPairwise(t *testing.T) {
 			if _, ok := gr.m.(*RankIntervalLinkage); ok {
 				rng = rsrlRng
 			}
-			work := fx.masked.Clone()
-			for step := 0; step < 12; step++ {
-				spec := work.Clone()
-				changes := make([]dataset.CellChange, 1+rng.IntN(4))
-				for i := range changes {
-					changes[i] = dataset.RandomChange(rng, spec, fx.attrs)
-				}
-				if step%3 == 0 {
-					got := gr.m.Apply(st, changes)
-					work = spec
-					if want := gr.ref(fx.orig, work, fx.attrs); got != want {
-						t.Fatalf("%s %s step %d: Apply %v != pairwise reference %v", fx.name, gr.m.Name(), step, got, want)
-					}
-					continue
-				}
-				got := gr.m.ApplyUndo(st, changes)
-				if want := gr.ref(fx.orig, spec, fx.attrs); got != want {
-					t.Fatalf("%s %s step %d: ApplyUndo %v != pairwise reference %v", fx.name, gr.m.Name(), step, got, want)
-				}
-				gr.m.Undo(st)
-				if got, want := gr.m.Apply(st, nil), gr.ref(fx.orig, work, fx.attrs); got != want {
-					t.Fatalf("%s %s step %d: after Undo %v != pairwise reference %v", fx.name, gr.m.Name(), step, got, want)
-				}
+			checkChain(t, gr, st, fx, rng, 12, 4)
+		}
+	}
+}
+
+// checkChain drives st, a state of gr's measure prepared on fx, through
+// steps random change lists of 1…maxWidth cells: every third list is
+// committed with Apply, the others are applied with ApplyUndo and undone.
+// Every value must equal the pairwise oracle of the file it describes.
+func checkChain(t *testing.T, gr groupedOracle, st State, fx linkageCase, rng *rand.Rand, steps, maxWidth int) {
+	t.Helper()
+	work := fx.masked.Clone()
+	for step := 0; step < steps; step++ {
+		spec := work.Clone()
+		changes := make([]dataset.CellChange, 1+rng.IntN(maxWidth))
+		for i := range changes {
+			changes[i] = dataset.RandomChange(rng, spec, fx.attrs)
+		}
+		if step%3 == 0 {
+			got := gr.m.Apply(st, changes)
+			work = spec
+			if want := gr.ref(fx.orig, work, fx.attrs); got != want {
+				t.Fatalf("%s %s step %d: Apply %v != pairwise reference %v", fx.name, gr.m.Name(), step, got, want)
 			}
+			continue
+		}
+		got := gr.m.ApplyUndo(st, changes)
+		if want := gr.ref(fx.orig, spec, fx.attrs); got != want {
+			t.Fatalf("%s %s step %d: ApplyUndo %v != pairwise reference %v", fx.name, gr.m.Name(), step, got, want)
+		}
+		gr.m.Undo(st)
+		if got, want := gr.m.Apply(st, nil), gr.ref(fx.orig, work, fx.attrs); got != want {
+			t.Fatalf("%s %s step %d: after Undo %v != pairwise reference %v", fx.name, gr.m.Name(), step, got, want)
 		}
 	}
 }
@@ -376,4 +397,156 @@ func TestGroupedLinkageConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// tupleFixture builds an original file and its masking over ordered
+// protected attributes of card categories from literal records: orig[r]
+// and masked[r] are record r's tuples.
+func tupleFixture(name string, card int, orig, masked [][]int) linkageCase {
+	numAttrs := len(orig[0])
+	specs := make([]*dataset.Attribute, numAttrs)
+	attrs := make([]int, numAttrs)
+	for a := range specs {
+		cats := make([]string, card)
+		for i := range cats {
+			cats[i] = fmt.Sprintf("c%d", i)
+		}
+		specs[a] = dataset.MustAttribute(fmt.Sprintf("p%d", a), cats, true)
+		attrs[a] = a
+	}
+	schema := dataset.MustSchema(specs...)
+	fx := linkageCase{name: name, orig: dataset.New(schema, len(orig)), masked: dataset.New(schema, len(orig)), attrs: attrs}
+	for r := range orig {
+		for a := range attrs {
+			fx.orig.Set(r, a, orig[r][a])
+			fx.masked.Set(r, a, masked[r][a])
+		}
+	}
+	return fx
+}
+
+// TestLinkageStateTupleEdges pins two per-tuple paths of the DBRL and PRL
+// states that random grids reach only by chance. In the first fixture
+// the tuple (0,0) of records 0–2 has masked record 0 as its unique
+// nearest neighbour, and the first change moves that record away, so the
+// DBRL state must rescan the whole tuple. In the second every original
+// record holds the same tuple (D = 1). Both run Apply/ApplyUndo/Undo
+// chains, narrow and past the break-even, against the pairwise oracles.
+func TestLinkageStateTupleEdges(t *testing.T) {
+	rescan := tupleFixture("rescan", 5,
+		[][]int{{0, 0}, {0, 0}, {0, 0}, {4, 4}, {4, 4}, {2, 2}, {3, 1}, {1, 3}},
+		[][]int{{0, 0}, {1, 1}, {0, 2}, {4, 4}, {3, 4}, {2, 2}, {3, 1}, {1, 4}})
+	moveAway := []dataset.CellChange{{Row: 0, Col: 0, Old: 0, New: 4}}
+	st := (&DistanceLinkage{}).Prepare(rescan.orig, rescan.masked, rescan.attrs).(*dbrlState)
+	g := st.orig.of[0]
+	if st.orig.mult[g] != 3 || st.best[g] != 0 || st.count[g] != 1 {
+		t.Fatalf("rescan fixture: tuple (0,0) has %d records, nearest distance %d shared by %d; want 3, 0, 1",
+			st.orig.mult[g], st.best[g], st.count[g])
+	}
+	want := dbrlReference(rescan.orig, edited(rescan.masked, moveAway), rescan.attrs)
+	if got := (&DistanceLinkage{}).ApplyUndo(st, moveAway); got != want {
+		t.Fatalf("rescan fixture: ApplyUndo %v != pairwise reference %v", got, want)
+	}
+	// Masked records 1 and 2 now tie at half a category range.
+	if st.best[g] != scaleUnit/2 || st.count[g] != 2 {
+		t.Fatalf("rescan fixture: after the move, nearest distance %d shared by %d; want %d, 2", st.best[g], st.count[g], scaleUnit/2)
+	}
+
+	same := make([][]int, 10)
+	rng := rand.New(rand.NewPCG(71, 9))
+	masked := make([][]int, len(same))
+	for r := range same {
+		same[r] = []int{1, 2, 0}
+		masked[r] = []int{rng.IntN(3), rng.IntN(3), rng.IntN(3)}
+	}
+	single := tupleFixture("single-tuple", 3, same, masked)
+
+	for _, fx := range []linkageCase{rescan, single} {
+		for _, gr := range groupedReferences()[:2] {
+			st := gr.m.Prepare(fx.orig, fx.masked.Clone(), fx.attrs)
+			var tuples int
+			switch s := st.(type) {
+			case *dbrlState:
+				tuples = len(s.orig.mult)
+			case *prlState:
+				tuples = len(s.orig.mult)
+			}
+			if fx.name == "single-tuple" && tuples != 1 {
+				t.Fatalf("%s %s: %d original tuples, want 1", fx.name, gr.m.Name(), tuples)
+			}
+			if fx.name == "rescan" {
+				// Start the chain with the move that forces the rescan,
+				// speculatively and then committed.
+				want := gr.ref(fx.orig, edited(fx.masked, moveAway), fx.attrs)
+				if got := gr.m.ApplyUndo(st, moveAway); got != want {
+					t.Fatalf("%s %s: ApplyUndo %v != pairwise reference %v", fx.name, gr.m.Name(), got, want)
+				}
+				gr.m.Undo(st)
+				if got := gr.m.Apply(st.CloneState(), moveAway); got != want {
+					t.Fatalf("%s %s: Apply on a clone %v != pairwise reference %v", fx.name, gr.m.Name(), got, want)
+				}
+			}
+			cells := fx.orig.Rows() * len(fx.attrs)
+			if !linkageWide(t, st, randomChanges(fx.masked, fx.attrs, cells, 5)) {
+				t.Fatalf("%s %s: a list of %d cells is patched, not re-linked", fx.name, gr.m.Name(), cells)
+			}
+			checkChain(t, gr, st, fx, rand.New(rand.NewPCG(72, uint64(len(fx.name)))), 30, cells)
+		}
+	}
+}
+
+// TestLinkageStatesConcurrent drives clones of one prepared DBRL and one
+// PRL state from several goroutines at once, as parallel batch
+// evaluation does. The clones share the parent's original grouping
+// read-only; each runs narrow ApplyUndo/Undo pairs, one wide ApplyUndo
+// and narrow and wide Apply commits, and checks every value against a
+// full Risk of the edited file, so the pooled scratch alternates between
+// full Risk's own grouping and a state's.
+func TestLinkageStatesConcurrent(t *testing.T) {
+	fx := linkageGrid(rand.New(rand.NewPCG(62, 5)), 120, 3, "dup")
+	n := fx.orig.Rows()
+	for _, m := range []Reversible{&DistanceLinkage{}, &ProbabilisticLinkage{}} {
+		parent := m.Prepare(fx.orig, fx.masked.Clone(), fx.attrs)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				st := parent.CloneState()
+				rng := rand.New(rand.NewPCG(uint64(w), 63))
+				work := fx.masked.Clone()
+				check := func(step int, what string, got float64, d *dataset.Dataset) {
+					if want := m.Risk(fx.orig, d, fx.attrs); got != want {
+						t.Errorf("%s worker %d step %d: %s %v != full Risk %v", m.Name(), w, step, what, got, want)
+					}
+				}
+				for step := 0; step < 24; step++ {
+					width := 1 + rng.IntN(3)
+					if step == 5 || step == 15 { // one wide ApplyUndo, one wide commit
+						width = n / 2
+					}
+					spec := work.Clone()
+					changes := make([]dataset.CellChange, width)
+					for i := range changes {
+						changes[i] = dataset.RandomChange(rng, spec, fx.attrs)
+					}
+					if width == n/2 && !linkageWide(t, st, changes) {
+						t.Errorf("%s worker %d step %d: a %d-cell list is patched, not re-linked", m.Name(), w, step, width)
+					}
+					if step%5 == 0 && step != 5 { // every fifth list but the wide speculative one commits
+						check(step, "Apply", m.Apply(st, changes), spec)
+						work = spec
+						continue
+					}
+					check(step, "ApplyUndo", m.ApplyUndo(st, changes), spec)
+					m.Undo(st)
+					check(step, "after Undo", m.Apply(st, nil), work)
+				}
+			}(w)
+		}
+		wg.Wait()
+		if got, want := m.Apply(parent, nil), m.Risk(fx.orig, fx.masked, fx.attrs); got != want {
+			t.Fatalf("%s: parent state %v after its clones ran != full Risk %v", m.Name(), got, want)
+		}
+	}
 }

@@ -12,19 +12,23 @@ package risk
 //
 //   - ID keeps one integer (the disclosed-window count) and per-attribute
 //     contribution tables that depend only on the original file.
-//   - DBRL caches each original record's nearest-masked-record distance,
-//     tie count and true-match distance, computed at Prepare once per
-//     distinct tuple (grouped.go). A cell change moves one masked
-//     record, so exactly one distance per original record is replaced;
-//     only when the unique minimum is displaced upward does one row
-//     rescan (O(n)) occur — rare in practice, so a change costs
-//     ~O(n·attrs).
-//   - PRL caches each original record's histogram of agreement patterns
-//     against all masked records, built at Prepare once per distinct
-//     tuple and copied to the records sharing it. A cell change flips one
-//     pattern bit for the original records whose value matches the old or
-//     new category; EM then reruns over the (tiny) pattern tally and
-//     records are re-linked from their histograms in O(n·2^attrs).
+//   - DBRL and PRL group the original records by protected tuple once,
+//     at Prepare, and keep that compact grouping (grouped.go), which
+//     every clone shares read-only. Their rows are per distinct original
+//     tuple, since records sharing a tuple link alike; only the
+//     true-match summary is per record.
+//   - DBRL caches each original tuple's nearest-masked-record distance
+//     and tie count, and each record's true-match distance. A cell
+//     change moves one masked record, so exactly one distance per tuple
+//     is replaced; only when the unique minimum is displaced upward does
+//     that tuple rescan (O(n·attrs)), which is rare, so a change costs
+//     ~O(D·attrs) for D distinct original tuples.
+//   - PRL caches each original tuple's histogram of agreement patterns
+//     against all masked records and the pattern tally, in which each
+//     tuple counts once per record holding it. A cell change flips one
+//     pattern bit for the tuples whose value matches the old or new
+//     category; EM then reruns over the (tiny) pattern tally and records
+//     are re-linked from their tuples' histograms in O(D·2^attrs + n).
 //   - RSRL keeps the masked file's per-attribute category frequencies,
 //     mid-ranks, window intervals and candidate bitsets, plus per-profile
 //     candidate counts. A cell change shifts only the mid-ranks between the
@@ -34,15 +38,17 @@ package risk
 //     re-intersect (see rsrl_incremental.go).
 //
 // DBRL and PRL route each change list themselves. Patching costs grow
-// with the list, while a full re-link with the grouped kernel of their
-// Risk costs about D_orig·D_masked·attrs + n·attrs for D distinct
-// tuples, whatever the list. Each state counts both in per-attribute
-// comparisons, from the list and from the tuple counts of its last full
-// link, and re-links in full once patching would cost more: a wide
-// ApplyUndo writes the list into the state's masked columns only, scores
-// them with the kernel and leaves the rows or histograms untouched for
+// with the list, about D_orig·attrs per cell, while a full re-link with
+// the grouped kernel of their Risk costs about
+// D_orig·D_masked·attrs + n·attrs, whatever the list. Each state counts
+// both in per-attribute comparisons, from the list and from the tuple
+// counts of its last full link, and re-links in full once patching would
+// cost more: a wide ApplyUndo writes the list into the state's masked
+// columns only, scores them with the kernel against the state's own
+// original grouping and leaves the rows or histograms untouched for
 // Undo, which then restores just those columns; a wide Apply (a commit)
-// re-links and rebuilds the rows or histograms in place, as Prepare does.
+// re-links and rebuilds the rows or histograms in place, as Prepare
+// does. The original file never changes, so neither route re-groups it.
 // The estimate reads counts only, never a clock, so the route of every
 // call is deterministic, and both routes give bit-identical values.
 //
@@ -60,12 +66,16 @@ package risk
 // Measured at bench_test.go scale (500 records, on a 2-vCPU Xeon), a
 // single-cell RSRL Apply costs ~4.5µs against ~61µs for a full RSRL Risk,
 // which prepares a fresh state (~9x, BenchmarkRankIntervalLinkageDeltaSpeedup),
-// and runs allocation-free — the states keep reusable scratch buffers, so
+// and runs allocation-free. On 1000-record flare, german and adult files
+// a single-cell DBRL ApplyUndo+Undo costs ~9–23µs and a PRL one ~17–29µs
+// (BenchmarkLinkageDeltaPaperScale), against ~0.25–2.5ms and ~0.5–6ms
+// for their full Risk. The states keep reusable scratch buffers, so
 // cloning the state of a survivor whose parent lives on is the only
 // steady-state allocation of the delta chain.
 
 import (
 	"math"
+	"slices"
 
 	"evoprot/internal/dataset"
 )
@@ -244,14 +254,14 @@ type dbrlState struct {
 	n      int
 	attrs  []int
 	pos    map[int]int
-	oc     [][]int     // original protected columns, shared read-only
-	mc     [][]int     // masked protected columns, owned
-	tables []distTable // shared (schema-only)
-	// Per original record: distance to its nearest masked record, how
-	// many masked records tie at that distance, and the distance to its
-	// true masked counterpart.
-	best     []int64
-	count    []int32
+	orig   *tupleGroups // original records grouped by tuple, shared read-only
+	mc     [][]int      // masked protected columns, owned
+	tables []distTable  // shared (schema-only)
+	// Per original tuple: distance to its nearest masked record and how
+	// many masked records tie at that distance.
+	best  []int64
+	count []int64
+	// Per original record: the distance to its true masked counterpart.
 	trueDist []int64
 	// relinkCost is the estimated cost of a full grouped re-link, from
 	// the tuple counts of the last one (linkGroups.relinkCost).
@@ -264,19 +274,22 @@ type dbrlState struct {
 
 // CloneState implements State.
 func (s *dbrlState) CloneState() State {
-	out := &dbrlState{
-		n: s.n, attrs: s.attrs, pos: s.pos, oc: s.oc, tables: s.tables,
+	return &dbrlState{
+		n: s.n, attrs: s.attrs, pos: s.pos, orig: s.orig, tables: s.tables,
+		mc:         cloneColumns(s.mc),
+		best:       slices.Clone(s.best),
+		count:      slices.Clone(s.count),
+		trueDist:   slices.Clone(s.trueDist),
 		relinkCost: s.relinkCost, stale: s.stale,
 	}
-	out.mc = make([][]int, len(s.mc))
-	for a, col := range s.mc {
-		own := make([]int, len(col))
-		copy(own, col)
-		out.mc[a] = own
+}
+
+// cloneColumns returns an owned copy of the columns cols.
+func cloneColumns(cols [][]int) [][]int {
+	out := make([][]int, len(cols))
+	for a, col := range cols {
+		out[a] = slices.Clone(col)
 	}
-	out.best = append([]int64(nil), s.best...)
-	out.count = append([]int32(nil), s.count...)
-	out.trueDist = append([]int64(nil), s.trueDist...)
 	return out
 }
 
@@ -289,12 +302,12 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 	}
 	st := &dbrlState{
 		n: n, attrs: attrs, pos: make(map[int]int, len(attrs)),
-		oc: columnsInto(nil, orig, attrs), mc: columnsInto(nil, masked, attrs),
+		orig: groupOriginal(orig, attrs), mc: columnsInto(nil, masked, attrs),
 		tables:   distanceTables(orig, attrs),
-		best:     make([]int64, n),
-		count:    make([]int32, n),
 		trueDist: make([]int64, n),
 	}
+	st.best = make([]int64, len(st.orig.mult))
+	st.count = make([]int64, len(st.orig.mult))
 	for a, c := range attrs {
 		st.pos[c] = a
 	}
@@ -302,46 +315,36 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 	return st
 }
 
-// relink rebuilds every record's row from the masked columns in one
-// grouped pass.
+// relink rebuilds every tuple's row and every record's true-match
+// distance from the masked columns in one grouped pass.
 func (st *dbrlState) relink() {
-	lg := groupLinkage(st.oc, st.mc, st.n)
+	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	lg.nearest(st.tables)
+	lg.masked.group(st.mc, st.n)
+	lg.nearest(st.orig, st.tables)
+	copy(st.best, lg.best)
+	copy(st.count, lg.count)
 	for i := 0; i < st.n; i++ {
-		g := lg.orig.of[i]
-		st.best[i], st.count[i] = lg.best[g], int32(lg.count[g])
-		st.trueDist[i] = st.dist(i, i)
+		st.trueDist[i] = st.orig.distance(int(st.orig.of[i]), st.mc, i, st.tables)
 	}
-	st.relinkCost = lg.relinkCost(st.n, len(st.attrs))
+	st.relinkCost = lg.relinkCost(st.orig, st.n, len(st.attrs))
 	st.stale = false
 }
 
 // wide reports whether patching changes in and out again would cost more
 // than a full grouped re-link. Both are counted in per-attribute table
-// reads: a change re-sums the distance of every original record to the
+// reads: a change re-sums the distance of every original tuple to the
 // edited masked record, twice.
 func (st *dbrlState) wide(changes []dataset.CellChange) bool {
-	return 2*len(changes)*st.n*len(st.attrs) > st.relinkCost
+	return 2*len(changes)*len(st.orig.mult)*len(st.attrs) > st.relinkCost
 }
 
-// dist returns the mixed categorical distance between original record i
-// and masked record j under the state's current masked columns.
-func (s *dbrlState) dist(i, j int) int64 {
-	var d int64
-	for a := range s.tables {
-		d += s.tables[a].at(s.oc[a][i], s.mc[a][j])
-	}
-	return d
-}
-
-// rescan recomputes record i's nearest-distance and tie count from
-// scratch against the current masked columns.
-func (s *dbrlState) rescan(i int) {
-	best := int64(1) << 62
-	count := int32(0)
+// rescan recomputes tuple g's nearest distance and tie count from scratch
+// against the current masked columns.
+func (s *dbrlState) rescan(g int) {
+	best, count := int64(1)<<62, int64(0)
 	for j := 0; j < s.n; j++ {
-		d := s.dist(i, j)
+		d := s.orig.distance(g, s.mc, j, s.tables)
 		switch {
 		case d < best:
 			best, count = d, 1
@@ -349,68 +352,65 @@ func (s *dbrlState) rescan(i int) {
 			count++
 		}
 	}
-	s.best[i], s.count[i] = best, count
+	s.best[g], s.count[g] = best, count
 }
 
-// patchOne advances the per-record linkage rows by one cell change. The
-// rows are pure functions of the masked columns (minimum, multiplicity
-// and true-match distance of each record's distance multiset),
-// so replaying inverted changes in reverse restores them exactly.
+// patchOne advances the per-tuple rows and the true-match distances by
+// one cell change. The rows are pure functions of the masked columns
+// (minimum and multiplicity of each tuple's distance multiset, and each
+// record's true-match distance), so replaying inverted changes in
+// reverse restores them exactly.
 func (st *dbrlState) patchOne(ch dataset.CellChange) {
 	a0 := st.pos[ch.Col]
 	j0 := ch.Row
 	t := st.tables[a0]
+	o := st.orig
 	st.mc[a0][j0] = ch.New
-	for i := 0; i < st.n; i++ {
-		dOldA, dNewA := t.at(st.oc[a0][i], ch.Old), t.at(st.oc[a0][i], ch.New)
-		if dOldA == dNewA && i != j0 {
+	for g, u := range o.cols[a0] {
+		dOldA, dNewA := t.at(u, ch.Old), t.at(u, ch.New)
+		if dOldA == dNewA {
 			continue // the replaced distance is unchanged
 		}
 		var base int64
 		for a := range st.tables {
 			if a != a0 {
-				base += st.tables[a].at(st.oc[a][i], st.mc[a][j0])
+				base += st.tables[a].at(o.cols[a][g], st.mc[a][j0])
 			}
 		}
 		dOld, dNew := base+dOldA, base+dNewA
-		if i == j0 {
-			st.trueDist[i] = dNew
-		}
-		if dOld == dNew {
-			continue
-		}
-		// Replace one element of record i's distance multiset.
+		// Replace one element of tuple g's distance multiset.
 		switch {
-		case dOld > st.best[i]:
-			if dNew < st.best[i] {
-				st.best[i], st.count[i] = dNew, 1
-			} else if dNew == st.best[i] {
-				st.count[i]++
+		case dOld > st.best[g]:
+			if dNew < st.best[g] {
+				st.best[g], st.count[g] = dNew, 1
+			} else if dNew == st.best[g] {
+				st.count[g]++
 			}
-		default: // dOld == st.best[i]; dOld < best is impossible
-			if st.count[i] > 1 {
-				st.count[i]--
-				if dNew < st.best[i] {
-					st.best[i], st.count[i] = dNew, 1
-				} else if dNew == st.best[i] {
-					st.count[i]++
+		default: // dOld == st.best[g]; dOld < best is impossible
+			if st.count[g] > 1 {
+				st.count[g]--
+				if dNew < st.best[g] {
+					st.best[g], st.count[g] = dNew, 1
+				} else if dNew == st.best[g] {
+					st.count[g]++
 				}
 			} else if dNew <= dOld {
-				st.best[i] = dNew // still the unique minimum
+				st.best[g] = dNew // still the unique minimum
 			} else {
-				st.rescan(i) // the unique minimum moved away
+				st.rescan(g) // the unique minimum moved away
 			}
 		}
 	}
+	st.trueDist[j0] = o.distance(int(o.of[j0]), st.mc, j0, st.tables)
 }
 
 // value assembles the linkage percentage from the maintained rows with
 // the same arithmetic and record order as the full Risk.
 func (st *dbrlState) value() float64 {
 	credit := 0.0
-	for i := 0; i < st.n; i++ {
-		if st.trueDist[i] == st.best[i] {
-			credit += 1 / float64(st.count[i])
+	for i, g := range st.orig.of {
+		if st.trueDist[i] == st.best[g] {
+			credit += 1 / float64(st.count[g])
 		}
 	}
 	return 100 * credit / float64(st.n)
@@ -434,8 +434,9 @@ func (dl *DistanceLinkage) Apply(state State, changes []dataset.CellChange) floa
 }
 
 // ApplyUndo implements Reversible. A wide change list is written into the
-// masked columns alone and scored by the grouped kernel of full Risk,
-// leaving the rows to describe the unedited file.
+// masked columns alone and scored by the grouped kernel of full Risk
+// against the state's own original grouping, leaving the rows to
+// describe the unedited file.
 func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) float64 {
 	st := state.(*dbrlState)
 	if !st.wide(changes) {
@@ -448,7 +449,7 @@ func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) 
 	st.stale = true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	return dbrlGrouped(lg, st.oc, st.mc, st.tables, st.n)
+	return dbrlGrouped(lg, st.orig, st.mc, st.tables, st.n)
 }
 
 // Undo implements Reversible.
@@ -475,15 +476,16 @@ type prlState struct {
 	numAttrs int
 	iters    int
 	pos      map[int]int
-	oc       [][]int   // shared read-only
-	mc       [][]int   // owned
-	ocByCat  [][][]int // shared: per attr, per category, original record indices
-	// cnt[i*numPat+pat] counts masked records j with pattern(i,j) == pat
-	// for original record i; patCount aggregates cnt over all i (exact
-	// integers in float64).
+	orig     *tupleGroups // original records grouped by tuple, shared read-only
+	mc       [][]int      // owned
+	ocByCat  [][][]int32  // shared: per attr, per category, original tuple ids
+	// cnt[g*numPat+pat] counts masked records j with pattern(g,j) == pat
+	// for original tuple g; patCount aggregates cnt over all records,
+	// weighting each tuple by its multiplicity (exact integers in
+	// float64).
 	cnt      []int32
 	patCount []float64
-	truePat  []int32 // pattern(i, i) per record
+	truePat  []int32 // per original record i: pattern(i, i)
 	// relinkCost is the estimated cost of a full grouped re-link, from
 	// the tuple counts of the last one (linkGroups.relinkCost).
 	relinkCost int
@@ -491,29 +493,25 @@ type prlState struct {
 	// edits into mc only. Undo clears it; in a clone, the next Apply
 	// re-links.
 	stale bool
-	// Reusable EM and weight scratch of value and of wide ApplyUndo,
-	// lazily sized and never shared: CloneState leaves it empty, so
-	// steady-state Apply calls allocate nothing.
-	em   emScratch
-	undo undoLog // pending ApplyUndo journal; never shared by clones
+	// Reusable EM, weight and per-tuple link scratch of value and of
+	// wide ApplyUndo, lazily sized and never shared: CloneState leaves it
+	// empty, so steady-state Apply calls allocate nothing.
+	em    emScratch
+	bestW []float64 // per original tuple: highest weight of a masked record
+	ties  []int32   // per original tuple: masked records attaining bestW
+	undo  undoLog   // pending ApplyUndo journal; never shared by clones
 }
 
 // CloneState implements State.
 func (s *prlState) CloneState() State {
-	out := &prlState{
-		n: s.n, numAttrs: s.numAttrs, iters: s.iters, pos: s.pos, oc: s.oc, ocByCat: s.ocByCat,
+	return &prlState{
+		n: s.n, numAttrs: s.numAttrs, iters: s.iters, pos: s.pos, orig: s.orig, ocByCat: s.ocByCat,
+		mc:         cloneColumns(s.mc),
+		cnt:        slices.Clone(s.cnt),
+		patCount:   slices.Clone(s.patCount),
+		truePat:    slices.Clone(s.truePat),
 		relinkCost: s.relinkCost, stale: s.stale,
 	}
-	out.mc = make([][]int, len(s.mc))
-	for a, col := range s.mc {
-		own := make([]int, len(col))
-		copy(own, col)
-		out.mc[a] = own
-	}
-	out.cnt = append([]int32(nil), s.cnt...)
-	out.patCount = append([]float64(nil), s.patCount...)
-	out.truePat = append([]int32(nil), s.truePat...)
-	return out
 }
 
 // Prepare implements Incremental. The histograms come from one grouped
@@ -524,11 +522,14 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 		return nil
 	}
 	if 1<<len(attrs) > n {
-		// The per-record pattern histograms cost O(n·2^attrs) to store,
-		// clone and re-link; once the pattern space outgrows the record
-		// count the full recompute, O(n·attrs) grouping plus
-		// O(D_orig·D_masked·attrs) for D distinct tuples, is the cheaper
-		// path.
+		// Every value call runs EM over the 2^attrs patterns and scans
+		// the D×2^attrs tuple histograms, which also set the cost of a
+		// clone and a re-link, while a full recompute costs O(n·attrs)
+		// grouping plus O(D_orig·D_masked·attrs) for D distinct tuples.
+		// Once the pattern space outgrows the record count the full
+		// recompute is the cheaper path. The guard counts records, not
+		// tuples, so whether an evaluator holds a PRL state depends on
+		// the file's size and attributes only.
 		return nil
 	}
 	iters := pl.EMIters
@@ -538,55 +539,49 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 	numPat := 1 << len(attrs)
 	st := &prlState{
 		n: n, numAttrs: len(attrs), iters: iters,
-		pos: make(map[int]int, len(attrs)),
-		oc:  columnsInto(nil, orig, attrs), mc: columnsInto(nil, masked, attrs),
-		cnt:      make([]int32, n*numPat),
+		pos:  make(map[int]int, len(attrs)),
+		orig: groupOriginal(orig, attrs), mc: columnsInto(nil, masked, attrs),
 		patCount: make([]float64, numPat),
 		truePat:  make([]int32, n),
 	}
-	st.ocByCat = make([][][]int, len(attrs))
+	st.cnt = make([]int32, len(st.orig.mult)*numPat)
+	st.ocByCat = make([][][]int32, len(attrs))
 	for a, c := range attrs {
 		st.pos[c] = a
-		card := orig.Schema().Attr(c).Cardinality()
-		st.ocByCat[a] = make([][]int, card)
-		for i, v := range st.oc[a] {
-			st.ocByCat[a][v] = append(st.ocByCat[a][v], i)
-		}
+		st.ocByCat[a] = buckets(st.orig.cols[a], orig.Schema().Attr(c).Cardinality())
 	}
 	st.relink()
 	return st
 }
 
-// relink rebuilds every record's pattern histogram, the true-match
+// relink rebuilds every tuple's pattern histogram, the true-match
 // patterns and the pattern tally from the masked columns in one grouped
-// pass. Records sharing a tuple share a histogram row: each group's row
-// is built once, at its first record, and copied to the others.
+// pass.
 func (st *prlState) relink() {
 	numPat := 1 << st.numAttrs
-	lg := groupLinkage(st.oc, st.mc, st.n)
+	o := st.orig
+	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
+	lg.masked.group(st.mc, st.n)
 	clear(st.cnt)
 	clear(st.patCount)
-	for i := 0; i < st.n; i++ {
-		row := st.cnt[i*numPat : (i+1)*numPat]
-		g := lg.orig.of[i]
-		if f := int(lg.orig.first[g]); f == i {
-			lg.histogram(int(g), row)
-		} else {
-			copy(row, st.cnt[f*numPat:])
-		}
-		st.truePat[i] = int32(pattern(i, i, st.oc, st.mc))
+	for g, mult := range o.mult {
+		row := st.cnt[g*numPat : (g+1)*numPat]
+		lg.histogram(o, g, row)
 		for pat, c := range row {
-			st.patCount[pat] += float64(c)
+			st.patCount[pat] += float64(int64(c) * mult)
 		}
 	}
-	st.relinkCost = lg.relinkCost(st.n, st.numAttrs)
+	for i, g := range o.of {
+		st.truePat[i] = int32(o.pattern(int(g), st.mc, i))
+	}
+	st.relinkCost = lg.relinkCost(o, st.n, st.numAttrs)
 	st.stale = false
 }
 
 // wide reports whether patching changes in and out again would cost more
 // than a full grouped re-link, counted in per-attribute comparisons as
-// for DBRL: a change re-derives the pattern of every original record
+// for DBRL: a change re-derives the pattern of every original tuple
 // holding its old or new category, twice.
 func (st *prlState) wide(changes []dataset.CellChange) bool {
 	cost := 0
@@ -607,48 +602,52 @@ func (st *prlState) patchOne(ch dataset.CellChange) {
 	numPat := 1 << st.numAttrs
 	a0 := st.pos[ch.Col]
 	j0 := ch.Row
-	// Only original records agreeing with the old or new category see
+	o := st.orig
+	// Only original tuples agreeing with the old or new category see
 	// their pattern against masked record j0 flip bit a0.
 	for _, cat := range [2]int{ch.Old, ch.New} {
-		for _, i := range st.ocByCat[a0][cat] {
+		for _, g := range st.ocByCat[a0][cat] {
 			patOld := 0
-			for a := range st.oc {
+			for a, col := range o.cols {
 				v := st.mc[a][j0]
 				if a == a0 {
 					v = ch.Old
 				}
-				if st.oc[a][i] == v {
+				if col[g] == v {
 					patOld |= 1 << a
 				}
 			}
 			patNew := patOld &^ (1 << a0)
-			if st.oc[a0][i] == ch.New {
+			if o.cols[a0][g] == ch.New {
 				patNew |= 1 << a0
 			}
-			st.cnt[i*numPat+patOld]--
-			st.cnt[i*numPat+patNew]++
-			st.patCount[patOld]--
-			st.patCount[patNew]++
+			row := st.cnt[int(g)*numPat : (int(g)+1)*numPat]
+			row[patOld]--
+			row[patNew]++
+			mult := float64(o.mult[g])
+			st.patCount[patOld] -= mult
+			st.patCount[patNew] += mult
 		}
 	}
 	st.mc[a0][j0] = ch.New
 	// The true-match pattern of record j0 itself.
-	st.truePat[j0] = int32(pattern(j0, j0, st.oc, st.mc))
+	st.truePat[j0] = int32(o.pattern(int(o.of[j0]), st.mc, j0))
 }
 
 // value re-estimates and re-links from the pattern tallies — identical
 // inputs and arithmetic to the full Risk, so identical m/u estimates,
-// weights and credit.
+// weights and credit. Each tuple's strongest weight and tie count are
+// found once; credit is then summed in record order.
 func (st *prlState) value() float64 {
 	numPat := 1 << st.numAttrs
 	st.em.size(st.numAttrs)
 	weights := st.em.matchWeights(st.patCount, float64(st.n)*float64(st.n), float64(st.n), st.iters)
-	credit := 0.0
-	for i := 0; i < st.n; i++ {
-		row := st.cnt[i*numPat : (i+1)*numPat]
-		best := math.Inf(-1)
-		count := int32(0)
-		for pat, c := range row {
+	numOrig := len(st.orig.mult)
+	st.bestW = resize(st.bestW, numOrig)
+	st.ties = resize(st.ties, numOrig)
+	for g := range numOrig {
+		best, count := math.Inf(-1), int32(0)
+		for pat, c := range st.cnt[g*numPat : (g+1)*numPat] {
 			if c == 0 {
 				continue
 			}
@@ -660,8 +659,13 @@ func (st *prlState) value() float64 {
 				count += c
 			}
 		}
-		if weights[st.truePat[i]] == best && row[st.truePat[i]] > 0 {
-			credit += 1 / float64(count)
+		st.bestW[g], st.ties[g] = best, count
+	}
+	credit := 0.0
+	for i, g := range st.orig.of {
+		tp := st.truePat[i]
+		if weights[tp] == st.bestW[g] && st.cnt[int(g)*numPat+int(tp)] > 0 {
+			credit += 1 / float64(st.ties[g])
 		}
 	}
 	return 100 * credit / float64(st.n)
@@ -685,8 +689,9 @@ func (pl *ProbabilisticLinkage) Apply(state State, changes []dataset.CellChange)
 }
 
 // ApplyUndo implements Reversible. A wide change list is written into the
-// masked columns alone and scored by the grouped kernel of full Risk,
-// leaving the histograms to describe the unedited file.
+// masked columns alone and scored by the grouped kernel of full Risk
+// against the state's own original grouping, leaving the histograms to
+// describe the unedited file.
 func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellChange) float64 {
 	st := state.(*prlState)
 	if !st.wide(changes) {
@@ -699,7 +704,7 @@ func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellCha
 	st.stale = true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	return prlGrouped(lg, &st.em, st.oc, st.mc, st.n, st.iters)
+	return prlGrouped(lg, &st.em, st.orig, st.mc, st.n, st.iters)
 }
 
 // Undo implements Reversible. The EM re-estimation and re-link are pure

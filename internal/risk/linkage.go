@@ -25,24 +25,22 @@ func (dl *DistanceLinkage) Risk(orig, masked *dataset.Dataset, attrs []int) floa
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
 	oc, mc := lg.columns(orig, masked, attrs)
-	return dbrlGrouped(lg, oc, mc, distanceTables(orig, attrs), n)
+	lg.orig.group(oc, n)
+	return dbrlGrouped(lg, &lg.orig, mc, distanceTables(orig, attrs), n)
 }
 
-// dbrlGrouped is DBRL over the protected columns oc (original) and mc
-// (masked) of n records. It is the kernel of full Risk and of the delta
-// state's wide edits. Nearest distances and tie counts depend only on
-// tuples, so it groups the records into lg first (grouped.go).
-func dbrlGrouped(lg *linkGroups, oc, mc [][]int, tables []distTable, n int) float64 {
-	lg.group(oc, mc, n)
-	lg.nearest(tables)
+// dbrlGrouped is DBRL of the n original records grouped in o against the
+// masked protected columns mc. It is the kernel of full Risk, which
+// passes its pooled grouping, and of the delta state's wide edits, which
+// pass the state's own. Nearest distances and tie counts depend only on
+// tuples, so it groups the masked records into lg first (grouped.go).
+func dbrlGrouped(lg *linkGroups, o *tupleGroups, mc [][]int, tables []distTable, n int) float64 {
+	lg.masked.group(mc, n)
+	lg.nearest(o, tables)
 	credit := 0.0
 	for i := 0; i < n; i++ {
-		var d int64
-		for a := range tables {
-			d += tables[a].at(oc[a][i], mc[a][i])
-		}
 		// The true counterpart is among the nearest.
-		if g := lg.orig.of[i]; d == lg.best[g] {
+		if g := o.of[i]; o.distance(int(g), mc, i, tables) == lg.best[g] {
 			credit += 1 / float64(lg.count[g])
 		}
 	}

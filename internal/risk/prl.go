@@ -45,26 +45,28 @@ func (pl *ProbabilisticLinkage) Risk(orig, masked *dataset.Dataset, attrs []int)
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
 	oc, mc := lg.columns(orig, masked, attrs)
-	return prlGrouped(lg, &lg.em, oc, mc, n, iters)
+	lg.orig.group(oc, n)
+	return prlGrouped(lg, &lg.em, &lg.orig, mc, n, iters)
 }
 
-// prlGrouped is PRL over the protected columns oc (original) and mc
-// (masked) of n records with iters EM iterations. It is the kernel of
-// full Risk and of the delta state's wide edits; em is the caller's EM
+// prlGrouped is PRL of the n original records grouped in o against the
+// masked protected columns mc, with iters EM iterations. It is the kernel
+// of full Risk, which passes its pooled grouping, and of the delta
+// state's wide edits, which pass the state's own; em is the caller's EM
 // scratch. Agreement patterns depend only on tuples, so it groups the
-// records into lg first (grouped.go).
-func prlGrouped(lg *linkGroups, em *emScratch, oc, mc [][]int, n, iters int) float64 {
+// masked records into lg first (grouped.go).
+func prlGrouped(lg *linkGroups, em *emScratch, o *tupleGroups, mc [][]int, n, iters int) float64 {
 	// Tally agreement patterns over all n² pairs, n of them true matches.
-	lg.group(oc, mc, n)
-	em.size(len(oc))
+	lg.masked.group(mc, n)
+	em.size(len(mc))
 	clear(em.patCount)
-	lg.tally(em.patCount)
+	lg.tally(o, em.patCount)
 	weights := em.matchWeights(em.patCount, float64(n)*float64(n), float64(n), iters)
-	lg.strongest(weights)
+	lg.strongest(o, weights)
 	credit := 0.0
 	for i := 0; i < n; i++ {
 		// The true counterpart is among the strongest links.
-		if g := lg.orig.of[i]; weights[pattern(i, i, oc, mc)] == lg.bestW[g] {
+		if g := o.of[i]; weights[o.pattern(int(g), mc, i)] == lg.bestW[g] {
 			credit += 1 / float64(lg.count[g])
 		}
 	}
@@ -108,18 +110,6 @@ func (s *emScratch) matchWeights(patCount []float64, totalPairs, trueMatches flo
 		s.weights[pat] = w
 	}
 	return s.weights
-}
-
-// pattern returns the agreement bitmask between original record i and
-// masked record j: bit a is set when they agree on attribute a.
-func pattern(i, j int, oc, mc [][]int) int {
-	pat := 0
-	for a := range oc {
-		if oc[a][i] == mc[a][j] {
-			pat |= 1 << a
-		}
-	}
-	return pat
 }
 
 // emEstimate runs EM for the two-class mixture over agreement patterns,
