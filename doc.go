@@ -223,17 +223,21 @@
 // The paper's timing table (§3.2) shows fitness evaluation dominating run
 // time, yet each mutation changes a single cell and each crossover a gene
 // window. The engine therefore scores offspring incrementally, through
-// one route. Measures implementing the infoloss.Reversible /
-// risk.Reversible contract precompute a per-individual State
-// (contingency tables, distance sums, transition matrices,
+// one route. Measures implementing the one delta-state contract,
+// measure.Reversible in internal/measure, precompute a per-individual
+// State (contingency tables, distance sums, transition matrices,
 // nearest-neighbour, agreement-pattern and rank-window caches) and patch
 // it per changed cell. The whole default battery is reversible — CTBIL,
 // DBIL, EBIL, ID, DBRL, PRL and RSRL; the rank-window linkage patches its
 // category frequencies, mid-rank windows and candidate bitsets in place
 // and re-intersects only the record profiles a change actually touches
 // (~9x faster than a full RSRL evaluation, which prepares that state
-// afresh; see BenchmarkRankIntervalLinkageDeltaSpeedup). Initial populations are
-// delta-prepared inside the evaluation worker pool.
+// afresh; see BenchmarkRankIntervalLinkageDeltaSpeedup). The evaluator
+// resolves the battery once into one slot list, IL measures then DR
+// measures, and every route sums it in that order. An initial population
+// is prepared inside the evaluation worker pool, and each stateful
+// measure's value is read from the fresh state, so set-up scores every
+// individual once rather than twice.
 //
 // Each generation the engine stages its offspring, groups them by parent,
 // and score.Evaluator.EvaluateBatch scores each group against the
@@ -274,12 +278,13 @@
 // full/delta_ratio metric of the paper-scale speedup benchmark in
 // bench_test.go measures it).
 //
-// Full linkage still runs — once per seed protection when an engine
-// starts, for every crossover whose gene window touches more than half the
-// rows, and inside the DBRL and PRL states for every change list past
-// their own break-even — and there the two record linkages used to
-// dominate: DBRL and PRL compare every original record with every masked
-// record, O(n²·attrs). Both comparisons depend only on the two records'
+// Full linkage still runs — once per Prepare (for each seed protection
+// when an engine starts, and for a state-less individual the first time
+// it parents a narrow edit), for every crossover whose gene window
+// touches more than half the rows, and inside the DBRL and PRL states for
+// every change list past their own break-even — and there the two record
+// linkages used to dominate: DBRL and PRL compare every original record
+// with every masked record, O(n²·attrs). Both comparisons depend only on the two records'
 // protected tuples, and with a few protected attributes tuples repeat
 // (205 distinct original tuples among flare's 1066 records), so both
 // measures — full Risk, the Prepare of their delta states and their wide

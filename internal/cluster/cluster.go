@@ -49,8 +49,6 @@ import (
 const (
 	// DefaultLeaseTTL is how long a lease survives without a renewal.
 	DefaultLeaseTTL = 15 * time.Second
-	// acquirePoll is how often a long-polling acquire rechecks the queue.
-	acquirePoll = 20 * time.Millisecond
 )
 
 // Config configures a Coordinator.
@@ -241,35 +239,39 @@ func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad lease request: %v", err), http.StatusBadRequest)
 		return
 	}
-	deadline := time.Now().Add(time.Duration(req.WaitMillis) * time.Millisecond)
+	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(req.WaitMillis)*time.Millisecond)
+	defer cancel()
 	for {
-		if c.queue.Closed() {
-			http.Error(w, "coordinator shutting down", http.StatusServiceUnavailable)
-			return
-		}
-		if id, pri, ok := c.queue.TryPop(); ok {
-			// A job cancelled while queued is finalized but still in the
-			// queue; skip it like the in-process pool's claim does.
-			if st, known := c.srv.JobSnapshot(id); !known || st.State != serve.StateQueued {
-				continue
+		id, pri, ok := c.queue.Pop(ctx)
+		if !ok {
+			// Only Stop closes the queue, and it marks the coordinator
+			// stopping first; otherwise the wait ran out.
+			if c.stopping() {
+				http.Error(w, "coordinator shutting down", http.StatusServiceUnavailable)
+			} else {
+				w.WriteHeader(http.StatusNoContent)
 			}
-			l := c.grant(id, req.Worker, pri)
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(Lease{Job: l.job, Token: l.token, TTLMillis: c.cfg.LeaseTTL.Milliseconds()})
 			return
 		}
-		if !time.Now().Before(deadline) {
-			w.WriteHeader(http.StatusNoContent)
-			return
+		// A job cancelled while queued is finalized but still in the
+		// queue; skip it like the in-process pool's claim does.
+		if st, known := c.srv.JobSnapshot(id); !known || st.State != serve.StateQueued {
+			continue
 		}
-		select {
-		case <-c.stop:
-			http.Error(w, "coordinator shutting down", http.StatusServiceUnavailable)
-			return
-		case <-r.Context().Done():
-			return
-		case <-time.After(acquirePoll):
-		}
+		l := c.grant(id, req.Worker, pri)
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(Lease{Job: l.job, Token: l.token, TTLMillis: c.cfg.LeaseTTL.Milliseconds()})
+		return
+	}
+}
+
+// stopping reports whether Stop has been called.
+func (c *Coordinator) stopping() bool {
+	select {
+	case <-c.stop:
+		return true
+	default:
+		return false
 	}
 }
 

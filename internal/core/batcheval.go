@@ -3,12 +3,15 @@ package core
 // Generation-batch offspring evaluation, the engine's one offspring
 // route. A generation's offspring are staged first, grouped by parent,
 // and each group is scored against the parent's own state through
-// score.EvaluateBatch: the measures' reversible (apply/undo) capability
-// advances the state by the change list, reads the value, and rolls back,
+// score.EvaluateBatch: each measure's delta state (the measure.Reversible
+// contract) advances by the change list, is read, and rolls back,
 // touching memory proportional to the edit instead of the file. A measure
 // without a state (such as ML utility) is recomputed in full per
 // offspring inside the same call, and so is every wide-edit offspring.
-// Only the offspring that actually survive replacement are handed a state
+// The initial population arrives with the states its set-up scoring was
+// read from (score.EvaluateAllPrepared); resumed individuals and wide-edit
+// survivors carry none until they first parent a narrow edit. Only the
+// offspring that actually survive replacement are handed a state
 // afterwards — the evicted parent's own state advanced in place when
 // possible, a clone otherwise.
 //

@@ -1,97 +1,46 @@
 package infoloss
 
-// Incremental (delta) evaluation: the evolutionary engine's operators
-// change one cell (mutation) or a gene window (crossover) of an otherwise
-// already-scored dataset, so rescoring from scratch wastes almost all of
-// its work. Measures that can do better implement Reversible: Prepare
-// builds a per-masked-file State whose summaries (contingency tables,
-// distance sums, transition matrices) support O(changes) patching, Apply
-// advances the state by a change list and returns the new value, and
-// ApplyUndo/Undo do the same with rollback.
-//
+// Delta states of the information-loss battery. The contract (State,
+// Prepare, Apply, ApplyUndo, Undo) is declared once in internal/measure.
 // Every state stores exact integer summaries and funnels them through the
-// same value helpers the full Loss methods use (ctbilValue, dbilValue,
-// ebilTerm), so a delta-evaluated value is bit-for-bit identical to a full
-// recompute — the property internal/score relies on and the equivalence
-// tests assert.
+// value helpers of the full Loss methods (ctbilValue, dbilValue,
+// ebilTerm), so a delta value is bit-for-bit identical to a full
+// recompute. All three states are pure functions of the masked columns
+// (given the shared original), so Undo rewinds a measure.Journal through
+// the same exact integer patches.
 
 import (
 	"evoprot/internal/dataset"
+	"evoprot/internal/measure"
 	"evoprot/internal/stats"
 )
 
-// State is an opaque per-masked-dataset summary maintained by a
-// Reversible measure. States are single-goroutine values; use Clone to
-// branch one (e.g. for an offspring that may be discarded).
-type State interface {
-	// CloneState returns an independent deep copy.
-	CloneState() State
-}
+// State is measure.State. The alias and Incremental remain only for
+// the benchmark's trace shims (perfbench/trace.go), which name them.
+type State = measure.State
 
-// Incremental is the Prepare/Apply half of Reversible: rescoring a masked
-// dataset in time proportional to the number of changed cells rather than
-// the dataset size. Evaluators build states only for Reversible measures;
-// a measure implementing Incremental alone is recomputed in full.
+// Incremental is the Prepare/Apply half of measure.Reversible.
+// Evaluators build states only for Reversible measures.
 type Incremental interface {
 	Measure
-	// Prepare builds the incremental state for masked against orig over
-	// the protected attrs. A nil state means the measure cannot run
-	// incrementally under its current configuration; callers must fall
-	// back to Loss.
 	Prepare(orig, masked *dataset.Dataset, attrs []int) State
-	// Apply advances state by the given cell changes — which must describe
-	// edits to the state's masked file, applied in order — and returns the
-	// measure's value for the edited file. An empty change list returns
-	// the current value. Apply must not retain changes: callers reuse the
-	// backing array across calls.
 	Apply(state State, changes []dataset.CellChange) float64
 }
 
-// Reversible is the measure-state contract of delta evaluation: states
-// that advance by a change list and then roll back exactly — the
-// primitive behind generation-batch evaluation (score.Evaluator
-// EvaluateBatch), which scores every offspring of a generation against
-// one shared parent state with undo instead of cloning the state per
-// offspring.
-//
-// All three info-loss states are pure functions of the masked columns
-// (given the shared original), so undo replays the change list's
-// inversions in reverse order through the same exact integer patches:
-// the restored state is bit-for-bit the pre-ApplyUndo state.
+// Reversible is an information-loss Measure with the delta-state
+// contract of measure.Reversible.
 type Reversible interface {
-	Incremental
-	// ApplyUndo is Apply with rollback armed: it advances state by
-	// changes, returns the measure's value for the edited file, and
-	// journals enough to restore the state exactly. At most one
-	// ApplyUndo may be pending per state; Undo (or a plain Apply,
-	// which commits the pending changes) must intervene before the next.
-	ApplyUndo(state State, changes []dataset.CellChange) float64
-	// Undo rolls back the pending ApplyUndo, restoring the state bit
-	// for bit. With no pending ApplyUndo it is a no-op.
-	Undo(state State)
+	Measure
+	measure.Reversible
 }
 
 // Compile-time capability checks: the whole default battery is
-// incremental and reversible.
+// reversible.
 var (
 	_ Reversible = (*CTBIL)(nil)
 	_ Reversible = (*DBIL)(nil)
 	_ Reversible = (*EBIL)(nil)
 )
-
-// undoLog is the shared journal of the info-loss states: a copy of the
-// pending change list, replayed inverted and in reverse by Undo. The
-// buffer is owned by the state and reused across generations.
-type undoLog struct {
-	changes []dataset.CellChange
-	active  bool
-}
-
-// arm records the pending change list. Apply without undo disarms.
-func (u *undoLog) arm(changes []dataset.CellChange) {
-	u.changes = append(u.changes[:0], changes...)
-	u.active = true
-}
 
 // --- CTBIL ---
 
@@ -111,10 +60,10 @@ type ctbilState struct {
 	attrs  []int
 	pos    map[int]int // column index -> position in attrs
 	tables []*ctbilTable
-	byPos  [][]int // attr position -> indices of tables containing it
-	mc     [][]int // masked protected columns, by attr position; owned
-	l1     []int   // Apply scratch, lazily built, never shared by clones
-	undo   undoLog // pending ApplyUndo journal; never shared by clones
+	byPos  [][]int         // attr position -> indices of tables containing it
+	mc     [][]int         // masked protected columns, by attr position; owned
+	l1     []int           // Apply scratch, lazily built, never shared by clones
+	undo   measure.Journal // pending ApplyUndo; never shared by clones
 }
 
 // CloneState implements State.
@@ -207,7 +156,7 @@ func (st *ctbilState) patchOne(ch dataset.CellChange) {
 // ApplyUndo: the journaled changes become permanent.
 func (c *CTBIL) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*ctbilState)
-	st.undo.active = false
+	st.undo.Disarm()
 	for _, ch := range changes {
 		st.patchOne(ch)
 	}
@@ -223,20 +172,14 @@ func (c *CTBIL) Apply(state State, changes []dataset.CellChange) float64 {
 // ApplyUndo implements Reversible.
 func (c *CTBIL) ApplyUndo(state State, changes []dataset.CellChange) float64 {
 	v := c.Apply(state, changes)
-	state.(*ctbilState).undo.arm(changes)
+	state.(*ctbilState).undo.Arm(changes)
 	return v
 }
 
 // Undo implements Reversible.
 func (c *CTBIL) Undo(state State) {
 	st := state.(*ctbilState)
-	if !st.undo.active {
-		return
-	}
-	st.undo.active = false
-	for k := len(st.undo.changes) - 1; k >= 0; k-- {
-		st.patchOne(st.undo.changes[k].Inverted())
-	}
+	st.undo.Rewind(st.patchOne)
 }
 
 // bump adjusts one masked cell count by ±1, keeping the L1 distance to the
@@ -259,8 +202,8 @@ type dbilState struct {
 	orig  *dataset.Dataset // read-only
 	attrs []int
 	pos   map[int]int
-	sums  []int64 // per attr position: rank-displacement sum or mismatch count
-	undo  undoLog // pending ApplyUndo journal; never shared by clones
+	sums  []int64         // per attr position: rank-displacement sum or mismatch count
+	undo  measure.Journal // pending ApplyUndo; never shared by clones
 }
 
 // CloneState implements State.
@@ -317,7 +260,7 @@ func (st *dbilState) patchOne(ch dataset.CellChange) {
 // ApplyUndo.
 func (d *DBIL) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*dbilState)
-	st.undo.active = false
+	st.undo.Disarm()
 	for _, ch := range changes {
 		st.patchOne(ch)
 	}
@@ -327,20 +270,14 @@ func (d *DBIL) Apply(state State, changes []dataset.CellChange) float64 {
 // ApplyUndo implements Reversible.
 func (d *DBIL) ApplyUndo(state State, changes []dataset.CellChange) float64 {
 	v := d.Apply(state, changes)
-	state.(*dbilState).undo.arm(changes)
+	state.(*dbilState).undo.Arm(changes)
 	return v
 }
 
 // Undo implements Reversible.
 func (d *DBIL) Undo(state State) {
 	st := state.(*dbilState)
-	if !st.undo.active {
-		return
-	}
-	st.undo.active = false
-	for k := len(st.undo.changes) - 1; k >= 0; k-- {
-		st.patchOne(st.undo.changes[k].Inverted())
-	}
+	st.undo.Rewind(st.patchOne)
 }
 
 // --- EBIL ---
@@ -350,10 +287,10 @@ type ebilState struct {
 	orig  *dataset.Dataset // read-only
 	attrs []int
 	pos   map[int]int
-	joint [][][]int // per attr position (nil when card < 2): card x card
-	terms []float64 // cached ebilTerm per attr position
-	dirty []bool    // Apply scratch, lazily built, never shared by clones
-	undo  undoLog   // pending ApplyUndo journal; never shared by clones
+	joint [][][]int       // per attr position (nil when card < 2): card x card
+	terms []float64       // cached ebilTerm per attr position
+	dirty []bool          // Apply scratch, lazily built, never shared by clones
+	undo  measure.Journal // pending ApplyUndo; never shared by clones
 }
 
 // CloneState implements State.
@@ -434,7 +371,7 @@ func (st *ebilState) refreshTerms() {
 // ApplyUndo.
 func (e *EBIL) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*ebilState)
-	st.undo.active = false
+	st.undo.Disarm()
 	if st.dirty == nil {
 		st.dirty = make([]bool, len(st.attrs))
 	}
@@ -460,19 +397,14 @@ func (e *EBIL) Apply(state State, changes []dataset.CellChange) float64 {
 // ApplyUndo implements Reversible.
 func (e *EBIL) ApplyUndo(state State, changes []dataset.CellChange) float64 {
 	v := e.Apply(state, changes)
-	state.(*ebilState).undo.arm(changes)
+	state.(*ebilState).undo.Arm(changes)
 	return v
 }
 
 // Undo implements Reversible.
 func (e *EBIL) Undo(state State) {
 	st := state.(*ebilState)
-	if !st.undo.active {
-		return
+	if st.undo.Rewind(st.patchOne) {
+		st.refreshTerms()
 	}
-	st.undo.active = false
-	for k := len(st.undo.changes) - 1; k >= 0; k-- {
-		st.patchOne(st.undo.changes[k].Inverted())
-	}
-	st.refreshTerms()
 }

@@ -1,12 +1,9 @@
 package risk
 
-// Incremental (delta) evaluation for the disclosure-risk battery. See the
-// twin file internal/infoloss/incremental.go for the overall contract:
-// Prepare builds a per-masked-file State, Apply advances it by a cell
-// change list and returns the measure's value, ApplyUndo/Undo do the same
-// with rollback, and every state keeps
-// exact integer summaries so delta values are bit-for-bit identical to a
-// full recompute.
+// Delta states of the disclosure-risk battery. The contract (State,
+// Prepare, Apply, ApplyUndo, Undo) is declared once in internal/measure;
+// every state keeps exact integer summaries, so delta values are
+// bit-for-bit identical to a full recompute.
 //
 // Coverage:
 //
@@ -52,16 +49,12 @@ package risk
 // The estimate reads counts only, never a clock, so the route of every
 // call is deterministic, and both routes give bit-identical values.
 //
-// All four measures are also Reversible: ApplyUndo journals enough to
-// roll a change list back exactly, so generation-batch evaluation
-// (score.Evaluator.EvaluateBatch) can score every offspring of a
-// generation against one shared parent state instead of cloning it per
-// offspring. ID, DBRL and PRL undo by replaying the inverted change list
-// in reverse through the same exact integer patches (their summaries are
-// pure functions of the masked columns), or after a wide DBRL or PRL
-// ApplyUndo by restoring the masked columns alone; RSRL undoes through
-// word-level bitset-diff journaling plus scalar row snapshots (see
-// rsrl_incremental.go), skipping the candidate re-intersections entirely.
+// Undo: ID, DBRL and PRL rewind a measure.Journal, replaying the
+// inverted change list in reverse through the same exact integer patches
+// (their summaries are pure functions of the masked columns), or after a
+// wide DBRL or PRL ApplyUndo through the masked columns alone. RSRL keeps
+// its own journal of word-level bitset diffs plus scalar row snapshots
+// (see rsrl_incremental.go), skipping the candidate re-intersections.
 //
 // Measured at bench_test.go scale (500 records, on a 2-vCPU Xeon), a
 // single-cell RSRL Apply costs ~4.5µs against ~61µs for a full RSRL Risk,
@@ -78,55 +71,30 @@ import (
 	"slices"
 
 	"evoprot/internal/dataset"
+	"evoprot/internal/measure"
 )
 
-// State is an opaque per-masked-dataset summary maintained by a
-// Reversible measure. States are single-goroutine values; use CloneState
-// to branch one.
-type State interface {
-	// CloneState returns an independent deep copy.
-	CloneState() State
-}
+// State is measure.State. The alias and Incremental remain only for
+// the benchmark's trace shims (perfbench/trace.go), which name them.
+type State = measure.State
 
-// Incremental is the Prepare/Apply half of Reversible: rescoring a masked
-// dataset in time roughly proportional to the number of changed cells
-// rather than quadratic in the dataset size. Evaluators build states only
-// for Reversible measures; a measure implementing Incremental alone is
-// recomputed in full.
+// Incremental is the Prepare/Apply half of measure.Reversible.
+// Evaluators build states only for Reversible measures.
 type Incremental interface {
 	Measure
-	// Prepare builds the incremental state for masked against orig over
-	// the protected attrs. A nil state means the measure cannot run
-	// incrementally under its current configuration; callers must fall
-	// back to Risk.
 	Prepare(orig, masked *dataset.Dataset, attrs []int) State
-	// Apply advances state by the given cell changes — which must describe
-	// edits to the state's masked file, applied in order — and returns the
-	// measure's value for the edited file. An empty change list returns
-	// the current value. Apply must not retain changes: callers reuse the
-	// backing array across calls.
 	Apply(state State, changes []dataset.CellChange) float64
 }
 
-// Reversible is the measure-state contract of delta evaluation: states
-// that advance by a change list and then roll back exactly — the
-// primitive behind generation-batch evaluation. See the twin interface
-// in internal/infoloss for the full contract.
+// Reversible is a disclosure-risk Measure with the delta-state contract
+// of measure.Reversible.
 type Reversible interface {
-	Incremental
-	// ApplyUndo is Apply with rollback armed: it advances state by
-	// changes, returns the measure's value for the edited file, and
-	// journals enough to restore the state exactly. At most one
-	// ApplyUndo may be pending per state; Undo (or a plain Apply,
-	// which commits the pending changes) must intervene before the next.
-	ApplyUndo(state State, changes []dataset.CellChange) float64
-	// Undo rolls back the pending ApplyUndo, restoring the state bit
-	// for bit. With no pending ApplyUndo it is a no-op.
-	Undo(state State)
+	Measure
+	measure.Reversible
 }
 
 // Compile-time capability checks: the whole default battery is
-// incremental and reversible.
+// reversible.
 var (
 	_ Reversible = (*IntervalDisclosure)(nil)
 	_ Reversible = (*DistanceLinkage)(nil)
@@ -134,35 +102,11 @@ var (
 	_ Reversible = (*RankIntervalLinkage)(nil)
 )
 
-// undoLog is the inverse-replay journal of the ID/DBRL/PRL states: a
-// copy of the pending change list, replayed inverted and in reverse by
-// Undo. The buffer is owned by the state and reused across generations.
-type undoLog struct {
-	changes []dataset.CellChange
-	active  bool
-}
-
-// arm records the pending change list. Apply without undo disarms.
-func (u *undoLog) arm(changes []dataset.CellChange) {
-	u.changes = append(u.changes[:0], changes...)
-	u.active = true
-}
-
 // setCells writes changes, in order, into the protected columns mc, where
 // pos maps a dataset column to its position in mc.
 func setCells(mc [][]int, pos map[int]int, changes []dataset.CellChange) {
 	for _, ch := range changes {
 		mc[pos[ch.Col]][ch.Row] = ch.New
-	}
-}
-
-// restoreCells writes the pending changes' old values back into mc, last
-// change first: the whole rollback of a wide ApplyUndo, which touches
-// nothing else.
-func (u *undoLog) restoreCells(mc [][]int, pos map[int]int) {
-	for k := len(u.changes) - 1; k >= 0; k-- {
-		ch := u.changes[k]
-		mc[pos[ch.Col]][ch.Row] = ch.Old
 	}
 }
 
@@ -176,13 +120,13 @@ type idState struct {
 	pos       map[int]int
 	contrib   [][][]int // per attr position: card x card, shared (orig-only)
 	disclosed int
-	undo      undoLog // pending ApplyUndo journal; never shared by clones
+	undo      measure.Journal // pending ApplyUndo; never shared by clones
 }
 
 // CloneState implements State.
 func (s *idState) CloneState() State {
 	out := *s
-	out.undo = undoLog{}
+	out.undo = measure.Journal{}
 	return &out
 }
 
@@ -222,7 +166,7 @@ func (s *idState) patchOne(ch dataset.CellChange) {
 // ApplyUndo.
 func (id *IntervalDisclosure) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*idState)
-	st.undo.active = false
+	st.undo.Disarm()
 	for _, ch := range changes {
 		st.patchOne(ch)
 	}
@@ -232,20 +176,14 @@ func (id *IntervalDisclosure) Apply(state State, changes []dataset.CellChange) f
 // ApplyUndo implements Reversible.
 func (id *IntervalDisclosure) ApplyUndo(state State, changes []dataset.CellChange) float64 {
 	v := id.Apply(state, changes)
-	state.(*idState).undo.arm(changes)
+	state.(*idState).undo.Arm(changes)
 	return v
 }
 
 // Undo implements Reversible.
 func (id *IntervalDisclosure) Undo(state State) {
 	st := state.(*idState)
-	if !st.undo.active {
-		return
-	}
-	st.undo.active = false
-	for k := len(st.undo.changes) - 1; k >= 0; k-- {
-		st.patchOne(st.undo.changes[k].Inverted())
-	}
+	st.undo.Rewind(st.patchOne)
 }
 
 // --- DBRL (distance-based record linkage) ---
@@ -269,7 +207,7 @@ type dbrlState struct {
 	// stale marks rows that lag mc: a wide ApplyUndo wrote its edits into
 	// mc only. Undo clears it; in a clone, the next Apply re-links.
 	stale bool
-	undo  undoLog // pending ApplyUndo journal; never shared by clones
+	undo  measure.Journal // pending ApplyUndo; never shared by clones
 }
 
 // CloneState implements State.
@@ -421,7 +359,7 @@ func (st *dbrlState) value() float64 {
 // the rows in full instead of patching them.
 func (dl *DistanceLinkage) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*dbrlState)
-	st.undo.active = false
+	st.undo.Disarm()
 	if st.stale || st.wide(changes) {
 		setCells(st.mc, st.pos, changes)
 		st.relink()
@@ -441,11 +379,11 @@ func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) 
 	st := state.(*dbrlState)
 	if !st.wide(changes) {
 		v := dl.Apply(state, changes)
-		st.undo.arm(changes)
+		st.undo.Arm(changes)
 		return v
 	}
 	setCells(st.mc, st.pos, changes)
-	st.undo.arm(changes)
+	st.undo.Arm(changes)
 	st.stale = true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
@@ -455,18 +393,13 @@ func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) 
 // Undo implements Reversible.
 func (dl *DistanceLinkage) Undo(state State) {
 	st := state.(*dbrlState)
-	if !st.undo.active {
-		return
-	}
-	st.undo.active = false
 	if st.stale {
-		st.undo.restoreCells(st.mc, st.pos)
-		st.stale = false
+		if st.undo.Rewind(func(ch dataset.CellChange) { st.mc[st.pos[ch.Col]][ch.Row] = ch.New }) {
+			st.stale = false
+		}
 		return
 	}
-	for k := len(st.undo.changes) - 1; k >= 0; k-- {
-		st.patchOne(st.undo.changes[k].Inverted())
-	}
+	st.undo.Rewind(st.patchOne)
 }
 
 // --- PRL (probabilistic record linkage) ---
@@ -497,9 +430,9 @@ type prlState struct {
 	// wide ApplyUndo, lazily sized and never shared: CloneState leaves it
 	// empty, so steady-state Apply calls allocate nothing.
 	em    emScratch
-	bestW []float64 // per original tuple: highest weight of a masked record
-	ties  []int32   // per original tuple: masked records attaining bestW
-	undo  undoLog   // pending ApplyUndo journal; never shared by clones
+	bestW []float64       // per original tuple: highest weight of a masked record
+	ties  []int32         // per original tuple: masked records attaining bestW
+	undo  measure.Journal // pending ApplyUndo; never shared by clones
 }
 
 // CloneState implements State.
@@ -676,7 +609,7 @@ func (st *prlState) value() float64 {
 // the histograms in full instead of patching them.
 func (pl *ProbabilisticLinkage) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*prlState)
-	st.undo.active = false
+	st.undo.Disarm()
 	if st.stale || st.wide(changes) {
 		setCells(st.mc, st.pos, changes)
 		st.relink()
@@ -696,11 +629,11 @@ func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellCha
 	st := state.(*prlState)
 	if !st.wide(changes) {
 		v := pl.Apply(state, changes)
-		st.undo.arm(changes)
+		st.undo.Arm(changes)
 		return v
 	}
 	setCells(st.mc, st.pos, changes)
-	st.undo.arm(changes)
+	st.undo.Arm(changes)
 	st.stale = true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
@@ -712,16 +645,11 @@ func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellCha
 // after a wide ApplyUndo, only the masked columns.
 func (pl *ProbabilisticLinkage) Undo(state State) {
 	st := state.(*prlState)
-	if !st.undo.active {
-		return
-	}
-	st.undo.active = false
 	if st.stale {
-		st.undo.restoreCells(st.mc, st.pos)
-		st.stale = false
+		if st.undo.Rewind(func(ch dataset.CellChange) { st.mc[st.pos[ch.Col]][ch.Row] = ch.New }) {
+			st.stale = false
+		}
 		return
 	}
-	for k := len(st.undo.changes) - 1; k >= 0; k-- {
-		st.patchOne(st.undo.changes[k].Inverted())
-	}
+	st.undo.Rewind(st.patchOne)
 }

@@ -11,8 +11,8 @@ package score
 // state), so they shard across a worker pool.
 //
 // Results are bit-for-bit identical to Evaluate of each child: Undo
-// restores states exactly (property-tested per measure), and the
-// accumulation below mirrors Evaluate's battery order.
+// restores states exactly (property-tested per measure), and the battery
+// is summed by the same slot walk Evaluate uses.
 
 import (
 	"fmt"
@@ -20,8 +20,6 @@ import (
 	"sync/atomic"
 
 	"evoprot/internal/dataset"
-	"evoprot/internal/infoloss"
-	"evoprot/internal/risk"
 )
 
 // BatchOffspring is one candidate dataset derived from a batch group's
@@ -63,13 +61,8 @@ type BatchGroup struct {
 // any full recompute. It is informational: EvaluateBatch works either way,
 // recomputing a measure without the capability in full per offspring.
 func (e *Evaluator) Batchable() bool {
-	for _, m := range e.cfg.IL {
-		if _, ok := m.(infoloss.Reversible); !ok {
-			return false
-		}
-	}
-	for _, m := range e.cfg.DR {
-		if _, ok := m.(risk.Reversible); !ok {
+	for _, s := range e.slots {
+		if s.rev == nil {
 			return false
 		}
 	}
@@ -93,9 +86,9 @@ func (e *Evaluator) EvaluateBatch(groups []BatchGroup, workers int) error {
 		if st == nil {
 			continue // checked per offspring: only narrow edits need a state
 		}
-		if len(st.il) != len(e.cfg.IL) || len(st.dr) != len(e.cfg.DR) {
-			return fmt.Errorf("score: batch group %d state has %d+%d measure slots, evaluator has %d+%d",
-				g, len(st.il), len(st.dr), len(e.cfg.IL), len(e.cfg.DR))
+		if len(st.states) != len(e.slots) {
+			return fmt.Errorf("score: batch group %d state has %d measure slots, evaluator has %d",
+				g, len(st.states), len(e.slots))
 		}
 	}
 	if workers > len(groups) {
@@ -169,40 +162,15 @@ func (e *Evaluator) evaluateGroup(grp *BatchGroup) error {
 		if st == nil {
 			return fmt.Errorf("score: batch group with a narrow-edit offspring has nil delta state")
 		}
-		ev := Evaluation{
-			ILParts: make(map[string]float64, len(e.cfg.IL)),
-			DRParts: make(map[string]float64, len(e.cfg.DR)),
-		}
-		// Accumulate in battery order, exactly like Evaluate. Prepare
-		// fills a slot only for a Reversible measure.
-		for i, m := range e.cfg.IL {
-			var v float64
-			if st.il[i] == nil {
-				v = m.Loss(e.orig, off.Child, e.attrs)
-			} else {
-				rev := m.(infoloss.Reversible)
-				v = rev.ApplyUndo(st.il[i], off.Changes)
-				rev.Undo(st.il[i])
+		off.Eval = e.evaluation(func(i int) float64 {
+			s := st.states[i]
+			if s == nil {
+				return e.slots[i].full(e.orig, off.Child, e.attrs)
 			}
-			ev.ILParts[m.Name()] = v
-			ev.IL += v
-		}
-		for i, m := range e.cfg.DR {
-			var v float64
-			if st.dr[i] == nil {
-				v = m.Risk(e.orig, off.Child, e.attrs)
-			} else {
-				rev := m.(risk.Reversible)
-				v = rev.ApplyUndo(st.dr[i], off.Changes)
-				rev.Undo(st.dr[i])
-			}
-			ev.DRParts[m.Name()] = v
-			ev.DR += v
-		}
-		ev.IL /= float64(len(e.cfg.IL))
-		ev.DR /= float64(len(e.cfg.DR))
-		ev.Score = e.cfg.Aggregator.Combine(ev.IL, ev.DR)
-		off.Eval = ev
+			v := e.slots[i].rev.ApplyUndo(s, off.Changes)
+			e.slots[i].rev.Undo(s)
+			return v
+		})
 	}
 	return nil
 }
@@ -223,9 +191,9 @@ func (e *Evaluator) Advance(state *DeltaState, child *dataset.Dataset, changes [
 	if child == nil {
 		return fmt.Errorf("score: nil child dataset")
 	}
-	if len(state.il) != len(e.cfg.IL) || len(state.dr) != len(e.cfg.DR) {
-		return fmt.Errorf("score: delta state has %d+%d measure slots, evaluator has %d+%d",
-			len(state.il), len(state.dr), len(e.cfg.IL), len(e.cfg.DR))
+	if len(state.states) != len(e.slots) {
+		return fmt.Errorf("score: delta state has %d measure slots, evaluator has %d",
+			len(state.states), len(e.slots))
 	}
 	if e.WideEdit(changes) {
 		return fmt.Errorf("score: Advance over a wide edit (%d changes); re-Prepare instead", len(changes))
@@ -233,14 +201,9 @@ func (e *Evaluator) Advance(state *DeltaState, child *dataset.Dataset, changes [
 	if err := e.validateChanges(child, changes); err != nil {
 		return err
 	}
-	for i, m := range e.cfg.IL {
-		if state.il[i] != nil {
-			m.(infoloss.Reversible).Apply(state.il[i], changes)
-		}
-	}
-	for i, m := range e.cfg.DR {
-		if state.dr[i] != nil {
-			m.(risk.Reversible).Apply(state.dr[i], changes)
+	for i, s := range state.states {
+		if s != nil {
+			e.slots[i].rev.Apply(s, changes)
 		}
 	}
 	return nil

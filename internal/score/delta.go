@@ -3,80 +3,58 @@ package score
 // Delta (incremental) evaluation. A genetic operator derives an offspring
 // from an already-scored parent by changing a handful of cells, so most of
 // a full re-evaluation repeats work the parent's evaluation already did.
-// Prepare builds per-measure states (see infoloss.Reversible and
-// risk.Reversible) that EvaluateBatch advances by an offspring's change
-// list, reads, and rolls back, in time proportional to the number of
-// changed cells; measures without a state (or whose configuration rules
-// one out) are recomputed in full.
+// Prepare builds one state per measure that implements measure.Reversible,
+// in the evaluator's slot order; EvaluateBatch advances a state by an
+// offspring's change list, reads it and rolls it back, in time
+// proportional to the number of changed cells. Measures without a state
+// (or whose configuration rules one out) are recomputed in full.
 //
 // Delta evaluation is bit-for-bit identical to Evaluate: the states
 // maintain exact integer summaries and share their final value
-// arithmetic with the full path, and the battery sums accumulate in the
-// same order Evaluate uses.
+// arithmetic with the full path, and every route sums the battery through
+// the same Evaluator.evaluation walk.
 
 import (
 	"fmt"
 
 	"evoprot/internal/dataset"
-	"evoprot/internal/infoloss"
-	"evoprot/internal/risk"
+	"evoprot/internal/measure"
 )
 
-// DeltaState carries the per-measure incremental states describing one
-// masked dataset. It is produced by Prepare, always describes exactly one
-// masked file, and must only be advanced with change lists for that file.
-// A nil slot means the corresponding measure runs without a fast path and
-// is fully recomputed for every offspring.
+// DeltaState carries the measure states describing one masked dataset,
+// one per evaluator slot. It is produced by Prepare, always describes
+// exactly one masked file, and must only be advanced with change lists
+// for that file. A nil slot means the corresponding measure runs without
+// a fast path and is fully recomputed for every offspring.
 type DeltaState struct {
-	il []infoloss.State
-	dr []risk.State
+	states []measure.State
 }
 
 // Clone returns an independent deep copy — the state of a surviving
 // offspring whose parent lives on, or of a migrant joining another
 // population.
 func (s *DeltaState) Clone() *DeltaState {
-	out := &DeltaState{
-		il: make([]infoloss.State, len(s.il)),
-		dr: make([]risk.State, len(s.dr)),
-	}
-	for i, st := range s.il {
+	out := &DeltaState{states: make([]measure.State, len(s.states))}
+	for i, st := range s.states {
 		if st != nil {
-			out.il[i] = st.CloneState()
-		}
-	}
-	for i, st := range s.dr {
-		if st != nil {
-			out.dr[i] = st.CloneState()
+			out.states[i] = st.CloneState()
 		}
 	}
 	return out
 }
 
-// Prepare builds the incremental evaluation state for a masked dataset:
-// one slot per Reversible measure, nil for every other. The cost is
-// comparable to one full evaluation; every offspring scored against the
-// state then costs a small fraction of that.
+// Prepare builds the delta state of a masked dataset: one state per slot
+// whose measure implements measure.Reversible, nil for every other. The
+// cost is comparable to one full evaluation; every offspring scored
+// against the state then costs a small fraction of that.
 func (e *Evaluator) Prepare(masked *dataset.Dataset) (*DeltaState, error) {
-	if masked == nil {
-		return nil, fmt.Errorf("score: nil masked dataset")
+	if err := e.checkShape(masked); err != nil {
+		return nil, err
 	}
-	if masked.Rows() != e.orig.Rows() || masked.Cols() != e.orig.Cols() {
-		return nil, fmt.Errorf("score: masked dataset is %dx%d, original is %dx%d",
-			masked.Rows(), masked.Cols(), e.orig.Rows(), e.orig.Cols())
-	}
-	s := &DeltaState{
-		il: make([]infoloss.State, len(e.cfg.IL)),
-		dr: make([]risk.State, len(e.cfg.DR)),
-	}
-	for i, m := range e.cfg.IL {
-		if rev, ok := m.(infoloss.Reversible); ok {
-			s.il[i] = rev.Prepare(e.orig, masked, e.attrs)
-		}
-	}
-	for i, m := range e.cfg.DR {
-		if rev, ok := m.(risk.Reversible); ok {
-			s.dr[i] = rev.Prepare(e.orig, masked, e.attrs)
+	s := &DeltaState{states: make([]measure.State, len(e.slots))}
+	for i, sl := range e.slots {
+		if sl.rev != nil {
+			s.states[i] = sl.rev.Prepare(e.orig, masked, e.attrs)
 		}
 	}
 	return s, nil

@@ -292,11 +292,11 @@ func TestEvaluateDeltaWithNonIncrementalBattery(t *testing.T) {
 	il := infoloss.Default()
 	il[0] = incOnly{il[0].(infoloss.Incremental)}
 	for _, tc := range []struct {
-		cfg          Config
-		nilIL, nilDR int // the slot Prepare must leave nil, -1 for none
+		cfg     Config
+		nilSlot int // the slot, IL measures first, Prepare must leave nil
 	}{
-		{cfg: Config{DR: []risk.Measure{&RankOnly{}}}, nilIL: -1, nilDR: 0},
-		{cfg: Config{IL: il}, nilIL: 0, nilDR: -1},
+		{cfg: Config{DR: []risk.Measure{&RankOnly{}}}, nilSlot: len(infoloss.Default())},
+		{cfg: Config{IL: il}, nilSlot: 0},
 	} {
 		eval, err := NewEvaluator(orig, attrs, tc.cfg)
 		if err != nil {
@@ -306,14 +306,12 @@ func TestEvaluateDeltaWithNonIncrementalBattery(t *testing.T) {
 		masked := orig.Clone()
 		applyRandomChanges(rng, masked, attrs, 10)
 		st := mustPrepare(t, eval, masked)
-		for i, slot := range st.il {
-			if (slot == nil) != (i == tc.nilIL) {
-				t.Fatalf("IL slot %d: nil=%v, want nil only at %d", i, slot == nil, tc.nilIL)
-			}
+		if len(st.states) != len(eval.slots) {
+			t.Fatalf("state has %d slots, evaluator %d", len(st.states), len(eval.slots))
 		}
-		for i, slot := range st.dr {
-			if (slot == nil) != (i == tc.nilDR) {
-				t.Fatalf("DR slot %d: nil=%v, want nil only at %d", i, slot == nil, tc.nilDR)
+		for i, slot := range st.states {
+			if (slot == nil) != (i == tc.nilSlot) {
+				t.Fatalf("slot %d: nil=%v, want nil only at %d", i, slot == nil, tc.nilSlot)
 			}
 		}
 		ev, err := eval.Evaluate(masked)

@@ -13,6 +13,7 @@ import (
 
 	"evoprot/internal/dataset"
 	"evoprot/internal/infoloss"
+	"evoprot/internal/measure"
 	"evoprot/internal/risk"
 )
 
@@ -98,7 +99,21 @@ type Config struct {
 type Evaluator struct {
 	orig  *dataset.Dataset
 	attrs []int
-	cfg   Config
+	agg   Aggregator
+	// slots is the battery resolved once: the IL measures, then the DR
+	// measures, which is the order every route sums them in.
+	slots []slot
+	numIL int
+}
+
+// slot is one measure of the resolved battery.
+type slot struct {
+	name string
+	// full is the measure's full recompute, Loss or Risk.
+	full func(orig, masked *dataset.Dataset, attrs []int) float64
+	// rev is the measure's delta-state contract; nil when it has none,
+	// and the slot is then recomputed in full on every route.
+	rev measure.Reversible
 }
 
 // NewEvaluator builds an evaluator for the given original dataset and
@@ -142,7 +157,16 @@ func NewEvaluator(orig *dataset.Dataset, attrs []int, cfg Config) (*Evaluator, e
 	}
 	own := make([]int, len(attrs))
 	copy(own, attrs)
-	return &Evaluator{orig: orig, attrs: own, cfg: cfg}, nil
+	slots := make([]slot, 0, len(cfg.IL)+len(cfg.DR))
+	for _, m := range cfg.IL {
+		rev, _ := m.(measure.Reversible)
+		slots = append(slots, slot{name: m.Name(), full: m.Loss, rev: rev})
+	}
+	for _, m := range cfg.DR {
+		rev, _ := m.(measure.Reversible)
+		slots = append(slots, slot{name: m.Name(), full: m.Risk, rev: rev})
+	}
+	return &Evaluator{orig: orig, attrs: own, agg: cfg.Aggregator, slots: slots, numIL: len(cfg.IL)}, nil
 }
 
 // Orig returns the original dataset the evaluator compares against.
@@ -156,44 +180,62 @@ func (e *Evaluator) Attrs() []int {
 }
 
 // Aggregator returns the configured aggregator.
-func (e *Evaluator) Aggregator() Aggregator { return e.cfg.Aggregator }
+func (e *Evaluator) Aggregator() Aggregator { return e.agg }
 
 // WithAggregator returns a copy of the evaluator using a different
 // aggregator; measure batteries are shared.
 func (e *Evaluator) WithAggregator(agg Aggregator) *Evaluator {
-	cfg := e.cfg
-	cfg.Aggregator = agg
-	return &Evaluator{orig: e.orig, attrs: e.attrs, cfg: cfg}
+	out := *e
+	out.agg = agg
+	return &out
 }
 
 // Evaluate computes the full evaluation of a masked dataset. The masked
 // dataset must have the same shape as the original.
 func (e *Evaluator) Evaluate(masked *dataset.Dataset) (Evaluation, error) {
+	if err := e.checkShape(masked); err != nil {
+		return Evaluation{}, err
+	}
+	return e.evaluation(func(i int) float64 { return e.slots[i].full(e.orig, masked, e.attrs) }), nil
+}
+
+// checkShape reports a nil masked dataset or one shaped unlike the
+// original.
+func (e *Evaluator) checkShape(masked *dataset.Dataset) error {
 	if masked == nil {
-		return Evaluation{}, fmt.Errorf("score: nil masked dataset")
+		return fmt.Errorf("score: nil masked dataset")
 	}
 	if masked.Rows() != e.orig.Rows() || masked.Cols() != e.orig.Cols() {
-		return Evaluation{}, fmt.Errorf("score: masked dataset is %dx%d, original is %dx%d",
+		return fmt.Errorf("score: masked dataset is %dx%d, original is %dx%d",
 			masked.Rows(), masked.Cols(), e.orig.Rows(), e.orig.Cols())
 	}
+	return nil
+}
+
+// evaluation walks the battery once, reading slot i's value from value,
+// and assembles the paper's fitness (§2.3): IL and DR are the averages of
+// their measures, and the aggregator combines the two. Every scoring
+// route goes through it, so all of them sum in the same order and agree
+// bit for bit.
+func (e *Evaluator) evaluation(value func(i int) float64) Evaluation {
 	ev := Evaluation{
-		ILParts: make(map[string]float64, len(e.cfg.IL)),
-		DRParts: make(map[string]float64, len(e.cfg.DR)),
+		ILParts: make(map[string]float64, e.numIL),
+		DRParts: make(map[string]float64, len(e.slots)-e.numIL),
 	}
-	for _, m := range e.cfg.IL {
-		v := m.Loss(e.orig, masked, e.attrs)
-		ev.ILParts[m.Name()] = v
-		ev.IL += v
+	for i, s := range e.slots {
+		v := value(i)
+		if i < e.numIL {
+			ev.ILParts[s.name] = v
+			ev.IL += v
+		} else {
+			ev.DRParts[s.name] = v
+			ev.DR += v
+		}
 	}
-	for _, m := range e.cfg.DR {
-		v := m.Risk(e.orig, masked, e.attrs)
-		ev.DRParts[m.Name()] = v
-		ev.DR += v
-	}
-	ev.IL /= float64(len(e.cfg.IL))
-	ev.DR /= float64(len(e.cfg.DR))
-	ev.Score = e.cfg.Aggregator.Combine(ev.IL, ev.DR)
-	return ev, nil
+	ev.IL /= float64(e.numIL)
+	ev.DR /= float64(len(e.slots) - e.numIL)
+	ev.Score = e.agg.Combine(ev.IL, ev.DR)
+	return ev
 }
 
 // EvaluateAll evaluates many masked datasets with the given worker-pool
@@ -206,10 +248,12 @@ func (e *Evaluator) EvaluateAll(ctx context.Context, masked []*dataset.Dataset, 
 	return evs, err
 }
 
-// EvaluateAllPrepared is EvaluateAll plus incremental preparation: the
-// worker that evaluates a dataset also builds its delta state (see
-// Prepare), so a population enters the engine ready for batch evaluation.
-// The returned states are aligned with the evaluations.
+// EvaluateAllPrepared is EvaluateAll for a population entering the
+// engine: the worker that takes a dataset builds its delta state (see
+// Prepare) and reads each stateful measure's value from that state with
+// an empty Apply, which equals the full Loss or Risk bit for bit; only
+// measures without a state are recomputed in full. The returned states
+// are aligned with the evaluations.
 func (e *Evaluator) EvaluateAllPrepared(ctx context.Context, masked []*dataset.Dataset, workers int) ([]Evaluation, []*DeltaState, error) {
 	return e.evaluateAll(ctx, masked, workers, true)
 }
@@ -229,18 +273,25 @@ func (e *Evaluator) evaluateAll(ctx context.Context, masked []*dataset.Dataset, 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ev, err := e.Evaluate(masked[idx])
-		if err != nil {
-			return fmt.Errorf("score: evaluating dataset %d: %w", idx, err)
-		}
-		out[idx] = ev
-		if prepare {
-			st, err := e.Prepare(masked[idx])
+		if !prepare {
+			ev, err := e.Evaluate(masked[idx])
 			if err != nil {
-				return fmt.Errorf("score: preparing dataset %d: %w", idx, err)
+				return fmt.Errorf("score: evaluating dataset %d: %w", idx, err)
 			}
-			states[idx] = st
+			out[idx] = ev
+			return nil
 		}
+		st, err := e.Prepare(masked[idx])
+		if err != nil {
+			return fmt.Errorf("score: preparing dataset %d: %w", idx, err)
+		}
+		out[idx] = e.evaluation(func(i int) float64 {
+			if s := st.states[i]; s != nil {
+				return e.slots[i].rev.Apply(s, nil)
+			}
+			return e.slots[i].full(e.orig, masked[idx], e.attrs)
+		})
+		states[idx] = st
 		return nil
 	}
 	// The width comes from callers' specs; cap it at one worker per

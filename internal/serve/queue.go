@@ -1,15 +1,17 @@
 package serve
 
-import "sync"
+import (
+	"context"
+	"sync"
+)
 
 // JobQueue is the admission queue between the HTTP layer and the
 // workers: a bounded in-memory priority queue, FIFO within each priority
 // (and plain FIFO when every submission uses the default priority 0).
 // Submissions enter through Push under the admission bound, recovery and
-// requeues through ForcePush; the in-process worker pool drains it
-// through the blocking Pop, a cluster coordinator's lease endpoint
-// through the non-blocking TryPop. A coordinator shares its queue with
-// its serve.Server through Config.Queue.
+// requeues through ForcePush; the in-process worker pool and a cluster
+// coordinator's lease endpoint both drain it through Pop. A coordinator
+// shares its queue with its serve.Server through Config.Queue.
 //
 // The contract:
 //
@@ -24,12 +26,10 @@ import "sync"
 //     drain it back under. False only after Close. Preempted jobs
 //     return through ForcePush too — they already passed admission
 //     once.
-//   - Pop blocks until an item arrives or the queue closes; ok reports
-//     whether an item was delivered. Close wins over queued items, so
-//     workers exit promptly on shutdown.
-//   - TryPop is Pop without blocking, reporting the item's priority.
-//   - Close wakes every blocked Pop and refuses further pushes; Closed
-//     reports whether it was called.
+//   - Pop blocks until an item arrives, the queue closes or its context
+//     is done; ok reports whether an item was delivered. Close wins over
+//     queued items, so workers exit promptly on shutdown.
+//   - Close wakes every blocked Pop and refuses further pushes.
 //   - Depth reports how many ids are queued right now; Cap the admission
 //     bound Push enforces. Depth may exceed Cap while a recovered
 //     (ForcePushed) backlog drains.
@@ -38,10 +38,12 @@ import "sync"
 //     running work against.
 type JobQueue struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	items  []qitem // sorted: priority descending, arrival order within
 	bound  int
 	closed bool
+	// wake is closed, and replaced, by every push and by Close: each
+	// Pop parked on it rechecks the queue.
+	wake chan struct{}
 }
 
 // qitem is one queued id with its priority.
@@ -53,9 +55,7 @@ type qitem struct {
 // NewFIFOQueue builds a queue admitting at most bound queued jobs at a
 // time through Push.
 func NewFIFOQueue(bound int) *JobQueue {
-	q := &JobQueue{bound: bound}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	return &JobQueue{bound: bound, wake: make(chan struct{})}
 }
 
 // insert places it behind every queued item of equal or higher priority —
@@ -82,7 +82,7 @@ func (q *JobQueue) Push(id string, pri int) bool {
 		return false
 	}
 	q.items = insert(q.items, qitem{id: id, pri: pri})
-	q.cond.Signal()
+	q.wakeAll()
 	return true
 }
 
@@ -95,54 +95,52 @@ func (q *JobQueue) ForcePush(id string, pri int) bool {
 		return false
 	}
 	q.items = insert(q.items, qitem{id: id, pri: pri})
-	q.cond.Signal()
+	q.wakeAll()
 	return true
 }
 
-// Pop blocks until an item arrives or the queue closes; ok reports
+// wakeAll wakes every parked Pop. Callers hold mu.
+func (q *JobQueue) wakeAll() {
+	close(q.wake)
+	q.wake = make(chan struct{})
+}
+
+// Pop blocks until an item arrives, the queue closes or ctx is done,
+// and delivers the highest-priority head with its priority; ok reports
 // whether an item was delivered. Close wins over queued items: workers
 // exit promptly on shutdown and whatever remains is re-enqueued from the
 // store on the next boot.
-func (q *JobQueue) Pop() (id string, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
+func (q *JobQueue) Pop(ctx context.Context) (id string, pri int, ok bool) {
+	for {
+		q.mu.Lock()
+		if q.closed {
+			q.mu.Unlock()
+			return "", 0, false
+		}
+		if len(q.items) > 0 {
+			it := q.items[0]
+			q.items = q.items[1:]
+			q.mu.Unlock()
+			return it.id, it.pri, true
+		}
+		wake := q.wake
+		q.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return "", 0, false
+		}
 	}
-	if q.closed {
-		return "", false
-	}
-	id = q.items[0].id
-	q.items = q.items[1:]
-	return id, true
-}
-
-// TryPop pops the highest-priority head without blocking, reporting its
-// priority alongside; false when empty or closed.
-func (q *JobQueue) TryPop() (id string, pri int, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || len(q.items) == 0 {
-		return "", 0, false
-	}
-	it := q.items[0]
-	q.items = q.items[1:]
-	return it.id, it.pri, true
 }
 
 // Close wakes every blocked Pop and refuses further pushes.
 func (q *JobQueue) Close() {
 	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// Closed reports whether Close has been called.
-func (q *JobQueue) Closed() bool {
-	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.closed
+	if !q.closed {
+		q.closed = true
+		q.wakeAll()
+	}
 }
 
 // Depth returns the number of queued ids.

@@ -1,10 +1,11 @@
 package serve
 
-// Unit tests of the admission queue: bound accounting, priority order,
-// the blocking Pop the worker pool drains and the non-blocking TryPop a
-// cluster coordinator's lease endpoint drains.
+// Unit tests of the admission queue: bound accounting, priority order
+// and the context-aware Pop that both the worker pool and a cluster
+// coordinator's lease endpoint drain.
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -20,14 +21,14 @@ func TestFIFOQueueAccounting(t *testing.T) {
 	if q.Push("d", 0) {
 		t.Fatal("Push admitted over a force-filled queue")
 	}
-	if id, ok := q.Pop(); !ok || id != "a" {
+	if id, _, ok := q.Pop(context.Background()); !ok || id != "a" {
 		t.Fatalf("Pop = %q, %v; want \"a\", true", id, ok)
 	}
 	// Two remain — still at the bound of 2.
 	if q.Push("d", 0) {
 		t.Fatal("Push admitted at the bound")
 	}
-	q.Pop()
+	q.Pop(context.Background())
 	if !q.Push("d", 0) {
 		t.Fatal("Push refused under the bound")
 	}
@@ -38,7 +39,7 @@ func TestFIFOQueueAccounting(t *testing.T) {
 	if q.Push("e", 0) || q.ForcePush("f", 0) {
 		t.Fatal("pushes admitted after Close")
 	}
-	if _, ok := q.Pop(); ok {
+	if _, _, ok := q.Pop(context.Background()); ok {
 		t.Fatal("Pop delivered after Close; close must win over queued items")
 	}
 }
@@ -63,16 +64,18 @@ func TestFIFOQueuePriorityOrder(t *testing.T) {
 		t.Fatalf("MaxPriority = %d, %v; want 5, true", pri, ok)
 	}
 	for _, want := range []string{"high1", "high2", "mid", "low1", "low2"} {
-		if id, ok := q.Pop(); !ok || id != want {
+		if id, _, ok := q.Pop(context.Background()); !ok || id != want {
 			t.Fatalf("Pop = %q, %v; want %q", id, ok, want)
 		}
 	}
 }
 
-// TestFIFOQueueTryPop: the non-blocking drain a cluster coordinator's
-// lease endpoint uses keeps the admission contract (bounded Push, exempt
-// ForcePush, priority-ordered drain) and reports Closed.
-func TestFIFOQueueTryPop(t *testing.T) {
+// TestFIFOQueuePop: Pop keeps the admission contract (bounded Push,
+// exempt ForcePush, priority-ordered drain reporting each priority),
+// still delivers a queued head under an expired context, gives up on an
+// empty queue when its context expires or is cancelled, and delivers
+// nothing once the queue is closed.
+func TestFIFOQueuePop(t *testing.T) {
 	q := NewFIFOQueue(2)
 	if q.Cap() != 2 {
 		t.Fatalf("Cap() = %d", q.Cap())
@@ -97,26 +100,41 @@ func TestFIFOQueueTryPop(t *testing.T) {
 	if pri, ok := q.MaxPriority(); !ok || pri != 7 {
 		t.Fatalf("MaxPriority = %d, %v; want 7, true", pri, ok)
 	}
+	expired, cancelExpired := context.WithTimeout(context.Background(), 0)
+	defer cancelExpired()
 	for _, want := range []struct {
 		id  string
 		pri int
 	}{{"urgent", 7}, {"a", 0}, {"b", 0}, {"c", 0}} {
-		if id, pri, ok := q.TryPop(); !ok || id != want.id || pri != want.pri {
-			t.Fatalf("TryPop = %q, %d, %v; want %q, %d", id, pri, ok, want.id, want.pri)
+		if id, pri, ok := q.Pop(expired); !ok || id != want.id || pri != want.pri {
+			t.Fatalf("Pop = %q, %d, %v; want %q, %d", id, pri, ok, want.id, want.pri)
 		}
 	}
-	if _, _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on an empty queue delivered")
+	if _, _, ok := q.Pop(expired); ok {
+		t.Fatal("Pop with an expired context on an empty queue delivered")
 	}
-	if q.Closed() {
-		t.Fatal("queue reports closed before Close")
+	cancelled, cancel := context.WithCancel(context.Background())
+	done := make(chan bool, 1)
+	go func() {
+		_, _, ok := q.Pop(cancelled)
+		done <- ok
+	}()
+	time.Sleep(20 * time.Millisecond) // let Pop park
+	cancel()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("Pop with a cancelled context delivered")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelling the context did not wake Pop")
 	}
 	q.Close()
-	if !q.Closed() || q.Push("d", 0) || q.ForcePush("d", 0) {
+	if q.Push("d", 0) || q.ForcePush("d", 0) {
 		t.Fatal("closed queue still admitting")
 	}
-	if _, _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on a closed queue delivered")
+	if _, _, ok := q.Pop(context.Background()); ok {
+		t.Fatal("Pop on a closed queue delivered")
 	}
 }
 
@@ -126,7 +144,7 @@ func TestFIFOQueuePopBlocks(t *testing.T) {
 	q := NewFIFOQueue(4)
 	got := make(chan string, 1)
 	go func() {
-		id, ok := q.Pop()
+		id, _, ok := q.Pop(context.Background())
 		if !ok {
 			got <- ""
 			return
@@ -147,7 +165,7 @@ func TestFIFOQueuePopBlocks(t *testing.T) {
 	}
 
 	go func() {
-		_, ok := q.Pop()
+		_, _, ok := q.Pop(context.Background())
 		if ok {
 			got <- "unexpected item"
 			return
@@ -164,7 +182,7 @@ func TestFIFOQueuePopBlocks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not wake Pop")
 	}
-	if _, ok := q.Pop(); ok {
+	if _, _, ok := q.Pop(context.Background()); ok {
 		t.Fatal("Pop on a closed queue returned an item")
 	}
 }

@@ -440,7 +440,7 @@ func (s *Server) Stop(ctx context.Context) error {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		id, ok := s.queue.Pop()
+		id, _, ok := s.queue.Pop(s.ctx)
 		if !ok {
 			return
 		}

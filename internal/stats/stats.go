@@ -39,26 +39,6 @@ func Entropy(counts []int) float64 {
 	return h
 }
 
-// EntropyFloat is Entropy for already-normalized (or unnormalized) weights.
-func EntropyFloat(weights []float64) float64 {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		return 0
-	}
-	h := 0.0
-	for _, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		p := w / total
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // Freq returns the frequency of each value in column, where values are
 // category indices in [0, card). Values outside the range are ignored.
 func Freq(column []int, card int) []int {
@@ -77,17 +57,6 @@ func Freq(column []int, card int) []int {
 func FreqShift(counts []int, old, new int) {
 	counts[old]--
 	counts[new]++
-}
-
-// CumFreq returns the exclusive cumulative frequencies of counts:
-// out[i] = counts[0] + ... + counts[i-1]. len(out) == len(counts)+1, and
-// out[len(counts)] is the total.
-func CumFreq(counts []int) []int {
-	out := make([]int, len(counts)+1)
-	for i, c := range counts {
-		out[i+1] = out[i] + c
-	}
-	return out
 }
 
 // MidRanks maps each category index to the average (mid) rank of its
@@ -202,19 +171,6 @@ func SubsetsUpTo(n, k int) [][]int {
 	return out
 }
 
-// MixedRadixSize returns the product of the cardinalities, i.e. the number
-// of cells of a joint contingency table. It returns 0 for an empty slice.
-func MixedRadixSize(cards []int) int {
-	if len(cards) == 0 {
-		return 0
-	}
-	size := 1
-	for _, c := range cards {
-		size *= c
-	}
-	return size
-}
-
 // ArgminAll returns the smallest value in xs together with every index
 // attaining it. It panics on an empty slice.
 func ArgminAll(xs []float64) (min float64, idxs []int) {
@@ -303,20 +259,4 @@ func AbsInt(x int) int {
 		return -x
 	}
 	return x
-}
-
-// MinInt returns the smaller of a and b.
-func MinInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxInt returns the larger of a and b.
-func MaxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

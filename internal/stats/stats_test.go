@@ -54,14 +54,6 @@ func TestEntropyNonNegativeAndBounded(t *testing.T) {
 	}
 }
 
-func TestEntropyFloatMatchesEntropy(t *testing.T) {
-	counts := []int{3, 0, 7, 2}
-	weights := []float64{3, 0, 7, 2}
-	if a, b := Entropy(counts), EntropyFloat(weights); !almostEqual(a, b, 1e-12) {
-		t.Fatalf("Entropy=%v EntropyFloat=%v", a, b)
-	}
-}
-
 func TestFreq(t *testing.T) {
 	col := []int{0, 2, 2, 1, 2, 0}
 	got := Freq(col, 4)
@@ -77,16 +69,6 @@ func TestFreqIgnoresOutOfRange(t *testing.T) {
 	got := Freq([]int{-1, 0, 5, 1}, 2)
 	if got[0] != 1 || got[1] != 1 {
 		t.Fatalf("Freq with out-of-range = %v, want [1 1]", got)
-	}
-}
-
-func TestCumFreq(t *testing.T) {
-	got := CumFreq([]int{2, 0, 3})
-	want := []int{0, 2, 2, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CumFreq = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -228,15 +210,6 @@ func TestSubsetsUpTo(t *testing.T) {
 	}
 }
 
-func TestMixedRadixSize(t *testing.T) {
-	if got := MixedRadixSize([]int{3, 4, 5}); got != 60 {
-		t.Fatalf("MixedRadixSize = %d, want 60", got)
-	}
-	if got := MixedRadixSize(nil); got != 0 {
-		t.Fatalf("MixedRadixSize(nil) = %d, want 0", got)
-	}
-}
-
 func TestArgminArgmaxAll(t *testing.T) {
 	xs := []float64{3, 1, 2, 1, 5}
 	min, mins := ArgminAll(xs)
@@ -272,12 +245,6 @@ func TestPercentile(t *testing.T) {
 func TestIntHelpers(t *testing.T) {
 	if AbsInt(-3) != 3 || AbsInt(3) != 3 || AbsInt(0) != 0 {
 		t.Fatal("AbsInt broken")
-	}
-	if MinInt(2, 3) != 2 || MinInt(3, 2) != 2 {
-		t.Fatal("MinInt broken")
-	}
-	if MaxInt(2, 3) != 3 || MaxInt(3, 2) != 3 {
-		t.Fatal("MaxInt broken")
 	}
 }
 
