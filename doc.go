@@ -241,10 +241,14 @@
 //
 // Each generation the engine stages its offspring, groups them by parent,
 // and score.Evaluator.EvaluateBatch scores each group against the
-// parent's own state: apply the change list, read the value, undo it by
-// inverse replay or bitset-diff journaling (stats.BitsetJournal), so
-// evaluating a losing offspring touches memory proportional to the edit
-// instead of the file. The DBRL and PRL states route each change list
+// parent's own state: apply the change list, read the value, and undo it
+// before the next offspring by inverse replay, before-images (DBRL's rows)
+// or bitset-diff journaling (stats.BitsetJournal), so evaluating a
+// losing offspring touches memory proportional to the edit instead of
+// the file. The last offspring's edit stays pending until replacement has
+// decided: a surviving child keeps it (Evaluator.Keep, an empty Apply per
+// measure, O(1)) instead of having the same edit applied again, and a
+// losing one has it rolled back (Evaluator.Restore). The DBRL and PRL states route each change list
 // themselves: from the tuple counts of their last full link they estimate
 // what patching would cost, and past that break-even they re-link in full
 // with the grouped kernel of their Risk, inside the state, so the rest of
@@ -260,7 +264,10 @@
 // core.Config.EvalWorkers (0 inherits InitWorkers; WithEvalWorkers and
 // JobSpec.EvalWorkers thread it through the stack), and only the children
 // that survive replacement are handed a state — the evicted parent's
-// advanced in place, a clone when the parent lives on.
+// kept in place, a clone of it holding the child's edit when the parent
+// lives on, and the parent's restored and advanced only when it holds a
+// sibling's edit (a crossover of an individual with itself). Every
+// pending edit is settled before the generation ends.
 //
 // The route is allocation-conscious: measure states keep reusable scratch
 // buffers (candidate bitsets, EM and weight arrays), the operators reuse

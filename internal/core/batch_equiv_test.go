@@ -9,7 +9,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"evoprot/internal/dataset"
@@ -64,39 +66,124 @@ func TestBatchRunCrowdingSwapEquivalence(t *testing.T) {
 
 // TestBatchStatesStayConsistent re-scores every individual from scratch
 // after a batch run: cached evaluations must match, and every carried
-// delta state must still describe its individual (a further delta
-// evaluation through it equals a fresh one).
+// delta state must be settled and still describe its individual (a
+// further delta evaluation through it equals a fresh one). It runs a
+// scalar and a Pareto engine, and a two-member crossover-only engine
+// that crosses an individual with itself, the case where a survivor's
+// parent state holds its sibling's pending edit.
 func TestBatchStatesStayConsistent(t *testing.T) {
-	e := testEngine(t, Config{Generations: 80, Seed: 55, EvalWorkers: 2})
-	mustRun(t, e)
-	for i, ind := range e.Population() {
-		want, err := e.eval.Evaluate(ind.Data)
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		members int // population prefix; 0 keeps all
+	}{
+		{"scalar", Config{Generations: 80, Seed: 55, EvalWorkers: 2}, 0},
+		{"pareto", Config{Generations: 80, Seed: 55, EvalWorkers: 2, Objective: ObjectivePareto}, 0},
+		{"self-crossover", Config{Generations: 300, Seed: 55, ForceOp: "crossover", Selection: SelectRank}, 2},
+	} {
+		eval, pop := testPopulation(t)
+		if tc.members > 0 {
+			pop = pop[:tc.members]
+		}
+		e, err := NewEngine(eval, pop, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ind.Eval.Score != want.Score || ind.Eval.IL != want.IL || ind.Eval.DR != want.DR {
-			t.Fatalf("individual %d (%s): cached (IL=%v DR=%v) != fresh (IL=%v DR=%v)",
-				i, ind.Origin, ind.Eval.IL, ind.Eval.DR, want.IL, want.DR)
+		selfCrosses := 0
+		for range tc.cfg.Generations {
+			e.Step()
+			if e.bParents[0] == e.bParents[1] {
+				selfCrosses++
+			}
 		}
-		if ind.state == nil {
-			continue
+		if tc.members > 0 && selfCrosses == 0 {
+			t.Fatalf("%s: no generation crossed an individual with itself", tc.name)
 		}
-		child := ind.Data.Clone()
-		rng := rand.New(rand.NewPCG(9, uint64(i)))
-		changes := []dataset.CellChange{dataset.RandomChange(rng, child, e.attrs)}
-		groups := []score.BatchGroup{{Parent: ind.Eval, State: ind.state,
-			Offspring: []score.BatchOffspring{{Child: child, Changes: changes}}}}
-		if err := e.eval.EvaluateBatch(groups, 1); err != nil {
-			t.Fatalf("individual %d: carried state rejected a delta evaluation: %v", i, err)
+		for i, ind := range e.Population() {
+			requireStateDescribes(t, e, ind, fmt.Sprintf("%s: individual %d (%s)", tc.name, i, ind.Origin), uint64(i))
 		}
-		got := groups[0].Offspring[0].Eval
-		fresh, err := e.eval.Evaluate(child)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// requireStateDescribes checks ind's cached evaluation against a fresh
+// one and, when ind carries a delta state, that the state is settled and
+// scores a one-cell offspring of ind like a fresh evaluation does.
+func requireStateDescribes(t *testing.T, e *Engine, ind *Individual, ctx string, seed uint64) {
+	t.Helper()
+	want, err := e.eval.Evaluate(ind.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ind.Eval.Score != want.Score || ind.Eval.IL != want.IL || ind.Eval.DR != want.DR {
+		t.Fatalf("%s: cached (IL=%v DR=%v) != fresh (IL=%v DR=%v)",
+			ctx, ind.Eval.IL, ind.Eval.DR, want.IL, want.DR)
+	}
+	if ind.state == nil {
+		return
+	}
+	child := ind.Data.Clone()
+	rng := rand.New(rand.NewPCG(9, seed))
+	changes := []dataset.CellChange{dataset.RandomChange(rng, child, e.attrs)}
+	groups := []score.BatchGroup{{Parent: ind.Eval, State: ind.state,
+		Offspring: []score.BatchOffspring{{Child: child, Changes: changes}}}}
+	if err := e.eval.EvaluateBatch(groups, 1); err != nil {
+		t.Fatalf("%s: carried state rejected a delta evaluation: %v", ctx, err)
+	}
+	e.eval.Restore(ind.state)
+	got := groups[0].Offspring[0].Eval
+	fresh, err := e.eval.Evaluate(child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Score != fresh.Score || got.IL != fresh.IL || got.DR != fresh.DR {
+		t.Fatalf("%s: carried state drifted: delta (IL=%v DR=%v) vs fresh (IL=%v DR=%v)",
+			ctx, got.IL, got.DR, fresh.IL, fresh.DR)
+	}
+}
+
+// TestCommitAroundPendingEdit drives commitBatchState directly on a
+// generation whose two offspring share one parent, so the parent's state
+// holds the second offspring's pending edit. Every survivor set and
+// eviction the replacement steps can produce must leave the parent and
+// each survivor holding a state that describes it, or none: the pending
+// offspring keeps or clones the state, and its sibling gets the state
+// restored and advanced.
+func TestCommitAroundPendingEdit(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		survive  [2]bool
+		evicted  bool
+		stateful [3]bool // parent, first, second offspring
+	}{
+		{"pending offspring, parent evicted", [2]bool{false, true}, true, [3]bool{false, false, true}},
+		{"pending offspring, parent lives", [2]bool{false, true}, false, [3]bool{true, false, true}},
+		{"sibling, parent evicted", [2]bool{true, false}, true, [3]bool{false, true, false}},
+		{"sibling, parent lives", [2]bool{true, false}, false, [3]bool{true, true, false}},
+		{"both, parent evicted", [2]bool{true, true}, true, [3]bool{false, true, false}},
+		{"both, parent lives", [2]bool{true, true}, false, [3]bool{true, true, true}},
+	} {
+		e := testEngine(t, Config{Generations: 1, Seed: 3})
+		parent := e.pop[0]
+		c1, ch := e.mutate(parent)
+		ch1 := slices.Clone(ch)
+		c2, ch2 := e.mutate(parent)
+		e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, c1, ch1
+		e.bParents[1], e.bChildren[1], e.bChanges[1] = parent, c2, ch2
+		e.batchEvaluateGeneration(e.bParents[:2], e.bChildren[:2], e.bChanges[:2])
+		if p := e.pendingOf(parent); p == nil || p.child != c2 {
+			t.Fatalf("%s: the parent's state does not hold the second offspring's edit", tc.name)
 		}
-		if got.Score != fresh.Score || got.IL != fresh.IL || got.DR != fresh.DR {
-			t.Fatalf("individual %d: carried state drifted: delta (IL=%v DR=%v) vs fresh (IL=%v DR=%v)",
-				i, got.IL, got.DR, fresh.IL, fresh.DR)
+		for k, c := range []*Individual{c1, c2} {
+			if tc.survive[k] {
+				e.commitBatchState(c, parent, e.bChanges[k], tc.evicted)
+			}
+		}
+		e.settleStates()
+		for k, ind := range []*Individual{parent, c1, c2} {
+			if (ind.state != nil) != tc.stateful[k] {
+				t.Fatalf("%s: individual %d has a state: %v, want %v", tc.name, k, ind.state != nil, tc.stateful[k])
+			}
+			requireStateDescribes(t, e, ind, fmt.Sprintf("%s: individual %d", tc.name, k), uint64(k))
 		}
 	}
 }

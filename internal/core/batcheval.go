@@ -4,16 +4,22 @@ package core
 // route. A generation's offspring are staged first, grouped by parent,
 // and each group is scored against the parent's own state through
 // score.EvaluateBatch: each measure's delta state (the measure.Reversible
-// contract) advances by the change list, is read, and rolls back,
-// touching memory proportional to the edit instead of the file. A measure
-// without a state (such as ML utility) is recomputed in full per
-// offspring inside the same call, and so is every wide-edit offspring.
-// The initial population arrives with the states its set-up scoring was
-// read from (score.EvaluateAllPrepared); resumed individuals and wide-edit
-// survivors carry none until they first parent a narrow edit. Only the
-// offspring that actually survive replacement are handed a state
-// afterwards — the evicted parent's own state advanced in place when
-// possible, a clone otherwise.
+// contract) advances by the change list and is read, touching memory
+// proportional to the edit instead of the file. A measure without a state
+// (such as ML utility) is recomputed in full per offspring inside the
+// same call, and so is every wide-edit offspring. The initial population
+// arrives with the states its set-up scoring was read from
+// (score.EvaluateAllPrepared); resumed individuals and wide-edit
+// survivors carry none until they first parent a narrow edit.
+//
+// EvaluateBatch leaves each parent's state holding its last narrow
+// offspring's edit, still pending. Once replacement has decided, only the
+// survivors are handed a state: the one whose edit is pending keeps it
+// (Evaluator.Keep, O(1)) when its parent was evicted, or takes a clone of it
+// when the parent lives on. A survivor whose parent's state holds a
+// sibling's edit — a crossover of an individual with itself — gets the
+// parent's state restored and advanced by its own change list. Every
+// state still pending is restored before Step returns.
 //
 // A crossover generation's two parent groups are independent, so they
 // shard across Config.EvalWorkers workers. Results are bit-for-bit
@@ -42,6 +48,10 @@ func (e *Engine) ensureState(ind *Individual) {
 	ind.state = st
 }
 
+// pendingEdit is a parent whose delta state EvaluateBatch left holding
+// child's edit; parent is nil once the state is settled.
+type pendingEdit struct{ parent, child *Individual }
+
 // batchEvaluateGeneration scores children[i] (derived from parents[i] by
 // changes[i]) in one score.EvaluateBatch call. Offspring of the same
 // parent — adjacent in the slices; a generation has at most two
@@ -51,7 +61,7 @@ func (e *Engine) ensureState(ind *Individual) {
 // fully evaluated inside the batch without forcing a state build.
 // Evaluations land in the children; no child receives a state here —
 // commitBatchState hands states to the survivors once the tournament has
-// decided.
+// decided, and settleStates restores the rest.
 func (e *Engine) batchEvaluateGeneration(parents, children []*Individual, changes [][]dataset.CellChange) {
 	offs := e.bOffs[:0]
 	for i, c := range children {
@@ -87,20 +97,43 @@ func (e *Engine) batchEvaluateGeneration(parents, children []*Individual, change
 	for i, c := range children {
 		c.Eval = offs[i].Eval
 	}
+	first := 0
+	for _, grp := range groups {
+		if grp.Pending >= 0 {
+			e.bPending = append(e.bPending, pendingEdit{parents[first], children[first+grp.Pending]})
+		}
+		first += len(grp.Offspring)
+	}
 	e.bOffs, e.bGroups = offs, groups // keep grown capacity for later steps
 }
 
-// commitBatchState hands a surviving child its delta state: the
-// biological parent's own state advanced in place when the parent was
+// commitBatchState hands a surviving child its delta state, derived from
+// its biological parent's: the parent's state itself when the parent was
 // evicted by this generation's replacement (a zero-allocation transfer),
-// or a clone of it when the parent lives on. Wide-edit children stay
-// state-less and rebuild lazily if they ever reproduce; so do children of
-// state-less parents.
+// or a clone of it when the parent lives on. A state holding the child's
+// pending edit already describes the child, so it is kept or cloned as
+// it is; any other is restored and advanced by the child's change list.
+// Wide-edit children stay state-less and rebuild lazily if they ever
+// reproduce; so do children of state-less parents.
 func (e *Engine) commitBatchState(child, parent *Individual, changes []dataset.CellChange, parentEvicted bool) {
 	if parent.state == nil || e.eval.WideEdit(changes) {
 		return
 	}
 	st := parent.state
+	if p := e.pendingOf(parent); p != nil {
+		if p.child == child {
+			if parentEvicted {
+				e.eval.Keep(st)
+				p.parent, parent.state = nil, nil
+			} else {
+				st = st.Clone() // settleStates restores the parent's
+			}
+			child.state = st
+			return
+		}
+		e.eval.Restore(st) // it holds a sibling's edit
+		p.parent = nil
+	}
 	if parentEvicted {
 		parent.state = nil // transferred; the evicted parent is garbage
 	} else {
@@ -110,4 +143,25 @@ func (e *Engine) commitBatchState(child, parent *Individual, changes []dataset.C
 		panic(fmt.Sprintf("core: committing %s offspring state: %v", child.Origin, err))
 	}
 	child.state = st
+}
+
+// pendingOf returns the unsettled pending edit of parent's state, or nil.
+func (e *Engine) pendingOf(parent *Individual) *pendingEdit {
+	for k := range e.bPending {
+		if e.bPending[k].parent == parent {
+			return &e.bPending[k]
+		}
+	}
+	return nil
+}
+
+// settleStates restores every state still holding a pending edit, so
+// each parent's state describes the parent again.
+func (e *Engine) settleStates() {
+	for _, p := range e.bPending {
+		if p.parent != nil {
+			e.eval.Restore(p.parent.state)
+		}
+	}
+	e.bPending = e.bPending[:0]
 }

@@ -110,6 +110,7 @@ func BenchmarkEvaluateOffspringDelta(b *testing.B) {
 		child, changes := e.mutate(parent)
 		e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, child, changes
 		e.batchEvaluateGeneration(e.bParents[:1], e.bChildren[:1], e.bChanges[:1])
+		e.settleStates()
 	}
 }
 

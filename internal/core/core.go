@@ -15,11 +15,11 @@
 // Offspring are scored through incremental (delta) evaluation: the
 // operators report exactly which cells they changed, and
 // score.Evaluator.EvaluateBatch applies that change list to the parent's
-// cached per-measure state, reads the value and rolls the state back
-// instead of rescanning the whole file — bit-identical results at a
-// fraction of the cost (see batcheval.go and internal/score). Individuals
-// carry their delta states; only offspring that survive replacement
-// receive one.
+// cached per-measure state and reads the value instead of rescanning the
+// whole file — bit-identical results at a fraction of the cost (see
+// batcheval.go and internal/score). Individuals carry their delta states;
+// only offspring that survive replacement receive one, keeping the edit
+// the batch left pending, and every other state is rolled back.
 package core
 
 import (
@@ -485,14 +485,15 @@ type Engine struct {
 	hvValid bool
 
 	// bParents/bChildren/bChanges stage one generation's offspring for
-	// batch evaluation, and bOffs/bGroups are the score.EvaluateBatch
-	// buffers; all reused across Steps (a generation has at most two
-	// offspring).
+	// batch evaluation, bOffs/bGroups are the score.EvaluateBatch
+	// buffers, and bPending lists the states it left unsettled; all
+	// reused across Steps (a generation has at most two offspring).
 	bParents  [2]*Individual
 	bChildren [2]*Individual
 	bChanges  [2][]dataset.CellChange
 	bOffs     []score.BatchOffspring
 	bGroups   []score.BatchGroup
+	bPending  []pendingEdit
 }
 
 // NewEngine builds an engine and evaluates the initial population. The
@@ -718,6 +719,7 @@ func (e *Engine) Step() GenStats {
 		evalTime, gs.Accepted = e.stepCrossover()
 		gs.Evals = 2
 	}
+	e.settleStates()
 	e.evals += gs.Evals
 	e.accepted += gs.Accepted
 	e.offspring += gs.Evals

@@ -10,7 +10,9 @@
 // O(changes) patching, Apply advances the state by a change list and
 // returns the new value, and ApplyUndo/Undo do the same with an exact
 // rollback — the primitive behind generation-batch evaluation, which
-// scores every offspring against its parent's one state.
+// scores every offspring against its parent's one state and commits the
+// winner's pending ApplyUndo with an empty Apply instead of patching it
+// twice.
 //
 // Every state keeps exact integer summaries and funnels them through the
 // value arithmetic of the measure's full Loss or Risk, so a delta value
@@ -40,16 +42,19 @@ type Reversible interface {
 	Prepare(orig, masked *dataset.Dataset, attrs []int) State
 	// Apply advances state by the given cell changes — which must
 	// describe edits to the state's masked file, applied in order — and
-	// returns the measure's value for the edited file. An empty change
-	// list returns the current value. Apply commits any pending
-	// ApplyUndo, and must not retain changes: callers reuse the backing
-	// array across calls.
+	// returns the measure's value for the edited file. Apply first
+	// commits any pending ApplyUndo, so an empty change list returns the
+	// current value and, on a pending state, commits it as it is: the
+	// state then describes the file the ApplyUndo produced, and no
+	// change is patched again (a state that left a wide ApplyUndo's
+	// summaries stale rebuilds them). Apply must not retain changes:
+	// callers reuse the backing array across calls.
 	Apply(state State, changes []dataset.CellChange) float64
 	// ApplyUndo is Apply with rollback armed: it advances state by
 	// changes, returns the value for the edited file, and journals
 	// enough to restore the state exactly. At most one ApplyUndo may be
-	// pending per state; Undo (or a plain Apply, which commits the
-	// pending changes) must intervene before the next.
+	// pending per state; Undo, or a plain Apply (an empty one commits
+	// the pending changes as they are), must intervene before the next.
 	ApplyUndo(state State, changes []dataset.CellChange) float64
 	// Undo rolls back the pending ApplyUndo, restoring the state bit
 	// for bit. With no pending ApplyUndo it is a no-op.

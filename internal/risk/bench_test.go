@@ -99,10 +99,12 @@ func BenchmarkLinkageDeltaWidth(b *testing.B) {
 
 // BenchmarkLinkageDeltaPaperScale times the narrow route of every
 // mutation offspring on the DBRL and PRL states of 1000-record flare,
-// german and adult files: a single-cell ApplyUndo then Undo, and the
-// CloneState that hands a surviving child its own state. Both scale with
-// the state's distinct original tuples, not its records, so a return to
-// per-record rows multiplies their ns/op and B/op.
+// german and adult files: a single-cell ApplyUndo then Undo (an offspring
+// that loses), ApplyUndo then an empty Apply (Commit: the winner keeping
+// its pending edit), and the CloneState that hands a surviving child its
+// own state. All scale with the state's distinct original tuples, not
+// its records, so a return to per-record rows multiplies their ns/op and
+// B/op; Commit re-running PRL's EM shows in its ns/op too.
 func BenchmarkLinkageDeltaPaperScale(b *testing.B) {
 	for _, name := range []string{"flare", "german", "adult"} {
 		orig, masked, attrs := benchPairOf(b, name, 1000)
@@ -119,6 +121,23 @@ func BenchmarkLinkageDeltaPaperScale(b *testing.B) {
 					m.ApplyUndo(st, cells[k:k+1])
 					m.Undo(st)
 					k = (k + 1) % len(cells)
+				}
+			})
+			b.Run(m.Name()+"/Commit/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				k, back := 0, false
+				edit := make([]dataset.CellChange, 1)
+				for b.Loop() {
+					// Commit a cell, then commit it back, so the state
+					// keeps describing masked.
+					edit[0] = cells[k]
+					if back {
+						edit[0] = cells[k].Inverted()
+						k = (k + 1) % len(cells)
+					}
+					back = !back
+					m.ApplyUndo(st, edit)
+					m.Apply(st, nil)
 				}
 			})
 			b.Run(m.Name()+"/CloneState/"+name, func(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -425,6 +426,15 @@ func tupleFixture(name string, card int, orig, masked [][]int) linkageCase {
 	return fx
 }
 
+// rescanFixture is TestLinkageStateTupleEdges' first fixture and the
+// change that forces its DBRL state to rescan tuple (0,0).
+func rescanFixture() (linkageCase, []dataset.CellChange) {
+	fx := tupleFixture("rescan", 5,
+		[][]int{{0, 0}, {0, 0}, {0, 0}, {4, 4}, {4, 4}, {2, 2}, {3, 1}, {1, 3}},
+		[][]int{{0, 0}, {1, 1}, {0, 2}, {4, 4}, {3, 4}, {2, 2}, {3, 1}, {1, 4}})
+	return fx, []dataset.CellChange{{Row: 0, Col: 0, Old: 0, New: 4}}
+}
+
 // TestLinkageStateTupleEdges pins two per-tuple paths of the DBRL and PRL
 // states that random grids reach only by chance. In the first fixture
 // the tuple (0,0) of records 0–2 has masked record 0 as its unique
@@ -433,10 +443,7 @@ func tupleFixture(name string, card int, orig, masked [][]int) linkageCase {
 // record holds the same tuple (D = 1). Both run Apply/ApplyUndo/Undo
 // chains, narrow and past the break-even, against the pairwise oracles.
 func TestLinkageStateTupleEdges(t *testing.T) {
-	rescan := tupleFixture("rescan", 5,
-		[][]int{{0, 0}, {0, 0}, {0, 0}, {4, 4}, {4, 4}, {2, 2}, {3, 1}, {1, 3}},
-		[][]int{{0, 0}, {1, 1}, {0, 2}, {4, 4}, {3, 4}, {2, 2}, {3, 1}, {1, 4}})
-	moveAway := []dataset.CellChange{{Row: 0, Col: 0, Old: 0, New: 4}}
+	rescan, moveAway := rescanFixture()
 	st := (&DistanceLinkage{}).Prepare(rescan.orig, rescan.masked, rescan.attrs).(*dbrlState)
 	g := st.orig.of[0]
 	if st.orig.mult[g] != 3 || st.best[g] != 0 || st.count[g] != 1 {
@@ -491,6 +498,111 @@ func TestLinkageStateTupleEdges(t *testing.T) {
 				t.Fatalf("%s %s: a list of %d cells is patched, not re-linked", fx.name, gr.m.Name(), cells)
 			}
 			checkChain(t, gr, st, fx, rand.New(rand.NewPCG(72, uint64(len(fx.name)))), 30, cells)
+		}
+	}
+}
+
+// TestDBRLUndoRestoresRows: Undo restores a journalled narrow ApplyUndo
+// from before-images, not by patching back. On the rescan fixture, where
+// the move rescans tuple (0,0) and changes record 0's true-match
+// distance, the state after ApplyUndo and Undo — on its own and followed
+// by a second move — must hold exactly the masked columns, rows and
+// true-match distances a state prepared from the unedited file holds.
+func TestDBRLUndoRestoresRows(t *testing.T) {
+	fx, moveAway := rescanFixture()
+	dl := &DistanceLinkage{}
+	st := dl.Prepare(fx.orig, fx.masked, fx.attrs).(*dbrlState)
+	want := dl.Prepare(fx.orig, fx.masked, fx.attrs).(*dbrlState)
+	back := []dataset.CellChange{{Row: 4, Col: 1, Old: 4, New: 0}, {Row: 0, Col: 0, Old: 0, New: 2}}
+	for _, changes := range [][]dataset.CellChange{moveAway, back} {
+		if dl.ApplyUndo(st, changes); len(st.rowLog) == 0 || len(st.distLog) == 0 {
+			t.Fatalf("%v: journalled %d rows and %d distances; the fixture must move both", changes, len(st.rowLog), len(st.distLog))
+		}
+		dl.Undo(st)
+		for a := range st.mc {
+			if !slices.Equal(st.mc[a], want.mc[a]) {
+				t.Fatalf("%v: masked column %d after Undo %v, want %v", changes, a, st.mc[a], want.mc[a])
+			}
+		}
+		if !slices.Equal(st.best, want.best) || !slices.Equal(st.count, want.count) {
+			t.Fatalf("%v: rows after Undo best %v count %v, want %v %v", changes, st.best, st.count, want.best, want.count)
+		}
+		if !slices.Equal(st.trueDist, want.trueDist) {
+			t.Fatalf("%v: true-match distances after Undo %v, want %v", changes, st.trueDist, want.trueDist)
+		}
+	}
+}
+
+// strongestScan is strongestLinks' reference: a full scan of every
+// pattern of every row, in pattern order.
+func strongestScan(weights []float64, cnt []int32, bestW []float64, ties []int32) {
+	numPat := len(weights)
+	for g := range bestW {
+		best, count := math.Inf(-1), int32(0)
+		for pat, c := range cnt[g*numPat : (g+1)*numPat] {
+			if c == 0 {
+				continue
+			}
+			switch w := weights[pat]; {
+			case w > best:
+				best, count = w, c
+			case w == best:
+				count += c
+			}
+		}
+		bestW[g], ties[g] = best, count
+	}
+}
+
+// TestStrongestLinksMatchesFullScan: ordering the patterns by weight and
+// stopping each row at its first count must find the full scan's highest
+// weight, bit for bit, and tie count, on weights holding NaN, -Inf, +0
+// and -0 in both orders, equal finite weights, and rows counting only
+// NaN patterns, only -Inf ones, or none.
+func TestStrongestLinksMatchesFullScan(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	weightSets := [][]float64{
+		{nan, -inf, 0, negZero, 1.5, 1.5, -inf, nan},
+		{negZero, 0, nan, -inf, -2, nan, negZero, 0},
+		{-inf, -inf, nan, nan, -inf, nan, -inf, nan},
+		{3, nan, 3, 0, negZero, 3, -inf, inf},
+		{nan, nan, nan, nan, nan, nan, nan, nan},
+	}
+	const numPat = 8
+	rng := rand.New(rand.NewPCG(17, 3))
+	var order []int32
+	for s, weights := range weightSets {
+		// One row per single pattern and per pair of patterns, then random
+		// rows with sparse counts.
+		var cnt []int32
+		for p := range numPat {
+			for q := p; q < numPat; q++ {
+				row := make([]int32, numPat)
+				row[p]++
+				row[q] += 2
+				cnt = append(cnt, row...)
+			}
+		}
+		for range 40 {
+			for range numPat {
+				c := int32(0)
+				if rng.IntN(3) == 0 {
+					c = int32(1 + rng.IntN(4))
+				}
+				cnt = append(cnt, c)
+			}
+		}
+		cnt = append(cnt, make([]int32, numPat)...) // an empty row
+		rows := len(cnt) / numPat
+		gotW, wantW := make([]float64, rows), make([]float64, rows)
+		gotT, wantT := make([]int32, rows), make([]int32, rows)
+		order = strongestLinks(weights, cnt, order, gotW, gotT)
+		strongestScan(weights, cnt, wantW, wantT)
+		for g := range rows {
+			if math.Float64bits(gotW[g]) != math.Float64bits(wantW[g]) || gotT[g] != wantT[g] {
+				t.Fatalf("weights %d row %v: strongest %v x%d, full scan %v x%d",
+					s, cnt[g*numPat:(g+1)*numPat], gotW[g], gotT[g], wantW[g], wantT[g])
+			}
 		}
 	}
 }

@@ -25,7 +25,11 @@ package risk
 //     tuple counts once per record holding it. A cell change flips one
 //     pattern bit for the tuples whose value matches the old or new
 //     category; EM then reruns over the (tiny) pattern tally and records
-//     are re-linked from their tuples' histograms in O(D·2^attrs + n).
+//     are re-linked from their tuples' histograms in O(D·2^attrs + n) at
+//     worst: with the patterns ordered by weight, each tuple's scan stops
+//     at its strongest non-empty pattern. The value is kept until the
+//     masked columns change, so an empty Apply that commits a pending
+//     ApplyUndo returns it without rerunning EM.
 //   - RSRL keeps the masked file's per-attribute category frequencies,
 //     mid-ranks, window intervals and candidate bitsets, plus per-profile
 //     candidate counts. A cell change shifts only the mid-ranks between the
@@ -42,31 +46,39 @@ package risk
 // counts of its last full link, and re-links in full once patching would
 // cost more: a wide ApplyUndo writes the list into the state's masked
 // columns only, scores them with the kernel against the state's own
-// original grouping and leaves the rows or histograms untouched for
-// Undo, which then restores just those columns; a wide Apply (a commit)
+// original grouping and leaves the rows or histograms stale for Undo,
+// which then restores just those columns; a wide Apply (a commit)
 // re-links and rebuilds the rows or histograms in place, as Prepare
-// does. The original file never changes, so neither route re-groups it.
+// does, and so does the next Apply or narrow ApplyUndo of a stale state
+// (one committing a pending wide ApplyUndo, or a clone of one) before it
+// patches. The original file never changes, so neither route re-groups it.
 // The estimate reads counts only, never a clock, so the route of every
 // call is deterministic, and both routes give bit-identical values.
 //
-// Undo: ID, DBRL and PRL rewind a measure.Journal, replaying the
-// inverted change list in reverse through the same exact integer patches
-// (their summaries are pure functions of the masked columns), or after a
-// wide DBRL or PRL ApplyUndo through the masked columns alone. RSRL keeps
-// its own journal of word-level bitset diffs plus scalar row snapshots
-// (see rsrl_incremental.go), skipping the candidate re-intersections.
+// Undo: ID and PRL rewind a measure.Journal, replaying the inverted
+// change list in reverse through the same exact integer patches (their
+// summaries are pure functions of the masked columns). DBRL rewinds only
+// its masked columns that way and then restores, newest first, the
+// before-images of the rows and true-match distances its patches
+// overwrote, rescans included, so it never patches back. After a wide
+// DBRL or PRL ApplyUndo only the masked columns are rewound, and the
+// stale flag returns to its value before that ApplyUndo. RSRL keeps its
+// own journal of word-level bitset diffs plus scalar row snapshots (see
+// rsrl_incremental.go), skipping the candidate re-intersections.
 //
 // Measured at bench_test.go scale (500 records, on a 2-vCPU Xeon), a
 // single-cell RSRL Apply costs ~4.5µs against ~61µs for a full RSRL Risk,
 // which prepares a fresh state (~9x, BenchmarkRankIntervalLinkageDeltaSpeedup),
 // and runs allocation-free. On 1000-record flare, german and adult files
-// a single-cell DBRL ApplyUndo+Undo costs ~9–23µs and a PRL one ~17–29µs
-// (BenchmarkLinkageDeltaPaperScale), against ~0.25–2.5ms and ~0.5–6ms
-// for their full Risk. The states keep reusable scratch buffers, so
-// cloning the state of a survivor whose parent lives on is the only
-// steady-state allocation of the delta chain.
+// (same machine) a single-cell DBRL ApplyUndo+Undo costs ~7–15µs and a
+// PRL one ~15–22µs, and ApplyUndo plus the committing empty Apply ~9–18µs
+// and ~14–16µs (BenchmarkLinkageDeltaPaperScale), against ~0.25–2.5ms and
+// ~0.5–6ms for their full Risk. The states keep reusable scratch
+// buffers, so cloning the state of a survivor whose parent lives on is
+// the only steady-state allocation of the delta chain.
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -205,9 +217,30 @@ type dbrlState struct {
 	// the tuple counts of the last one (linkGroups.relinkCost).
 	relinkCost int
 	// stale marks rows that lag mc: a wide ApplyUndo wrote its edits into
-	// mc only. Undo clears it; in a clone, the next Apply re-links.
-	stale bool
-	undo  measure.Journal // pending ApplyUndo; never shared by clones
+	// mc only. The next Apply or narrow ApplyUndo re-links first; Undo
+	// puts back wasStale, the flag's value before the wide ApplyUndo (a
+	// clone of a pending wide edit starts stale).
+	stale, wasStale bool
+	// undo holds the pending ApplyUndo's change list, which Undo rewinds
+	// through the masked columns; rowLog and distLog hold the
+	// before-images of the rows and true-match distances its patches
+	// overwrote, oldest first. None of them is shared by clones.
+	undo    measure.Journal
+	rowLog  []dbrlRow
+	distLog []dbrlDist
+}
+
+// dbrlRow is the before-image of original tuple g's row.
+type dbrlRow struct {
+	g           int32
+	best, count int64
+}
+
+// dbrlDist is the before-image of original record j's true-match
+// distance.
+type dbrlDist struct {
+	j int32
+	d int64
 }
 
 // CloneState implements State.
@@ -269,18 +302,19 @@ func (st *dbrlState) relink() {
 	st.stale = false
 }
 
-// wide reports whether patching changes in and out again would cost more
-// than a full grouped re-link. Both are counted in per-attribute table
-// reads: a change re-sums the distance of every original tuple to the
-// edited masked record, twice.
+// wide reports whether patching changes would cost more than a full
+// grouped re-link. Both are counted in per-attribute table reads: a
+// change re-sums the distance of every original tuple to the edited
+// masked record. The factor 2 is an uncalibrated margin towards the
+// re-link.
 func (st *dbrlState) wide(changes []dataset.CellChange) bool {
 	return 2*len(changes)*len(st.orig.mult)*len(st.attrs) > st.relinkCost
 }
 
-// rescan recomputes tuple g's nearest distance and tie count from scratch
-// against the current masked columns.
-func (s *dbrlState) rescan(g int) {
-	best, count := int64(1)<<62, int64(0)
+// rescan returns tuple g's nearest distance and tie count, recomputed
+// from scratch against the current masked columns.
+func (s *dbrlState) rescan(g int) (best, count int64) {
+	best = int64(1) << 62
 	for j := 0; j < s.n; j++ {
 		d := s.orig.distance(g, s.mc, j, s.tables)
 		switch {
@@ -290,14 +324,15 @@ func (s *dbrlState) rescan(g int) {
 			count++
 		}
 	}
-	s.best[g], s.count[g] = best, count
+	return best, count
 }
 
 // patchOne advances the per-tuple rows and the true-match distances by
 // one cell change. The rows are pure functions of the masked columns
 // (minimum and multiplicity of each tuple's distance multiset, and each
-// record's true-match distance), so replaying inverted changes in
-// reverse restores them exactly.
+// record's true-match distance). Every row and distance the patch
+// overwrites is logged first, so Undo can restore it without patching
+// back.
 func (st *dbrlState) patchOne(ch dataset.CellChange) {
 	a0 := st.pos[ch.Col]
 	j0 := ch.Row
@@ -317,29 +352,38 @@ func (st *dbrlState) patchOne(ch dataset.CellChange) {
 		}
 		dOld, dNew := base+dOldA, base+dNewA
 		// Replace one element of tuple g's distance multiset.
+		best, count := st.best[g], st.count[g]
 		switch {
-		case dOld > st.best[g]:
-			if dNew < st.best[g] {
-				st.best[g], st.count[g] = dNew, 1
-			} else if dNew == st.best[g] {
-				st.count[g]++
+		case dOld > best:
+			if dNew < best {
+				best, count = dNew, 1
+			} else if dNew == best {
+				count++
 			}
-		default: // dOld == st.best[g]; dOld < best is impossible
-			if st.count[g] > 1 {
-				st.count[g]--
-				if dNew < st.best[g] {
-					st.best[g], st.count[g] = dNew, 1
-				} else if dNew == st.best[g] {
-					st.count[g]++
+		default: // dOld == best; dOld < best is impossible
+			if count > 1 {
+				count--
+				if dNew < best {
+					best, count = dNew, 1
+				} else if dNew == best {
+					count++
 				}
 			} else if dNew <= dOld {
-				st.best[g] = dNew // still the unique minimum
+				best = dNew // still the unique minimum
 			} else {
-				st.rescan(g) // the unique minimum moved away
+				best, count = st.rescan(g) // the unique minimum moved away
 			}
 		}
+		if best == st.best[g] && count == st.count[g] {
+			continue
+		}
+		st.rowLog = append(st.rowLog, dbrlRow{int32(g), st.best[g], st.count[g]})
+		st.best[g], st.count[g] = best, count
 	}
-	st.trueDist[j0] = o.distance(int(o.of[j0]), st.mc, j0, st.tables)
+	if d := o.distance(int(o.of[j0]), st.mc, j0, st.tables); d != st.trueDist[j0] {
+		st.distLog = append(st.distLog, dbrlDist{int32(j0), st.trueDist[j0]})
+		st.trueDist[j0] = d
+	}
 }
 
 // value assembles the linkage percentage from the maintained rows with
@@ -355,26 +399,33 @@ func (st *dbrlState) value() float64 {
 }
 
 // Apply implements Incremental. A plain Apply commits any pending
-// ApplyUndo. A wide change list, or a pending wide ApplyUndo, re-links
-// the rows in full instead of patching them.
+// ApplyUndo. A wide change list re-links the rows in full instead of
+// patching them, and stale rows re-link before any patch, so an empty
+// Apply on a pending wide ApplyUndo re-links once and the logs hold
+// exactly the before-images of these changes' patches.
 func (dl *DistanceLinkage) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*dbrlState)
 	st.undo.Disarm()
-	if st.stale || st.wide(changes) {
+	st.rowLog, st.distLog = st.rowLog[:0], st.distLog[:0]
+	if st.wide(changes) {
 		setCells(st.mc, st.pos, changes)
 		st.relink()
-	} else {
-		for _, ch := range changes {
-			st.patchOne(ch)
-		}
+		return st.value()
+	}
+	if st.stale {
+		st.relink()
+	}
+	for _, ch := range changes {
+		st.patchOne(ch)
 	}
 	return st.value()
 }
 
-// ApplyUndo implements Reversible. A wide change list is written into the
-// masked columns alone and scored by the grouped kernel of full Risk
-// against the state's own original grouping, leaving the rows to
-// describe the unedited file.
+// ApplyUndo implements Reversible. A narrow change list is patched with
+// its before-images journalled. A wide one is written into the masked
+// columns alone and scored by the grouped kernel of full Risk against the
+// state's own original grouping, leaving the rows to describe the
+// unedited file.
 func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) float64 {
 	st := state.(*dbrlState)
 	if !st.wide(changes) {
@@ -384,22 +435,33 @@ func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) 
 	}
 	setCells(st.mc, st.pos, changes)
 	st.undo.Arm(changes)
-	st.stale = true
+	st.wasStale, st.stale = st.stale, true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
 	return dbrlGrouped(lg, st.orig, st.mc, st.tables, st.n)
 }
 
-// Undo implements Reversible.
+// Undo implements Reversible: the masked cells are rewound, then the
+// journalled rows and distances restored, newest first. After a wide
+// ApplyUndo (the only route that leaves the rows stale) only the masked
+// columns moved.
 func (dl *DistanceLinkage) Undo(state State) {
 	st := state.(*dbrlState)
-	if st.stale {
-		if st.undo.Rewind(func(ch dataset.CellChange) { st.mc[st.pos[ch.Col]][ch.Row] = ch.New }) {
-			st.stale = false
-		}
+	if !st.undo.Rewind(func(ch dataset.CellChange) { st.mc[st.pos[ch.Col]][ch.Row] = ch.New }) {
 		return
 	}
-	st.undo.Rewind(st.patchOne)
+	if st.stale {
+		st.stale = st.wasStale
+		return
+	}
+	for k := len(st.rowLog) - 1; k >= 0; k-- {
+		r := st.rowLog[k]
+		st.best[r.g], st.count[r.g] = r.best, r.count
+	}
+	for k := len(st.distLog) - 1; k >= 0; k-- {
+		d := st.distLog[k]
+		st.trueDist[d.j] = d.d
+	}
 }
 
 // --- PRL (probabilistic record linkage) ---
@@ -423,13 +485,22 @@ type prlState struct {
 	// the tuple counts of the last one (linkGroups.relinkCost).
 	relinkCost int
 	// stale marks histograms that lag mc: a wide ApplyUndo wrote its
-	// edits into mc only. Undo clears it; in a clone, the next Apply
-	// re-links.
-	stale bool
+	// edits into mc only. The next Apply re-links; Undo puts back
+	// wasStale, the flag's value before the wide ApplyUndo (a clone of a
+	// pending wide edit starts stale).
+	stale, wasStale bool
+	// val is the linkage value of mc while valOK: the last Apply or
+	// ApplyUndo computed it, and no edit of mc has happened since. A
+	// re-link leaves it valid, as it rebuilds the tallies of the same
+	// columns, so an empty Apply committing a pending ApplyUndo returns
+	// it without rerunning EM.
+	val   float64
+	valOK bool
 	// Reusable EM, weight and per-tuple link scratch of value and of
 	// wide ApplyUndo, lazily sized and never shared: CloneState leaves it
 	// empty, so steady-state Apply calls allocate nothing.
 	em    emScratch
+	order []int32         // patterns by descending weight (strongestLinks)
 	bestW []float64       // per original tuple: highest weight of a masked record
 	ties  []int32         // per original tuple: masked records attaining bestW
 	undo  measure.Journal // pending ApplyUndo; never shared by clones
@@ -444,6 +515,7 @@ func (s *prlState) CloneState() State {
 		patCount:   slices.Clone(s.patCount),
 		truePat:    slices.Clone(s.truePat),
 		relinkCost: s.relinkCost, stale: s.stale,
+		val: s.val, valOK: s.valOK,
 	}
 }
 
@@ -563,37 +635,35 @@ func (st *prlState) patchOne(ch dataset.CellChange) {
 		}
 	}
 	st.mc[a0][j0] = ch.New
+	st.valOK = false
 	// The true-match pattern of record j0 itself.
 	st.truePat[j0] = int32(o.pattern(int(o.of[j0]), st.mc, j0))
 }
 
-// value re-estimates and re-links from the pattern tallies — identical
-// inputs and arithmetic to the full Risk, so identical m/u estimates,
-// weights and credit. Each tuple's strongest weight and tie count are
-// found once; credit is then summed in record order.
+// edit writes changes into the masked columns alone.
+func (st *prlState) edit(changes []dataset.CellChange) {
+	if len(changes) > 0 {
+		setCells(st.mc, st.pos, changes)
+		st.valOK = false
+	}
+}
+
+// value returns the linkage value of mc: the cached one while valid,
+// otherwise a re-estimate and re-link from the pattern tallies —
+// identical inputs and arithmetic to the full Risk, so identical m/u
+// estimates, weights and credit. Each tuple's strongest weight and tie
+// count are found once; credit is then summed in record order.
 func (st *prlState) value() float64 {
+	if st.valOK {
+		return st.val
+	}
 	numPat := 1 << st.numAttrs
 	st.em.size(st.numAttrs)
 	weights := st.em.matchWeights(st.patCount, float64(st.n)*float64(st.n), float64(st.n), st.iters)
 	numOrig := len(st.orig.mult)
 	st.bestW = resize(st.bestW, numOrig)
 	st.ties = resize(st.ties, numOrig)
-	for g := range numOrig {
-		best, count := math.Inf(-1), int32(0)
-		for pat, c := range st.cnt[g*numPat : (g+1)*numPat] {
-			if c == 0 {
-				continue
-			}
-			w := weights[pat]
-			switch {
-			case w > best:
-				best, count = w, c
-			case w == best:
-				count += c
-			}
-		}
-		st.bestW[g], st.ties[g] = best, count
-	}
+	st.order = strongestLinks(weights, st.cnt, st.order, st.bestW, st.ties)
 	credit := 0.0
 	for i, g := range st.orig.of {
 		tp := st.truePat[i]
@@ -601,17 +671,57 @@ func (st *prlState) value() float64 {
 			credit += 1 / float64(st.ties[g])
 		}
 	}
-	return 100 * credit / float64(st.n)
+	st.val, st.valOK = 100*credit/float64(st.n), true
+	return st.val
+}
+
+// strongestLinks sets bestW[g] to the highest weight among the patterns
+// that tuple g's histogram row of cnt counts, and ties[g] to how many
+// masked records attain it: -Inf and 0 when the row counts only NaN
+// patterns, which never win, as in the full scan of every pattern.
+// Patterns are ordered by descending weight once, stably and without NaN
+// weights, so each row's scan stops at its first non-zero count and takes
+// the equal weights that follow it along; a maximum and a tie count do
+// not depend on scan order. order is reusable scratch, returned grown.
+func strongestLinks(weights []float64, cnt []int32, order []int32, bestW []float64, ties []int32) []int32 {
+	order = order[:0]
+	for pat, w := range weights {
+		if !math.IsNaN(w) {
+			order = append(order, int32(pat))
+		}
+	}
+	slices.SortStableFunc(order, func(p, q int32) int { return cmp.Compare(weights[q], weights[p]) })
+	numPat := len(weights)
+	for g := range bestW {
+		row := cnt[g*numPat : (g+1)*numPat]
+		best, count := math.Inf(-1), int32(0)
+		for k, pat := range order {
+			if row[pat] == 0 {
+				continue
+			}
+			best, count = weights[pat], row[pat]
+			for _, tie := range order[k+1:] {
+				if weights[tie] != best {
+					break
+				}
+				count += row[tie]
+			}
+			break
+		}
+		bestW[g], ties[g] = best, count
+	}
+	return order
 }
 
 // Apply implements Incremental. A plain Apply commits any pending
 // ApplyUndo. A wide change list, or a pending wide ApplyUndo, re-links
-// the histograms in full instead of patching them.
+// the histograms in full instead of patching them. An empty Apply
+// committing a pending ApplyUndo returns its cached value.
 func (pl *ProbabilisticLinkage) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*prlState)
 	st.undo.Disarm()
 	if st.stale || st.wide(changes) {
-		setCells(st.mc, st.pos, changes)
+		st.edit(changes)
 		st.relink()
 	} else {
 		for _, ch := range changes {
@@ -632,12 +742,13 @@ func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellCha
 		st.undo.Arm(changes)
 		return v
 	}
-	setCells(st.mc, st.pos, changes)
+	st.edit(changes)
 	st.undo.Arm(changes)
-	st.stale = true
+	st.wasStale, st.stale = st.stale, true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	return prlGrouped(lg, &st.em, st.orig, st.mc, st.n, st.iters)
+	st.val, st.valOK = prlGrouped(lg, &st.em, st.orig, st.mc, st.n, st.iters), true
+	return st.val
 }
 
 // Undo implements Reversible. The EM re-estimation and re-link are pure
@@ -647,7 +758,7 @@ func (pl *ProbabilisticLinkage) Undo(state State) {
 	st := state.(*prlState)
 	if st.stale {
 		if st.undo.Rewind(func(ch dataset.CellChange) { st.mc[st.pos[ch.Col]][ch.Row] = ch.New }) {
-			st.stale = false
+			st.stale, st.valOK = st.wasStale, false
 		}
 		return
 	}

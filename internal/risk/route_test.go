@@ -140,6 +140,50 @@ func checkRouteAcrossBreakEven(t *testing.T, name string, m Reversible, fx linka
 	}
 }
 
+// TestStaleCloneStaysStale: a clone of a state holding a pending wide
+// ApplyUndo — wide for the state, though far narrower than the rows/2
+// at which the battery gives up on states — starts stale, its rows or
+// histograms lagging its masked columns. A wide ApplyUndo and Undo on the
+// clone must leave it stale, so that a narrow Apply then re-links before
+// it patches and equals full Risk of the edited file.
+func TestStaleCloneStaysStale(t *testing.T) {
+	orig, masked, attrs := benchPairOf(t, "flare", 0)
+	rng := rand.New(rand.NewPCG(3, 47))
+	for _, m := range []Reversible{&DistanceLinkage{}, &ProbabilisticLinkage{}} {
+		st := m.Prepare(orig, masked, attrs)
+		// wideList returns the shortest prefix of a random change list
+		// from d that st routes to a re-link.
+		wideList := func(st State, d *dataset.Dataset) []dataset.CellChange {
+			long := make([]dataset.CellChange, orig.Rows()/2)
+			scratch := d.Clone()
+			for i := range long {
+				long[i] = dataset.RandomChange(rng, scratch, attrs)
+			}
+			k := breakEven(t, st, long)
+			if k == 0 {
+				t.Fatalf("%s: no list of up to rows/2 = %d cells is wide", m.Name(), len(long))
+			}
+			return long[:k]
+		}
+		first := wideList(st, masked)
+		child := edited(masked, first)
+		m.ApplyUndo(st, first)
+		clone := st.CloneState()
+		m.Undo(st)
+
+		second := wideList(clone, child)
+		m.ApplyUndo(clone, second)
+		m.Undo(clone)
+		third := []dataset.CellChange{dataset.RandomChange(rng, child.Clone(), attrs)}
+		if got, want := m.Apply(clone, third), m.Risk(orig, edited(child, third), attrs); got != want {
+			t.Fatalf("%s: narrow Apply on the clone %v != full Risk %v", m.Name(), got, want)
+		}
+		if got, want := m.Apply(st, nil), m.Risk(orig, masked, attrs); got != want {
+			t.Fatalf("%s: parent after Undo %v != full Risk %v", m.Name(), got, want)
+		}
+	}
+}
+
 // FuzzLinkageRoute drives the DBRL and PRL states of a random grid
 // through change lists whose widths the input draws, so that lists land
 // on both sides of each state's break-even, and demands every value equal

@@ -5,14 +5,18 @@ package score
 // before any replacement decision, so the offspring of one parent form a
 // natural batch: they all branch from the same delta state. EvaluateBatch
 // applies each offspring's change list against the parent's own state
-// through the measures' reversible (apply/undo) capability and rolls the
-// state back before the next offspring, touching memory proportional to
-// the edit instead of to the file. Groups are independent (each owns its
-// state), so they shard across a worker pool.
+// through the measures' reversible (apply/undo) capability, touching
+// memory proportional to the edit instead of to the file, and rolls the
+// state back before the next offspring. The last narrow offspring's edit
+// stays pending (BatchGroup.Pending): once replacement has decided, Keep
+// commits it in O(1) when that offspring inherits the state, and Restore
+// rolls it back otherwise, so a winner is never patched twice. Groups are
+// independent (each owns its state), so they shard across a worker pool.
 //
 // Results are bit-for-bit identical to Evaluate of each child: Undo
-// restores states exactly (property-tested per measure), and the battery
-// is summed by the same slot walk Evaluate uses.
+// restores states exactly (property-tested per measure), a kept edit
+// leaves the state Advance would build, and the battery is summed by the
+// same slot walk Evaluate uses.
 
 import (
 	"fmt"
@@ -38,9 +42,10 @@ type BatchOffspring struct {
 }
 
 // BatchGroup gathers one parent's offspring for a generation. State is
-// advanced and rolled back in place during EvaluateBatch but always
-// returned to its incoming value — the group's parent remains a valid
-// delta-evaluation ancestor afterwards.
+// advanced and rolled back in place during EvaluateBatch, which leaves it
+// unsettled when Pending is set: it then describes that offspring's file
+// until Keep or Restore settles it, and Restore returns it to its
+// incoming value.
 type BatchGroup struct {
 	// Parent is the parent's evaluation, returned verbatim for
 	// offspring with empty change lists.
@@ -54,6 +59,10 @@ type BatchGroup struct {
 	State *DeltaState
 	// Offspring are the candidates to score.
 	Offspring []BatchOffspring
+	// Pending is an output: the index in Offspring of the offspring
+	// whose edit State still holds, the last one scored through the
+	// state, or -1 when the state is settled (no offspring needed it).
+	Pending int
 }
 
 // Batchable reports whether every configured measure supports reversible
@@ -70,25 +79,27 @@ func (e *Evaluator) Batchable() bool {
 }
 
 // EvaluateBatch scores every offspring of every group, writing results
-// into the Offspring[k].Eval fields. Offspring within a group are
-// evaluated sequentially against the group's shared state (apply, read,
-// undo); distinct groups are independent and are sharded across workers
-// goroutines when workers > 1. Each evaluation is bit-for-bit identical
-// to Evaluate of the child, and every group's State is restored to its
-// incoming value before return.
+// into the Offspring[k].Eval fields and each group's Pending. Offspring
+// within a group are evaluated sequentially against the group's shared
+// state (apply, read, and undo before the next); distinct groups are
+// independent and are sharded across workers goroutines when workers >
+// 1. Each evaluation is bit-for-bit identical to Evaluate of the child.
+// A group's State is left unsettled, holding the edit of offspring
+// Pending, when Pending is not -1; the caller must Keep or Restore it
+// before the state is used again. Unsettled incoming states are refused.
 //
-// On error the groups' states are still intact — the per-offspring
-// checks run before the state is touched — but Eval fields of offspring
-// processed after the failure point are unspecified.
+// On error every group's state is settled at its incoming value and
+// every Pending is -1, but Eval fields of offspring processed after the
+// failure point are unspecified.
 func (e *Evaluator) EvaluateBatch(groups []BatchGroup, workers int) error {
 	for g := range groups {
+		groups[g].Pending = -1
 		st := groups[g].State
 		if st == nil {
 			continue // checked per offspring: only narrow edits need a state
 		}
-		if len(st.states) != len(e.slots) {
-			return fmt.Errorf("score: batch group %d state has %d measure slots, evaluator has %d",
-				g, len(st.states), len(e.slots))
+		if err := e.checkSettled(st); err != nil {
+			return fmt.Errorf("score: batch group %d: %w", g, err)
 		}
 	}
 	if workers > len(groups) {
@@ -97,6 +108,7 @@ func (e *Evaluator) EvaluateBatch(groups []BatchGroup, workers int) error {
 	if workers <= 1 || len(groups) <= 1 {
 		for g := range groups {
 			if err := e.evaluateGroup(&groups[g]); err != nil {
+				e.restoreAll(groups)
 				return err
 			}
 		}
@@ -129,10 +141,24 @@ func (e *Evaluator) EvaluateBatch(groups []BatchGroup, workers int) error {
 		}()
 	}
 	wg.Wait()
+	if first != nil {
+		e.restoreAll(groups)
+	}
 	return first
 }
 
-// evaluateGroup scores one group's offspring against its shared state.
+// restoreAll settles every group's state at its incoming value.
+func (e *Evaluator) restoreAll(groups []BatchGroup) {
+	for g := range groups {
+		if groups[g].Pending >= 0 {
+			e.Restore(groups[g].State)
+			groups[g].Pending = -1
+		}
+	}
+}
+
+// evaluateGroup scores one group's offspring against its shared state,
+// leaving the last narrow offspring's edit pending.
 func (e *Evaluator) evaluateGroup(grp *BatchGroup) error {
 	st := grp.State
 	for k := range grp.Offspring {
@@ -162,24 +188,71 @@ func (e *Evaluator) evaluateGroup(grp *BatchGroup) error {
 		if st == nil {
 			return fmt.Errorf("score: batch group with a narrow-edit offspring has nil delta state")
 		}
+		if grp.Pending >= 0 {
+			e.Restore(st)
+		}
 		off.Eval = e.evaluation(func(i int) float64 {
 			s := st.states[i]
 			if s == nil {
 				return e.slots[i].full(e.orig, off.Child, e.attrs)
 			}
-			v := e.slots[i].rev.ApplyUndo(s, off.Changes)
-			e.slots[i].rev.Undo(s)
-			return v
+			return e.slots[i].rev.ApplyUndo(s, off.Changes)
 		})
+		grp.Pending, st.pending = k, true
 	}
 	return nil
 }
 
-// Advance commits changes into state in place: every slot is advanced by
-// the change list (disarming any pending undo). It is the zero-allocation
-// way to promote a winning offspring's evaluation into a reusable delta
-// state when the parent's state is no longer needed. The same validation
-// as EvaluateBatch applies; child is the dataset the changes produce.
+// Keep settles a state EvaluateBatch left unsettled by committing the
+// pending edit: the state then describes that offspring's file, as
+// Advance over the offspring's change list would leave it, at the cost of
+// one empty Apply per slot. Keep on a settled state does nothing.
+func (e *Evaluator) Keep(state *DeltaState) {
+	if !state.pending {
+		return
+	}
+	for i, s := range state.states {
+		if s != nil {
+			e.slots[i].rev.Apply(s, nil)
+		}
+	}
+	state.pending = false
+}
+
+// Restore settles a state EvaluateBatch left unsettled by rolling the
+// pending edit back: the state then describes the group's parent again.
+// Restore on a settled state does nothing.
+func (e *Evaluator) Restore(state *DeltaState) {
+	if !state.pending {
+		return
+	}
+	for i, s := range state.states {
+		if s != nil {
+			e.slots[i].rev.Undo(s)
+		}
+	}
+	state.pending = false
+}
+
+// checkSettled refuses a state that does not fit the evaluator's battery
+// or still holds a pending edit.
+func (e *Evaluator) checkSettled(state *DeltaState) error {
+	if len(state.states) != len(e.slots) {
+		return fmt.Errorf("delta state has %d measure slots, evaluator has %d",
+			len(state.states), len(e.slots))
+	}
+	if state.pending {
+		return fmt.Errorf("delta state holds a pending edit; Keep or Restore it first")
+	}
+	return nil
+}
+
+// Advance commits changes into a settled state in place: every slot is
+// advanced by the change list. It promotes an offspring's evaluation into
+// a reusable delta state when the offspring's edit is not the one its
+// parent's state holds pending (Keep commits that one for free). The
+// same validation as EvaluateBatch applies; child is the dataset the
+// changes produce.
 //
 // Advance refuses wide edits: past the incremental break-even point
 // callers should drop the state and re-Prepare lazily, should the wide
@@ -191,9 +264,8 @@ func (e *Evaluator) Advance(state *DeltaState, child *dataset.Dataset, changes [
 	if child == nil {
 		return fmt.Errorf("score: nil child dataset")
 	}
-	if len(state.states) != len(e.slots) {
-		return fmt.Errorf("score: delta state has %d measure slots, evaluator has %d",
-			len(state.states), len(e.slots))
+	if err := e.checkSettled(state); err != nil {
+		return fmt.Errorf("score: Advance: %w", err)
 	}
 	if e.WideEdit(changes) {
 		return fmt.Errorf("score: Advance over a wide edit (%d changes); re-Prepare instead", len(changes))

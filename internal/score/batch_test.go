@@ -47,6 +47,15 @@ func buildBatch(t *testing.T, eval *Evaluator, rng *rand.Rand, parents []*datase
 	return groups
 }
 
+// restoreGroups settles every group's state at its parent's file.
+func restoreGroups(eval *Evaluator, groups []BatchGroup) {
+	for g := range groups {
+		if groups[g].State != nil {
+			eval.Restore(groups[g].State)
+		}
+	}
+}
+
 // checkBatchAgainstEvaluate runs EvaluateBatch at the given worker width
 // and requires every offspring evaluation to equal a full Evaluate of the
 // child bit for bit.
@@ -55,6 +64,7 @@ func checkBatchAgainstEvaluate(t *testing.T, eval *Evaluator, groups []BatchGrou
 	if err := eval.EvaluateBatch(groups, workers); err != nil {
 		t.Fatalf("%s: EvaluateBatch: %v", context, err)
 	}
+	restoreGroups(eval, groups)
 	for g := range groups {
 		for k := range groups[g].Offspring {
 			off := &groups[g].Offspring[k]
@@ -278,6 +288,7 @@ func FuzzEvaluateBatchGrouping(f *testing.F) {
 			if err := eval.EvaluateBatch(groups, workers); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
+			restoreGroups(eval, groups)
 			for g := range groups {
 				for k := range groups[g].Offspring {
 					off := &groups[g].Offspring[k]

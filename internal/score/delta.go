@@ -6,8 +6,9 @@ package score
 // Prepare builds one state per measure that implements measure.Reversible,
 // in the evaluator's slot order; EvaluateBatch advances a state by an
 // offspring's change list, reads it and rolls it back, in time
-// proportional to the number of changed cells. Measures without a state
-// (or whose configuration rules one out) are recomputed in full.
+// proportional to the number of changed cells, and leaves the last
+// offspring's edit pending for Keep or Restore to settle. Measures without
+// a state (or whose configuration rules one out) are recomputed in full.
 //
 // Delta evaluation is bit-for-bit identical to Evaluate: the states
 // maintain exact integer summaries and share their final value
@@ -22,17 +23,23 @@ import (
 )
 
 // DeltaState carries the measure states describing one masked dataset,
-// one per evaluator slot. It is produced by Prepare, always describes
-// exactly one masked file, and must only be advanced with change lists
-// for that file. A nil slot means the corresponding measure runs without
-// a fast path and is fully recomputed for every offspring.
+// one per evaluator slot. It is produced by Prepare, describes exactly
+// one masked file, and must only be advanced with change lists for that
+// file. A nil slot means the corresponding measure runs without a fast
+// path and is fully recomputed for every offspring.
+//
+// EvaluateBatch may leave a state unsettled: it then describes one
+// offspring's file, with that edit still pending, until Keep makes the
+// offspring's file its own or Restore rolls it back to the parent's.
 type DeltaState struct {
-	states []measure.State
+	states  []measure.State
+	pending bool
 }
 
 // Clone returns an independent deep copy — the state of a surviving
 // offspring whose parent lives on, or of a migrant joining another
-// population.
+// population. The copy of an unsettled state is settled and describes
+// the file the pending edit produced.
 func (s *DeltaState) Clone() *DeltaState {
 	out := &DeltaState{states: make([]measure.State, len(s.states))}
 	for i, st := range s.states {

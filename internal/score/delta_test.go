@@ -71,6 +71,7 @@ func requireIdentical(t *testing.T, context string, got, want Evaluation) {
 func deltaEvaluate(eval *Evaluator, parent Evaluation, st *DeltaState, child *dataset.Dataset, changes []dataset.CellChange) (Evaluation, error) {
 	groups := []BatchGroup{{Parent: parent, State: st, Offspring: []BatchOffspring{{Child: child, Changes: changes}}}}
 	err := eval.EvaluateBatch(groups, 1)
+	restoreGroups(eval, groups)
 	return groups[0].Offspring[0].Eval, err
 }
 
@@ -186,6 +187,7 @@ func TestEvaluateDeltaEmptyChanges(t *testing.T) {
 	if err := eval.EvaluateBatch(groups, 1); err != nil {
 		t.Fatal(err)
 	}
+	restoreGroups(eval, groups)
 	if groups[0].State != st {
 		t.Fatal("empty-changes batch replaced the group state")
 	}

@@ -73,6 +73,7 @@ func TestEvaluateAllPreparedMatchesEvaluate(t *testing.T) {
 				if err := eval.EvaluateBatch(groups, 1); err != nil {
 					t.Fatal(err)
 				}
+				eval.Restore(states[i])
 				want, _ = eval.Evaluate(child)
 				score.RequireIdentical(t, ctx+", one-cell offspring", groups[0].Offspring[0].Eval, want)
 			}

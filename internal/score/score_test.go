@@ -171,9 +171,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err := eval.EvaluateBatch(seq, 1); err != nil {
 		t.Fatal(err)
 	}
+	restoreGroups(eval, seq)
 	if err := eval.EvaluateBatch(par, 4); err != nil {
 		t.Fatal(err)
 	}
+	restoreGroups(eval, par)
 	for g := range seq {
 		for k := range seq[g].Offspring {
 			requireIdentical(t, "parallel batch", par[g].Offspring[k].Eval, seq[g].Offspring[k].Eval)
