@@ -264,10 +264,11 @@
 // core.Config.EvalWorkers (0 inherits InitWorkers; WithEvalWorkers and
 // JobSpec.EvalWorkers thread it through the stack), and only the children
 // that survive replacement are handed a state — the evicted parent's
-// kept in place, a clone of it holding the child's edit when the parent
-// lives on, and the parent's restored and advanced only when it holds a
-// sibling's edit (a crossover of an individual with itself). Every
-// pending edit is settled before the generation ends.
+// kept in place, or a clone of it when the parent lives on. Either
+// already holds the child's edit: a parent's state never holds a
+// sibling's, since two offspring share a parent only when it is crossed
+// with itself, which leaves both change lists empty. Every pending edit
+// is settled before the generation ends.
 //
 // The route is allocation-conscious: measure states keep reusable scratch
 // buffers (candidate bitsets, EM and weight arrays), the operators reuse

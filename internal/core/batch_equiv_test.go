@@ -69,8 +69,9 @@ func TestBatchRunCrowdingSwapEquivalence(t *testing.T) {
 // delta state must be settled and still describe its individual (a
 // further delta evaluation through it equals a fresh one). It runs a
 // scalar and a Pareto engine, and a two-member crossover-only engine
-// that crosses an individual with itself, the case where a survivor's
-// parent state holds its sibling's pending edit.
+// that crosses an individual with itself, the only way two offspring
+// share a parent's state; every such generation must stage two empty
+// change lists, so that state never holds a sibling's pending edit.
 func TestBatchStatesStayConsistent(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -90,10 +91,14 @@ func TestBatchStatesStayConsistent(t *testing.T) {
 			t.Fatal(err)
 		}
 		selfCrosses := 0
-		for range tc.cfg.Generations {
+		for g := range tc.cfg.Generations {
 			e.Step()
-			if e.bParents[0] == e.bParents[1] {
+			if e.bChildren[0].Origin == "crossover" && e.bParents[0] == e.bParents[1] {
 				selfCrosses++
+				if len(e.bChanges[0]) > 0 || len(e.bChanges[1]) > 0 {
+					t.Fatalf("%s: generation %d crossed an individual with itself into %d and %d changes",
+						tc.name, g, len(e.bChanges[0]), len(e.bChanges[1]))
+				}
 			}
 		}
 		if tc.members > 0 && selfCrosses == 0 {
@@ -141,51 +146,76 @@ func requireStateDescribes(t *testing.T, e *Engine, ind *Individual, ctx string,
 	}
 }
 
-// TestCommitAroundPendingEdit drives commitBatchState directly on a
-// generation whose two offspring share one parent, so the parent's state
-// holds the second offspring's pending edit. Every survivor set and
-// eviction the replacement steps can produce must leave the parent and
-// each survivor holding a state that describes it, or none: the pending
-// offspring keeps or clones the state, and its sibling gets the state
-// restored and advanced.
+// TestCommitAroundPendingEdit drives commitBatchState directly on the
+// two group shapes the engine produces: one narrow offspring, whose edit
+// the parent's state holds pending, and a self-crossover pair, whose
+// empty change lists leave it settled. With every offspring surviving
+// and the parent evicted or alive, the parent and each survivor must
+// hold a state that describes it, or none: the evicted parent's state
+// goes to the first survivor, and a living parent's is cloned. A state
+// holding a sibling's pending edit is a programming error and panics.
 func TestCommitAroundPendingEdit(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		survive  [2]bool
+		self     bool // a self-crossover pair; otherwise one mutation offspring
 		evicted  bool
-		stateful [3]bool // parent, first, second offspring
+		stateful []bool // parent, then each offspring
 	}{
-		{"pending offspring, parent evicted", [2]bool{false, true}, true, [3]bool{false, false, true}},
-		{"pending offspring, parent lives", [2]bool{false, true}, false, [3]bool{true, false, true}},
-		{"sibling, parent evicted", [2]bool{true, false}, true, [3]bool{false, true, false}},
-		{"sibling, parent lives", [2]bool{true, false}, false, [3]bool{true, true, false}},
-		{"both, parent evicted", [2]bool{true, true}, true, [3]bool{false, true, false}},
-		{"both, parent lives", [2]bool{true, true}, false, [3]bool{true, true, true}},
+		{"narrow offspring, parent evicted", false, true, []bool{false, true}},
+		{"narrow offspring, parent lives", false, false, []bool{true, true}},
+		{"self-crossover pair, parent evicted", true, true, []bool{false, true, false}},
+		{"self-crossover pair, parent lives", true, false, []bool{true, true, true}},
 	} {
 		e := testEngine(t, Config{Generations: 1, Seed: 3})
 		parent := e.pop[0]
-		c1, ch := e.mutate(parent)
-		ch1 := slices.Clone(ch)
-		c2, ch2 := e.mutate(parent)
-		e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, c1, ch1
-		e.bParents[1], e.bChildren[1], e.bChanges[1] = parent, c2, ch2
-		e.batchEvaluateGeneration(e.bParents[:2], e.bChildren[:2], e.bChanges[:2])
-		if p := e.pendingOf(parent); p == nil || p.child != c2 {
-			t.Fatalf("%s: the parent's state does not hold the second offspring's edit", tc.name)
+		var children []*Individual
+		if tc.self {
+			c1, c2, ch1, ch2 := e.cross(parent, parent)
+			children = []*Individual{c1, c2}
+			e.bChanges[0], e.bChanges[1] = ch1, ch2
+		} else {
+			c, ch := e.mutate(parent)
+			children = []*Individual{c}
+			e.bChanges[0] = ch
 		}
-		for k, c := range []*Individual{c1, c2} {
-			if tc.survive[k] {
-				e.commitBatchState(c, parent, e.bChanges[k], tc.evicted)
-			}
+		n := len(children)
+		for k, c := range children {
+			e.bParents[k], e.bChildren[k] = parent, c
+		}
+		e.batchEvaluateGeneration(e.bParents[:n], e.bChildren[:n], e.bChanges[:n])
+		p := e.pendingOf(parent)
+		if tc.self && p != nil {
+			t.Fatalf("%s: the parent's state holds a pending edit", tc.name)
+		}
+		if !tc.self && (p == nil || p.child != children[0]) {
+			t.Fatalf("%s: the parent's state does not hold the offspring's edit", tc.name)
+		}
+		for k, c := range children {
+			e.commitBatchState(c, parent, e.bChanges[k], tc.evicted)
 		}
 		e.settleStates()
-		for k, ind := range []*Individual{parent, c1, c2} {
+		for k, ind := range append([]*Individual{parent}, children...) {
 			if (ind.state != nil) != tc.stateful[k] {
 				t.Fatalf("%s: individual %d has a state: %v, want %v", tc.name, k, ind.state != nil, tc.stateful[k])
 			}
 			requireStateDescribes(t, e, ind, fmt.Sprintf("%s: individual %d", tc.name, k), uint64(k))
 		}
 	}
+
+	e := testEngine(t, Config{Generations: 1, Seed: 3})
+	parent := e.pop[0]
+	c1, ch := e.mutate(parent)
+	ch1 := slices.Clone(ch)
+	c2, ch2 := e.mutate(parent)
+	e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, c1, ch1
+	e.bParents[1], e.bChildren[1], e.bChanges[1] = parent, c2, ch2
+	e.batchEvaluateGeneration(e.bParents[:2], e.bChildren[:2], e.bChanges[:2])
+	defer func() {
+		if recover() == nil {
+			t.Fatal("committing an offspring whose parent state holds a sibling's edit did not panic")
+		}
+	}()
+	e.commitBatchState(c1, parent, ch1, false)
 }
 
 // TestBatchHeterogeneousEnginesEquivalence is the niched-islands

@@ -14,12 +14,13 @@ package core
 //
 // EvaluateBatch leaves each parent's state holding its last narrow
 // offspring's edit, still pending. Once replacement has decided, only the
-// survivors are handed a state: the one whose edit is pending keeps it
-// (Evaluator.Keep, O(1)) when its parent was evicted, or takes a clone of it
-// when the parent lives on. A survivor whose parent's state holds a
-// sibling's edit — a crossover of an individual with itself — gets the
-// parent's state restored and advanced by its own change list. Every
-// state still pending is restored before Step returns.
+// survivors are handed a state: a survivor keeps its parent's state
+// (Evaluator.Keep, O(1)) when the parent was evicted, or takes a clone of
+// it when the parent lives on. The state then holds the survivor's own
+// pending edit, or is settled when the survivor's change list is empty —
+// the only way two offspring share a parent is a crossover of an
+// individual with itself, which changes nothing. Every state still
+// pending is restored before Step returns.
 //
 // A crossover generation's two parent groups are independent, so they
 // shard across Config.EvalWorkers workers. Results are bit-for-bit
@@ -110,39 +111,31 @@ func (e *Engine) batchEvaluateGeneration(parents, children []*Individual, change
 // commitBatchState hands a surviving child its delta state, derived from
 // its biological parent's: the parent's state itself when the parent was
 // evicted by this generation's replacement (a zero-allocation transfer),
-// or a clone of it when the parent lives on. A state holding the child's
-// pending edit already describes the child, so it is kept or cloned as
-// it is; any other is restored and advanced by the child's change list.
-// Wide-edit children stay state-less and rebuild lazily if they ever
-// reproduce; so do children of state-less parents.
+// or a clone of it when the parent lives on. A narrow edit's state holds
+// the child's pending edit and an empty edit's is settled, so either
+// already describes the child: Keep commits the pending edit in place,
+// and a clone copies it (settleStates restores the parent's). Wide-edit
+// children stay state-less and rebuild lazily if they ever reproduce; so
+// do children of state-less parents. A parent's state never holds a
+// sibling's edit: two offspring share a parent only when it was crossed
+// with itself, which leaves both change lists empty.
 func (e *Engine) commitBatchState(child, parent *Individual, changes []dataset.CellChange, parentEvicted bool) {
 	if parent.state == nil || e.eval.WideEdit(changes) {
 		return
 	}
-	st := parent.state
-	if p := e.pendingOf(parent); p != nil {
-		if p.child == child {
-			if parentEvicted {
-				e.eval.Keep(st)
-				p.parent, parent.state = nil, nil
-			} else {
-				st = st.Clone() // settleStates restores the parent's
-			}
-			child.state = st
-			return
-		}
-		e.eval.Restore(st) // it holds a sibling's edit
+	p := e.pendingOf(parent)
+	if p != nil && p.child != child {
+		panic(fmt.Sprintf("core: %s offspring's parent state holds a sibling's pending edit", child.Origin))
+	}
+	if !parentEvicted {
+		child.state = parent.state.Clone()
+		return
+	}
+	e.eval.Keep(parent.state)
+	if p != nil {
 		p.parent = nil
 	}
-	if parentEvicted {
-		parent.state = nil // transferred; the evicted parent is garbage
-	} else {
-		st = st.Clone()
-	}
-	if err := e.eval.Advance(st, child.Data, changes); err != nil {
-		panic(fmt.Sprintf("core: committing %s offspring state: %v", child.Origin, err))
-	}
-	child.state = st
+	child.state, parent.state = parent.state, nil
 }
 
 // pendingOf returns the unsettled pending edit of parent's state, or nil.

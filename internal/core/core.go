@@ -50,10 +50,10 @@ type Individual struct {
 
 	// state is the incremental-evaluation state describing Data. Engine
 	// construction prepares it for the initial population, and a
-	// surviving offspring inherits its parent's, advanced by the
-	// offspring's change list. It is nil on individuals loaded from a
-	// snapshot and on wide-edit offspring; such an individual rebuilds it
-	// the first time it parents a narrow edit.
+	// surviving offspring inherits its parent's, which already holds the
+	// offspring's edit from scoring it. It is nil on individuals loaded
+	// from a snapshot and on wide-edit offspring; such an individual
+	// rebuilds it the first time it parents a narrow edit.
 	state *score.DeltaState
 
 	// rank and crowd are the NSGA-II non-domination rank (0 = first

@@ -334,6 +334,26 @@ func TestCrossoverIsComplementary(t *testing.T) {
 	}
 }
 
+// TestSelfCrossoverChangesNothing pins the invariant the survivor commit
+// rests on: crossing an individual with itself swaps equal values, so
+// both change lists are empty and both offspring equal the parent, at
+// every cut count.
+func TestSelfCrossoverChangesNothing(t *testing.T) {
+	for _, points := range []int{1, 2, 3} {
+		e := testEngine(t, Config{Generations: 1, Seed: 19, CrossoverPoints: points})
+		p := e.Population()[3]
+		for i := 0; i < 20; i++ {
+			c1, c2, ch1, ch2 := e.cross(p, p)
+			if len(ch1) != 0 || len(ch2) != 0 {
+				t.Fatalf("points=%d: self-crossover staged %d and %d changes", points, len(ch1), len(ch2))
+			}
+			if !c1.Data.Equal(p.Data) || !c2.Data.Equal(p.Data) {
+				t.Fatalf("points=%d: self-crossover offspring differ from the parent", points)
+			}
+		}
+	}
+}
+
 func TestSelectionFavorsGoodIndividuals(t *testing.T) {
 	e := testEngine(t, Config{Generations: 1, Seed: 23})
 	n := len(e.pop)

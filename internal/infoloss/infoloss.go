@@ -12,7 +12,7 @@
 //
 // Every measure returns a value in [0,100]; 0 means the masked file is
 // analytically indistinguishable from the original. The paper's IL term is
-// the plain average of the three (Average).
+// the plain average of the three, which package score takes.
 package infoloss
 
 import (
@@ -35,19 +35,6 @@ type Measure interface {
 // up to dimension 2, DBIL, and EBIL.
 func Default() []Measure {
 	return []Measure{&CTBIL{MaxDim: 2}, &DBIL{}, &EBIL{}}
-}
-
-// Average computes the mean loss over the given measures — the IL term of
-// the paper's fitness (§2.3.1). It panics on an empty measure list.
-func Average(measures []Measure, orig, masked *dataset.Dataset, attrs []int) float64 {
-	if len(measures) == 0 {
-		panic("infoloss: Average over no measures")
-	}
-	sum := 0.0
-	for _, m := range measures {
-		sum += m.Loss(orig, masked, attrs)
-	}
-	return sum / float64(len(measures))
 }
 
 // CTBIL is contingency-table-based information loss: for every subset of

@@ -265,6 +265,8 @@ func BenchmarkFullBattery(b *testing.B) {
 	ms := Default()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Average(ms, orig, masked, attrs)
+		for _, m := range ms {
+			m.Risk(orig, masked, attrs)
+		}
 	}
 }

@@ -11,6 +11,16 @@ import (
 	"evoprot/internal/dataset"
 )
 
+// emEstimate is emEstimateInto with freshly allocated buffers, returning
+// the per-attribute match probabilities m, non-match probabilities u and
+// the match-class prevalence p.
+func emEstimate(patCount []float64, numAttrs int, totalPairs, trueMatches float64, iters int) (m, u []float64, p float64) {
+	m = make([]float64, numAttrs)
+	u = make([]float64, numAttrs)
+	p = emEstimateInto(m, u, make([]float64, numAttrs), make([]float64, numAttrs), patCount, totalPairs, trueMatches, iters)
+	return m, u, p
+}
+
 // dbrlReference is the literal pairwise O(n²·attrs) distance-based record
 // linkage the grouped kernel in grouped.go replaced; kept as the oracle
 // for the equivalence properties below.

@@ -47,11 +47,12 @@ package risk
 // cost more: a wide ApplyUndo writes the list into the state's masked
 // columns only, scores them with the kernel against the state's own
 // original grouping and leaves the rows or histograms stale for Undo,
-// which then restores just those columns; a wide Apply (a commit)
-// re-links and rebuilds the rows or histograms in place, as Prepare
-// does, and so does the next Apply or narrow ApplyUndo of a stale state
-// (one committing a pending wide ApplyUndo, or a clone of one) before it
-// patches. The original file never changes, so neither route re-groups it.
+// which then restores just those columns. The next Apply or narrow
+// ApplyUndo of a stale state (one committing a pending wide ApplyUndo, or
+// a clone of one) re-links and rebuilds the rows or histograms in place,
+// as Prepare does, before it patches. Apply itself picks no route: it
+// commits an empty list or one its ApplyUndo has already judged narrow.
+// The original file never changes, so neither route re-groups it.
 // The estimate reads counts only, never a clock, so the route of every
 // call is deterministic, and both routes give bit-identical values.
 //
@@ -399,19 +400,14 @@ func (st *dbrlState) value() float64 {
 }
 
 // Apply implements Incremental. A plain Apply commits any pending
-// ApplyUndo. A wide change list re-links the rows in full instead of
-// patching them, and stale rows re-link before any patch, so an empty
-// Apply on a pending wide ApplyUndo re-links once and the logs hold
-// exactly the before-images of these changes' patches.
+// ApplyUndo and patches the rows by every change. Stale rows re-link
+// before any patch, so an empty Apply on a pending wide ApplyUndo
+// re-links once and the logs hold exactly the before-images of these
+// changes' patches.
 func (dl *DistanceLinkage) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*dbrlState)
 	st.undo.Disarm()
 	st.rowLog, st.distLog = st.rowLog[:0], st.distLog[:0]
-	if st.wide(changes) {
-		setCells(st.mc, st.pos, changes)
-		st.relink()
-		return st.value()
-	}
 	if st.stale {
 		st.relink()
 	}
@@ -714,13 +710,14 @@ func strongestLinks(weights []float64, cnt []int32, order []int32, bestW []float
 }
 
 // Apply implements Incremental. A plain Apply commits any pending
-// ApplyUndo. A wide change list, or a pending wide ApplyUndo, re-links
-// the histograms in full instead of patching them. An empty Apply
-// committing a pending ApplyUndo returns its cached value.
+// ApplyUndo and patches the histograms by every change; a stale state (a
+// pending wide ApplyUndo, or a clone of one) re-links them in full
+// instead. An empty Apply committing a pending ApplyUndo returns its
+// cached value.
 func (pl *ProbabilisticLinkage) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*prlState)
 	st.undo.Disarm()
-	if st.stale || st.wide(changes) {
+	if st.stale {
 		st.edit(changes)
 		st.relink()
 	} else {

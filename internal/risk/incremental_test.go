@@ -316,6 +316,29 @@ func TestRSRLSweepMatchesScan(t *testing.T) {
 	}
 }
 
+// rsrlWindows precomputes, per attribute, the contiguous masked-category
+// range admissible for every original category: categories are scanned in
+// domain order, and mid-ranks are monotone in domain order, so the
+// admissible set is an interval [lo[u], hi[u]] (empty when lo > hi).
+// Window ranks for original values use the original file's mid-ranks;
+// candidate masked categories are matched through the masked file's
+// mid-ranks.
+func rsrlWindows(orig *dataset.Dataset, oc, mc [][]int, attrs []int, p float64) (lo, hi [][]int) {
+	n := orig.Rows()
+	window := p * float64(n) / 100
+	lo = make([][]int, len(attrs))
+	hi = make([][]int, len(attrs))
+	for a, c := range attrs {
+		card := orig.Schema().Attr(c).Cardinality()
+		oRanks := stats.MidRanks(stats.Freq(oc[a], card))
+		mRanks := stats.MidRanks(stats.Freq(mc[a], card))
+		lo[a] = make([]int, card)
+		hi[a] = make([]int, card)
+		rsrlSweep(oRanks, mRanks, window, lo[a], hi[a])
+	}
+	return lo, hi
+}
+
 // rsrlReference is the literal pairwise O(n²) rank-interval linkage the
 // bitset kernel of rsrl.go and rsrl_incremental.go replaced; kept as the
 // oracle for the equivalence properties below and in grouped_test.go.

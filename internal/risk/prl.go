@@ -112,22 +112,12 @@ func (s *emScratch) matchWeights(patCount []float64, totalPairs, trueMatches flo
 	return s.weights
 }
 
-// emEstimate runs EM for the two-class mixture over agreement patterns,
-// returning per-attribute match probabilities m, non-match probabilities
-// u, and the match-class prevalence p. trueMatches seeds the prevalence at
-// its known value (n matches among n² pairs).
-func emEstimate(patCount []float64, numAttrs int, totalPairs, trueMatches float64, iters int) (m, u []float64, p float64) {
-	m = make([]float64, numAttrs)
-	u = make([]float64, numAttrs)
-	p = emEstimateInto(m, u, make([]float64, numAttrs), make([]float64, numAttrs), patCount, totalPairs, trueMatches, iters)
-	return m, u, p
-}
-
-// emEstimateInto is emEstimate into caller-provided buffers — the
-// allocation-free variant every PRL linkage runs through emScratch.
-// m and u receive the estimates; mNum and uNum are per-iteration
-// accumulators. All four must hold numAttrs elements. The arithmetic is
-// identical to emEstimate's, so results are bit-for-bit the same.
+// emEstimateInto runs EM for the two-class mixture over agreement
+// patterns and returns the match-class prevalence p; trueMatches seeds
+// the prevalence at its known value (n matches among n² pairs). Every PRL
+// linkage runs it through emScratch, allocation-free: m and u receive the
+// per-attribute match and non-match probabilities, and mNum and uNum are
+// per-iteration accumulators. All four must hold numAttrs elements.
 func emEstimateInto(m, u, mNum, uNum, patCount []float64, totalPairs, trueMatches float64, iters int) (p float64) {
 	numAttrs := len(m)
 	p = trueMatches / totalPairs

@@ -15,9 +15,9 @@
 //
 // Every measure returns a value in [0,100]; 100 means every record is
 // fully re-identifiable. The paper's DR term is the plain average of the
-// four (Average). All measures follow the identity-disclosure scenario:
-// the intruder holds the original quasi-identifiers and links them against
-// the published masked file.
+// four, which package score takes. All measures follow the
+// identity-disclosure scenario: the intruder holds the original
+// quasi-identifiers and links them against the published masked file.
 package risk
 
 import (
@@ -46,19 +46,6 @@ func Default() []Measure {
 		&ProbabilisticLinkage{EMIters: 30},
 		&RankIntervalLinkage{P: 15},
 	}
-}
-
-// Average computes the mean risk over the given measures — the DR term of
-// the paper's fitness (§2.3.2). It panics on an empty measure list.
-func Average(measures []Measure, orig, masked *dataset.Dataset, attrs []int) float64 {
-	if len(measures) == 0 {
-		panic("risk: Average over no measures")
-	}
-	sum := 0.0
-	for _, m := range measures {
-		sum += m.Risk(orig, masked, attrs)
-	}
-	return sum / float64(len(measures))
 }
 
 // IntervalDisclosure measures rank-interval disclosure: for every cell,

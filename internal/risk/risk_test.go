@@ -251,30 +251,6 @@ func TestRSRLCatchesRankSwappingWithinWindow(t *testing.T) {
 	}
 }
 
-func TestAverageIsMean(t *testing.T) {
-	d, attrs := testData(t)
-	masked := scramble(d, attrs, 23)
-	ms := Default()
-	want := 0.0
-	for _, m := range ms {
-		want += m.Risk(d, masked, attrs)
-	}
-	want /= float64(len(ms))
-	if got := Average(ms, d, masked, attrs); got != want {
-		t.Fatalf("Average = %v, want %v", got, want)
-	}
-}
-
-func TestAveragePanicsOnEmpty(t *testing.T) {
-	d, attrs := testData(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Average(nil, d, d, attrs)
-}
-
 func TestEmptyAttrsAndRows(t *testing.T) {
 	d, _ := testData(t)
 	empty := dataset.New(d.Schema(), 0)

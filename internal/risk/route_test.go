@@ -54,10 +54,11 @@ func edited(d *dataset.Dataset, changes []dataset.CellChange) *dataset.Dataset {
 // break-even, and rows/2, on the paper-scale flare file and the small
 // german test file. Every ApplyUndo must equal
 // full Risk of the edited file bit for bit, Undo must leave the state
-// describing the unedited file, and a committed wide Apply followed by
-// narrow commits must match a control state that patched every commit
-// cell by cell; so must a clone taken while a wide ApplyUndo is pending,
-// and a plain Apply that commits one. Both routes must run on every
+// describing the unedited file, and a wide list committed by Apply —
+// which patches whatever the width — followed by narrow commits must
+// match a control state that patched every commit cell by cell; so must
+// a clone taken while a wide ApplyUndo is pending, and a plain Apply that
+// commits one, re-linking the stale state. Both routes must run on every
 // fixture and measure.
 func TestLinkageRouteAcrossBreakEven(t *testing.T) {
 	flare, flareMasked, flareAttrs := benchPairOf(t, "flare", 0)
@@ -232,8 +233,9 @@ func FuzzLinkageRoute(f *testing.F) {
 }
 
 // TestLinkageWideRouteAllocs gates the allocations of the wide route on
-// the paper-scale flare file: once warm, a wide ApplyUndo+Undo and a wide
-// Apply allocate nothing on either state, and full Risk no longer copies
+// the paper-scale flare file: once warm, a wide ApplyUndo+Undo, and an
+// Apply committing the same list cell by cell, allocate nothing on either
+// state, and full Risk no longer copies
 // the 2·attrs protected columns — PRL allocates nothing and DBRL only its
 // distance tables. The pooled scratch is dropped at random under the race
 // detector, so the gate runs without it.

@@ -15,8 +15,8 @@ package score
 //
 // Results are bit-for-bit identical to Evaluate of each child: Undo
 // restores states exactly (property-tested per measure), a kept edit
-// leaves the state Advance would build, and the battery is summed by the
-// same slot walk Evaluate uses.
+// leaves a state that scores like one prepared from the child, and the
+// battery is summed by the same slot walk Evaluate uses.
 
 import (
 	"fmt"
@@ -204,9 +204,9 @@ func (e *Evaluator) evaluateGroup(grp *BatchGroup) error {
 }
 
 // Keep settles a state EvaluateBatch left unsettled by committing the
-// pending edit: the state then describes that offspring's file, as
-// Advance over the offspring's change list would leave it, at the cost of
-// one empty Apply per slot. Keep on a settled state does nothing.
+// pending edit: the state then describes that offspring's file and
+// scores like one prepared from it, at the cost of one empty Apply per
+// slot. Keep on a settled state does nothing.
 func (e *Evaluator) Keep(state *DeltaState) {
 	if !state.pending {
 		return
@@ -243,40 +243,6 @@ func (e *Evaluator) checkSettled(state *DeltaState) error {
 	}
 	if state.pending {
 		return fmt.Errorf("delta state holds a pending edit; Keep or Restore it first")
-	}
-	return nil
-}
-
-// Advance commits changes into a settled state in place: every slot is
-// advanced by the change list. It promotes an offspring's evaluation into
-// a reusable delta state when the offspring's edit is not the one its
-// parent's state holds pending (Keep commits that one for free). The
-// same validation as EvaluateBatch applies; child is the dataset the
-// changes produce.
-//
-// Advance refuses wide edits: past the incremental break-even point
-// callers should drop the state and re-Prepare lazily, should the wide
-// offspring ever reproduce.
-func (e *Evaluator) Advance(state *DeltaState, child *dataset.Dataset, changes []dataset.CellChange) error {
-	if state == nil {
-		return fmt.Errorf("score: nil delta state")
-	}
-	if child == nil {
-		return fmt.Errorf("score: nil child dataset")
-	}
-	if err := e.checkSettled(state); err != nil {
-		return fmt.Errorf("score: Advance: %w", err)
-	}
-	if e.WideEdit(changes) {
-		return fmt.Errorf("score: Advance over a wide edit (%d changes); re-Prepare instead", len(changes))
-	}
-	if err := e.validateChanges(child, changes); err != nil {
-		return err
-	}
-	for i, s := range state.states {
-		if s != nil {
-			e.slots[i].rev.Apply(s, changes)
-		}
 	}
 	return nil
 }

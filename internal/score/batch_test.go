@@ -191,54 +191,6 @@ func TestEvaluateBatchNilState(t *testing.T) {
 	}
 }
 
-// TestAdvance pins the in-place winner commit: after Advance the state
-// describes the child, so further delta evaluations from it match
-// from-scratch evaluations; wide edits are refused.
-func TestAdvance(t *testing.T) {
-	eval, orig := deltaTestEvaluator(t)
-	names, _ := datagen.ProtectedAttrs("german")
-	attrs, _ := orig.Schema().Indices(names...)
-	rng := rand.New(rand.NewPCG(41, 2))
-
-	parent := orig.Clone()
-	applyRandomChanges(rng, parent, attrs, 12)
-	state := mustPrepare(t, eval, parent)
-
-	for step := 0; step < 5; step++ {
-		child := parent.Clone()
-		changes := applyRandomChanges(rng, child, attrs, 1+rng.IntN(4))
-		if err := eval.Advance(state, child, changes); err != nil {
-			t.Fatalf("step %d: Advance: %v", step, err)
-		}
-		// state now describes child; evaluate a grandchild through it.
-		grand := child.Clone()
-		gchanges := applyRandomChanges(rng, grand, attrs, 2)
-		ce, err := eval.Evaluate(child)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := deltaEvaluate(eval, ce, state, grand, gchanges)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		want, err := eval.Evaluate(grand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, "advanced state", got, want)
-		parent = child
-	}
-
-	wideChild := parent.Clone()
-	wide := applyRandomChanges(rng, wideChild, attrs, orig.Rows()/2+1)
-	if err := eval.Advance(state, wideChild, wide); err == nil {
-		t.Error("Advance accepted a wide edit")
-	}
-	if err := eval.Advance(nil, parent, nil); err == nil {
-		t.Error("Advance accepted a nil state")
-	}
-}
-
 // FuzzEvaluateBatchGrouping fuzzes the change-list grouping: arbitrary
 // group/offspring shapes drawn from the fuzz inputs must keep the batch
 // path bit-identical to full evaluation at both worker widths.

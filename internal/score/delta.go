@@ -74,8 +74,7 @@ func (e *Evaluator) Prepare(masked *dataset.Dataset) (*DeltaState, error) {
 // allocation against an expensive evaluation) fall back to a map.
 const replayScanLimit = 32
 
-// validateChanges checks the change-list contract of EvaluateBatch and
-// Advance: only
+// validateChanges checks the change-list contract of EvaluateBatch: only
 // in-domain edits of protected cells may appear — the states index their
 // summaries by protected-attribute position and category, so an unchecked
 // foreign column or out-of-domain value would silently corrupt them.
@@ -168,8 +167,8 @@ func (e *Evaluator) protected(col int) bool {
 
 // WideEdit reports whether a change list is past the battery's
 // incremental break-even point: EvaluateBatch then evaluates the child in
-// full without touching the parent's state, and Advance refuses the list,
-// so callers holding no state for the parent can skip building one.
+// full without touching the parent's state, so callers holding no state
+// for the parent can skip building one, and the child inherits none.
 // Narrower lists still reach the states, where DBRL and PRL pick their own
 // route from their tuple counts.
 func (e *Evaluator) WideEdit(changes []dataset.CellChange) bool {

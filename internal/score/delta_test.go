@@ -75,11 +75,21 @@ func deltaEvaluate(eval *Evaluator, parent Evaluation, st *DeltaState, child *da
 	return groups[0].Offspring[0].Eval, err
 }
 
+// commitEvaluate scores child like deltaEvaluate but commits it the way
+// the engine commits a survivor: Keep leaves st describing child, unless
+// the edit was wide, which never touches st.
+func commitEvaluate(eval *Evaluator, parent Evaluation, st *DeltaState, child *dataset.Dataset, changes []dataset.CellChange) (Evaluation, error) {
+	groups := []BatchGroup{{Parent: parent, State: st, Offspring: []BatchOffspring{{Child: child, Changes: changes}}}}
+	err := eval.EvaluateBatch(groups, 1)
+	eval.Keep(st)
+	return groups[0].Offspring[0].Eval, err
+}
+
 // TestEvaluateDeltaMatchesEvaluate is the core equivalence property: over
 // long randomized change chains — small batches (the incremental path) and
 // wide batches (the full-evaluation path) — single-offspring batch groups
 // must equal a fresh Evaluate bit-for-bit, parts maps included. Each step
-// commits the child as the next parent the way the engine does: Advance
+// commits the child as the next parent the way the engine does: Keep
 // for narrow edits, a fresh Prepare after a wide one.
 func TestEvaluateDeltaMatchesEvaluate(t *testing.T) {
 	for _, seed := range []uint64{3, 29, 127} {
@@ -100,7 +110,7 @@ func TestEvaluateDeltaMatchesEvaluate(t *testing.T) {
 				batch = orig.Rows() // force the wide-edit full evaluation
 			}
 			changes := applyRandomChanges(rng, masked, attrs, batch)
-			got, err := deltaEvaluate(eval, ev, st, masked, changes)
+			got, err := commitEvaluate(eval, ev, st, masked, changes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,12 +120,7 @@ func TestEvaluateDeltaMatchesEvaluate(t *testing.T) {
 			}
 			requireIdentical(t, "step", got, want)
 			if eval.WideEdit(changes) {
-				if err := eval.Advance(st, masked, changes); err == nil {
-					t.Fatal("Advance accepted a wide edit; want a fresh Prepare")
-				}
 				st = mustPrepare(t, eval, masked)
-			} else if err := eval.Advance(st, masked, changes); err != nil {
-				t.Fatal(err)
 			}
 			ev = got
 		}
@@ -153,10 +158,10 @@ func TestEvaluateDeltaLeavesParentStateIntact(t *testing.T) {
 	child := parentData.Clone()
 	changes := applyRandomChanges(rng, child, attrs, 1)
 	fresh := mustPrepare(t, eval, parentData)
-	if err := eval.Advance(parentState, child, changes); err != nil {
+	if _, err := commitEvaluate(eval, parentEval, parentState, child, changes); err != nil {
 		t.Fatal(err)
 	}
-	if err := eval.Advance(fresh, child, changes); err != nil {
+	if _, err := commitEvaluate(eval, parentEval, fresh, child, changes); err != nil {
 		t.Fatal(err)
 	}
 	grand := child.Clone()
@@ -322,15 +327,12 @@ func TestEvaluateDeltaWithNonIncrementalBattery(t *testing.T) {
 		}
 		for step := 0; step < 8; step++ {
 			changes := applyRandomChanges(rng, masked, attrs, 1)
-			got, err := deltaEvaluate(eval, ev, st, masked, changes)
+			got, err := commitEvaluate(eval, ev, st, masked, changes)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, _ := eval.Evaluate(masked)
 			requireIdentical(t, "fallback battery", got, want)
-			if err := eval.Advance(st, masked, changes); err != nil {
-				t.Fatal(err)
-			}
 			ev = got
 		}
 	}
