@@ -99,25 +99,29 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// -store generalizes -data: "fs:<dir>" rebinds the data dir, "mem"
-	// swaps the whole persistence layer. -data keeps working unchanged.
-	var backend storage.Store
+	// -store picks the persistence backend: the filesystem store over
+	// -data by default, "fs:<dir>" to name its directory inline, "mem"
+	// to keep everything in process. openStore builds it for both
+	// serving roles, once their flags check out; a worker persists
+	// through its coordinator and opens none.
 	where := *dataDir
 	switch {
 	case *storeSpec == "":
-		// serve.New builds the filesystem store over -data (the
-		// coordinator builds it below, since it must hold the handle).
 	case *storeSpec == "mem":
-		backend = storage.NewMem()
 		where = "in-memory (lost on exit)"
 	case strings.HasPrefix(*storeSpec, "fs:"):
 		where = strings.TrimPrefix(*storeSpec, "fs:")
 		if where == "" {
 			return fmt.Errorf(`-store fs: needs a directory, e.g. "fs:/var/lib/evoprotd"`)
 		}
-		*dataDir = where
 	default:
 		return fmt.Errorf(`unknown -store %q: want "fs:<dir>" or "mem"`, *storeSpec)
+	}
+	openStore := func() (storage.Store, error) {
+		if *storeSpec == "mem" {
+			return storage.NewMem(), nil
+		}
+		return storage.NewFS(where)
 	}
 
 	var keyring *serve.Keyring
@@ -131,8 +135,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	serveCfg := serve.Config{
-		DataDir:          *dataDir,
-		Store:            backend,
 		Workers:          *workers,
 		QueueDepth:       *queueDepth,
 		CheckpointEvery:  *ckptEvery,
@@ -151,6 +153,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if *coordURL != "" {
 			return fmt.Errorf("-coordinator only applies to -role worker")
 		}
+		store, err := openStore()
+		if err != nil {
+			return err
+		}
+		serveCfg.Store = store
 		srv, err := serve.New(serveCfg)
 		if err != nil {
 			return err
@@ -163,15 +170,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if *coordURL != "" {
 			return fmt.Errorf("-coordinator only applies to -role worker")
 		}
-		// The coordinator hands its store to remote workers, so it must
-		// hold the backend handle itself rather than let serve build one.
-		if serveCfg.Store == nil {
-			fsStore, err := storage.NewFS(*dataDir)
-			if err != nil {
-				return err
-			}
-			serveCfg.Store = fsStore
+		store, err := openStore()
+		if err != nil {
+			return err
 		}
+		serveCfg.Store = store
 		coord, err := cluster.NewCoordinator(cluster.Config{Serve: serveCfg, LeaseTTL: *leaseTTL})
 		if err != nil {
 			return err

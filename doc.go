@@ -53,8 +53,11 @@
 // reproduces the full parallel run deterministically regardless of
 // scheduling. Progress streams as Events — callback (WithProgress) or
 // channel (WithEvents) — carrying the island id, and one Done event per
-// island carries its stop reason. Multi-island checkpoints
-// (WithCheckpoint, Runner.Resume) persist every island's engine state.
+// island carries its stop reason. Multi-island checkpoints persist every
+// island's engine state: WithCheckpoint writes them to a file atomically
+// and durably (internal/storage.WriteFile, the same writer as the
+// service's filesystem store), WithCheckpointSink hands their bytes to
+// any sink, and Runner.Resume loads one.
 //
 //	res, _ := evoprot.Run(ctx, orig, attrs,
 //		evoprot.WithGrid("flare"),
@@ -176,9 +179,9 @@
 // atomic writes) and an in-memory store for tests and throwaway
 // daemons, selected by evoprotd's -store flag ("fs:<dir>" or "mem").
 // The island model's epoch rendezvous is likewise a pluggable
-// EpochBarrier (WithEpochBarrier) whose contract guarantees any
-// conforming execution — serial, parallel, or on remote workers —
-// reproduces the identical run bit for bit, and the bounded priority
+// islands.EpochBarrier whose contract guarantees any conforming
+// execution — serial, parallel, or on remote workers — reproduces the
+// identical run bit for bit, and the bounded priority
 // admission queue (serve.JobQueue) can be shared with a coordinator that
 // drains it through leases. Together they are the seams a distributed
 // deployment slots into without touching handler or coordinator logic.

@@ -6,6 +6,7 @@ package evoprot
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 )
@@ -155,7 +156,7 @@ func TestOptimizeWithExtendedAggregator(t *testing.T) {
 
 // TestRunnerCheckpointSinkFacade: the service-facing Runner surface —
 // WithCheckpointSink receives every checkpoint as bytes, WithFirstEventSeq
-// numbers the feed from the given origin, Best and WriteCheckpoint refuse
+// numbers the feed from the given origin, Best and Snapshot refuse
 // before the first Run, and a sink checkpoint resumes to the same best.
 func TestRunnerCheckpointSinkFacade(t *testing.T) {
 	orig, _ := GenerateDataset("flare", 60, 41)
@@ -174,8 +175,8 @@ func TestRunnerCheckpointSinkFacade(t *testing.T) {
 	if r.Best() != nil || r.Islands() != 1 {
 		t.Fatalf("before Run: best %v, islands %d", r.Best(), r.Islands())
 	}
-	if err := r.WriteCheckpoint(t.TempDir() + "/early.ckpt"); err == nil {
-		t.Fatal("WriteCheckpoint before the first Run succeeded")
+	if err := r.Snapshot(io.Discard); err == nil {
+		t.Fatal("Snapshot before the first Run succeeded")
 	}
 	res, err := r.Run(context.Background())
 	if err != nil {
@@ -191,8 +192,7 @@ func TestRunnerCheckpointSinkFacade(t *testing.T) {
 	if err != nil || meta.Generation != 6 {
 		t.Fatalf("final sink checkpoint: generation %d, err %v", meta.Generation, err)
 	}
-	path := t.TempDir() + "/run.ckpt"
-	if err := r.WriteCheckpoint(path); err != nil {
+	if err := r.Snapshot(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := NewRunner(orig, attrs, WithGrid("flare"), WithSeed(41))

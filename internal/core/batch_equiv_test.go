@@ -21,22 +21,14 @@ import (
 
 // TestBatchRunMatchesPerOffspringRun: same seed, batch route against the
 // oracle's full per-offspring evaluation, at EvalWorkers 1 and 4. The
-// histories, streamed OnGeneration feeds, acceptance counts and best
-// individuals must agree bit for bit.
+// histories, acceptance counts and best individuals must agree bit for
+// bit.
 func TestBatchRunMatchesPerOffspringRun(t *testing.T) {
 	for _, seed := range []uint64{7, 42, 1001} {
 		for _, workers := range []int{1, 4} {
-			var batchFeed, fullFeed []GenStats
-			batch := mustRun(t, testEngine(t, Config{
-				Generations: 60, Seed: seed, EvalWorkers: workers,
-				OnGeneration: func(gs GenStats) { batchFeed = append(batchFeed, gs) },
-			}))
-			full := mustRun(t, oracleEngine(t, Config{
-				Generations: 60, Seed: seed,
-				OnGeneration: func(gs GenStats) { fullFeed = append(fullFeed, gs) },
-			}))
+			batch := mustRun(t, testEngine(t, Config{Generations: 60, Seed: seed, EvalWorkers: workers}))
+			full := mustRun(t, oracleEngine(t, Config{Generations: 60, Seed: seed}))
 			sameHistories(t, "batch vs oracle", batch.History, full.History)
-			sameHistories(t, "batch feed vs oracle feed", batchFeed, fullFeed)
 			if !batch.Best.Data.Equal(full.Best.Data) {
 				t.Fatalf("seed %d workers %d: best individuals diverged", seed, workers)
 			}

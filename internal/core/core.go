@@ -260,9 +260,6 @@ type Config struct {
 	// InitWorkers; negative values force sequential batch evaluation.
 	// Results are identical at any width — only wall-clock changes.
 	EvalWorkers int
-	// OnGeneration, when non-nil, is called synchronously with each
-	// generation's statistics — progress reporting for long runs.
-	OnGeneration func(GenStats)
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -382,9 +379,6 @@ func (c Config) Merged(o Config) Config {
 	}
 	if o.ParetoRef != (score.Pair{}) {
 		out.ParetoRef = o.ParetoRef
-	}
-	if o.OnGeneration != nil {
-		out.OnGeneration = o.OnGeneration
 	}
 	return out
 }
@@ -741,9 +735,6 @@ func (e *Engine) Step() GenStats {
 		gs.Improved = e.pop[0].Eval.Score < prevBest
 	}
 	e.history = append(e.history, gs)
-	if fn := e.cfg.OnGeneration; fn != nil {
-		fn(gs)
-	}
 	return gs
 }
 

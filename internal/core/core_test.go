@@ -530,14 +530,12 @@ func TestCrossoverOriginLabels(t *testing.T) {
 }
 
 func TestRunContextCancellation(t *testing.T) {
+	e := testEngine(t, Config{Generations: 10000, Seed: 79})
+	for range 7 {
+		e.Step()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	gens := 0
-	e := testEngine(t, Config{Generations: 10000, Seed: 79, OnGeneration: func(GenStats) {
-		gens++
-		if gens == 7 {
-			cancel()
-		}
-	}})
+	cancel()
 	res, err := e.Run(ctx)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
@@ -706,28 +704,6 @@ func TestEmigrantsAndImmigrate(t *testing.T) {
 	// Emigrants(k) clamps to the population size.
 	if got := a.Emigrants(1 << 20); len(got) != len(a.Population()) {
 		t.Fatalf("oversized Emigrants = %d", len(got))
-	}
-}
-
-func TestOnGenerationCallback(t *testing.T) {
-	var seen []int
-	eval, pop := testPopulation(t)
-	e, err := NewEngine(eval, pop, Config{
-		Generations:  5,
-		Seed:         83,
-		OnGeneration: func(gs GenStats) { seen = append(seen, gs.Gen) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustRun(t, e)
-	if len(seen) != 5 {
-		t.Fatalf("callback fired %d times, want 5", len(seen))
-	}
-	for i, g := range seen {
-		if g != i+1 {
-			t.Fatalf("callback order wrong: %v", seen)
-		}
 	}
 }
 

@@ -560,10 +560,6 @@ func TestPerIslandValidation(t *testing.T) {
 			Islands: 2, Engine: core.Config{Generations: 5},
 			PerIsland: []core.Config{{}, {Seed: 9}},
 		},
-		"override sets callback": {
-			Islands: 2, Engine: core.Config{Generations: 5},
-			PerIsland: []core.Config{{}, {OnGeneration: func(core.GenStats) {}}},
-		},
 		"override sets init workers": {
 			Islands: 2, Engine: core.Config{Generations: 5},
 			PerIsland: []core.Config{{}, {InitWorkers: 4}},

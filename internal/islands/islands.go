@@ -180,9 +180,8 @@ type Config struct {
 	// starts from it, with any PerIsland override overlaid on top.
 	// Engine.Seed is the top-level run seed — island 0 uses it verbatim,
 	// later islands derive theirs with IslandSeed. Engine.Generations is
-	// each island's budget for one Run call; Engine.OnGeneration is
-	// ignored (progress flows through OnEvent/Events, which carry the
-	// island id).
+	// each island's budget for one Run call. Progress flows through
+	// OnEvent/Events, which carry the island id.
 	Engine core.Config
 	// PerIsland optionally specializes islands: entry i is overlaid onto
 	// the Engine template with core.Config.Merged, so zero-valued override
@@ -192,7 +191,7 @@ type Config struct {
 	// island runs the template — the homogeneous model, bit-identical to a
 	// run with no overrides or with all-zero overrides. When non-empty the
 	// length must equal Islands, and overrides must not set Seed (island
-	// seeds always derive from the top-level seed) or OnGeneration.
+	// seeds always derive from the top-level seed) or InitWorkers.
 	// NichesByName builds ready-made override spreads.
 	PerIsland []core.Config
 	// Adaptive, when enabled, ties the migration schedule to cross-island
@@ -253,7 +252,6 @@ func (c Config) withDefaults() (Config, error) {
 	default:
 		return c, fmt.Errorf("islands: unknown topology %v", c.Topology)
 	}
-	c.Engine.OnGeneration = nil
 	if err := c.Engine.Validate(); err != nil {
 		return c, err
 	}
@@ -266,9 +264,6 @@ func (c Config) withDefaults() (Config, error) {
 	for i, ov := range c.PerIsland {
 		if ov.Seed != 0 {
 			return c, fmt.Errorf("islands: PerIsland[%d] sets Seed; island seeds derive from the top-level seed", i)
-		}
-		if ov.OnGeneration != nil {
-			return c, fmt.Errorf("islands: PerIsland[%d] sets OnGeneration; progress flows through OnEvent/Events", i)
 		}
 		if ov.InitWorkers != 0 {
 			return c, fmt.Errorf("islands: PerIsland[%d] sets InitWorkers; the initial-evaluation pool is shared, configure it on the Engine template", i)

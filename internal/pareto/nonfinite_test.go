@@ -5,8 +5,7 @@ package pareto
 // pre-fix code: Front's `<`-based sort placed NaN pairs wherever the
 // input order left them (poisoning the front and suppressing finite
 // points behind a NaN), Dominates let a NaN pair dominate finite points,
-// Coverage's struct-equality scan never matched a NaN pair to itself, and
-// Hypervolume returned a silent 0 for a reference point that bounds no
+// and Hypervolume returned a silent 0 for a reference point that bounds no
 // box.
 
 import (
@@ -61,23 +60,6 @@ func TestDominatesNonFinite(t *testing.T) {
 		if Dominates(bad, bad) {
 			t.Errorf("non-finite %v dominates itself", bad)
 		}
-	}
-}
-
-func TestCoverageNonFinite(t *testing.T) {
-	nan := math.NaN()
-	// The NaN pair counts toward the denominator but is never on the front;
-	// the finite front point still matches itself through the set lookup.
-	pairs := []score.Pair{{IL: 10, DR: 10}, {IL: nan, DR: 5}}
-	if got := Coverage(pairs); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("Coverage = %v, want 0.5", got)
-	}
-	// Same population, reversed order: identical answer.
-	if got := Coverage([]score.Pair{pairs[1], pairs[0]}); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("Coverage(reversed) = %v, want 0.5", got)
-	}
-	if got := Coverage([]score.Pair{{IL: nan, DR: nan}}); got != 0 {
-		t.Fatalf("Coverage(all non-finite) = %v, want 0", got)
 	}
 }
 
@@ -141,23 +123,5 @@ func TestHypervolumeOracle(t *testing.T) {
 		if got := mustHV(t, pairs, ref); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: HV(%v) = %v, oracle %v", trial, pairs, got, want)
 		}
-	}
-}
-
-func BenchmarkCoverage(b *testing.B) {
-	// A 10k-point population over a noisy quarter-circle trade-off curve:
-	// a realistically large front so membership checking, not front
-	// extraction, is what the benchmark stresses.
-	rng := rand.New(rand.NewPCG(3, 5))
-	pairs := make([]score.Pair, 10000)
-	for i := range pairs {
-		a := rng.Float64() * math.Pi / 2
-		r := 50 + rng.Float64()*10
-		pairs[i] = score.Pair{IL: 100 - r*math.Cos(a), DR: 100 - r*math.Sin(a)}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Coverage(pairs)
 	}
 }

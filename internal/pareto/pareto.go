@@ -11,11 +11,11 @@
 //
 // Finiteness contract: a pair with a NaN or ±Inf component — a failed or
 // degenerate evaluation — takes no part in dominance. Front drops such
-// pairs, Dominates reports false whenever either argument has one, and
-// Coverage counts them as off-front. Without this rule NaN pairs make the
-// front's sort order depend on input order (NaN compares false against
-// everything, so `<`-based sorts place it arbitrarily) and can poison the
-// front with points no finite pair is allowed to dominate.
+// pairs, and Dominates reports false whenever either argument has one.
+// Without this rule NaN pairs make the front's sort order depend on input
+// order (NaN compares false against everything, so `<`-based sorts place
+// it arbitrarily) and can poison the front with points no finite pair is
+// allowed to dominate.
 package pareto
 
 import (
@@ -156,31 +156,4 @@ func isFront(pairs []score.Pair) bool {
 		}
 	}
 	return true
-}
-
-// Coverage returns the fraction of pairs lying on their own front
-// (duplicates of front points count) — a quick diversity measure of how
-// much of a population is non-dominated. Non-finite pairs count toward
-// the denominator but never lie on the front (package contract).
-// Membership is checked against a set keyed on the front's points, so the
-// cost is O(n + |front|) rather than the nested scan's O(n·|front|); the
-// front contains only finite pairs, so map equality is exact (the == on
-// NaN that made a degenerate pair silently undercount can no longer
-// arise).
-func Coverage(pairs []score.Pair) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	front := Front(pairs)
-	set := make(map[score.Pair]struct{}, len(front))
-	for _, f := range front {
-		set[f] = struct{}{}
-	}
-	onFront := 0
-	for _, p := range pairs {
-		if _, ok := set[p]; ok {
-			onFront++
-		}
-	}
-	return float64(onFront) / float64(len(pairs))
 }

@@ -184,18 +184,3 @@ func TestHypervolumeMonotoneUnderImprovement(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCoverage(t *testing.T) {
-	pairs := []score.Pair{
-		{IL: 10, DR: 10}, // front
-		{IL: 20, DR: 20}, // dominated
-		{IL: 30, DR: 30}, // dominated
-		{IL: 10, DR: 10}, // duplicate of front point: counts
-	}
-	if got := Coverage(pairs); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("Coverage = %v, want 0.5", got)
-	}
-	if got := Coverage(nil); got != 0 {
-		t.Fatalf("Coverage(nil) = %v", got)
-	}
-}

@@ -64,8 +64,8 @@ func BottomCodingGrid(n int) []Method {
 }
 
 // GlobalRecodingGrid returns n global-recoding variants of increasing
-// depth 1, 2, 3, ... (cycling back to 1 past depth 6, where all practical
-// hierarchies saturate).
+// depth 1, 2, 3, ... (cycling back to 1 past depth 6, where one run of
+// 64 categories spans every practical domain).
 func GlobalRecodingGrid(n int) []Method {
 	out := make([]Method, 0, n)
 	for i := 0; i < n; i++ {

@@ -7,8 +7,9 @@
 //
 // Every method takes an original dataset plus the indices of the attributes
 // to protect and returns a new masked dataset over the same schema; masked
-// values always stay inside the original category domains (see
-// internal/hierarchy for why). Stochastic methods draw from the supplied
+// values always stay inside the original category domains, because the
+// evolutionary operators may only produce "valid values for the specific
+// variable" (paper §2.2.1). Stochastic methods draw from the supplied
 // RNG only, so a (method, params, seed) triple reproduces a masking
 // exactly.
 package protection
@@ -71,7 +72,7 @@ func validateAttrs(orig *dataset.Dataset, attrs []int) error {
 //	micro:k=5,config=0      median-based microaggregation
 //	top:q=0.1               top coding at the 10% upper quantile
 //	bottom:q=0.1            bottom coding at the 10% lower quantile
-//	recode:depth=2          global recoding, 2 hierarchy levels deep
+//	recode:depth=2          global recoding, runs of 2^2 categories merged
 //	rankswap:p=10           rank swapping within 10% rank windows
 //	pram:theta=0.8          PRAM with 80% retention probability
 func Parse(spec string) (Method, error) {

@@ -323,11 +323,98 @@ func TestGlobalRecodingDepthSaturates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// At the top of every hierarchy all records share one category.
+	// Past the top level one run spans each domain: all records share
+	// one category.
 	for _, c := range attrs {
 		card := d.Schema().Attr(c).Cardinality()
 		if got := countDistinct(masked.Column(c), card); got != 1 {
 			t.Fatalf("saturated recoding left %d categories on col %d", got, c)
+		}
+	}
+	// The largest depth a spec can carry saturates the same way instead
+	// of overflowing the run width.
+	maxDepth, err := Parse("recode:depth=9223372036854775807")
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := maxDepth.Protect(d, attrs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !top.Equal(masked) {
+		t.Fatal("recode:depth=MaxInt differs from the saturated depth=50 recoding")
+	}
+}
+
+// TestGlobalRecodingGroupMedian pins the recoding table by hand on one
+// ordered attribute of 7 categories with counts [4 1 0 0 1 1 3]. Each
+// run maps to the first category whose cumulative count reaches
+// (total+1)/2; the all-zero run {2,3} maps to its middle category 3, and
+// the last run is short at every depth. The unweighted medians would be
+// [1 1 3 3 5 5 6] at depth 1 and [2 2 2 2 5 5 5] at depth 2.
+func TestGlobalRecodingGroupMedian(t *testing.T) {
+	attr := dataset.MustAttribute("A", []string{"a", "b", "c", "d", "e", "f", "g"}, true)
+	var recs [][]string
+	for _, v := range []int{6, 0, 1, 0, 4, 6, 0, 5, 0, 6} {
+		recs = append(recs, []string{attr.Category(v)})
+	}
+	d, err := dataset.FromRecords(dataset.MustSchema(attr), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		depth  int
+		recode []int
+	}{
+		{1, []int{0, 0, 3, 3, 4, 4, 6}}, // runs {0,1} {2,3} {4,5} {6}
+		{2, []int{0, 0, 0, 0, 6, 6, 6}}, // runs {0..3} {4..6}
+		{3, []int{1, 1, 1, 1, 1, 1, 1}}, // one run: cumulative 4, 5 reaches 5
+	} {
+		gr, _ := NewGlobalRecoding(tc.depth)
+		masked, err := gr.Protect(d, []int{0}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < d.Rows(); r++ {
+			if got, want := masked.At(r, 0), tc.recode[d.At(r, 0)]; got != want {
+				t.Fatalf("depth %d: row %d category %d recoded to %d, want %d",
+					tc.depth, r, d.At(r, 0), got, want)
+			}
+		}
+	}
+}
+
+// TestGlobalRecodingStaysInRun property-tests the recoding map on random
+// counts (zeros included) at every cardinality up to 40: each category
+// maps to a category of its own run, every member of a run maps to the
+// same one, and a run holding records maps to a category that holds some.
+func TestGlobalRecodingStaysInRun(t *testing.T) {
+	rng := newRNG(5)
+	for card := 1; card <= 40; card++ {
+		for level := 0; level <= 7; level++ {
+			width := 1 << level
+			counts := make([]int, card)
+			for i := range counts {
+				if rng.IntN(3) > 0 {
+					counts[i] = rng.IntN(20)
+				}
+			}
+			recode := groupMedians(counts, width)
+			for v, m := range recode {
+				lo := v / width * width
+				hi := min(lo+width, card)
+				if m < lo || m >= hi || m != recode[lo] {
+					t.Fatalf("card %d width %d: category %d maps to %d outside run [%d,%d) or off its run's %d",
+						card, width, v, m, lo, hi, recode[lo])
+				}
+				total := 0
+				for _, n := range counts[lo:hi] {
+					total += n
+				}
+				if total > 0 && counts[m] == 0 {
+					t.Fatalf("card %d width %d: run [%d,%d) maps to empty category %d", card, width, lo, hi, m)
+				}
+			}
 		}
 	}
 }

@@ -19,11 +19,7 @@ import (
 // test: the filesystem store over a temp dir and the in-memory store.
 func testStores(t *testing.T) map[string]storage.Store {
 	t.Helper()
-	fs, err := storage.NewFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]storage.Store{"fs": fs, "mem": storage.NewMem()}
+	return map[string]storage.Store{"fs": fsStore(t, t.TempDir()), "mem": storage.NewMem()}
 }
 
 // TestTornTailTruncated: a crash mid-append leaves a partial trailing
@@ -92,8 +88,7 @@ func TestTornTailTruncated(t *testing.T) {
 // interrupted jobs never finish their feeds, and a blocked streamer
 // would otherwise stall graceful shutdown.
 func TestStopUnblocksEventStreamers(t *testing.T) {
-	dir := t.TempDir()
-	s, err := New(Config{DataDir: dir, Workers: 1, Logf: t.Logf})
+	s, err := New(Config{Store: fsStore(t, t.TempDir()), Workers: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

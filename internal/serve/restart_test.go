@@ -325,7 +325,7 @@ func killAndRestartHeterogeneous(t *testing.T, be storage.Store) {
 // survives a restart — recovery re-enqueues it from scratch.
 func TestRestartRecoversQueuedJobs(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{DataDir: dir, Workers: 1, Logf: t.Logf}
+	cfg := Config{Store: fsStore(t, dir), Workers: 1, Logf: t.Logf}
 
 	s1, err := New(cfg)
 	if err != nil {
@@ -345,6 +345,7 @@ func TestRestartRecoversQueuedJobs(t *testing.T) {
 	}
 	cancel()
 
+	cfg.Store = fsStore(t, dir)
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

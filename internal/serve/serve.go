@@ -65,11 +65,8 @@ const (
 
 // Config parameterizes a Server. Zero values select the defaults above.
 type Config struct {
-	// DataDir roots the default filesystem store. Required unless Store
-	// is set, ignored when it is.
-	DataDir string
-	// Store selects the persistence backend; nil selects the filesystem
-	// store over DataDir (the historical on-disk layout, byte for byte).
+	// Store is the persistence backend, required: storage.NewFS(dir) for
+	// the durable on-disk layout, storage.NewMem() for a throwaway server.
 	Store storage.Store
 	// Queue shares an existing admission queue (a cluster coordinator's,
 	// drained by leases); nil selects a new one of depth QueueDepth.
@@ -125,8 +122,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.DataDir == "" && c.Store == nil {
-		return c, fmt.Errorf("serve: Config.DataDir or Config.Store is required")
+	if c.Store == nil {
+		return c, fmt.Errorf("serve: Config.Store is required")
 	}
 	if c.Workers <= 0 {
 		c.Workers = DefaultWorkers
@@ -256,22 +253,14 @@ type Server struct {
 	jobs map[string]*job
 }
 
-// New builds a server over the configured store (the filesystem store at
-// cfg.DataDir by default) and recovers every persisted job: terminal
-// jobs become queryable history, non-terminal ones are re-enqueued
-// (oldest first) to resume from their last checkpoint.
+// New builds a server over the configured store and recovers every
+// persisted job: terminal jobs become queryable history, non-terminal
+// ones are re-enqueued (oldest first) to resume from their last
+// checkpoint.
 func New(cfg Config) (*Server, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
-	}
-	be := c.Store
-	if be == nil {
-		fs, err := storage.NewFS(c.DataDir)
-		if err != nil {
-			return nil, fmt.Errorf("serve: opening data dir: %w", err)
-		}
-		be = fs
 	}
 	queue := c.Queue
 	if queue == nil {
@@ -279,7 +268,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
-		engine:   &engine{st: &store{be: be}, ckptEvery: c.CheckpointEvery, logf: c.Logf},
+		engine:   &engine{st: &store{be: c.Store}, ckptEvery: c.CheckpointEvery, logf: c.Logf},
 		cfg:      c,
 		queue:    queue,
 		limiter:  newTenantLimiter(c.TenantRate, c.TenantBurst),

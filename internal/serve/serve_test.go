@@ -18,14 +18,25 @@ import (
 	"time"
 
 	"evoprot"
+	"evoprot/internal/storage"
 )
 
-// testServer boots a server over a fresh data dir and exposes it over
-// real HTTP.
+// fsStore opens the filesystem store over dir.
+func fsStore(t *testing.T, dir string) *storage.FS {
+	t.Helper()
+	st, err := storage.NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// testServer boots a server over a fresh filesystem store, unless cfg
+// names a store, and exposes it over real HTTP.
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.DataDir == "" {
-		cfg.DataDir = t.TempDir()
+	if cfg.Store == nil {
+		cfg.Store = fsStore(t, t.TempDir())
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
@@ -140,6 +151,18 @@ func fetchEvents(t *testing.T, base, id string, offset uint64) []evoprot.Event {
 		t.Fatal(err)
 	}
 	return events
+}
+
+// TestNewRequiresStore: a server has no default backend, so a Config
+// without Store is refused before anything is built.
+func TestNewRequiresStore(t *testing.T) {
+	s, err := New(Config{Workers: 1, Logf: t.Logf})
+	if err == nil || s != nil {
+		t.Fatalf("New without Store = %v, %v; want an error", s, err)
+	}
+	if !strings.Contains(err.Error(), "Store is required") {
+		t.Fatalf("error %q does not name the missing Store", err)
+	}
 }
 
 func TestJobLifecycleAndEvents(t *testing.T) {

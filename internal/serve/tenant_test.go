@@ -279,7 +279,7 @@ func TestAnonymousModeIgnoresKeys(t *testing.T) {
 // jobs stay queued (and count against quotas) deterministically.
 func quotaServer(t *testing.T, cfg Config) *httptest.Server {
 	t.Helper()
-	cfg.DataDir = t.TempDir()
+	cfg.Store = fsStore(t, t.TempDir())
 	cfg.Logf = t.Logf
 	s, err := New(cfg)
 	if err != nil {
@@ -387,7 +387,7 @@ func TestGCSweepCollectsExpiredJobs(t *testing.T) {
 func TestGCSweepSparesActiveJobs(t *testing.T) {
 	// No workers running: the job stays queued — non-terminal jobs are
 	// never collected no matter how old.
-	cfg := Config{DataDir: t.TempDir(), TTL: time.Hour, Logf: t.Logf}
+	cfg := Config{Store: fsStore(t, t.TempDir()), TTL: time.Hour, Logf: t.Logf}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -160,24 +160,6 @@ func (b *Bitset) AndCount(o *Bitset) int {
 	return c
 }
 
-// AndNotCount returns |b \ o| without materializing the difference. Both
-// bitsets must share the same universe size.
-func (b *Bitset) AndNotCount(o *Bitset) int {
-	b.checkSize(o, "AndNotCount")
-	bw := b.words
-	ow := o.words[:len(bw)]
-	i, n4 := 0, len(bw)&^3
-	c := 0
-	for ; i < n4; i += 4 {
-		c += bits.OnesCount64(bw[i]&^ow[i]) + bits.OnesCount64(bw[i+1]&^ow[i+1]) +
-			bits.OnesCount64(bw[i+2]&^ow[i+2]) + bits.OnesCount64(bw[i+3]&^ow[i+3])
-	}
-	for ; i < len(bw); i++ {
-		c += bits.OnesCount64(bw[i] &^ ow[i])
-	}
-	return c
-}
-
 // Clone returns an independent copy.
 func (b *Bitset) Clone() *Bitset {
 	words := make([]uint64, len(b.words))

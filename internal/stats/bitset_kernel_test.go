@@ -54,9 +54,6 @@ func TestBitsetUnrolledKernelsMatchPlain(t *testing.T) {
 			if got, want := a.AndCount(b), and2.countPlain(); got != want {
 				t.Fatalf("n=%d: AndCount=%d, materialized=%d", n, got, want)
 			}
-			if got, want := a.AndNotCount(b), not2.countPlain(); got != want {
-				t.Fatalf("n=%d: AndNotCount=%d, materialized=%d", n, got, want)
-			}
 		}
 	}
 }
@@ -67,7 +64,6 @@ func TestBitsetFusedCountSizeMismatchPanics(t *testing.T) {
 	var j BitsetJournal
 	ops := map[string]func(a, b *Bitset){
 		"AndCount":    func(a, b *Bitset) { a.AndCount(b) },
-		"AndNotCount": func(a, b *Bitset) { a.AndNotCount(b) },
 		"OrWithJ":     func(a, b *Bitset) { a.OrWithJ(b, &j) },
 		"AndNotWithJ": func(a, b *Bitset) { a.AndNotWithJ(b, &j) },
 	}
@@ -185,8 +181,8 @@ func BenchmarkBitsetKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkBitsetFusedCount compares the fused AndCount/AndNotCount
-// against the CopyFrom+op+Count sequence they replace in the RSRL sweep.
+// BenchmarkBitsetFusedCount compares the fused AndCount against the
+// CopyFrom+AndWith+Count sequence it replaces in the RSRL sweep.
 func BenchmarkBitsetFusedCount(b *testing.B) {
 	for _, n := range []int{1066, 100_000} {
 		a, o := benchBitsetPair(n)
@@ -200,18 +196,6 @@ func BenchmarkBitsetFusedCount(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				scratch.CopyFrom(a)
 				scratch.AndWith(o)
-				_ = scratch.Count()
-			}
-		})
-		b.Run(fmt.Sprintf("AndNotCount/fused/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = a.AndNotCount(o)
-			}
-		})
-		b.Run(fmt.Sprintf("AndNotCount/materialized/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				scratch.CopyFrom(a)
-				scratch.AndNotWith(o)
 				_ = scratch.Count()
 			}
 		})

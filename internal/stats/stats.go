@@ -7,10 +7,7 @@
 // on every fitness evaluation of the evolutionary engine.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Log2 returns the base-2 logarithm of x. It exists so that entropy code
 // reads in information-theoretic units (bits) throughout the module.
@@ -169,88 +166,6 @@ func SubsetsUpTo(n, k int) [][]int {
 		out = append(out, Combinations(n, size)...)
 	}
 	return out
-}
-
-// ArgminAll returns the smallest value in xs together with every index
-// attaining it. It panics on an empty slice.
-func ArgminAll(xs []float64) (min float64, idxs []int) {
-	if len(xs) == 0 {
-		panic("stats: ArgminAll of empty slice")
-	}
-	min = xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-	}
-	for i, x := range xs {
-		if x == min {
-			idxs = append(idxs, i)
-		}
-	}
-	return min, idxs
-}
-
-// ArgmaxAll returns the largest value in xs together with every index
-// attaining it. It panics on an empty slice.
-func ArgmaxAll(xs []float64) (max float64, idxs []int) {
-	if len(xs) == 0 {
-		panic("stats: ArgmaxAll of empty slice")
-	}
-	max = xs[0]
-	for _, x := range xs[1:] {
-		if x > max {
-			max = x
-		}
-	}
-	for i, x := range xs {
-		if x == max {
-			idxs = append(idxs, i)
-		}
-	}
-	return max, idxs
-}
-
-// MinMaxMean returns the minimum, maximum and mean of xs.
-// It panics on an empty slice.
-func MinMaxMean(xs []float64) (min, max, mean float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMaxMean of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	sum := 0.0
-	for _, x := range xs {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-		sum += x
-	}
-	return min, max, sum / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// nearest-rank on a sorted copy. It panics on an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }
 
 // AbsInt returns the absolute value of an int.

@@ -210,38 +210,6 @@ func TestSubsetsUpTo(t *testing.T) {
 	}
 }
 
-func TestArgminArgmaxAll(t *testing.T) {
-	xs := []float64{3, 1, 2, 1, 5}
-	min, mins := ArgminAll(xs)
-	if min != 1 || len(mins) != 2 || mins[0] != 1 || mins[1] != 3 {
-		t.Fatalf("ArgminAll = %v %v", min, mins)
-	}
-	max, maxs := ArgmaxAll(xs)
-	if max != 5 || len(maxs) != 1 || maxs[0] != 4 {
-		t.Fatalf("ArgmaxAll = %v %v", max, maxs)
-	}
-}
-
-func TestMinMaxMean(t *testing.T) {
-	min, max, mean := MinMaxMean([]float64{2, 4, 6})
-	if min != 2 || max != 6 || !almostEqual(mean, 4, 1e-12) {
-		t.Fatalf("MinMaxMean = %v %v %v", min, max, mean)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct {
-		p    float64
-		want float64
-	}{{0, 1}, {20, 1}, {40, 2}, {50, 3}, {100, 5}, {95, 5}}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
 func TestIntHelpers(t *testing.T) {
 	if AbsInt(-3) != 3 || AbsInt(3) != 3 || AbsInt(0) != 0 {
 		t.Fatal("AbsInt broken")

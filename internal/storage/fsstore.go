@@ -81,39 +81,39 @@ func (st *FS) sweepTemp() error {
 	return nil
 }
 
-// Put writes data to a temp file in the job directory, fsyncs it, renames
-// it over the key, and fsyncs the directory so the rename itself is
-// durable — the full crash-safe atomic-replace discipline.
+// Put creates the job directory and writes the key through WriteFile.
 func (st *FS) Put(job, key string, data []byte) error {
-	dir := st.jobDir(job)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(st.jobDir(job), 0o755); err != nil {
 		return err
 	}
-	path := st.keyPath(job, key)
+	return WriteFile(st.keyPath(job, key), data)
+}
+
+// WriteFile replaces path with data atomically and durably: it writes
+// path+".tmp", fsyncs it, renames it over path and fsyncs the directory
+// so the rename itself survives power loss. The temp file is removed on
+// every failure. It does not create path's directory.
+func WriteFile(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so a rename within it is durable. Some

@@ -323,6 +323,47 @@ func TestFSErrorPaths(t *testing.T) {
 	}
 }
 
+// TestWriteFileFailures: WriteFile creates no directory, and a rename
+// that fails (onto an existing directory) leaves no temp file behind and
+// the target untouched.
+func TestWriteFileFailures(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteFile(filepath.Join(dir, "missing", "x"), []byte("v")); err == nil {
+		t.Fatal("WriteFile into a missing directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
+		t.Fatalf("WriteFile created the missing directory: %v", err)
+	}
+
+	target := filepath.Join(dir, "taken")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(target, []byte("v")); err == nil {
+		t.Fatal("WriteFile renamed over a directory")
+	}
+	if _, err := os.Stat(target + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed rename left %s.tmp behind: %v", target, err)
+	}
+	if fi, err := os.Stat(target); err != nil || !fi.IsDir() {
+		t.Fatalf("failed rename disturbed the target: %v", err)
+	}
+
+	// A successful write replaces the file whole.
+	path := filepath.Join(dir, "f")
+	for _, v := range []string{"first", "second"} {
+		if err := WriteFile(path, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != v {
+			t.Fatalf("after writing %q read %q, %v", v, got, err)
+		}
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("successful write left a temp file: %v", err)
+	}
+}
+
 func TestIsSyncUnsupported(t *testing.T) {
 	if isSyncUnsupported(errors.New("plain")) {
 		t.Fatal("plain error counted as unsupported-sync")

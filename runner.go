@@ -12,13 +12,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"evoprot/internal/core"
 	"evoprot/internal/experiment"
 	"evoprot/internal/infoloss"
 	"evoprot/internal/islands"
 	"evoprot/internal/score"
+	"evoprot/internal/storage"
 )
 
 // Re-exported island-model types.
@@ -36,12 +36,6 @@ type (
 	// RunResult is the outcome of a Runner.Run: the best individual across
 	// islands plus every island's own Result.
 	RunResult = islands.Result
-	// EpochBarrier executes island epochs and rendezvouses them between
-	// migrations — the pluggable seam WithEpochBarrier installs. The
-	// default runs epochs on in-process goroutines; a distributed runner
-	// substitutes a barrier that dispatches them to remote workers. A
-	// conforming barrier never changes a run's trajectory.
-	EpochBarrier = islands.EpochBarrier
 	// StopReason records why a run ended.
 	StopReason = core.StopReason
 )
@@ -65,19 +59,17 @@ const (
 // runnerOptions collects what the functional options configure: the
 // run's JobSpec, which every option with a spec field writes, plus only
 // what a spec cannot carry — seed protections, a custom Aggregator
-// value, the event hook and channel, the checkpoint destination and
-// cadence, the feed's first sequence number and the epoch barrier.
+// value, the event hook and channel, the checkpoint sink and cadence and
+// the feed's first sequence number.
 type runnerOptions struct {
 	spec            JobSpec
 	seeds           []*Dataset
 	aggregator      Aggregator
 	onEvent         func(Event)
 	events          chan<- Event
-	checkpointPath  string
 	checkpointSink  func(snapshot []byte) error
 	checkpointEvery int
 	firstSeq        uint64
-	barrier         islands.EpochBarrier
 }
 
 // IslandConfig overrides engine knobs for one island of a heterogeneous
@@ -335,32 +327,26 @@ func WithProgress(fn func(Event)) Option { return func(o *runnerOptions) { o.onE
 // channel serves a single Run call.
 func WithEvents(ch chan<- Event) Option { return func(o *runnerOptions) { o.events = ch } }
 
-// WithCheckpoint writes atomic engine snapshots to path at every migration
+// WithCheckpoint writes engine snapshots to path at every migration
 // barrier once at least `every` generations have passed since the last
-// write (and once when the run ends, whatever ended it). Resume a
-// checkpoint with Runner.Resume.
+// write, and once when the run ends, whatever ended it. It is
+// WithCheckpointSink over storage.WriteFile, so every write is atomic and
+// durable and path's directory must exist; of the two options, the last
+// one given wins. Resume a checkpoint with Runner.Resume.
 func WithCheckpoint(path string, every int) Option {
-	return func(o *runnerOptions) { o.checkpointPath, o.checkpointEvery = path, every }
+	return WithCheckpointSink(func(snapshot []byte) error { return storage.WriteFile(path, snapshot) }, every)
 }
 
 // WithCheckpointSink is WithCheckpoint for runs whose checkpoints do not
-// live on a private filesystem path: every checkpoint the run would have
-// written to a file is instead serialized and handed to write, which owns
-// atomicity and durability (a storage.Store's Put, an object-store
-// upload, ...). The cadence contract matches WithCheckpoint: a write at
-// every migration barrier once `every` generations have passed since the
-// last one, plus a final write when the run ends. Overrides WithCheckpoint.
+// live on a private filesystem path: every checkpoint is serialized and
+// handed to write, which owns atomicity and durability (a storage.Store's
+// Put, an object-store upload, ...). The cadence contract matches
+// WithCheckpoint: a write at every migration barrier once `every`
+// generations have passed since the last one, plus a final write when the
+// run ends. Both options set the one checkpoint sink, so the last one
+// given wins.
 func WithCheckpointSink(write func(snapshot []byte) error, every int) Option {
 	return func(o *runnerOptions) { o.checkpointSink, o.checkpointEvery = write, every }
-}
-
-// WithEpochBarrier substitutes the rendezvous that executes island epochs
-// between migrations (in-process goroutines by default). The barrier
-// decides where epochs run — this process, a worker pool, remote machines
-// — but never their outcome: any conforming barrier reproduces the
-// identical run bit for bit. See islands.EpochBarrier for the contract.
-func WithEpochBarrier(b EpochBarrier) Option {
-	return func(o *runnerOptions) { o.barrier = b }
 }
 
 // WithFirstEventSeq sets the sequence number of the run's first event —
@@ -446,8 +432,7 @@ func (r *Runner) buildInitial() ([]*Individual, error) {
 }
 
 // islandsConfig is the spec's islands.Config plus the runtime hooks a
-// spec cannot carry: the event feed, the barrier and the checkpoint
-// cadence.
+// spec cannot carry: the event feed and the checkpoint cadence.
 func (r *Runner) islandsConfig() (islands.Config, error) {
 	cfg, err := r.opts.spec.islandsConfig()
 	if err != nil {
@@ -456,8 +441,7 @@ func (r *Runner) islandsConfig() (islands.Config, error) {
 	cfg.OnEvent = r.opts.onEvent
 	cfg.Events = r.opts.events
 	cfg.FirstSeq = r.opts.firstSeq
-	cfg.Barrier = r.opts.barrier
-	if write := r.checkpointWriter(); write != nil {
+	if r.opts.checkpointSink != nil {
 		every := r.opts.checkpointEvery
 		if every < 1 {
 			every = 1
@@ -469,7 +453,7 @@ func (r *Runner) islandsConfig() (islands.Config, error) {
 				// surfaced live on the event feed, remembered for the final
 				// error join, and superseded by any later successful write
 				// (which makes the persisted state fresh again).
-				if err := write(ir); err != nil {
+				if err := r.writeCheckpoint(ir); err != nil {
 					r.ckptErr = err
 					ir.Emit(islands.Event{Island: -1, Err: err.Error()})
 				} else {
@@ -481,23 +465,14 @@ func (r *Runner) islandsConfig() (islands.Config, error) {
 	return cfg, nil
 }
 
-// checkpointWriter resolves the configured checkpoint destination into a
-// writer over the islands runner: the byte sink when WithCheckpointSink
-// is set, the atomic path writer for WithCheckpoint, nil when neither.
-func (r *Runner) checkpointWriter() func(*islands.Runner) error {
-	if sink := r.opts.checkpointSink; sink != nil {
-		return func(ir *islands.Runner) error {
-			var buf bytes.Buffer
-			if err := ir.Snapshot(&buf); err != nil {
-				return err
-			}
-			return sink(buf.Bytes())
-		}
+// writeCheckpoint serializes the islands runner's engine states and
+// hands them to the checkpoint sink.
+func (r *Runner) writeCheckpoint(ir *islands.Runner) error {
+	var buf bytes.Buffer
+	if err := ir.Snapshot(&buf); err != nil {
+		return err
 	}
-	if path := r.opts.checkpointPath; path != "" {
-		return func(ir *islands.Runner) error { return writeRunnerCheckpoint(ir, path) }
-	}
-	return nil
+	return r.opts.checkpointSink(buf.Bytes())
 }
 
 // Run executes the optimization under ctx. Cancellation and deadlines are
@@ -526,10 +501,10 @@ func (r *Runner) Run(ctx context.Context) (*RunResult, error) {
 	// (which rebuilds the islands runner from this Runner's options) can
 	// never send on it again.
 	r.opts.events = nil
-	if write := r.checkpointWriter(); res != nil && write != nil {
+	if res != nil && r.opts.checkpointSink != nil {
 		// Persist the final state — best-so-far on interruption included —
 		// without letting a write failure vanish behind a cancellation.
-		if werr := write(r.ir); werr != nil {
+		if werr := r.writeCheckpoint(r.ir); werr != nil {
 			werr = fmt.Errorf("%w: %v", ErrCheckpoint, werr)
 			if err == nil {
 				err = werr
@@ -559,12 +534,12 @@ func (r *Runner) Run(ctx context.Context) (*RunResult, error) {
 // persisted reports both; test with errors.Is.
 var ErrCheckpoint = errors.New("evoprot: final checkpoint write failed")
 
-// Resume loads a checkpoint written by this Runner's checkpoint option (or
-// Snapshot) into the Runner: the next Run continues every island's
-// identical stochastic trajectory for another budget of generations. The
-// Runner must have been built over the same original dataset and
-// attributes the checkpoint was taken against; the island count comes from
-// the checkpoint.
+// Resume loads a checkpoint written by a checkpoint option (or Snapshot)
+// into the Runner: the next Run continues every island's identical
+// stochastic trajectory for another budget of generations. The Runner
+// must have been built over the same original dataset and attributes the
+// checkpoint was taken against; the island count comes from the
+// checkpoint.
 func (r *Runner) Resume(rd io.Reader) error {
 	cfg, err := r.islandsConfig()
 	if err != nil {
@@ -666,42 +641,4 @@ func Run(ctx context.Context, orig *Dataset, attrNames []string, options ...Opti
 		return nil, err
 	}
 	return r.Run(ctx)
-}
-
-// WriteCheckpoint writes a snapshot of the current engine states to path
-// atomically: a temp file next to the target, renamed into place only
-// after a clean close (failed writes leave no partial files behind). Only
-// valid after a Run or Resume, while no Run is in flight.
-func (r *Runner) WriteCheckpoint(path string) error {
-	if r.ir == nil {
-		return fmt.Errorf("evoprot: nothing to checkpoint before the first Run or Resume")
-	}
-	return writeRunnerCheckpoint(r.ir, path)
-}
-
-// writeRunnerCheckpoint is WriteCheckpoint's worker, also used by the
-// mid-run OnEpoch hook where the islands runner is known directly.
-func writeRunnerCheckpoint(ir *islands.Runner, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := ir.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	// fsync before the rename: a checkpoint that exists under its final
-	// name must survive power loss, not just process death.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
