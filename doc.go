@@ -255,14 +255,14 @@
 // themselves: from the tuple counts of their last full link they estimate
 // what patching would cost, and past that break-even they re-link in full
 // with the grouped kernel of their Risk, inside the state, so the rest of
-// the battery stays incremental. Full Evaluate survives in three roles
+// the battery stays incremental. Every built-in measure has a state, the
+// ML-utility measure included. Full Evaluate survives in three roles
 // only: for a crossover whose gene window touches more than half the
-// rows, for a measure without a state (the ML-utility measure is
-// recomputed per offspring while the rest of the battery stays
-// incremental), and as the test oracle — the equivalence suites in
-// internal/core and internal/islands run every trajectory against a
-// capability-stripped battery (internal/score/scoretest) that scores each
-// offspring in full.
+// rows, for a custom measure without a state (recomputed per offspring
+// while the rest of the battery stays incremental), and as the test
+// oracle — the equivalence suites in internal/core and internal/islands
+// run every trajectory against a capability-stripped battery
+// (internal/score/scoretest) that scores each offspring in full.
 // Independent parent groups shard across a worker pool sized by
 // core.Config.EvalWorkers (0 inherits InitWorkers; WithEvalWorkers and
 // JobSpec.EvalWorkers thread it through the stack), and only the children

@@ -5,12 +5,13 @@ package core
 // and each group is scored against the parent's own state through
 // score.EvaluateBatch: each measure's delta state (the measure.Reversible
 // contract) advances by the change list and is read, touching memory
-// proportional to the edit instead of the file. A measure without a state
-// (such as ML utility) is recomputed in full per offspring inside the
-// same call, and so is every wide-edit offspring. The initial population
-// arrives with the states its set-up scoring was read from
-// (score.EvaluateAllPrepared); resumed individuals and wide-edit
-// survivors carry none until they first parent a narrow edit.
+// proportional to the edit instead of the file. Every built-in measure,
+// ML utility included, has a state; a custom measure without one is
+// recomputed in full per offspring inside the same call, and so is every
+// wide-edit offspring. The initial population arrives with the states
+// its set-up scoring was read from (score.EvaluateAllPrepared); resumed
+// individuals and wide-edit survivors carry none until they first parent
+// a narrow edit.
 //
 // EvaluateBatch leaves each parent's state holding its last narrow
 // offspring's edit, still pending. Once replacement has decided, only the

@@ -17,8 +17,10 @@ package core
 // O(n log n) instead of the pairwise O(n²). A generation ranks once:
 // environmental selection ranks and crowds the pool, the survivors keep
 // those ranks, and only the truncated front is re-crowded. The sweep
-// also leaves the first front in (IL, DR) order, so the generation's
-// FrontStats needs no further sort. Every buffer is engine-owned.
+// also leaves every front in (IL, DR) order, so crowding walks each
+// front in O(front) instead of sorting it by each objective, and the
+// generation's FrontStats needs no further sort. Every buffer is
+// engine-owned.
 //
 // Rank and crowding are derived data, never serialized; construction,
 // snapshot/resume and migration re-derive them from the population's
@@ -103,16 +105,21 @@ func (e *Engine) frontStats() FrontStats {
 // replaces without allocating. The fronts it returns alias its buffers
 // and stay valid until the next ranking.
 type nsgaSort struct {
-	keys    []sweepKey      // the finite members, sorted by (IL, DR, index)
-	rank    []int           // rank by member index
-	tops    []score.Pair    // per front, its lowest-DR member's pair
-	size    []int           // per front, its member count
-	fronts  [][]*Individual // fronts[k] lists front k in input order
-	members []*Individual   // backing store of fronts
-	first   []*Individual   // front 0's finite members in key order
-	evicted []*Individual   // the truncated front's evicted tail
-	crowded []*Individual   // assignCrowding's sort buffer
-	kept    []*Individual   // envSelect's survivors
+	keys     []sweepKey      // the finite members, sorted by (IL, DR, index)
+	rank     []int           // rank by member index
+	tops     []score.Pair    // per front, its lowest-DR member's pair
+	size     []int           // per front, its member count
+	fronts   [][]*Individual // fronts[k] lists front k in input order
+	members  []*Individual   // backing store of fronts
+	keyed    [][]int         // keyed[k] lists front k's finite members' indices in key order
+	keyedBuf []int           // backing store of keyed
+	first    []*Individual   // front 0's finite members in key order
+	evicted  []*Individual   // the truncated front's evicted tail
+	byIL     []*Individual   // crowding's stable IL order of a front
+	crowded  []*Individual   // crowding's stable DR order, or the fallback's sort buffer
+	order    []int           // the truncated front's indices in crowd order
+	pos      []int           // position in order by member index
+	kept     []*Individual   // envSelect's survivors
 }
 
 // sweepKey is one finite member's sort key in the two-objective sweep.
@@ -213,10 +220,21 @@ func (s *nsgaSort) assignRanks(inds []*Individual) [][]*Individual {
 		ind.rank = r
 		s.fronts[r] = append(s.fronts[r], ind)
 	}
-	s.first = s.first[:0]
+	s.keyedBuf = slices.Grow(s.keyedBuf[:0], n)[:n]
+	s.keyed = slices.Grow(s.keyed[:0], nf)[:nf]
+	off = 0
+	for k, size := range s.size {
+		s.keyed[k] = s.keyedBuf[off : off : off+size]
+		off += size
+	}
 	for _, k := range s.keys {
-		if s.rank[k.i] == 0 {
-			s.first = append(s.first, inds[k.i])
+		r := s.rank[k.i]
+		s.keyed[r] = append(s.keyed[r], k.i)
+	}
+	s.first = s.first[:0]
+	if nf > 0 {
+		for _, i := range s.keyed[0] {
+			s.first = append(s.first, inds[i])
 		}
 	}
 	s.evicted = nil
@@ -245,21 +263,59 @@ func (s *nsgaSort) front() []score.Pair {
 	return front
 }
 
-// assignCrowding computes the NSGA-II crowding distance of one front:
-// boundary points of each objective get +Inf, interior points accumulate
-// the normalized gap between their neighbors. Larger means less crowded
-// and is preferred, which pressures the front to spread across the
-// trade-off curve instead of clumping. The front's order is untouched;
-// the DR pass sorts the IL pass's order, so ties resolve as they always
-// have. Cost: two stable sorts of the front.
-func (s *nsgaSort) assignCrowding(front []*Individual) {
-	for _, ind := range front {
-		ind.crowd = 0
+// crowdFront assigns the NSGA-II crowding distance of front r of the
+// last ranking of inds: boundary points of each objective get +Inf,
+// interior points accumulate the normalized gap between their neighbors.
+// Larger means less crowded and is preferred, which pressures the front
+// to spread across the trade-off curve instead of clumping.
+//
+// The distances are those of two stable sorts of the front in input
+// order, first by IL, then that order by DR, read off the sweep instead.
+// In a front of finite pairs equal IL implies an equal pair (the lower
+// DR would dominate), so the stable IL order is the key order restricted
+// to the front, and the stable DR order is that order's blocks of equal
+// pairs, last block first. A front with a non-finite pair takes
+// assignCrowding's two stable sorts: where NaN sits is up to the sort.
+func (s *nsgaSort) crowdFront(inds []*Individual, r int) {
+	f, keyed := s.fronts[r], s.keyed[r]
+	if len(keyed) < len(f) {
+		s.assignCrowding(f)
+		return
 	}
-	if len(front) <= 2 {
-		for _, ind := range front {
-			ind.crowd = math.Inf(1)
+	byIL := s.byIL[:0]
+	for _, i := range keyed {
+		byIL = append(byIL, inds[i])
+	}
+	s.byIL = byIL
+	s.crowdSwept(byIL)
+}
+
+// crowdSwept assigns the crowding distances of a finite front given in
+// its stable IL order, in O(front).
+func (s *nsgaSort) crowdSwept(byIL []*Individual) {
+	if boundaryOnly(byIL) {
+		return
+	}
+	crowdAxis(byIL, 0)
+	byDR := s.crowded[:0]
+	for hi := len(byIL); hi > 0; {
+		lo := hi - 1
+		for lo > 0 && byIL[lo-1].Eval.Pair() == byIL[hi-1].Eval.Pair() {
+			lo--
 		}
+		byDR = append(byDR, byIL[lo:hi]...)
+		hi = lo
+	}
+	s.crowded = byDR
+	crowdAxis(byDR, 1)
+}
+
+// assignCrowding is crowdFront's fallback for a front holding a
+// non-finite pair: the front's order is untouched, and the DR pass sorts
+// the IL pass's order, so ties — NaN keys included — resolve as they
+// always have. Cost: two stable sorts of the front.
+func (s *nsgaSort) assignCrowding(front []*Individual) {
+	if boundaryOnly(front) {
 		return
 	}
 	c := append(s.crowded[:0], front...)
@@ -268,13 +324,33 @@ func (s *nsgaSort) assignCrowding(front []*Individual) {
 		slices.SortStableFunc(c, func(a, b *Individual) int {
 			return lessCmp(objective(a, axis) < objective(b, axis))
 		})
-		lo, hi := objective(c[0], axis), objective(c[len(c)-1], axis)
-		c[0].crowd = math.Inf(1)
-		c[len(c)-1].crowd = math.Inf(1)
-		if span := hi - lo; span > 0 {
-			for i := 1; i < len(c)-1; i++ {
-				c[i].crowd += (objective(c[i+1], axis) - objective(c[i-1], axis)) / span
-			}
+		crowdAxis(c, axis)
+	}
+}
+
+// boundaryOnly resets a front's crowding to zero, or to +Inf when it has
+// at most two members, which are all boundary points; it reports the
+// latter.
+func boundaryOnly(front []*Individual) bool {
+	crowd := 0.0
+	if len(front) <= 2 {
+		crowd = math.Inf(1)
+	}
+	for _, ind := range front {
+		ind.crowd = crowd
+	}
+	return len(front) <= 2
+}
+
+// crowdAxis adds one objective's share to the crowding of a front listed
+// in that objective's stable ascending order.
+func crowdAxis(c []*Individual, axis int) {
+	lo, hi := objective(c[0], axis), objective(c[len(c)-1], axis)
+	c[0].crowd = math.Inf(1)
+	c[len(c)-1].crowd = math.Inf(1)
+	if span := hi - lo; span > 0 {
+		for i := 1; i < len(c)-1; i++ {
+			c[i].crowd += (objective(c[i+1], axis) - objective(c[i-1], axis)) / span
 		}
 	}
 }
@@ -289,8 +365,8 @@ func objective(ind *Individual, axis int) float64 {
 
 // refreshPareto re-derives rank and crowding for the current population.
 func (e *Engine) refreshPareto() {
-	for _, f := range e.nsga.assignRanks(e.pop) {
-		e.nsga.assignCrowding(f)
+	for r := range e.nsga.assignRanks(e.pop) {
+		e.nsga.crowdFront(e.pop, r)
 	}
 }
 
@@ -306,21 +382,64 @@ func (e *Engine) refreshPareto() {
 // re-crowded. The returned slice is the sorter's buffer.
 func (s *nsgaSort) envSelect(pool []*Individual, n int) []*Individual {
 	kept := s.kept[:0]
-	for _, f := range s.assignRanks(pool) {
-		s.assignCrowding(f)
+	for r, f := range s.assignRanks(pool) {
+		s.crowdFront(pool, r)
 		if len(kept)+len(f) <= n {
 			kept = append(kept, f...)
 			continue
 		}
-		slices.SortStableFunc(f, func(a, b *Individual) int { return lessCmp(a.crowd > b.crowd) })
 		cut := n - len(kept)
+		s.truncate(pool, r, cut)
 		kept = append(kept, f[:cut]...)
 		s.evicted = f[cut:]
-		s.assignCrowding(f[:cut])
 		break
 	}
 	s.kept = kept
 	return kept
+}
+
+// truncate reorders front r of the last ranking of pool by descending
+// crowding distance, ties in pool order, and re-crowds its first cut
+// members, the survivors. Their stable IL order is the key order with
+// each block of equal pairs in crowd order (the blocks of keyed[r] are
+// sorted in place); a front with a non-finite pair is re-crowded by
+// assignCrowding instead.
+func (s *nsgaSort) truncate(pool []*Individual, r, cut int) {
+	f, keyed := s.fronts[r], s.keyed[r]
+	order := s.order[:0]
+	for i, rank := range s.rank {
+		if rank == r {
+			order = append(order, i)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return lessCmp(pool[a].crowd > pool[b].crowd) })
+	s.order = order
+	s.pos = slices.Grow(s.pos[:0], len(pool))[:len(pool)]
+	for j, i := range order {
+		f[j] = pool[i]
+		s.pos[i] = j
+	}
+	if len(keyed) < len(f) {
+		s.assignCrowding(f[:cut])
+		return
+	}
+	byIL := s.byIL[:0]
+	for lo := 0; lo < len(keyed); {
+		hi := lo + 1
+		for hi < len(keyed) && pool[keyed[hi]].Eval.Pair() == pool[keyed[lo]].Eval.Pair() {
+			hi++
+		}
+		block := keyed[lo:hi]
+		slices.SortFunc(block, func(a, b int) int { return s.pos[a] - s.pos[b] })
+		for _, i := range block {
+			if s.pos[i] < cut {
+				byIL = append(byIL, pool[i])
+			}
+		}
+		lo = hi
+	}
+	s.byIL = byIL
+	s.crowdSwept(byIL)
 }
 
 func containsIndividual(s []*Individual, ind *Individual) bool {

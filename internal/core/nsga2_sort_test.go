@@ -16,6 +16,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"evoprot/internal/datagen"
@@ -194,33 +195,97 @@ func FuzzAssignRanks(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 1, 1, 1, 3, 0, 0, 3})
 	f.Add([]byte{0, 0, 0, 0, 255, 7, 7, 255, 254, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Each byte is one coordinate: 0..7 on the grid, the rest NaN or
-		// ±Inf.
-		coord := func(b byte) float64 {
-			switch {
-			case b < 240:
-				return float64(b % 8)
-			case b < 248:
-				return math.NaN()
-			case b < 252:
-				return math.Inf(1)
-			}
-			return math.Inf(-1)
-		}
-		pairs := make([]score.Pair, len(data)/2)
-		for i := range pairs {
-			pairs[i] = score.Pair{IL: coord(data[2*i]), DR: coord(data[2*i+1])}
-		}
-		checkRanks(t, new(nsgaSort), pairs)
+		checkRanks(t, new(nsgaSort), fuzzPairs(data))
 	})
 }
 
+// fuzzPairs decodes FuzzAssignRanks' input: each byte is one coordinate,
+// 0..7 on the grid, the rest NaN or ±Inf.
+func fuzzPairs(data []byte) []score.Pair {
+	coord := func(b byte) float64 {
+		switch {
+		case b < 240:
+			return float64(b % 8)
+		case b < 248:
+			return math.NaN()
+		case b < 252:
+			return math.Inf(1)
+		}
+		return math.Inf(-1)
+	}
+	pairs := make([]score.Pair, len(data)/2)
+	for i := range pairs {
+		pairs[i] = score.Pair{IL: coord(data[2*i]), DR: coord(data[2*i+1])}
+	}
+	return pairs
+}
+
+// checkEnvSelect runs one environmental selection of a pool of the given
+// pairs down to n survivors, then the generic (rank, score) sort, and
+// requires the population, its ranks and its crowding to be bit-identical
+// to re-ranking the survivors from scratch through the pairwise sort and
+// sort.SliceStable, and the front read off the sweep to match
+// pareto.Front of the survivors.
+func checkEnvSelect(t *testing.T, e *Engine, pairs []score.Pair, n int) {
+	t.Helper()
+	pool := pairPool(pairs)
+	for i, ind := range pool {
+		ind.Origin = strconv.Itoa(i)
+	}
+	oracle := make([]*Individual, len(pool))
+	for i, ind := range pool {
+		c := *ind
+		oracle[i] = &c
+	}
+	e.pop = append(e.pop[:0], e.nsga.envSelect(pool, n)...)
+	e.sortRanked()
+	want := replaceOracle(oracle, n)
+	for i, w := range want {
+		g := e.pop[i]
+		if g.Origin != w.Origin || g.rank != w.rank || math.Float64bits(g.crowd) != math.Float64bits(w.crowd) {
+			t.Fatalf("%v to %d: position %d: %s rank %d crowd %v, oracle %s rank %d crowd %v",
+				pairs, n, i, g.Origin, g.rank, g.crowd, w.Origin, w.rank, w.crowd)
+		}
+	}
+	kept := make([]score.Pair, len(want))
+	for i, w := range want {
+		kept[i] = w.Eval.Pair()
+	}
+	if f, w := e.nsga.front(), pareto.Front(kept); !slices.EqualFunc(f, w, samePair) {
+		t.Fatalf("%v to %d: front %v, pareto.Front of survivors %v", pairs, n, f, w)
+	}
+}
+
+// convergedPairs draws a converged pool: most members on one front of m
+// points, each repeated up to four times, plus a few dominated
+// stragglers, shuffled. On the integer grid neighbouring gaps are equal,
+// so crowding ties are common; jittered, each point's crowding differs.
+func convergedPairs(rng *rand.Rand, jitter bool) []score.Pair {
+	m := 3 + rng.IntN(12)
+	var pairs []score.Pair
+	for i := 0; i < m; i++ {
+		p := score.Pair{IL: float64(i), DR: float64(m - i)}
+		if jitter {
+			p.IL += rng.Float64() / 2
+			p.DR += rng.Float64() / 2
+		}
+		for range 1 + rng.IntN(4) {
+			pairs = append(pairs, p)
+		}
+	}
+	for range rng.IntN(4) {
+		pairs = append(pairs, score.Pair{IL: float64(m + rng.IntN(3)), DR: float64(m + rng.IntN(3))})
+	}
+	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	return pairs
+}
+
 // TestEnvSelectMatchesOracle: one ranking pass of the pool — survivors
-// keeping their pool ranks, the truncated front re-crowded in kept order
-// — then the generic (rank, score) sort leaves the population, its ranks
-// and its crowding bit-identical to re-ranking the survivors from scratch
-// through the pairwise sort and sort.SliceStable; the front read off the
-// sweep matches pareto.Front of the survivors.
+// keeping their pool ranks, crowding read off the sweep order, the
+// truncated front re-crowded in kept order — matches the oracle route
+// (checkEnvSelect) on tie-heavy pools with non-finite members, on
+// continuous ones, and on converged pools whose one big front holds
+// blocks of equal pairs that straddle the cut.
 func TestEnvSelectMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(47, 53))
 	e := &Engine{}
@@ -233,33 +298,28 @@ func TestEnvSelectMatchesOracle(t *testing.T) {
 				pairs[i].DR += rng.Float64()
 			}
 		}
-		pool := pairPool(pairs)
-		for i, ind := range pool {
-			ind.Origin = string(rune('A' + i))
-		}
-		oracle := make([]*Individual, len(pool))
-		for i, ind := range pool {
-			c := *ind
-			oracle[i] = &c
-		}
-		e.pop = append(e.pop[:0], e.nsga.envSelect(pool, n)...)
-		e.sortRanked()
-		want := replaceOracle(oracle, n)
-		for i, w := range want {
-			g := e.pop[i]
-			if g.Origin != w.Origin || g.rank != w.rank || math.Float64bits(g.crowd) != math.Float64bits(w.crowd) {
-				t.Fatalf("trial %d position %d: %s rank %d crowd %v, oracle %s rank %d crowd %v",
-					trial, i, g.Origin, g.rank, g.crowd, w.Origin, w.rank, w.crowd)
-			}
-		}
-		kept := make([]score.Pair, len(want))
-		for i, w := range want {
-			kept[i] = w.Eval.Pair()
-		}
-		if f, w := e.nsga.front(), pareto.Front(kept); !slices.EqualFunc(f, w, samePair) {
-			t.Fatalf("trial %d: front %v, pareto.Front of survivors %v", trial, f, w)
-		}
+		checkEnvSelect(t, e, pairs, n)
 	}
+	for trial := 0; trial < 2000; trial++ {
+		pairs := convergedPairs(rng, trial%2 == 0)
+		checkEnvSelect(t, e, pairs, 1+rng.IntN(len(pairs)-1))
+	}
+}
+
+func FuzzEnvSelect(f *testing.F) {
+	f.Add(byte(3), []byte{1, 2, 2, 1, 1, 1, 3, 0, 0, 3})
+	f.Add(byte(4), []byte{0, 3, 1, 2, 1, 2, 2, 1, 1, 2, 3, 0, 4, 4})
+	f.Add(byte(2), []byte{0, 0, 0, 0, 255, 7, 7, 255, 254, 1})
+	e := &Engine{}
+	f.Fuzz(func(t *testing.T, keep byte, data []byte) {
+		// The pool is FuzzAssignRanks' pairs; keep picks how many
+		// survive, below the pool's size.
+		pairs := fuzzPairs(data)
+		if len(pairs) < 2 {
+			return
+		}
+		checkEnvSelect(t, e, pairs, 1+int(keep)%(len(pairs)-1))
+	})
 }
 
 // nanAggregator scores about a third of the (IL, DR) plane NaN — a custom
@@ -344,8 +404,9 @@ func TestParetoReplaceNoAllocs(t *testing.T) {
 }
 
 // BenchmarkNSGA2Sort ranks and crowds one 105-member pool from a real
-// run: the paper's 104-individual german population after 200 Pareto
-// mutation generations, plus one mutation child.
+// run, the paper's 104-individual german population after 200 Pareto
+// mutation generations plus one mutation child, through the route every
+// ranking takes (crowdFront).
 func BenchmarkNSGA2Sort(b *testing.B) {
 	d := datagen.MustByName("german", 300, 5)
 	names, _ := datagen.ProtectedAttrs("german")
@@ -385,8 +446,8 @@ func BenchmarkNSGA2Sort(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, f := range s.assignRanks(pool) {
-			s.assignCrowding(f)
+		for r := range s.assignRanks(pool) {
+			s.crowdFront(pool, r)
 		}
 	}
 }

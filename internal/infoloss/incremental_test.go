@@ -2,10 +2,22 @@ package infoloss
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"evoprot/internal/dataset"
 )
+
+// reversibleBattery is the default battery plus ML utility predicting an
+// unprotected column and a protected one, so both routes of its state
+// (feature edits only, and class moves) run.
+func reversibleBattery(attrs []int) []Measure {
+	unprotected := 0
+	for slices.Contains(attrs, unprotected) {
+		unprotected++
+	}
+	return append(Default(), &MLUtility{Target: unprotected}, &MLUtility{Target: attrs[1]})
+}
 
 // TestIncrementalMatchesFullLoss drives each incremental measure through
 // long randomized change sequences — single-cell steps and multi-cell
@@ -16,7 +28,7 @@ func TestIncrementalMatchesFullLoss(t *testing.T) {
 		d, attrs := testData(t)
 		rng := rand.New(rand.NewPCG(seed, 5))
 		masked := scramble(d, attrs, seed)
-		for _, m := range Default() {
+		for _, m := range reversibleBattery(attrs) {
 			inc, ok := m.(Incremental)
 			if !ok {
 				t.Fatalf("%s does not implement Incremental", m.Name())
@@ -51,7 +63,7 @@ func TestIncrementalMatchesFullLoss(t *testing.T) {
 func TestIncrementalCloneIsolation(t *testing.T) {
 	d, attrs := testData(t)
 	rng := rand.New(rand.NewPCG(3, 9))
-	for _, m := range Default() {
+	for _, m := range reversibleBattery(attrs) {
 		inc := m.(Incremental)
 		work := scramble(d, attrs, 7)
 		st := inc.Prepare(d, work, attrs)
@@ -79,7 +91,7 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 func TestIncrementalRevertRoundTrip(t *testing.T) {
 	d, attrs := testData(t)
 	rng := rand.New(rand.NewPCG(11, 2))
-	for _, m := range Default() {
+	for _, m := range reversibleBattery(attrs) {
 		inc := m.(Incremental)
 		work := scramble(d, attrs, 21)
 		st := inc.Prepare(d, work, attrs)
@@ -123,7 +135,7 @@ func TestCTBILPrepareRespectsMaxDim(t *testing.T) {
 // every step.
 func TestReversibleApplyUndo(t *testing.T) {
 	d, attrs := testData(t)
-	for _, m := range Default() {
+	for _, m := range reversibleBattery(attrs) {
 		rev, ok := m.(Reversible)
 		if !ok {
 			t.Fatalf("%s lacks a reversible implementation", m.Name())

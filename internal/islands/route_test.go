@@ -1,12 +1,14 @@
 package islands
 
-// Evaluation-route pins for batteries with a measure that has no
-// incremental state. The ML-utility measure is not Reversible, so it is
+// Evaluation-route pins for batteries with the ML-utility measure. Its
+// state runs apply/undo against the parent's shared state like the rest
+// of the battery; stripped of that state (the mixed route), it is
 // recomputed in full for every offspring while the rest of the battery
-// runs apply/undo against the parent's shared state. These tests compare
-// that route against the capability-stripped oracle (every measure in
-// full) and against a golden recorded from the earlier clone-and-apply
-// route, in scalar and Pareto mode, on one and two islands.
+// stays incremental — the route of any custom measure without a state.
+// These tests compare both routes against the capability-stripped oracle
+// (every measure in full) and against a golden recorded from the earlier
+// clone-and-apply route, in scalar and Pareto mode, on one and two
+// islands.
 
 import (
 	"bytes"
@@ -51,10 +53,20 @@ type islandPin struct {
 	Final   core.GenStats `json:"final"`
 }
 
+// route selects how a route case's battery is scored.
+type route int
+
+const (
+	stateful route = iota // every measure keeps a delta state
+	mixed                 // ML utility alone is stripped of its state
+	oracle                // every measure is stripped: full evaluation
+)
+
+func (r route) String() string { return [...]string{"stateful", "mixed", "oracle"}[r] }
+
 // mluEvaluator rebuilds testPopulation's evaluator with the ML-utility
-// measure appended to the information-loss battery, optionally stripped
-// to the full-evaluation oracle.
-func mluEvaluator(t *testing.T, base *score.Evaluator, oracle bool) *score.Evaluator {
+// measure appended to the information-loss battery, stripped as rt says.
+func mluEvaluator(t *testing.T, base *score.Evaluator, rt route) *score.Evaluator {
 	t.Helper()
 	orig, attrs := base.Orig(), base.Attrs()
 	target := -1
@@ -66,8 +78,12 @@ func mluEvaluator(t *testing.T, base *score.Evaluator, oracle bool) *score.Evalu
 			}
 		}
 	}
-	cfg := score.Config{IL: append(infoloss.Default(), &infoloss.MLUtility{Target: target})}
-	if oracle {
+	var mlu infoloss.Measure = &infoloss.MLUtility{Target: target}
+	if rt == mixed {
+		mlu = scoretest.StripIL(mlu)
+	}
+	cfg := score.Config{IL: append(infoloss.Default(), mlu)}
+	if rt == oracle {
 		cfg = scoretest.Strip(cfg)
 	}
 	eval, err := score.NewEvaluator(orig, attrs, cfg)
@@ -78,10 +94,10 @@ func mluEvaluator(t *testing.T, base *score.Evaluator, oracle bool) *score.Evalu
 }
 
 // runRouteCase evolves one case and pins every island's result.
-func runRouteCase(t *testing.T, rc routeCase, oracle bool) []islandPin {
+func runRouteCase(t *testing.T, rc routeCase, rt route) []islandPin {
 	t.Helper()
 	base, pop := testPopulation(t)
-	eval := mluEvaluator(t, base, oracle)
+	eval := mluEvaluator(t, base, rt)
 	r, err := New(context.Background(), eval, pop, Config{
 		Islands: rc.Islands, MigrateEvery: 10, Migrants: 2, Topology: Ring,
 		Engine: core.Config{Generations: 40, Seed: 5, Objective: rc.Objective, EvalWorkers: 2},
@@ -113,26 +129,30 @@ func runRouteCase(t *testing.T, rc routeCase, oracle bool) []islandPin {
 	return pins
 }
 
-// TestMLUtilityBatchMatchesOracle: a battery with the non-reversible
-// ML-utility measure walks the same trajectory through the batch route as
-// through full evaluation of every offspring.
+// TestMLUtilityBatchMatchesOracle: a battery with the ML-utility measure
+// walks the same trajectory through the batch route — with the measure's
+// state, and on the mixed route without it — as through full evaluation
+// of every offspring.
 func TestMLUtilityBatchMatchesOracle(t *testing.T) {
 	for _, rc := range routeCases {
-		got, want := runRouteCase(t, rc, false), runRouteCase(t, rc, true)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: batch route diverged from the full-evaluation oracle:\nbatch:  %+v\noracle: %+v", rc.Name, got, want)
+		want := runRouteCase(t, rc, oracle)
+		for _, rt := range []route{stateful, mixed} {
+			if got := runRouteCase(t, rc, rt); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s batch route diverged from the full-evaluation oracle:\nbatch:  %+v\noracle: %+v", rc.Name, rt, got, want)
+			}
 		}
 	}
 }
 
 // TestMLUtilityRouteGolden pins the ML-utility trajectories to a golden
 // recorded from the clone-and-apply route, so moving these batteries to
-// the batch route provably changed no result. Regenerate with -update
-// only for an intended trajectory change.
+// the batch route, and then giving the measure a state, provably changed
+// no result. Regenerate with -update only for an intended trajectory
+// change.
 func TestMLUtilityRouteGolden(t *testing.T) {
 	got := map[string][]islandPin{}
 	for _, rc := range routeCases {
-		got[rc.Name] = runRouteCase(t, rc, false)
+		got[rc.Name] = runRouteCase(t, rc, stateful)
 	}
 	path := filepath.Join("testdata", "mlu_route_golden.json")
 	if *update {

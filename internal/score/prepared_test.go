@@ -16,11 +16,12 @@ import (
 
 // TestEvaluateAllPreparedMatchesEvaluate: the set-up route reads every
 // stateful slot from its freshly prepared state and recomputes only the
-// stateless ones. Over the default battery, the default plus ML utility
-// (a stateless slot among stateful ones) and a stripped battery (no
-// stateful slot at all), at widths 1 and 4, each evaluation must equal
-// Evaluate's, parts included, and each returned state must still score a
-// one-cell offspring like Evaluate does.
+// stateless ones. Over the default battery, the default plus ML
+// utility, the default plus a stripped ML utility (a stateless slot among
+// stateful ones) and a stripped battery (no stateful slot at all), at
+// widths 1 and 4, each evaluation must equal Evaluate's, parts included,
+// and each returned state must still score a one-cell offspring like
+// Evaluate does.
 func TestEvaluateAllPreparedMatchesEvaluate(t *testing.T) {
 	orig := datagen.MustByName("german", 150, 61)
 	names, _ := datagen.ProtectedAttrs("german")
@@ -46,6 +47,7 @@ func TestEvaluateAllPreparedMatchesEvaluate(t *testing.T) {
 	}{
 		{"default", score.Config{}},
 		{"default+MLU", score.Config{IL: append(infoloss.Default(), &infoloss.MLUtility{Target: target[0]})}},
+		{"default+stripped MLU", score.Config{IL: append(infoloss.Default(), scoretest.StripIL(&infoloss.MLUtility{Target: target[0]}))}},
 		{"stripped", scoretest.Strip(score.Config{})},
 	} {
 		eval, err := score.NewEvaluator(orig, attrs, tc.cfg)

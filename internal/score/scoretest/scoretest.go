@@ -34,7 +34,7 @@ func Strip(cfg score.Config) score.Config {
 	}
 	cfg.IL = make([]infoloss.Measure, len(il))
 	for i, m := range il {
-		cfg.IL[i] = ilOnly{m}
+		cfg.IL[i] = StripIL(m)
 	}
 	cfg.DR = make([]risk.Measure, len(dr))
 	for i, m := range dr {
@@ -42,3 +42,9 @@ func Strip(cfg score.Config) score.Config {
 	}
 	return cfg
 }
+
+// StripIL wraps one information-loss measure so that it exposes only
+// Measure: an evaluator scores it by a full Loss per offspring while the
+// rest of its battery keeps its states — the mixed route of a battery
+// with one stateless measure.
+func StripIL(m infoloss.Measure) infoloss.Measure { return ilOnly{m} }

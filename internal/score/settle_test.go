@@ -22,8 +22,9 @@ import (
 // break-even on this file, so stale pending states (a state-wide but
 // battery-narrow edit) are kept, restored and cloned too; PRL's
 // break-even lies beyond rows/2 here, and internal/risk covers its stale
-// states. Batteries: the default, the default plus the stateless ML
-// utility, and a stripped one without any state; widths 1 and 4.
+// states. Batteries: the default, the default plus ML utility, the
+// default plus a stripped (stateless) ML utility, and a stripped one
+// without any state; widths 1 and 4.
 func TestSettlePendingEdit(t *testing.T) {
 	orig := datagen.MustByName("german", 150, 61)
 	names, _ := datagen.ProtectedAttrs("german")
@@ -42,6 +43,7 @@ func TestSettlePendingEdit(t *testing.T) {
 	}{
 		{"default", score.Config{}},
 		{"default+MLU", score.Config{IL: append(infoloss.Default(), &infoloss.MLUtility{Target: target[0]})}},
+		{"default+stripped MLU", score.Config{IL: append(infoloss.Default(), scoretest.StripIL(&infoloss.MLUtility{Target: target[0]}))}},
 		{"stripped", scoretest.Strip(score.Config{})},
 	} {
 		eval, err := score.NewEvaluator(orig, attrs, tc.cfg)

@@ -53,8 +53,8 @@ type JobSpec struct {
 	// MLTarget, when set, appends the machine-learning-utility measure to
 	// the information-loss battery: a naive Bayes proxy classifier
 	// predicting this attribute, scoring the held-out accuracy drop of a
-	// model trained on the protected file. The measure has no incremental
-	// state, so it is recomputed in full for every offspring.
+	// model trained on the protected file. Like the rest of the battery,
+	// the measure is scored incrementally per offspring.
 	MLTarget string `json:"ml_target,omitempty"`
 	// Generations is each island's total evolution budget
 	// (0 = DefaultGenerations).

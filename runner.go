@@ -236,9 +236,9 @@ func WithParetoRef(il, dr float64) Option {
 // named target attribute, scoring the held-out accuracy drop of a model
 // trained on the protected file instead of the original. The target may
 // be any schema attribute; when it is itself protected it is excluded
-// from the classifier's features. The measure has no incremental state, so
-// it is recomputed in full for every offspring while the rest of the
-// battery stays incremental.
+// from the classifier's features. Like the rest of the battery, the
+// measure keeps an incremental state: an offspring costs time in
+// proportion to the held-out rows its edit can re-classify.
 func WithMLUtility(target string) Option { return func(o *runnerOptions) { o.spec.MLTarget = target } }
 
 // WithGenerations sets each island's evolution budget per Run call (0
