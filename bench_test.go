@@ -425,8 +425,8 @@ func BenchmarkEvaluateSingle(b *testing.B) {
 // property tests in internal/score and internal/core).
 
 // paperScaleDeltaFixture builds a paper-scale evaluator over the given
-// battery, a masked parent with its prepared delta state, and a
-// single-cell mutation child.
+// battery, a masked parent file with its prepared delta state, and the
+// change list of a single-cell mutation child.
 func paperScaleDeltaFixture(b *testing.B, sc score.Config) (*score.Evaluator, score.Evaluation, *score.DeltaState, *dataset.Dataset, []dataset.CellChange) {
 	b.Helper()
 	orig := datagen.MustByName("flare", 0, benchSeed)
@@ -452,24 +452,23 @@ func paperScaleDeltaFixture(b *testing.B, sc score.Config) (*score.Evaluator, sc
 		b.Fatal(err)
 	}
 
-	child := parent.Clone()
 	col := attrs[0]
 	card := orig.Schema().Attr(col).Cardinality()
-	old := child.At(7, col)
-	child.Set(7, col, (old+1)%card)
+	old := parent.At(7, col)
 	changes := []dataset.CellChange{{Row: 7, Col: col, Old: old, New: (old + 1) % card}}
-	return eval, parentEval, state, child, changes
+	return eval, parentEval, state, parent, changes
 }
 
 // offspringFixture shapes paperScaleDeltaFixture into one batch group
 // holding the single mutation offspring — a mutation generation's shape.
 func offspringFixture(b *testing.B, sc score.Config) (*score.Evaluator, []score.BatchGroup) {
 	b.Helper()
-	eval, parentEval, state, child, changes := paperScaleDeltaFixture(b, sc)
+	eval, parentEval, state, parent, changes := paperScaleDeltaFixture(b, sc)
 	return eval, []score.BatchGroup{{
 		Parent:    parentEval,
+		File:      parent,
 		State:     state,
-		Offspring: []score.BatchOffspring{{Child: child, Changes: changes}},
+		Offspring: []score.BatchOffspring{{Changes: changes}},
 	}}
 }
 
@@ -541,7 +540,7 @@ func BenchmarkEvaluateDeltaSpeedup(b *testing.B) {
 // are the unit of parallelism.
 func paperScaleBatchFixture(b *testing.B, nGroups int) (*score.Evaluator, []score.BatchGroup) {
 	b.Helper()
-	eval, parentEval, state, child, changes := paperScaleDeltaFixture(b, score.Config{})
+	eval, parentEval, state, parent, changes := paperScaleDeltaFixture(b, score.Config{})
 	groups := make([]score.BatchGroup, nGroups)
 	for g := range groups {
 		st := state
@@ -550,10 +549,11 @@ func paperScaleBatchFixture(b *testing.B, nGroups int) (*score.Evaluator, []scor
 		}
 		groups[g] = score.BatchGroup{
 			Parent: parentEval,
+			File:   parent,
 			State:  st,
 			Offspring: []score.BatchOffspring{
-				{Child: child, Changes: changes},
-				{Child: child, Changes: changes},
+				{Changes: changes},
+				{Changes: changes},
 			},
 		}
 	}

@@ -244,15 +244,19 @@
 //
 // Each generation the engine stages its offspring, groups them by parent,
 // and score.Evaluator.EvaluateBatch scores each group against the
-// parent's own state: apply the change list, read the value, and undo it
-// before the next offspring by inverse replay, before-images (DBRL's rows)
-// or bitset-diff journaling (stats.BitsetJournal), so evaluating a
-// losing offspring touches memory proportional to the edit instead of
-// the file. The last offspring's edit stays pending until replacement has
-// decided: a surviving child keeps it (Evaluator.Keep, an empty Apply per
-// measure, O(1)) instead of having the same edit applied again, and a
-// losing one has it rolled back (Evaluator.Restore). The DBRL and PRL states route each change list
-// themselves: from the tuple counts of their last full link they estimate
+// parent's own file and state: apply the change list, read the value, and
+// undo it before the next offspring by inverse replay, before-images
+// (DBRL's rows) or bitset-diff journaling (stats.BitsetJournal). An
+// offspring is its parent's file plus that change list: the genetic
+// operators only read the parents' files, and a child's file is built
+// (Dataset.CloneWith) only when it survives replacement, or earlier when
+// scoring must read it (a wide edit, or a measure without a state). So
+// evaluating a losing narrow offspring touches memory proportional to the
+// edit instead of the file. The last offspring's edit stays pending until
+// replacement has decided: a surviving child keeps it (Evaluator.Keep, an
+// empty Apply per measure, O(1)) instead of having the same edit applied
+// again, and a losing one has it rolled back (Evaluator.Restore). The
+// DBRL and PRL states route each change list themselves: from the tuple counts of their last full link they estimate
 // what patching would cost, and past that break-even they re-link in full
 // with the grouped kernel of their Risk, inside the state, so the rest of
 // the battery stays incremental. Every built-in measure has a state, the

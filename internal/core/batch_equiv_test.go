@@ -121,8 +121,8 @@ func requireStateDescribes(t *testing.T, e *Engine, ind *Individual, ctx string,
 	child := ind.Data.Clone()
 	rng := rand.New(rand.NewPCG(9, seed))
 	changes := []dataset.CellChange{dataset.RandomChange(rng, child, e.attrs)}
-	groups := []score.BatchGroup{{Parent: ind.Eval, State: ind.state,
-		Offspring: []score.BatchOffspring{{Child: child, Changes: changes}}}}
+	groups := []score.BatchGroup{{Parent: ind.Eval, File: ind.Data, State: ind.state,
+		Offspring: []score.BatchOffspring{{Changes: changes}}}}
 	if err := e.eval.EvaluateBatch(groups, 1); err != nil {
 		t.Fatalf("%s: carried state rejected a delta evaluation: %v", ctx, err)
 	}
@@ -138,7 +138,7 @@ func requireStateDescribes(t *testing.T, e *Engine, ind *Individual, ctx string,
 	}
 }
 
-// TestCommitAroundPendingEdit drives commitBatchState directly on the
+// TestCommitAroundPendingEdit drives commitSurvivor directly on the
 // two group shapes the engine produces: one narrow offspring, whose edit
 // the parent's state holds pending, and a self-crossover pair, whose
 // empty change lists leave it settled. With every offspring surviving
@@ -183,7 +183,7 @@ func TestCommitAroundPendingEdit(t *testing.T) {
 			t.Fatalf("%s: the parent's state does not hold the offspring's edit", tc.name)
 		}
 		for k, c := range children {
-			e.commitBatchState(c, parent, e.bChanges[k], tc.evicted)
+			e.commitSurvivor(c, parent, e.bChanges[k], tc.evicted)
 		}
 		e.settleStates()
 		for k, ind := range append([]*Individual{parent}, children...) {
@@ -207,7 +207,7 @@ func TestCommitAroundPendingEdit(t *testing.T) {
 			t.Fatal("committing an offspring whose parent state holds a sibling's edit did not panic")
 		}
 	}()
-	e.commitBatchState(c1, parent, ch1, false)
+	e.commitSurvivor(c1, parent, ch1, false)
 }
 
 // TestBatchHeterogeneousEnginesEquivalence is the niched-islands

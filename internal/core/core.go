@@ -12,14 +12,16 @@
 // engine records the max/mean/min score trajectory and the evaluation
 // timings the paper reports.
 //
-// Offspring are scored through incremental (delta) evaluation: the
-// operators report exactly which cells they changed, and
-// score.Evaluator.EvaluateBatch applies that change list to the parent's
-// cached per-measure state and reads the value instead of rescanning the
-// whole file — bit-identical results at a fraction of the cost (see
-// batcheval.go and internal/score). Individuals carry their delta states;
-// only offspring that survive replacement receive one, keeping the edit
-// the batch left pending, and every other state is rolled back.
+// An offspring is its parent's file plus a change list until it survives:
+// the operators read the parents' files and report exactly which cells
+// they change, without building a file. score.Evaluator.EvaluateBatch
+// applies that change list to the parent's cached per-measure state and
+// reads the value instead of rescanning the whole file — bit-identical
+// results at a fraction of the cost (see batcheval.go and
+// internal/score). Only offspring that survive replacement receive a file
+// of their own, the parent's with the changes applied, and a delta state,
+// keeping the edit the batch left pending; every other state is rolled
+// back, so a losing offspring costs memory proportional to its edit.
 package core
 
 import (
@@ -40,7 +42,11 @@ import (
 // cached fitness evaluation.
 type Individual struct {
 	// Data is the protected file; the chromosome. Genes are the category
-	// values of the protected attributes.
+	// values of the protected attributes. Files are never modified once
+	// built, so individuals and engines share them freely. An offspring
+	// has none until it survives replacement (unless scoring it already
+	// built one); every population member, emigrant, snapshot and result
+	// has one.
 	Data *dataset.Dataset
 	// Eval is the cached fitness breakdown of Data.
 	Eval score.Evaluation
@@ -507,11 +513,11 @@ func NewEngine(eval *score.Evaluator, initial []*Individual, cfg Config) (*Engin
 // NewEngines builds several engines over one shared evaluator and initial
 // population — the island-model constructor. The population is evaluated
 // and delta-prepared exactly once; engine i receives its own individual
-// wrappers under cfgs[i], with the datasets shared (they are copy-on-write
-// throughout the engine) and the prepared states cloned per engine so
-// concurrent islands never share mutable evaluation state. The context bounds the initial evaluation —
-// the expensive part of construction — so cancellation works during
-// startup, not just between generations.
+// wrappers under cfgs[i], with the datasets shared (files are never
+// modified once built) and the prepared states cloned per engine so
+// concurrent islands never share mutable evaluation state. The context
+// bounds the initial evaluation — the expensive part of construction — so
+// cancellation works during startup, not just between generations.
 func NewEngines(ctx context.Context, eval *score.Evaluator, initial []*Individual, cfgs []Config) ([]*Engine, error) {
 	if eval == nil {
 		return nil, fmt.Errorf("core: nil evaluator")
@@ -793,8 +799,8 @@ func (e *Engine) MakeResult(reason StopReason) *Result {
 }
 
 // Emigrants returns copies of the k best individuals for injection into
-// another engine: the datasets are shared (copy-on-write throughout the
-// engine), the evaluations copied, and any incremental state cloned so the
+// another engine: the datasets are shared (files are never modified once
+// built), the evaluations copied, and any incremental state cloned so the
 // receiving island never shares mutable evaluation state with this one.
 func (e *Engine) Emigrants(k int) []*Individual {
 	if k > len(e.pop) {
@@ -900,7 +906,7 @@ func (e *Engine) stepMutation() (evalTime time.Duration, accepted int) {
 	if child.Eval.Score < parent.Eval.Score {
 		e.pop[idx] = child
 		accepted++
-		e.commitBatchState(child, parent, changes, true)
+		e.commitSurvivor(child, parent, changes, true)
 	}
 	return evalTime, accepted
 }
@@ -940,11 +946,14 @@ func (e *Engine) stepCrossover() (evalTime time.Duration, accepted int) {
 	b1, b2 := p1, p2
 	if e.cfg.Crowding == CrowdNearestParent {
 		// Classic deterministic crowding: pair children with the parents
-		// they are genotypically closest to (minimal total distance).
-		d11 := c1.Data.Mismatches(p1.Data, e.attrs)
-		d12 := c1.Data.Mismatches(p2.Data, e.attrs)
-		d21 := c2.Data.Mismatches(p1.Data, e.attrs)
-		d22 := c2.Data.Mismatches(p2.Data, e.attrs)
+		// they are genotypically closest to (minimal total distance). A
+		// change list holds exactly the genes where its child differs
+		// from its parent, and there the child takes the other parent's
+		// gene, so the distances follow from the lists' lengths and the
+		// parents' distance m without reading a child's file.
+		m := p1.Data.Mismatches(p2.Data, e.attrs)
+		d11, d22 := len(ch1), len(ch2)
+		d12, d21 := m-len(ch1), m-len(ch2)
 		if d11+d22 > d12+d21 {
 			c1, c2 = c2, c1
 			b1, b2 = b2, b1
@@ -962,19 +971,19 @@ func (e *Engine) stepCrossover() (evalTime time.Duration, accepted int) {
 		e.pop[i2] = c2
 		accepted++
 	}
-	// Hand the survivors their states. A biological parent is gone from
-	// the population when a winning child took its slot (with i1 == i2
-	// both children fought the same occupant); its state can then
-	// transfer without a clone. Skip a child that won its tournament but
-	// was itself overwritten by the other child.
+	// Hand the survivors their files and states. A biological parent is
+	// gone from the population when a winning child took its slot (with
+	// i1 == i2 both children fought the same occupant); its state can
+	// then transfer without a clone. Skip a child that won its tournament
+	// but was itself overwritten by the other child.
 	evicted := func(b *Individual) bool {
 		return (win1 && b == p1) || (win2 && b == p2)
 	}
 	if win1 && !(i1 == i2 && win2) {
-		e.commitBatchState(c1, b1, ch1, evicted(b1))
+		e.commitSurvivor(c1, b1, ch1, evicted(b1))
 	}
 	if win2 {
-		e.commitBatchState(c2, b2, ch2, evicted(b2))
+		e.commitSurvivor(c2, b2, ch2, evicted(b2))
 	}
 	return evalTime, accepted
 }
@@ -1058,14 +1067,16 @@ func (e *Engine) genePos(g int) (row, col int) {
 	return g / len(e.attrs), e.attrs[g%len(e.attrs)]
 }
 
-// mutate clones the parent and replaces one random gene with a different
-// uniformly-drawn valid category (§2.2.1), reporting the changed cell. The
-// gene is drawn uniformly over the cells of attributes with more than one
-// category (NewEngine guarantees at least one exists), so a mutation is
-// never a silent no-op; when every protected attribute is mutable this is
-// the same draw as over the whole chromosome.
+// mutate replaces one random gene of the parent with a different
+// uniformly-drawn valid category (§2.2.1). It returns a file-less
+// offspring and the one-cell change list that derives it from the
+// parent's file, which it only reads. The gene is drawn uniformly over
+// the cells of attributes with more than one category (NewEngine
+// guarantees at least one exists), so a mutation is never a silent no-op;
+// when every protected attribute is mutable this is the same draw as over
+// the whole chromosome.
 func (e *Engine) mutate(parent *Individual) (*Individual, []dataset.CellChange) {
-	data := parent.Data.Clone()
+	data := parent.Data
 	g := e.rng.IntN(data.Rows() * len(e.mutable))
 	row, col := g/len(e.mutable), e.mutable[g%len(e.mutable)]
 	card := data.Schema().Attr(col).Cardinality()
@@ -1075,9 +1086,8 @@ func (e *Engine) mutate(parent *Individual) (*Individual, []dataset.CellChange) 
 	if v >= old {
 		v++
 	}
-	data.Set(row, col, v)
 	e.chBuf1 = append(e.chBuf1[:0], dataset.CellChange{Row: row, Col: col, Old: old, New: v})
-	return NewIndividual(data, "mutation"), e.chBuf1
+	return &Individual{Origin: "mutation"}, e.chBuf1
 }
 
 // cross recombines two parents at the category level. With the default
@@ -1087,12 +1097,13 @@ func (e *Engine) mutate(parent *Individual) (*Individual, []dataset.CellChange) 
 // their trajectories. Any other k performs standard k-point crossover: k
 // cut positions are drawn, sorted, and alternating segments (the first
 // starting at the lowest cut) are exchanged; coinciding cuts cancel. The
-// returned change lists record each child's cells that differ from its
-// parent (positions where the parents agree swap to the same value and
-// are omitted).
+// children are returned file-less: the change lists record each child's
+// cells that differ from its parent (positions where the parents agree
+// swap to the same value and are omitted), and the parents' files are
+// only read. Every gene is swapped at most once, so each list holds a
+// cell at most once.
 func (e *Engine) cross(p1, p2 *Individual) (c1, c2 *Individual, ch1, ch2 []dataset.CellChange) {
-	d1 := p1.Data.Clone()
-	d2 := p2.Data.Clone()
+	d1, d2 := p1.Data, p2.Data
 	length := e.geneCount()
 	ch1, ch2 = e.chBuf1[:0], e.chBuf2[:0]
 	swapGene := func(g int) {
@@ -1101,8 +1112,6 @@ func (e *Engine) cross(p1, p2 *Individual) (c1, c2 *Individual, ch1, ch2 []datas
 		if v1 == v2 {
 			return
 		}
-		d1.Set(row, col, v2)
-		d2.Set(row, col, v1)
 		ch1 = append(ch1, dataset.CellChange{Row: row, Col: col, Old: v1, New: v2})
 		ch2 = append(ch2, dataset.CellChange{Row: row, Col: col, Old: v2, New: v1})
 	}
@@ -1132,7 +1141,7 @@ func (e *Engine) cross(p1, p2 *Individual) (c1, c2 *Individual, ch1, ch2 []datas
 		}
 	}
 	e.chBuf1, e.chBuf2 = ch1, ch2 // keep any grown capacity for later steps
-	return NewIndividual(d1, "crossover"), NewIndividual(d2, "crossover"), ch1, ch2
+	return &Individual{Origin: "crossover"}, &Individual{Origin: "crossover"}, ch1, ch2
 }
 
 // sortPop keeps the population sorted by ascending score; ties preserve

@@ -279,18 +279,22 @@ func TestMutateChangesExactlyOneGene(t *testing.T) {
 	parent := e.Population()[3]
 	for i := 0; i < 50; i++ {
 		child, changes := e.mutate(parent)
+		if child.Data != nil {
+			t.Fatal("mutation built the offspring's file")
+		}
 		if len(changes) != 1 {
 			t.Fatalf("mutation reported %d changes, want 1", len(changes))
 		}
 		ch := changes[0]
-		if child.Data.At(ch.Row, ch.Col) != ch.New || parent.Data.At(ch.Row, ch.Col) != ch.Old {
+		data := parent.Data.CloneWith(changes)
+		if data.At(ch.Row, ch.Col) != ch.New || parent.Data.At(ch.Row, ch.Col) != ch.Old {
 			t.Fatalf("change record %+v does not match the datasets", ch)
 		}
-		if got := child.Data.Mismatches(parent.Data, e.attrs); got != 1 {
+		if got := data.Mismatches(parent.Data, e.attrs); got != 1 {
 			t.Fatalf("mutation changed %d genes, want 1", got)
 		}
 		// Unprotected columns untouched.
-		if got := child.Data.Mismatches(parent.Data, nil); got != 1 {
+		if got := data.Mismatches(parent.Data, nil); got != 1 {
 			t.Fatalf("mutation leaked outside protected attributes (%d cells)", got)
 		}
 		if child.Origin != "mutation" {
@@ -306,11 +310,15 @@ func TestCrossoverIsComplementary(t *testing.T) {
 	parentDiff := p1.Data.Mismatches(p2.Data, e.attrs)
 	for i := 0; i < 50; i++ {
 		c1, c2, ch1, ch2 := e.cross(p1, p2)
+		if c1.Data != nil || c2.Data != nil {
+			t.Fatal("crossover built an offspring's file")
+		}
+		c1.Data, c2.Data = p1.Data.CloneWith(ch1), p2.Data.CloneWith(ch2)
 		// The change lists are each child's exact diff against its parent.
-		if want := dataset.Diff(p1.Data, c1.Data, e.attrs); len(ch1) != len(want) {
+		if want := diff(p1.Data, c1.Data, e.attrs); len(ch1) != len(want) {
 			t.Fatalf("c1 change list has %d entries, diff has %d", len(ch1), len(want))
 		}
-		if want := dataset.Diff(p2.Data, c2.Data, e.attrs); len(ch2) != len(want) {
+		if want := diff(p2.Data, c2.Data, e.attrs); len(ch2) != len(want) {
 			t.Fatalf("c2 change list has %d entries, diff has %d", len(ch2), len(want))
 		}
 		// Every gene of c1 comes from p1 or p2 at the same position, and
@@ -327,11 +335,26 @@ func TestCrossoverIsComplementary(t *testing.T) {
 			}
 		}
 		// Swapped-segment structure: c1's distance to p1 plus its distance
-		// to p2 equals the parents' distance.
+		// to p2 equals the parents' distance. Nearest-parent crowding
+		// reads all four distances off this identity.
 		if d1, d2 := c1.Data.Mismatches(p1.Data, e.attrs), c1.Data.Mismatches(p2.Data, e.attrs); d1+d2 != parentDiff {
 			t.Fatalf("crossover not segment-structured: %d + %d != %d", d1, d2, parentDiff)
 		}
 	}
+}
+
+// diff returns the cell changes that turn from into to over the given
+// columns, in row-major order. Both datasets must have the same shape.
+func diff(from, to *dataset.Dataset, attrs []int) []dataset.CellChange {
+	var out []dataset.CellChange
+	for r := 0; r < from.Rows(); r++ {
+		for _, c := range attrs {
+			if u, v := from.At(r, c), to.At(r, c); u != v {
+				out = append(out, dataset.CellChange{Row: r, Col: c, Old: u, New: v})
+			}
+		}
+	}
+	return out
 }
 
 // TestSelfCrossoverChangesNothing pins the invariant the survivor commit
@@ -347,7 +370,10 @@ func TestSelfCrossoverChangesNothing(t *testing.T) {
 			if len(ch1) != 0 || len(ch2) != 0 {
 				t.Fatalf("points=%d: self-crossover staged %d and %d changes", points, len(ch1), len(ch2))
 			}
-			if !c1.Data.Equal(p.Data) || !c2.Data.Equal(p.Data) {
+			if c1.Data != nil || c2.Data != nil {
+				t.Fatalf("points=%d: self-crossover built an offspring's file", points)
+			}
+			if !p.Data.CloneWith(ch1).Equal(p.Data) || !p.Data.CloneWith(ch2).Equal(p.Data) {
 				t.Fatalf("points=%d: self-crossover offspring differ from the parent", points)
 			}
 		}
@@ -770,8 +796,8 @@ func TestMutationSkipsSingleCategoryColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		child, changes := e.mutate(e.pop[0])
-		if got := child.Data.Mismatches(e.pop[0].Data, e.attrs); got != 1 {
+		_, changes := e.mutate(e.pop[0])
+		if got := e.pop[0].Data.CloneWith(changes).Mismatches(e.pop[0].Data, e.attrs); got != 1 {
 			t.Fatalf("mutation changed %d genes, want exactly 1", got)
 		}
 		if changes[0].Col != 1 {

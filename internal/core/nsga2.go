@@ -453,8 +453,9 @@ func containsIndividual(s []*Individual, ind *Individual) bool {
 
 // paretoReplace is Pareto mode's replacement step: environmental selection
 // over population + children, leaving the survivors ranked and crowded
-// for sortRanked. Surviving children receive their delta states here —
-// transferred without a clone when the biological parent was itself
+// for sortRanked. Surviving children receive their files (see
+// commitSurvivor) and delta states here — the states transferred
+// without a clone when the biological parent was itself
 // evicted, cloned when it survived; when two surviving children share one
 // evicted parent the first (by child index) takes the state and the
 // second rebuilds lazily, deterministically.
@@ -467,7 +468,7 @@ func (e *Engine) paretoReplace(parents, children []*Individual, changes [][]data
 			continue
 		}
 		accepted++
-		e.commitBatchState(c, parents[i], changes[i], !containsIndividual(kept, parents[i]))
+		e.commitSurvivor(c, parents[i], changes[i], !containsIndividual(kept, parents[i]))
 	}
 	e.pop = append(e.pop[:0], kept...)
 	return accepted

@@ -56,20 +56,14 @@ func RandomChange(rng *rand.Rand, d *Dataset, attrs []int) CellChange {
 	return CellChange{Row: row, Col: col, Old: old, New: v}
 }
 
-// Diff returns the cell changes that turn `from` into `to` over the given
-// columns, in row-major order. Both datasets must have the same shape.
-func Diff(from, to *Dataset, attrs []int) []CellChange {
-	if from.rows != to.rows || from.schema.NumAttrs() != to.schema.NumAttrs() {
-		panic("dataset: Diff on datasets of different shape")
-	}
-	var out []CellChange
-	for r := 0; r < from.rows; r++ {
-		for _, c := range attrs {
-			u, v := from.At(r, c), to.At(r, c)
-			if u != v {
-				out = append(out, CellChange{Row: r, Col: c, Old: u, New: v})
-			}
-		}
+// CloneWith returns a deep copy of d with changes replayed onto it in
+// order — the file an offspring describes as its parent's file plus a
+// change list. d is left untouched. Like Set it panics on an
+// out-of-domain New value; Old values are not read.
+func (d *Dataset) CloneWith(changes []CellChange) *Dataset {
+	out := d.Clone()
+	for _, ch := range changes {
+		out.Set(ch.Row, ch.Col, ch.New)
 	}
 	return out
 }

@@ -159,6 +159,28 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+func TestCloneWithReplaysChanges(t *testing.T) {
+	s := testSchema(t)
+	d, _ := FromRecords(s, [][]string{{"red", "S"}, {"green", "M"}})
+	// A chained list: the second edit of (1,1) starts where the first ended.
+	changes := []CellChange{
+		{Row: 0, Col: 0, Old: 0, New: 2},
+		{Row: 1, Col: 1, Old: 1, New: 3},
+		{Row: 1, Col: 1, Old: 3, New: 0},
+	}
+	c := d.CloneWith(changes)
+	want, _ := FromRecords(s, [][]string{{"blue", "S"}, {"green", "S"}})
+	if !c.Equal(want) {
+		t.Fatalf("CloneWith = %v, want %v", c.Records(), want.Records())
+	}
+	if d.At(0, 0) != 0 || d.At(1, 1) != 1 {
+		t.Fatal("CloneWith modified its receiver")
+	}
+	if e := d.CloneWith(nil); !e.Equal(d) || e == d {
+		t.Fatal("CloneWith(nil) is not an independent copy")
+	}
+}
+
 func TestEqualEdgeCases(t *testing.T) {
 	s := testSchema(t)
 	d := New(s, 2)

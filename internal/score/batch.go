@@ -3,15 +3,19 @@ package score
 // Generation-batch delta evaluation, the engine's one offspring route.
 // The engine's reproduction step scores every offspring of a generation
 // before any replacement decision, so the offspring of one parent form a
-// natural batch: they all branch from the same delta state. EvaluateBatch
-// applies each offspring's change list against the parent's own state
-// through the measures' reversible (apply/undo) capability, touching
-// memory proportional to the edit instead of to the file, and rolls the
-// state back before the next offspring. The last narrow offspring's edit
-// stays pending (BatchGroup.Pending): once replacement has decided, Keep
-// commits it in O(1) when that offspring inherits the state, and Restore
-// rolls it back otherwise, so a winner is never patched twice. Groups are
-// independent (each owns its state), so they shard across a worker pool.
+// natural batch: they all branch from the same file and delta state. An
+// offspring is that file plus a change list; EvaluateBatch applies the
+// list against the parent's own state through the measures' reversible
+// (apply/undo) capability, touching memory proportional to the edit
+// instead of to the file, and rolls the state back before the next
+// offspring. No offspring file is built unless scoring reads one — a
+// wide edit, or a measure without a state — and then at most once
+// (BatchOffspring.Child), so the caller can keep it for a survivor. The
+// last narrow offspring's edit stays pending (BatchGroup.Pending): once
+// replacement has decided, Keep commits it in O(1) when that offspring
+// inherits the state, and Restore rolls it back otherwise, so a winner
+// is never patched twice. Groups are independent (each owns its state
+// and only reads its file), so they shard across a worker pool.
 //
 // Results are bit-for-bit identical to Evaluate of each child: Undo
 // restores states exactly (property-tested per measure), a kept edit
@@ -26,18 +30,19 @@ import (
 	"evoprot/internal/dataset"
 )
 
-// BatchOffspring is one candidate dataset derived from a batch group's
-// parent by Changes. Eval is an output: EvaluateBatch fills it in.
+// BatchOffspring is one candidate derived from its batch group's File by
+// Changes. Child and Eval are outputs: EvaluateBatch fills them in.
 type BatchOffspring struct {
-	// Child is the offspring dataset — the parent's file with Changes
-	// applied.
-	Child *dataset.Dataset
-	// Changes derives Child from the group's parent file, in order. It
-	// is only read during EvaluateBatch, so callers may reuse its
-	// backing array.
+	// Changes derives the offspring from the group's File, in order. It
+	// is only read during EvaluateBatch, so callers may reuse its backing
+	// array.
 	Changes []dataset.CellChange
+	// Child receives the offspring's file — File.CloneWith(Changes) —
+	// when scoring needed it: a wide edit, or a measure without a state.
+	// It is nil otherwise; any incoming value is ignored.
+	Child *dataset.Dataset
 	// Eval receives the offspring's evaluation, bit-identical to
-	// Evaluate(Child).
+	// Evaluate of File.CloneWith(Changes).
 	Eval Evaluation
 }
 
@@ -45,17 +50,19 @@ type BatchOffspring struct {
 // advanced and rolled back in place during EvaluateBatch, which leaves it
 // unsettled when Pending is set: it then describes that offspring's file
 // until Keep or Restore settles it, and Restore returns it to its
-// incoming value.
+// incoming value. File is only read, so groups may share one.
 type BatchGroup struct {
 	// Parent is the parent's evaluation, returned verbatim for
 	// offspring with empty change lists.
 	Parent Evaluation
-	// State is the parent's delta state; it must describe the file the
-	// offspring's Changes start from. Nil-slot measures are recomputed
-	// in full per offspring. A nil State is
-	// allowed only when no offspring needs one — every change list empty
-	// or past the wide-edit break-even point (both are scored without
-	// touching the state).
+	// File is the parent's file: the one State describes and every
+	// offspring's Changes start from. It is required.
+	File *dataset.Dataset
+	// State is the parent's delta state. Nil-slot measures are
+	// recomputed in full per offspring. A nil State is allowed only when
+	// no offspring needs one — every change list empty or past the
+	// wide-edit break-even point (both are scored without touching the
+	// state).
 	State *DeltaState
 	// Offspring are the candidates to score.
 	Offspring []BatchOffspring
@@ -79,21 +86,25 @@ func (e *Evaluator) Batchable() bool {
 }
 
 // EvaluateBatch scores every offspring of every group, writing results
-// into the Offspring[k].Eval fields and each group's Pending. Offspring
-// within a group are evaluated sequentially against the group's shared
-// state (apply, read, and undo before the next); distinct groups are
-// independent and are sharded across workers goroutines when workers >
-// 1. Each evaluation is bit-for-bit identical to Evaluate of the child.
-// A group's State is left unsettled, holding the edit of offspring
+// into the Offspring[k].Eval and Child fields and each group's Pending.
+// Offspring within a group are evaluated sequentially against the
+// group's shared state (apply, read, and undo before the next); distinct
+// groups are independent and are sharded across workers goroutines when
+// workers > 1. Each evaluation is bit-for-bit identical to Evaluate of
+// the child. Every group's File must match the original's shape. A
+// group's State is left unsettled, holding the edit of offspring
 // Pending, when Pending is not -1; the caller must Keep or Restore it
 // before the state is used again. Unsettled incoming states are refused.
 //
 // On error every group's state is settled at its incoming value and
-// every Pending is -1, but Eval fields of offspring processed after the
-// failure point are unspecified.
+// every Pending is -1, but Eval and Child fields of offspring processed
+// after the failure point are unspecified.
 func (e *Evaluator) EvaluateBatch(groups []BatchGroup, workers int) error {
 	for g := range groups {
 		groups[g].Pending = -1
+		if err := e.checkShape(groups[g].File); err != nil {
+			return fmt.Errorf("score: batch group %d file: %w", g, err)
+		}
 		st := groups[g].State
 		if st == nil {
 			continue // checked per offspring: only narrow edits need a state
@@ -163,14 +174,8 @@ func (e *Evaluator) evaluateGroup(grp *BatchGroup) error {
 	st := grp.State
 	for k := range grp.Offspring {
 		off := &grp.Offspring[k]
-		if off.Child == nil {
-			return fmt.Errorf("score: nil child dataset in batch offspring")
-		}
-		if off.Child.Rows() != e.orig.Rows() || off.Child.Cols() != e.orig.Cols() {
-			return fmt.Errorf("score: child dataset is %dx%d, original is %dx%d",
-				off.Child.Rows(), off.Child.Cols(), e.orig.Rows(), e.orig.Cols())
-		}
-		if err := e.validateChanges(off.Child, off.Changes); err != nil {
+		off.Child = nil
+		if err := e.validateChanges(grp.File, off.Changes); err != nil {
 			return err
 		}
 		if len(off.Changes) == 0 {
@@ -178,6 +183,7 @@ func (e *Evaluator) evaluateGroup(grp *BatchGroup) error {
 			continue
 		}
 		if e.WideEdit(off.Changes) {
+			off.Child = grp.File.CloneWith(off.Changes)
 			ev, err := e.Evaluate(off.Child)
 			if err != nil {
 				return err
@@ -194,6 +200,9 @@ func (e *Evaluator) evaluateGroup(grp *BatchGroup) error {
 		off.Eval = e.evaluation(func(i int) float64 {
 			s := st.states[i]
 			if s == nil {
+				if off.Child == nil {
+					off.Child = grp.File.CloneWith(off.Changes)
+				}
 				return e.slots[i].full(e.orig, off.Child, e.attrs)
 			}
 			return e.slots[i].rev.ApplyUndo(s, off.Changes)

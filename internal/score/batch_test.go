@@ -1,7 +1,9 @@
 package score
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"evoprot/internal/datagen"
@@ -24,10 +26,11 @@ func buildBatch(t *testing.T, eval *Evaluator, rng *rand.Rand, parents []*datase
 		}
 		groups[g] = BatchGroup{
 			Parent: pe,
+			File:   p,
 			State:  mustPrepare(t, eval, p),
 		}
 		for k := 0; k < offspringPer; k++ {
-			child := p.Clone()
+			child := p.Clone() // scratch: the draws chain on it
 			var changes []dataset.CellChange
 			switch {
 			case k == 1:
@@ -38,10 +41,7 @@ func buildBatch(t *testing.T, eval *Evaluator, rng *rand.Rand, parents []*datase
 			default:
 				changes = applyRandomChanges(rng, child, attrs, 1+rng.IntN(4))
 			}
-			groups[g].Offspring = append(groups[g].Offspring, BatchOffspring{
-				Child:   child,
-				Changes: changes,
-			})
+			groups[g].Offspring = append(groups[g].Offspring, BatchOffspring{Changes: changes})
 		}
 	}
 	return groups
@@ -58,7 +58,7 @@ func restoreGroups(eval *Evaluator, groups []BatchGroup) {
 
 // checkBatchAgainstEvaluate runs EvaluateBatch at the given worker width
 // and requires every offspring evaluation to equal a full Evaluate of the
-// child bit for bit.
+// child built from the group's file bit for bit.
 func checkBatchAgainstEvaluate(t *testing.T, eval *Evaluator, groups []BatchGroup, workers int, context string) {
 	t.Helper()
 	if err := eval.EvaluateBatch(groups, workers); err != nil {
@@ -67,13 +67,34 @@ func checkBatchAgainstEvaluate(t *testing.T, eval *Evaluator, groups []BatchGrou
 	restoreGroups(eval, groups)
 	for g := range groups {
 		for k := range groups[g].Offspring {
-			off := &groups[g].Offspring[k]
-			want, err := eval.Evaluate(off.Child)
-			if err != nil {
-				t.Fatalf("%s group %d offspring %d: Evaluate: %v", context, g, k, err)
-			}
-			requireIdentical(t, context, off.Eval, want)
+			requireOffspring(t, eval, &groups[g], k, fmt.Sprintf("%s group %d offspring %d", context, g, k))
 		}
+	}
+}
+
+// requireOffspring checks one scored offspring against Evaluate of its
+// child built by CloneWith. It also pins when EvaluateBatch builds the
+// child itself: for every wide edit, and for a narrow one only when some
+// measure has no state; the file it built must be that child.
+func requireOffspring(t *testing.T, eval *Evaluator, grp *BatchGroup, k int, context string) {
+	t.Helper()
+	off := &grp.Offspring[k]
+	child := grp.File.CloneWith(off.Changes)
+	want, err := eval.Evaluate(child)
+	if err != nil {
+		t.Fatalf("%s: Evaluate: %v", context, err)
+	}
+	requireIdentical(t, context, off.Eval, want)
+	nilSlot := grp.State == nil
+	if !nilSlot {
+		nilSlot = slices.Contains(grp.State.states, nil)
+	}
+	needed := len(off.Changes) > 0 && (eval.WideEdit(off.Changes) || nilSlot)
+	if (off.Child != nil) != needed {
+		t.Fatalf("%s: built child: %v, want %v", context, off.Child != nil, needed)
+	}
+	if off.Child != nil && !off.Child.Equal(child) {
+		t.Fatalf("%s: the child EvaluateBatch built is not the parent's file with the changes applied", context)
 	}
 }
 
@@ -98,7 +119,7 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 		for g := range groups {
 			child := parents[g].Clone()
 			changes := applyRandomChanges(rng, child, attrs, 3)
-			got, err := deltaEvaluate(eval, groups[g].Parent, groups[g].State, child, changes)
+			got, err := deltaEvaluate(eval, groups[g].Parent, groups[g].State, parents[g], changes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,9 +190,9 @@ func TestEvaluateBatchNilState(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	wideChild := orig.Clone()
 	wide := applyRandomChanges(rng, wideChild, attrs, orig.Rows()/2+1)
-	groups := []BatchGroup{{Parent: pe, Offspring: []BatchOffspring{
-		{Child: orig.Clone()},
-		{Child: wideChild, Changes: wide},
+	groups := []BatchGroup{{Parent: pe, File: orig, Offspring: []BatchOffspring{
+		{},
+		{Changes: wide},
 	}}}
 	if err := eval.EvaluateBatch(groups, 1); err != nil {
 		t.Fatalf("stateless group with empty+wide offspring: %v", err)
@@ -183,9 +204,8 @@ func TestEvaluateBatchNilState(t *testing.T) {
 	}
 	requireIdentical(t, "wide offspring", groups[0].Offspring[1].Eval, wantWide)
 
-	narrowChild := orig.Clone()
-	narrow := applyRandomChanges(rng, narrowChild, attrs, 2)
-	groups[0].Offspring = append(groups[0].Offspring, BatchOffspring{Child: narrowChild, Changes: narrow})
+	narrow := applyRandomChanges(rng, orig.Clone(), attrs, 2)
+	groups[0].Offspring = append(groups[0].Offspring, BatchOffspring{Changes: narrow})
 	if err := eval.EvaluateBatch(groups, 1); err == nil {
 		t.Error("EvaluateBatch accepted a narrow-edit offspring with a nil group state")
 	}
@@ -220,9 +240,9 @@ func FuzzEvaluateBatchGrouping(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			groups[g] = BatchGroup{Parent: pe, State: mustPrepare(t, eval, p)}
+			groups[g] = BatchGroup{Parent: pe, File: p, State: mustPrepare(t, eval, p)}
 			for k := 0; k < no; k++ {
-				child := p.Clone()
+				child := p.Clone() // scratch: the draws chain on it
 				var changes []dataset.CellChange
 				switch rng.IntN(5) {
 				case 0:
@@ -232,8 +252,7 @@ func FuzzEvaluateBatchGrouping(f *testing.F) {
 				default:
 					changes = applyRandomChanges(rng, child, attrs, 1+rng.IntN(3))
 				}
-				groups[g].Offspring = append(groups[g].Offspring,
-					BatchOffspring{Child: child, Changes: changes})
+				groups[g].Offspring = append(groups[g].Offspring, BatchOffspring{Changes: changes})
 			}
 		}
 		for _, workers := range []int{1, 4} {
@@ -243,12 +262,7 @@ func FuzzEvaluateBatchGrouping(f *testing.F) {
 			restoreGroups(eval, groups)
 			for g := range groups {
 				for k := range groups[g].Offspring {
-					off := &groups[g].Offspring[k]
-					want, err := eval.Evaluate(off.Child)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireIdentical(t, "fuzz grouping", off.Eval, want)
+					requireOffspring(t, eval, &groups[g], k, "fuzz grouping")
 				}
 			}
 		}

@@ -67,26 +67,27 @@ func (e *Evaluator) Prepare(masked *dataset.Dataset) (*DeltaState, error) {
 	return s, nil
 }
 
-// replayScanLimit bounds the change-list length validated by the
+// replayScanLimit bounds the change-list length chain-checked by the
 // quadratic in-place scan. The genetic operators produce one change per
 // mutation and a handful per surviving crossover window, so the common
 // path stays allocation-free; longer lists (which are at worst one
 // allocation against an expensive evaluation) fall back to a map.
 const replayScanLimit = 32
 
-// validateChanges checks the change-list contract of EvaluateBatch: only
-// in-domain edits of protected cells may appear — the states index their
-// summaries by protected-attribute position and category, so an unchecked
-// foreign column or out-of-domain value would silently corrupt them.
-// (Edits to unprotected columns are invisible to every measure and need no
-// change entries at all.) Within one cell the list must chain — each edit
-// starts from the value the previous one produced (catches reordered or
-// merged lists from different ancestors) — and replaying the list must
-// land on the child (catches swapped Old/New, e.g. a diff taken in the
-// wrong direction). The Old values must describe the file the parent state
-// was built from — that file is not at hand here, so beyond the replay
-// checks correctness of Old is the caller's contract.
-func (e *Evaluator) validateChanges(child *dataset.Dataset, changes []dataset.CellChange) error {
+// validateChanges checks the change-list contract of EvaluateBatch
+// against file, the parent file the list starts from: only in-domain
+// edits of protected cells may appear — the states index their summaries
+// by protected-attribute position and category, so an unchecked foreign
+// column or out-of-domain value would silently corrupt them. (Edits to
+// unprotected columns are invisible to every measure and need no change
+// entries at all.) Each cell's first edit must start from file's value
+// (catches swapped Old/New, e.g. a diff taken in the wrong direction, and
+// a list taken against another file), and every later edit of the cell
+// from the value the previous one produced (catches reordered or merged
+// lists from different ancestors). A list that passes replays onto file
+// edit by edit, so the Old values the states patch from are exactly the
+// file's.
+func (e *Evaluator) validateChanges(file *dataset.Dataset, changes []dataset.CellChange) error {
 	for _, ch := range changes {
 		if ch.Row < 0 || ch.Row >= e.orig.Rows() {
 			return fmt.Errorf("score: change row %d outside [0,%d)", ch.Row, e.orig.Rows())
@@ -101,48 +102,47 @@ func (e *Evaluator) validateChanges(child *dataset.Dataset, changes []dataset.Ce
 		}
 	}
 	if len(changes) <= replayScanLimit {
-		// Chain and replay checks by scanning the list itself — no
-		// allocation on the hot (short-list) path.
+		// Chain checks by scanning the list itself — no allocation on the
+		// hot (short-list) path.
 		for k, ch := range changes {
+			from, first := file.At(ch.Row, ch.Col), true
 			for j := k - 1; j >= 0; j-- {
 				if changes[j].Row == ch.Row && changes[j].Col == ch.Col {
-					if ch.Old != changes[j].New {
-						return fmt.Errorf("score: change chain broken at cell (%d,%d): edit starts from %d, previous edit ended at %d",
-							ch.Row, ch.Col, ch.Old, changes[j].New)
-					}
+					from, first = changes[j].New, false
 					break
 				}
 			}
-			last := true
-			for j := k + 1; j < len(changes); j++ {
-				if changes[j].Row == ch.Row && changes[j].Col == ch.Col {
-					last = false
-					break
-				}
-			}
-			if last && child.At(ch.Row, ch.Col) != ch.New {
-				return fmt.Errorf("score: change list does not replay to child at cell (%d,%d): list ends at %d, child holds %d",
-					ch.Row, ch.Col, ch.New, child.At(ch.Row, ch.Col))
+			if ch.Old != from {
+				return chainError(ch, from, first)
 			}
 		}
 		return nil
 	}
-	final := make(map[[2]int]int, len(changes))
+	last := make(map[[2]int]int, len(changes))
 	for _, ch := range changes {
 		cell := [2]int{ch.Row, ch.Col}
-		if prev, seen := final[cell]; seen && ch.Old != prev {
-			return fmt.Errorf("score: change chain broken at cell (%d,%d): edit starts from %d, previous edit ended at %d",
-				ch.Row, ch.Col, ch.Old, prev)
+		from, seen := last[cell]
+		if !seen {
+			from = file.At(ch.Row, ch.Col)
 		}
-		final[cell] = ch.New
-	}
-	for cell, v := range final {
-		if child.At(cell[0], cell[1]) != v {
-			return fmt.Errorf("score: change list does not replay to child at cell (%d,%d): list ends at %d, child holds %d",
-				cell[0], cell[1], v, child.At(cell[0], cell[1]))
+		if ch.Old != from {
+			return chainError(ch, from, !seen)
 		}
+		last[cell] = ch.New
 	}
 	return nil
+}
+
+// chainError reports an edit whose Old value is not the value its cell
+// holds at that point of the replay: from, the file's value for the
+// cell's first edit, else the previous edit's New.
+func chainError(ch dataset.CellChange, from int, first bool) error {
+	if first {
+		return fmt.Errorf("score: change list does not start from the file at cell (%d,%d): edit starts from %d, file holds %d",
+			ch.Row, ch.Col, ch.Old, from)
+	}
+	return fmt.Errorf("score: change chain broken at cell (%d,%d): edit starts from %d, previous edit ended at %d",
+		ch.Row, ch.Col, ch.Old, from)
 }
 
 // deltaRebuildFraction bounds when patching states change-by-change stops

@@ -65,21 +65,21 @@ func requireIdentical(t *testing.T, context string, got, want Evaluation) {
 	}
 }
 
-// deltaEvaluate scores child — derived by changes from the file st
-// describes — as a single-offspring EvaluateBatch group, leaving st
-// describing the parent.
-func deltaEvaluate(eval *Evaluator, parent Evaluation, st *DeltaState, child *dataset.Dataset, changes []dataset.CellChange) (Evaluation, error) {
-	groups := []BatchGroup{{Parent: parent, State: st, Offspring: []BatchOffspring{{Child: child, Changes: changes}}}}
+// deltaEvaluate scores the offspring changes derive from file — the file
+// st describes — as a single-offspring EvaluateBatch group, leaving st
+// describing file.
+func deltaEvaluate(eval *Evaluator, parent Evaluation, st *DeltaState, file *dataset.Dataset, changes []dataset.CellChange) (Evaluation, error) {
+	groups := []BatchGroup{{Parent: parent, File: file, State: st, Offspring: []BatchOffspring{{Changes: changes}}}}
 	err := eval.EvaluateBatch(groups, 1)
 	restoreGroups(eval, groups)
 	return groups[0].Offspring[0].Eval, err
 }
 
-// commitEvaluate scores child like deltaEvaluate but commits it the way
-// the engine commits a survivor: Keep leaves st describing child, unless
-// the edit was wide, which never touches st.
-func commitEvaluate(eval *Evaluator, parent Evaluation, st *DeltaState, child *dataset.Dataset, changes []dataset.CellChange) (Evaluation, error) {
-	groups := []BatchGroup{{Parent: parent, State: st, Offspring: []BatchOffspring{{Child: child, Changes: changes}}}}
+// commitEvaluate scores an offspring like deltaEvaluate but commits it
+// the way the engine commits a survivor: Keep leaves st describing the
+// offspring's file, unless the edit was wide, which never touches st.
+func commitEvaluate(eval *Evaluator, parent Evaluation, st *DeltaState, file *dataset.Dataset, changes []dataset.CellChange) (Evaluation, error) {
+	groups := []BatchGroup{{Parent: parent, File: file, State: st, Offspring: []BatchOffspring{{Changes: changes}}}}
 	err := eval.EvaluateBatch(groups, 1)
 	eval.Keep(st)
 	return groups[0].Offspring[0].Eval, err
@@ -109,8 +109,9 @@ func TestEvaluateDeltaMatchesEvaluate(t *testing.T) {
 			if step%7 == 6 {
 				batch = orig.Rows() // force the wide-edit full evaluation
 			}
+			file := masked.Clone()
 			changes := applyRandomChanges(rng, masked, attrs, batch)
-			got, err := commitEvaluate(eval, ev, st, masked, changes)
+			got, err := commitEvaluate(eval, ev, st, file, changes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +147,7 @@ func TestEvaluateDeltaLeavesParentStateIntact(t *testing.T) {
 	for k := 0; k < 5; k++ {
 		child := parentData.Clone()
 		changes := applyRandomChanges(rng, child, attrs, 2)
-		got, err := deltaEvaluate(eval, parentEval, parentState, child, changes)
+		got, err := deltaEvaluate(eval, parentEval, parentState, parentData, changes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,20 +159,20 @@ func TestEvaluateDeltaLeavesParentStateIntact(t *testing.T) {
 	child := parentData.Clone()
 	changes := applyRandomChanges(rng, child, attrs, 1)
 	fresh := mustPrepare(t, eval, parentData)
-	if _, err := commitEvaluate(eval, parentEval, parentState, child, changes); err != nil {
+	if _, err := commitEvaluate(eval, parentEval, parentState, parentData, changes); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := commitEvaluate(eval, parentEval, fresh, child, changes); err != nil {
+	if _, err := commitEvaluate(eval, parentEval, fresh, parentData, changes); err != nil {
 		t.Fatal(err)
 	}
 	grand := child.Clone()
 	gchanges := applyRandomChanges(rng, grand, attrs, 2)
 	ce, _ := eval.Evaluate(child)
-	got, err := deltaEvaluate(eval, ce, parentState, grand, gchanges)
+	got, err := deltaEvaluate(eval, ce, parentState, child, gchanges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := deltaEvaluate(eval, ce, fresh, grand, gchanges)
+	want, err := deltaEvaluate(eval, ce, fresh, child, gchanges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestEvaluateDeltaEmptyChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := []BatchGroup{{Parent: ev, State: st, Offspring: []BatchOffspring{{Child: masked}}}}
+	groups := []BatchGroup{{Parent: ev, File: masked, State: st, Offspring: []BatchOffspring{{}}}}
 	if err := eval.EvaluateBatch(groups, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -197,25 +198,40 @@ func TestEvaluateDeltaEmptyChanges(t *testing.T) {
 		t.Fatal("empty-changes batch replaced the group state")
 	}
 	requireIdentical(t, "empty changes", groups[0].Offspring[0].Eval, ev)
+	if groups[0].Offspring[0].Child != nil {
+		t.Fatal("empty-changes batch built the offspring's file")
+	}
 }
 
-// TestEvaluateDeltaErrors covers the argument contract of EvaluateBatch.
+// TestEvaluateDeltaErrors covers the argument contract of EvaluateBatch:
+// every rejected call names the parent's file, and leaves the state
+// scoring like the parent.
 func TestEvaluateDeltaErrors(t *testing.T) {
 	eval, orig := deltaTestEvaluator(t)
 	masked := orig.Clone()
 	st := mustPrepare(t, eval, masked)
 	ev, _ := eval.Evaluate(masked)
 	attrs := eval.Attrs()
-	card := orig.Schema().Attr(attrs[0]).Cardinality()
-	narrowChild := masked.Clone()
-	old := narrowChild.At(0, attrs[0])
-	narrowChild.Set(0, attrs[0], (old+1)%card)
-	narrow := []dataset.CellChange{{Row: 0, Col: attrs[0], Old: old, New: (old + 1) % card}}
+	// col has at least three categories, so a wrong Old value exists
+	// that is neither the file's value nor New.
+	col := -1
+	for _, c := range attrs {
+		if orig.Schema().Attr(c).Cardinality() >= 3 {
+			col = c
+			break
+		}
+	}
+	if col < 0 {
+		t.Fatal("no protected attribute with three categories")
+	}
+	card := orig.Schema().Attr(col).Cardinality()
+	old := masked.At(0, col)
+	narrow := []dataset.CellChange{{Row: 0, Col: col, Old: old, New: (old + 1) % card}}
 
 	if _, err := deltaEvaluate(eval, ev, st, nil, nil); err == nil {
-		t.Error("nil child accepted")
+		t.Error("nil file accepted")
 	}
-	if _, err := deltaEvaluate(eval, ev, nil, narrowChild, narrow); err == nil {
+	if _, err := deltaEvaluate(eval, ev, nil, masked, narrow); err == nil {
 		t.Error("nil state accepted for a narrow edit")
 	}
 	small := dataset.New(orig.Schema(), orig.Rows()-1)
@@ -238,37 +254,57 @@ func TestEvaluateDeltaErrors(t *testing.T) {
 			t.Error("change on unprotected column accepted")
 		}
 	}
-	oob := []dataset.CellChange{{Row: orig.Rows(), Col: attrs[0], Old: 0, New: 1}}
+	oob := []dataset.CellChange{{Row: orig.Rows(), Col: col, Old: 0, New: 1}}
 	if _, err := deltaEvaluate(eval, ev, st, masked, oob); err == nil {
 		t.Error("out-of-range change row accepted")
 	}
-	badVal := []dataset.CellChange{{Row: 0, Col: attrs[0], Old: 0, New: card}}
+	badVal := []dataset.CellChange{{Row: 0, Col: col, Old: old, New: card}}
 	if _, err := deltaEvaluate(eval, ev, st, masked, badVal); err == nil {
 		t.Error("out-of-domain change value accepted")
 	}
 	// A diff taken in the wrong direction must be rejected, not silently
-	// corrupt the state: the replayed list does not land on the child.
-	swapped := []dataset.CellChange{{Row: 0, Col: attrs[0], Old: (old + 1) % card, New: old}}
-	if _, err := deltaEvaluate(eval, ev, st, narrowChild, swapped); err == nil {
+	// corrupt the state: its first edit does not start from the file.
+	swapped := []dataset.CellChange{{Row: 0, Col: col, Old: (old + 1) % card, New: old}}
+	if _, err := deltaEvaluate(eval, ev, st, masked, swapped); err == nil {
 		t.Error("swapped Old/New change list accepted")
+	}
+	// The right New value from the wrong Old value: a list taken against
+	// another file. The states would patch a count the file never had.
+	wrongOld := []dataset.CellChange{{Row: 0, Col: col, Old: (old + 2) % card, New: (old + 1) % card}}
+	if _, err := deltaEvaluate(eval, ev, st, masked, wrongOld); err == nil {
+		t.Error("change list with an Old value the file does not hold accepted")
+	}
+	// The same past the in-place scan's length limit (the map route):
+	// valid single edits of distinct rows, then the wrong Old.
+	long := make([]dataset.CellChange, 0, replayScanLimit+2)
+	for r := 1; len(long) <= replayScanLimit; r++ {
+		v := masked.At(r, col)
+		long = append(long, dataset.CellChange{Row: r, Col: col, Old: v, New: (v + 1) % card})
+	}
+	if eval.WideEdit(long) {
+		t.Fatal("the long list must stay narrow")
+	}
+	if _, err := deltaEvaluate(eval, ev, st, masked, append(long, wrongOld...)); err == nil {
+		t.Error("long change list with an Old value the file does not hold accepted")
 	}
 	// A per-cell chain whose second edit does not start where the first
 	// ended (a merged list from different ancestors) must be rejected.
-	if card >= 3 {
-		broken := []dataset.CellChange{
-			{Row: 0, Col: attrs[0], Old: masked.At(0, attrs[0]), New: (masked.At(0, attrs[0]) + 1) % card},
-			{Row: 0, Col: attrs[0], Old: (masked.At(0, attrs[0]) + 2) % card, New: masked.At(0, attrs[0])},
-		}
-		if _, err := deltaEvaluate(eval, ev, st, masked, broken); err == nil {
-			t.Error("broken per-cell change chain accepted")
-		}
+	broken := []dataset.CellChange{
+		{Row: 0, Col: col, Old: old, New: (old + 1) % card},
+		{Row: 0, Col: col, Old: (old + 2) % card, New: old},
+	}
+	if _, err := deltaEvaluate(eval, ev, st, masked, broken); err == nil {
+		t.Error("broken per-cell change chain accepted")
+	}
+	if _, err := deltaEvaluate(eval, ev, st, masked, append(long, broken...)); err == nil {
+		t.Error("long broken per-cell change chain accepted")
 	}
 	// The state survived every rejected call intact.
-	got, err := deltaEvaluate(eval, ev, st, narrowChild, narrow)
+	got, err := deltaEvaluate(eval, ev, st, masked, narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := eval.Evaluate(narrowChild)
+	want, _ := eval.Evaluate(masked.CloneWith(narrow))
 	requireIdentical(t, "after rejected calls", got, want)
 	// Prepare mirrors Evaluate's argument validation.
 	if _, err := eval.Prepare(nil); err == nil {
@@ -326,8 +362,9 @@ func TestEvaluateDeltaWithNonIncrementalBattery(t *testing.T) {
 			t.Fatal(err)
 		}
 		for step := 0; step < 8; step++ {
+			file := masked.Clone()
 			changes := applyRandomChanges(rng, masked, attrs, 1)
-			got, err := commitEvaluate(eval, ev, st, masked, changes)
+			got, err := commitEvaluate(eval, ev, st, file, changes)
 			if err != nil {
 				t.Fatal(err)
 			}

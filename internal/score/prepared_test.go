@@ -70,8 +70,8 @@ func TestEvaluateAllPreparedMatchesEvaluate(t *testing.T) {
 
 				child := masked.Clone()
 				ch := dataset.RandomChange(rng, child, attrs)
-				groups := []score.BatchGroup{{Parent: evs[i], State: states[i],
-					Offspring: []score.BatchOffspring{{Child: child, Changes: []dataset.CellChange{ch}}}}}
+				groups := []score.BatchGroup{{Parent: evs[i], File: masked, State: states[i],
+					Offspring: []score.BatchOffspring{{Changes: []dataset.CellChange{ch}}}}}
 				if err := eval.EvaluateBatch(groups, 1); err != nil {
 					t.Fatal(err)
 				}

@@ -66,11 +66,10 @@ func TestSettlePendingEdit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				groups[g] = score.BatchGroup{Parent: pe, State: prepare(t, eval, p)}
+				groups[g] = score.BatchGroup{Parent: pe, File: p, State: prepare(t, eval, p)}
 				for _, width := range []int{2, 0, n/2 + 1, []int{1, n / 4, n / 2}[g%3], 0} {
-					child := p.Clone()
 					groups[g].Offspring = append(groups[g].Offspring, score.BatchOffspring{
-						Child: child, Changes: applyChanges(rng, child, attrs, width),
+						Changes: applyChanges(rng, p.Clone(), attrs, width),
 					})
 				}
 			}
@@ -83,9 +82,9 @@ func TestSettlePendingEdit(t *testing.T) {
 				if grp.Pending != 3 {
 					t.Fatalf("%s: Pending = %d, want 3 (the last narrow offspring)", ctx, grp.Pending)
 				}
-				child := grp.Offspring[3].Child
-				again := []score.BatchGroup{{Parent: grp.Parent, State: grp.State,
-					Offspring: []score.BatchOffspring{{Child: parents[g]}}}}
+				child := parents[g].CloneWith(grp.Offspring[3].Changes)
+				again := []score.BatchGroup{{Parent: grp.Parent, File: parents[g], State: grp.State,
+					Offspring: []score.BatchOffspring{{}}}}
 				if err := eval.EvaluateBatch(again, 1); err == nil {
 					t.Fatalf("%s: EvaluateBatch accepted an unsettled state", ctx)
 				}
@@ -108,7 +107,8 @@ func TestSettlePendingEdit(t *testing.T) {
 }
 
 // TestEvaluateBatchErrorSettles: a batch that fails after an offspring
-// was scored through a group's state leaves that state settled at the
+// was scored through a group's state — the next offspring's list does
+// not start from the parent's file — leaves that state settled at the
 // parent's file.
 func TestEvaluateBatchErrorSettles(t *testing.T) {
 	orig := datagen.MustByName("german", 150, 61)
@@ -130,12 +130,15 @@ func TestEvaluateBatchErrorSettles(t *testing.T) {
 	}
 	st := prepare(t, eval, parent)
 	child := parent.Clone()
-	groups := []score.BatchGroup{{Parent: pe, State: st, Offspring: []score.BatchOffspring{
-		{Child: child, Changes: applyChanges(rng, child, attrs, 2)},
-		{Child: nil},
+	scored := applyChanges(rng, child, attrs, 2)
+	// The second list starts from the first offspring's file, not the
+	// parent's.
+	groups := []score.BatchGroup{{Parent: pe, File: parent, State: st, Offspring: []score.BatchOffspring{
+		{Changes: scored},
+		{Changes: []dataset.CellChange{scored[0].Inverted()}},
 	}}}
 	if err := eval.EvaluateBatch(groups, 1); err == nil {
-		t.Fatal("EvaluateBatch accepted a nil child")
+		t.Fatal("EvaluateBatch accepted a list that does not start from the parent's file")
 	}
 	if groups[0].Pending != -1 {
 		t.Fatalf("Pending = %d after a failed batch, want -1", groups[0].Pending)
@@ -155,20 +158,19 @@ func requireScoresLike(t *testing.T, eval *score.Evaluator, st *score.DeltaState
 	}
 	var offs []score.BatchOffspring
 	for _, width := range []int{1, file.Rows() / 2} {
-		grand := file.Clone()
-		offs = append(offs, score.BatchOffspring{Child: grand, Changes: applyChanges(rng, grand, eval.Attrs(), width)})
+		offs = append(offs, score.BatchOffspring{Changes: applyChanges(rng, file.Clone(), eval.Attrs(), width)})
 	}
 	for _, route := range []struct {
 		name  string
 		state *score.DeltaState
 	}{{"state", st}, {"fresh Prepare", prepare(t, eval, file)}} {
-		groups := []score.BatchGroup{{Parent: fe, State: route.state, Offspring: append([]score.BatchOffspring(nil), offs...)}}
+		groups := []score.BatchGroup{{Parent: fe, File: file, State: route.state, Offspring: append([]score.BatchOffspring(nil), offs...)}}
 		if err := eval.EvaluateBatch(groups, 1); err != nil {
 			t.Fatalf("%s, %s: %v", ctx, route.name, err)
 		}
 		eval.Restore(route.state)
 		for k, off := range groups[0].Offspring {
-			want, err := eval.Evaluate(off.Child)
+			want, err := eval.Evaluate(file.CloneWith(off.Changes))
 			if err != nil {
 				t.Fatal(err)
 			}
