@@ -278,9 +278,14 @@
 // is settled before the generation ends.
 //
 // The route is allocation-conscious: measure states keep reusable scratch
-// buffers (candidate bitsets, EM and weight arrays), the operators reuse
-// their change-list buffers across generations, and short change lists
-// are validated without heap allocation (run the benchmarks with
+// buffers (candidate bitsets, EM and weight arrays), EBIL reads its
+// entropies straight off its joint matrices, the operators reuse their
+// change-list buffers across generations, and short change lists are
+// validated without heap allocation. A file stores each cell in one byte
+// when its schema's domains have at most 256 categories, as every
+// synthetic dataset's do, and in four bytes otherwise; a survivor's copy,
+// and a population's live heap, thus cost a byte per cell rather than a
+// word (run the benchmarks with
 // -benchmem; CI records both metrics in its BENCH_<sha>.json artifacts,
 // which cmd/benchdiff compares across pushes).
 //

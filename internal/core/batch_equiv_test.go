@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"evoprot/internal/dataset"
+	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/score"
 	"evoprot/internal/score/scoretest"
 )
@@ -120,7 +121,7 @@ func requireStateDescribes(t *testing.T, e *Engine, ind *Individual, ctx string,
 	}
 	child := ind.Data.Clone()
 	rng := rand.New(rand.NewPCG(9, seed))
-	changes := []dataset.CellChange{dataset.RandomChange(rng, child, e.attrs)}
+	changes := []dataset.CellChange{datasettest.RandomChange(rng, child, e.attrs)}
 	groups := []score.BatchGroup{{Parent: ind.Eval, File: ind.Data, State: ind.state,
 		Offspring: []score.BatchOffspring{{Changes: changes}}}}
 	if err := e.eval.EvaluateBatch(groups, 1); err != nil {

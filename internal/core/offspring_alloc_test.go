@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"evoprot/internal/dataset"
+	"evoprot/internal/racecheck"
 	"evoprot/internal/score"
 )
 
@@ -99,7 +100,7 @@ func requireLosingAllocs(t *testing.T, e *Engine, parents []*Individual, changes
 			t.Fatalf("scoring built offspring %d's file", i)
 		}
 	}
-	if raceEnabled {
+	if racecheck.Enabled {
 		t.Skip("the race detector's instrumentation changes what escapes to the heap")
 	}
 	base := testing.AllocsPerRun(100, scoring)

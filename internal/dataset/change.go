@@ -1,7 +1,5 @@
 package dataset
 
-import "math/rand/v2"
-
 // CellChange records one cell edit of a dataset: the cell position, the
 // category index the cell held before the edit, and the one it holds after.
 //
@@ -26,34 +24,6 @@ type CellChange struct {
 // (apply/undo) delta states are built on.
 func (c CellChange) Inverted() CellChange {
 	return CellChange{Row: c.Row, Col: c.Col, Old: c.New, New: c.Old}
-}
-
-// RandomChange draws one uniformly-random in-domain cell edit over the
-// given columns, applies it to d and returns the change record. The new
-// value always differs from the old one. It panics when no listed column
-// has more than one category (no cell could ever change). Used by the
-// randomized delta-evaluation property tests and handy for any random
-// local search over a dataset.
-func RandomChange(rng *rand.Rand, d *Dataset, attrs []int) CellChange {
-	var mutable []int
-	for _, c := range attrs {
-		if d.Schema().Attr(c).Cardinality() > 1 {
-			mutable = append(mutable, c)
-		}
-	}
-	if len(mutable) == 0 {
-		panic("dataset: RandomChange over columns with no alternative categories")
-	}
-	row := rng.IntN(d.Rows())
-	col := mutable[rng.IntN(len(mutable))]
-	card := d.Schema().Attr(col).Cardinality()
-	old := d.At(row, col)
-	v := rng.IntN(card - 1)
-	if v >= old {
-		v++
-	}
-	d.Set(row, col, v)
-	return CellChange{Row: row, Col: col, Old: old, New: v}
 }
 
 // CloneWith returns a deep copy of d with changes replayed onto it in

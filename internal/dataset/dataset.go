@@ -8,10 +8,20 @@
 // attribute domain rather than raw strings — semantically identical (genes
 // are still entire categories, never partial strings, cf. paper §2.1) but
 // far cheaper to copy and compare.
+//
+// Each index is stored in one of two widths, fixed once by NewSchema from
+// the schema's largest domain: one byte per cell up to 256 categories, four
+// bytes beyond. Every synthetic file therefore costs one byte per cell.
+// The width is invisible outside the package: At and Set take and return
+// int, and everything written from a Dataset — CSV files and engine
+// checkpoints, which read cells through At — is byte for byte what it
+// would be at the other width.
 package dataset
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -92,6 +102,7 @@ func (a *Attribute) Categories() []string {
 type Schema struct {
 	attrs  []*Attribute
 	byName map[string]int
+	wide   bool // some domain exceeds 256 categories: cells take four bytes, not one
 }
 
 // NewSchema builds a schema from the given attributes; names must be unique.
@@ -100,6 +111,7 @@ func NewSchema(attrs ...*Attribute) (*Schema, error) {
 		return nil, fmt.Errorf("dataset: schema with no attributes")
 	}
 	byName := make(map[string]int, len(attrs))
+	maxCard := 0
 	for i, a := range attrs {
 		if a == nil {
 			return nil, fmt.Errorf("dataset: nil attribute at position %d", i)
@@ -108,10 +120,11 @@ func NewSchema(attrs ...*Attribute) (*Schema, error) {
 			return nil, fmt.Errorf("dataset: duplicate attribute name %q", a.name)
 		}
 		byName[a.name] = i
+		maxCard = max(maxCard, a.Cardinality())
 	}
 	own := make([]*Attribute, len(attrs))
 	copy(own, attrs)
-	return &Schema{attrs: own, byName: byName}, nil
+	return &Schema{attrs: own, byName: byName, wide: maxCard > 1<<8}, nil
 }
 
 // MustSchema is NewSchema that panics on error.
@@ -196,12 +209,20 @@ func (s *Schema) Cardinalities(attrs []int) []int {
 
 // Dataset is a table of categorical microdata: Rows() records over the
 // schema's attributes, each cell a category index into the attribute's
-// domain.
+// domain. Cells are stored row-major at the schema's width (see the
+// package doc), so copying or comparing two files is a copy or compare of
+// one flat slice.
 type Dataset struct {
 	schema *Schema
 	rows   int
-	cells  []int // row-major: cells[r*NumAttrs()+c]
+	// Cell (r, c) is element r*NumAttrs()+c of narrow, or of wide when the
+	// schema is wide; the other slice is nil.
+	narrow []uint8
+	wide   []uint32
 }
+
+// word is the element type of one storage width.
+type word interface{ uint8 | uint32 }
 
 // New returns a dataset of the given number of rows with every cell set to
 // category 0.
@@ -212,27 +233,46 @@ func New(schema *Schema, rows int) *Dataset {
 	if rows < 0 {
 		panic("dataset: negative row count")
 	}
-	return &Dataset{schema: schema, rows: rows, cells: make([]int, rows*schema.NumAttrs())}
+	d := &Dataset{schema: schema, rows: rows}
+	if n := rows * schema.NumAttrs(); schema.wide {
+		d.wide = make([]uint32, n)
+	} else {
+		d.narrow = make([]uint8, n)
+	}
+	return d
 }
 
 // FromRecords builds a dataset from string records; every value must belong
 // to the corresponding attribute's domain.
 func FromRecords(schema *Schema, records [][]string) (*Dataset, error) {
 	d := New(schema, len(records))
+	var err error
+	if schema.wide {
+		err = fromRecords(d.wide, schema, records)
+	} else {
+		err = fromRecords(d.narrow, schema, records)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+func fromRecords[T word](cells []T, schema *Schema, records [][]string) error {
 	a := schema.NumAttrs()
 	for r, rec := range records {
 		if len(rec) != a {
-			return nil, fmt.Errorf("dataset: record %d has %d fields, schema has %d", r, len(rec), a)
+			return fmt.Errorf("dataset: record %d has %d fields, schema has %d", r, len(rec), a)
 		}
 		for c, v := range rec {
 			idx, ok := schema.Attr(c).Index(v)
 			if !ok {
-				return nil, fmt.Errorf("dataset: record %d: value %q not in domain of %s", r, v, schema.Attr(c).Name())
+				return fmt.Errorf("dataset: record %d: value %q not in domain of %s", r, v, schema.Attr(c).Name())
 			}
-			d.cells[r*a+c] = idx
+			cells[r*a+c] = T(idx)
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // Schema returns the dataset's schema.
@@ -246,7 +286,11 @@ func (d *Dataset) Cols() int { return d.schema.NumAttrs() }
 
 // At returns the category index at (row, col).
 func (d *Dataset) At(row, col int) int {
-	return d.cells[row*d.schema.NumAttrs()+col]
+	i := row*d.schema.NumAttrs() + col
+	if d.schema.wide {
+		return int(d.wide[i])
+	}
+	return int(d.narrow[i])
 }
 
 // Set assigns the category index v at (row, col). It panics if v is outside
@@ -257,7 +301,12 @@ func (d *Dataset) Set(row, col, v int) {
 		panic(fmt.Sprintf("dataset: value %d out of domain of %s (cardinality %d)",
 			v, d.schema.Attr(col).Name(), d.schema.Attr(col).Cardinality()))
 	}
-	d.cells[row*d.schema.NumAttrs()+col] = v
+	i := row*d.schema.NumAttrs() + col
+	if d.schema.wide {
+		d.wide[i] = uint32(v)
+	} else {
+		d.narrow[i] = uint8(v)
+	}
 }
 
 // Value returns the category label at (row, col).
@@ -267,13 +316,12 @@ func (d *Dataset) Value(row, col int) string {
 
 // Clone returns a deep copy sharing the (immutable) schema.
 func (d *Dataset) Clone() *Dataset {
-	cells := make([]int, len(d.cells))
-	copy(cells, d.cells)
-	return &Dataset{schema: d.schema, rows: d.rows, cells: cells}
+	return &Dataset{schema: d.schema, rows: d.rows, narrow: slices.Clone(d.narrow), wide: slices.Clone(d.wide)}
 }
 
 // Equal reports whether both datasets have structurally equal schemas, the
-// same shape and the same cell values.
+// same shape and the same cell values. Structurally equal schemas have the
+// same width, so this compares the cell slices.
 func (d *Dataset) Equal(o *Dataset) bool {
 	if o == nil || d.rows != o.rows {
 		return false
@@ -281,12 +329,7 @@ func (d *Dataset) Equal(o *Dataset) bool {
 	if d.schema != o.schema && !d.schema.EqualStructure(o.schema) {
 		return false
 	}
-	for i, v := range d.cells {
-		if o.cells[i] != v {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(d.narrow, o.narrow) && slices.Equal(d.wide, o.wide)
 }
 
 // Column returns a copy of column c.
@@ -299,9 +342,18 @@ func (d *Dataset) Column(c int) []int {
 // ColumnInto fills dst (len >= Rows) with column c, avoiding allocation in
 // hot paths.
 func (d *Dataset) ColumnInto(dst []int, c int) {
+	dst = dst[:d.rows]
 	a := d.schema.NumAttrs()
-	for r := 0; r < d.rows; r++ {
-		dst[r] = d.cells[r*a+c]
+	if d.schema.wide {
+		columnInto(dst, d.wide, a, c)
+	} else {
+		columnInto(dst, d.narrow, a, c)
+	}
+}
+
+func columnInto[T word](dst []int, cells []T, a, c int) {
+	for r := range dst {
+		dst[r] = int(cells[r*a+c])
 	}
 }
 
@@ -321,9 +373,9 @@ func (d *Dataset) Records() [][]string {
 
 // Mismatches counts cells that differ between d and o over the given
 // columns (all columns when attrs is nil). Both datasets must have the same
-// shape.
+// shape and cell width, as any two files over one schema do.
 func (d *Dataset) Mismatches(o *Dataset, attrs []int) int {
-	if d.rows != o.rows || d.schema.NumAttrs() != o.schema.NumAttrs() {
+	if d.rows != o.rows || d.schema.NumAttrs() != o.schema.NumAttrs() || d.schema.wide != o.schema.wide {
 		panic("dataset: Mismatches on datasets of different shape")
 	}
 	if attrs == nil {
@@ -333,11 +385,18 @@ func (d *Dataset) Mismatches(o *Dataset, attrs []int) int {
 		}
 	}
 	a := d.schema.NumAttrs()
+	if d.schema.wide {
+		return mismatches(d.wide, o.wide, d.rows, a, attrs)
+	}
+	return mismatches(d.narrow, o.narrow, d.rows, a, attrs)
+}
+
+func mismatches[T word](x, y []T, rows, a int, attrs []int) int {
 	n := 0
-	for r := 0; r < d.rows; r++ {
+	for r := 0; r < rows; r++ {
 		base := r * a
 		for _, c := range attrs {
-			if d.cells[base+c] != o.cells[base+c] {
+			if x[base+c] != y[base+c] {
 				n++
 			}
 		}
@@ -347,12 +406,18 @@ func (d *Dataset) Mismatches(o *Dataset, attrs []int) int {
 
 // Validate checks that every cell lies within its attribute's domain.
 func (d *Dataset) Validate() error {
-	a := d.schema.NumAttrs()
-	for r := 0; r < d.rows; r++ {
+	if d.schema.wide {
+		return validate(d.wide, d.schema, d.rows)
+	}
+	return validate(d.narrow, d.schema, d.rows)
+}
+
+func validate[T word](cells []T, s *Schema, rows int) error {
+	a := s.NumAttrs()
+	for r := 0; r < rows; r++ {
 		for c := 0; c < a; c++ {
-			v := d.cells[r*a+c]
-			if v < 0 || v >= d.schema.Attr(c).Cardinality() {
-				return fmt.Errorf("dataset: cell (%d,%d) value %d outside domain of %s", r, c, v, d.schema.Attr(c).Name())
+			if v := int(cells[r*a+c]); v >= s.attrs[c].Cardinality() {
+				return fmt.Errorf("dataset: cell (%d,%d) value %d outside domain of %s", r, c, v, s.Attr(c).Name())
 			}
 		}
 	}

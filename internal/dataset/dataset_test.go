@@ -368,8 +368,8 @@ func TestReadCSVWithSchemaErrors(t *testing.T) {
 func TestValidateDetectsCorruption(t *testing.T) {
 	s := testSchema(t)
 	d := New(s, 2)
-	// Corrupt through the backdoor.
-	d.cells[3] = 99
+	// Corrupt cell (1, 1) through the backdoor.
+	d.narrow[3] = 99
 	if err := d.Validate(); err == nil {
 		t.Fatal("Validate missed corruption")
 	}

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -16,6 +17,13 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("a,a\n1,2\n")
 	f.Add("a,b\n\"q,uoted\",y\n")
 	f.Add("a\n\n")
+	// A 300-category column: four bytes per cell.
+	var wide strings.Builder
+	wide.WriteString("id,k\n")
+	for i := range 300 {
+		fmt.Fprintf(&wide, "%d,%d\n", i, i%2)
+	}
+	f.Add(wide.String())
 	f.Fuzz(func(t *testing.T, input string) {
 		d, err := ReadCSV(strings.NewReader(input))
 		if err != nil {

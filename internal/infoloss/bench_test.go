@@ -7,6 +7,7 @@ import (
 
 	"evoprot/internal/datagen"
 	"evoprot/internal/dataset"
+	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/protection"
 )
 
@@ -71,7 +72,7 @@ func BenchmarkMLUtilityDelta(b *testing.B) {
 	cells := make([]dataset.CellChange, 64) // each a one-cell edit of masked
 	work := masked.Clone()
 	for i := range cells {
-		cells[i] = dataset.RandomChange(rng, work, attrs)
+		cells[i] = datasettest.RandomChange(rng, work, attrs)
 		work.Set(cells[i].Row, cells[i].Col, cells[i].Old)
 	}
 	for _, name := range []string{"HOUSING", "SAVINGS"} {

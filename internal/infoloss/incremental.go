@@ -96,29 +96,15 @@ func (c *CTBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 	for a, col := range attrs {
 		st.pos[col] = a
 	}
-	st.mc = make([][]int, len(attrs))
-	for a, col := range attrs {
-		st.mc[a] = masked.Column(col)
-	}
+	st.mc = columns(masked, attrs)
+	oc := columns(orig, attrs)
 	subsets := stats.SubsetsUpTo(len(attrs), c.maxDimOrDefault())
 	st.byPos = make([][]int, len(attrs))
 	for _, subset := range subsets {
-		cols := make([]int, len(subset))
-		for i, rel := range subset {
-			cols[i] = attrs[rel]
-		}
-		cards := orig.Schema().Cardinalities(cols)
-		co := make([][]int, len(cols))
-		cm := make([][]int, len(cols))
-		for i, col := range cols {
-			co[i] = orig.Column(col)
-			cm[i] = masked.Column(col)
-		}
-		to := stats.NewContingencyTable(cols, co, cards)
-		tm := stats.NewContingencyTable(cols, cm, cards)
+		to, tm := subsetTables(orig.Schema(), attrs, subset, oc, st.mc)
 		rel := make([]int, len(subset))
 		copy(rel, subset)
-		t := &ctbilTable{rel: rel, cards: cards, orig: to.Cells, cells: tm.Cells, l1: to.L1Distance(tm)}
+		t := &ctbilTable{rel: rel, cards: to.Cards, orig: to.Cells, cells: tm.Cells, l1: to.L1Distance(tm)}
 		for _, a := range rel {
 			st.byPos[a] = append(st.byPos[a], len(st.tables))
 		}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"evoprot/internal/dataset"
+	"evoprot/internal/dataset/datasettest"
+	"evoprot/internal/racecheck"
 )
 
 // reversibleBattery is the default battery plus ML utility predicting an
@@ -45,7 +47,7 @@ func TestIncrementalMatchesFullLoss(t *testing.T) {
 				batch := 1 + rng.IntN(4)
 				changes := make([]dataset.CellChange, batch)
 				for i := range changes {
-					changes[i] = dataset.RandomChange(rng, work, attrs)
+					changes[i] = datasettest.RandomChange(rng, work, attrs)
 				}
 				got := inc.Apply(st, changes)
 				want := m.Loss(d, work, attrs)
@@ -71,7 +73,7 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 		branchData := work.Clone()
 		branch := st.CloneState()
 		for i := 0; i < 25; i++ {
-			ch := dataset.RandomChange(rng, branchData, attrs)
+			ch := datasettest.RandomChange(rng, branchData, attrs)
 			inc.Apply(branch, []dataset.CellChange{ch})
 		}
 		// The original state must still describe `work`, untouched by the
@@ -97,7 +99,7 @@ func TestIncrementalRevertRoundTrip(t *testing.T) {
 		st := inc.Prepare(d, work, attrs)
 		before := inc.Apply(st, nil)
 		for i := 0; i < 30; i++ {
-			ch := dataset.RandomChange(rng, work, attrs)
+			ch := datasettest.RandomChange(rng, work, attrs)
 			inc.Apply(st, []dataset.CellChange{ch})
 			inv := dataset.CellChange{Row: ch.Row, Col: ch.Col, Old: ch.New, New: ch.Old}
 			work.Set(ch.Row, ch.Col, ch.Old)
@@ -118,7 +120,7 @@ func TestCTBILPrepareRespectsMaxDim(t *testing.T) {
 		work := scramble(d, attrs, 31)
 		st := c.Prepare(d, work, attrs)
 		for i := 0; i < 20; i++ {
-			ch := dataset.RandomChange(rng, work, attrs)
+			ch := datasettest.RandomChange(rng, work, attrs)
 			if got, want := c.Apply(st, []dataset.CellChange{ch}), c.Loss(d, work, attrs); got != want {
 				t.Fatalf("MaxDim=%d: delta %v != full %v", maxDim, got, want)
 			}
@@ -152,7 +154,7 @@ func TestReversibleApplyUndo(t *testing.T) {
 			spec := work.Clone()
 			changes := make([]dataset.CellChange, 1+rng.IntN(4))
 			for i := range changes {
-				changes[i] = dataset.RandomChange(rng, spec, attrs)
+				changes[i] = datasettest.RandomChange(rng, spec, attrs)
 			}
 			got := rev.ApplyUndo(st, changes)
 			if want := m.Loss(d, spec, attrs); got != want {
@@ -174,5 +176,49 @@ func TestReversibleApplyUndo(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEBILReadsAllocateNothing gates EBIL's delta reads: once warm, a
+// speculative ApplyUndo+Undo and a committed Apply (of a change list and
+// then of its inverse) recompute the touched attributes' terms without
+// allocating. The race detector's instrumentation allocates, so the gate
+// runs without it.
+func TestEBILReadsAllocateNothing(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	d, attrs := testData(t)
+	work := scramble(d, attrs, 3)
+	rng := rand.New(rand.NewPCG(7, 8))
+	spec := work.Clone()
+	forward := make([]dataset.CellChange, 6)
+	for i := range forward {
+		forward[i] = datasettest.RandomChange(rng, spec, attrs)
+	}
+	back := make([]dataset.CellChange, len(forward))
+	for i, ch := range forward {
+		back[len(back)-1-i] = ch.Inverted()
+	}
+	e := &EBIL{}
+	st := e.Prepare(d, work, attrs)
+	speculate := func() {
+		e.ApplyUndo(st, forward)
+		e.Undo(st)
+	}
+	commit := func() {
+		e.Apply(st, forward)
+		e.Apply(st, back)
+	}
+	speculate()
+	commit()
+	if allocs := testing.AllocsPerRun(20, speculate); allocs != 0 {
+		t.Errorf("EBIL ApplyUndo+Undo allocates %v times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, commit); allocs != 0 {
+		t.Errorf("EBIL Apply allocates %v times", allocs)
+	}
+	if got, want := e.Apply(st, nil), e.Loss(d, work, attrs); got != want {
+		t.Fatalf("after the gated rounds EBIL reads %v, full Loss %v", got, want)
 	}
 }

@@ -16,6 +16,8 @@
 package infoloss
 
 import (
+	"math"
+
 	"evoprot/internal/dataset"
 	"evoprot/internal/stats"
 )
@@ -65,25 +67,38 @@ func (c *CTBIL) Loss(orig, masked *dataset.Dataset, attrs []int) float64 {
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
+	oc, mc := columns(orig, attrs), columns(masked, attrs)
 	subsets := stats.SubsetsUpTo(len(attrs), c.maxDimOrDefault())
 	l1 := make([]int, len(subsets))
 	for s, subset := range subsets {
-		cols := make([]int, len(subset))
-		for i, rel := range subset {
-			cols[i] = attrs[rel]
-		}
-		cards := orig.Schema().Cardinalities(cols)
-		co := make([][]int, len(cols))
-		cm := make([][]int, len(cols))
-		for i, col := range cols {
-			co[i] = orig.Column(col)
-			cm[i] = masked.Column(col)
-		}
-		to := stats.NewContingencyTable(cols, co, cards)
-		tm := stats.NewContingencyTable(cols, cm, cards)
+		to, tm := subsetTables(orig.Schema(), attrs, subset, oc, mc)
 		l1[s] = to.L1Distance(tm)
 	}
 	return ctbilValue(l1, n)
+}
+
+// columns copies the given columns of d, by position in attrs.
+func columns(d *dataset.Dataset, attrs []int) [][]int {
+	out := make([][]int, len(attrs))
+	for a, c := range attrs {
+		out[a] = d.Column(c)
+	}
+	return out
+}
+
+// subsetTables tabulates the original and masked contingency tables of
+// one attribute subset (positions into attrs) from the columns of both
+// files, copied once per attribute by columns.
+func subsetTables(s *dataset.Schema, attrs, subset []int, oc, mc [][]int) (to, tm *stats.ContingencyTable) {
+	cols := make([]int, len(subset))
+	co := make([][]int, len(subset))
+	cm := make([][]int, len(subset))
+	for i, rel := range subset {
+		cols[i] = attrs[rel]
+		co[i], cm[i] = oc[rel], mc[rel]
+	}
+	cards := s.Cardinalities(cols)
+	return stats.NewContingencyTable(cols, co, cards), stats.NewContingencyTable(cols, cm, cards)
 }
 
 // ctbilValue folds the per-table L1 distances into the measure value. Both
@@ -188,6 +203,7 @@ func (e *EBIL) Loss(orig, masked *dataset.Dataset, attrs []int) float64 {
 // ebilTerm computes one attribute's normalized conditional entropy
 // H(orig|masked)/log2(card) from its dense joint transition matrix. Shared
 // by the full and incremental paths so both produce bit-identical results.
+// It reads the matrix in place and allocates nothing.
 func ebilTerm(joint [][]int, card, n int) float64 {
 	// H(U|V) = sum_v p(v) H(U | V=v).
 	hcond := 0.0
@@ -199,11 +215,16 @@ func ebilTerm(joint [][]int, card, n int) float64 {
 		if colTotal == 0 {
 			continue
 		}
-		col := make([]int, card)
+		// H(U | V=v): stats.Entropy of column v, with its operations in
+		// its order.
+		h, ft := 0.0, float64(colTotal)
 		for u := 0; u < card; u++ {
-			col[u] = joint[u][v]
+			if c := joint[u][v]; c != 0 {
+				p := float64(c) / ft
+				h -= p * math.Log2(p)
+			}
 		}
-		hcond += float64(colTotal) / float64(n) * stats.Entropy(col)
+		hcond += float64(colTotal) / float64(n) * h
 	}
 	return hcond / stats.Log2(float64(card))
 }

@@ -8,6 +8,7 @@ import (
 
 	"evoprot/internal/datagen"
 	"evoprot/internal/dataset"
+	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/protection"
 )
 
@@ -158,7 +159,7 @@ func singleChanges(d *dataset.Dataset, attrs []int, k int, seed uint64) []datase
 	rng := rand.New(rand.NewPCG(seed, 22))
 	changes := make([]dataset.CellChange, k)
 	for i := range changes {
-		changes[i] = dataset.RandomChange(rng, work, attrs)
+		changes[i] = datasettest.RandomChange(rng, work, attrs)
 		work.Set(changes[i].Row, changes[i].Col, changes[i].Old)
 	}
 	return changes
@@ -171,7 +172,7 @@ func randomChanges(d *dataset.Dataset, attrs []int, width int, seed uint64) []da
 	rng := rand.New(rand.NewPCG(seed, 21))
 	changes := make([]dataset.CellChange, width)
 	for i := range changes {
-		changes[i] = dataset.RandomChange(rng, work, attrs)
+		changes[i] = datasettest.RandomChange(rng, work, attrs)
 	}
 	return changes
 }
@@ -194,7 +195,7 @@ func BenchmarkRankIntervalLinkageDelta(b *testing.B) {
 	rng := rand.New(rand.NewPCG(11, 11))
 	cycle := make([]dataset.CellChange, 1024)
 	for i := 0; i < len(cycle); i += 2 {
-		ch := dataset.RandomChange(rng, work, attrs)
+		ch := datasettest.RandomChange(rng, work, attrs)
 		cycle[i] = ch
 		cycle[i+1] = dataset.CellChange{Row: ch.Row, Col: ch.Col, Old: ch.New, New: ch.Old}
 		work.Set(ch.Row, ch.Col, ch.Old)
@@ -226,7 +227,7 @@ func BenchmarkRankIntervalLinkageDeltaSpeedup(b *testing.B) {
 	var full, delta time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		changes[0] = dataset.RandomChange(rng, work, attrs)
+		changes[0] = datasettest.RandomChange(rng, work, attrs)
 		start := time.Now()
 		rl.Apply(st, changes)
 		delta += time.Since(start)
@@ -253,7 +254,7 @@ func BenchmarkRankIntervalLinkageDeltaClone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		child := st.CloneState()
-		changes[0] = dataset.RandomChange(rng, work, attrs)
+		changes[0] = datasettest.RandomChange(rng, work, attrs)
 		rl.Apply(child, changes)
 		// Undo the edit so the parent state keeps describing work.
 		work.Set(changes[0].Row, changes[0].Col, changes[0].Old)

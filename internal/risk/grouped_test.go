@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"evoprot/internal/dataset"
+	"evoprot/internal/dataset/datasettest"
 )
 
 // emEstimate is emEstimateInto with freshly allocated buffers, returning
@@ -172,7 +173,7 @@ func linkageGrid(rng *rand.Rand, n, numAttrs int, shape string) linkageCase {
 	}
 	masked := d.Clone()
 	for k := rng.IntN(2*n*numAttrs + 1); k > 0; k-- {
-		dataset.RandomChange(rng, masked, attrs)
+		datasettest.RandomChange(rng, masked, attrs)
 	}
 	return linkageCase{name: fmt.Sprintf("%s/n=%d/attrs=%d", shape, n, numAttrs), orig: d, masked: masked, attrs: attrs}
 }
@@ -269,7 +270,7 @@ func checkChain(t *testing.T, gr groupedOracle, st State, fx linkageCase, rng *r
 		spec := work.Clone()
 		changes := make([]dataset.CellChange, 1+rng.IntN(maxWidth))
 		for i := range changes {
-			changes[i] = dataset.RandomChange(rng, spec, fx.attrs)
+			changes[i] = datasettest.RandomChange(rng, spec, fx.attrs)
 		}
 		if step%3 == 0 {
 			got := gr.m.Apply(st, changes)
@@ -650,7 +651,7 @@ func TestLinkageStatesConcurrent(t *testing.T) {
 					spec := work.Clone()
 					changes := make([]dataset.CellChange, width)
 					for i := range changes {
-						changes[i] = dataset.RandomChange(rng, spec, fx.attrs)
+						changes[i] = datasettest.RandomChange(rng, spec, fx.attrs)
 					}
 					if width == n/2 && !linkageWide(t, st, changes) {
 						t.Errorf("%s worker %d step %d: a %d-cell list is patched, not re-linked", m.Name(), w, step, width)

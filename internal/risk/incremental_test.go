@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"evoprot/internal/dataset"
+	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/stats"
 )
 
@@ -46,7 +47,7 @@ func TestIncrementalMatchesFullRisk(t *testing.T) {
 				batch := 1 + rng.IntN(3)
 				changes := make([]dataset.CellChange, batch)
 				for i := range changes {
-					changes[i] = dataset.RandomChange(rng, work, attrs)
+					changes[i] = datasettest.RandomChange(rng, work, attrs)
 				}
 				got := inc.Apply(st, changes)
 				want := inc.Risk(d, work, attrs)
@@ -69,7 +70,7 @@ func TestIncrementalFromIdentityMasking(t *testing.T) {
 		work := d.Clone()
 		st := inc.Prepare(d, work, attrs)
 		for step := 0; step < 80; step++ {
-			ch := dataset.RandomChange(rng, work, attrs)
+			ch := datasettest.RandomChange(rng, work, attrs)
 			got := inc.Apply(st, []dataset.CellChange{ch})
 			want := inc.Risk(d, work, attrs)
 			if got != want {
@@ -91,7 +92,7 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 		branchData := work.Clone()
 		branch := st.CloneState()
 		for i := 0; i < 20; i++ {
-			ch := dataset.RandomChange(rng, branchData, attrs)
+			ch := datasettest.RandomChange(rng, branchData, attrs)
 			inc.Apply(branch, []dataset.CellChange{ch})
 		}
 		if got, want := inc.Apply(st, nil), inc.Risk(d, work, attrs); got != want {
@@ -139,7 +140,7 @@ func TestReversibleApplyUndo(t *testing.T) {
 			spec := work.Clone()
 			changes := make([]dataset.CellChange, 1+rng.IntN(4))
 			for i := range changes {
-				changes[i] = dataset.RandomChange(rng, spec, attrs)
+				changes[i] = datasettest.RandomChange(rng, spec, attrs)
 			}
 			got := rev.ApplyUndo(st, changes)
 			if want := rev.Risk(d, spec, attrs); got != want {
@@ -236,7 +237,7 @@ func TestRSRLDeltaMatchesReference(t *testing.T) {
 				}
 				changes := make([]dataset.CellChange, batch)
 				for i := range changes {
-					changes[i] = dataset.RandomChange(rng, work, fx.attrs)
+					changes[i] = datasettest.RandomChange(rng, work, fx.attrs)
 				}
 				got := rl.Apply(st, changes)
 				if want := rsrlReference(&rl, fx.d, work, fx.attrs); got != want {
@@ -390,7 +391,7 @@ func TestRSRLBitsetMatchesPairwiseReference(t *testing.T) {
 	maskings := []*dataset.Dataset{d.Clone(), scramble(d, attrs, 3), scramble(d, attrs, 77)}
 	work := d.Clone()
 	for i := 0; i < 40; i++ {
-		dataset.RandomChange(rng, work, attrs)
+		datasettest.RandomChange(rng, work, attrs)
 	}
 	maskings = append(maskings, work)
 	for _, p := range []float64{0, 1, 5, 15, 60, 100} {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"evoprot/internal/dataset"
+	"evoprot/internal/dataset/datasettest"
+	"evoprot/internal/racecheck"
 )
 
 // linkageWide reports whether a DBRL or PRL state routes changes to a
@@ -85,7 +87,7 @@ func checkRouteAcrossBreakEven(t *testing.T, name string, m Reversible, fx linka
 		long := make([]dataset.CellChange, fx.orig.Rows()*len(fx.attrs))
 		scratch := work.Clone()
 		for i := range long {
-			long[i] = dataset.RandomChange(rng, scratch, fx.attrs)
+			long[i] = datasettest.RandomChange(rng, scratch, fx.attrs)
 		}
 		k := breakEven(t, st, long)
 		if k <= 1 {
@@ -129,7 +131,7 @@ func checkRouteAcrossBreakEven(t *testing.T, name string, m Reversible, fx linka
 		for step := 0; step < 4; step++ {
 			changes := make([]dataset.CellChange, 1+rng.IntN(3))
 			for i := range changes {
-				changes[i] = dataset.RandomChange(rng, work, fx.attrs)
+				changes[i] = datasettest.RandomChange(rng, work, fx.attrs)
 			}
 			if got, want := m.Apply(st, changes), m.Apply(control, changes); got != want {
 				t.Fatalf("%s round %d step %d: narrow commit %v != control %v", name, round, step, got, want)
@@ -158,7 +160,7 @@ func TestStaleCloneStaysStale(t *testing.T) {
 			long := make([]dataset.CellChange, orig.Rows()/2)
 			scratch := d.Clone()
 			for i := range long {
-				long[i] = dataset.RandomChange(rng, scratch, attrs)
+				long[i] = datasettest.RandomChange(rng, scratch, attrs)
 			}
 			k := breakEven(t, st, long)
 			if k == 0 {
@@ -175,7 +177,7 @@ func TestStaleCloneStaysStale(t *testing.T) {
 		second := wideList(clone, child)
 		m.ApplyUndo(clone, second)
 		m.Undo(clone)
-		third := []dataset.CellChange{dataset.RandomChange(rng, child.Clone(), attrs)}
+		third := []dataset.CellChange{datasettest.RandomChange(rng, child.Clone(), attrs)}
 		if got, want := m.Apply(clone, third), m.Risk(orig, edited(child, third), attrs); got != want {
 			t.Fatalf("%s: narrow Apply on the clone %v != full Risk %v", m.Name(), got, want)
 		}
@@ -210,7 +212,7 @@ func FuzzLinkageRoute(f *testing.F) {
 				changes := make([]dataset.CellChange, 1+int(b&0x7f)*fx.orig.Rows()/32)
 				scratch := work.Clone()
 				for i := range changes {
-					changes[i] = dataset.RandomChange(rng, scratch, fx.attrs)
+					changes[i] = datasettest.RandomChange(rng, scratch, fx.attrs)
 				}
 				want := gr.ref(fx.orig, scratch, fx.attrs)
 				if b&0x80 != 0 {
@@ -240,7 +242,7 @@ func FuzzLinkageRoute(f *testing.F) {
 // distance tables. The pooled scratch is dropped at random under the race
 // detector, so the gate runs without it.
 func TestLinkageWideRouteAllocs(t *testing.T) {
-	if raceEnabled {
+	if racecheck.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	orig, masked, attrs := benchPairOf(t, "flare", 0)

@@ -6,6 +6,7 @@ import (
 
 	"evoprot/internal/datagen"
 	"evoprot/internal/dataset"
+	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/infoloss"
 	"evoprot/internal/risk"
 )
@@ -30,7 +31,7 @@ func deltaTestEvaluator(t *testing.T) (*Evaluator, *dataset.Dataset) {
 func applyRandomChanges(rng *rand.Rand, masked *dataset.Dataset, attrs []int, batch int) []dataset.CellChange {
 	changes := make([]dataset.CellChange, 0, batch)
 	for len(changes) < batch {
-		changes = append(changes, dataset.RandomChange(rng, masked, attrs))
+		changes = append(changes, datasettest.RandomChange(rng, masked, attrs))
 	}
 	return changes
 }

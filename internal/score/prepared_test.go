@@ -8,6 +8,7 @@ import (
 
 	"evoprot/internal/datagen"
 	"evoprot/internal/dataset"
+	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/infoloss"
 	"evoprot/internal/protection"
 	"evoprot/internal/score"
@@ -69,7 +70,7 @@ func TestEvaluateAllPreparedMatchesEvaluate(t *testing.T) {
 				score.RequireIdentical(t, ctx, evs[i], want)
 
 				child := masked.Clone()
-				ch := dataset.RandomChange(rng, child, attrs)
+				ch := datasettest.RandomChange(rng, child, attrs)
 				groups := []score.BatchGroup{{Parent: evs[i], File: masked, State: states[i],
 					Offspring: []score.BatchOffspring{{Changes: []dataset.CellChange{ch}}}}}
 				if err := eval.EvaluateBatch(groups, 1); err != nil {

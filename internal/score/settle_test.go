@@ -7,6 +7,7 @@ import (
 
 	"evoprot/internal/datagen"
 	"evoprot/internal/dataset"
+	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/infoloss"
 	"evoprot/internal/score"
 	"evoprot/internal/score/scoretest"
@@ -184,7 +185,7 @@ func requireScoresLike(t *testing.T, eval *score.Evaluator, st *score.DeltaState
 func applyChanges(rng *rand.Rand, d *dataset.Dataset, attrs []int, width int) []dataset.CellChange {
 	changes := make([]dataset.CellChange, width)
 	for i := range changes {
-		changes[i] = dataset.RandomChange(rng, d, attrs)
+		changes[i] = datasettest.RandomChange(rng, d, attrs)
 	}
 	return changes
 }
