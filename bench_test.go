@@ -18,6 +18,7 @@ import (
 
 	"evoprot/internal/core"
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/experiment"
 	"evoprot/internal/score"
@@ -224,7 +225,7 @@ func BenchmarkTimingTable(b *testing.B) {
 
 func newBenchEngine(b *testing.B, forceOp string) *core.Engine {
 	b.Helper()
-	orig := datagen.MustByName("flare", benchRows, benchSeed)
+	orig := datagentest.MustByName("flare", benchRows, benchSeed)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, err := orig.Schema().Indices(names...)
 	if err != nil {
@@ -283,7 +284,7 @@ func BenchmarkAblationCrowding(b *testing.B) {
 		b.Run(cr.String(), func(b *testing.B) {
 			var final float64
 			for i := 0; i < b.N; i++ {
-				orig := datagen.MustByName("flare", benchRows, benchSeed)
+				orig := datagentest.MustByName("flare", benchRows, benchSeed)
 				names, _ := datagen.ProtectedAttrs("flare")
 				attrs, _ := orig.Schema().Indices(names...)
 				eval, err := score.NewEvaluator(orig, attrs, score.Config{})
@@ -350,7 +351,7 @@ func BenchmarkAblationCategoryCount(b *testing.B) {
 				}
 			}
 			cards := 0.0
-			orig := datagen.MustByName(ds, 10, 1)
+			orig := datagentest.MustByName(ds, 10, 1)
 			names, _ := datagen.ProtectedAttrs(ds)
 			attrs, _ := orig.Schema().Indices(names...)
 			for _, c := range attrs {
@@ -365,7 +366,7 @@ func BenchmarkAblationCategoryCount(b *testing.B) {
 // BenchmarkAblationParallelEval measures the initial-population evaluation
 // speedup from the worker pool.
 func BenchmarkAblationParallelEval(b *testing.B) {
-	orig := datagen.MustByName("flare", benchRows, benchSeed)
+	orig := datagentest.MustByName("flare", benchRows, benchSeed)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, _ := orig.Schema().Indices(names...)
 	eval, err := score.NewEvaluator(orig, attrs, score.Config{})
@@ -395,7 +396,7 @@ func BenchmarkAblationParallelEval(b *testing.B) {
 // --- Micro-benchmarks: the fitness measures themselves ---
 
 func BenchmarkEvaluateSingle(b *testing.B) {
-	orig := datagen.MustByName("flare", benchRows, benchSeed)
+	orig := datagentest.MustByName("flare", benchRows, benchSeed)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, _ := orig.Schema().Indices(names...)
 	eval, err := score.NewEvaluator(orig, attrs, score.Config{})
@@ -429,7 +430,7 @@ func BenchmarkEvaluateSingle(b *testing.B) {
 // change list of a single-cell mutation child.
 func paperScaleDeltaFixture(b *testing.B, sc score.Config) (*score.Evaluator, score.Evaluation, *score.DeltaState, *dataset.Dataset, []dataset.CellChange) {
 	b.Helper()
-	orig := datagen.MustByName("flare", 0, benchSeed)
+	orig := datagentest.MustByName("flare", 0, benchSeed)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, _ := orig.Schema().Indices(names...)
 	eval, err := score.NewEvaluator(orig, attrs, sc)
@@ -587,7 +588,7 @@ func BenchmarkEvaluateBatchGenerations(b *testing.B) {
 }
 
 func BenchmarkBuildPopulation(b *testing.B) {
-	orig := datagen.MustByName("flare", benchRows, benchSeed)
+	orig := datagentest.MustByName("flare", benchRows, benchSeed)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, _ := orig.Schema().Indices(names...)
 	b.ResetTimer()

@@ -11,14 +11,13 @@
 // or -orig, and -attrs naming the protected attributes (required with
 // -orig, overriding the built-in dataset's protected set otherwise).
 //
-// Islands may be heterogeneous (-niches spreads a preset of search
-// behaviors across them, -per-island overrides single islands as JSON)
-// and the migration schedule may adapt to cross-island divergence
-// (-adaptive); both stay bit-reproducible from -seed.
+// Islands may be heterogeneous (-per-island overrides single islands as
+// JSON) and exchange elites over a ring or by broadcast (-topology); every
+// run stays bit-reproducible from -seed.
 //
 //	evoprot -dataset adult -gens 400 -seed 42 -plots
 //	evoprot -dataset flare -gens 2000 -islands 4 -migrate-every 50
-//	evoprot -dataset flare -gens 2000 -islands 4 -niches explore-exploit -adaptive
+//	evoprot -dataset flare -gens 2000 -islands 4 -topology broadcast -per-island '[{},{"selection":"rank"},{"mutation_rate":0.75},{"aggregator":"mean"}]'
 //	evoprot -orig mydata.csv -attrs A,B,C -grid flare -gens 200 -best best.csv
 //	evoprot -dataset flare -gens 5000 -checkpoint run.ckpt -checkpoint-every 500
 //	evoprot -dataset flare -gens 5000 -resume run.ckpt -timeout 2m
@@ -68,9 +67,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		migEvery  = fs.Int("migrate-every", 0, "generations between island migrations (0 = default 25)")
 		migrants  = fs.Int("migrants", 0, "elite individuals exchanged per migration (0 = default 2)")
 		topoName  = fs.String("topology", "ring", "migration topology: ring | broadcast")
-		niches    = fs.String("niches", "", "heterogeneous-island preset: "+strings.Join(evoprot.NicheNames(), " | "))
 		perIsland = fs.String("per-island", "", `per-island engine overrides as a JSON array, e.g. '[{},{"selection":"rank","mutation_rate":0.7}]'`)
-		adaptive  = fs.Bool("adaptive", false, "adapt the migration schedule to cross-island divergence (default bounds)")
 		timeout   = fs.Duration("timeout", 0, "overall run deadline, e.g. 90s or 5m (0 = none)")
 		best      = fs.String("best", "", "write the best protection to this CSV")
 		plots     = fs.Bool("plots", false, "print dispersion and evolution plots")
@@ -103,7 +100,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		MigrateEvery: *migEvery,
 		Migrants:     *migrants,
 		Topology:     *topoName,
-		Niches:       *niches,
 	}
 	if *attrCSV != "" {
 		spec.Attributes = strings.Split(*attrCSV, ",")
@@ -118,9 +114,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err := json.Unmarshal([]byte(*perIsland), &spec.PerIsland); err != nil {
 			return fmt.Errorf("parsing -per-island: %w", err)
 		}
-	}
-	if *adaptive {
-		spec.Adaptive = &evoprot.AdaptiveMigration{}
 	}
 	orig, err := spec.Materialize()
 	if err != nil {
@@ -180,10 +173,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		} else {
 			fmt.Fprintf(stdout, "final checkpoint written to %s\n", *ckpt)
 		}
-	}
-	if *adaptive {
-		every, mig := runner.EffectiveMigration()
-		fmt.Fprintf(stdout, "adaptive migration settled at every %d generations, %d migrant(s)\n", every, mig)
 	}
 	report(stdout, res, *plots)
 	if *best != "" {

@@ -57,20 +57,21 @@ func TestRunIslands(t *testing.T) {
 	}
 }
 
-// TestRunHeterogeneousIslands: the -niches/-adaptive flags drive a niched
-// adaptive run, and -per-island without -islands runs one island per
-// override (the implied-count contract the flag's help text documents).
+// TestRunHeterogeneousIslands: -per-island drives a niched broadcast run,
+// and without -islands runs one island per override (the implied-count
+// contract the flag's help text documents).
 func TestRunHeterogeneousIslands(t *testing.T) {
 	var out strings.Builder
 	err := runCLI(t, []string{
 		"-dataset", "flare", "-rows", "80", "-gens", "20", "-seed", "3",
-		"-islands", "3", "-migrate-every", "5", "-niches", "explore-exploit", "-adaptive",
+		"-islands", "3", "-migrate-every", "5", "-topology", "broadcast",
+		"-per-island", `[{},{"mutation_rate":0.5,"leader_fraction":0.15},{"mutation_rate":0.75,"leader_fraction":0.25,"selection":"uniform"}]`,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	report := out.String()
-	for _, want := range []string{"adaptive migration settled at", "3 islands", "best protection:"} {
+	for _, want := range []string{"3 islands", "best protection:"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("output missing %q:\n%s", want, report)
 		}
@@ -88,17 +89,18 @@ func TestRunHeterogeneousIslands(t *testing.T) {
 		t.Errorf("implied island count not honoured:\n%s", out.String())
 	}
 
-	// -niches without -islands is a rejected silent no-op.
-	if err := runCLI(t, []string{
-		"-dataset", "flare", "-rows", "80", "-gens", "10", "-niches", "explore-exploit",
-	}, &out); err == nil {
-		t.Error("-niches without -islands accepted")
+	// The removed -niches and -adaptive flags are rejected, not ignored.
+	for _, flag := range [][]string{{"-niches", "explore-exploit"}, {"-adaptive"}} {
+		args := append([]string{"-dataset", "flare", "-rows", "80", "-gens", "10", "-islands", "3"}, flag...)
+		if err := runCLI(t, args, &out); err == nil {
+			t.Errorf("%s accepted", flag[0])
+		}
 	}
 }
 
 // TestRunParetoObjective: -objective pareto reports and plots the front,
 // -pareto-ref is parsed as "il,dr", malformed values are rejected, and
-// the scalar-pareto niche preset drives a mixed-objective archipelago.
+// a scalar/Pareto -per-island split drives a mixed-objective archipelago.
 func TestRunParetoObjective(t *testing.T) {
 	var out strings.Builder
 	err := runCLI(t, []string{
@@ -128,7 +130,7 @@ func TestRunParetoObjective(t *testing.T) {
 	out.Reset()
 	err = runCLI(t, []string{
 		"-dataset", "flare", "-rows", "80", "-gens", "20", "-seed", "3",
-		"-islands", "3", "-migrate-every", "5", "-niches", "scalar-pareto",
+		"-islands", "3", "-migrate-every", "5", "-per-island", `[{},{"objective":"pareto"},{}]`,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)

@@ -51,9 +51,9 @@
 // bit-identical to a plain engine run); islands i > 0 derive independent
 // seeds, and migration happens at coordinator barriers, so a fixed seed
 // reproduces the full parallel run deterministically regardless of
-// scheduling. Progress streams as Events — callback (WithProgress) or
-// channel (WithEvents) — carrying the island id, and one Done event per
-// island carries its stop reason. Multi-island checkpoints persist every
+// scheduling. Progress streams as Events to a callback (WithProgress),
+// carrying the island id, and one Done event per island carries its stop
+// reason. Multi-island checkpoints persist every
 // island's engine state: WithCheckpoint writes them to a file atomically
 // and durably (internal/storage.WriteFile, the same writer as the
 // service's filesystem store), WithCheckpointSink hands their bytes to
@@ -71,48 +71,39 @@
 //
 // See examples/quickstart and examples/islands for runnable tours.
 //
-// # Heterogeneous islands and adaptive migration
+// # Heterogeneous islands
 //
 // Islands need not run identical engines. WithPerIsland overlays
 // per-island overrides — selection policy, mutation rate, leader
-// fraction, crossover cut count, even a per-island fitness aggregation —
-// onto the shared configuration (zero-valued fields inherit), and
-// WithNiches spreads a ready-made preset across the islands:
-// "explore-exploit" runs exploitative and explorative searches side by
-// side, "selection-sweep" varies the selection pressure, and
-// "aggregator-sweep" has each island optimize a different point of the
-// risk/information-loss trade-off while migration exchanges protections
-// across the biases. Migrants are re-scored under the receiving island's
-// aggregation on arrival.
-//
-// WithAdaptiveMigration ties the migration schedule to the populations
-// themselves: at every barrier the coordinator computes a cheap
-// cross-island divergence statistic (the coefficient of variation of the
-// islands' mean scores) and widens the migration interval when the
-// islands have converged — less coordination for the same mixing — or
-// narrows it and exchanges more migrants when they strongly diverge, all
-// within configured bounds. Each barrier reports an EpochInfo on an
-// Island -1 event.
+// fraction, objective, even a per-island fitness aggregation — onto the
+// shared configuration (zero-valued fields inherit), so exploitative and
+// explorative searches, or islands optimizing different points of the
+// risk/information-loss trade-off, run side by side while migration
+// exchanges protections across the biases. Migrants are re-scored under
+// the receiving island's aggregation on arrival. Every island crosses
+// with the paper's 2-point crossover.
 //
 //	res, _ := evoprot.Run(ctx, orig, attrs,
 //		evoprot.WithGrid("flare"),
-//		evoprot.WithIslands(4),
-//		evoprot.WithNiches("explore-exploit"),
-//		evoprot.WithMigration(25, 2), // the controller's starting schedule
-//		evoprot.WithAdaptiveMigration(evoprot.AdaptiveMigration{}),
+//		evoprot.WithPerIsland(
+//			evoprot.IslandConfig{},
+//			evoprot.IslandConfig{MutationRate: 0.6, Selection: "rank"},
+//			evoprot.IslandConfig{Aggregator: "mean"},
+//			evoprot.IslandConfig{MutationRate: 0.75, Selection: "uniform"},
+//		),
+//		evoprot.WithMigration(25, 2),
+//		evoprot.WithTopology(evoprot.Broadcast),
 //	)
 //
-// Heterogeneity never costs reproducibility: divergence is a pure
-// function of island state and every controller decision happens at a
-// quiescent barrier, so one top-level seed still reproduces the whole
+// Heterogeneity never costs reproducibility: every migration happens at
+// a quiescent barrier, so one top-level seed still reproduces the whole
 // run bit for bit — a property a dedicated determinism/equivalence
-// harness pins down (all-equal overrides with the controller off
-// reproduce the homogeneous trajectory exactly; one island equals a
-// plain engine under the merged config; barrier snapshots resume onto
-// the uninterrupted trajectory, controller state and per-island configs
-// included). The options set the JobSpec fields PerIsland / Niches /
-// Adaptive, which carry the same knobs on the wire, and cmd/evoprot's
-// -niches / -per-island / -adaptive fill them.
+// harness pins down (all-equal overrides reproduce the homogeneous
+// trajectory exactly; one island equals a plain engine under the merged
+// config; barrier snapshots resume onto the uninterrupted trajectory,
+// per-island configs included). The option sets the JobSpec field
+// PerIsland, which carries the same knobs on the wire, and cmd/evoprot's
+// -per-island fills it.
 //
 // # Pareto mode: true multi-objective search
 //
@@ -146,9 +137,9 @@
 // travel on the wire, and evoprotd's job result reports the final front
 // with its hypervolume; cmd/evoprot fills them from -objective and
 // -pareto-ref and renders the front as a scatter plot (RenderFront).
-// Per-island Objective overrides compose with heterogeneity — the
-// "scalar-pareto" niche preset runs scalarized and Pareto islands side
-// by side, migrants re-scored under the receiving island's objective —
+// Per-island Objective overrides compose with heterogeneity — a
+// per-island {"objective": "pareto"} runs scalarized and Pareto islands
+// side by side, migrants re-scored under the receiving island's objective —
 // and WithMLUtility(target) appends a machine-learning-utility measure
 // to the information-loss battery (a naive-Bayes proxy classifier's
 // accuracy drop on the protected data), so the front can trade direct

@@ -2,18 +2,14 @@
 // API.
 //
 // Four islands evolve the same initial population concurrently, each from
-// its own derived seed — but not identically: the "explore-exploit" niche
-// preset spreads mutation rates, leader fractions, selection pressures
-// and crossover disruption across the islands, so exploitative and
-// explorative searches run side by side and elite protections migrate
-// between the niches. Migration itself adapts: at every barrier the
-// coordinator measures how far the island populations have diverged and
-// widens or narrows the exchange schedule accordingly (watch the
-// "epoch" lines). A progress callback streams per-island statistics,
-// Ctrl-C cancels gracefully (best-so-far still reported), and the whole
-// heterogeneous adaptive run is reproducible: the one top-level seed
-// fixes every island's trajectory, every migration and every controller
-// decision.
+// its own derived seed — but not identically: per-island overrides spread
+// mutation rates, leader fractions and selection pressures across them,
+// so exploitative and explorative searches run side by side. Every 25
+// generations each island broadcasts its two best protections to all the
+// others. A progress callback streams per-island statistics, Ctrl-C
+// cancels gracefully (best-so-far still reported), and the whole
+// heterogeneous run is reproducible: the one top-level seed fixes every
+// island's trajectory and every migration.
 //
 //	go run ./examples/islands
 package main
@@ -51,13 +47,6 @@ func main() {
 	progress := func(ev evoprot.Event) {
 		mu.Lock()
 		defer mu.Unlock()
-		if ev.Epoch != nil {
-			// The adaptive controller's barrier decision: the divergence it
-			// observed and the schedule governing the next epoch.
-			fmt.Printf("epoch: divergence %.4f -> migrate every %d, %d migrant(s), %d accepted\n",
-				ev.Epoch.Divergence, ev.Epoch.MigrateEvery, ev.Epoch.Migrants, ev.Epoch.Accepted)
-			return
-		}
 		if ev.Done {
 			fmt.Printf("island %d done after %d generations (stop: %s)\n", ev.Island, ev.Stats.Gen, ev.Stop)
 			return
@@ -77,10 +66,15 @@ func main() {
 		evoprot.WithSeed(42),
 		evoprot.WithWorkers(8),
 		evoprot.WithIslands(4),
-		evoprot.WithNiches("explore-exploit"), // islands 1..3 mutate/select/cross differently
-		evoprot.WithMigration(25, 2),          // the adaptive controller's starting schedule
-		evoprot.WithAdaptiveMigration(evoprot.AdaptiveMigration{}),
-		evoprot.WithTopology(evoprot.Ring),
+		// Island 0 keeps the shared setup; islands 1..3 grow more explorative.
+		evoprot.WithPerIsland(
+			evoprot.IslandConfig{},
+			evoprot.IslandConfig{MutationRate: 0.4, LeaderFraction: 0.1},
+			evoprot.IslandConfig{MutationRate: 0.6, LeaderFraction: 0.2, Selection: "rank"},
+			evoprot.IslandConfig{MutationRate: 0.75, LeaderFraction: 0.25, Selection: "uniform"},
+		),
+		evoprot.WithMigration(25, 2),
+		evoprot.WithTopology(evoprot.Broadcast),
 		evoprot.WithProgress(progress),
 	)
 	if err != nil {

@@ -1,7 +1,6 @@
 package evoprot
 
-// Facade-level coverage of heterogeneous islands and adaptive migration:
-// option plumbing, the homogeneous-equivalence property through the
+// Facade-level coverage of heterogeneous islands: option plumbing, the homogeneous-equivalence property through the
 // public API, checkpointing of heterogeneous runs, and the JobSpec wire
 // format with its admission-time validation.
 
@@ -37,7 +36,7 @@ func sameRunResults(t *testing.T, label string, a, b *RunResult) {
 }
 
 // TestFacadeHomogeneousEquivalence: WithPerIsland with all-empty
-// overrides (and no adaptive migration) is bit-identical to the plain
+// overrides is bit-identical to the plain
 // homogeneous run through the public API.
 func TestFacadeHomogeneousEquivalence(t *testing.T) {
 	orig, _ := GenerateDataset("flare", 80, 3)
@@ -58,46 +57,43 @@ func TestFacadeHomogeneousEquivalence(t *testing.T) {
 	}
 }
 
-// TestFacadeHeterogeneousDeterminism: a niched adaptive run through the
-// public API reproduces bit for bit from its seed and reports epoch
-// events.
+// TestFacadeHeterogeneousDeterminism: a niched broadcast run through the
+// public API reproduces bit for bit from its seed, feed included.
 func TestFacadeHeterogeneousDeterminism(t *testing.T) {
 	orig, _ := GenerateDataset("flare", 80, 5)
 	attrs, _ := ProtectedAttributes("flare")
 	once := func() (*RunResult, int) {
 		var (
 			mu     sync.Mutex
-			epochs int
+			events int
 		)
 		res, err := Run(context.Background(), orig, attrs,
 			WithGrid("flare"),
 			WithGenerations(30),
 			WithSeed(5),
-			WithIslands(3),
-			WithNiches("explore-exploit"),
+			WithPerIsland(
+				IslandConfig{},
+				IslandConfig{MutationRate: 0.5, LeaderFraction: 0.15},
+				IslandConfig{MutationRate: 0.75, LeaderFraction: 0.25, Selection: "uniform"},
+			),
 			WithMigration(5, 2),
-			WithAdaptiveMigration(AdaptiveMigration{}),
+			WithTopology(Broadcast),
 			WithProgress(func(ev Event) {
 				mu.Lock()
 				defer mu.Unlock()
-				if ev.Epoch != nil {
-					epochs++
-					if ev.Island != -1 {
-						t.Errorf("epoch event on island %d", ev.Island)
-					}
-				}
+				events++
 			}),
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, epochs
+		return res, events
 	}
 	a, ae := once()
 	b, be := once()
-	sameRunResults(t, "facade heterogeneous adaptive", a, b)
+	sameRunResults(t, "facade heterogeneous", a, b)
 	if ae != be || ae == 0 {
-		t.Fatalf("epoch events %d vs %d", ae, be)
+		t.Fatalf("events %d vs %d", ae, be)
 	}
 }
 
@@ -176,43 +172,36 @@ func TestFacadeHeterogeneousValidation(t *testing.T) {
 	orig, _ := GenerateDataset("flare", 50, 17)
 	attrs, _ := ProtectedAttributes("flare")
 	cases := map[string][]Option{
-		"niches and per-island":   {WithGrid("flare"), WithNiches("explore-exploit"), WithPerIsland(IslandConfig{})},
-		"unknown niche":           {WithGrid("flare"), WithIslands(3), WithNiches("nope")},
-		"niches without islands":  {WithGrid("flare"), WithNiches("explore-exploit")},
-		"niches on one island":    {WithGrid("flare"), WithIslands(1), WithNiches("explore-exploit")},
 		"override count mismatch": {WithGrid("flare"), WithIslands(3), WithPerIsland(IslandConfig{}, IslandConfig{})},
 		"override bad selection":  {WithGrid("flare"), WithPerIsland(IslandConfig{}, IslandConfig{Selection: "tournament"})},
 		"override bad crowding":   {WithGrid("flare"), WithPerIsland(IslandConfig{}, IslandConfig{Crowding: "closest"})},
 		"override bad aggregator": {WithGrid("flare"), WithPerIsland(IslandConfig{}, IslandConfig{Aggregator: "median"})},
-		"adaptive bad bounds": {WithGrid("flare"), WithIslands(2), WithMigration(10, 2),
-			WithAdaptiveMigration(AdaptiveMigration{MinEvery: 50, MaxEvery: 60})},
-		"adaptive inverted thresholds": {WithGrid("flare"), WithIslands(2),
-			WithAdaptiveMigration(AdaptiveMigration{LowDivergence: 0.9, HighDivergence: 0.1})},
 	}
 	for name, options := range cases {
 		if _, err := NewRunner(orig, attrs, options...); err == nil {
 			t.Errorf("%s accepted by NewRunner", name)
 		}
 	}
-	if _, err := NewRunner(orig, attrs, WithGrid("flare"), WithIslands(4),
-		WithNiches("aggregator-sweep"), WithAdaptiveMigration(AdaptiveMigration{})); err != nil {
+	if _, err := NewRunner(orig, attrs, WithGrid("flare"), WithTopology(Broadcast),
+		WithPerIsland(IslandConfig{}, IslandConfig{Aggregator: "mean"}, IslandConfig{Aggregator: "euclidean"},
+			IslandConfig{Aggregator: "weighted:0.3"})); err != nil {
 		t.Errorf("good heterogeneous setup rejected: %v", err)
 	}
 }
 
-// TestJobSpecHeterogeneous: the wire format round-trips the new fields,
-// admission-time validation mirrors run-time validation, and the Options
-// bridge reproduces the direct-options run exactly.
+// TestJobSpecHeterogeneous: the wire format round-trips the island
+// fields, a stored spec naming removed fields still decodes, admission-
+// time validation mirrors run-time validation, and the Options bridge
+// reproduces the direct-options run exactly.
 func TestJobSpecHeterogeneous(t *testing.T) {
 	spec := JobSpec{
 		Dataset:      "flare",
 		Rows:         60,
 		Generations:  10,
 		Seed:         77,
-		Islands:      3,
 		MigrateEvery: 5,
-		Niches:       "explore-exploit",
-		Adaptive:     &AdaptiveMigration{MaxEvery: 40, HighDivergence: 0.2},
+		Topology:     "broadcast",
+		PerIsland:    []IslandConfig{{}, {Selection: "rank"}, {MutationRate: 0.75, ParetoRef: &ParetoRef{IL: 90, DR: 80}}},
 	}
 	raw, err := json.Marshal(spec)
 	if err != nil {
@@ -222,11 +211,26 @@ func TestJobSpecHeterogeneous(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Niches != spec.Niches || back.Adaptive == nil || *back.Adaptive != *spec.Adaptive {
+	if back.Topology != spec.Topology || len(back.PerIsland) != 3 || back.PerIsland[1] != spec.PerIsland[1] ||
+		back.PerIsland[2].MutationRate != 0.75 || *back.PerIsland[2].ParetoRef != *spec.PerIsland[2].ParetoRef {
 		t.Fatalf("spec did not round-trip: %+v", back)
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Specs stored before adaptive migration, the niche presets and
+	// k-point crossover were removed decode with those fields ignored.
+	var stored JobSpec
+	if err := json.Unmarshal([]byte(`{"dataset":"flare","islands":2,"niches":"explore-exploit",`+
+		`"adaptive":{"max_every":40},"per_island":[{},{"crossover_points":4,"selection":"rank"}]}`), &stored); err != nil {
+		t.Fatal(err)
+	}
+	if stored.Islands != 2 || len(stored.PerIsland) != 2 || stored.PerIsland[1] != (IslandConfig{Selection: "rank"}) {
+		t.Fatalf("stored spec decoded as %+v", stored)
+	}
+	if err := stored.Validate(); err != nil {
+		t.Fatalf("stored spec rejected: %v", err)
 	}
 
 	perIsland := JobSpec{
@@ -238,14 +242,9 @@ func TestJobSpecHeterogeneous(t *testing.T) {
 	}
 
 	bad := []JobSpec{
-		{Dataset: "flare", Niches: "nope", Islands: 2},
-		{Dataset: "flare", Niches: "explore-exploit"}, // niches need islands >= 2
-		{Dataset: "flare", Niches: "explore-exploit", PerIsland: []IslandConfig{{}}},
 		{Dataset: "flare", Islands: 3, PerIsland: []IslandConfig{{}, {}}},
 		{Dataset: "flare", PerIsland: []IslandConfig{{Selection: "tournament"}}},
 		{Dataset: "flare", PerIsland: []IslandConfig{{Aggregator: "median"}}},
-		{Dataset: "flare", Islands: 2, MigrateEvery: 10, Adaptive: &AdaptiveMigration{MinEvery: 50, MaxEvery: 60}},
-		{Dataset: "flare", Islands: 2, Adaptive: &AdaptiveMigration{LowDivergence: 0.9, HighDivergence: 0.2}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -16,6 +16,7 @@ import (
 	"evoprot"
 	"evoprot/internal/serve"
 	"evoprot/internal/storage"
+	"evoprot/internal/storage/storagetest"
 )
 
 // TestRemoteCheckpointWriteFailureFailsJob: the worker's checkpoint
@@ -26,7 +27,7 @@ import (
 func TestRemoteCheckpointWriteFailureFailsJob(t *testing.T) {
 	_, ts := testCoordinator(t, storage.NewMem(), Config{})
 	startWorkerClient(t, ts.URL, "w1", 5, &http.Client{
-		Transport: &storage.FlakyTransport{
+		Transport: &storagetest.FlakyTransport{
 			Key: "job.ckpt",
 			// Exchange 1 is the claim-time checkpoint probe (a read);
 			// every checkpoint write after it loses its response.
@@ -53,7 +54,7 @@ func TestRemoteCheckpointWriteFailureFailsJob(t *testing.T) {
 func TestRemoteEventWriteFailureRecordedNotFatal(t *testing.T) {
 	_, ts := testCoordinator(t, storage.NewMem(), Config{})
 	startWorkerClient(t, ts.URL, "w1", 5, &http.Client{
-		Transport: &storage.FlakyTransport{
+		Transport: &storagetest.FlakyTransport{
 			Key: "events.ndjson",
 			// Exchange 1 is the worker opening the feed (a read); every
 			// append after it loses its response.
@@ -90,7 +91,7 @@ func TestRemoteDuplicateAndDelayedDelivery(t *testing.T) {
 
 	_, ts := testCoordinator(t, storage.NewMem(), Config{})
 	startWorkerClient(t, ts.URL, "w1", 5, &http.Client{
-		Transport: &storage.FlakyTransport{
+		Transport: &storagetest.FlakyTransport{
 			Key:       "events.ndjson",
 			Duplicate: true,
 			Delay:     time.Millisecond,

@@ -92,10 +92,6 @@ func sameFeed(t *testing.T, label string, a, b []evoprot.Event) {
 	}
 	for i := range a {
 		x, y := stripTimes(a[i]), stripTimes(b[i])
-		if (x.Epoch == nil) != (y.Epoch == nil) || (x.Epoch != nil && *x.Epoch != *y.Epoch) {
-			t.Fatalf("%s: event %d epoch payloads diverged: %+v vs %+v", label, i, x.Epoch, y.Epoch)
-		}
-		x.Epoch, y.Epoch = nil, nil
 		if x != y {
 			t.Fatalf("%s: event %d diverged:\n%+v\n%+v", label, i, x, y)
 		}
@@ -131,10 +127,6 @@ func sameFeedPerIsland(t *testing.T, label string, a, b []evoprot.Event) {
 		}
 		for i := range xs {
 			x, y := xs[i], ys[i]
-			if (x.Epoch == nil) != (y.Epoch == nil) || (x.Epoch != nil && *x.Epoch != *y.Epoch) {
-				t.Fatalf("%s: island %d event %d epoch payloads diverged: %+v vs %+v", label, island, i, x.Epoch, y.Epoch)
-			}
-			x.Epoch, y.Epoch = nil, nil
 			if x != y {
 				t.Fatalf("%s: island %d event %d diverged:\n%+v\n%+v", label, island, i, x, y)
 			}
@@ -159,7 +151,7 @@ func sameResult(t *testing.T, label string, a, b serve.JobResult) {
 }
 
 // TestClusterMatchesStandalone: the heterogeneous determinism gate
-// parameterized over topology and store — a niched adaptive
+// parameterized over topology and store — a niched
 // multi-island job produces the same per-island feeds and the same
 // result whether it runs in-process or through a worker lease, over
 // either backend.
@@ -170,9 +162,12 @@ func TestClusterMatchesStandalone(t *testing.T) {
 		Generations:  200,
 		Islands:      3,
 		MigrateEvery: 10,
-		Niches:       "explore-exploit",
-		Adaptive:     &evoprot.AdaptiveMigration{},
-		Seed:         23,
+		PerIsland: []evoprot.IslandConfig{
+			{},
+			{MutationRate: 0.5, LeaderFraction: 0.15},
+			{MutationRate: 0.75, LeaderFraction: 0.25, Selection: "uniform"},
+		},
+		Seed: 23,
 	}
 	refEvents, refResult := runTopology(t, "standalone", storage.NewMem(), spec)
 

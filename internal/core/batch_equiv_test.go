@@ -213,14 +213,14 @@ func TestCommitAroundPendingEdit(t *testing.T) {
 
 // TestBatchHeterogeneousEnginesEquivalence is the niched-islands
 // equivalence: heterogeneous engines (different aggregators, selection,
-// crossover and crowding policies) sharing one initial population, with
+// operator and crowding policies) sharing one initial population, with
 // periodic migration between them, must match the oracle bit for bit.
 func TestBatchHeterogeneousEnginesEquivalence(t *testing.T) {
 	run := func(sc score.Config) [][]GenStats {
 		eval, pop := testPopulationWith(t, sc)
 		cfgs := []Config{
 			{Generations: 30, Seed: 31, Aggregator: "mean", EvalWorkers: 4},
-			{Generations: 30, Seed: 32, Selection: SelectRank, CrossoverPoints: 3},
+			{Generations: 30, Seed: 32, Selection: SelectRank},
 			{Generations: 30, Seed: 33, Crowding: CrowdNearestParent, ForceOp: "crossover"},
 		}
 		engines, err := NewEngines(context.Background(), eval, pop, cfgs)

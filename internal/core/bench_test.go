@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/protection"
 	"evoprot/internal/score"
 	"evoprot/internal/score/scoretest"
@@ -23,7 +24,7 @@ func benchEngineCfg(b *testing.B, cfg Config) *Engine {
 // benchEngineWith is benchEngineCfg over the given measure battery.
 func benchEngineWith(b *testing.B, cfg Config, sc score.Config) *Engine {
 	b.Helper()
-	d := datagen.MustByName("flare", 300, 5)
+	d := datagentest.MustByName("flare", 300, 5)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {

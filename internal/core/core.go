@@ -215,16 +215,9 @@ type Config struct {
 	LeaderFraction float64
 	// Selection is the reproduction-selection policy.
 	Selection SelectionPolicy
-	// Crowding is the crossover replacement policy.
+	// Crowding is the crossover replacement policy. Crossover itself is
+	// always the paper's 2-point scheme (§2.2.2).
 	Crowding CrowdingPolicy
-	// CrossoverPoints is the number of cut points of the category-level
-	// crossover. Zero and 2 both select the paper's 2-point scheme (§2.2.2)
-	// through its historical random draw, so existing trajectories are
-	// unchanged; any other k >= 1 performs standard k-point crossover
-	// (sorted random cuts, alternating segments exchanged). Negative values
-	// are rejected. Heterogeneous islands use this to give islands distinct
-	// recombination behaviors.
-	CrossoverPoints int
 	// Aggregator optionally names a per-engine fitness aggregation — "mean",
 	// "max", "euclidean" or "weighted:<w>" — overriding the evaluator's.
 	// Empty keeps the evaluator's aggregator. The engine then re-scores the
@@ -295,12 +288,6 @@ func (c *Config) withDefaults() (Config, error) {
 	case "", "mutation", "crossover":
 	default:
 		return out, fmt.Errorf("core: ForceOp %q (want mutation|crossover|empty)", out.ForceOp)
-	}
-	if out.CrossoverPoints == 0 {
-		out.CrossoverPoints = 2
-	}
-	if out.CrossoverPoints < 1 {
-		return out, fmt.Errorf("core: CrossoverPoints must be positive, got %d", out.CrossoverPoints)
 	}
 	if out.Aggregator != "" {
 		if _, err := score.AggregatorByName(out.Aggregator); err != nil {
@@ -373,9 +360,6 @@ func (c Config) Merged(o Config) Config {
 	}
 	if o.EvalWorkers != 0 {
 		out.EvalWorkers = o.EvalWorkers
-	}
-	if o.CrossoverPoints != 0 {
-		out.CrossoverPoints = o.CrossoverPoints
 	}
 	if o.Aggregator != "" {
 		out.Aggregator = o.Aggregator
@@ -471,9 +455,6 @@ type Engine struct {
 	// without retaining them, so each Step may overwrite the previous
 	// one's lists instead of allocating fresh slices.
 	chBuf1, chBuf2 []dataset.CellChange
-	// cutBuf holds the k-point crossover's sorted cut positions, reused
-	// across generations (unused on the 2-point paper path).
-	cutBuf []int
 	// nsga is Pareto mode's ranking state and scratch, and poolBuf stages
 	// environmental selection's population + offspring pool; both reused
 	// across generations. hv is the hypervolume of the current
@@ -1090,55 +1071,28 @@ func (e *Engine) mutate(parent *Individual) (*Individual, []dataset.CellChange) 
 	return &Individual{Origin: "mutation"}, e.chBuf1
 }
 
-// cross recombines two parents at the category level. With the default
-// CrossoverPoints of 2 it performs the paper's 2-point crossover (§2.2.2)
-// through its historical random draw — positions s..r (inclusive) are
-// exchanged; when s == r exactly one value swaps — so existing seeds keep
-// their trajectories. Any other k performs standard k-point crossover: k
-// cut positions are drawn, sorted, and alternating segments (the first
-// starting at the lowest cut) are exchanged; coinciding cuts cancel. The
-// children are returned file-less: the change lists record each child's
-// cells that differ from its parent (positions where the parents agree
-// swap to the same value and are omitted), and the parents' files are
-// only read. Every gene is swapped at most once, so each list holds a
-// cell at most once.
+// cross recombines two parents at the category level with the paper's
+// 2-point crossover (§2.2.2): positions s..r (inclusive) of the gene
+// string are exchanged; when s == r exactly one value swaps. The children
+// are returned file-less: the change lists record each child's cells that
+// differ from its parent (positions where the parents agree swap to the
+// same value and are omitted), and the parents' files are only read.
+// Every gene is swapped at most once, so each list holds a cell at most
+// once.
 func (e *Engine) cross(p1, p2 *Individual) (c1, c2 *Individual, ch1, ch2 []dataset.CellChange) {
 	d1, d2 := p1.Data, p2.Data
 	length := e.geneCount()
 	ch1, ch2 = e.chBuf1[:0], e.chBuf2[:0]
-	swapGene := func(g int) {
+	s := e.rng.IntN(length)
+	r := s + e.rng.IntN(length-s) // uniform in [s, length-1]
+	for g := s; g <= r; g++ {
 		row, col := e.genePos(g)
 		v1, v2 := d1.At(row, col), d2.At(row, col)
 		if v1 == v2 {
-			return
+			continue
 		}
 		ch1 = append(ch1, dataset.CellChange{Row: row, Col: col, Old: v1, New: v2})
 		ch2 = append(ch2, dataset.CellChange{Row: row, Col: col, Old: v2, New: v1})
-	}
-	if e.cfg.CrossoverPoints == 2 {
-		s := e.rng.IntN(length)
-		r := s + e.rng.IntN(length-s) // uniform in [s, length-1]
-		for g := s; g <= r; g++ {
-			swapGene(g)
-		}
-	} else {
-		cuts := e.cutBuf[:0]
-		for i := 0; i < e.cfg.CrossoverPoints; i++ {
-			cuts = append(cuts, e.rng.IntN(length))
-		}
-		sort.Ints(cuts)
-		e.cutBuf = cuts
-		// Exchange segments [c0,c1), [c2,c3), ...; an odd final cut opens a
-		// segment that runs to the end of the chromosome.
-		for i := 0; i < len(cuts); i += 2 {
-			end := length
-			if i+1 < len(cuts) {
-				end = cuts[i+1]
-			}
-			for g := cuts[i]; g < end; g++ {
-				swapGene(g)
-			}
-		}
 	}
 	e.chBuf1, e.chBuf2 = ch1, ch2 // keep any grown capacity for later steps
 	return &Individual{Origin: "crossover"}, &Individual{Origin: "crossover"}, ch1, ch2

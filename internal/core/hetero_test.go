@@ -1,8 +1,8 @@
 package core
 
 // Tests for the heterogeneous-island building blocks that live in core:
-// the Merged override layer, k-point crossover, per-engine aggregator
-// overrides, and the name resolvers behind them.
+// the Merged override layer, per-engine aggregator overrides, and the
+// name resolvers behind them.
 
 import (
 	"bytes"
@@ -69,14 +69,13 @@ func TestMergedInheritance(t *testing.T) {
 		NoImprovementWindow: 50,
 		ForceOp:             "mutation",
 		InitWorkers:         3,
-		CrossoverPoints:     3,
 		Aggregator:          "mean",
 	}
 	// An all-zero override changes nothing.
 	if got := template.Merged(Config{}); got.Generations != 100 || got.MutationRate != 0.4 ||
 		got.LeaderFraction != 0.2 || got.Selection != SelectRank || got.Crowding != CrowdNearestParent ||
 		got.Seed != 7 || got.NoImprovementWindow != 50 || got.ForceOp != "mutation" ||
-		got.InitWorkers != 3 || got.CrossoverPoints != 3 || got.Aggregator != "mean" {
+		got.InitWorkers != 3 || got.Aggregator != "mean" {
 		t.Fatalf("zero override mutated the template: %+v", got)
 	}
 	// A full override replaces everything it sets.
@@ -89,13 +88,12 @@ func TestMergedInheritance(t *testing.T) {
 		NoImprovementWindow: 2,
 		ForceOp:             "crossover",
 		InitWorkers:         8,
-		CrossoverPoints:     5,
 		Aggregator:          "euclidean",
 	}
 	got := template.Merged(ov)
 	if got.Generations != 5 || got.MutationRate != AllCrossover || got.LeaderFraction != 0.5 ||
 		got.Selection != SelectUniform || got.NoImprovementWindow != 2 || got.ForceOp != "crossover" ||
-		got.InitWorkers != 8 || got.CrossoverPoints != 5 || got.Aggregator != "euclidean" {
+		got.InitWorkers != 8 || got.Aggregator != "euclidean" {
 		t.Fatalf("override not applied: %+v", got)
 	}
 	// Zero-valued policies are the documented blind spot: they inherit.
@@ -104,52 +102,6 @@ func TestMergedInheritance(t *testing.T) {
 	}
 	if got.Seed != 7 {
 		t.Fatalf("unset override seed replaced the template: %d", got.Seed)
-	}
-}
-
-// TestCrossoverPointsPaperPathIdentical: CrossoverPoints 0 and 2 both
-// select the historical 2-point draw — trajectories are bit-identical.
-func TestCrossoverPointsPaperPathIdentical(t *testing.T) {
-	a := mustRun(t, testEngine(t, Config{Generations: 40, Seed: 13}))
-	b := mustRun(t, testEngine(t, Config{Generations: 40, Seed: 13, CrossoverPoints: 2}))
-	sameHistories(t, "points 0 vs 2", a.History, b.History)
-	if !a.Best.Data.Equal(b.Best.Data) {
-		t.Fatal("best individuals diverged between CrossoverPoints 0 and 2")
-	}
-}
-
-// TestKPointCrossoverDeltaOracle: for non-paper cut counts the engine's
-// change lists must describe the offspring exactly — the batch route and
-// the full-evaluation oracle walk bit-identical trajectories.
-func TestKPointCrossoverDeltaOracle(t *testing.T) {
-	for _, points := range []int{1, 3, 4, 5} {
-		cfg := Config{Generations: 40, Seed: 17, CrossoverPoints: points, ForceOp: "crossover"}
-		delta := mustRun(t, testEngine(t, cfg))
-		full := mustRun(t, oracleEngine(t, cfg))
-		sameHistories(t, "k-point delta vs full", delta.History, full.History)
-		if !delta.Best.Data.Equal(full.Best.Data) {
-			t.Fatalf("points=%d: delta and full evaluation diverged", points)
-		}
-	}
-}
-
-// TestKPointCrossoverDiffersFromPaperPath: a different cut count must
-// actually change the search (same seed, different trajectory).
-func TestKPointCrossoverDiffersFromPaperPath(t *testing.T) {
-	two := mustRun(t, testEngine(t, Config{Generations: 60, Seed: 19, ForceOp: "crossover"}))
-	five := mustRun(t, testEngine(t, Config{Generations: 60, Seed: 19, ForceOp: "crossover", CrossoverPoints: 5}))
-	a, b := stripHistory(two.History), stripHistory(five.History)
-	same := len(a) == len(b)
-	if same {
-		for i := range a {
-			if a[i] != b[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("5-point crossover reproduced the 2-point trajectory exactly")
 	}
 }
 
@@ -237,9 +189,8 @@ func TestResumeRescoresUnderAggregatorOverride(t *testing.T) {
 func TestConfigValidationNewKnobs(t *testing.T) {
 	eval, pop := testPopulation(t)
 	for name, cfg := range map[string]Config{
-		"negative crossover points": {Generations: 5, CrossoverPoints: -1},
-		"unknown aggregator":        {Generations: 5, Aggregator: "median"},
-		"malformed weighted":        {Generations: 5, Aggregator: "weighted:1.7"},
+		"unknown aggregator": {Generations: 5, Aggregator: "median"},
+		"malformed weighted": {Generations: 5, Aggregator: "weighted:1.7"},
 	} {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted", name)
@@ -248,7 +199,7 @@ func TestConfigValidationNewKnobs(t *testing.T) {
 			t.Errorf("%s: NewEngine accepted", name)
 		}
 	}
-	if err := (Config{Generations: 5, CrossoverPoints: 1, Aggregator: "weighted:0.7"}).Validate(); err != nil {
+	if err := (Config{Generations: 5, Aggregator: "weighted:0.7"}).Validate(); err != nil {
 		t.Errorf("good new knobs rejected: %v", err)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/pareto"
 	"evoprot/internal/protection"
@@ -408,7 +409,7 @@ func TestParetoReplaceNoAllocs(t *testing.T) {
 // mutation generations plus one mutation child, through the route every
 // ranking takes (crowdFront).
 func BenchmarkNSGA2Sort(b *testing.B) {
-	d := datagen.MustByName("german", 300, 5)
+	d := datagentest.MustByName("german", 300, 5)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {

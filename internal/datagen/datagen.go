@@ -205,15 +205,6 @@ func ByName(name string, rows int, seed uint64) (*dataset.Dataset, error) {
 	}
 }
 
-// MustByName is ByName that panics on error; for statically-known names.
-func MustByName(name string, rows int, seed uint64) *dataset.Dataset {
-	d, err := ByName(name, rows, seed)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Housing generates a synthetic stand-in for the 1993 U.S. Housing Survey
 // extract: 11 categorical attributes; protected attributes BUILT (25
 // categories), DEGREE (8) and GRADE1 (21), as reported in the paper.

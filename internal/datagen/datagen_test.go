@@ -55,7 +55,7 @@ func TestProtectedAttrsResolve(t *testing.T) {
 		if len(attrs) != 3 {
 			t.Fatalf("%s: %d protected attrs, want 3", name, len(attrs))
 		}
-		d := MustByName(name, 100, 7)
+		d := mustByName(t, name, 100, 7)
 		if _, err := d.Schema().Indices(attrs...); err != nil {
 			t.Errorf("%s: protected attrs do not resolve: %v", name, err)
 		}
@@ -73,12 +73,12 @@ func TestProtectedAttrsUnknown(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	for _, name := range Names() {
-		a := MustByName(name, 200, 42)
-		b := MustByName(name, 200, 42)
+		a := mustByName(t, name, 200, 42)
+		b := mustByName(t, name, 200, 42)
 		if !a.Equal(b) {
 			t.Errorf("%s: same seed produced different data", name)
 		}
-		c := MustByName(name, 200, 43)
+		c := mustByName(t, name, 200, 43)
 		if a.Equal(c) {
 			t.Errorf("%s: different seeds produced identical data", name)
 		}
@@ -87,7 +87,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestValidity(t *testing.T) {
 	for _, name := range Names() {
-		d := MustByName(name, 0, 5)
+		d := mustByName(t, name, 0, 5)
 		if err := d.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -95,7 +95,7 @@ func TestValidity(t *testing.T) {
 }
 
 func TestCustomRows(t *testing.T) {
-	d := MustByName("adult", 37, 1)
+	d := mustByName(t, "adult", 37, 1)
 	if d.Rows() != 37 {
 		t.Fatalf("rows = %d, want 37", d.Rows())
 	}
@@ -105,14 +105,14 @@ func TestCustomRows(t *testing.T) {
 // linkage and contingency measures need realistic skew.
 func TestMarginalsAreSkewed(t *testing.T) {
 	for _, name := range Names() {
-		d := MustByName(name, 0, 11)
+		d := mustByName(t, name, 0, 11)
 		skewedCols := 0
 		for c := 0; c < d.Cols(); c++ {
 			card := d.Schema().Attr(c).Cardinality()
 			if card < 3 {
 				continue
 			}
-			h := stats.Entropy(stats.Freq(d.Column(c), card))
+			h := entropy(stats.Freq(d.Column(c), card))
 			if h < 0.97*math.Log2(float64(card)) {
 				skewedCols++
 			}
@@ -132,9 +132,9 @@ func mutualInformation(d *dataset.Dataset, x, y int) float64 {
 	for r := range colX {
 		joint[colX[r]*cy+colY[r]]++
 	}
-	hx := stats.Entropy(stats.Freq(colX, cx))
-	hy := stats.Entropy(stats.Freq(colY, cy))
-	hxy := stats.Entropy(joint)
+	hx := entropy(stats.Freq(colX, cx))
+	hy := entropy(stats.Freq(colY, cy))
+	hxy := entropy(joint)
 	return hx + hy - hxy
 }
 
@@ -151,7 +151,7 @@ func TestCoupledAttributesCorrelate(t *testing.T) {
 		{"housing", "DEGREE", "GRADE1"},
 	}
 	for _, c := range cases {
-		d := MustByName(c.dataset, 0, 3)
+		d := mustByName(t, c.dataset, 0, 3)
 		idx, err := d.Schema().Indices(c.a, c.b)
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +168,7 @@ func TestCoupledAttributesCorrelate(t *testing.T) {
 // operate on phantom categories.
 func TestAllCategoriesRepresented(t *testing.T) {
 	for _, c := range paperShape {
-		d := MustByName(c.name, 0, 9)
+		d := mustByName(t, c.name, 0, 9)
 		for name := range c.protected {
 			i, _ := d.Schema().IndexOf(name)
 			card := d.Schema().Attr(i).Cardinality()
@@ -193,4 +193,31 @@ func TestDefaultRows(t *testing.T) {
 	if DefaultRows("adult") != 1000 {
 		t.Fatal("adult default rows")
 	}
+}
+
+// mustByName is ByName that fails the test on error.
+func mustByName(t *testing.T, name string, rows int, seed uint64) *dataset.Dataset {
+	t.Helper()
+	d, err := ByName(name, rows, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// entropy returns the Shannon entropy, in bits, of the distribution
+// implied by the non-negative counts (0 for an empty or all-zero slice).
+func entropy(counts []int) float64 {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	h := 0.0
+	for _, c := range counts {
+		if c > 0 {
+			p := float64(c) / float64(total)
+			h -= p * math.Log2(p)
+		}
+	}
+	return h
 }

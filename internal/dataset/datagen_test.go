@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 )
 
@@ -11,7 +12,7 @@ import (
 // categories, so every generated file stores one byte per cell.
 func TestDatagenOneBytePerCell(t *testing.T) {
 	for _, name := range datagen.Names() {
-		d := datagen.MustByName(name, 20, 1)
+		d := datagentest.MustByName(name, 20, 1)
 		if got := dataset.BytesPerCell(d); got != 1 {
 			t.Errorf("%s stores %d bytes per cell, want 1", name, got)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/score"
 )
 
@@ -35,7 +36,7 @@ func TestSpecName(t *testing.T) {
 }
 
 func TestBuildPopulationMatchesPaperComposition(t *testing.T) {
-	orig := datagen.MustByName("adult", 80, 5)
+	orig := datagentest.MustByName("adult", 80, 5)
 	names, _ := datagen.ProtectedAttrs("adult")
 	attrs, _ := orig.Schema().Indices(names...)
 	pop, err := BuildPopulation(orig, attrs, "adult", 5)
@@ -59,7 +60,7 @@ func TestBuildPopulationMatchesPaperComposition(t *testing.T) {
 }
 
 func TestBuildPopulationUnknownDataset(t *testing.T) {
-	orig := datagen.MustByName("adult", 50, 5)
+	orig := datagentest.MustByName("adult", 50, 5)
 	if _, err := BuildPopulation(orig, []int{1, 2, 3}, "mystery", 5); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/score"
 )
 
 func sweepSetup(t *testing.T) (*score.Evaluator, []int) {
 	t.Helper()
-	orig := datagen.MustByName("flare", 120, 3)
+	orig := datagentest.MustByName("flare", 120, 3)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, err := orig.Schema().Indices(names...)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/protection"
@@ -20,7 +21,7 @@ func benchPair(b *testing.B, rows int) (*dataset.Dataset, *dataset.Dataset, []in
 // protected attributes by rank swapping.
 func benchPairOf(b *testing.B, name string, rows int) (*dataset.Dataset, *dataset.Dataset, []int) {
 	b.Helper()
-	d := datagen.MustByName(name, rows, 5)
+	d := datagentest.MustByName(name, rows, 5)
 	names, _ := datagen.ProtectedAttrs(name)
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {

@@ -215,8 +215,8 @@ func ebilTerm(joint [][]int, card, n int) float64 {
 		if colTotal == 0 {
 			continue
 		}
-		// H(U | V=v): stats.Entropy of column v, with its operations in
-		// its order.
+		// H(U | V=v): the Shannon entropy of column v, in bits, over its
+		// non-zero counts.
 		h, ft := 0.0, float64(colTotal)
 		for u := 0; u < card; u++ {
 			if c := joint[u][v]; c != 0 {

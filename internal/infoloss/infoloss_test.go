@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/protection"
 )
 
 func testData(t *testing.T) (*dataset.Dataset, []int) {
 	t.Helper()
-	d := datagen.MustByName("adult", 250, 31)
+	d := datagentest.MustByName("adult", 250, 31)
 	names, _ := datagen.ProtectedAttrs("adult")
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 )
 
@@ -151,7 +152,7 @@ func accuracyPerRow(m *MLUtility, train, test *dataset.Dataset, feats []int) flo
 // feature, the target included among them or not.
 func TestMLUtilityMatchesPerRowLogs(t *testing.T) {
 	for _, name := range []string{"german", "adult", "flare"} {
-		d := datagen.MustByName(name, 400, 3)
+		d := datagentest.MustByName(name, 400, 3)
 		attrs := make([]int, d.Schema().NumAttrs())
 		for i := range attrs {
 			attrs[i] = i
@@ -215,7 +216,7 @@ func mlEdit(rng *rand.Rand, d *dataset.Dataset, attrs []int, target int, prev []
 // empty Apply that commits it, plain Applies and clones, and requires
 // every value to equal Loss of the file it describes bit for bit.
 func TestMLUtilityDeltaMatchesLoss(t *testing.T) {
-	d := datagen.MustByName("german", 400, 7)
+	d := datagentest.MustByName("german", 400, 7)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {
@@ -278,7 +279,7 @@ func TestMLUtilityDeltaMatchesLoss(t *testing.T) {
 func FuzzMLUtilityDelta(f *testing.F) {
 	f.Add([]byte{8, 0, 3, 1, 2, 1, 40, 2, 5})
 	f.Add([]byte{4, 5, 8, 0, 1, 12, 2, 3, 2, 9, 7, 200, 3, 7, 6, 3})
-	d := datagen.MustByName("german", 48, 3)
+	d := datagentest.MustByName("german", 48, 3)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {

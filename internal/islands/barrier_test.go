@@ -28,8 +28,8 @@ func (b *reverseSerialBarrier) RunEpoch(ctx context.Context, active []int, run f
 
 // TestBarrierSchedulingInvariance is the seam's core guarantee: a serial
 // reverse-order barrier reproduces the default concurrent run bit for bit
-// — histories, migrations, best individual — on a heterogeneous adaptive
-// run, the hardest case. A distributed barrier is "just" another
+// — histories, migrations, best individual — on a heterogeneous run
+// with a stagnation window, the hardest case. A distributed barrier is "just" another
 // scheduling, so this is the property remote execution will lean on.
 func TestBarrierSchedulingInvariance(t *testing.T) {
 	cfg := func() Config {
@@ -37,11 +37,10 @@ func TestBarrierSchedulingInvariance(t *testing.T) {
 			Islands:      3,
 			MigrateEvery: 10,
 			Migrants:     2,
-			Adaptive:     Adaptive{Enabled: true},
 			PerIsland: []core.Config{
 				{},
 				{MutationRate: 0.9},
-				{Selection: core.SelectRank, CrossoverPoints: 4},
+				{Selection: core.SelectRank},
 			},
 			Engine: core.Config{Generations: 40, Seed: 42, NoImprovementWindow: 15},
 		}

@@ -39,31 +39,3 @@ func FuzzTopologyByName(f *testing.F) {
 		}
 	})
 }
-
-func FuzzNichesByName(f *testing.F) {
-	for _, name := range []string{"", "explore-exploit", "selection-sweep", "aggregator-sweep", "unknown", "explore-exploit "} {
-		for _, n := range []int{-1, 0, 1, 3, 17} {
-			f.Add(name, n)
-		}
-	}
-	f.Fuzz(func(t *testing.T, name string, n int) {
-		if n > 256 {
-			n %= 256 // keep override slices small; size is not the property under test
-		}
-		overrides, err := NichesByName(name, n)
-		if err != nil {
-			if overrides != nil {
-				t.Fatal("error case returned overrides")
-			}
-			return
-		}
-		if len(overrides) != n {
-			t.Fatalf("%s/%d: %d overrides", name, n, len(overrides))
-		}
-		// Every successfully-built preset must be admissible.
-		cfg := Config{Islands: n, Engine: coreConfigForFuzz(), PerIsland: overrides}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("%s/%d: preset rejected by Validate: %v", name, n, err)
-		}
-	})
-}

@@ -13,23 +13,16 @@
 // independent deterministic trajectory.
 //
 // Islands need not be identical: Config.PerIsland overlays per-island
-// engine overrides onto the shared template (and NichesByName provides
-// ready-made spreads of search behaviors), so different islands can run
-// different selection pressures, mutation rates, crossover disruption or
-// fitness aggregations — niched search over the risk/information-loss
-// trade-off. Migration can also adapt: with Config.Adaptive enabled the
-// coordinator computes a cheap cross-island population-divergence
-// statistic at every barrier and widens or narrows the effective
-// migration interval and exchange size within configured bounds.
-// Divergence is a pure function of island state and every decision is
-// taken at the quiescent barrier, so heterogeneous adaptive runs remain
-// bit-reproducible from the one top-level seed.
+// engine overrides onto the shared template, so different islands can run
+// different selection pressures, mutation rates, objectives or fitness
+// aggregations — niched search over the risk/information-loss trade-off —
+// and heterogeneous runs remain bit-reproducible from the one top-level
+// seed.
 package islands
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"evoprot/internal/core"
@@ -84,85 +77,6 @@ const (
 	DefaultMigrants = 2
 )
 
-// Default divergence thresholds of the adaptive controller.
-const (
-	// DefaultLowDivergence is the divergence below which islands count as
-	// converged: migration then buys little mixing, so the controller
-	// widens the interval and shrinks the exchange.
-	DefaultLowDivergence = 0.02
-	// DefaultHighDivergence is the divergence above which islands count as
-	// strongly diverged: migration then spreads good genes fastest, so the
-	// controller narrows the interval and grows the exchange.
-	DefaultHighDivergence = 0.10
-)
-
-// Adaptive parameterizes divergence-driven adaptive migration. At every
-// barrier the coordinator computes Runner.Divergence — a pure function of
-// the quiescent island populations — and steers the effective migration
-// schedule: divergence below LowDivergence doubles the effective interval
-// and halves the migrant count (converged islands need less
-// coordination), divergence above HighDivergence does the opposite
-// (diverged islands profit from mixing), and anything in between leaves
-// the schedule alone. All moves clamp to the Min/Max bounds, so the
-// schedule always stays inside [MinEvery, MaxEvery] x [MinMigrants,
-// MaxMigrants]. The controller is deterministic, decided only at
-// quiescent barriers, so adaptive runs stay bit-reproducible from the
-// top-level seed; its state survives Snapshot/Resume.
-type Adaptive struct {
-	// Enabled switches the controller on. Off (the zero value), the
-	// migration schedule is fixed and every other field is ignored.
-	Enabled bool
-	// MinEvery and MaxEvery bound the effective migration interval in
-	// generations. Zeros default to max(1, MigrateEvery/4) and
-	// MigrateEvery*4.
-	MinEvery, MaxEvery int
-	// MinMigrants and MaxMigrants bound the effective per-island exchange
-	// size. Zeros default to 1 and Migrants*4.
-	MinMigrants, MaxMigrants int
-	// LowDivergence and HighDivergence are the controller's thresholds;
-	// zeros default to DefaultLowDivergence and DefaultHighDivergence.
-	LowDivergence, HighDivergence float64
-}
-
-// withDefaults resolves the controller's bounds against the configured
-// migration schedule and validates them.
-func (a Adaptive) withDefaults(every, migrants int) (Adaptive, error) {
-	if !a.Enabled {
-		return a, nil
-	}
-	if a.MinEvery == 0 {
-		a.MinEvery = max(1, every/4)
-	}
-	if a.MaxEvery == 0 {
-		a.MaxEvery = every * 4
-	}
-	if a.MinMigrants == 0 {
-		a.MinMigrants = 1
-	}
-	if a.MaxMigrants == 0 {
-		a.MaxMigrants = migrants * 4
-	}
-	if a.LowDivergence == 0 {
-		a.LowDivergence = DefaultLowDivergence
-	}
-	if a.HighDivergence == 0 {
-		a.HighDivergence = DefaultHighDivergence
-	}
-	if a.MinEvery < 1 || a.MinEvery > every || a.MaxEvery < every {
-		return a, fmt.Errorf("islands: adaptive interval bounds [%d,%d] must bracket MigrateEvery %d (and stay positive)",
-			a.MinEvery, a.MaxEvery, every)
-	}
-	if a.MinMigrants < 1 || a.MinMigrants > migrants || a.MaxMigrants < migrants {
-		return a, fmt.Errorf("islands: adaptive migrant bounds [%d,%d] must bracket Migrants %d (and stay positive)",
-			a.MinMigrants, a.MaxMigrants, migrants)
-	}
-	if a.LowDivergence < 0 || a.HighDivergence < a.LowDivergence {
-		return a, fmt.Errorf("islands: adaptive divergence thresholds %v..%v must satisfy 0 <= low <= high",
-			a.LowDivergence, a.HighDivergence)
-	}
-	return a, nil
-}
-
 // Config parameterizes an island-model run. Zero values select defaults.
 type Config struct {
 	// Islands is the number of concurrently evolving islands. Zero means 1.
@@ -181,34 +95,23 @@ type Config struct {
 	// Engine.Seed is the top-level run seed — island 0 uses it verbatim,
 	// later islands derive theirs with IslandSeed. Engine.Generations is
 	// each island's budget for one Run call. Progress flows through
-	// OnEvent/Events, which carry the island id.
+	// OnEvent, which carries the island id.
 	Engine core.Config
 	// PerIsland optionally specializes islands: entry i is overlaid onto
 	// the Engine template with core.Config.Merged, so zero-valued override
 	// fields inherit the template and set fields (selection policy,
-	// mutation rate, leader fraction, crossover points, aggregator,
-	// generations, stagnation window, ...) replace it. Empty means every
+	// mutation rate, leader fraction, aggregator, objective, generations,
+	// stagnation window, ...) replace it. Empty means every
 	// island runs the template — the homogeneous model, bit-identical to a
 	// run with no overrides or with all-zero overrides. When non-empty the
 	// length must equal Islands, and overrides must not set Seed (island
 	// seeds always derive from the top-level seed) or InitWorkers.
-	// NichesByName builds ready-made override spreads.
 	PerIsland []core.Config
-	// Adaptive, when enabled, ties the migration schedule to cross-island
-	// population divergence within the configured bounds; MigrateEvery and
-	// Migrants are then the controller's starting point. Disabled, the
-	// schedule is fixed — the historical behavior, bit for bit.
-	Adaptive Adaptive
 	// OnEvent, when non-nil, receives every island's per-generation
 	// statistics plus a final Done event per island. Calls are serialized
 	// across islands (never concurrent) but interleave island order
 	// non-deterministically; per-island order is ascending.
 	OnEvent func(Event)
-	// Events, when non-nil, receives the same feed as OnEvent on a
-	// channel. Run blocks on the send, so the caller must drain; the
-	// channel is closed when Run returns, making range loops terminate.
-	// A channel serves one Run call.
-	Events chan<- Event
 	// OnEpoch, when non-nil, is called on the coordinator goroutine at
 	// every migration barrier and once before Run returns. All islands are
 	// quiescent during the call, so Runner.Snapshot is safe inside it —
@@ -272,16 +175,11 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("islands: PerIsland[%d]: %w", i, err)
 		}
 	}
-	a, err := c.Adaptive.withDefaults(c.MigrateEvery, c.Migrants)
-	if err != nil {
-		return c, err
-	}
-	c.Adaptive = a
 	return c, nil
 }
 
 // Validate checks the configuration — schedule, topology, engine template,
-// per-island overrides and adaptive bounds — exactly the way New would,
+// per-island overrides — exactly the way New would,
 // without building anything. Services run it at job admission so a bad
 // heterogeneous spec is rejected before any evaluation work happens.
 func (c Config) Validate() error {
@@ -324,27 +222,6 @@ type Event struct {
 	// feed — e.g. a failed mid-run checkpoint write. The run itself
 	// continues; fatal errors still arrive through Run's return value.
 	Err string `json:",omitempty"`
-	// Epoch, on runner-level events of adaptive runs (Island -1), reports
-	// the migration barrier just executed: the divergence observed and the
-	// effective schedule going forward. Nil on all other events — fixed-
-	// schedule runs emit no epoch events, keeping their feeds byte-
-	// identical to the pre-adaptive format.
-	Epoch *EpochInfo `json:",omitempty"`
-}
-
-// EpochInfo describes one migration barrier of an adaptive run.
-type EpochInfo struct {
-	// Divergence is the cross-island population divergence observed at the
-	// barrier (see Runner.Divergence).
-	Divergence float64 `json:"divergence"`
-	// MigrateEvery and Migrants are the effective schedule after the
-	// barrier's controller decision — the parameters governing the next
-	// epoch.
-	MigrateEvery int `json:"migrate_every"`
-	Migrants     int `json:"migrants"`
-	// Accepted counts the migrants receiving islands accepted at this
-	// barrier.
-	Accepted int `json:"accepted"`
 }
 
 // Result is the outcome of an island-model run.
@@ -388,15 +265,7 @@ type Runner struct {
 	agg       score.Aggregator
 	popSize   int
 
-	// Effective migration schedule: equal to cfg.MigrateEvery/cfg.Migrants
-	// on fixed-schedule runs, steered by the adaptive controller within
-	// its bounds otherwise. Written only at quiescent barriers (and by
-	// Resume), read by island goroutines after the barrier — ordered by
-	// the epoch WaitGroup.
-	effEvery    int
-	effMigrants int
-
-	emitMu sync.Mutex // serializes OnEvent calls, Events sends and seq
+	emitMu sync.Mutex // serializes OnEvent calls and seq
 	seq    uint64     // next event sequence number, starts at cfg.FirstSeq
 
 	// Per-run coordinator state, reset at the top of Run. The slices are
@@ -445,7 +314,7 @@ func New(ctx context.Context, eval *score.Evaluator, initial []*core.Individual,
 	}
 	return &Runner{
 		cfg: c, engines: engines, perIsland: cfgs, agg: runAggregator(eval, c), popSize: len(initial),
-		effEvery: c.MigrateEvery, effMigrants: c.Migrants, seq: c.FirstSeq,
+		seq: c.FirstSeq,
 	}, nil
 }
 
@@ -553,23 +422,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			runErr = err
 			break
 		}
-		var div float64
-		if r.cfg.Adaptive.Enabled {
-			// Measure before migrating: migration itself homogenizes the
-			// populations, which would mask the divergence that built up
-			// over the epoch.
-			div = r.Divergence()
-		}
-		acc := r.migrate()
-		if r.cfg.Adaptive.Enabled {
-			r.adapt(div)
-			r.emit(Event{Island: -1, Epoch: &EpochInfo{
-				Divergence:   div,
-				MigrateEvery: r.effEvery,
-				Migrants:     r.effMigrants,
-				Accepted:     acc,
-			}})
-		}
+		r.migrate()
 		if r.cfg.OnEpoch != nil {
 			r.cfg.OnEpoch(r)
 		}
@@ -617,20 +470,16 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	// Each island's Evaluations counter includes the initial population,
 	// which was evaluated once and shared; count it once.
 	res.Evaluations -= (n - 1) * r.popSize
-	if r.cfg.Events != nil {
-		close(r.cfg.Events)
-		r.cfg.Events = nil
-	}
 	return res, runErr
 }
 
-// runEpoch advances island i by up to the effective migration interval,
-// honouring the remaining budget, the context, and the island's own
-// stagnation window. It runs on the island's goroutine and touches only
-// index i of the coordinator slices.
+// runEpoch advances island i by up to one migration interval, honouring
+// the remaining budget, the context, and the island's own stagnation
+// window. It runs on the island's goroutine and touches only index i of
+// the coordinator slices.
 func (r *Runner) runEpoch(ctx context.Context, i int) {
 	e := r.engines[i]
-	steps := r.effEvery
+	steps := r.cfg.MigrateEvery
 	if remaining := e.MaxGenerations() - r.executed[i]; steps > remaining {
 		steps = remaining
 	}
@@ -719,24 +568,19 @@ func (r *Runner) finish(i int, reason core.StopReason) {
 // injected events so consumers can tell them from island traffic.
 func (r *Runner) Emit(ev Event) { r.emit(ev) }
 
-// emit delivers one event to the callback and channel feeds, serialized
+// emit delivers one event to the callback feed, serialized
 // across islands. With no feed attached it is free: sequence numbers
 // only exist to order a feed someone observes, and the config is fixed
 // at construction, so a listener cannot appear mid-run.
 func (r *Runner) emit(ev Event) {
-	if r.cfg.OnEvent == nil && r.cfg.Events == nil {
+	if r.cfg.OnEvent == nil {
 		return
 	}
 	r.emitMu.Lock()
 	defer r.emitMu.Unlock()
 	ev.Seq = r.seq
 	r.seq++
-	if r.cfg.OnEvent != nil {
-		r.cfg.OnEvent(ev)
-	}
-	if r.cfg.Events != nil {
-		r.cfg.Events <- ev
-	}
+	r.cfg.OnEvent(ev)
 }
 
 // migrate performs one barrier exchange: every island's elites are
@@ -744,17 +588,15 @@ func (r *Runner) emit(ev Event) {
 // exchange), then offered to the receivers the topology names. Runs on the
 // coordinator goroutine while every island is quiescent; iteration order
 // is fixed, keeping the run deterministic. A migration that improves a
-// receiving island's best resets its stagnation window. Returns how many
-// migrants the receiving islands accepted at this barrier.
-func (r *Runner) migrate() int {
+// receiving island's best resets its stagnation window.
+func (r *Runner) migrate() {
 	n := len(r.engines)
-	if n < 2 || r.effMigrants == 0 {
-		return 0
+	if n < 2 || r.cfg.Migrants == 0 {
+		return
 	}
-	barrier := 0
 	emig := make([][]*core.Individual, n)
 	for i, e := range r.engines {
-		emig[i] = e.Emigrants(r.effMigrants)
+		emig[i] = e.Emigrants(r.cfg.Migrants)
 	}
 	// Done islands still receive: they no longer evolve, but accepting
 	// elites keeps the barrier state identical whether an island's budget
@@ -775,70 +617,10 @@ func (r *Runner) migrate() int {
 		before := r.engines[dst].Best().Eval.Score
 		acc := r.engines[dst].Immigrate(incoming)
 		r.migrations += acc
-		barrier += acc
 		if acc > 0 && r.engines[dst].Best().Eval.Score < before {
 			r.sinceImprove[dst] = 0
 		}
 	}
-	return barrier
-}
-
-// Divergence returns the cross-island population-divergence statistic the
-// adaptive controller acts on: the coefficient of variation of the
-// islands' mean population scores (standard deviation over the islands,
-// normalized by their grand mean). 0 means every island's population
-// averages the same fitness — converged search; larger values mean the
-// islands occupy different regions of the trade-off. It is a pure
-// function of island state and costs O(islands * population), cheap
-// against an epoch of evaluations. Only meaningful while the islands are
-// quiescent (between runs, at barriers, or inside OnEpoch); with fewer
-// than two islands it is 0. Heterogeneous aggregators score islands on
-// different scales, which the normalization only partly compensates —
-// the statistic is a steering heuristic, not a calibrated distance.
-func (r *Runner) Divergence() float64 {
-	n := len(r.engines)
-	if n < 2 {
-		return 0
-	}
-	sum := 0.0
-	means := make([]float64, n)
-	for i, e := range r.engines {
-		means[i] = e.Stats().Mean
-		sum += means[i]
-	}
-	grand := sum / float64(n)
-	ss := 0.0
-	for _, m := range means {
-		d := m - grand
-		ss += d * d
-	}
-	const eps = 1e-9
-	return math.Sqrt(ss/float64(n)) / (grand + eps)
-}
-
-// adapt is the barrier-time controller move: steer the effective schedule
-// by the observed divergence, clamped to the configured bounds.
-func (r *Runner) adapt(div float64) {
-	a := r.cfg.Adaptive
-	switch {
-	case div < a.LowDivergence:
-		// Converged islands: migration buys little mixing — widen the
-		// interval, shrink the exchange, spend less on coordination.
-		r.effEvery = min(r.effEvery*2, a.MaxEvery)
-		r.effMigrants = max(r.effMigrants/2, a.MinMigrants)
-	case div > a.HighDivergence:
-		// Strongly diverged islands: migration spreads good genes fastest
-		// — narrow the interval, grow the exchange.
-		r.effEvery = max(r.effEvery/2, a.MinEvery)
-		r.effMigrants = min(r.effMigrants*2, a.MaxMigrants)
-	}
-}
-
-// EffectiveMigration returns the migration schedule currently in force:
-// the configured one on fixed-schedule runs, the adaptive controller's
-// latest decision otherwise. Only valid while the islands are quiescent.
-func (r *Runner) EffectiveMigration() (every, migrants int) {
-	return r.effEvery, r.effMigrants
 }
 
 // IslandConfigs returns the resolved per-island engine configurations

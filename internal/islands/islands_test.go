@@ -11,13 +11,14 @@ import (
 
 	"evoprot/internal/core"
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/protection"
 	"evoprot/internal/score"
 )
 
 func testPopulation(t testing.TB) (*score.Evaluator, []*core.Individual) {
 	t.Helper()
-	d := datagen.MustByName("flare", 90, 23)
+	d := datagentest.MustByName("flare", 90, 23)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {
@@ -318,44 +319,36 @@ func TestDeadlineStopReason(t *testing.T) {
 	}
 }
 
-// TestEventFeed: the channel form must deliver per-island ordered events
-// ending in one Done event per island, and close when the run finishes.
+// TestEventFeed: the callback feed must deliver per-island ordered events
+// ending in one Done event per island.
 func TestEventFeed(t *testing.T) {
 	eval, pop := testPopulation(t)
-	ch := make(chan Event, 256)
+	lastGen := map[int]int{}
+	doneSeen := map[int]bool{}
 	r, err := New(context.Background(), eval, pop, Config{
 		Islands:      2,
 		MigrateEvery: 5,
 		Engine:       core.Config{Generations: 12, Seed: 11},
-		Events:       ch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	lastGen := map[int]int{}
-	doneSeen := map[int]bool{}
-	go func() {
-		defer wg.Done()
-		for ev := range ch {
+		OnEvent: func(ev Event) {
 			if ev.Done {
 				doneSeen[ev.Island] = true
 				if ev.Stop != core.StopCompleted {
 					t.Errorf("island %d done with stop %q", ev.Island, ev.Stop)
 				}
-				continue
+				return
 			}
 			if ev.Stats.Gen != lastGen[ev.Island]+1 {
 				t.Errorf("island %d events out of order: %d after %d", ev.Island, ev.Stats.Gen, lastGen[ev.Island])
 			}
 			lastGen[ev.Island] = ev.Stats.Gen
-		}
-	}()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := r.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait() // range loop ended => channel was closed
 	for i := 0; i < 2; i++ {
 		if lastGen[i] != 12 {
 			t.Fatalf("island %d streamed %d generations, want 12", i, lastGen[i])

@@ -19,21 +19,17 @@ import (
 )
 
 // paretoNicheConfig builds the canonical mixed-objective run: three
-// islands under the scalar-pareto preset (0 and 2 scalarized, 1 NSGA-II)
-// with ring migration crossing the objective boundary every epoch.
+// islands with a scalar/Pareto split (0 and 2 scalarized, 1 NSGA-II) and
+// ring migration crossing the objective boundary every epoch.
 func paretoNicheConfig(t *testing.T, gens int) Config {
 	t.Helper()
-	per, err := NichesByName("scalar-pareto", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return Config{
 		Islands:      3,
 		MigrateEvery: 5,
 		Migrants:     2,
 		Topology:     Ring,
 		Engine:       core.Config{Generations: gens, Seed: 31},
-		PerIsland:    per,
+		PerIsland:    []core.Config{{}, {Objective: core.ObjectivePareto}, {}},
 	}
 }
 

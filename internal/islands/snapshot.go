@@ -11,23 +11,23 @@ import (
 )
 
 // Multi-island checkpoints wrap one core engine snapshot per island plus
-// the coordinator state worth persisting: the adaptive controller's
-// effective schedule (required for bit-reproducible resumption of
-// adaptive runs) and the per-island configuration overrides of
-// heterogeneous runs (so a bare Resume without a PerIsland config rebuilds
-// the same niches). Budgets stay per-Run-call — resuming with -gens N runs
-// N more generations, matching the single-engine contract — and the
-// migration schedule restarts from the next barrier. Because OnEpoch — the
-// checkpointing hook — only fires at barriers, a resumed run's epochs stay
-// aligned with the schedule.
+// the coordinator state worth persisting: the per-island configuration
+// overrides of heterogeneous runs (so a bare Resume without a PerIsland
+// config rebuilds the same niches). Budgets stay per-Run-call — resuming
+// with -gens N runs N more generations, matching the single-engine
+// contract — and the migration schedule restarts from the next barrier.
+// Because OnEpoch — the checkpointing hook — only fires at barriers, a
+// resumed run's epochs stay aligned with the schedule.
 
 // snapshotVersion guards against incompatible checkpoint layouts.
 // Version 3 added the Pareto-mode objective fields to island config
 // overrides (a pre-Pareto build would silently resume such a niche as
-// scalarized, a different trajectory); version 2 added the
-// adaptive-migration controller state and the per-island configuration
-// overrides; version-1 snapshots (homogeneous, fixed-schedule) still
-// load.
+// scalarized, a different trajectory); version 2 added the per-island
+// configuration overrides; version-1 snapshots (homogeneous) still load.
+// Checkpoints of earlier builds may also carry an "adaptive" block (the
+// removed adaptive-migration schedule) and "crossover_points" overrides
+// (the removed k-point crossover); decoding ignores both, so such a run
+// resumes on the fixed migration schedule with 2-point crossover.
 const snapshotVersion = 3
 
 // minSnapshotVersion is the oldest layout Resume still reads.
@@ -36,18 +36,10 @@ const minSnapshotVersion = 1
 type snapshotJSON struct {
 	Version int `json:"version"`
 	Islands int `json:"islands"`
-	// Adaptive carries the controller's effective schedule; present only
-	// on adaptive runs.
-	Adaptive *adaptiveStateJSON `json:"adaptive,omitempty"`
 	// Configs carries the per-island overrides of heterogeneous runs,
 	// aligned with Engines; empty on homogeneous runs.
 	Configs []islandConfigJSON `json:"configs,omitempty"`
 	Engines []json.RawMessage  `json:"engines"`
-}
-
-type adaptiveStateJSON struct {
-	MigrateEvery int `json:"migrate_every"`
-	Migrants     int `json:"migrants"`
 }
 
 // islandConfigJSON is the serializable subset of a core.Config override —
@@ -64,7 +56,6 @@ type islandConfigJSON struct {
 	LeaderFraction      float64 `json:"leader_fraction,omitempty"`
 	Selection           string  `json:"selection,omitempty"`
 	Crowding            string  `json:"crowding,omitempty"`
-	CrossoverPoints     int     `json:"crossover_points,omitempty"`
 	NoImprovementWindow int     `json:"early_stop,omitempty"`
 	ForceOp             string  `json:"force_op,omitempty"`
 	Aggregator          string  `json:"aggregator,omitempty"`
@@ -84,7 +75,6 @@ func configToJSON(c core.Config) islandConfigJSON {
 		Generations:         c.Generations,
 		MutationRate:        c.MutationRate,
 		LeaderFraction:      c.LeaderFraction,
-		CrossoverPoints:     c.CrossoverPoints,
 		NoImprovementWindow: c.NoImprovementWindow,
 		ForceOp:             c.ForceOp,
 		Aggregator:          c.Aggregator,
@@ -120,7 +110,6 @@ func configFromJSON(j islandConfigJSON) (core.Config, error) {
 		LeaderFraction:      j.LeaderFraction,
 		Selection:           sel,
 		Crowding:            crowd,
-		CrossoverPoints:     j.CrossoverPoints,
 		NoImprovementWindow: j.NoImprovementWindow,
 		ForceOp:             j.ForceOp,
 		Aggregator:          j.Aggregator,
@@ -129,14 +118,11 @@ func configFromJSON(j islandConfigJSON) (core.Config, error) {
 	}, nil
 }
 
-// Snapshot serializes every island's engine state plus the coordinator's
-// adaptive schedule and per-island overrides. Only safe while the islands
-// are quiescent: between runs, or inside Config.OnEpoch.
+// Snapshot serializes every island's engine state plus the per-island
+// overrides. Only safe while the islands are quiescent: between runs, or
+// inside Config.OnEpoch.
 func (r *Runner) Snapshot(w io.Writer) error {
 	snap := snapshotJSON{Version: snapshotVersion, Islands: len(r.engines)}
-	if r.cfg.Adaptive.Enabled {
-		snap.Adaptive = &adaptiveStateJSON{MigrateEvery: r.effEvery, Migrants: r.effMigrants}
-	}
 	if len(r.cfg.PerIsland) > 0 {
 		snap.Configs = make([]islandConfigJSON, len(r.cfg.PerIsland))
 		for i, ov := range r.cfg.PerIsland {
@@ -145,10 +131,9 @@ func (r *Runner) Snapshot(w io.Writer) error {
 	}
 	// Stamp the lowest version the payload needs, so checkpoints stay
 	// readable by the oldest build that can resume them faithfully: plain
-	// homogeneous fixed-schedule runs are version 1, adaptive or
-	// heterogeneous runs version 2, and only overrides carrying Pareto
-	// objective fields require version 3.
-	if snap.Adaptive == nil && snap.Configs == nil {
+	// homogeneous runs are version 1, heterogeneous runs version 2, and
+	// only overrides carrying Pareto objective fields require version 3.
+	if snap.Configs == nil {
 		snap.Version = minSnapshotVersion
 	} else {
 		snap.Version = 2
@@ -178,10 +163,7 @@ func (r *Runner) Snapshot(w io.Writer) error {
 // continues its identical stochastic trajectory. cfg.Engine.Generations is
 // the per-island budget for the next Run call. A heterogeneous snapshot's
 // per-island overrides are applied automatically when cfg.PerIsland is
-// empty (pass overrides explicitly to supersede them), and an adaptive
-// snapshot's effective schedule is restored whenever cfg.Adaptive is
-// enabled, so a resumed adaptive run continues the controller where it
-// left off.
+// empty (pass overrides explicitly to supersede them).
 func Resume(eval *score.Evaluator, rd io.Reader, cfg Config) (*Runner, error) {
 	var snap snapshotJSON
 	if err := json.NewDecoder(rd).Decode(&snap); err != nil {
@@ -227,15 +209,10 @@ func Resume(eval *score.Evaluator, rd io.Reader, cfg Config) (*Runner, error) {
 			popSize = n
 		}
 	}
-	r := &Runner{
+	return &Runner{
 		cfg: c, engines: engines, perIsland: cfgs, agg: runAggregator(eval, c), popSize: popSize,
-		effEvery: c.MigrateEvery, effMigrants: c.Migrants, seq: c.FirstSeq,
-	}
-	if c.Adaptive.Enabled && snap.Adaptive != nil {
-		r.effEvery = min(max(snap.Adaptive.MigrateEvery, c.Adaptive.MinEvery), c.Adaptive.MaxEvery)
-		r.effMigrants = min(max(snap.Adaptive.Migrants, c.Adaptive.MinMigrants), c.Adaptive.MaxMigrants)
-	}
-	return r, nil
+		seq: c.FirstSeq,
+	}, nil
 }
 
 // Meta describes a checkpoint without resuming it: the island count and

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 )
 
 func benchData(b *testing.B, rows int) (*dataset.Dataset, []int) {
 	b.Helper()
-	d := datagen.MustByName("flare", rows, 5)
+	d := datagentest.MustByName("flare", rows, 5)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {

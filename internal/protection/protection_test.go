@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/stats"
 )
 
 func testData(t *testing.T) (*dataset.Dataset, []int) {
 	t.Helper()
-	d := datagen.MustByName("flare", 300, 17)
+	d := datagentest.MustByName("flare", 300, 17)
 	names, err := datagen.ProtectedAttrs("flare")
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/protection"
@@ -20,7 +21,7 @@ func benchPair(b *testing.B, rows int) (*dataset.Dataset, *dataset.Dataset, []in
 // protected attributes.
 func benchPairOf(tb testing.TB, name string, rows int) (*dataset.Dataset, *dataset.Dataset, []int) {
 	tb.Helper()
-	d := datagen.MustByName(name, rows, 5)
+	d := datagentest.MustByName(name, rows, 5)
 	names, _ := datagen.ProtectedAttrs(name)
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {

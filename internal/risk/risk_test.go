@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/protection"
 )
 
 func testData(t *testing.T) (*dataset.Dataset, []int) {
 	t.Helper()
-	d := datagen.MustByName("german", 250, 41)
+	d := datagentest.MustByName("german", 250, 41)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {

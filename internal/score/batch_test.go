@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/risk"
 )
@@ -136,7 +137,7 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 // containing a measure with no incremental support at all (the
 // per-offspring full-recompute routing inside a batch).
 func TestEvaluateBatchFallbackBattery(t *testing.T) {
-	orig := datagen.MustByName("flare", 90, 11)
+	orig := datagentest.MustByName("flare", 90, 11)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, err := orig.Schema().Indices(names...)
 	if err != nil {
@@ -218,7 +219,7 @@ func FuzzEvaluateBatchGrouping(f *testing.F) {
 	f.Add(uint64(1), uint(3), uint(4))
 	f.Add(uint64(99), uint(1), uint(1))
 	f.Add(uint64(7), uint(6), uint(2))
-	orig := datagen.MustByName("flare", 80, 3)
+	orig := datagentest.MustByName("flare", 80, 3)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, err := orig.Schema().Indices(names...)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/infoloss"
@@ -13,7 +14,7 @@ import (
 
 func deltaTestEvaluator(t *testing.T) (*Evaluator, *dataset.Dataset) {
 	t.Helper()
-	orig := datagen.MustByName("german", 150, 61)
+	orig := datagentest.MustByName("german", 150, 61)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, err := orig.Schema().Indices(names...)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/infoloss"
 	"evoprot/internal/score"
@@ -34,7 +35,7 @@ func FuzzBatchFromParent(f *testing.F) {
 	f.Add(uint64(4), uint16(5), []byte{4, 0, 0, 1, 2, 3, 0, 0})
 	f.Add(uint64(5), uint16(33), []byte{5, 2, 0, 0})
 	f.Add(uint64(6), uint16(2), []byte{3, 1, 0, 9})
-	orig := datagen.MustByName("german", 80, 17)
+	orig := datagentest.MustByName("german", 80, 17)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, err := orig.Schema().Indices(names...)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/infoloss"
@@ -24,7 +25,7 @@ import (
 // and each returned state must still score a one-cell offspring like
 // Evaluate does.
 func TestEvaluateAllPreparedMatchesEvaluate(t *testing.T) {
-	orig := datagen.MustByName("german", 150, 61)
+	orig := datagentest.MustByName("german", 150, 61)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, err := orig.Schema().Indices(names...)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/protection"
 	"evoprot/internal/risk"
@@ -15,7 +16,7 @@ import (
 
 func testSetup(t *testing.T) (*dataset.Dataset, []int) {
 	t.Helper()
-	d := datagen.MustByName("flare", 150, 19)
+	d := datagentest.MustByName("flare", 150, 19)
 	names, _ := datagen.ProtectedAttrs("flare")
 	attrs, err := d.Schema().Indices(names...)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"evoprot/internal/datagen"
+	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/infoloss"
@@ -27,7 +28,7 @@ import (
 // default plus a stripped (stateless) ML utility, and a stripped one
 // without any state; widths 1 and 4.
 func TestSettlePendingEdit(t *testing.T) {
-	orig := datagen.MustByName("german", 150, 61)
+	orig := datagentest.MustByName("german", 150, 61)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, err := orig.Schema().Indices(names...)
 	if err != nil {
@@ -112,7 +113,7 @@ func TestSettlePendingEdit(t *testing.T) {
 // not start from the parent's file — leaves that state settled at the
 // parent's file.
 func TestEvaluateBatchErrorSettles(t *testing.T) {
-	orig := datagen.MustByName("german", 150, 61)
+	orig := datagentest.MustByName("german", 150, 61)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, err := orig.Schema().Indices(names...)
 	if err != nil {

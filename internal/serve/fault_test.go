@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"evoprot/internal/storage"
+	"evoprot/internal/storage/storagetest"
 )
 
 // serveHTTP exposes an already-built server over real HTTP with cleanup.
@@ -41,7 +42,7 @@ func serveHTTP(t *testing.T, s *Server) string {
 // fail the job with the cause recorded — a job whose durability contract
 // was broken must not report success.
 func TestCheckpointWriteFailureFailsJob(t *testing.T) {
-	flaky := &storage.Flaky{
+	flaky := &storagetest.Flaky{
 		Store:           storage.NewMem(),
 		Key:             checkpointKey,
 		FailWritesAfter: 1,
@@ -63,7 +64,7 @@ func TestCheckpointWriteFailureFailsJob(t *testing.T) {
 // the log and records the error on the status, but the optimization
 // itself still completes — the feed is observability, not the result.
 func TestEventLogWriteFailureRecordedNotFatal(t *testing.T) {
-	flaky := &storage.Flaky{
+	flaky := &storagetest.Flaky{
 		Store:           storage.NewMem(),
 		Key:             eventsKey,
 		FailWritesAfter: 2, // the feed's creation append succeeds; event appends fail
@@ -100,7 +101,7 @@ func TestRecoverySkipsCorruptStatus(t *testing.T) {
 			if err := st.saveJSON("jtorn", statusKey, good); err != nil {
 				t.Fatal(err)
 			}
-			flaky := &storage.Flaky{Store: be, Key: statusKey, TornReads: true}
+			flaky := &storagetest.Flaky{Store: be, Key: statusKey, TornReads: true}
 			s, err := New(Config{Store: &tornForJob{flaky: flaky, be: be, job: "jtorn"}, Logf: t.Logf})
 			if err != nil {
 				t.Fatalf("recovery died on corrupt neighbors: %v", err)
@@ -131,7 +132,7 @@ func TestRecoverySkipsCorruptStatus(t *testing.T) {
 // tornForJob routes one job's reads through a torn-read injector and
 // everything else to the real store.
 type tornForJob struct {
-	flaky *storage.Flaky
+	flaky *storagetest.Flaky
 	be    storage.Store
 	job   string
 }

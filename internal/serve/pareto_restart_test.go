@@ -35,12 +35,12 @@ func sameFrontStats(a, b *evoprot.FrontStats) bool {
 	return true
 }
 
-// genStatsByGen extracts a feed's generation events (Done and epoch
-// entries dropped, times stripped) keyed by generation number.
+// genStatsByGen extracts a feed's generation events (Done entries
+// dropped, times stripped) keyed by generation number.
 func genStatsByGen(events []evoprot.Event) map[int]evoprot.GenStats {
 	out := map[int]evoprot.GenStats{}
 	for _, ev := range events {
-		if ev.Done || ev.Epoch != nil {
+		if ev.Done {
 			continue
 		}
 		gs := ev.Stats

@@ -79,10 +79,6 @@ func sameFeed(t *testing.T, label string, a, b []evoprot.Event) {
 	}
 	for i := range a {
 		x, y := stripTimes(a[i]), stripTimes(b[i])
-		if (x.Epoch == nil) != (y.Epoch == nil) || (x.Epoch != nil && *x.Epoch != *y.Epoch) {
-			t.Fatalf("%s: event %d epoch payloads diverged: %+v vs %+v", label, i, x.Epoch, y.Epoch)
-		}
-		x.Epoch, y.Epoch = nil, nil
 		if x != y {
 			t.Fatalf("%s: event %d diverged:\n%+v\n%+v", label, i, x, y)
 		}

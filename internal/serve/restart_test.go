@@ -185,12 +185,10 @@ func fetchResult(t *testing.T, base, id string) JobResult {
 	return result
 }
 
-// TestKillAndRestartHeterogeneousJob: a niched adaptive multi-island job
-// survives a server restart — per-island configs and the adaptive
-// controller state come back from the persisted spec and checkpoint, the
-// resumed job completes its full budget, and the event feed (including
-// the Island -1 epoch events the controller emits) spans both server
-// lifetimes with contiguous offsets.
+// TestKillAndRestartHeterogeneousJob: a niched multi-island job survives
+// a server restart — per-island configs come back from the persisted
+// spec and checkpoint, the resumed job completes its full budget, and the
+// event feed spans both server lifetimes with contiguous offsets.
 func TestKillAndRestartHeterogeneousJob(t *testing.T) {
 	for name, be := range testStores(t) {
 		t.Run(name, func(t *testing.T) { killAndRestartHeterogeneous(t, be) })
@@ -210,9 +208,12 @@ func killAndRestartHeterogeneous(t *testing.T, be storage.Store) {
 		Generations:  400,
 		Islands:      3,
 		MigrateEvery: 10,
-		Niches:       "explore-exploit",
-		Adaptive:     &evoprot.AdaptiveMigration{},
-		Seed:         23,
+		PerIsland: []evoprot.IslandConfig{
+			{},
+			{MutationRate: 0.5, LeaderFraction: 0.15},
+			{MutationRate: 0.75, LeaderFraction: 0.25, Selection: "uniform"},
+		},
+		Seed: 23,
 	}
 
 	s1, err := New(cfg)
@@ -271,9 +272,8 @@ func killAndRestartHeterogeneous(t *testing.T, be storage.Store) {
 	// Budget arithmetic counts from the checkpoint's MinGeneration so no
 	// island ends up short; islands ahead of a mid-epoch checkpoint
 	// overshoot by at most the cross-island spread at the interruption,
-	// which one epoch bounds (the adaptive interval never exceeds
-	// MigrateEvery*4 by default).
-	maxOver := 400 + 4*spec.MigrateEvery
+	// which one epoch bounds.
+	maxOver := 400 + spec.MigrateEvery
 	if done.Generation < 400 || done.Generation > maxOver {
 		t.Fatalf("resumed job executed %d generations, want 400..%d", done.Generation, maxOver)
 	}
@@ -281,20 +281,12 @@ func killAndRestartHeterogeneous(t *testing.T, be storage.Store) {
 		t.Fatalf("resumes = %d, want 1", done.Resumes)
 	}
 
-	// The feed spans both lifetimes contiguously; the adaptive controller's
-	// epoch events ride it alongside island traffic.
+	// The feed spans both lifetimes contiguously.
 	events := fetchEvents(t, ts2.URL, status.ID, 0)
-	maxGen, doneEvents, epochs := 0, 0, 0
+	maxGen, doneEvents := 0, 0
 	for i, ev := range events {
 		if ev.Seq != uint64(i) {
 			t.Fatalf("event %d has seq %d: restart broke the offset space", i, ev.Seq)
-		}
-		if ev.Epoch != nil {
-			epochs++
-			if ev.Island != -1 {
-				t.Fatalf("epoch event on island %d", ev.Island)
-			}
-			continue
 		}
 		if ev.Stats.Gen > maxGen {
 			maxGen = ev.Stats.Gen
@@ -305,9 +297,6 @@ func killAndRestartHeterogeneous(t *testing.T, be storage.Store) {
 	}
 	if maxGen != done.Generation {
 		t.Fatalf("feed reaches generation %d, status reports %d", maxGen, done.Generation)
-	}
-	if epochs == 0 {
-		t.Fatal("no adaptive epoch events survived the restart")
 	}
 	// One Done per island per lifetime the island ended in: 3 at the
 	// interruption plus 3 at completion.
@@ -369,9 +358,11 @@ func TestRestartRecoversQueuedJobs(t *testing.T) {
 }
 
 // TestRestartLoadsSpecWithRemovedRouteKnobs: specs persisted while
-// JobSpec still had "disable_delta" and "lazy_prepare" must keep loading
-// on restart. The store decodes leniently, so the dropped knobs are
-// ignored and the recovered job runs to completion.
+// JobSpec still had the evaluation-route knobs ("disable_delta",
+// "lazy_prepare") or the search add-ons ("niches", "adaptive", per-island
+// "crossover_points") must keep loading on restart. The store decodes
+// leniently, so the dropped fields are ignored and the recovered job
+// runs to completion with its remaining per-island override intact.
 func TestRestartLoadsSpecWithRemovedRouteKnobs(t *testing.T) {
 	cfg := Config{Store: storage.NewMem(), Workers: 1, Logf: t.Logf}
 	s1, err := New(cfg)
@@ -380,7 +371,9 @@ func TestRestartLoadsSpecWithRemovedRouteKnobs(t *testing.T) {
 	}
 	// No Start: the job can only queue.
 	ts1 := httptest.NewServer(s1.Handler())
-	status := postJob(t, ts1.URL, smallSpec())
+	jobSpec := smallSpec()
+	jobSpec.PerIsland = []evoprot.IslandConfig{{}, {Selection: "rank"}}
+	status := postJob(t, ts1.URL, jobSpec)
 	ts1.Close()
 	stopCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	if err := s1.Stop(stopCtx); err != nil {
@@ -399,6 +392,9 @@ func TestRestartLoadsSpecWithRemovedRouteKnobs(t *testing.T) {
 	spec := doc["spec"].(map[string]any)
 	spec["disable_delta"] = true
 	spec["lazy_prepare"] = true
+	spec["niches"] = "explore-exploit"
+	spec["adaptive"] = map[string]any{"max_every": 40, "high_divergence": 0.2}
+	spec["per_island"].([]any)[1].(map[string]any)["crossover_points"] = 4
 	if raw, err = json.Marshal(doc); err != nil {
 		t.Fatal(err)
 	}
@@ -425,5 +421,11 @@ func TestRestartLoadsSpecWithRemovedRouteKnobs(t *testing.T) {
 	})
 	if done.State != StateDone {
 		t.Fatalf("recovered job with legacy spec fields: state %s (error %q)", done.State, done.Error)
+	}
+	if done.Generation != jobSpec.Generations || len(done.Spec.PerIsland) != 2 || done.Spec.PerIsland[1].Selection != "rank" {
+		t.Fatalf("recovered job ran %d generations with spec %+v", done.Generation, done.Spec)
+	}
+	if result := fetchResult(t, ts2.URL, status.ID); result.Islands != 2 {
+		t.Fatalf("recovered job ran %d islands, want 2", result.Islands)
 	}
 }

@@ -398,13 +398,20 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestRemovedRouteKnobRejected: the evaluation-route knobs are gone from
-// JobSpec, and the strict submit decoder answers a spec still carrying
-// one with a 400 that names the field.
+// TestRemovedRouteKnobRejected: the evaluation-route knobs and the search
+// add-ons (adaptive migration, the niche presets, k-point crossover) are
+// gone from JobSpec, and the strict submit decoder answers a spec still
+// naming one with a 400 that names the field.
 func TestRemovedRouteKnobRejected(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	for _, field := range []string{"disable_delta", "lazy_prepare"} {
-		body := `{"dataset":"flare","rows":60,"generations":2,"` + field + `":true}`
+	for field, extra := range map[string]string{
+		"disable_delta":    `"disable_delta":true`,
+		"lazy_prepare":     `"lazy_prepare":true`,
+		"niches":           `"islands":2,"niches":"explore-exploit"`,
+		"adaptive":         `"islands":2,"adaptive":{}`,
+		"crossover_points": `"per_island":[{},{"crossover_points":4}]`,
+	} {
+		body := `{"dataset":"flare","rows":60,"generations":2,` + extra + `}`
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -145,7 +145,7 @@ type JobResult struct {
 	// Front, FrontSize and Hypervolume carry the final non-dominated
 	// (IL, DR) front of Pareto-objective jobs: the best island's when it
 	// runs Pareto selection, otherwise the Pareto island with the largest
-	// final hypervolume (heterogeneous scalar-pareto niches). Absent on
+	// final hypervolume (islands split between scalar and Pareto). Absent on
 	// purely scalarized jobs.
 	Front       []evoprot.Pair `json:"front,omitempty"`
 	FrontSize   int            `json:"front_size,omitempty"`

@@ -13,29 +13,6 @@ import "math"
 // reads in information-theoretic units (bits) throughout the module.
 func Log2(x float64) float64 { return math.Log2(x) }
 
-// Entropy returns the Shannon entropy, in bits, of the distribution implied
-// by the non-negative counts. Zero counts contribute nothing. An empty or
-// all-zero slice has entropy 0.
-func Entropy(counts []int) float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	ft := float64(total)
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / ft
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // Freq returns the frequency of each value in column, where values are
 // category indices in [0, card). Values outside the range are ignored.
 func Freq(column []int, card int) []int {

@@ -8,52 +8,6 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-func TestEntropyUniform(t *testing.T) {
-	// Uniform distribution over 8 categories has entropy exactly 3 bits.
-	counts := []int{5, 5, 5, 5, 5, 5, 5, 5}
-	if got := Entropy(counts); !almostEqual(got, 3, 1e-12) {
-		t.Fatalf("Entropy(uniform/8) = %v, want 3", got)
-	}
-}
-
-func TestEntropyDegenerate(t *testing.T) {
-	if got := Entropy([]int{42}); got != 0 {
-		t.Fatalf("Entropy(single category) = %v, want 0", got)
-	}
-	if got := Entropy(nil); got != 0 {
-		t.Fatalf("Entropy(nil) = %v, want 0", got)
-	}
-	if got := Entropy([]int{0, 0, 0}); got != 0 {
-		t.Fatalf("Entropy(all zero) = %v, want 0", got)
-	}
-}
-
-func TestEntropyTwoPoint(t *testing.T) {
-	// H(0.25, 0.75) = 0.811278...
-	got := Entropy([]int{1, 3})
-	want := -(0.25*math.Log2(0.25) + 0.75*math.Log2(0.75))
-	if !almostEqual(got, want, 1e-12) {
-		t.Fatalf("Entropy = %v, want %v", got, want)
-	}
-}
-
-func TestEntropyNonNegativeAndBounded(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		counts := make([]int, len(raw))
-		for i, v := range raw {
-			counts[i] = int(v)
-		}
-		h := Entropy(counts)
-		return h >= 0 && h <= math.Log2(float64(len(counts)))+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFreq(t *testing.T) {
 	col := []int{0, 2, 2, 1, 2, 0}
 	got := Freq(col, 4)

@@ -46,9 +46,7 @@ type Remote struct {
 // RemoteOption configures NewRemote.
 type RemoteOption func(*Remote)
 
-// RemoteWithClient sets the HTTP client (default http.DefaultClient);
-// wrap its Transport (e.g. with FlakyTransport) to rehearse network
-// faults.
+// RemoteWithClient sets the HTTP client (default http.DefaultClient).
 func RemoteWithClient(c *http.Client) RemoteOption {
 	return func(r *Remote) { r.client = c }
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // newTestRemote serves be through a RemoteHandler on a test listener and
@@ -93,79 +92,6 @@ func TestRemoteHooksObserveWrites(t *testing.T) {
 	}
 	if len(truncates) != 1 {
 		t.Fatalf("OnTruncate saw %v", truncates)
-	}
-}
-
-// TestRemoteDuplicateDelivery: a replayed append (same write id twice on
-// the wire) lands in the feed once.
-func TestRemoteDuplicateDelivery(t *testing.T) {
-	be := NewMem()
-	srv := httptest.NewServer(NewRemoteHandler(be, RemoteHooks{}))
-	defer srv.Close()
-	rt := NewRemote(srv.URL, RemoteWithClient(&http.Client{
-		Transport: &FlakyTransport{Key: "events.ndjson"},
-	}))
-	// Sanity first: without Duplicate the transport is a pass-through.
-	if err := rt.Append("j", "events.ndjson", []byte("a\n")); err != nil {
-		t.Fatal(err)
-	}
-	rt = NewRemote(srv.URL, RemoteWithClient(&http.Client{
-		Transport: &FlakyTransport{Key: "events.ndjson", Duplicate: true},
-	}))
-	for _, line := range []string{"b\n", "c\n"} {
-		if err := rt.Append("j", "events.ndjson", []byte(line)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := be.Get("j", "events.ndjson")
-	if err != nil || string(got) != "a\nb\nc\n" {
-		t.Fatalf("feed after duplicated deliveries: %q, %v", got, err)
-	}
-}
-
-// TestRemoteDroppedResponses: after the threshold, matching writes are
-// applied server-side but the caller sees ErrInjected — the lost-answer
-// fault the service must treat as a failed write.
-func TestRemoteDroppedResponses(t *testing.T) {
-	be := NewMem()
-	srv := httptest.NewServer(NewRemoteHandler(be, RemoteHooks{}))
-	defer srv.Close()
-	rt := NewRemote(srv.URL, RemoteWithClient(&http.Client{
-		Transport: &FlakyTransport{Key: "job.ckpt", DropResponsesAfter: 2},
-	}))
-	if err := rt.Put("j", "job.ckpt", []byte("snap1")); err != nil {
-		t.Fatalf("write 1: %v", err)
-	}
-	if err := rt.Put("j", "job.ckpt", []byte("snap2")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("write 2: %v, want ErrInjected", err)
-	}
-	// Non-matching keys never fault.
-	if err := rt.Put("j", "status.json", []byte("s")); err != nil {
-		t.Fatalf("non-matching write: %v", err)
-	}
-	// The dropped write was applied before its answer vanished.
-	if got, _ := be.Get("j", "job.ckpt"); string(got) != "snap2" {
-		t.Fatalf("backend after dropped response: %q", got)
-	}
-}
-
-// TestRemoteDelayedWrites: latency alone changes nothing but timing.
-func TestRemoteDelayedWrites(t *testing.T) {
-	be := NewMem()
-	srv := httptest.NewServer(NewRemoteHandler(be, RemoteHooks{}))
-	defer srv.Close()
-	rt := NewRemote(srv.URL, RemoteWithClient(&http.Client{
-		Transport: &FlakyTransport{Delay: 5 * time.Millisecond},
-	}))
-	start := time.Now()
-	if err := rt.Put("j", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("delay not applied")
-	}
-	if got, _ := be.Get("j", "k"); string(got) != "v" {
-		t.Fatalf("delayed write lost: %q", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -240,42 +239,6 @@ func TestMemReaderClosed(t *testing.T) {
 	}
 	if _, err := r2.Read(make([]byte, 1)); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("read of deleted key: %v, want ErrNotExist", err)
-	}
-}
-
-func TestFlaky(t *testing.T) {
-	fl := &Flaky{Store: NewMem(), Key: "ckpt", FailWritesAfter: 2, TornReads: true}
-
-	// Non-matching keys never fault.
-	for i := 0; i < 5; i++ {
-		if err := fl.Append("j", "events", []byte("e\n")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The first matching write succeeds, the second and later fail.
-	if err := fl.Put("j", "job.ckpt", []byte("snap1")); err != nil {
-		t.Fatalf("write 1: %v", err)
-	}
-	if err := fl.Put("j", "job.ckpt", []byte("snap2")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("write 2: %v, want ErrInjected", err)
-	}
-	if err := fl.Append("j", "job.ckpt", []byte("x")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("write 3: %v, want ErrInjected", err)
-	}
-
-	// Matching reads come back torn; others are whole.
-	torn, err := fl.Get("j", "job.ckpt")
-	if err != nil || !bytes.Equal(torn, []byte("sn")) {
-		t.Fatalf("torn read = %q, %v", torn, err)
-	}
-	whole, err := fl.Get("j", "events")
-	if err != nil || string(whole) != "e\ne\ne\ne\ne\n" {
-		t.Fatalf("whole read = %q, %v", whole, err)
-	}
-	// Missing keys still answer ErrNotExist, not a torn nil.
-	if _, err := fl.Get("j", "missing.ckpt"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("missing key: %v", err)
 	}
 }
 

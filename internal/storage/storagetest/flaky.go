@@ -1,4 +1,8 @@
-package storage
+// Package storagetest holds fault injectors for tests of code built on
+// storage.Store and storage.Remote: a Store wrapper whose writes fail and
+// reads tear on demand, and an http.RoundTripper that drops, duplicates
+// and delays a Remote client's exchanges.
+package storagetest
 
 import (
 	"fmt"
@@ -7,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"evoprot/internal/storage"
 )
 
 // Flaky wraps a Store with deterministic fault injection: writes to
@@ -14,11 +20,10 @@ import (
 // matching keys can come back torn (truncated mid-value). It exists for
 // tests proving the service degrades the way its contract promises —
 // checkpoint write failures surface as ErrCheckpoint, corrupt documents
-// are skipped during recovery without taking down neighboring jobs — and
-// for any other consumer that wants to rehearse storage failure.
+// are skipped during recovery without taking down neighboring jobs.
 type Flaky struct {
 	// Store is the wrapped real store.
-	Store
+	storage.Store
 	// Key restricts the injected faults to keys containing this
 	// substring; empty matches every key.
 	Key string
@@ -35,7 +40,7 @@ type Flaky struct {
 
 // ErrInjected is the failure injected writes return, wrapped with the
 // job and key.
-var ErrInjected = fmt.Errorf("storage: injected write failure")
+var ErrInjected = fmt.Errorf("storagetest: injected write failure")
 
 func (f *Flaky) match(key string) bool {
 	return f.Key == "" || strings.Contains(key, f.Key)
@@ -83,9 +88,10 @@ func (f *Flaky) Get(job, key string) ([]byte, error) {
 // that injects the faults a Remote client actually meets on a wire —
 // responses that never arrive (the request may or may not have been
 // applied), deliveries duplicated by a retrying middlebox, and added
-// latency. Wrap a Remote's client Transport with it in tests proving the
-// remote store maps network failure onto the same service guarantees the
-// local fault suite pins down.
+// latency. Wrap a Remote's client Transport with it (through
+// storage.RemoteWithClient) in tests proving the remote store maps network
+// failure onto the same service guarantees the local fault suite pins
+// down.
 type FlakyTransport struct {
 	// Base performs the real exchanges; nil means
 	// http.DefaultTransport.

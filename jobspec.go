@@ -85,17 +85,8 @@ type JobSpec struct {
 	// PerIsland specializes islands: entry i overrides engine knobs for
 	// island i (zero-valued fields inherit the job's shared setup). When
 	// set without Islands, the job runs one island per entry; with
-	// Islands, the lengths must match. Mutually exclusive with Niches.
+	// Islands, the lengths must match.
 	PerIsland []IslandConfig `json:"per_island,omitempty"`
-	// Niches names a built-in heterogeneity preset spread across the
-	// islands: "explore-exploit", "selection-sweep", "aggregator-sweep" or
-	// "scalar-pareto". Requires Islands >= 2 (one island would make every
-	// preset a silent no-op). Mutually exclusive with PerIsland.
-	Niches string `json:"niches,omitempty"`
-	// Adaptive, when present, enables divergence-driven adaptive migration
-	// within its bounds (zero-valued bounds select defaults derived from
-	// the schedule).
-	Adaptive *AdaptiveMigration `json:"adaptive,omitempty"`
 	// Priority orders service-side scheduling (0-9, higher runs first; 0
 	// is the default). It is a service concern, not an engine option: a
 	// high-priority submission may preempt lower-priority running work,
@@ -151,10 +142,10 @@ func (s *JobSpec) islandCount() int {
 
 // islandsConfig is the run-field check and the only mapping of a run
 // onto islands.Config. It resolves every symbolic name, rejects negative
-// counts, and validates the result — per-island overrides, niche preset,
-// adaptive bounds, engine template — exactly the way islands.New would,
-// so both Validate and NewRunner reject whatever a run would. The
-// Runner adds the runtime hooks a spec cannot carry.
+// counts, and validates the result — per-island overrides and engine
+// template — exactly the way islands.New would, so both Validate and
+// NewRunner reject whatever a run would. The Runner adds the runtime
+// hooks a spec cannot carry.
 func (s *JobSpec) islandsConfig() (islands.Config, error) {
 	var zero islands.Config
 	if s.Generations < 0 || s.Islands < 0 || s.Workers < 0 || s.EarlyStop < 0 ||
@@ -195,28 +186,13 @@ func (s *JobSpec) islandsConfig() (islands.Config, error) {
 			ParetoRef:           refPair(s.ParetoRef),
 		},
 	}
-	switch {
-	case s.Niches != "" && len(s.PerIsland) > 0:
-		return zero, fmt.Errorf("evoprot: niches and per-island overrides are mutually exclusive")
-	case s.Niches != "":
-		if cfg.Islands < 2 {
-			// One implied island would make every preset a silent no-op;
-			// demand the count the niches should spread over.
-			return zero, fmt.Errorf("evoprot: niches %q needs an island count of at least 2 (set WithIslands / islands)", s.Niches)
-		}
-		if cfg.PerIsland, err = islands.NichesByName(s.Niches, cfg.Islands); err != nil {
-			return zero, err
-		}
-	case len(s.PerIsland) > 0:
+	if len(s.PerIsland) > 0 {
 		cfg.PerIsland = make([]core.Config, len(s.PerIsland))
 		for i, ov := range s.PerIsland {
 			if cfg.PerIsland[i], err = ov.toCore(); err != nil {
 				return zero, fmt.Errorf("evoprot: island %d override: %w", i, err)
 			}
 		}
-	}
-	if s.Adaptive != nil {
-		cfg.Adaptive = s.Adaptive.toIslands()
 	}
 	return cfg, cfg.Validate()
 }

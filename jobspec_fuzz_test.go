@@ -4,7 +4,10 @@ package evoprot
 // Arbitrary JSON must never panic spec validation, and the two halves of
 // the contract must agree: a spec Validate accepts always bridges to
 // options (errors never round-trip into an accepted config), and a spec
-// Validate rejects must never bridge.
+// Validate rejects must never bridge. The seeds that name fields earlier
+// builds accepted ("niches", "adaptive", "crossover_points") check that
+// this non-strict decoding ignores them; the service's strict decoder
+// rejects them instead.
 
 import (
 	"encoding/json"

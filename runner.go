@@ -27,10 +27,6 @@ type (
 	// statistics tagged with the island that produced it, or an island's
 	// final Done summary with its stop reason.
 	Event = islands.Event
-	// EpochInfo describes one migration barrier of an adaptive run: the
-	// divergence observed and the effective schedule going forward. Found
-	// on Island -1 events when WithAdaptiveMigration is configured.
-	EpochInfo = islands.EpochInfo
 	// Topology selects which islands exchange individuals when migrating.
 	Topology = islands.Topology
 	// RunResult is the outcome of a Runner.Run: the best individual across
@@ -59,14 +55,13 @@ const (
 // runnerOptions collects what the functional options configure: the
 // run's JobSpec, which every option with a spec field writes, plus only
 // what a spec cannot carry — seed protections, a custom Aggregator
-// value, the event hook and channel, the checkpoint sink and cadence and
-// the feed's first sequence number.
+// value, the event hook, the checkpoint sink and cadence and the feed's
+// first sequence number.
 type runnerOptions struct {
 	spec            JobSpec
 	seeds           []*Dataset
 	aggregator      Aggregator
 	onEvent         func(Event)
-	events          chan<- Event
 	checkpointSink  func(snapshot []byte) error
 	checkpointEvery int
 	firstSeq        uint64
@@ -74,8 +69,9 @@ type runnerOptions struct {
 
 // IslandConfig overrides engine knobs for one island of a heterogeneous
 // run. Zero-valued fields inherit the shared run configuration; set
-// fields replace it for that island only. It doubles as the JSON shape of
-// JobSpec.PerIsland, so the same overrides travel through the evoprotd
+// fields replace it for that island only. Crossover is not a knob: every
+// island uses the paper's 2-point crossover. It doubles as the JSON shape
+// of JobSpec.PerIsland, so the same overrides travel through the evoprotd
 // wire format.
 type IslandConfig struct {
 	// Selection names the island's reproduction-selection policy:
@@ -96,9 +92,6 @@ type IslandConfig struct {
 	// LeaderFraction sets the island's leader-group size as a population
 	// fraction.
 	LeaderFraction float64 `json:"leader_fraction,omitempty"`
-	// CrossoverPoints sets the island's crossover cut count (2 = the
-	// paper's scheme).
-	CrossoverPoints int `json:"crossover_points,omitempty"`
 	// Aggregator names the island's own fitness aggregation ("mean",
 	// "max", "euclidean", "weighted:<w>"), overriding the run's — niched
 	// search over the risk/information-loss trade-off.
@@ -149,45 +142,12 @@ func (c IslandConfig) toCore() (core.Config, error) {
 		Crowding:            crowd,
 		MutationRate:        c.MutationRate,
 		LeaderFraction:      c.LeaderFraction,
-		CrossoverPoints:     c.CrossoverPoints,
 		Aggregator:          c.Aggregator,
 		Objective:           obj,
 		ParetoRef:           refPair(c.ParetoRef),
 		Generations:         c.Generations,
 		NoImprovementWindow: c.EarlyStop,
 	}, nil
-}
-
-// AdaptiveMigration bounds the divergence-driven migration controller
-// enabled by WithAdaptiveMigration. Zero-valued fields select defaults
-// derived from the configured schedule (see islands.Adaptive). It doubles
-// as the JSON shape of JobSpec.Adaptive.
-type AdaptiveMigration struct {
-	// MinEvery and MaxEvery bound the effective migration interval;
-	// defaults max(1, every/4) and every*4.
-	MinEvery int `json:"min_every,omitempty"`
-	MaxEvery int `json:"max_every,omitempty"`
-	// MinMigrants and MaxMigrants bound the per-island exchange size;
-	// defaults 1 and migrants*4.
-	MinMigrants int `json:"min_migrants,omitempty"`
-	MaxMigrants int `json:"max_migrants,omitempty"`
-	// LowDivergence and HighDivergence are the controller's thresholds;
-	// defaults 0.02 and 0.10.
-	LowDivergence  float64 `json:"low_divergence,omitempty"`
-	HighDivergence float64 `json:"high_divergence,omitempty"`
-}
-
-// toIslands maps the bounds onto the enabled islands controller config.
-func (a AdaptiveMigration) toIslands() islands.Adaptive {
-	return islands.Adaptive{
-		Enabled:        true,
-		MinEvery:       a.MinEvery,
-		MaxEvery:       a.MaxEvery,
-		MinMigrants:    a.MinMigrants,
-		MaxMigrants:    a.MaxMigrants,
-		LowDivergence:  a.LowDivergence,
-		HighDivergence: a.HighDivergence,
-	}
 }
 
 // Option configures a Runner. Options with a JobSpec counterpart set that
@@ -283,49 +243,16 @@ func WithTopology(t Topology) Option { return func(o *runnerOptions) { o.spec.To
 // WithPerIsland specializes islands: override i applies to island i on
 // top of the run's shared configuration (zero-valued fields inherit), so
 // different islands can run different selection pressures, mutation
-// rates, crossover disruption or fitness aggregations. The override count
-// must equal the island count; without WithIslands it implies one island
-// per override. All-zero overrides reproduce the homogeneous run bit for
-// bit. Mutually exclusive with WithNiches.
+// rates, objectives or fitness aggregations. The override count must
+// equal the island count; without WithIslands it implies one island per
+// override. All-zero overrides reproduce the homogeneous run bit for bit.
 func WithPerIsland(overrides ...IslandConfig) Option {
 	return func(o *runnerOptions) { o.spec.PerIsland = overrides }
 }
 
-// WithNiches spreads a named heterogeneity preset across the islands:
-// "explore-exploit" (mutation rates, leader fractions, selection
-// pressures and crossover disruption from exploitative to explorative),
-// "selection-sweep", "aggregator-sweep" (islands optimize different
-// points of the risk/information-loss trade-off), or "scalar-pareto"
-// (alternating islands run NSGA-II Pareto selection — see WithObjective —
-// while the rest keep the scalarized search). Island 0 always keeps
-// the shared configuration, and WithIslands must ask for at least 2 —
-// a single island would make every preset a silent no-op. See
-// NicheNames. Mutually exclusive with WithPerIsland.
-func WithNiches(name string) Option { return func(o *runnerOptions) { o.spec.Niches = name } }
-
-// WithAdaptiveMigration ties the migration schedule to cross-island
-// population divergence: at every barrier the coordinator measures how
-// far the islands' populations have drifted apart and widens the
-// migration interval when they have converged (less coordination) or
-// narrows it and exchanges more migrants when they strongly diverge
-// (more mixing), within am's bounds. WithMigration supplies the starting
-// schedule. Adaptive runs stay bit-reproducible from the top-level seed;
-// Island -1 events carry an EpochInfo per barrier.
-func WithAdaptiveMigration(am AdaptiveMigration) Option {
-	return func(o *runnerOptions) { o.spec.Adaptive = &am }
-}
-
-// NicheNames returns the built-in niche preset names for WithNiches.
-func NicheNames() []string { return islands.NicheNames() }
-
 // WithProgress streams every generation's statistics (and one Done event
 // per island) to fn. Calls are serialized, never concurrent.
 func WithProgress(fn func(Event)) Option { return func(o *runnerOptions) { o.onEvent = fn } }
-
-// WithEvents streams the same feed to a channel. Run blocks on each send,
-// so the caller must drain; the channel is closed when the run finishes. A
-// channel serves a single Run call.
-func WithEvents(ch chan<- Event) Option { return func(o *runnerOptions) { o.events = ch } }
 
 // WithCheckpoint writes engine snapshots to path at every migration
 // barrier once at least `every` generations have passed since the last
@@ -439,7 +366,6 @@ func (r *Runner) islandsConfig() (islands.Config, error) {
 		return islands.Config{}, err
 	}
 	cfg.OnEvent = r.opts.onEvent
-	cfg.Events = r.opts.events
 	cfg.FirstSeq = r.opts.firstSeq
 	if r.opts.checkpointSink != nil {
 		every := r.opts.checkpointEvery
@@ -497,10 +423,6 @@ func (r *Runner) Run(ctx context.Context) (*RunResult, error) {
 		r.ir = ir
 	}
 	res, err := r.ir.Run(ctx)
-	// The events channel is closed by the run; drop it so a later Resume
-	// (which rebuilds the islands runner from this Runner's options) can
-	// never send on it again.
-	r.opts.events = nil
 	if res != nil && r.opts.checkpointSink != nil {
 		// Persist the final state — best-so-far on interruption included —
 		// without letting a write failure vanish behind a cancellation.
@@ -595,24 +517,6 @@ func (r *Runner) Islands() int {
 		return r.opts.spec.islandCount()
 	}
 	return r.ir.Islands()
-}
-
-// EffectiveMigration returns the migration schedule currently in force:
-// the configured one, defaults applied, before the first Run and on
-// fixed-schedule runs, the adaptive controller's latest decision
-// otherwise. Only valid while no Run is in flight.
-func (r *Runner) EffectiveMigration() (every, migrants int) {
-	if r.ir == nil {
-		every, migrants = r.opts.spec.MigrateEvery, r.opts.spec.Migrants
-		if every == 0 {
-			every = islands.DefaultMigrateEvery
-		}
-		if migrants == 0 {
-			migrants = islands.DefaultMigrants
-		}
-		return every, migrants
-	}
-	return r.ir.EffectiveMigration()
 }
 
 // TopologyByName resolves a migration-topology name: "ring" or

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"evoprot/internal/experiment"
-	"evoprot/internal/islands"
 )
 
 // TestRunMatchesLegacyEngineTrajectory is the redesign's acceptance
@@ -142,29 +141,24 @@ func TestRunnerCancellationPartialResult(t *testing.T) {
 	}
 }
 
+// TestRunnerEventChannel: the progress feed carries one event per island
+// generation plus one Done event per island.
 func TestRunnerEventChannel(t *testing.T) {
 	orig, _ := GenerateDataset("flare", 80, 13)
 	attrs, _ := ProtectedAttributes("flare")
-	ch := make(chan Event, 128)
-	var wg sync.WaitGroup
-	wg.Add(1)
 	gens, dones := 0, 0
-	go func() {
-		defer wg.Done()
-		for ev := range ch {
+	_, err := Run(context.Background(), orig, attrs,
+		WithGrid("flare"), WithGenerations(12), WithSeed(13), WithIslands(2),
+		WithProgress(func(ev Event) {
 			if ev.Done {
 				dones++
-				continue
+				return
 			}
 			gens++
-		}
-	}()
-	_, err := Run(context.Background(), orig, attrs,
-		WithGrid("flare"), WithGenerations(12), WithSeed(13), WithIslands(2), WithEvents(ch))
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 	if gens != 24 || dones != 2 {
 		t.Fatalf("streamed %d generation events and %d done events, want 24 and 2", gens, dones)
 	}
@@ -270,7 +264,6 @@ func TestValidationParity(t *testing.T) {
 		{"unknown topology", []Option{WithTopology(Topology(7))}, func(s *JobSpec) { s.Topology = "star" }},
 		{"unknown grid", []Option{WithGrid("nosuch")}, func(s *JobSpec) { s.Grid = "nosuch" }},
 		{"unknown objective", []Option{WithObjective("lexicographic")}, func(s *JobSpec) { s.Objective = "lexicographic" }},
-		{"unknown niches", []Option{WithIslands(2), WithNiches("nope")}, func(s *JobSpec) { s.Islands, s.Niches = 2, "nope" }},
 		{"bad per-island selection", []Option{WithPerIsland(IslandConfig{Selection: "bogus"})},
 			func(s *JobSpec) { s.PerIsland = []IslandConfig{{Selection: "bogus"}} }},
 		{"negative pareto_ref", []Option{WithObjective("pareto"), WithParetoRef(-5, 100)},
@@ -297,30 +290,6 @@ func TestValidationParity(t *testing.T) {
 		}
 		if _, err := spec.Options(); err == nil {
 			t.Errorf("%s: accepted by JobSpec.Options", c.name)
-		}
-	}
-}
-
-// TestEffectiveMigrationBeforeRun: before the first Run the schedule in
-// force is the configured one with the islands defaults filled in.
-func TestEffectiveMigrationBeforeRun(t *testing.T) {
-	orig, _ := GenerateDataset("flare", 40, 17)
-	attrs, _ := ProtectedAttributes("flare")
-	for _, c := range []struct {
-		opts                   []Option
-		wantEvery, wantMigrant int
-	}{
-		{nil, islands.DefaultMigrateEvery, islands.DefaultMigrants},
-		{[]Option{WithMigration(10, 0)}, 10, islands.DefaultMigrants},
-		{[]Option{WithMigration(0, 3)}, islands.DefaultMigrateEvery, 3},
-		{[]Option{WithMigration(7, 4), WithAdaptiveMigration(AdaptiveMigration{})}, 7, 4},
-	} {
-		r, err := NewRunner(orig, attrs, append([]Option{WithGrid("flare"), WithIslands(2)}, c.opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if every, migrants := r.EffectiveMigration(); every != c.wantEvery || migrants != c.wantMigrant {
-			t.Errorf("EffectiveMigration() = (%d, %d), want (%d, %d)", every, migrants, c.wantEvery, c.wantMigrant)
 		}
 	}
 }
@@ -373,39 +342,6 @@ func TestNewRunnerRejectsTooManyPRLAttributes(t *testing.T) {
 	}
 	if _, err := NewRunner(orig, names[:16], WithGrid("flare")); err != nil {
 		t.Fatalf("16 protected attributes refused: %v", err)
-	}
-}
-
-// TestRunnerResumeAfterEventsRun: a Resume following a completed Run with
-// WithEvents must not re-install the already-closed channel (regression:
-// panic "send on closed channel").
-func TestRunnerResumeAfterEventsRun(t *testing.T) {
-	orig, _ := GenerateDataset("flare", 60, 29)
-	attrs, _ := ProtectedAttributes("flare")
-	ch := make(chan Event, 64)
-	go func() {
-		for range ch {
-		}
-	}()
-	r, err := NewRunner(orig, attrs, WithGrid("flare"), WithGenerations(5), WithSeed(29), WithEvents(ch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := r.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Resume(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if r.Generation() != 10 {
-		t.Fatalf("generation after resume+run = %d, want 10", r.Generation())
 	}
 }
 
@@ -469,8 +405,8 @@ func TestDefaultsAreSingleSourced(t *testing.T) {
 	}
 }
 
-// TestRunnerSlowEventConsumerCheckpoint: a slow Events consumer slows a
-// run down (sends are blocking by contract) but must never deadlock
+// TestRunnerSlowEventConsumerCheckpoint: a slow progress callback slows
+// a run down (the feed is serialized by contract) but must never deadlock
 // checkpoint writes — barriers and emissions are ordered, never
 // entangled. The checkpoint written under backpressure must also be a
 // valid resume point.
@@ -478,17 +414,7 @@ func TestRunnerSlowEventConsumerCheckpoint(t *testing.T) {
 	orig, _ := GenerateDataset("flare", 80, 33)
 	attrs, _ := ProtectedAttributes("flare")
 	ckpt := filepath.Join(t.TempDir(), "slow.ckpt")
-	ch := make(chan Event) // unbuffered: every send waits on the consumer
-	received := make(chan int)
-	go func() {
-		n := 0
-		for ev := range ch {
-			time.Sleep(500 * time.Microsecond) // a deliberately slow consumer
-			_ = ev
-			n++
-		}
-		received <- n
-	}()
+	received := 0
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	res, err := Run(ctx, orig, attrs,
@@ -497,7 +423,10 @@ func TestRunnerSlowEventConsumerCheckpoint(t *testing.T) {
 		WithSeed(33),
 		WithIslands(2),
 		WithMigration(5, 2),
-		WithEvents(ch),
+		WithProgress(func(Event) {
+			time.Sleep(500 * time.Microsecond) // a deliberately slow consumer
+			received++
+		}),
 		WithCheckpoint(ckpt, 1),
 	)
 	if err != nil {
@@ -506,8 +435,8 @@ func TestRunnerSlowEventConsumerCheckpoint(t *testing.T) {
 	if res.StopReason != StopCompleted {
 		t.Fatalf("stop reason %s", res.StopReason)
 	}
-	if n := <-received; n != 2*20+2 {
-		t.Fatalf("consumer saw %d events, want %d", n, 2*20+2)
+	if received != 2*20+2 {
+		t.Fatalf("consumer saw %d events, want %d", received, 2*20+2)
 	}
 	f, err := os.Open(ckpt)
 	if err != nil {
