@@ -11,8 +11,10 @@ package evoprot
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -460,68 +462,78 @@ func paperScaleDeltaFixture(b *testing.B, sc score.Config) (*score.Evaluator, sc
 	return eval, parentEval, state, parent, changes
 }
 
-// offspringFixture shapes paperScaleDeltaFixture into one batch group
-// holding the single mutation offspring — a mutation generation's shape.
-func offspringFixture(b *testing.B, sc score.Config) (*score.Evaluator, []score.BatchGroup) {
-	b.Helper()
-	eval, parentEval, state, parent, changes := paperScaleDeltaFixture(b, sc)
-	return eval, []score.BatchGroup{{
-		Parent:    parentEval,
-		File:      parent,
-		State:     state,
-		Offspring: []score.BatchOffspring{{Changes: changes}},
-	}}
+// offspring is a paper-scale parent's file, evaluation and delta state
+// with the change lists of the offspring scored against them.
+type offspring struct {
+	eval    *score.Evaluator
+	parent  score.Evaluation
+	file    *dataset.Dataset
+	state   *score.DeltaState
+	changes [][]dataset.CellChange
 }
 
-func benchEvaluateBatch(b *testing.B, eval *score.Evaluator, groups []score.BatchGroup, workers int) {
+// offspringFixture shapes paperScaleDeltaFixture into a parent with n
+// copies of its single mutation offspring: n = 1 is a mutation
+// generation's shape, n = 2 a crossover generation's workload.
+func offspringFixture(b *testing.B, sc score.Config, n int) offspring {
+	b.Helper()
+	eval, parentEval, state, parent, changes := paperScaleDeltaFixture(b, sc)
+	o := offspring{eval: eval, parent: parentEval, file: parent, state: state}
+	for range n {
+		o.changes = append(o.changes, changes)
+	}
+	return o
+}
+
+// score scores o's offspring in turn through EvaluateEdit, restoring the
+// state after each, so the next call scores the same offspring from the
+// same state.
+func (o offspring) score() error {
+	for _, changes := range o.changes {
+		if _, _, err := o.eval.EvaluateEdit(o.parent, o.file, o.state, changes); err != nil {
+			return err
+		}
+		o.eval.Restore(o.state)
+	}
+	return nil
+}
+
+func benchOffspring(b *testing.B, o offspring) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eval.EvaluateBatch(groups, workers); err != nil {
+		if err := o.score(); err != nil {
 			b.Fatal(err)
 		}
-		restoreGroups(eval, groups)
-	}
-}
-
-// restoreGroups settles every group's state back at its parent's file,
-// so the next iteration scores the same offspring from the same state.
-func restoreGroups(eval *score.Evaluator, groups []score.BatchGroup) {
-	for _, g := range groups {
-		eval.Restore(g.State)
 	}
 }
 
 func BenchmarkEvaluateFullPaperScale(b *testing.B) {
-	eval, groups := offspringFixture(b, scoretest.Strip(score.Config{}))
-	benchEvaluateBatch(b, eval, groups, 1)
+	benchOffspring(b, offspringFixture(b, scoretest.Strip(score.Config{}), 1))
 }
 
 func BenchmarkEvaluateDeltaPaperScale(b *testing.B) {
-	eval, groups := offspringFixture(b, score.Config{})
-	benchEvaluateBatch(b, eval, groups, 1)
+	benchOffspring(b, offspringFixture(b, score.Config{}, 1))
 }
 
 // BenchmarkEvaluateDeltaSpeedup reports the measured full/delta ratio for
 // a paper-scale mutation offspring directly as a custom metric: the same
 // route over the stripped and the default battery.
 func BenchmarkEvaluateDeltaSpeedup(b *testing.B) {
-	fullEval, fullGroups := offspringFixture(b, scoretest.Strip(score.Config{}))
-	eval, groups := offspringFixture(b, score.Config{})
+	fullOff := offspringFixture(b, scoretest.Strip(score.Config{}), 1)
+	deltaOff := offspringFixture(b, score.Config{}, 1)
 	var full, delta time.Duration
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		if err := fullEval.EvaluateBatch(fullGroups, 1); err != nil {
+		if err := fullOff.score(); err != nil {
 			b.Fatal(err)
 		}
-		restoreGroups(fullEval, fullGroups)
 		full += time.Since(start)
 		start = time.Now()
-		if err := eval.EvaluateBatch(groups, 1); err != nil {
+		if err := deltaOff.score(); err != nil {
 			b.Fatal(err)
 		}
-		restoreGroups(eval, groups)
 		delta += time.Since(start)
 	}
 	if delta > 0 {
@@ -529,51 +541,51 @@ func BenchmarkEvaluateDeltaSpeedup(b *testing.B) {
 	}
 }
 
-// --- Generation-batch evaluation: crossover-shaped generations ---
+// --- Crossover-shaped offspring evaluation ---
 //
-// A crossover generation scores two offspring; each parent group is
-// evaluated against the shared parent state with apply/undo, so the steady
-// state allocates nothing proportional to the file.
+// A crossover generation scores two offspring, each against its parent's
+// state with apply/undo, so the steady state allocates nothing
+// proportional to the file.
 
-// paperScaleBatchFixture shapes paperScaleDeltaFixture's parent into
-// nGroups batch groups of two narrow offspring each (a crossover-shaped
-// generation repeated); each group gets its own state clone, as groups
-// are the unit of parallelism.
-func paperScaleBatchFixture(b *testing.B, nGroups int) (*score.Evaluator, []score.BatchGroup) {
-	b.Helper()
-	eval, parentEval, state, parent, changes := paperScaleDeltaFixture(b, score.Config{})
-	groups := make([]score.BatchGroup, nGroups)
-	for g := range groups {
-		st := state
-		if g > 0 {
-			st = state.Clone()
-		}
-		groups[g] = score.BatchGroup{
-			Parent: parentEval,
-			File:   parent,
-			State:  st,
-			Offspring: []score.BatchOffspring{
-				{Changes: changes},
-				{Changes: changes},
-			},
+// BenchmarkEvaluateBatchPaperScale scores a crossover generation's two
+// narrow offspring in turn against one paper-scale parent state.
+func BenchmarkEvaluateBatchPaperScale(b *testing.B) {
+	benchOffspring(b, offspringFixture(b, score.Config{}, 2))
+}
+
+// BenchmarkEvaluateBatchParallel runs BenchmarkEvaluateBatchPaperScale's
+// workload on GOMAXPROCS parents at once, each on its own goroutine with
+// its own state clone, as the engine scores a crossover's two children.
+func BenchmarkEvaluateBatchParallel(b *testing.B) {
+	o := offspringFixture(b, score.Config{}, 2)
+	parents := make([]offspring, runtime.GOMAXPROCS(0))
+	for i := range parents {
+		parents[i] = o
+		if i > 0 {
+			parents[i].state = o.state.Clone()
 		}
 	}
-	return eval, groups
-}
-
-func BenchmarkEvaluateBatchPaperScale(b *testing.B) {
-	eval, groups := paperScaleBatchFixture(b, 1)
-	benchEvaluateBatch(b, eval, groups, 1)
-}
-
-func BenchmarkEvaluateBatchParallel(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	eval, groups := paperScaleBatchFixture(b, workers)
-	benchEvaluateBatch(b, eval, groups, workers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(parents))
+		for k := range parents {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[k] = parents[k].score()
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkEvaluateBatchGenerations reports end-to-end engine throughput
-// (gens/s) with the batch path on — the number the generation-timing
+// (gens/s) on crossover generations — the number the generation-timing
 // benches express per-step, as a rate.
 func BenchmarkEvaluateBatchGenerations(b *testing.B) {
 	eng := newBenchEngine(b, "crossover")

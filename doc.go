@@ -207,7 +207,7 @@
 //   - internal/infoloss — CTBIL, DBIL, EBIL, ML-utility information-loss measures
 //   - internal/risk — ID, DBRL, PRL, RSRL disclosure-risk measures
 //   - internal/score — fitness evaluation and the mean/max aggregators
-//   - internal/pareto — dominance, fronts, hypervolume, coverage
+//   - internal/pareto — dominance, fronts and hypervolume
 //   - internal/core — the genetic algorithm itself (ctx-first Engine.Run)
 //   - internal/islands — the island-model coordinator
 //   - internal/experiment — the paper's experiments 1–3 as a harness
@@ -233,40 +233,42 @@
 // measure's value is read from the fresh state, so set-up scores every
 // individual once rather than twice.
 //
-// Each generation the engine stages its offspring, groups them by parent,
-// and score.Evaluator.EvaluateBatch scores each group against the
-// parent's own file and state: apply the change list, read the value, and
-// undo it before the next offspring by inverse replay, before-images
-// (DBRL's rows) or bitset-diff journaling (stats.BitsetJournal). An
-// offspring is its parent's file plus that change list: the genetic
-// operators only read the parents' files, and a child's file is built
-// (Dataset.CloneWith) only when it survives replacement, or earlier when
-// scoring must read it (a wide edit, or a measure without a state). So
-// evaluating a losing narrow offspring touches memory proportional to the
-// edit instead of the file. The last offspring's edit stays pending until
-// replacement has decided: a surviving child keeps it (Evaluator.Keep, an
-// empty Apply per measure, O(1)) instead of having the same edit applied
-// again, and a losing one has it rolled back (Evaluator.Restore). The
-// DBRL and PRL states route each change list themselves: from the tuple counts of their last full link they estimate
-// what patching would cost, and past that break-even they re-link in full
-// with the grouped kernel of their Risk, inside the state, so the rest of
-// the battery stays incremental. Every built-in measure has a state, the
-// ML-utility measure included. Full Evaluate survives in three roles
-// only: for a crossover whose gene window touches more than half the
-// rows, for a custom measure without a state (recomputed per offspring
-// while the rest of the battery stays incremental), and as the test
-// oracle — the equivalence suites in internal/core and internal/islands
-// run every trajectory against a capability-stripped battery
-// (internal/score/scoretest) that scores each offspring in full.
-// Independent parent groups shard across a worker pool sized by
-// core.Config.EvalWorkers (0 inherits InitWorkers; WithEvalWorkers and
-// JobSpec.EvalWorkers thread it through the stack), and only the children
-// that survive replacement are handed a state — the evicted parent's
-// kept in place, or a clone of it when the parent lives on. Either
-// already holds the child's edit: a parent's state never holds a
-// sibling's, since two offspring share a parent only when it is crossed
-// with itself, which leaves both change lists empty. Every pending edit
-// is settled before the generation ends.
+// Each generation scores one mutant, or two crossover children, and
+// score.Evaluator.EvaluateEdit scores each against its own parent's file
+// and state: apply the change list and read the value, leaving the edit
+// pending in the state. An offspring is its parent's file plus that
+// change list: the genetic operators only read the parents' files, and a
+// child's file is built (Dataset.CloneWith) only when it survives
+// replacement, or earlier when scoring must read it (a wide edit, or a
+// measure without a state). So evaluating a losing narrow offspring
+// touches memory proportional to the edit instead of the file. The
+// pending edit waits until replacement has decided: a surviving child
+// keeps it (Evaluator.Keep, an empty Apply per measure, O(1)) instead of
+// having the same edit applied again, and a losing one has it rolled
+// back (Evaluator.Restore) by inverse replay, before-images (DBRL's rows)
+// or bitset-diff journaling (stats.BitsetJournal). The DBRL and PRL
+// states route each change list themselves: from the tuple counts of
+// their last full link they estimate what patching would cost, and past
+// that break-even they re-link in full with the grouped kernel of their
+// Risk, inside the state, so the rest of the battery stays incremental.
+// Every built-in measure has a state, the ML-utility measure included.
+// Full Evaluate survives in three roles only: for a crossover whose gene
+// window touches more than half the rows, for a custom measure without a
+// state (recomputed per offspring while the rest of the battery stays
+// incremental), and as the test oracle — the equivalence suites in
+// internal/core and internal/islands run every trajectory against a
+// capability-stripped battery (internal/score/scoretest) that scores each
+// offspring in full. When a crossover's two parents differ, its second
+// child is scored on its own goroutine if core.Config.EvalWorkers is at
+// least 2 (0 inherits InitWorkers;
+// WithEvalWorkers and JobSpec.EvalWorkers thread it through the stack).
+// Only the children that survive replacement are handed a state — the
+// evicted parent's kept in place, or a clone of it when the parent lives
+// on. Either already holds the child's edit. A parent's state never holds
+// a sibling's: two offspring share a parent only when it is crossed with
+// itself, which leaves both change lists empty, and EvaluateEdit refuses
+// a narrow edit on a state still holding one. Every pending edit is
+// settled before the generation ends.
 //
 // The route is allocation-conscious: measure states keep reusable scratch
 // buffers (candidate bitsets, EM and weight arrays), EBIL reads its

@@ -47,7 +47,7 @@ type (
 	// Evaluation is a full fitness breakdown (IL, DR, Score, per-measure).
 	Evaluation = score.Evaluation
 	// DeltaState carries the incremental-evaluation state of one masked
-	// dataset; see Evaluator.Prepare and Evaluator.EvaluateBatch.
+	// dataset; see Evaluator.Prepare and Evaluator.EvaluateEdit.
 	DeltaState = score.DeltaState
 	// CellChange records one cell edit, the unit of delta evaluation.
 	CellChange = dataset.CellChange

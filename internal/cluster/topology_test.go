@@ -75,24 +75,16 @@ func finishJob(t *testing.T, base string, spec evoprot.JobSpec) ([]evoprot.Event
 	return fetchEvents(t, base, status.ID), fetchResult(t, base, status.ID)
 }
 
-// stripTimes zeroes an event's wall-clock fields — the only part of a
-// deterministic run that legitimately differs between executions.
-func stripTimes(ev evoprot.Event) evoprot.Event {
-	ev.Stats.EvalTime, ev.Stats.TotalTime = 0, 0
-	return ev
-}
-
-// sameFeed fails unless the two feeds are identical event for event
-// (times stripped) — sequence numbers included, so it is only for
-// single-island runs, whose global emission order is deterministic.
+// sameFeed fails unless the two feeds are identical event for event —
+// sequence numbers included, so it is only for single-island runs, whose
+// global emission order is deterministic.
 func sameFeed(t *testing.T, label string, a, b []evoprot.Event) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: feed lengths %d vs %d", label, len(a), len(b))
 	}
 	for i := range a {
-		x, y := stripTimes(a[i]), stripTimes(b[i])
-		if x != y {
+		if x, y := a[i], b[i]; x != y {
 			t.Fatalf("%s: event %d diverged:\n%+v\n%+v", label, i, x, y)
 		}
 	}
@@ -110,7 +102,6 @@ func sameFeedPerIsland(t *testing.T, label string, a, b []evoprot.Event) {
 	group := func(events []evoprot.Event) map[int][]evoprot.Event {
 		out := map[int][]evoprot.Event{}
 		for _, ev := range events {
-			ev = stripTimes(ev)
 			ev.Seq = 0
 			out[ev.Island] = append(out[ev.Island], ev)
 		}

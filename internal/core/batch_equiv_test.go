@@ -122,13 +122,11 @@ func requireStateDescribes(t *testing.T, e *Engine, ind *Individual, ctx string,
 	child := ind.Data.Clone()
 	rng := rand.New(rand.NewPCG(9, seed))
 	changes := []dataset.CellChange{datasettest.RandomChange(rng, child, e.attrs)}
-	groups := []score.BatchGroup{{Parent: ind.Eval, File: ind.Data, State: ind.state,
-		Offspring: []score.BatchOffspring{{Changes: changes}}}}
-	if err := e.eval.EvaluateBatch(groups, 1); err != nil {
+	got, _, err := e.eval.EvaluateEdit(ind.Eval, ind.Data, ind.state, changes)
+	if err != nil {
 		t.Fatalf("%s: carried state rejected a delta evaluation: %v", ctx, err)
 	}
 	e.eval.Restore(ind.state)
-	got := groups[0].Offspring[0].Eval
 	fresh, err := e.eval.Evaluate(child)
 	if err != nil {
 		t.Fatal(err)
@@ -140,13 +138,15 @@ func requireStateDescribes(t *testing.T, e *Engine, ind *Individual, ctx string,
 }
 
 // TestCommitAroundPendingEdit drives commitSurvivor directly on the
-// two group shapes the engine produces: one narrow offspring, whose edit
-// the parent's state holds pending, and a self-crossover pair, whose
-// empty change lists leave it settled. With every offspring surviving
-// and the parent evicted or alive, the parent and each survivor must
-// hold a state that describes it, or none: the evicted parent's state
-// goes to the first survivor, and a living parent's is cloned. A state
-// holding a sibling's pending edit is a programming error and panics.
+// two offspring shapes the engine stages from one parent: one narrow
+// offspring, whose edit the parent's state holds pending, and a
+// self-crossover pair, whose empty change lists leave it settled. With
+// every offspring surviving and the parent evicted or alive, the parent
+// and each survivor must hold a state that describes it, or none: the
+// evicted parent's state goes to the first survivor, which a state still
+// holding any other edit would fail, and a living parent's is cloned. Scoring a second narrow offspring against a state
+// that still holds a sibling's pending edit is a programming error and
+// panics.
 func TestCommitAroundPendingEdit(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -175,14 +175,7 @@ func TestCommitAroundPendingEdit(t *testing.T) {
 		for k, c := range children {
 			e.bParents[k], e.bChildren[k] = parent, c
 		}
-		e.batchEvaluateGeneration(e.bParents[:n], e.bChildren[:n], e.bChanges[:n])
-		p := e.pendingOf(parent)
-		if tc.self && p != nil {
-			t.Fatalf("%s: the parent's state holds a pending edit", tc.name)
-		}
-		if !tc.self && (p == nil || p.child != children[0]) {
-			t.Fatalf("%s: the parent's state does not hold the offspring's edit", tc.name)
-		}
+		e.evaluateStaged(n)
 		for k, c := range children {
 			e.commitSurvivor(c, parent, e.bChanges[k], tc.evicted)
 		}
@@ -202,13 +195,12 @@ func TestCommitAroundPendingEdit(t *testing.T) {
 	c2, ch2 := e.mutate(parent)
 	e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, c1, ch1
 	e.bParents[1], e.bChildren[1], e.bChanges[1] = parent, c2, ch2
-	e.batchEvaluateGeneration(e.bParents[:2], e.bChildren[:2], e.bChanges[:2])
 	defer func() {
 		if recover() == nil {
-			t.Fatal("committing an offspring whose parent state holds a sibling's edit did not panic")
+			t.Fatal("scoring two narrow offspring against one parent state did not panic")
 		}
 	}()
-	e.commitSurvivor(c1, parent, ch1, false)
+	e.evaluateStaged(2)
 }
 
 // TestBatchHeterogeneousEnginesEquivalence is the niched-islands

@@ -1,46 +1,45 @@
 package core
 
-// Generation-batch offspring evaluation, the engine's one offspring
-// route. A generation's offspring are staged first as change lists
-// against their parents' files, grouped by parent, and each group is
-// scored against the parent's own file and state through
-// score.EvaluateBatch: each measure's delta state (the measure.Reversible
-// contract) advances by the change list and is read, touching memory
-// proportional to the edit instead of the file. No offspring file exists
-// at that point. Every built-in measure, ML utility included, has a
-// state; a custom measure without one is recomputed in full per
-// offspring inside the same call, and so is every wide-edit offspring.
-// Those full recomputes are the only readers of an offspring's file, so
-// they are the only place EvaluateBatch builds one, and the engine keeps
-// it for the offspring. The initial population arrives with
-// the states its set-up scoring was read from
+// One-offspring evaluation, the engine's offspring route. A generation's
+// offspring (one mutant, or two crossover children) are staged first as
+// change lists against their parents' files, and each is scored against
+// its own parent's file and state through score.EvaluateEdit: each
+// measure's delta state (the measure.Reversible contract) advances by the
+// change list and is read, touching memory proportional to the edit
+// instead of the file. No offspring file exists at that point. Every
+// built-in measure, ML utility included, has a state; a custom measure
+// without one is recomputed in full inside the same call, and so is every
+// wide-edit offspring. Those full recomputes are the only readers of an
+// offspring's file, so they are the only place EvaluateEdit builds one,
+// and the engine keeps it for the offspring. The initial population
+// arrives with the states its set-up scoring was read from
 // (score.EvaluateAllPrepared); resumed individuals and wide-edit
 // survivors carry none until they first parent a narrow edit.
 //
-// EvaluateBatch leaves each parent's state holding its last narrow
-// offspring's edit, still pending. Once replacement has decided, only the
-// survivors are handed a file — the parent's with the change list
-// applied, unless scoring already built it — and a state: a survivor
-// keeps its parent's state (Evaluator.Keep, O(1)) when the parent was
-// evicted, or takes a clone of it when the parent lives on. The state
-// then holds the survivor's own pending edit, or is settled when the
-// survivor's change list is empty — the only way two offspring share a
-// parent is a crossover of an individual with itself, which changes
-// nothing. Every state still pending is restored before Step returns, and
-// a losing offspring is dropped with no file of its own unless scoring
-// built one.
+// EvaluateEdit leaves the parent's state holding a narrow offspring's
+// edit, still pending. Once replacement has decided, only the survivors
+// are handed a file — the parent's with the change list applied, unless
+// scoring already built it — and a state: a survivor keeps its parent's
+// state (Evaluator.Keep, O(1)) when the parent was evicted, or takes a
+// clone of it when the parent lives on. settleStates restores every
+// staged parent's state before Step returns, and a losing offspring is
+// dropped with no file of its own unless scoring built one. Two offspring
+// share a parent only when it was crossed with itself, which changes
+// nothing, so a parent's state never holds a sibling's edit: EvaluateEdit
+// refuses a narrow edit on a state that is still pending.
 //
-// A crossover generation's two parent groups are independent, so they
-// shard across Config.EvalWorkers workers. Results are bit-for-bit
-// identical to full evaluation of every offspring at any width (see the
+// A crossover's two children come from distinct parents unless a parent
+// was crossed with itself, so the second is scored on its own goroutine
+// when Config.EvalWorkers is at least 2. Results are bit-for-bit
+// identical to full evaluation of every offspring either way (see the
 // oracle tests in batch_equiv_test.go); only allocations and wall-clock
 // change.
 
 import (
+	"errors"
 	"fmt"
 
 	"evoprot/internal/dataset"
-	"evoprot/internal/score"
 )
 
 // ensureState lazily materializes an individual's delta state: resumed
@@ -57,65 +56,39 @@ func (e *Engine) ensureState(ind *Individual) {
 	ind.state = st
 }
 
-// pendingEdit is a parent whose delta state EvaluateBatch left holding
-// child's edit; parent is nil once the state is settled.
-type pendingEdit struct{ parent, child *Individual }
+// evaluateOffspring scores child, derived from parent's file by changes,
+// through score.EvaluateEdit. The parent is delta-prepared lazily, only
+// when the edit needs the state (narrow and non-empty); a wide edit is
+// scored in full without forcing a state build. The evaluation lands in
+// child, and so does any file scoring built; child receives no state
+// here — commitSurvivor hands files and states to the survivors once the
+// tournament has decided, and settleStates restores the rest.
+func (e *Engine) evaluateOffspring(parent, child *Individual, changes []dataset.CellChange) (err error) {
+	if len(changes) > 0 && !e.eval.WideEdit(changes) {
+		e.ensureState(parent)
+	}
+	child.Eval, child.Data, err = e.eval.EvaluateEdit(parent.Eval, parent.Data, parent.state, changes)
+	return err
+}
 
-// batchEvaluateGeneration scores children[i] (derived from parents[i]'s
-// file by changes[i]) in one score.EvaluateBatch call. Offspring of the same
-// parent — adjacent in the slices; a generation has at most two
-// offspring — share one group and therefore one state. Parents are
-// delta-prepared lazily, but only when one of their offspring actually
-// needs the state (narrow, non-empty edits); wide-edit offspring are
-// fully evaluated inside the batch without forcing a state build.
-// Evaluations land in the children, and so does any file the batch built;
-// no child receives a state here — commitSurvivor hands files and states
-// to the survivors once the tournament has decided, and settleStates
-// restores the rest.
-func (e *Engine) batchEvaluateGeneration(parents, children []*Individual, changes [][]dataset.CellChange) {
-	offs := e.bOffs[:0]
-	for i := range children {
-		offs = append(offs, score.BatchOffspring{Changes: changes[i]})
+// evaluateStaged scores the generation's n staged offspring: bChildren[i],
+// derived from bParents[i]'s file by bChanges[i].
+func (e *Engine) evaluateStaged(n int) {
+	var err error
+	if n == 2 && e.cfg.EvalWorkers >= 2 && e.bParents[0] != e.bParents[1] {
+		second := make(chan error, 1)
+		go func() { second <- e.evaluateOffspring(e.bParents[1], e.bChildren[1], e.bChanges[1]) }()
+		err = errors.Join(e.evaluateOffspring(e.bParents[0], e.bChildren[0], e.bChanges[0]), <-second)
+	} else {
+		for i := range n {
+			err = errors.Join(err, e.evaluateOffspring(e.bParents[i], e.bChildren[i], e.bChanges[i]))
+		}
 	}
-	groups := e.bGroups[:0]
-	for i := 0; i < len(children); {
-		j := i + 1
-		for j < len(children) && parents[j] == parents[i] {
-			j++
-		}
-		needState := false
-		for k := i; k < j; k++ {
-			if len(changes[k]) > 0 && !e.eval.WideEdit(changes[k]) {
-				needState = true
-			}
-		}
-		if needState {
-			e.ensureState(parents[i])
-		}
-		groups = append(groups, score.BatchGroup{
-			Parent:    parents[i].Eval,
-			File:      parents[i].Data,
-			State:     parents[i].state,
-			Offspring: offs[i:j],
-		})
-		i = j
-	}
-	if err := e.eval.EvaluateBatch(groups, e.cfg.EvalWorkers); err != nil {
+	if err != nil {
 		// Offspring are derived from valid individuals by in-domain
-		// operators; batch evaluation can only fail on a programming error.
-		panic(fmt.Sprintf("core: batch-evaluating offspring: %v", err))
+		// operators; scoring can only fail on a programming error.
+		panic(fmt.Sprintf("core: evaluating offspring: %v", err))
 	}
-	for i, c := range children {
-		c.Eval, c.Data = offs[i].Eval, offs[i].Child
-	}
-	first := 0
-	for _, grp := range groups {
-		if grp.Pending >= 0 {
-			e.bPending = append(e.bPending, pendingEdit{parents[first], children[first+grp.Pending]})
-		}
-		first += len(grp.Offspring)
-	}
-	e.bOffs, e.bGroups = offs, groups // keep grown capacity for later steps
 }
 
 // commitSurvivor hands a surviving child its file and delta state, both
@@ -128,9 +101,7 @@ func (e *Engine) batchEvaluateGeneration(parents, children []*Individual, change
 // Keep commits the pending edit in place, and a clone copies it
 // (settleStates restores the parent's). Wide-edit children stay
 // state-less and rebuild lazily if they ever reproduce; so do children
-// of state-less parents. A parent's state never holds a
-// sibling's edit: two offspring share a parent only when it was crossed
-// with itself, which leaves both change lists empty.
+// of state-less parents.
 func (e *Engine) commitSurvivor(child, parent *Individual, changes []dataset.CellChange, parentEvicted bool) {
 	if child.Data == nil {
 		child.Data = parent.Data.CloneWith(changes)
@@ -138,38 +109,21 @@ func (e *Engine) commitSurvivor(child, parent *Individual, changes []dataset.Cel
 	if parent.state == nil || e.eval.WideEdit(changes) {
 		return
 	}
-	p := e.pendingOf(parent)
-	if p != nil && p.child != child {
-		panic(fmt.Sprintf("core: %s offspring's parent state holds a sibling's pending edit", child.Origin))
-	}
 	if !parentEvicted {
 		child.state = parent.state.Clone()
 		return
 	}
 	e.eval.Keep(parent.state)
-	if p != nil {
-		p.parent = nil
-	}
 	child.state, parent.state = parent.state, nil
 }
 
-// pendingOf returns the unsettled pending edit of parent's state, or nil.
-func (e *Engine) pendingOf(parent *Individual) *pendingEdit {
-	for k := range e.bPending {
-		if e.bPending[k].parent == parent {
-			return &e.bPending[k]
-		}
-	}
-	return nil
-}
-
-// settleStates restores every state still holding a pending edit, so
-// each parent's state describes the parent again.
+// settleStates restores the staged parents' states, so each describes
+// its parent again. A state a survivor took is gone from its parent, and
+// Restore on a settled state does nothing.
 func (e *Engine) settleStates() {
-	for _, p := range e.bPending {
-		if p.parent != nil {
-			e.eval.Restore(p.parent.state)
+	for _, p := range e.bParents {
+		if p != nil && p.state != nil {
+			e.eval.Restore(p.state)
 		}
 	}
-	e.bPending = e.bPending[:0]
 }

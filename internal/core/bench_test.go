@@ -7,6 +7,7 @@ import (
 	"evoprot/internal/datagen"
 	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/protection"
+	"evoprot/internal/protection/protectiontest"
 	"evoprot/internal/score"
 	"evoprot/internal/score/scoretest"
 )
@@ -37,7 +38,7 @@ func benchEngineWith(b *testing.B, cfg Config, sc score.Config) *Engine {
 	rng := rand.New(rand.NewPCG(5, 5))
 	var pop []*Individual
 	for _, spec := range []string{"micro:k=3", "micro:k=6", "top:q=0.1", "bottom:q=0.1", "recode:depth=2", "rankswap:p=8", "rankswap:p=16", "pram:theta=0.8", "pram:theta=0.5", "micro:k=9"} {
-		m := protection.Must(spec)
+		m := protectiontest.Must(spec)
 		masked, err := m.Protect(d, attrs, rng)
 		if err != nil {
 			b.Fatal(err)
@@ -101,8 +102,8 @@ func BenchmarkMutateOperator(b *testing.B) {
 }
 
 // BenchmarkEvaluateOffspringDelta isolates a single mutation offspring's
-// delta evaluation (states already warm) from the operator itself: the
-// batch route's apply, read and undo against the parent's state.
+// delta evaluation (states already warm) from the operator itself:
+// EvaluateEdit's apply and read, and the undo, against the parent's state.
 func BenchmarkEvaluateOffspringDelta(b *testing.B) {
 	e := benchEngine(b, "mutation")
 	parent := e.pop[0]
@@ -110,7 +111,7 @@ func BenchmarkEvaluateOffspringDelta(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		child, changes := e.mutate(parent)
 		e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, child, changes
-		e.batchEvaluateGeneration(e.bParents[:1], e.bChildren[:1], e.bChanges[:1])
+		e.evaluateStaged(1)
 		e.settleStates()
 	}
 }

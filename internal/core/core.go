@@ -14,13 +14,13 @@
 //
 // An offspring is its parent's file plus a change list until it survives:
 // the operators read the parents' files and report exactly which cells
-// they change, without building a file. score.Evaluator.EvaluateBatch
+// they change, without building a file. score.Evaluator.EvaluateEdit
 // applies that change list to the parent's cached per-measure state and
 // reads the value instead of rescanning the whole file — bit-identical
 // results at a fraction of the cost (see batcheval.go and
 // internal/score). Only offspring that survive replacement receive a file
 // of their own, the parent's with the changes applied, and a delta state,
-// keeping the edit the batch left pending; every other state is rolled
+// keeping the edit scoring left pending; every other state is rolled
 // back, so a losing offspring costs memory proportional to its edit.
 package core
 
@@ -253,10 +253,10 @@ type Config struct {
 	// InitWorkers sets the worker-pool width for evaluating the initial
 	// population. Zero means sequential.
 	InitWorkers int
-	// EvalWorkers sets the worker-pool width for generation-batch
-	// offspring evaluation: a crossover generation's two parent groups
-	// are scored concurrently when it is at least 2. Zero inherits
-	// InitWorkers; negative values force sequential batch evaluation.
+	// EvalWorkers sets how many offspring a generation scores at once:
+	// when it is at least 2, a crossover's two children are scored
+	// concurrently unless a parent was crossed with itself. Zero inherits
+	// InitWorkers; negative values force sequential offspring evaluation.
 	// Results are identical at any width — only wall-clock changes.
 	EvalWorkers int
 }
@@ -392,8 +392,11 @@ type GenStats struct {
 	Accepted int
 	// EvalTime is the wall time spent in fitness evaluation; TotalTime is
 	// the whole generation. The paper's timing table (§3.2) reports that
-	// EvalTime dominates.
-	EvalTime, TotalTime time.Duration
+	// EvalTime dominates. Both stay in memory only: wall-clock time would
+	// make checkpoints, event feeds and results differ between two runs
+	// of one seed, so they are never serialized.
+	EvalTime  time.Duration `json:"-"`
+	TotalTime time.Duration `json:"-"`
 	// Improved reports whether the best score improved this generation —
 	// in Pareto mode, whether the front's hypervolume strictly grew.
 	Improved bool
@@ -466,15 +469,11 @@ type Engine struct {
 	hvValid bool
 
 	// bParents/bChildren/bChanges stage one generation's offspring for
-	// batch evaluation, bOffs/bGroups are the score.EvaluateBatch
-	// buffers, and bPending lists the states it left unsettled; all
-	// reused across Steps (a generation has at most two offspring).
+	// evaluation, reused across Steps (a generation has at most two
+	// offspring); settleStates restores the parents' states.
 	bParents  [2]*Individual
 	bChildren [2]*Individual
 	bChanges  [2][]dataset.CellChange
-	bOffs     []score.BatchOffspring
-	bGroups   []score.BatchGroup
-	bPending  []pendingEdit
 }
 
 // NewEngine builds an engine and evaluates the initial population. The
@@ -482,7 +481,7 @@ type Engine struct {
 // shape; their Eval is computed here (any existing value is ignored).
 // Each individual's incremental state is built alongside its evaluation
 // in the same InitWorkers pool, so every parent enters reproduction ready
-// for batch evaluation.
+// for delta evaluation.
 func NewEngine(eval *score.Evaluator, initial []*Individual, cfg Config) (*Engine, error) {
 	engines, err := NewEngines(context.Background(), eval, initial, []Config{cfg})
 	if err != nil {
@@ -811,8 +810,8 @@ func (e *Engine) Emigrants(k int) []*Individual {
 // a pure recomputation of the identical value, so homogeneous runs are
 // bit-for-bit unchanged. The wrappers are copied, and any carried delta
 // state is cloned, so the caller may offer the same slice to several
-// engines: broadcast migration hands one migrant to every island, and the
-// batch evaluation path advances and rolls back states in place — a
+// engines: broadcast migration hands one migrant to every island, and
+// offspring evaluation advances and rolls back states in place — a
 // shared state would be mutated concurrently by engines that accepted the
 // same migrant.
 //
@@ -878,7 +877,7 @@ func (e *Engine) stepMutation() (evalTime time.Duration, accepted int) {
 	child, changes := e.mutate(parent)
 	e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, child, changes
 	evalStart := time.Now()
-	e.batchEvaluateGeneration(e.bParents[:1], e.bChildren[:1], e.bChanges[:1])
+	e.evaluateStaged(1)
 	evalTime = time.Since(evalStart)
 	if e.paretoMode() {
 		accepted = e.paretoReplace(e.bParents[:1], e.bChildren[:1], e.bChanges[:1])
@@ -910,7 +909,7 @@ func (e *Engine) stepCrossover() (evalTime time.Duration, accepted int) {
 	e.bParents[1], e.bChildren[1], e.bChanges[1] = p2, c2, ch2
 
 	evalStart := time.Now()
-	e.batchEvaluateGeneration(e.bParents[:2], e.bChildren[:2], e.bChanges[:2])
+	e.evaluateStaged(2)
 	evalTime = time.Since(evalStart)
 
 	if e.paretoMode() {

@@ -12,6 +12,7 @@ import (
 	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/protection"
+	"evoprot/internal/protection/protectiontest"
 	"evoprot/internal/score"
 	"evoprot/internal/score/scoretest"
 )
@@ -80,7 +81,7 @@ func testPopulationWith(t *testing.T, sc score.Config) (*score.Evaluator, []*Ind
 	rng := rand.New(rand.NewPCG(77, 1))
 	pop := make([]*Individual, len(specs))
 	for i, s := range specs {
-		m := protection.Must(s)
+		m := protectiontest.Must(s)
 		masked, err := m.Protect(d, attrs, rng)
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,7 @@ package core
 // environmental selection over population + offspring — a child may evict
 // any dominated individual, not just its own parent. Evaluation is
 // untouched: rank and crowding are computed from the Evaluation.Pair()
-// values the (possibly batched) delta-evaluation path already produces,
+// values the delta-evaluation path already produces,
 // and the aggregated Score keeps being computed as the in-front
 // tie-breaker and the currency of statistics and cross-mode migration.
 //

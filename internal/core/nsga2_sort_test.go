@@ -441,7 +441,9 @@ func BenchmarkNSGA2Sort(b *testing.B) {
 	}
 	parent := e.pop[e.selectIndex()]
 	child, changes := e.mutate(parent)
-	e.batchEvaluateGeneration([]*Individual{parent}, []*Individual{child}, [][]dataset.CellChange{changes})
+	if err := e.evaluateOffspring(parent, child, changes); err != nil {
+		b.Fatal(err)
+	}
 	pool := append(e.Population(), child)
 	var s nsgaSort
 	b.ReportAllocs()

@@ -5,13 +5,12 @@ import (
 
 	"evoprot/internal/dataset"
 	"evoprot/internal/racecheck"
-	"evoprot/internal/score"
 )
 
 // TestLosingOffspringAllocations pins copy on survive: on a warm engine,
 // a losing narrow offspring — the operator, batch scoring and settling,
 // with no survivor commit — allocates nothing beyond what scoring its
-// change list costs on its own (score.EvaluateBatch called directly on
+// change list costs on its own (score.EvaluateEdit called directly on
 // the parent's file and state) and one wrapper per offspring. Cloning the
 // parent's file per offspring costs two allocations more (the dataset
 // and its cells). The offspring leave scoring file-less. Each run
@@ -33,7 +32,7 @@ func TestLosingOffspringAllocations(t *testing.T) {
 			*e.pcg = saved
 			child, changes := e.mutate(parent)
 			e.bParents[0], e.bChildren[0], e.bChanges[0] = parent, child, changes
-			e.batchEvaluateGeneration(e.bParents[:1], e.bChildren[:1], e.bChanges[:1])
+			e.evaluateStaged(1)
 			e.settleStates()
 		}
 		requireLosingAllocs(t, e, []*Individual{parent}, changes, losing)
@@ -64,7 +63,7 @@ func TestLosingOffspringAllocations(t *testing.T) {
 			c1, c2, ch1, ch2 := e.cross(p1, p2)
 			e.bParents[0], e.bChildren[0], e.bChanges[0] = p1, c1, ch1
 			e.bParents[1], e.bChildren[1], e.bChanges[1] = p2, c2, ch2
-			e.batchEvaluateGeneration(e.bParents[:2], e.bChildren[:2], e.bChanges[:2])
+			e.evaluateStaged(2)
 			e.settleStates()
 		}
 		requireLosingAllocs(t, e, []*Individual{p1, p2}, changes, losing)
@@ -77,17 +76,14 @@ func TestLosingOffspringAllocations(t *testing.T) {
 // e.bChildren have no file.
 func requireLosingAllocs(t *testing.T, e *Engine, parents []*Individual, changes [][]dataset.CellChange, losing func()) {
 	t.Helper()
-	groups := make([]score.BatchGroup, len(parents))
-	for i, p := range parents {
-		groups[i] = score.BatchGroup{Parent: p.Eval, File: p.Data, State: p.state,
-			Offspring: []score.BatchOffspring{{Changes: changes[i]}}}
-	}
+	var built [2]*dataset.Dataset
 	scoring := func() {
-		if err := e.eval.EvaluateBatch(groups, e.cfg.EvalWorkers); err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range groups {
-			e.eval.Restore(g.State)
+		for i, p := range parents {
+			var err error
+			if _, built[i], err = e.eval.EvaluateEdit(p.Eval, p.Data, p.state, changes[i]); err != nil {
+				t.Fatal(err)
+			}
+			e.eval.Restore(p.state)
 		}
 	}
 	scoring()
@@ -96,7 +92,7 @@ func requireLosingAllocs(t *testing.T, e *Engine, parents []*Individual, changes
 		if e.bChildren[i].Data != nil {
 			t.Fatalf("offspring %d left scoring with a file", i)
 		}
-		if groups[i].Offspring[0].Child != nil {
+		if built[i] != nil {
 			t.Fatalf("scoring built offspring %d's file", i)
 		}
 	}

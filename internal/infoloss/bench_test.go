@@ -9,7 +9,7 @@ import (
 	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/dataset/datasettest"
-	"evoprot/internal/protection"
+	"evoprot/internal/protection/protectiontest"
 )
 
 func benchPair(b *testing.B, rows int) (*dataset.Dataset, *dataset.Dataset, []int) {
@@ -28,7 +28,7 @@ func benchPairOf(b *testing.B, name string, rows int) (*dataset.Dataset, *datase
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(5, 5))
-	masked, err := protection.Must("rankswap:p=10").Protect(d, attrs, rng)
+	masked, err := protectiontest.Must("rankswap:p=10").Protect(d, attrs, rng)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/protection"
+	"evoprot/internal/protection/protectiontest"
 )
 
 func testData(t *testing.T) (*dataset.Dataset, []int) {
@@ -157,9 +158,9 @@ func TestEBILZeroForBijectiveRecode(t *testing.T) {
 func TestEBILIncreasesWithNoise(t *testing.T) {
 	d, attrs := testData(t)
 	rng := rand.New(rand.NewPCG(5, 5))
-	light, _ := protection.Must("pram:theta=0.9").Protect(d, attrs, rng)
+	light, _ := protectiontest.Must("pram:theta=0.9").Protect(d, attrs, rng)
 	rng = rand.New(rand.NewPCG(5, 5))
-	heavy, _ := protection.Must("pram:theta=0.2").Protect(d, attrs, rng)
+	heavy, _ := protectiontest.Must("pram:theta=0.2").Protect(d, attrs, rng)
 	var e EBIL
 	l, h := e.Loss(d, light, attrs), e.Loss(d, heavy, attrs)
 	if l >= h {

@@ -10,6 +10,7 @@ import (
 	"evoprot/internal/core"
 	"evoprot/internal/datagen"
 	"evoprot/internal/protection"
+	"evoprot/internal/protection/protectiontest"
 	"evoprot/internal/score"
 )
 
@@ -36,7 +37,7 @@ func benchSetup(b *testing.B, rows int) (*score.Evaluator, []*core.Individual) {
 		"micro:k=3", "micro:k=6", "top:q=0.1", "bottom:q=0.1", "recode:depth=2",
 		"rankswap:p=8", "rankswap:p=16", "pram:theta=0.8", "pram:theta=0.5", "micro:k=9",
 	} {
-		m := protection.Must(spec)
+		m := protectiontest.Must(spec)
 		masked, err := m.Protect(d, attrs, rng)
 		if err != nil {
 			b.Fatal(err)

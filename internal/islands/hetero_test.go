@@ -320,7 +320,7 @@ func TestHeterogeneousSnapshotResume(t *testing.T) {
 	if resumed.Generation() != cutGen {
 		t.Fatalf("resumed at generation %d, want %d", resumed.Generation(), cutGen)
 	}
-	cfgs := resumed.IslandConfigs()
+	cfgs := resumed.perIsland
 	if len(cfgs) != 3 || cfgs[1].Selection != core.SelectRank || cfgs[2].Aggregator != "mean" {
 		t.Fatalf("snapshot did not restore the per-island configs: %+v", cfgs)
 	}
@@ -358,7 +358,7 @@ func resumeFixture(t *testing.T, name string, gens int, wantConfigs []core.Confi
 	if r.Islands() != 4 || r.Generation() != 20 {
 		t.Fatalf("%s: resumed %d islands at generation %d", name, r.Islands(), r.Generation())
 	}
-	for i, got := range r.IslandConfigs() {
+	for i, got := range r.perIsland {
 		if configToJSON(got) != configToJSON(core.Config{Generations: gens}.Merged(wantConfigs[i])) {
 			t.Fatalf("%s: island %d config %+v, want %+v", name, i, got, wantConfigs[i])
 		}

@@ -622,12 +622,3 @@ func (r *Runner) migrate() {
 		}
 	}
 }
-
-// IslandConfigs returns the resolved per-island engine configurations
-// (template plus override, with derived seeds), indexed by island id. The
-// slice is a copy.
-func (r *Runner) IslandConfigs() []core.Config {
-	out := make([]core.Config, len(r.perIsland))
-	copy(out, r.perIsland)
-	return out
-}

@@ -13,6 +13,7 @@ import (
 	"evoprot/internal/datagen"
 	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/protection"
+	"evoprot/internal/protection/protectiontest"
 	"evoprot/internal/score"
 )
 
@@ -38,7 +39,7 @@ func testPopulation(t testing.TB) (*score.Evaluator, []*core.Individual) {
 	rng := rand.New(rand.NewPCG(77, 1))
 	pop := make([]*core.Individual, len(specs))
 	for i, s := range specs {
-		m := protection.Must(s)
+		m := protectiontest.Must(s)
 		masked, err := m.Protect(d, attrs, rng)
 		if err != nil {
 			t.Fatal(err)

@@ -98,7 +98,7 @@ func TestScalarParetoSnapshotResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := resumed.IslandConfigs()
+	cfgs := resumed.perIsland
 	if len(cfgs) != 3 || cfgs[0].Objective == core.ObjectivePareto || cfgs[1].Objective != core.ObjectivePareto {
 		t.Fatalf("snapshot did not restore the objective split: %+v", cfgs)
 	}

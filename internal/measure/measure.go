@@ -9,10 +9,9 @@
 // summaries (contingency tables, distance sums, linkage rows) support
 // O(changes) patching, Apply advances the state by a change list and
 // returns the new value, and ApplyUndo/Undo do the same with an exact
-// rollback — the primitive behind generation-batch evaluation, which
-// scores every offspring against its parent's one state and commits the
-// winner's pending ApplyUndo with an empty Apply instead of patching it
-// twice.
+// rollback — the primitive behind offspring evaluation, which scores
+// every offspring against its parent's state and commits the winner's
+// pending ApplyUndo with an empty Apply instead of patching it twice.
 //
 // Every state keeps exact integer summaries and funnels them through the
 // value arithmetic of the measure's full Loss or Risk, so a delta value

@@ -23,7 +23,7 @@ func benchData(b *testing.B, rows int) (*dataset.Dataset, []int) {
 func benchMethod(b *testing.B, spec string) {
 	b.Helper()
 	d, attrs := benchData(b, 1000)
-	m := Must(spec)
+	m := mustParse(b, spec)
 	rng := rand.New(rand.NewPCG(5, 5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,7 +8,7 @@ import (
 	"evoprot/internal/dataset"
 )
 
-// Coverage-closing tests: Params strings, Must, grid midpoints, nominal
+// Coverage-closing tests: Params strings, grid midpoints, nominal
 // (mode-based) microaggregation centroids, and degenerate inputs.
 
 func TestParamsStrings(t *testing.T) {
@@ -21,20 +21,11 @@ func TestParamsStrings(t *testing.T) {
 		"pram:theta=0.625":   "theta=0.625",
 	}
 	for spec, want := range cases {
-		m := Must(spec)
+		m := mustParse(t, spec)
 		if got := m.Params(); got != want {
 			t.Errorf("%s: Params = %q, want %q", spec, got, want)
 		}
 	}
-}
-
-func TestMustPanicsOnBadSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Must on bad spec did not panic")
-		}
-	}()
-	Must("nope:x=1")
 }
 
 func TestSpreadSinglePoint(t *testing.T) {

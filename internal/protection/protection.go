@@ -38,15 +38,6 @@ type Method interface {
 // String formats a method as "name(params)" for logs and reports.
 func String(m Method) string { return m.Name() + "(" + m.Params() + ")" }
 
-// Must is Parse that panics on error; for statically-known specs.
-func Must(spec string) Method {
-	m, err := Parse(spec)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 func validateAttrs(orig *dataset.Dataset, attrs []int) error {
 	if orig == nil {
 		return fmt.Errorf("protection: nil dataset")

@@ -611,3 +611,14 @@ func TestGridVariantsAreDistinct(t *testing.T) {
 		seen[key] = true
 	}
 }
+
+// mustParse is Parse that fails the test on error; for statically-known
+// specs.
+func mustParse(tb testing.TB, spec string) Method {
+	tb.Helper()
+	m, err := Parse(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}

@@ -10,7 +10,7 @@ import (
 	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
 	"evoprot/internal/dataset/datasettest"
-	"evoprot/internal/protection"
+	"evoprot/internal/protection/protectiontest"
 )
 
 func benchPair(b *testing.B, rows int) (*dataset.Dataset, *dataset.Dataset, []int) {
@@ -28,7 +28,7 @@ func benchPairOf(tb testing.TB, name string, rows int) (*dataset.Dataset, *datas
 		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(5, 5))
-	masked, err := protection.Must("pram:theta=0.7").Protect(d, attrs, rng)
+	masked, err := protectiontest.Must("pram:theta=0.7").Protect(d, attrs, rng)
 	if err != nil {
 		tb.Fatal(err)
 	}

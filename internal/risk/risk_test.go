@@ -8,7 +8,7 @@ import (
 	"evoprot/internal/datagen"
 	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
-	"evoprot/internal/protection"
+	"evoprot/internal/protection/protectiontest"
 )
 
 func testData(t *testing.T) (*dataset.Dataset, []int) {
@@ -103,7 +103,7 @@ func TestAllMeasuresWithinBounds(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	maskings := []*dataset.Dataset{d, scramble(d, attrs, 11)}
 	for _, spec := range []string{"micro:k=4", "top:q=0.25", "bottom:q=0.25", "recode:depth=2", "rankswap:p=8", "pram:theta=0.5"} {
-		masked, err := protection.Must(spec).Protect(d, attrs, rng)
+		masked, err := protectiontest.Must(spec).Protect(d, attrs, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,12 +177,12 @@ func TestDistanceLinkageMonotoneInPerturbation(t *testing.T) {
 	d, attrs := testData(t)
 	var dl DistanceLinkage
 	rng := rand.New(rand.NewPCG(7, 7))
-	light, err := protection.Must("pram:theta=0.9").Protect(d, attrs, rng)
+	light, err := protectiontest.Must("pram:theta=0.9").Protect(d, attrs, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng = rand.New(rand.NewPCG(7, 7))
-	heavy, err := protection.Must("pram:theta=0.1").Protect(d, attrs, rng)
+	heavy, err := protectiontest.Must("pram:theta=0.1").Protect(d, attrs, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRSRLCatchesRankSwappingWithinWindow(t *testing.T) {
 	// escapes the window more often.
 	d, attrs := testData(t)
 	rng := rand.New(rand.NewPCG(7, 7))
-	swapped, err := protection.Must("rankswap:p=5").Protect(d, attrs, rng)
+	swapped, err := protectiontest.Must("rankswap:p=5").Protect(d, attrs, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

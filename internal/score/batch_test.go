@@ -12,24 +12,28 @@ import (
 	"evoprot/internal/risk"
 )
 
-// buildBatch derives a random generation from parents: every parent gets
-// a group with a mix of offspring — ordinary narrow edits, the occasional
-// empty change list (a cloned survivor) and the occasional wide edit (a
-// crossover window past the rebuild break-even point). Returns the groups
-// ready for EvaluateBatch.
-func buildBatch(t *testing.T, eval *Evaluator, rng *rand.Rand, parents []*dataset.Dataset, attrs []int, offspringPer int) []BatchGroup {
+// family is one parent's file, evaluation and delta state with the
+// change lists of its offspring.
+type family struct {
+	file      *dataset.Dataset
+	eval      Evaluation
+	state     *DeltaState
+	offspring [][]dataset.CellChange
+}
+
+// buildFamilies derives a random generation from parents: every parent
+// gets a mix of offspring — ordinary narrow edits, the occasional empty
+// change list (a cloned survivor) and the occasional wide edit (a
+// crossover window past the rebuild break-even point).
+func buildFamilies(t *testing.T, eval *Evaluator, rng *rand.Rand, parents []*dataset.Dataset, attrs []int, offspringPer int) []family {
 	t.Helper()
-	groups := make([]BatchGroup, len(parents))
+	fams := make([]family, len(parents))
 	for g, p := range parents {
 		pe, err := eval.Evaluate(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		groups[g] = BatchGroup{
-			Parent: pe,
-			File:   p,
-			State:  mustPrepare(t, eval, p),
-		}
+		fams[g] = family{file: p, eval: pe, state: mustPrepare(t, eval, p)}
 		for k := 0; k < offspringPer; k++ {
 			child := p.Clone() // scratch: the draws chain on it
 			var changes []dataset.CellChange
@@ -42,60 +46,50 @@ func buildBatch(t *testing.T, eval *Evaluator, rng *rand.Rand, parents []*datase
 			default:
 				changes = applyRandomChanges(rng, child, attrs, 1+rng.IntN(4))
 			}
-			groups[g].Offspring = append(groups[g].Offspring, BatchOffspring{Changes: changes})
+			fams[g].offspring = append(fams[g].offspring, changes)
 		}
 	}
-	return groups
+	return fams
 }
 
-// restoreGroups settles every group's state at its parent's file.
-func restoreGroups(eval *Evaluator, groups []BatchGroup) {
-	for g := range groups {
-		if groups[g].State != nil {
-			eval.Restore(groups[g].State)
-		}
-	}
-}
-
-// checkBatchAgainstEvaluate runs EvaluateBatch at the given worker width
-// and requires every offspring evaluation to equal a full Evaluate of the
-// child built from the group's file bit for bit.
-func checkBatchAgainstEvaluate(t *testing.T, eval *Evaluator, groups []BatchGroup, workers int, context string) {
+// scoreFamily scores f's offspring in order through EvaluateEdit,
+// restoring f's state after each, and requires every evaluation to equal
+// a full Evaluate of the child built from f's file bit for bit.
+func scoreFamily(t *testing.T, eval *Evaluator, f *family, context string) []Evaluation {
 	t.Helper()
-	if err := eval.EvaluateBatch(groups, workers); err != nil {
-		t.Fatalf("%s: EvaluateBatch: %v", context, err)
-	}
-	restoreGroups(eval, groups)
-	for g := range groups {
-		for k := range groups[g].Offspring {
-			requireOffspring(t, eval, &groups[g], k, fmt.Sprintf("%s group %d offspring %d", context, g, k))
+	evs := make([]Evaluation, len(f.offspring))
+	for k, changes := range f.offspring {
+		ctx := fmt.Sprintf("%s offspring %d", context, k)
+		ev, built, err := eval.EvaluateEdit(f.eval, f.file, f.state, changes)
+		if err != nil {
+			t.Fatalf("%s: EvaluateEdit: %v", ctx, err)
 		}
+		eval.Restore(f.state)
+		requireOffspring(t, eval, f, changes, ev, built, ctx)
+		evs[k] = ev
 	}
+	return evs
 }
 
 // requireOffspring checks one scored offspring against Evaluate of its
-// child built by CloneWith. It also pins when EvaluateBatch builds the
+// child built by CloneWith. It also pins when EvaluateEdit builds the
 // child itself: for every wide edit, and for a narrow one only when some
 // measure has no state; the file it built must be that child.
-func requireOffspring(t *testing.T, eval *Evaluator, grp *BatchGroup, k int, context string) {
+func requireOffspring(t *testing.T, eval *Evaluator, f *family, changes []dataset.CellChange, got Evaluation, built *dataset.Dataset, context string) {
 	t.Helper()
-	off := &grp.Offspring[k]
-	child := grp.File.CloneWith(off.Changes)
+	child := f.file.CloneWith(changes)
 	want, err := eval.Evaluate(child)
 	if err != nil {
 		t.Fatalf("%s: Evaluate: %v", context, err)
 	}
-	requireIdentical(t, context, off.Eval, want)
-	nilSlot := grp.State == nil
-	if !nilSlot {
-		nilSlot = slices.Contains(grp.State.states, nil)
+	requireIdentical(t, context, got, want)
+	nilSlot := f.state == nil || slices.Contains(f.state.states, nil)
+	needed := len(changes) > 0 && (eval.WideEdit(changes) || nilSlot)
+	if (built != nil) != needed {
+		t.Fatalf("%s: built child: %v, want %v", context, built != nil, needed)
 	}
-	needed := len(off.Changes) > 0 && (eval.WideEdit(off.Changes) || nilSlot)
-	if (off.Child != nil) != needed {
-		t.Fatalf("%s: built child: %v, want %v", context, off.Child != nil, needed)
-	}
-	if off.Child != nil && !off.Child.Equal(child) {
-		t.Fatalf("%s: the child EvaluateBatch built is not the parent's file with the changes applied", context)
+	if built != nil && !built.Equal(child) {
+		t.Fatalf("%s: the child EvaluateEdit built is not the parent's file with the changes applied", context)
 	}
 }
 
@@ -103,24 +97,26 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	eval, orig := deltaTestEvaluator(t)
 	names, _ := datagen.ProtectedAttrs("german")
 	attrs, _ := orig.Schema().Indices(names...)
-	for _, workers := range []int{1, 4} {
-		rng := rand.New(rand.NewPCG(97, uint64(workers)))
+	for _, seed := range []uint64{1, 4} {
+		rng := rand.New(rand.NewPCG(97, seed))
 		parents := make([]*dataset.Dataset, 5)
 		for i := range parents {
 			p := orig.Clone()
 			applyRandomChanges(rng, p, attrs, 10+rng.IntN(20))
 			parents[i] = p
 		}
-		groups := buildBatch(t, eval, rng, parents, attrs, 4)
-		checkBatchAgainstEvaluate(t, eval, groups, workers, "default battery")
+		fams := buildFamilies(t, eval, rng, parents, attrs, 4)
+		for g := range fams {
+			scoreFamily(t, eval, &fams[g], fmt.Sprintf("default battery, family %d", g))
+		}
 
-		// States stay valid ancestors after the batch: evaluate a fresh
-		// child per group through the (rolled-back) state and compare
+		// States stay valid ancestors after scoring: evaluate a fresh
+		// child per family through the (rolled-back) state and compare
 		// against a from-scratch evaluation.
-		for g := range groups {
+		for g := range fams {
 			child := parents[g].Clone()
 			changes := applyRandomChanges(rng, child, attrs, 3)
-			got, err := deltaEvaluate(eval, groups[g].Parent, groups[g].State, parents[g], changes)
+			got, err := deltaEvaluate(eval, fams[g].eval, fams[g].state, parents[g], changes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,14 +124,14 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireIdentical(t, "post-batch state reuse", got, want)
+			requireIdentical(t, "post-scoring state reuse", got, want)
 		}
 	}
 }
 
 // TestEvaluateBatchFallbackBattery runs the equivalence over a battery
 // containing a measure with no incremental support at all (the
-// per-offspring full-recompute routing inside a batch).
+// per-offspring full-recompute routing next to the delta states).
 func TestEvaluateBatchFallbackBattery(t *testing.T) {
 	orig := datagentest.MustByName("flare", 90, 11)
 	names, _ := datagen.ProtectedAttrs("flare")
@@ -157,8 +153,10 @@ func TestEvaluateBatchFallbackBattery(t *testing.T) {
 		applyRandomChanges(rng, p, attrs, 15)
 		parents[i] = p
 	}
-	groups := buildBatch(t, eval, rng, parents, attrs, 3)
-	checkBatchAgainstEvaluate(t, eval, groups, 2, "non-incremental")
+	fams := buildFamilies(t, eval, rng, parents, attrs, 3)
+	for g := range fams {
+		scoreFamily(t, eval, &fams[g], fmt.Sprintf("non-incremental, family %d", g))
+	}
 }
 
 func TestBatchableCapability(t *testing.T) {
@@ -177,9 +175,9 @@ func TestBatchableCapability(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchNilState pins the nil-state contract: a stateless
-// group is fine as long as every offspring is scored without the state
-// (empty or wide change lists); a narrow edit then errors.
+// TestEvaluateBatchNilState pins the nil-state contract: a parent without
+// a state is fine as long as its offspring are scored without one (empty
+// or wide change lists); a narrow edit then errors.
 func TestEvaluateBatchNilState(t *testing.T) {
 	eval, orig := deltaTestEvaluator(t)
 	names, _ := datagen.ProtectedAttrs("german")
@@ -191,81 +189,23 @@ func TestEvaluateBatchNilState(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	wideChild := orig.Clone()
 	wide := applyRandomChanges(rng, wideChild, attrs, orig.Rows()/2+1)
-	groups := []BatchGroup{{Parent: pe, File: orig, Offspring: []BatchOffspring{
-		{},
-		{Changes: wide},
-	}}}
-	if err := eval.EvaluateBatch(groups, 1); err != nil {
-		t.Fatalf("stateless group with empty+wide offspring: %v", err)
+	got, _, err := eval.EvaluateEdit(pe, orig, nil, nil)
+	if err != nil {
+		t.Fatalf("stateless empty offspring: %v", err)
 	}
-	requireIdentical(t, "empty offspring", groups[0].Offspring[0].Eval, pe)
+	requireIdentical(t, "empty offspring", got, pe)
+	got, _, err = eval.EvaluateEdit(pe, orig, nil, wide)
+	if err != nil {
+		t.Fatalf("stateless wide offspring: %v", err)
+	}
 	wantWide, err := eval.Evaluate(wideChild)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, "wide offspring", groups[0].Offspring[1].Eval, wantWide)
+	requireIdentical(t, "wide offspring", got, wantWide)
 
 	narrow := applyRandomChanges(rng, orig.Clone(), attrs, 2)
-	groups[0].Offspring = append(groups[0].Offspring, BatchOffspring{Changes: narrow})
-	if err := eval.EvaluateBatch(groups, 1); err == nil {
-		t.Error("EvaluateBatch accepted a narrow-edit offspring with a nil group state")
+	if _, _, err := eval.EvaluateEdit(pe, orig, nil, narrow); err == nil {
+		t.Error("EvaluateEdit accepted a narrow edit with a nil state")
 	}
-}
-
-// FuzzEvaluateBatchGrouping fuzzes the change-list grouping: arbitrary
-// group/offspring shapes drawn from the fuzz inputs must keep the batch
-// path bit-identical to full evaluation at both worker widths.
-func FuzzEvaluateBatchGrouping(f *testing.F) {
-	f.Add(uint64(1), uint(3), uint(4))
-	f.Add(uint64(99), uint(1), uint(1))
-	f.Add(uint64(7), uint(6), uint(2))
-	orig := datagentest.MustByName("flare", 80, 3)
-	names, _ := datagen.ProtectedAttrs("flare")
-	attrs, err := orig.Schema().Indices(names...)
-	if err != nil {
-		f.Fatal(err)
-	}
-	eval, err := NewEvaluator(orig, attrs, Config{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, seed uint64, nGroups, nOff uint) {
-		ng := int(nGroups%6) + 1
-		no := int(nOff%5) + 1
-		rng := rand.New(rand.NewPCG(seed, 13))
-		groups := make([]BatchGroup, ng)
-		for g := range groups {
-			p := orig.Clone()
-			applyRandomChanges(rng, p, attrs, 5+rng.IntN(10))
-			pe, err := eval.Evaluate(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			groups[g] = BatchGroup{Parent: pe, File: p, State: mustPrepare(t, eval, p)}
-			for k := 0; k < no; k++ {
-				child := p.Clone() // scratch: the draws chain on it
-				var changes []dataset.CellChange
-				switch rng.IntN(5) {
-				case 0:
-					// empty — cloned survivor
-				case 1:
-					changes = applyRandomChanges(rng, child, attrs, orig.Rows()/2+1)
-				default:
-					changes = applyRandomChanges(rng, child, attrs, 1+rng.IntN(3))
-				}
-				groups[g].Offspring = append(groups[g].Offspring, BatchOffspring{Changes: changes})
-			}
-		}
-		for _, workers := range []int{1, 4} {
-			if err := eval.EvaluateBatch(groups, workers); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			restoreGroups(eval, groups)
-			for g := range groups {
-				for k := range groups[g].Offspring {
-					requireOffspring(t, eval, &groups[g], k, "fuzz grouping")
-				}
-			}
-		}
-	})
 }

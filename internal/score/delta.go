@@ -4,11 +4,11 @@ package score
 // from an already-scored parent by changing a handful of cells, so most of
 // a full re-evaluation repeats work the parent's evaluation already did.
 // Prepare builds one state per measure that implements measure.Reversible,
-// in the evaluator's slot order; EvaluateBatch advances a state by an
-// offspring's change list, reads it and rolls it back, in time
-// proportional to the number of changed cells, and leaves the last
-// offspring's edit pending for Keep or Restore to settle. Measures without
-// a state (or whose configuration rules one out) are recomputed in full.
+// in the evaluator's slot order; EvaluateEdit advances a state by an
+// offspring's change list and reads it, in time proportional to the
+// number of changed cells, and leaves the edit pending for Keep or
+// Restore to settle. Measures without a state (or whose configuration
+// rules one out) are recomputed in full.
 //
 // Delta evaluation is bit-for-bit identical to Evaluate: the states
 // maintain exact integer summaries and share their final value
@@ -28,7 +28,7 @@ import (
 // file. A nil slot means the corresponding measure runs without a fast
 // path and is fully recomputed for every offspring.
 //
-// EvaluateBatch may leave a state unsettled: it then describes one
+// EvaluateEdit may leave a state unsettled: it then describes one
 // offspring's file, with that edit still pending, until Keep makes the
 // offspring's file its own or Restore rolls it back to the parent's.
 type DeltaState struct {
@@ -74,7 +74,7 @@ func (e *Evaluator) Prepare(masked *dataset.Dataset) (*DeltaState, error) {
 // allocation against an expensive evaluation) fall back to a map.
 const replayScanLimit = 32
 
-// validateChanges checks the change-list contract of EvaluateBatch
+// validateChanges checks the change-list contract of EvaluateEdit
 // against file, the parent file the list starts from: only in-domain
 // edits of protected cells may appear — the states index their summaries
 // by protected-attribute position and category, so an unchecked foreign
@@ -148,7 +148,7 @@ func chainError(ch dataset.CellChange, from int, first bool) error {
 // deltaRebuildFraction bounds when patching states change-by-change stops
 // paying off for the battery as a whole: once a change list touches more
 // than rows/deltaRebuildFraction cells (a wide crossover window),
-// EvaluateBatch scores the child in full instead. The DBRL and PRL states
+// EvaluateEdit scores the child in full instead. The DBRL and PRL states
 // do not wait for it: each routes a narrower list to a full grouped
 // re-link of its own once patching would cost more (see
 // internal/risk/incremental.go), so this fraction now governs only the
@@ -166,7 +166,7 @@ func (e *Evaluator) protected(col int) bool {
 }
 
 // WideEdit reports whether a change list is past the battery's
-// incremental break-even point: EvaluateBatch then evaluates the child in
+// incremental break-even point: EvaluateEdit then evaluates the child in
 // full without touching the parent's state, so callers holding no state
 // for the parent can skip building one, and the child inherits none.
 // Narrower lists still reach the states, where DBRL and PRL pick their own

@@ -68,28 +68,27 @@ func requireIdentical(t *testing.T, context string, got, want Evaluation) {
 }
 
 // deltaEvaluate scores the offspring changes derive from file — the file
-// st describes — as a single-offspring EvaluateBatch group, leaving st
-// describing file.
+// st describes — through EvaluateEdit, leaving st describing file.
 func deltaEvaluate(eval *Evaluator, parent Evaluation, st *DeltaState, file *dataset.Dataset, changes []dataset.CellChange) (Evaluation, error) {
-	groups := []BatchGroup{{Parent: parent, File: file, State: st, Offspring: []BatchOffspring{{Changes: changes}}}}
-	err := eval.EvaluateBatch(groups, 1)
-	restoreGroups(eval, groups)
-	return groups[0].Offspring[0].Eval, err
+	ev, _, err := eval.EvaluateEdit(parent, file, st, changes)
+	if st != nil {
+		eval.Restore(st)
+	}
+	return ev, err
 }
 
 // commitEvaluate scores an offspring like deltaEvaluate but commits it
 // the way the engine commits a survivor: Keep leaves st describing the
 // offspring's file, unless the edit was wide, which never touches st.
 func commitEvaluate(eval *Evaluator, parent Evaluation, st *DeltaState, file *dataset.Dataset, changes []dataset.CellChange) (Evaluation, error) {
-	groups := []BatchGroup{{Parent: parent, File: file, State: st, Offspring: []BatchOffspring{{Changes: changes}}}}
-	err := eval.EvaluateBatch(groups, 1)
+	ev, _, err := eval.EvaluateEdit(parent, file, st, changes)
 	eval.Keep(st)
-	return groups[0].Offspring[0].Eval, err
+	return ev, err
 }
 
 // TestEvaluateDeltaMatchesEvaluate is the core equivalence property: over
 // long randomized change chains — small batches (the incremental path) and
-// wide batches (the full-evaluation path) — single-offspring batch groups
+// wide batches (the full-evaluation path) — EvaluateEdit's evaluations
 // must equal a fresh Evaluate bit-for-bit, parts maps included. Each step
 // commits the child as the next parent the way the engine does: Keep
 // for narrow edits, a fresh Prepare after a wide one.
@@ -181,8 +180,8 @@ func TestEvaluateDeltaLeavesParentStateIntact(t *testing.T) {
 	requireIdentical(t, "parent after offspring", got, want)
 }
 
-// TestEvaluateDeltaEmptyChanges returns the parent evaluation unchanged
-// and leaves the group's state in place.
+// TestEvaluateDeltaEmptyChanges returns the parent evaluation unchanged,
+// builds no file and leaves the state settled.
 func TestEvaluateDeltaEmptyChanges(t *testing.T) {
 	eval, orig := deltaTestEvaluator(t)
 	masked := orig.Clone()
@@ -191,23 +190,21 @@ func TestEvaluateDeltaEmptyChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := []BatchGroup{{Parent: ev, File: masked, State: st, Offspring: []BatchOffspring{{}}}}
-	if err := eval.EvaluateBatch(groups, 1); err != nil {
+	got, built, err := eval.EvaluateEdit(ev, masked, st, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	restoreGroups(eval, groups)
-	if groups[0].State != st {
-		t.Fatal("empty-changes batch replaced the group state")
+	if st.pending {
+		t.Fatal("an empty change list left the state unsettled")
 	}
-	requireIdentical(t, "empty changes", groups[0].Offspring[0].Eval, ev)
-	if groups[0].Offspring[0].Child != nil {
-		t.Fatal("empty-changes batch built the offspring's file")
+	requireIdentical(t, "empty changes", got, ev)
+	if built != nil {
+		t.Fatal("an empty change list built the offspring's file")
 	}
 }
 
-// TestEvaluateDeltaErrors covers the argument contract of EvaluateBatch:
-// every rejected call names the parent's file, and leaves the state
-// scoring like the parent.
+// TestEvaluateDeltaErrors covers the argument contract of EvaluateEdit:
+// every rejected call leaves the state scoring like the parent.
 func TestEvaluateDeltaErrors(t *testing.T) {
 	eval, orig := deltaTestEvaluator(t)
 	masked := orig.Clone()
@@ -240,7 +237,7 @@ func TestEvaluateDeltaErrors(t *testing.T) {
 	if _, err := deltaEvaluate(eval, ev, st, small, nil); err == nil {
 		t.Error("shape mismatch accepted")
 	}
-	if _, err := deltaEvaluate(eval, ev, &DeltaState{}, masked, nil); err == nil {
+	if _, err := deltaEvaluate(eval, ev, &DeltaState{}, masked, narrow); err == nil {
 		t.Error("foreign state shape accepted")
 	}
 	unprotected := -1

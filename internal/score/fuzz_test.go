@@ -18,14 +18,13 @@ import (
 // a parent file and its state. A valid chained list of seed-drawn length
 // (on either side of the wide-edit break-even point) is corrupted by the
 // edit script in ops: four bytes per edit choose the operation, the
-// entry and a value near the legal range. EvaluateBatch must accept
+// entry and a value near the legal range. EvaluateEdit must accept
 // exactly the lists an independent replay accepts — every edit in
 // range, of a protected column, in-domain, and starting from the value
 // its cell holds at that point of the replay onto the file. An accepted
 // offspring must score bit for bit like Evaluate of the child CloneWith
-// builds; a rejection must leave the state scoring like the parent. Each
-// list is scored after a valid narrow sibling, so a rejection also
-// rolls back an edit the state already applied. Batteries: the default,
+// builds, and a file EvaluateEdit built must be that child; a rejection
+// must leave the state scoring like the parent. Batteries: the default,
 // and one with a stateless ML utility, whose slot needs the child's file
 // for every narrow edit too.
 func FuzzBatchFromParent(f *testing.F) {
@@ -61,7 +60,6 @@ func FuzzBatchFromParent(f *testing.F) {
 		rng := rand.New(rand.NewPCG(seed, 41))
 		parent := orig.Clone()
 		applyChanges(rng, parent, attrs, 10)
-		sibling := applyChanges(rng, parent.Clone(), attrs, 1)
 		list := applyChanges(rng, parent.Clone(), attrs, int(length)%(n+1))
 		for i := 0; i+3 < len(ops) && len(list) > 0; i += 4 {
 			list = corrupt(list, ops[i:i+4], orig)
@@ -74,38 +72,31 @@ func FuzzBatchFromParent(f *testing.F) {
 				t.Fatal(err)
 			}
 			st := prepare(t, eval, parent)
-			groups := []score.BatchGroup{{Parent: pe, File: parent, State: st, Offspring: []score.BatchOffspring{
-				{Changes: sibling},
-				{Changes: list},
-			}}}
-			err = eval.EvaluateBatch(groups, 1)
+			got, built, err := eval.EvaluateEdit(pe, parent, st, list)
 			if (err == nil) != valid {
-				t.Fatalf("%s: EvaluateBatch error %v, replay valid %v: %v", ctx, err, valid, list)
+				t.Fatalf("%s: EvaluateEdit error %v, replay valid %v: %v", ctx, err, valid, list)
 			}
 			if err != nil {
-				if groups[0].Pending != -1 {
-					t.Fatalf("%s: Pending = %d after a rejection", ctx, groups[0].Pending)
-				}
 				requireScoresLike(t, eval, st, parent, rng, ctx+", after rejection")
 				continue
 			}
-			for k, off := range groups[0].Offspring {
-				child := parent.CloneWith(off.Changes)
-				want, err := eval.Evaluate(child)
-				if err != nil {
-					t.Fatal(err)
-				}
-				score.RequireIdentical(t, fmt.Sprintf("%s, offspring %d", ctx, k), off.Eval, want)
-				if off.Child != nil && !off.Child.Equal(child) {
-					t.Fatalf("%s, offspring %d: the built child is not the parent's file with the changes applied", ctx, k)
-				}
+			child := parent.CloneWith(list)
+			want, err := eval.Evaluate(child)
+			if err != nil {
+				t.Fatal(err)
+			}
+			score.RequireIdentical(t, ctx, got, want)
+			if built != nil && !built.Equal(child) {
+				t.Fatalf("%s: the built child is not the parent's file with the changes applied", ctx)
 			}
 			if seed%2 == 0 {
-				// Keep the last narrow offspring's edit: the state then
-				// describes that offspring's file.
-				last := groups[0].Offspring[groups[0].Pending].Changes
+				// Keep the edit: the state then describes the offspring's
+				// file (a wide or empty edit never touched it).
 				eval.Keep(st)
-				requireScoresLike(t, eval, st, parent.CloneWith(last), rng, ctx+", kept")
+				if len(list) == 0 || eval.WideEdit(list) {
+					child = parent
+				}
+				requireScoresLike(t, eval, st, child, rng, ctx+", kept")
 			} else {
 				eval.Restore(st)
 				requireScoresLike(t, eval, st, parent, rng, ctx+", restored")

@@ -11,7 +11,7 @@ import (
 	"evoprot/internal/dataset"
 	"evoprot/internal/dataset/datasettest"
 	"evoprot/internal/infoloss"
-	"evoprot/internal/protection"
+	"evoprot/internal/protection/protectiontest"
 	"evoprot/internal/score"
 	"evoprot/internal/score/scoretest"
 )
@@ -37,7 +37,7 @@ func TestEvaluateAllPreparedMatchesEvaluate(t *testing.T) {
 	}
 	maskings := []*dataset.Dataset{orig}
 	for i, spec := range []string{"pram:theta=0.5", "micro:k=5", "top:q=0.2", "pram:theta=0.9"} {
-		masked, err := protection.Must(spec).Protect(orig, attrs, rand.New(rand.NewPCG(uint64(i), 5)))
+		masked, err := protectiontest.Must(spec).Protect(orig, attrs, rand.New(rand.NewPCG(uint64(i), 5)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,14 +72,13 @@ func TestEvaluateAllPreparedMatchesEvaluate(t *testing.T) {
 
 				child := masked.Clone()
 				ch := datasettest.RandomChange(rng, child, attrs)
-				groups := []score.BatchGroup{{Parent: evs[i], File: masked, State: states[i],
-					Offspring: []score.BatchOffspring{{Changes: []dataset.CellChange{ch}}}}}
-				if err := eval.EvaluateBatch(groups, 1); err != nil {
+				got, _, err := eval.EvaluateEdit(evs[i], masked, states[i], []dataset.CellChange{ch})
+				if err != nil {
 					t.Fatal(err)
 				}
 				eval.Restore(states[i])
 				want, _ = eval.Evaluate(child)
-				score.RequireIdentical(t, ctx+", one-cell offspring", groups[0].Offspring[0].Eval, want)
+				score.RequireIdentical(t, ctx+", one-cell offspring", got, want)
 			}
 		}
 	}

@@ -4,13 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"time"
 
 	"evoprot/internal/datagen"
 	"evoprot/internal/datagen/datagentest"
 	"evoprot/internal/dataset"
-	"evoprot/internal/protection"
+	"evoprot/internal/protection/protectiontest"
 	"evoprot/internal/risk"
 )
 
@@ -28,7 +29,7 @@ func testSetup(t *testing.T) (*dataset.Dataset, []int) {
 func maskWith(t *testing.T, d *dataset.Dataset, attrs []int, spec string, seed uint64) *dataset.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 5))
-	masked, err := protection.Must(spec).Protect(d, attrs, rng)
+	masked, err := protectiontest.Must(spec).Protect(d, attrs, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,32 +155,49 @@ func TestScoreIsAggregateOfParts(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential: batch groups sharded across a worker
-// pool score bit-identically to the same groups evaluated in sequence.
+// TestParallelMatchesSequential: the offspring of distinct parents,
+// scored concurrently through their own states (one goroutine per
+// parent, as a crossover's two children are), score bit-identically to
+// the same offspring scored in sequence.
 func TestParallelMatchesSequential(t *testing.T) {
 	eval, orig := deltaTestEvaluator(t)
 	attrs := eval.Attrs()
-	build := func() []BatchGroup {
+	build := func() []family {
 		rng := rand.New(rand.NewPCG(8, 8))
 		parents := make([]*dataset.Dataset, 4)
 		for i := range parents {
 			parents[i] = orig.Clone()
 			applyRandomChanges(rng, parents[i], attrs, 10+i)
 		}
-		return buildBatch(t, eval, rng, parents, attrs, 3)
+		return buildFamilies(t, eval, rng, parents, attrs, 3)
 	}
 	seq, par := build(), build()
-	if err := eval.EvaluateBatch(seq, 1); err != nil {
-		t.Fatal(err)
-	}
-	restoreGroups(eval, seq)
-	if err := eval.EvaluateBatch(par, 4); err != nil {
-		t.Fatal(err)
-	}
-	restoreGroups(eval, par)
+	want := make([][]Evaluation, len(seq))
 	for g := range seq {
-		for k := range seq[g].Offspring {
-			requireIdentical(t, "parallel batch", par[g].Offspring[k].Eval, seq[g].Offspring[k].Eval)
+		want[g] = scoreFamily(t, eval, &seq[g], "sequential")
+	}
+	got := make([][]Evaluation, len(par))
+	var wg sync.WaitGroup
+	for g := range par {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([]Evaluation, len(par[g].offspring))
+			for k, changes := range par[g].offspring {
+				ev, _, err := eval.EvaluateEdit(par[g].eval, par[g].file, par[g].state, changes)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				eval.Restore(par[g].state)
+				got[g][k] = ev
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range seq {
+		for k := range seq[g].offspring {
+			requireIdentical(t, "concurrent scoring", got[g][k], want[g][k])
 		}
 	}
 }

@@ -14,19 +14,20 @@ import (
 	"evoprot/internal/score/scoretest"
 )
 
-// TestSettlePendingEdit pins the settle contract of EvaluateBatch: each
-// group's state is left holding its last narrow offspring's edit, which
-// Keep commits (the state then scores like one prepared from that
-// offspring's file) and Restore rolls back (it scores like one prepared
-// from the parent's); a clone taken before the Restore scores like the
-// offspring. Unsettled states are refused by EvaluateBatch.
+// TestSettlePendingEdit pins the settle contract of EvaluateEdit: a
+// narrow edit is left pending in the parent's state, which Keep commits
+// (the state then scores like one prepared from that offspring's file)
+// and Restore rolls back (it scores like one prepared from the
+// parent's); a clone taken before the Restore scores like the offspring.
+// An empty or wide edit scored meanwhile leaves the pending edit alone,
+// and a narrow one is refused until the state is settled.
 // The pending lists run up to rows/2 cells, past the DBRL state's own
 // break-even on this file, so stale pending states (a state-wide but
 // battery-narrow edit) are kept, restored and cloned too; PRL's
 // break-even lies beyond rows/2 here, and internal/risk covers its stale
 // states. Batteries: the default, the default plus ML utility, the
 // default plus a stripped (stateless) ML utility, and a stripped one
-// without any state; widths 1 and 4.
+// without any state.
 func TestSettlePendingEdit(t *testing.T) {
 	orig := datagentest.MustByName("german", 150, 61)
 	names, _ := datagen.ProtectedAttrs("german")
@@ -52,66 +53,65 @@ func TestSettlePendingEdit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			rng := rand.New(rand.NewPCG(uint64(workers), 31))
-			// Group g's pending offspring has width 1, rows/4 or rows/2
+		for _, seed := range []uint64{1, 4} {
+			rng := rand.New(rand.NewPCG(seed, 31))
+			// Parent g's pending offspring has width 1, rows/4 or rows/2
 			// (g%3) and is settled by Keep, Restore, or a clone and a
 			// Restore (g/3), so every width meets every settle.
-			const numGroups = 9
-			parents := make([]*dataset.Dataset, numGroups)
-			groups := make([]score.BatchGroup, numGroups)
-			for g := range groups {
-				p := orig.Clone()
-				applyChanges(rng, p, attrs, 20)
-				parents[g] = p
-				pe, err := eval.Evaluate(p)
+			for g := range 9 {
+				ctx := fmt.Sprintf("%s, seed %d, parent %d", tc.name, seed, g)
+				parent := orig.Clone()
+				applyChanges(rng, parent, attrs, 20)
+				pe, err := eval.Evaluate(parent)
 				if err != nil {
 					t.Fatal(err)
 				}
-				groups[g] = score.BatchGroup{Parent: pe, File: p, State: prepare(t, eval, p)}
-				for _, width := range []int{2, 0, n/2 + 1, []int{1, n / 4, n / 2}[g%3], 0} {
-					groups[g].Offspring = append(groups[g].Offspring, score.BatchOffspring{
-						Changes: applyChanges(rng, p.Clone(), attrs, width),
-					})
+				st := prepare(t, eval, parent)
+				var pending []dataset.CellChange
+				for k, width := range []int{2, 0, n/2 + 1, []int{1, n / 4, n / 2}[g%3], 0} {
+					changes := applyChanges(rng, parent.Clone(), attrs, width)
+					ev, _, err := eval.EvaluateEdit(pe, parent, st, changes)
+					if err != nil {
+						t.Fatalf("%s, offspring %d: %v", ctx, k, err)
+					}
+					if k < 3 {
+						eval.Restore(st)
+					} else if k == 3 {
+						pending = changes
+					}
+					want, err := eval.Evaluate(parent.CloneWith(changes))
+					if err != nil {
+						t.Fatal(err)
+					}
+					score.RequireIdentical(t, fmt.Sprintf("%s, offspring %d", ctx, k), ev, want)
 				}
-			}
-			if err := eval.EvaluateBatch(groups, workers); err != nil {
-				t.Fatal(err)
-			}
-			for g := range groups {
-				grp := &groups[g]
-				ctx := fmt.Sprintf("%s, width %d, group %d", tc.name, workers, g)
-				if grp.Pending != 3 {
-					t.Fatalf("%s: Pending = %d, want 3 (the last narrow offspring)", ctx, grp.Pending)
-				}
-				child := parents[g].CloneWith(grp.Offspring[3].Changes)
-				again := []score.BatchGroup{{Parent: grp.Parent, File: parents[g], State: grp.State,
-					Offspring: []score.BatchOffspring{{}}}}
-				if err := eval.EvaluateBatch(again, 1); err == nil {
-					t.Fatalf("%s: EvaluateBatch accepted an unsettled state", ctx)
+				child := parent.CloneWith(pending)
+				again := applyChanges(rng, parent.Clone(), attrs, 1)
+				if _, _, err := eval.EvaluateEdit(pe, parent, st, again); err == nil {
+					t.Fatalf("%s: EvaluateEdit accepted an unsettled state", ctx)
 				}
 				switch g / 3 {
 				case 0:
-					eval.Keep(grp.State)
-					requireScoresLike(t, eval, grp.State, child, rng, ctx+", kept")
+					eval.Keep(st)
+					requireScoresLike(t, eval, st, child, rng, ctx+", kept")
 				case 1:
-					eval.Restore(grp.State)
-					requireScoresLike(t, eval, grp.State, parents[g], rng, ctx+", restored")
+					eval.Restore(st)
+					requireScoresLike(t, eval, st, parent, rng, ctx+", restored")
 				default:
-					clone := grp.State.Clone()
-					eval.Restore(grp.State)
+					clone := st.Clone()
+					eval.Restore(st)
 					requireScoresLike(t, eval, clone, child, rng, ctx+", clone before restore")
-					requireScoresLike(t, eval, grp.State, parents[g], rng, ctx+", restored after clone")
+					requireScoresLike(t, eval, st, parent, rng, ctx+", restored after clone")
 				}
 			}
 		}
 	}
 }
 
-// TestEvaluateBatchErrorSettles: a batch that fails after an offspring
-// was scored through a group's state — the next offspring's list does
-// not start from the parent's file — leaves that state settled at the
-// parent's file.
+// TestEvaluateBatchErrorSettles: a rejected change list — one that does
+// not start from the parent's file — never touches the state. A settled
+// state stays settled at the parent's file, and one holding an
+// offspring's pending edit keeps it, so Keep still commits that edit.
 func TestEvaluateBatchErrorSettles(t *testing.T) {
 	orig := datagentest.MustByName("german", 150, 61)
 	names, _ := datagen.ProtectedAttrs("german")
@@ -131,21 +131,22 @@ func TestEvaluateBatchErrorSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := prepare(t, eval, parent)
-	child := parent.Clone()
-	scored := applyChanges(rng, child, attrs, 2)
-	// The second list starts from the first offspring's file, not the
+	scored := applyChanges(rng, parent.Clone(), attrs, 2)
+	// The rejected list starts from the scored offspring's file, not the
 	// parent's.
-	groups := []score.BatchGroup{{Parent: pe, File: parent, State: st, Offspring: []score.BatchOffspring{
-		{Changes: scored},
-		{Changes: []dataset.CellChange{scored[0].Inverted()}},
-	}}}
-	if err := eval.EvaluateBatch(groups, 1); err == nil {
-		t.Fatal("EvaluateBatch accepted a list that does not start from the parent's file")
+	rejected := []dataset.CellChange{scored[0].Inverted()}
+	if _, _, err := eval.EvaluateEdit(pe, parent, st, rejected); err == nil {
+		t.Fatal("EvaluateEdit accepted a list that does not start from the parent's file")
 	}
-	if groups[0].Pending != -1 {
-		t.Fatalf("Pending = %d after a failed batch, want -1", groups[0].Pending)
+	requireScoresLike(t, eval, st, parent, rng, "after a rejection on a settled state")
+	if _, _, err := eval.EvaluateEdit(pe, parent, st, scored); err != nil {
+		t.Fatal(err)
 	}
-	requireScoresLike(t, eval, st, parent, rng, "after a failed batch")
+	if _, _, err := eval.EvaluateEdit(pe, parent, st, rejected); err == nil {
+		t.Fatal("EvaluateEdit accepted a list that does not start from the parent's file")
+	}
+	eval.Keep(st)
+	requireScoresLike(t, eval, st, parent.CloneWith(scored), rng, "kept after a rejection on a pending state")
 }
 
 // requireScoresLike scores two grandchildren of file — one cell and rows/2
@@ -158,25 +159,25 @@ func requireScoresLike(t *testing.T, eval *score.Evaluator, st *score.DeltaState
 	if err != nil {
 		t.Fatal(err)
 	}
-	var offs []score.BatchOffspring
+	var lists [][]dataset.CellChange
 	for _, width := range []int{1, file.Rows() / 2} {
-		offs = append(offs, score.BatchOffspring{Changes: applyChanges(rng, file.Clone(), eval.Attrs(), width)})
+		lists = append(lists, applyChanges(rng, file.Clone(), eval.Attrs(), width))
 	}
 	for _, route := range []struct {
 		name  string
 		state *score.DeltaState
 	}{{"state", st}, {"fresh Prepare", prepare(t, eval, file)}} {
-		groups := []score.BatchGroup{{Parent: fe, File: file, State: route.state, Offspring: append([]score.BatchOffspring(nil), offs...)}}
-		if err := eval.EvaluateBatch(groups, 1); err != nil {
-			t.Fatalf("%s, %s: %v", ctx, route.name, err)
-		}
-		eval.Restore(route.state)
-		for k, off := range groups[0].Offspring {
-			want, err := eval.Evaluate(file.CloneWith(off.Changes))
+		for k, changes := range lists {
+			got, _, err := eval.EvaluateEdit(fe, file, route.state, changes)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", ctx, route.name, err)
+			}
+			eval.Restore(route.state)
+			want, err := eval.Evaluate(file.CloneWith(changes))
 			if err != nil {
 				t.Fatal(err)
 			}
-			score.RequireIdentical(t, fmt.Sprintf("%s, %s, grandchild %d", ctx, route.name, k), off.Eval, want)
+			score.RequireIdentical(t, fmt.Sprintf("%s, %s, grandchild %d", ctx, route.name, k), got, want)
 		}
 	}
 }

@@ -36,16 +36,14 @@ func sameFrontStats(a, b *evoprot.FrontStats) bool {
 }
 
 // genStatsByGen extracts a feed's generation events (Done entries
-// dropped, times stripped) keyed by generation number.
+// dropped) keyed by generation number.
 func genStatsByGen(events []evoprot.Event) map[int]evoprot.GenStats {
 	out := map[int]evoprot.GenStats{}
 	for _, ev := range events {
 		if ev.Done {
 			continue
 		}
-		gs := ev.Stats
-		gs.EvalTime, gs.TotalTime = 0, 0
-		out[gs.Gen] = gs
+		out[ev.Stats.Gen] = ev.Stats
 	}
 	return out
 }

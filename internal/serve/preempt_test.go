@@ -62,24 +62,16 @@ func runUninterrupted(t *testing.T, spec evoprot.JobSpec) ([]evoprot.Event, JobR
 	return fetchEvents(t, ts.URL, status.ID, 0), fetchResult(t, ts.URL, status.ID)
 }
 
-// stripTimes zeroes an event's wall-clock fields — the only part of a
-// deterministic run that legitimately differs between executions.
-func stripTimes(ev evoprot.Event) evoprot.Event {
-	ev.Stats.EvalTime, ev.Stats.TotalTime = 0, 0
-	return ev
-}
-
-// sameFeed fails unless the two feeds are identical event for event
-// (times stripped), sequence numbers included — the single-island
-// emission order is deterministic.
+// sameFeed fails unless the two feeds are identical event for event,
+// sequence numbers included — the single-island emission order is
+// deterministic, and a decoded event carries no wall-clock time.
 func sameFeed(t *testing.T, label string, a, b []evoprot.Event) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: feed lengths %d vs %d", label, len(a), len(b))
 	}
 	for i := range a {
-		x, y := stripTimes(a[i]), stripTimes(b[i])
-		if x != y {
+		if x, y := a[i], b[i]; x != y {
 			t.Fatalf("%s: event %d diverged:\n%+v\n%+v", label, i, x, y)
 		}
 	}

@@ -202,7 +202,7 @@ func (b *Bitset) countPlain() int {
 
 // BitsetJournal records word-granular before-images of bitset mutations
 // so that a batch of changes can be rolled back exactly without cloning
-// the bitsets — the undo half of generation-batch delta evaluation. The
+// the bitsets — the undo half of apply/undo delta evaluation. The
 // journaled mutation variants (SetJ, ClearJ, OrWithJ, AndNotWithJ)
 // record only the words they actually modify, so the journal size is
 // proportional to the diff, not to the bitset. One journal may span any

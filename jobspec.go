@@ -64,9 +64,9 @@ type JobSpec struct {
 	// Workers parallelizes initial-population evaluation (0 = sequential;
 	// never more workers than seed protections).
 	Workers int `json:"workers,omitempty"`
-	// EvalWorkers parallelizes generation-batch offspring evaluation (0
-	// inherits Workers, negative forces sequential). Identical results at
-	// any width.
+	// EvalWorkers parallelizes offspring evaluation: at 2 or more a
+	// crossover scores its two children concurrently (0 inherits Workers,
+	// negative forces sequential). Identical results at any width.
 	EvalWorkers int `json:"eval_workers,omitempty"`
 	// EarlyStop stops an island after N stagnant generations (0 = off).
 	EarlyStop int `json:"early_stop,omitempty"`

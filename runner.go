@@ -212,10 +212,10 @@ func WithSeed(seed uint64) Option { return func(o *runnerOptions) { o.spec.Seed 
 // WithWorkers parallelizes initial-population evaluation (0 = sequential).
 func WithWorkers(n int) Option { return func(o *runnerOptions) { o.spec.Workers = n } }
 
-// WithEvalWorkers sets the worker-pool width for generation-batch
-// offspring evaluation (0 inherits WithWorkers, negative forces
-// sequential). Results are identical at any width — only wall-clock
-// changes.
+// WithEvalWorkers sets how many offspring a generation scores at once: at
+// 2 or more a crossover scores its two children concurrently (0 inherits
+// WithWorkers, negative forces sequential). Results are identical at any
+// width — only wall-clock changes.
 func WithEvalWorkers(n int) Option { return func(o *runnerOptions) { o.spec.EvalWorkers = n } }
 
 // WithEarlyStop stops an island after window stagnant generations
