@@ -67,7 +67,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		migEvery  = fs.Int("migrate-every", 0, "generations between island migrations (0 = default 25)")
 		migrants  = fs.Int("migrants", 0, "elite individuals exchanged per migration (0 = default 2)")
 		topoName  = fs.String("topology", "ring", "migration topology: ring | broadcast")
-		perIsland = fs.String("per-island", "", `per-island engine overrides as a JSON array, e.g. '[{},{"selection":"rank","mutation_rate":0.7}]'`)
+		perIsland = fs.String("per-island", "", `per-island overrides as a JSON array, one object per island; omitted fields inherit the shared setup, set ones (selection, crowding, mutation_rate, leader_fraction, aggregator, objective, pareto_ref, generations, early_stop) replace it, e.g. '[{},{"selection":"rank","mutation_rate":0.7}]'`)
 		timeout   = fs.Duration("timeout", 0, "overall run deadline, e.g. 90s or 5m (0 = none)")
 		best      = fs.String("best", "", "write the best protection to this CSV")
 		plots     = fs.Bool("plots", false, "print dispersion and evolution plots")

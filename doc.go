@@ -73,13 +73,15 @@
 //
 // # Heterogeneous islands
 //
-// Islands need not run identical engines. WithPerIsland overlays
-// per-island overrides — selection policy, mutation rate, leader
-// fraction, objective, even a per-island fitness aggregation — onto the
-// shared configuration (zero-valued fields inherit), so exploitative and
-// explorative searches, or islands optimizing different points of the
-// risk/information-loss trade-off, run side by side while migration
-// exchanges protections across the biases. Migrants are re-scored under
+// Islands need not run identical engines. WithPerIsland applies one
+// IslandConfig per island — selection policy, crowding, mutation rate,
+// leader fraction, objective, even a per-island fitness aggregation — to
+// the shared configuration: empty fields inherit it, set fields replace
+// it, and a named policy replaces the shared one even when it names the
+// default. So exploitative and explorative searches, or islands
+// optimizing different points of the risk/information-loss trade-off,
+// run side by side while migration exchanges protections across the
+// biases. Migrants are re-scored under
 // the receiving island's aggregation on arrival. Every island crosses
 // with the paper's 2-point crossover.
 //
@@ -99,11 +101,12 @@
 // a quiescent barrier, so one top-level seed still reproduces the whole
 // run bit for bit — a property a dedicated determinism/equivalence
 // harness pins down (all-equal overrides reproduce the homogeneous
-// trajectory exactly; one island equals a plain engine under the merged
-// config; barrier snapshots resume onto the uninterrupted trajectory,
-// per-island configs included). The option sets the JobSpec field
-// PerIsland, which carries the same knobs on the wire, and cmd/evoprot's
-// -per-island fills it.
+// trajectory exactly; one island equals a plain engine under the
+// shared config with its override applied; barrier snapshots resume onto
+// the uninterrupted trajectory, per-island overrides included). One type
+// carries an override everywhere: IslandConfig is islands.Override, the
+// JSON shape of the JobSpec field PerIsland that the option sets and
+// cmd/evoprot's -per-island fills, and what a checkpoint records.
 //
 // # Pareto mode: true multi-objective search
 //
@@ -260,8 +263,8 @@
 // capability-stripped battery (internal/score/scoretest) that scores each
 // offspring in full. When a crossover's two parents differ, its second
 // child is scored on its own goroutine if core.Config.EvalWorkers is at
-// least 2 (0 inherits InitWorkers;
-// WithEvalWorkers and JobSpec.EvalWorkers thread it through the stack).
+// least 2 (0 inherits InitWorkers, which WithWorkers and JobSpec.Workers
+// set).
 // Only the children that survive replacement are handed a state — the
 // evicted parent's kept in place, or a clone of it when the parent lives
 // on. Either already holds the child's edit. A parent's state never holds

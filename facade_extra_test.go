@@ -164,7 +164,7 @@ func TestRunnerCheckpointSinkFacade(t *testing.T) {
 	var snaps [][]byte
 	var seqs []uint64
 	r, err := NewRunner(orig, attrs,
-		WithGrid("flare"), WithGenerations(6), WithSeed(41), WithEvalWorkers(-1),
+		WithGrid("flare"), WithGenerations(6), WithSeed(41),
 		WithCheckpointSink(func(b []byte) error { snaps = append(snaps, b); return nil }, 3),
 		WithFirstEventSeq(100),
 		WithProgress(func(ev Event) { seqs = append(seqs, ev.Seq) }),

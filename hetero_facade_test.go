@@ -97,6 +97,39 @@ func TestFacadeHeterogeneousDeterminism(t *testing.T) {
 	}
 }
 
+// TestFacadeExplicitDefaultSelectionOverrides: an override naming the
+// default selection policy replaces a shared policy that is not the
+// default. Under "selection":"rank", per_island
+// [{},{"selection":"inverse-proportional"}] runs island 1 with the
+// inverse-proportional policy: the run equals one whose shared policy is
+// inverse-proportional and whose island 0 overrides it with rank.
+func TestFacadeExplicitDefaultSelectionOverrides(t *testing.T) {
+	run := func(raw string) *RunResult {
+		t.Helper()
+		var spec JobSpec
+		if err := json.Unmarshal([]byte(raw), &spec); err != nil {
+			t.Fatal(err)
+		}
+		orig, err := spec.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts, err := spec.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(context.Background(), orig, spec.Attributes, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const base = `{"dataset":"flare","rows":80,"generations":30,"seed":5,"migrate_every":5,`
+	explicit := run(base + `"selection":"rank","per_island":[{},{"selection":"inverse-proportional"}]}`)
+	shared := run(base + `"per_island":[{"selection":"rank"},{}]}`)
+	sameRunResults(t, "explicit default selection", explicit, shared)
+}
+
 // TestFacadePerIslandImpliesIslandCount: WithPerIsland without
 // WithIslands runs one island per override.
 func TestFacadePerIslandImpliesIslandCount(t *testing.T) {
@@ -115,8 +148,7 @@ func TestFacadePerIslandImpliesIslandCount(t *testing.T) {
 
 // TestFacadeHeterogeneousCheckpointResume: a heterogeneous (fixed-
 // schedule) run checkpoints and resumes onto the uninterrupted
-// trajectory through the facade; the checkpoint advertises its
-// heterogeneity through PeekCheckpoint.
+// trajectory through the facade; PeekCheckpoint reads its island count.
 func TestFacadeHeterogeneousCheckpointResume(t *testing.T) {
 	orig, _ := GenerateDataset("flare", 80, 31)
 	attrs, _ := ProtectedAttributes("flare")
@@ -149,8 +181,8 @@ func TestFacadeHeterogeneousCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Islands != 2 || !meta.Heterogeneous {
-		t.Fatalf("checkpoint meta %+v, want 2 heterogeneous islands", meta)
+	if meta.Islands != 2 {
+		t.Fatalf("checkpoint meta %+v, want 2 islands", meta)
 	}
 	r2, err := NewRunner(orig, attrs, opts(10)...)
 	if err != nil {

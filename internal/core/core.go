@@ -322,57 +322,6 @@ func (c Config) Validate() error {
 	return err
 }
 
-// Merged overlays an override onto this configuration — the inheritance
-// rule of heterogeneous islands: every zero-valued override field keeps
-// the template's value, every set field replaces it. Because inheritance
-// keys on the zero value, a few settings cannot be expressed in an
-// override: MutationRate 0.0 needs the AllCrossover sentinel (as
-// everywhere), and the zero-valued Selection and Crowding policies (the
-// defaults) cannot override a template that sets a non-default policy.
-func (c Config) Merged(o Config) Config {
-	out := c
-	if o.Generations != 0 {
-		out.Generations = o.Generations
-	}
-	if o.MutationRate != 0 {
-		out.MutationRate = o.MutationRate
-	}
-	if o.LeaderFraction != 0 {
-		out.LeaderFraction = o.LeaderFraction
-	}
-	if o.Selection != 0 {
-		out.Selection = o.Selection
-	}
-	if o.Crowding != 0 {
-		out.Crowding = o.Crowding
-	}
-	if o.Seed != 0 {
-		out.Seed = o.Seed
-	}
-	if o.NoImprovementWindow != 0 {
-		out.NoImprovementWindow = o.NoImprovementWindow
-	}
-	if o.ForceOp != "" {
-		out.ForceOp = o.ForceOp
-	}
-	if o.InitWorkers != 0 {
-		out.InitWorkers = o.InitWorkers
-	}
-	if o.EvalWorkers != 0 {
-		out.EvalWorkers = o.EvalWorkers
-	}
-	if o.Aggregator != "" {
-		out.Aggregator = o.Aggregator
-	}
-	if o.Objective != "" {
-		out.Objective = o.Objective
-	}
-	if o.ParetoRef != (score.Pair{}) {
-		out.ParetoRef = o.ParetoRef
-	}
-	return out
-}
-
 // GenStats is one generation's record in the evolution history — the data
 // behind the paper's max/mean/min evolution figures.
 type GenStats struct {
@@ -779,9 +728,12 @@ func (e *Engine) MakeResult(reason StopReason) *Result {
 }
 
 // Emigrants returns copies of the k best individuals for injection into
-// another engine: the datasets are shared (files are never modified once
-// built), the evaluations copied, and any incremental state cloned so the
-// receiving island never shares mutable evaluation state with this one.
+// another engine. The wrappers are new; the datasets are shared (files are
+// never modified once built), the evaluations copied, and the delta states
+// shared too: an emigrant's state is its source's own, read-only. That is
+// safe because migration runs while every island is quiescent, and
+// Immigrate clones the state of each migrant it accepts, so no receiving
+// engine ever evolves a state this one owns.
 func (e *Engine) Emigrants(k int) []*Individual {
 	if k > len(e.pop) {
 		k = len(e.pop)
@@ -792,10 +744,7 @@ func (e *Engine) Emigrants(k int) []*Individual {
 	out := make([]*Individual, k)
 	for i := 0; i < k; i++ {
 		src := e.pop[i]
-		out[i] = &Individual{Data: src.Data, Eval: src.Eval, Origin: src.Origin}
-		if src.state != nil {
-			out[i].state = src.state.Clone()
-		}
+		out[i] = &Individual{Data: src.Data, Eval: src.Eval, Origin: src.Origin, state: src.state}
 	}
 	return out
 }

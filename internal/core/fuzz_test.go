@@ -5,7 +5,11 @@ package core
 // validation, and errors must never leave the caller with a silently
 // accepted policy.
 
-import "testing"
+import (
+	"testing"
+
+	"evoprot/internal/score"
+)
 
 func FuzzSelectionByName(f *testing.F) {
 	for _, seed := range []string{"", "inverse", "inverse-proportional", "raw", "raw-proportional", "rank", "uniform", "tournament", "Rank", " rank", "\xff"} {
@@ -57,13 +61,13 @@ func FuzzConfigAggregatorName(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, name string) {
 		cfg := Config{Generations: 5, Aggregator: name}
-		if err := cfg.Validate(); err != nil {
+		if err := cfg.Validate(); err != nil || name == "" {
 			return
 		}
-		// Accepted at validation => the merge/override layer must also keep
-		// accepting it.
-		if err := (Config{Generations: 5}).Merged(Config{Aggregator: name}).Validate(); err != nil {
-			t.Fatalf("aggregator %q accepted directly but rejected after Merged: %v", name, err)
+		// Accepted at validation => engine construction, which resolves a
+		// set name again, must accept it too.
+		if _, err := score.AggregatorByName(name); err != nil {
+			t.Fatalf("aggregator %q accepted by Validate but not resolvable: %v", name, err)
 		}
 	})
 }

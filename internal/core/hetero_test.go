@@ -1,8 +1,8 @@
 package core
 
 // Tests for the heterogeneous-island building blocks that live in core:
-// the Merged override layer, per-engine aggregator overrides, and the
-// name resolvers behind them.
+// migration's state hand-off, per-engine aggregator overrides, and the
+// name resolvers the island overrides use.
 
 import (
 	"bytes"
@@ -56,52 +56,39 @@ func sameHistories(t *testing.T, label string, a, b []GenStats) {
 	}
 }
 
-// TestMergedInheritance: zero-valued override fields inherit the
-// template, set fields replace it — field by field.
-func TestMergedInheritance(t *testing.T) {
-	template := Config{
-		Generations:         100,
-		MutationRate:        0.4,
-		LeaderFraction:      0.2,
-		Selection:           SelectRank,
-		Crowding:            CrowdNearestParent,
-		Seed:                7,
-		NoImprovementWindow: 50,
-		ForceOp:             "mutation",
-		InitWorkers:         3,
-		Aggregator:          "mean",
+// TestEmigrantsShareStateImmigrantsClone: an emigrant carries its
+// source's own delta state, uncloned — migration runs while every island
+// is quiescent — and an accepted migrant receives a distinct clone that
+// scores like the source's.
+func TestEmigrantsShareStateImmigrantsClone(t *testing.T) {
+	eval, pop := testPopulation(t)
+	engines, err := NewEngines(context.Background(), eval, pop, []Config{{Generations: 5, Seed: 3}, {Generations: 5, Seed: 4}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// An all-zero override changes nothing.
-	if got := template.Merged(Config{}); got.Generations != 100 || got.MutationRate != 0.4 ||
-		got.LeaderFraction != 0.2 || got.Selection != SelectRank || got.Crowding != CrowdNearestParent ||
-		got.Seed != 7 || got.NoImprovementWindow != 50 || got.ForceOp != "mutation" ||
-		got.InitWorkers != 3 || got.Aggregator != "mean" {
-		t.Fatalf("zero override mutated the template: %+v", got)
+	src, dst := engines[0], engines[1]
+	emigrants := src.Emigrants(2)
+	for i, m := range emigrants {
+		if m.state == nil || m.state != src.pop[i].state {
+			t.Fatalf("emigrant %d carries state %p, want its source's %p", i, m.state, src.pop[i].state)
+		}
 	}
-	// A full override replaces everything it sets.
-	ov := Config{
-		Generations:         5,
-		MutationRate:        AllCrossover,
-		LeaderFraction:      0.5,
-		Selection:           SelectUniform,
-		Crowding:            CrowdParentIndex, // zero value: inherits
-		NoImprovementWindow: 2,
-		ForceOp:             "crossover",
-		InitWorkers:         8,
-		Aggregator:          "euclidean",
+	if dst.Immigrate(emigrants) == 0 {
+		t.Fatal("no migrant accepted")
 	}
-	got := template.Merged(ov)
-	if got.Generations != 5 || got.MutationRate != AllCrossover || got.LeaderFraction != 0.5 ||
-		got.Selection != SelectUniform || got.NoImprovementWindow != 2 || got.ForceOp != "crossover" ||
-		got.InitWorkers != 8 || got.Aggregator != "euclidean" {
-		t.Fatalf("override not applied: %+v", got)
+	for i, m := range emigrants {
+		for _, ind := range dst.pop {
+			if ind.Data != m.Data {
+				continue
+			}
+			if ind.state == nil || ind.state == m.state {
+				t.Fatalf("accepted migrant %d holds state %p, want a clone of %p", i, ind.state, m.state)
+			}
+			requireStateDescribes(t, dst, ind, "accepted migrant", uint64(i))
+		}
 	}
-	// Zero-valued policies are the documented blind spot: they inherit.
-	if got.Crowding != CrowdNearestParent {
-		t.Fatalf("zero-valued crowding override replaced the template: %v", got.Crowding)
-	}
-	if got.Seed != 7 {
-		t.Fatalf("unset override seed replaced the template: %d", got.Seed)
+	for i, ind := range src.pop {
+		requireStateDescribes(t, src, ind, "source after migration", uint64(i))
 	}
 }
 

@@ -58,17 +58,6 @@ func TestObjectiveConfigValidation(t *testing.T) {
 	}
 }
 
-func TestObjectiveMergedInheritance(t *testing.T) {
-	template := Config{Objective: ObjectivePareto, ParetoRef: score.Pair{IL: 80, DR: 90}}
-	if got := template.Merged(Config{}); got.Objective != ObjectivePareto || got.ParetoRef != template.ParetoRef {
-		t.Fatalf("zero override lost objective fields: %+v", got)
-	}
-	got := (Config{}).Merged(template)
-	if got.Objective != ObjectivePareto || got.ParetoRef != template.ParetoRef {
-		t.Fatalf("override did not apply objective fields: %+v", got)
-	}
-}
-
 // pairPool wraps raw pairs as individuals scored under Mean, the setup
 // the envSelect unit tests drive directly.
 func pairPool(pairs []score.Pair) []*Individual {

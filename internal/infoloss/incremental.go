@@ -319,7 +319,7 @@ func (e *EBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 		if card < 2 {
 			continue // mirrors Loss: constant attributes are skipped
 		}
-		st.joint[a] = stats.JointTransition(orig.Column(c), masked.Column(c), card)
+		st.joint[a] = jointCounts(orig, masked, c, card)
 		st.terms[a] = ebilTerm(st.joint[a], card, n)
 	}
 	return st

@@ -179,6 +179,51 @@ func TestReversibleApplyUndo(t *testing.T) {
 	}
 }
 
+// TestEBILLossAllocatesOnlyJointTables gates EBIL's full evaluation: it
+// tabulates each attribute's joint table straight from the two files'
+// cells, so its only allocations are that table's backing array and row
+// headers — no column copies. The race detector's instrumentation
+// allocates, so the gate runs without it.
+func TestEBILLossAllocatesOnlyJointTables(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	d, attrs := testData(t)
+	work := scramble(d, attrs, 3)
+	tables := 0
+	for _, c := range attrs {
+		if d.Schema().Attr(c).Cardinality() >= 2 {
+			tables++
+		}
+	}
+	e := &EBIL{}
+	if allocs := testing.AllocsPerRun(20, func() { e.Loss(d, work, attrs) }); allocs != float64(2*tables) {
+		t.Errorf("EBIL Loss allocates %v times, want %d (two per joint table)", allocs, 2*tables)
+	}
+}
+
+// TestJointCounts: the joint table read from the files' cells counts
+// every record once, in the cell of its (original, masked) category pair
+// — the same table a tabulation of copied columns gives.
+func TestJointCounts(t *testing.T) {
+	d, attrs := testData(t)
+	work := scramble(d, attrs, 5)
+	for _, c := range attrs {
+		card := d.Schema().Attr(c).Cardinality()
+		want := make([][]int, card)
+		for u := range want {
+			want[u] = make([]int, card)
+		}
+		oc, mc := d.Column(c), work.Column(c)
+		for r := range oc {
+			want[oc[r]][mc[r]]++
+		}
+		if got := jointCounts(d, work, c, card); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("attribute %d: jointCounts = %v, want %v", c, got, want)
+		}
+	}
+}
+
 // TestEBILReadsAllocateNothing gates EBIL's delta reads: once warm, a
 // speculative ApplyUndo+Undo and a committed Apply (of a change list and
 // then of its inverse) recompute the touched attributes' terms without

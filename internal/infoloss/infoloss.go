@@ -190,14 +190,29 @@ func (e *EBIL) Loss(orig, masked *dataset.Dataset, attrs []int) float64 {
 		if card < 2 {
 			continue // a constant attribute carries no information to lose
 		}
-		joint := stats.JointTransition(orig.Column(c), masked.Column(c), card)
-		sum += ebilTerm(joint, card, n)
+		sum += ebilTerm(jointCounts(orig, masked, c, card), card, n)
 		counted++
 	}
 	if counted == 0 {
 		return 0
 	}
 	return 100 * sum / float64(counted)
+}
+
+// jointCounts tabulates one attribute's joint distribution of (original,
+// masked) category pairs straight from the two files' cells: cell [u][v]
+// of the dense card x card matrix counts the records whose original
+// category is u and masked category is v.
+func jointCounts(orig, masked *dataset.Dataset, c, card int) [][]int {
+	backing := make([]int, card*card)
+	m := make([][]int, card)
+	for u := range m {
+		m[u] = backing[u*card : (u+1)*card]
+	}
+	for r := range orig.Rows() {
+		m[orig.At(r, c)][masked.At(r, c)]++
+	}
+	return m
 }
 
 // ebilTerm computes one attribute's normalized conditional entropy

@@ -37,10 +37,10 @@ func TestBarrierSchedulingInvariance(t *testing.T) {
 			Islands:      3,
 			MigrateEvery: 10,
 			Migrants:     2,
-			PerIsland: []core.Config{
+			PerIsland: []Override{
 				{},
 				{MutationRate: 0.9},
-				{Selection: core.SelectRank},
+				{Selection: "rank"},
 			},
 			Engine: core.Config{Generations: 40, Seed: 42, NoImprovementWindow: 15},
 		}

@@ -8,23 +8,27 @@ package islands
 //   - a fixed top-level seed reproduces any heterogeneous run bit for
 //     bit;
 //   - one island with an override equals a plain core.Engine run under
-//     the merged configuration;
+//     the template with the override applied;
 //   - a barrier snapshot of a heterogeneous run resumes onto the
 //     uninterrupted run's exact trajectory, and checkpoints written by
-//     earlier builds with adaptive migration or niche presets still
-//     resume.
+//     earlier builds (adaptive migration, niche presets, the flat
+//     reference-point keys of version 3) resume to the results those
+//     builds reached.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"evoprot/internal/core"
+	"evoprot/internal/score"
 )
 
 // stripEvent zeroes an event's timing fields so feeds compare by payload.
@@ -158,9 +162,9 @@ func heteroConfig(gens int) Config {
 		Migrants:     2,
 		Topology:     Broadcast,
 		Engine:       core.Config{Generations: gens, Seed: 42},
-		PerIsland: []core.Config{
+		PerIsland: []Override{
 			{},
-			{MutationRate: 0.7, Selection: core.SelectRank},
+			{MutationRate: 0.7, Selection: "rank"},
 			{MutationRate: 0.3, LeaderFraction: 0.25, Aggregator: "mean"},
 		},
 	}
@@ -179,7 +183,7 @@ func TestHomogeneousEquivalence(t *testing.T) {
 	refEvents, refRes := collectEvents(t, base)
 
 	zero := base
-	zero.PerIsland = make([]core.Config, 3)
+	zero.PerIsland = make([]Override, 3)
 	zeroEvents, zeroRes := collectEvents(t, zero)
 	sameResults(t, "all-zero overrides", refRes, zeroRes)
 	sameEvents(t, "all-zero overrides", refEvents, zeroEvents)
@@ -187,17 +191,34 @@ func TestHomogeneousEquivalence(t *testing.T) {
 		t.Fatalf("migrations %d vs %d", refRes.Migrations, zeroRes.Migrations)
 	}
 
-	// Overrides restating the template's effective values are equally
-	// homogeneous.
+	// Overrides restating the template's effective values, the default
+	// policies by name included, are equally homogeneous.
+	restate := Override{MutationRate: 0.5, LeaderFraction: 0.1,
+		Selection: "inverse-proportional", Crowding: "parent-index", Objective: "scalar"}
 	stated := base
-	stated.PerIsland = []core.Config{
-		{MutationRate: 0.5, LeaderFraction: 0.1},
-		{MutationRate: 0.5, LeaderFraction: 0.1},
-		{MutationRate: 0.5, LeaderFraction: 0.1},
-	}
+	stated.PerIsland = []Override{restate, restate, restate}
 	statedEvents, statedRes := collectEvents(t, stated)
 	sameResults(t, "restated-template overrides", refRes, statedRes)
 	sameEvents(t, "restated-template overrides", refEvents, statedEvents)
+}
+
+// TestExplicitDefaultCrowdingOverrides: an override naming the default
+// crowding policy replaces a template that sets another. Under
+// nearest-parent crowding, overrides [{}, {Crowding: "parent-index"}] run
+// island 1 with parent-index crowding: the run equals one whose template
+// crowds by parent index and whose island 0 overrides it with
+// nearest-parent.
+func TestExplicitDefaultCrowdingOverrides(t *testing.T) {
+	cfg := func(template core.CrowdingPolicy, perIsland ...Override) Config {
+		return Config{
+			Islands: 2, MigrateEvery: 5, Migrants: 2,
+			Engine:    core.Config{Generations: 40, Seed: 13, Crowding: template},
+			PerIsland: perIsland,
+		}
+	}
+	_, explicit := collectEvents(t, cfg(core.CrowdNearestParent, Override{}, Override{Crowding: "parent-index"}))
+	_, shared := collectEvents(t, cfg(core.CrowdParentIndex, Override{Crowding: "nearest-parent"}, Override{}))
+	sameResults(t, "explicit default crowding", explicit, shared)
 }
 
 // TestHeterogeneousDeterminism: a fixed top-level seed reproduces a
@@ -231,14 +252,17 @@ func TestHeterogeneousDeterminism(t *testing.T) {
 }
 
 // TestSingleIslandHeterogeneousMatchesEngine: one island with an override
-// must reproduce a plain core.Engine run under the merged configuration —
-// the 1-island == plain-engine property extended to the override layer.
+// must reproduce a plain core.Engine run under the template with the
+// override applied — the 1-island == plain-engine property extended to
+// the override layer.
 func TestSingleIslandHeterogeneousMatchesEngine(t *testing.T) {
-	override := core.Config{MutationRate: 0.7, Selection: core.SelectRank, Aggregator: "mean"}
+	override := Override{MutationRate: 0.7, Selection: "rank", Aggregator: "mean"}
 	template := core.Config{Generations: 40, Seed: 7}
 
 	eval, pop := testPopulation(t)
-	engine, err := core.NewEngine(eval, pop, template.Merged(override))
+	engine, err := core.NewEngine(eval, pop, core.Config{
+		Generations: 40, Seed: 7, MutationRate: 0.7, Selection: core.SelectRank, Aggregator: "mean",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +275,7 @@ func TestSingleIslandHeterogeneousMatchesEngine(t *testing.T) {
 	r, err := New(context.Background(), eval2, pop2, Config{
 		Islands:   1,
 		Engine:    template,
-		PerIsland: []core.Config{override},
+		PerIsland: []Override{override},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,11 +356,13 @@ func TestHeterogeneousSnapshotResume(t *testing.T) {
 }
 
 // resumeFixture resumes a checkpoint written by an earlier build (the
-// named file under testdata) over the test population, checks it
-// restored the recorded per-island overrides, runs it on for gens more
-// generations and returns the result.
-func resumeFixture(t *testing.T, name string, gens int, wantConfigs []core.Config) *Result {
+// named file under testdata) over the test population, checks it restored
+// the recorded per-island overrides, runs it on for 15 more generations
+// and requires the result the writing build reached on that same resume,
+// pinned in testdata/fixture_resume_golden.json.
+func resumeFixture(t *testing.T, name string, islands int, want []Override) {
 	t.Helper()
+	const gens = 15
 	raw, err := os.ReadFile("testdata/" + name)
 	if err != nil {
 		t.Fatal(err)
@@ -345,8 +371,8 @@ func resumeFixture(t *testing.T, name string, gens int, wantConfigs []core.Confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Islands != 4 || meta.Generation != 20 || !meta.Heterogeneous {
-		t.Fatalf("%s: meta %+v, want 4 heterogeneous islands at generation 20", name, meta)
+	if meta.Islands != islands || meta.Generation != 20 {
+		t.Fatalf("%s: meta %+v, want %d islands at generation 20", name, meta, islands)
 	}
 	eval, _ := testPopulation(t)
 	r, err := Resume(eval, bytes.NewReader(raw), Config{
@@ -355,15 +381,12 @@ func resumeFixture(t *testing.T, name string, gens int, wantConfigs []core.Confi
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if r.Islands() != 4 || r.Generation() != 20 {
+	if r.Islands() != islands || r.Generation() != 20 {
 		t.Fatalf("%s: resumed %d islands at generation %d", name, r.Islands(), r.Generation())
 	}
-	for i, got := range r.perIsland {
-		if configToJSON(got) != configToJSON(core.Config{Generations: gens}.Merged(wantConfigs[i])) {
-			t.Fatalf("%s: island %d config %+v, want %+v", name, i, got, wantConfigs[i])
-		}
+	if !reflect.DeepEqual(r.cfg.PerIsland, want) {
+		t.Fatalf("%s: restored overrides %+v, want %+v", name, r.cfg.PerIsland, want)
 	}
-	before := r.Best().Eval.Score
 	res, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -372,37 +395,49 @@ func resumeFixture(t *testing.T, name string, gens int, wantConfigs []core.Confi
 		t.Fatalf("%s: ran %d generations to %d with %d migrations, want %d to %d and some",
 			name, res.Generations, r.Generation(), res.Migrations, gens, 20+gens)
 	}
-	if res.Best.Eval.Score > before {
-		t.Fatalf("%s: best worsened from %v to %v", name, before, res.Best.Eval.Score)
+	golden, err := os.ReadFile(filepath.Join("testdata", "fixture_resume_golden.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return res
+	var pins map[string][]islandPin
+	if err := json.Unmarshal(golden, &pins); err != nil {
+		t.Fatal(err)
+	}
+	if got := pinResult(t, res); !reflect.DeepEqual(got, pins[name]) {
+		t.Fatalf("%s: resumed run diverged from the writing build's:\ngot:  %+v\nwant: %+v", name, got, pins[name])
+	}
 }
 
 // TestHeterogeneousAdaptiveSnapshotResume: a checkpoint of a 4-island
 // adaptive run with a crossover_points override, written before adaptive
 // migration and k-point crossover were removed, still resumes — on the
-// fixed schedule, with island 1's override reduced to the knobs that
-// remain — and runs on deterministically.
+// fixed schedule, with island 1's override reduced to the settings that
+// remain.
 func TestHeterogeneousAdaptiveSnapshotResume(t *testing.T) {
-	want := make([]core.Config, 4)
-	a := resumeFixture(t, "adaptive_kpoint.ckpt", 15, want)
-	b := resumeFixture(t, "adaptive_kpoint.ckpt", 15, want)
-	sameResults(t, "adaptive checkpoint", a, b)
+	resumeFixture(t, "adaptive_kpoint.ckpt", 4, make([]Override, 4))
 }
 
 // TestNicheCheckpointResumes: a checkpoint of a 4-island run under the
-// removed explore-exploit preset resumes with the per-island configs it
-// recorded (less its crossover_points) and runs on deterministically.
+// removed explore-exploit preset resumes with the per-island overrides it
+// recorded (less its crossover_points).
 func TestNicheCheckpointResumes(t *testing.T) {
-	want := []core.Config{
+	resumeFixture(t, "explore_exploit.ckpt", 4, []Override{
 		{},
 		{MutationRate: 0.41666666666666663, LeaderFraction: 0.11666666666666667},
-		{MutationRate: 0.5833333333333333, LeaderFraction: 0.18333333333333335, Selection: core.SelectRank},
-		{MutationRate: 0.75, LeaderFraction: 0.25, Selection: core.SelectUniform},
-	}
-	a := resumeFixture(t, "explore_exploit.ckpt", 15, want)
-	b := resumeFixture(t, "explore_exploit.ckpt", 15, want)
-	sameResults(t, "explore-exploit checkpoint", a, b)
+		{MutationRate: 0.5833333333333333, LeaderFraction: 0.18333333333333335, Selection: "rank"},
+		{MutationRate: 0.75, LeaderFraction: 0.25, Selection: "uniform"},
+	})
+}
+
+// TestVersion3ParetoRefCheckpointResumes: a version-3 checkpoint wrote
+// an override's reference point as the flat keys pareto_ref_il and
+// pareto_ref_dr; it resumes with that reference point on the Pareto
+// island.
+func TestVersion3ParetoRefCheckpointResumes(t *testing.T) {
+	resumeFixture(t, "pareto_ref_v3.ckpt", 2, []Override{
+		{},
+		{Objective: core.ObjectivePareto, ParetoRef: &ParetoRef{IL: 90, DR: 90}},
+	})
 }
 
 // TestPerIslandAggregatorScoresConsistent: an island running its own
@@ -414,7 +449,7 @@ func TestPerIslandAggregatorScoresConsistent(t *testing.T) {
 		Islands:      2,
 		MigrateEvery: 5,
 		Engine:       core.Config{Generations: 20, Seed: 11},
-		PerIsland:    []core.Config{{}, {Aggregator: "mean"}},
+		PerIsland:    []Override{{}, {Aggregator: "mean"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +485,7 @@ func TestBestJudgedUnderRunMetric(t *testing.T) {
 		Islands:      3,
 		MigrateEvery: 10,
 		Engine:       core.Config{Generations: 30, Seed: 21}, // shared metric: the evaluator's max
-		PerIsland:    []core.Config{{}, {Aggregator: "mean"}, {Aggregator: "weighted:0.3"}},
+		PerIsland:    []Override{{}, {Aggregator: "mean"}, {Aggregator: "weighted:0.3"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -482,10 +517,9 @@ func TestBestJudgedUnderRunMetric(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionMinimal: checkpoints carry the lowest version their
-// content needs — homogeneous snapshots stay version 1 (readable by
-// strict-v1 builds), heterogeneous ones move to version 2; both resume
-// here.
+// TestSnapshotVersionMinimal: homogeneous snapshots stay version 1
+// (readable by every build), heterogeneous ones are version 4; both
+// resume here.
 func TestSnapshotVersionMinimal(t *testing.T) {
 	eval, pop := testPopulation(t)
 	version := func(cfg Config) int {
@@ -515,8 +549,8 @@ func TestSnapshotVersionMinimal(t *testing.T) {
 	if v := version(plain); v != 1 {
 		t.Fatalf("homogeneous snapshot is version %d, want 1", v)
 	}
-	if v := version(heteroConfig(10)); v != 2 {
-		t.Fatalf("heterogeneous snapshot is version %d, want 2", v)
+	if v := version(heteroConfig(10)); v != 4 {
+		t.Fatalf("heterogeneous snapshot is version %d, want 4", v)
 	}
 }
 
@@ -527,19 +561,27 @@ func TestPerIslandValidation(t *testing.T) {
 	cases := map[string]Config{
 		"override count mismatch": {
 			Islands: 3, Engine: core.Config{Generations: 5},
-			PerIsland: []core.Config{{}, {}},
+			PerIsland: []Override{{}, {}},
 		},
-		"override sets seed": {
+		"override bad selection": {
 			Islands: 2, Engine: core.Config{Generations: 5},
-			PerIsland: []core.Config{{}, {Seed: 9}},
+			PerIsland: []Override{{}, {Selection: "tournament"}},
 		},
-		"override sets init workers": {
+		"override bad crowding": {
 			Islands: 2, Engine: core.Config{Generations: 5},
-			PerIsland: []core.Config{{}, {InitWorkers: 4}},
+			PerIsland: []Override{{}, {Crowding: "closest"}},
+		},
+		"override bad objective": {
+			Islands: 2, Engine: core.Config{Generations: 5},
+			PerIsland: []Override{{}, {Objective: "lexicographic"}},
 		},
 		"override bad aggregator": {
 			Islands: 2, Engine: core.Config{Generations: 5},
-			PerIsland: []core.Config{{}, {Aggregator: "median"}},
+			PerIsland: []Override{{}, {Aggregator: "median"}},
+		},
+		"override bad reference": {
+			Islands: 2, Engine: core.Config{Generations: 5},
+			PerIsland: []Override{{}, {ParetoRef: &ParetoRef{IL: -1, DR: 90}}},
 		},
 	}
 	for name, cfg := range cases {
@@ -613,31 +655,95 @@ func TestHeterogeneousCancellationNoLeak(t *testing.T) {
 	}
 }
 
-// TestMergedRoundTripsThroughSnapshotJSON: the serialized per-island
-// override subset reproduces the exact merged configuration — the
-// property heterogeneous Resume relies on.
+// TestMergedRoundTripsThroughSnapshotJSON: a checkpoint records the
+// per-island overrides it was written with, every setting included, and
+// a bare Resume rebuilds the identical merged island configurations from
+// them — the property heterogeneous Resume relies on.
 func TestMergedRoundTripsThroughSnapshotJSON(t *testing.T) {
-	overrides := []core.Config{
-		{},
-		{MutationRate: core.AllCrossover, Selection: core.SelectUniform, Crowding: core.CrowdNearestParent},
-		{MutationRate: 0.65, LeaderFraction: 0.3, Aggregator: "weighted:0.3",
-			Generations: 123, NoImprovementWindow: 9, ForceOp: "mutation"},
+	eval, pop := testPopulation(t)
+	cfg := Config{
+		Islands: 3, MigrateEvery: 5,
+		Engine: core.Config{Generations: 40, Seed: 99, InitWorkers: 4, Selection: core.SelectRank},
+		PerIsland: []Override{
+			{},
+			{MutationRate: core.AllCrossover, Selection: "inverse-proportional", Crowding: "nearest-parent"},
+			{MutationRate: 0.65, LeaderFraction: 0.3, Aggregator: "weighted:0.3", Objective: "pareto",
+				ParetoRef: &ParetoRef{IL: 80, DR: 95}, Generations: 123, EarlyStop: 9},
+		},
 	}
-	template := core.Config{Generations: 40, Seed: 99, InitWorkers: 4}
-	for i, ov := range overrides {
-		back, err := configFromJSON(configToJSON(ov))
-		if err != nil {
-			t.Fatalf("override %d: %v", i, err)
+	r, err := New(context.Background(), eval, pop, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	bare := cfg
+	bare.PerIsland = nil
+	back, err := Resume(eval, bytes.NewReader(buf.Bytes()), bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.cfg.PerIsland, cfg.PerIsland) {
+		t.Fatalf("overrides did not round-trip:\nwant %+v\ngot  %+v", cfg.PerIsland, back.cfg.PerIsland)
+	}
+	if !reflect.DeepEqual(back.perIsland, r.perIsland) {
+		t.Fatalf("island configs did not round-trip:\nwant %+v\ngot  %+v", r.perIsland, back.perIsland)
+	}
+}
+
+// TestOverrideInheritance: empty override fields inherit the template,
+// set fields replace it, and a named policy replaces the template's even
+// when it names the default.
+func TestOverrideInheritance(t *testing.T) {
+	template := core.Config{
+		Generations:         100,
+		MutationRate:        0.4,
+		LeaderFraction:      0.2,
+		Selection:           core.SelectRank,
+		Crowding:            core.CrowdNearestParent,
+		Seed:                7,
+		NoImprovementWindow: 50,
+		ForceOp:             "mutation",
+		InitWorkers:         3,
+		EvalWorkers:         2,
+		Aggregator:          "mean",
+		Objective:           core.ObjectivePareto,
+		ParetoRef:           score.Pair{IL: 80, DR: 90},
+	}
+	// An empty override changes nothing.
+	if got, err := (Override{}).apply(template); err != nil || got != template {
+		t.Fatalf("empty override changed the template: %+v, %v", got, err)
+	}
+	// A full override replaces everything it can express, and nothing else.
+	got, err := Override{
+		Selection:      "inverse-proportional",
+		Crowding:       "parent-index",
+		MutationRate:   core.AllCrossover,
+		LeaderFraction: 0.5,
+		Aggregator:     "euclidean",
+		Objective:      "scalar",
+		ParetoRef:      &ParetoRef{IL: 60, DR: 70},
+		Generations:    5,
+		EarlyStop:      2,
+	}.apply(template)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := template
+	want.Selection, want.Crowding = core.SelectInverseProportional, core.CrowdParentIndex
+	want.MutationRate, want.LeaderFraction = core.AllCrossover, 0.5
+	want.Aggregator, want.Objective = "euclidean", core.ObjectiveScalar
+	want.ParetoRef = score.Pair{IL: 60, DR: 70}
+	want.Generations, want.NoImprovementWindow = 5, 2
+	if got != want {
+		t.Fatalf("override applied as\n%+v\nwant\n%+v", got, want)
+	}
+	// A name that does not resolve is an error, not an inherit.
+	for _, bad := range []Override{{Selection: "nope"}, {Crowding: "nope"}, {Objective: "nope"}, {Aggregator: "nope"}} {
+		if _, err := bad.apply(template); err == nil {
+			t.Errorf("override %+v accepted", bad)
 		}
-		a, b := template.Merged(ov), template.Merged(back)
-		if configToJSON(a) != configToJSON(b) || a.Seed != b.Seed || a.InitWorkers != b.InitWorkers {
-			t.Fatalf("override %d did not round-trip:\nwant %+v\ngot  %+v", i, a, b)
-		}
-	}
-	if _, err := configFromJSON(islandConfigJSON{Selection: "nope"}); err == nil {
-		t.Error("bad serialized selection accepted")
-	}
-	if _, err := configFromJSON(islandConfigJSON{Crowding: "nope"}); err == nil {
-		t.Error("bad serialized crowding accepted")
 	}
 }

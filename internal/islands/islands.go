@@ -12,8 +12,8 @@
 // i > 0 use seeds derived through a splitmix64 mix, giving every island an
 // independent deterministic trajectory.
 //
-// Islands need not be identical: Config.PerIsland overlays per-island
-// engine overrides onto the shared template, so different islands can run
+// Islands need not be identical: Config.PerIsland applies one Override
+// per island to the shared engine template, so different islands can run
 // different selection pressures, mutation rates, objectives or fitness
 // aggregations — niched search over the risk/information-loss trade-off —
 // and heterogeneous runs remain bit-reproducible from the one top-level
@@ -97,16 +97,12 @@ type Config struct {
 	// each island's budget for one Run call. Progress flows through
 	// OnEvent, which carries the island id.
 	Engine core.Config
-	// PerIsland optionally specializes islands: entry i is overlaid onto
-	// the Engine template with core.Config.Merged, so zero-valued override
-	// fields inherit the template and set fields (selection policy,
-	// mutation rate, leader fraction, aggregator, objective, generations,
-	// stagnation window, ...) replace it. Empty means every
+	// PerIsland optionally specializes islands: entry i is applied to the
+	// Engine template for island i (see Override). Empty means every
 	// island runs the template — the homogeneous model, bit-identical to a
-	// run with no overrides or with all-zero overrides. When non-empty the
-	// length must equal Islands, and overrides must not set Seed (island
-	// seeds always derive from the top-level seed) or InitWorkers.
-	PerIsland []core.Config
+	// run with all-empty overrides. When non-empty the length must equal
+	// Islands.
+	PerIsland []Override
 	// OnEvent, when non-nil, receives every island's per-generation
 	// statistics plus a final Done event per island. Calls are serialized
 	// across islands (never concurrent) but interleave island order
@@ -131,51 +127,55 @@ type Config struct {
 	FirstSeq uint64
 }
 
-func (c Config) withDefaults() (Config, error) {
+// resolve applies the defaults, validates the configuration and returns
+// it together with every island's engine configuration: the template with
+// the island's override applied and the island's derived seed.
+func (c Config) resolve() (Config, []core.Config, error) {
 	if c.Islands == 0 {
 		c.Islands = 1
 	}
 	if c.Islands < 1 {
-		return c, fmt.Errorf("islands: Islands must be positive, got %d", c.Islands)
+		return c, nil, fmt.Errorf("islands: Islands must be positive, got %d", c.Islands)
 	}
 	if c.MigrateEvery == 0 {
 		c.MigrateEvery = DefaultMigrateEvery
 	}
 	if c.MigrateEvery < 1 {
-		return c, fmt.Errorf("islands: MigrateEvery must be positive, got %d", c.MigrateEvery)
+		return c, nil, fmt.Errorf("islands: MigrateEvery must be positive, got %d", c.MigrateEvery)
 	}
 	if c.Migrants == 0 {
 		c.Migrants = DefaultMigrants
 	}
 	if c.Migrants < 0 {
-		return c, fmt.Errorf("islands: Migrants must be non-negative, got %d", c.Migrants)
+		return c, nil, fmt.Errorf("islands: Migrants must be non-negative, got %d", c.Migrants)
 	}
 	switch c.Topology {
 	case Ring, Broadcast:
 	default:
-		return c, fmt.Errorf("islands: unknown topology %v", c.Topology)
+		return c, nil, fmt.Errorf("islands: unknown topology %v", c.Topology)
 	}
 	if err := c.Engine.Validate(); err != nil {
-		return c, err
+		return c, nil, err
 	}
 	if c.Barrier == nil {
 		c.Barrier = InProcessBarrier{}
 	}
 	if len(c.PerIsland) != 0 && len(c.PerIsland) != c.Islands {
-		return c, fmt.Errorf("islands: PerIsland carries %d overrides for %d islands", len(c.PerIsland), c.Islands)
+		return c, nil, fmt.Errorf("islands: PerIsland carries %d overrides for %d islands", len(c.PerIsland), c.Islands)
 	}
-	for i, ov := range c.PerIsland {
-		if ov.Seed != 0 {
-			return c, fmt.Errorf("islands: PerIsland[%d] sets Seed; island seeds derive from the top-level seed", i)
+	cfgs := make([]core.Config, c.Islands)
+	for i := range cfgs {
+		ec := c.Engine
+		if len(c.PerIsland) > 0 {
+			var err error
+			if ec, err = c.PerIsland[i].apply(ec); err != nil {
+				return c, nil, fmt.Errorf("islands: PerIsland[%d]: %w", i, err)
+			}
 		}
-		if ov.InitWorkers != 0 {
-			return c, fmt.Errorf("islands: PerIsland[%d] sets InitWorkers; the initial-evaluation pool is shared, configure it on the Engine template", i)
-		}
-		if err := c.Engine.Merged(ov).Validate(); err != nil {
-			return c, fmt.Errorf("islands: PerIsland[%d]: %w", i, err)
-		}
+		ec.Seed = IslandSeed(c.Engine.Seed, i)
+		cfgs[i] = ec
 	}
-	return c, nil
+	return c, cfgs, nil
 }
 
 // Validate checks the configuration — schedule, topology, engine template,
@@ -183,20 +183,8 @@ func (c Config) withDefaults() (Config, error) {
 // without building anything. Services run it at job admission so a bad
 // heterogeneous spec is rejected before any evaluation work happens.
 func (c Config) Validate() error {
-	_, err := c.withDefaults()
+	_, _, err := c.resolve()
 	return err
-}
-
-// islandConfig resolves island i's engine configuration: the template,
-// the island's PerIsland override (if any) overlaid with Merged, and the
-// island's derived seed.
-func (c Config) islandConfig(i int) core.Config {
-	ec := c.Engine
-	if len(c.PerIsland) > 0 {
-		ec = ec.Merged(c.PerIsland[i])
-	}
-	ec.Seed = IslandSeed(c.Engine.Seed, i)
-	return ec
 }
 
 // Event is one entry of the streamed progress feed: a generation's
@@ -300,13 +288,9 @@ func IslandSeed(seed uint64, i int) uint64 {
 // seeds. The context bounds that initial evaluation, so cancellation
 // works during startup as well as between generations.
 func New(ctx context.Context, eval *score.Evaluator, initial []*core.Individual, cfg Config) (*Runner, error) {
-	c, err := cfg.withDefaults()
+	c, cfgs, err := cfg.resolve()
 	if err != nil {
 		return nil, err
-	}
-	cfgs := make([]core.Config, c.Islands)
-	for i := range cfgs {
-		cfgs[i] = c.islandConfig(i)
 	}
 	engines, err := core.NewEngines(ctx, eval, initial, cfgs)
 	if err != nil {
@@ -321,7 +305,7 @@ func New(ctx context.Context, eval *score.Evaluator, initial []*core.Individual,
 // runAggregator resolves the run's shared aggregation — the judging
 // metric for cross-island comparison: the Engine template's named
 // aggregator when set, the evaluator's otherwise. The name was validated
-// by withDefaults; resolution cannot fail here.
+// by resolve; resolution cannot fail here.
 func runAggregator(eval *score.Evaluator, c Config) score.Aggregator {
 	if c.Engine.Aggregator != "" {
 		if agg, err := score.AggregatorByName(c.Engine.Aggregator); err == nil {

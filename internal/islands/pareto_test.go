@@ -29,7 +29,7 @@ func paretoNicheConfig(t *testing.T, gens int) Config {
 		Migrants:     2,
 		Topology:     Ring,
 		Engine:       core.Config{Generations: gens, Seed: 31},
-		PerIsland:    []core.Config{{}, {Objective: core.ObjectivePareto}, {}},
+		PerIsland:    []Override{{}, {Objective: core.ObjectivePareto}, {}},
 	}
 }
 
@@ -109,12 +109,12 @@ func TestScalarParetoSnapshotResume(t *testing.T) {
 	sameResults(t, "scalar-pareto snapshot/resume", refRes, resRes)
 }
 
-// TestParetoSnapshotVersion: objective-carrying overrides stamp the new
-// layout version; objective-free heterogeneous checkpoints keep stamping
-// version 2 so older builds still read them.
+// TestParetoSnapshotVersion: objective-carrying overrides stamp version 4
+// like every other heterogeneous checkpoint, and write the reference
+// point as the override's nested pareto_ref.
 func TestParetoSnapshotVersion(t *testing.T) {
 	eval, pop := testPopulation(t)
-	version := func(cfg Config) int {
+	version := func(cfg Config) (int, []byte) {
 		r, err := New(context.Background(), eval, pop, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -135,23 +135,24 @@ func TestParetoSnapshotVersion(t *testing.T) {
 		if _, err := Resume(eval, bytes.NewReader(buf.Bytes()), cfg); err != nil {
 			t.Fatalf("own snapshot does not resume: %v", err)
 		}
-		return snap.Version
+		return snap.Version, buf.Bytes()
 	}
-	if v := version(paretoNicheConfig(t, 10)); v != 3 {
-		t.Fatalf("pareto-niche snapshot is version %d, want 3", v)
+	if v, _ := version(paretoNicheConfig(t, 10)); v != 4 {
+		t.Fatalf("pareto-niche snapshot is version %d, want 4", v)
 	}
 	withRef := paretoNicheConfig(t, 10)
-	withRef.PerIsland[1].ParetoRef = core.DefaultParetoRef
-	if v := version(withRef); v != 3 {
-		t.Fatalf("pareto-ref snapshot is version %d, want 3", v)
+	withRef.PerIsland[1].ParetoRef = &ParetoRef{IL: 100, DR: 100}
+	v, raw := version(withRef)
+	if v != 4 || !bytes.Contains(raw, []byte(`"pareto_ref":{"il":100,"dr":100}`)) {
+		t.Fatalf("pareto-ref snapshot is version %d, want 4 with a nested pareto_ref", v)
 	}
 }
 
-// TestLegacyRouteKnobsInCheckpointIgnored: version-3 checkpoints written
-// while overrides could still carry the evaluation-route knobs
-// ("disable_delta", "lazy_prepare") resume exactly like the same
-// checkpoint without them — the knobs never changed a result, so
-// decoding drops them.
+// TestLegacyRouteKnobsInCheckpointIgnored: checkpoints written while
+// overrides could still carry the evaluation-route knobs
+// ("disable_delta", "lazy_prepare") or a pinned operator ("force_op")
+// resume exactly like the same checkpoint without them: overrides can no
+// longer express them, so decoding drops them.
 func TestLegacyRouteKnobsInCheckpointIgnored(t *testing.T) {
 	eval, pop := testPopulation(t)
 	r, err := New(context.Background(), eval, pop, paretoNicheConfig(t, 10))
@@ -169,12 +170,13 @@ func TestLegacyRouteKnobsInCheckpointIgnored(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap["version"] != float64(3) {
-		t.Fatalf("snapshot version = %v, want 3", snap["version"])
+	if snap["version"] != float64(4) {
+		t.Fatalf("snapshot version = %v, want 4", snap["version"])
 	}
 	for _, c := range snap["configs"].([]any) {
 		c.(map[string]any)["disable_delta"] = true
 		c.(map[string]any)["lazy_prepare"] = true
+		c.(map[string]any)["force_op"] = "crossover"
 	}
 	legacy, err := json.Marshal(snap)
 	if err != nil {

@@ -126,6 +126,12 @@ func runRouteCase(t *testing.T, rc routeCase, rt route) []islandPin {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pinResult(t, res)
+}
+
+// pinResult pins every island's result.
+func pinResult(t *testing.T, res *Result) []islandPin {
+	t.Helper()
 	pins := make([]islandPin, len(res.Islands))
 	for i, ir := range res.Islands {
 		h := stripTimes(ir.History)

@@ -11,24 +11,27 @@ import (
 )
 
 // Multi-island checkpoints wrap one core engine snapshot per island plus
-// the coordinator state worth persisting: the per-island configuration
-// overrides of heterogeneous runs (so a bare Resume without a PerIsland
-// config rebuilds the same niches). Budgets stay per-Run-call — resuming
-// with -gens N runs N more generations, matching the single-engine
-// contract — and the migration schedule restarts from the next barrier.
-// Because OnEpoch — the checkpointing hook — only fires at barriers, a
-// resumed run's epochs stay aligned with the schedule.
+// the coordinator state worth persisting: the per-island overrides of
+// heterogeneous runs (so a bare Resume without a PerIsland config rebuilds
+// the same niches). Budgets stay per-Run-call — resuming with -gens N runs
+// N more generations, matching the single-engine contract — and the
+// migration schedule restarts from the next barrier. Because OnEpoch —
+// the checkpointing hook — only fires at barriers, a resumed run's epochs
+// stay aligned with the schedule.
 
-// snapshotVersion guards against incompatible checkpoint layouts.
-// Version 3 added the Pareto-mode objective fields to island config
-// overrides (a pre-Pareto build would silently resume such a niche as
-// scalarized, a different trajectory); version 2 added the per-island
-// configuration overrides; version-1 snapshots (homogeneous) still load.
-// Checkpoints of earlier builds may also carry an "adaptive" block (the
-// removed adaptive-migration schedule) and "crossover_points" overrides
-// (the removed k-point crossover); decoding ignores both, so such a run
-// resumes on the fixed migration schedule with 2-point crossover.
-const snapshotVersion = 3
+// snapshotVersion guards against incompatible checkpoint layouts. A
+// homogeneous run writes version 1, so its checkpoints keep their bytes
+// across every version; a run with per-island overrides writes version 4,
+// whose configs are the Overrides themselves. Versions 2 and 3 still
+// load: they wrote an override's reference point as the flat keys
+// "pareto_ref_il" and "pareto_ref_dr", which decodeSnapshot folds into
+// ParetoRef. Checkpoints of earlier builds may also carry an "adaptive"
+// block (the removed adaptive-migration schedule) and overrides with
+// "crossover_points" (the removed k-point crossover), "force_op",
+// "disable_delta" or "lazy_prepare"; decoding ignores them all, so such a
+// run resumes on the fixed migration schedule with 2-point crossover and
+// the fair operator coin.
+const snapshotVersion = 4
 
 // minSnapshotVersion is the oldest layout Resume still reads.
 const minSnapshotVersion = 1
@@ -38,111 +41,51 @@ type snapshotJSON struct {
 	Islands int `json:"islands"`
 	// Configs carries the per-island overrides of heterogeneous runs,
 	// aligned with Engines; empty on homogeneous runs.
-	Configs []islandConfigJSON `json:"configs,omitempty"`
-	Engines []json.RawMessage  `json:"engines"`
+	Configs []Override        `json:"configs,omitempty"`
+	Engines []json.RawMessage `json:"engines"`
 }
 
-// islandConfigJSON is the serializable subset of a core.Config override —
-// exactly the knobs PerIsland may set. Zero values mean "inherit the
-// template", matching the Merged contract, so round-tripping an override
-// through JSON reproduces the identical merged configuration. A custom
-// programmatic aggregator cannot be serialized; PerIsland aggregators are
-// names, which round-trip exactly. Checkpoints written before the
-// evaluation-route knobs were removed may still carry "disable_delta" and
-// "lazy_prepare"; decoding ignores them, as they never changed a result.
-type islandConfigJSON struct {
-	Generations         int     `json:"generations,omitempty"`
-	MutationRate        float64 `json:"mutation_rate,omitempty"`
-	LeaderFraction      float64 `json:"leader_fraction,omitempty"`
-	Selection           string  `json:"selection,omitempty"`
-	Crowding            string  `json:"crowding,omitempty"`
-	NoImprovementWindow int     `json:"early_stop,omitempty"`
-	ForceOp             string  `json:"force_op,omitempty"`
-	Aggregator          string  `json:"aggregator,omitempty"`
-	Objective           string  `json:"objective,omitempty"`
-	ParetoRefIL         float64 `json:"pareto_ref_il,omitempty"`
-	ParetoRefDR         float64 `json:"pareto_ref_dr,omitempty"`
-}
-
-// needsV3 reports whether an override carries the objective fields that
-// only version-3 readers understand.
-func (j islandConfigJSON) needsV3() bool {
-	return j.Objective != "" || j.ParetoRefIL != 0 || j.ParetoRefDR != 0
-}
-
-func configToJSON(c core.Config) islandConfigJSON {
-	j := islandConfigJSON{
-		Generations:         c.Generations,
-		MutationRate:        c.MutationRate,
-		LeaderFraction:      c.LeaderFraction,
-		NoImprovementWindow: c.NoImprovementWindow,
-		ForceOp:             c.ForceOp,
-		Aggregator:          c.Aggregator,
-		Objective:           c.Objective,
-		ParetoRefIL:         c.ParetoRef.IL,
-		ParetoRefDR:         c.ParetoRef.DR,
+// decodeSnapshot reads a checkpoint and checks its version and shape.
+func decodeSnapshot(rd io.Reader) (snapshotJSON, error) {
+	var snap struct {
+		snapshotJSON
+		// Configs shadows the embedded field to read the flat reference
+		// point of versions 2 and 3 alongside the override.
+		Configs []struct {
+			Override
+			ParetoRefIL float64 `json:"pareto_ref_il"`
+			ParetoRefDR float64 `json:"pareto_ref_dr"`
+		} `json:"configs"`
 	}
-	if c.Selection != 0 {
-		j.Selection = c.Selection.String()
+	if err := json.NewDecoder(rd).Decode(&snap); err != nil {
+		return snapshotJSON{}, fmt.Errorf("islands: decoding snapshot: %w", err)
 	}
-	if c.Crowding != 0 {
-		j.Crowding = c.Crowding.String()
+	out := snap.snapshotJSON
+	if out.Version < minSnapshotVersion || out.Version > snapshotVersion {
+		return out, fmt.Errorf("islands: snapshot version %d, this build reads %d..%d", out.Version, minSnapshotVersion, snapshotVersion)
 	}
-	return j
-}
-
-func configFromJSON(j islandConfigJSON) (core.Config, error) {
-	sel, err := core.SelectionByName(j.Selection)
-	if err != nil {
-		return core.Config{}, err
+	if out.Islands < 1 || out.Islands != len(out.Engines) {
+		return out, fmt.Errorf("islands: snapshot declares %d islands but carries %d engines", out.Islands, len(out.Engines))
 	}
-	crowd, err := core.CrowdingByName(j.Crowding)
-	if err != nil {
-		return core.Config{}, err
+	if len(snap.Configs) != 0 && len(snap.Configs) != out.Islands {
+		return out, fmt.Errorf("islands: snapshot carries %d island configs for %d islands", len(snap.Configs), out.Islands)
 	}
-	obj, err := core.ObjectiveByName(j.Objective)
-	if err != nil {
-		return core.Config{}, err
+	for _, c := range snap.Configs {
+		if c.ParetoRefIL != 0 || c.ParetoRefDR != 0 {
+			c.ParetoRef = &ParetoRef{IL: c.ParetoRefIL, DR: c.ParetoRefDR}
+		}
+		out.Configs = append(out.Configs, c.Override)
 	}
-	return core.Config{
-		Generations:         j.Generations,
-		MutationRate:        j.MutationRate,
-		LeaderFraction:      j.LeaderFraction,
-		Selection:           sel,
-		Crowding:            crowd,
-		NoImprovementWindow: j.NoImprovementWindow,
-		ForceOp:             j.ForceOp,
-		Aggregator:          j.Aggregator,
-		Objective:           obj,
-		ParetoRef:           score.Pair{IL: j.ParetoRefIL, DR: j.ParetoRefDR},
-	}, nil
+	return out, nil
 }
 
 // Snapshot serializes every island's engine state plus the per-island
 // overrides. Only safe while the islands are quiescent: between runs, or
 // inside Config.OnEpoch.
 func (r *Runner) Snapshot(w io.Writer) error {
-	snap := snapshotJSON{Version: snapshotVersion, Islands: len(r.engines)}
-	if len(r.cfg.PerIsland) > 0 {
-		snap.Configs = make([]islandConfigJSON, len(r.cfg.PerIsland))
-		for i, ov := range r.cfg.PerIsland {
-			snap.Configs[i] = configToJSON(ov)
-		}
-	}
-	// Stamp the lowest version the payload needs, so checkpoints stay
-	// readable by the oldest build that can resume them faithfully: plain
-	// homogeneous runs are version 1, heterogeneous runs version 2, and
-	// only overrides carrying Pareto objective fields require version 3.
-	if snap.Configs == nil {
-		snap.Version = minSnapshotVersion
-	} else {
-		snap.Version = 2
-		for _, j := range snap.Configs {
-			if j.needsV3() {
-				snap.Version = snapshotVersion
-				break
-			}
-		}
+	snap := snapshotJSON{Version: minSnapshotVersion, Islands: len(r.engines), Configs: r.cfg.PerIsland}
+	if len(snap.Configs) > 0 {
+		snap.Version = snapshotVersion
 	}
 	for i, e := range r.engines {
 		var buf bytes.Buffer
@@ -165,41 +108,23 @@ func (r *Runner) Snapshot(w io.Writer) error {
 // per-island overrides are applied automatically when cfg.PerIsland is
 // empty (pass overrides explicitly to supersede them).
 func Resume(eval *score.Evaluator, rd io.Reader, cfg Config) (*Runner, error) {
-	var snap snapshotJSON
-	if err := json.NewDecoder(rd).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("islands: decoding snapshot: %w", err)
-	}
-	if snap.Version < minSnapshotVersion || snap.Version > snapshotVersion {
-		return nil, fmt.Errorf("islands: snapshot version %d, this build reads %d..%d", snap.Version, minSnapshotVersion, snapshotVersion)
-	}
-	if snap.Islands < 1 || snap.Islands != len(snap.Engines) {
-		return nil, fmt.Errorf("islands: snapshot declares %d islands but carries %d engines", snap.Islands, len(snap.Engines))
-	}
-	if len(snap.Configs) != 0 && len(snap.Configs) != snap.Islands {
-		return nil, fmt.Errorf("islands: snapshot carries %d island configs for %d islands", len(snap.Configs), snap.Islands)
+	snap, err := decodeSnapshot(rd)
+	if err != nil {
+		return nil, err
 	}
 	cfg.Islands = snap.Islands
-	if len(cfg.PerIsland) == 0 && len(snap.Configs) > 0 {
-		cfg.PerIsland = make([]core.Config, len(snap.Configs))
-		for i, j := range snap.Configs {
-			ov, err := configFromJSON(j)
-			if err != nil {
-				return nil, fmt.Errorf("islands: snapshot island %d config: %w", i, err)
-			}
-			cfg.PerIsland[i] = ov
-		}
+	if len(cfg.PerIsland) == 0 {
+		cfg.PerIsland = snap.Configs
 	}
-	c, err := cfg.withDefaults()
+	c, cfgs, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
 	engines := make([]*core.Engine, snap.Islands)
-	cfgs := make([]core.Config, snap.Islands)
 	popSize := 0
 	for i, raw := range snap.Engines {
 		// The derived per-island seed is cosmetic here: the RNG stream is
 		// restored from the snapshot.
-		cfgs[i] = c.islandConfig(i)
 		e, err := core.Resume(eval, bytes.NewReader(raw), cfgs[i])
 		if err != nil {
 			return nil, fmt.Errorf("islands: resuming island %d: %w", i, err)
@@ -232,26 +157,17 @@ type Meta struct {
 	// arithmetic for a resume should count from MinGeneration so no
 	// island ends up short of its configured budget.
 	MinGeneration int
-	// Heterogeneous reports whether the checkpoint carries per-island
-	// configuration overrides.
-	Heterogeneous bool
 }
 
 // Peek reads a checkpoint's metadata without rebuilding engines; the
 // engine payloads are decoded only far enough to find their generation
 // counters.
 func Peek(rd io.Reader) (Meta, error) {
-	var snap snapshotJSON
-	if err := json.NewDecoder(rd).Decode(&snap); err != nil {
-		return Meta{}, fmt.Errorf("islands: decoding snapshot: %w", err)
+	snap, err := decodeSnapshot(rd)
+	if err != nil {
+		return Meta{}, err
 	}
-	if snap.Version < minSnapshotVersion || snap.Version > snapshotVersion {
-		return Meta{}, fmt.Errorf("islands: snapshot version %d, this build reads %d..%d", snap.Version, minSnapshotVersion, snapshotVersion)
-	}
-	if snap.Islands < 1 || snap.Islands != len(snap.Engines) {
-		return Meta{}, fmt.Errorf("islands: snapshot declares %d islands but carries %d engines", snap.Islands, len(snap.Engines))
-	}
-	m := Meta{Islands: snap.Islands, Heterogeneous: len(snap.Configs) > 0}
+	m := Meta{Islands: snap.Islands}
 	for i, raw := range snap.Engines {
 		var hdr struct {
 			Gen int `json:"gen"`

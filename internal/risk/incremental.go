@@ -158,11 +158,7 @@ func (id *IntervalDisclosure) Prepare(orig, masked *dataset.Dataset, attrs []int
 	for a, c := range attrs {
 		st.pos[c] = a
 		st.contrib[a] = idContrib(orig, c, maxP)
-		oc := orig.Column(c)
-		mc := masked.Column(c)
-		for r := 0; r < n; r++ {
-			st.disclosed += st.contrib[a][oc[r]][mc[r]]
-		}
+		st.disclosed += idDisclosed(st.contrib[a], orig, masked, c)
 	}
 	return st
 }

@@ -82,14 +82,19 @@ func (id *IntervalDisclosure) Risk(orig, masked *dataset.Dataset, attrs []int) f
 	}
 	disclosed := 0
 	for _, c := range attrs {
-		contrib := idContrib(orig, c, maxP)
-		oc := orig.Column(c)
-		mc := masked.Column(c)
-		for r := 0; r < n; r++ {
-			disclosed += contrib[oc[r]][mc[r]]
-		}
+		disclosed += idDisclosed(idContrib(orig, c, maxP), orig, masked, c)
 	}
 	return idValue(disclosed, n, len(attrs), maxP)
+}
+
+// idDisclosed counts one attribute's disclosing windows over every
+// record, reading the cells of both files in place.
+func idDisclosed(contrib [][]int, orig, masked *dataset.Dataset, c int) int {
+	disclosed := 0
+	for r := range orig.Rows() {
+		disclosed += contrib[orig.At(r, c)][masked.At(r, c)]
+	}
+	return disclosed
 }
 
 // idContrib precomputes, for one attribute, how many of the window sizes

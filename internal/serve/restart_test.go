@@ -236,7 +236,7 @@ func killAndRestartHeterogeneous(t *testing.T, be storage.Store) {
 	}
 	cancel()
 
-	// The persisted checkpoint must advertise the heterogeneous shape.
+	// The persisted checkpoint must carry all three islands.
 	ckpt, err := be.Get(status.ID, checkpointKey)
 	if err != nil {
 		t.Fatalf("no checkpoint after interruption: %v", err)
@@ -245,8 +245,8 @@ func killAndRestartHeterogeneous(t *testing.T, be storage.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Islands != 3 || !meta.Heterogeneous {
-		t.Fatalf("checkpoint meta %+v, want 3 heterogeneous islands", meta)
+	if meta.Islands != 3 {
+		t.Fatalf("checkpoint meta %+v, want 3 islands", meta)
 	}
 
 	s2, err := New(cfg)
@@ -359,8 +359,9 @@ func TestRestartRecoversQueuedJobs(t *testing.T) {
 
 // TestRestartLoadsSpecWithRemovedRouteKnobs: specs persisted while
 // JobSpec still had the evaluation-route knobs ("disable_delta",
-// "lazy_prepare") or the search add-ons ("niches", "adaptive", per-island
-// "crossover_points") must keep loading on restart. The store decodes
+// "lazy_prepare"), the search add-ons ("niches", "adaptive", per-island
+// "crossover_points") or the offspring pool width ("eval_workers") must
+// keep loading on restart. The store decodes
 // leniently, so the dropped fields are ignored and the recovered job
 // runs to completion with its remaining per-island override intact.
 func TestRestartLoadsSpecWithRemovedRouteKnobs(t *testing.T) {
@@ -392,6 +393,7 @@ func TestRestartLoadsSpecWithRemovedRouteKnobs(t *testing.T) {
 	spec := doc["spec"].(map[string]any)
 	spec["disable_delta"] = true
 	spec["lazy_prepare"] = true
+	spec["eval_workers"] = 2
 	spec["niches"] = "explore-exploit"
 	spec["adaptive"] = map[string]any{"max_every": 40, "high_divergence": 0.2}
 	spec["per_island"].([]any)[1].(map[string]any)["crossover_points"] = 4

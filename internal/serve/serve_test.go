@@ -398,10 +398,11 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestRemovedRouteKnobRejected: the evaluation-route knobs and the search
-// add-ons (adaptive migration, the niche presets, k-point crossover) are
-// gone from JobSpec, and the strict submit decoder answers a spec still
-// naming one with a 400 that names the field.
+// TestRemovedRouteKnobRejected: the evaluation-route knobs, the search
+// add-ons (adaptive migration, the niche presets, k-point crossover) and
+// the offspring pool width are gone from JobSpec, and the strict submit
+// decoder answers a spec still naming one with a 400 that names the
+// field.
 func TestRemovedRouteKnobRejected(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	for field, extra := range map[string]string{
@@ -410,6 +411,7 @@ func TestRemovedRouteKnobRejected(t *testing.T) {
 		"niches":           `"islands":2,"niches":"explore-exploit"`,
 		"adaptive":         `"islands":2,"adaptive":{}`,
 		"crossover_points": `"per_island":[{},{"crossover_points":4}]`,
+		"eval_workers":     `"eval_workers":2`,
 	} {
 		body := `{"dataset":"flare","rows":60,"generations":2,` + extra + `}`
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))

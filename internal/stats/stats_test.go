@@ -221,30 +221,3 @@ func TestContingencyL1Symmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestJointTransition(t *testing.T) {
-	orig := []int{0, 0, 1, 2}
-	masked := []int{0, 1, 1, 2}
-	m := JointTransition(orig, masked, 3)
-	if m[0][0] != 1 || m[0][1] != 1 || m[1][1] != 1 || m[2][2] != 1 {
-		t.Fatalf("JointTransition = %v", m)
-	}
-	sum := 0
-	for _, row := range m {
-		for _, c := range row {
-			sum += c
-		}
-	}
-	if sum != 4 {
-		t.Fatalf("total = %d, want 4", sum)
-	}
-}
-
-func TestJointTransitionPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on mismatched lengths")
-		}
-	}()
-	JointTransition([]int{0}, []int{0, 1}, 2)
-}

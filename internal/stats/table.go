@@ -66,26 +66,3 @@ func (t *ContingencyTable) L1Distance(other *ContingencyTable) int {
 	}
 	return d
 }
-
-// JointTransition tabulates the joint distribution of (orig[r], masked[r])
-// pairs for a single attribute with the given cardinality. The result is a
-// dense card x card matrix where cell [u][v] counts records whose original
-// category is u and masked category is v.
-func JointTransition(orig, masked []int, card int) [][]int {
-	if len(orig) != len(masked) {
-		panic("stats: mismatched columns in JointTransition")
-	}
-	m := make([][]int, card)
-	backing := make([]int, card*card)
-	for i := range m {
-		m[i] = backing[i*card : (i+1)*card]
-	}
-	for r := range orig {
-		u, v := orig[r], masked[r]
-		if u < 0 || u >= card || v < 0 || v >= card {
-			panic("stats: category index out of domain in JointTransition")
-		}
-		m[u][v]++
-	}
-	return m
-}

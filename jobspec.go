@@ -62,12 +62,10 @@ type JobSpec struct {
 	// Seed fixes the run seed; the whole parallel run reproduces from it.
 	Seed uint64 `json:"seed"`
 	// Workers parallelizes initial-population evaluation (0 = sequential;
-	// never more workers than seed protections).
+	// never more workers than seed protections) and, at 2 or more, scores
+	// a crossover's two children concurrently. Identical results at any
+	// width.
 	Workers int `json:"workers,omitempty"`
-	// EvalWorkers parallelizes offspring evaluation: at 2 or more a
-	// crossover scores its two children concurrently (0 inherits Workers,
-	// negative forces sequential). Identical results at any width.
-	EvalWorkers int `json:"eval_workers,omitempty"`
 	// EarlyStop stops an island after N stagnant generations (0 = off).
 	EarlyStop int `json:"early_stop,omitempty"`
 	// Selection names the reproduction-selection policy
@@ -82,10 +80,11 @@ type JobSpec struct {
 	Migrants int `json:"migrants,omitempty"`
 	// Topology is the migration topology: "ring" (default) or "broadcast".
 	Topology string `json:"topology,omitempty"`
-	// PerIsland specializes islands: entry i overrides engine knobs for
-	// island i (zero-valued fields inherit the job's shared setup). When
-	// set without Islands, the job runs one island per entry; with
-	// Islands, the lengths must match.
+	// PerIsland specializes islands: entry i overrides engine settings
+	// for island i (empty fields inherit the job's shared setup, set
+	// fields and named policies replace it). When set without Islands,
+	// the job runs one island per entry; with Islands, the lengths must
+	// match.
 	PerIsland []IslandConfig `json:"per_island,omitempty"`
 	// Priority orders service-side scheduling (0-9, higher runs first; 0
 	// is the default). It is a service concern, not an engine option: a
@@ -122,15 +121,6 @@ func (s *JobSpec) Validate() error {
 	return err
 }
 
-// refPair maps an optional wire reference point onto the engine's Pair
-// (zero = "use the default reference").
-func refPair(r *ParetoRef) Pair {
-	if r == nil {
-		return Pair{}
-	}
-	return Pair{IL: r.IL, DR: r.DR}
-}
-
 // islandCount is the run's effective island count: Islands, or one
 // island per PerIsland override when no count is given, and at least 1.
 func (s *JobSpec) islandCount() int {
@@ -141,11 +131,11 @@ func (s *JobSpec) islandCount() int {
 }
 
 // islandsConfig is the run-field check and the only mapping of a run
-// onto islands.Config. It resolves every symbolic name, rejects negative
-// counts, and validates the result — per-island overrides and engine
-// template — exactly the way islands.New would, so both Validate and
-// NewRunner reject whatever a run would. The Runner adds the runtime
-// hooks a spec cannot carry.
+// onto islands.Config. It resolves the shared names, rejects negative
+// counts, hands the per-island overrides over as they are and validates
+// the result — per-island overrides and engine template — exactly the way
+// islands.New would, so both Validate and NewRunner reject whatever a run
+// would. The Runner adds the runtime hooks a spec cannot carry.
 func (s *JobSpec) islandsConfig() (islands.Config, error) {
 	var zero islands.Config
 	if s.Generations < 0 || s.Islands < 0 || s.Workers < 0 || s.EarlyStop < 0 ||
@@ -179,20 +169,12 @@ func (s *JobSpec) islandsConfig() (islands.Config, error) {
 			Generations:         s.Generations,
 			Seed:                s.Seed,
 			InitWorkers:         s.Workers,
-			EvalWorkers:         s.EvalWorkers,
 			NoImprovementWindow: s.EarlyStop,
 			Selection:           sel,
 			Objective:           s.Objective,
-			ParetoRef:           refPair(s.ParetoRef),
+			ParetoRef:           s.ParetoRef.Pair(),
 		},
-	}
-	if len(s.PerIsland) > 0 {
-		cfg.PerIsland = make([]core.Config, len(s.PerIsland))
-		for i, ov := range s.PerIsland {
-			if cfg.PerIsland[i], err = ov.toCore(); err != nil {
-				return zero, fmt.Errorf("evoprot: island %d override: %w", i, err)
-			}
-		}
+		PerIsland: s.PerIsland,
 	}
 	return cfg, cfg.Validate()
 }

@@ -5,9 +5,9 @@ package evoprot
 // the contract must agree: a spec Validate accepts always bridges to
 // options (errors never round-trip into an accepted config), and a spec
 // Validate rejects must never bridge. The seeds that name fields earlier
-// builds accepted ("niches", "adaptive", "crossover_points") check that
-// this non-strict decoding ignores them; the service's strict decoder
-// rejects them instead.
+// builds accepted ("niches", "adaptive", "crossover_points",
+// "eval_workers") check that this non-strict decoding ignores them; the
+// service's strict decoder rejects them instead.
 
 import (
 	"encoding/json"
@@ -25,6 +25,7 @@ func FuzzJobSpecJSON(f *testing.F) {
 		`{"dataset":"flare","islands":2,"adaptive":{"min_every":50,"max_every":60}}`,
 		`{"dataset":"flare","adaptive":{"low_divergence":0.9,"high_divergence":0.1}}`,
 		`{"dataset":"flare","niches":"explore-exploit","per_island":[{}]}`,
+		`{"dataset":"flare","workers":2,"eval_workers":-1}`,
 		`{"dataset":"flare","dataset_csv":"A\n1"}`,
 		`{"dataset_csv":"A,B\n1,2","attributes":["A"]}`,
 		`{"dataset":"flare","generations":-1}`,

@@ -34,6 +34,18 @@ type (
 	RunResult = islands.Result
 	// StopReason records why a run ended.
 	StopReason = core.StopReason
+	// IslandConfig overrides the run's engine settings for one island of
+	// a heterogeneous run: set fields replace the shared setting for that
+	// island, empty ones inherit it, and a named policy — the default's
+	// included — replaces the shared policy. It is the JSON shape of
+	// JobSpec.PerIsland and what a checkpoint records, so the same
+	// overrides travel through the evoprotd wire format and survive a
+	// resume.
+	IslandConfig = islands.Override
+	// ParetoRef is the wire shape of a hypervolume reference point: the
+	// worst corner of the (IL, DR) box hypervolume is measured against.
+	// Both components must be finite and positive.
+	ParetoRef = islands.ParetoRef
 )
 
 // Migration topologies.
@@ -65,89 +77,6 @@ type runnerOptions struct {
 	checkpointSink  func(snapshot []byte) error
 	checkpointEvery int
 	firstSeq        uint64
-}
-
-// IslandConfig overrides engine knobs for one island of a heterogeneous
-// run. Zero-valued fields inherit the shared run configuration; set
-// fields replace it for that island only. Crossover is not a knob: every
-// island uses the paper's 2-point crossover. It doubles as the JSON shape
-// of JobSpec.PerIsland, so the same overrides travel through the evoprotd
-// wire format.
-type IslandConfig struct {
-	// Selection names the island's reproduction-selection policy:
-	// "inverse-proportional", "raw-proportional", "rank" or "uniform".
-	// Note that the default policy resolves to the zero value, which the
-	// override layer reads as "inherit": an explicit
-	// "inverse-proportional" cannot override a run whose shared selection
-	// is non-default — configure the shared run with the policy most
-	// islands want and override the exceptions.
-	Selection string `json:"selection,omitempty"`
-	// Crowding names the island's crossover replacement policy:
-	// "parent-index" or "nearest-parent". As with Selection, the default
-	// "parent-index" resolves to "inherit".
-	Crowding string `json:"crowding,omitempty"`
-	// MutationRate is the island's probability of mutating rather than
-	// crossing per generation; use AllCrossover for an explicit 0.0.
-	MutationRate float64 `json:"mutation_rate,omitempty"`
-	// LeaderFraction sets the island's leader-group size as a population
-	// fraction.
-	LeaderFraction float64 `json:"leader_fraction,omitempty"`
-	// Aggregator names the island's own fitness aggregation ("mean",
-	// "max", "euclidean", "weighted:<w>"), overriding the run's — niched
-	// search over the risk/information-loss trade-off.
-	Aggregator string `json:"aggregator,omitempty"`
-	// Objective selects the island's selection objective: "scalar"
-	// (aggregated single-score search) or "pareto" (NSGA-II non-dominated
-	// search over raw (IL, DR)). Empty inherits the run's objective.
-	Objective string `json:"objective,omitempty"`
-	// ParetoRef overrides the island's hypervolume reference point; nil
-	// inherits the run's.
-	ParetoRef *ParetoRef `json:"pareto_ref,omitempty"`
-	// Generations overrides the island's per-Run budget.
-	Generations int `json:"generations,omitempty"`
-	// EarlyStop overrides the island's stagnation window.
-	EarlyStop int `json:"early_stop,omitempty"`
-}
-
-// ParetoRef is the wire shape of a hypervolume reference point: the
-// worst corner of the (IL, DR) box hypervolume is measured against. Both
-// components must be finite and positive.
-type ParetoRef struct {
-	IL float64 `json:"il"`
-	DR float64 `json:"dr"`
-}
-
-// toCore resolves the override's symbolic names into a core.Config
-// override for islands.Config.PerIsland.
-func (c IslandConfig) toCore() (core.Config, error) {
-	sel, err := core.SelectionByName(c.Selection)
-	if err != nil {
-		return core.Config{}, err
-	}
-	crowd, err := core.CrowdingByName(c.Crowding)
-	if err != nil {
-		return core.Config{}, err
-	}
-	if c.Aggregator != "" {
-		if _, err := AggregatorByName(c.Aggregator); err != nil {
-			return core.Config{}, err
-		}
-	}
-	obj, err := core.ObjectiveByName(c.Objective)
-	if err != nil {
-		return core.Config{}, err
-	}
-	return core.Config{
-		Selection:           sel,
-		Crowding:            crowd,
-		MutationRate:        c.MutationRate,
-		LeaderFraction:      c.LeaderFraction,
-		Aggregator:          c.Aggregator,
-		Objective:           obj,
-		ParetoRef:           refPair(c.ParetoRef),
-		Generations:         c.Generations,
-		NoImprovementWindow: c.EarlyStop,
-	}, nil
 }
 
 // Option configures a Runner. Options with a JobSpec counterpart set that
@@ -209,14 +138,10 @@ func WithGenerations(n int) Option { return func(o *runnerOptions) { o.spec.Gene
 // run — islands, migrations and all — bit for bit.
 func WithSeed(seed uint64) Option { return func(o *runnerOptions) { o.spec.Seed = seed } }
 
-// WithWorkers parallelizes initial-population evaluation (0 = sequential).
+// WithWorkers parallelizes initial-population evaluation (0 = sequential)
+// and, at 2 or more, scores a crossover's two children concurrently.
+// Results are identical at any width — only wall-clock changes.
 func WithWorkers(n int) Option { return func(o *runnerOptions) { o.spec.Workers = n } }
-
-// WithEvalWorkers sets how many offspring a generation scores at once: at
-// 2 or more a crossover scores its two children concurrently (0 inherits
-// WithWorkers, negative forces sequential). Results are identical at any
-// width — only wall-clock changes.
-func WithEvalWorkers(n int) Option { return func(o *runnerOptions) { o.spec.EvalWorkers = n } }
 
 // WithEarlyStop stops an island after window stagnant generations
 // (0 = disabled).
@@ -241,11 +166,12 @@ func WithMigration(every, migrants int) Option {
 func WithTopology(t Topology) Option { return func(o *runnerOptions) { o.spec.Topology = t.String() } }
 
 // WithPerIsland specializes islands: override i applies to island i on
-// top of the run's shared configuration (zero-valued fields inherit), so
-// different islands can run different selection pressures, mutation
-// rates, objectives or fitness aggregations. The override count must
-// equal the island count; without WithIslands it implies one island per
-// override. All-zero overrides reproduce the homogeneous run bit for bit.
+// top of the run's shared configuration (empty fields inherit, set fields
+// and named policies replace), so different islands can run different
+// selection pressures, mutation rates, objectives or fitness
+// aggregations. The override count must equal the island count; without
+// WithIslands it implies one island per override. All-empty overrides
+// reproduce the homogeneous run bit for bit.
 func WithPerIsland(overrides ...IslandConfig) Option {
 	return func(o *runnerOptions) { o.spec.PerIsland = overrides }
 }
