@@ -695,7 +695,8 @@ func TestMergedRoundTripsThroughSnapshotJSON(t *testing.T) {
 
 // TestOverrideInheritance: empty override fields inherit the template,
 // set fields replace it, and a named policy replaces the template's even
-// when it names the default.
+// when it names the default. The objective fields are covered by
+// TestObjectiveOverrideInheritance.
 func TestOverrideInheritance(t *testing.T) {
 	template := core.Config{
 		Generations:         100,
@@ -716,15 +717,14 @@ func TestOverrideInheritance(t *testing.T) {
 	if got, err := (Override{}).apply(template); err != nil || got != template {
 		t.Fatalf("empty override changed the template: %+v, %v", got, err)
 	}
-	// A full override replaces everything it can express, and nothing else.
+	// A full override of the search settings replaces everything it sets
+	// and leaves the objective fields to the template.
 	got, err := Override{
 		Selection:      "inverse-proportional",
 		Crowding:       "parent-index",
 		MutationRate:   core.AllCrossover,
 		LeaderFraction: 0.5,
 		Aggregator:     "euclidean",
-		Objective:      "scalar",
-		ParetoRef:      &ParetoRef{IL: 60, DR: 70},
 		Generations:    5,
 		EarlyStop:      2,
 	}.apply(template)
@@ -734,16 +734,46 @@ func TestOverrideInheritance(t *testing.T) {
 	want := template
 	want.Selection, want.Crowding = core.SelectInverseProportional, core.CrowdParentIndex
 	want.MutationRate, want.LeaderFraction = core.AllCrossover, 0.5
-	want.Aggregator, want.Objective = "euclidean", core.ObjectiveScalar
-	want.ParetoRef = score.Pair{IL: 60, DR: 70}
+	want.Aggregator = "euclidean"
 	want.Generations, want.NoImprovementWindow = 5, 2
 	if got != want {
 		t.Fatalf("override applied as\n%+v\nwant\n%+v", got, want)
 	}
 	// A name that does not resolve is an error, not an inherit.
-	for _, bad := range []Override{{Selection: "nope"}, {Crowding: "nope"}, {Objective: "nope"}, {Aggregator: "nope"}} {
+	for _, bad := range []Override{{Selection: "nope"}, {Crowding: "nope"}, {Aggregator: "nope"}} {
 		if _, err := bad.apply(template); err == nil {
 			t.Errorf("override %+v accepted", bad)
 		}
+	}
+}
+
+// TestObjectiveOverrideInheritance: an override without objective fields
+// keeps the template's objective and reference point, and one that sets
+// them replaces the template's — naming the default "scalar" included.
+func TestObjectiveOverrideInheritance(t *testing.T) {
+	template := core.Config{Generations: 100, Objective: core.ObjectivePareto, ParetoRef: score.Pair{IL: 80, DR: 90}}
+	if got, err := (Override{}).apply(template); err != nil || got != template {
+		t.Fatalf("empty override lost the objective fields: %+v, %v", got, err)
+	}
+	// Setting them onto a template that leaves them unset applies them.
+	got, err := Override{Objective: "pareto", ParetoRef: &ParetoRef{IL: 80, DR: 90}}.apply(core.Config{Generations: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != template {
+		t.Fatalf("override did not apply the objective fields: %+v", got)
+	}
+	// Setting them onto a template that sets others replaces those.
+	got, err = Override{Objective: "scalar", ParetoRef: &ParetoRef{IL: 60, DR: 70}}.apply(template)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := template
+	want.Objective, want.ParetoRef = core.ObjectiveScalar, score.Pair{IL: 60, DR: 70}
+	if got != want {
+		t.Fatalf("override applied as\n%+v\nwant\n%+v", got, want)
+	}
+	if _, err := (Override{Objective: "nope"}).apply(template); err == nil {
+		t.Error("unknown objective name accepted")
 	}
 }
