@@ -279,11 +279,15 @@
 // change-list buffers across generations, and short change lists are
 // validated without heap allocation. A file stores each cell in one byte
 // when its schema's domains have at most 256 categories, as every
-// synthetic dataset's do, and in four bytes otherwise; a survivor's copy,
-// and a population's live heap, thus cost a byte per cell rather than a
-// word (run the benchmarks with
-// -benchmem; CI records both metrics in its BENCH_<sha>.json artifacts,
-// which cmd/benchdiff compares across pushes).
+// synthetic dataset's do, and in four bytes otherwise. The CTBIL, DBRL,
+// PRL and ML-utility states keep the masked cells they patch as the
+// file's projection onto the attributes they read (Dataset.Project), at
+// the width those attributes' domains allow. A survivor's file and each
+// of its states' masked cells thus cost a byte per cell rather than a
+// word, in a survivor's copy and in a population's live heap (run the
+// benchmarks with -benchmem; CI records both metrics in its
+// BENCH_<sha>.json artifacts, which cmd/benchdiff compares across
+// pushes).
 //
 // Delta evaluation is bit-for-bit identical to a full Evaluate — the
 // states keep exact integer summaries and share their final value

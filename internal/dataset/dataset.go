@@ -110,6 +110,14 @@ func NewSchema(attrs ...*Attribute) (*Schema, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("dataset: schema with no attributes")
 	}
+	own := make([]*Attribute, len(attrs))
+	copy(own, attrs)
+	return schemaOver(own)
+}
+
+// schemaOver builds a schema over attrs, which it keeps, and fixes its
+// cell width from the largest domain.
+func schemaOver(attrs []*Attribute) (*Schema, error) {
 	byName := make(map[string]int, len(attrs))
 	maxCard := 0
 	for i, a := range attrs {
@@ -122,9 +130,7 @@ func NewSchema(attrs ...*Attribute) (*Schema, error) {
 		byName[a.name] = i
 		maxCard = max(maxCard, a.Cardinality())
 	}
-	own := make([]*Attribute, len(attrs))
-	copy(own, attrs)
-	return &Schema{attrs: own, byName: byName, wide: maxCard > 1<<8}, nil
+	return &Schema{attrs: attrs, byName: byName, wide: maxCard > 1<<8}, nil
 }
 
 // MustSchema is NewSchema that panics on error.
@@ -317,6 +323,28 @@ func (d *Dataset) Value(row, col int) string {
 // Clone returns a deep copy sharing the (immutable) schema.
 func (d *Dataset) Clone() *Dataset {
 	return &Dataset{schema: d.schema, rows: d.rows, narrow: slices.Clone(d.narrow), wide: slices.Clone(d.wide)}
+}
+
+// Project returns a copy of the columns cols, in that order, as a dataset
+// of their attributes alone. Its cell width follows those attributes'
+// domains, not d's, so a projection of narrow attributes costs a byte per
+// cell even when d is wide. cols must name distinct columns.
+func (d *Dataset) Project(cols []int) *Dataset {
+	attrs := make([]*Attribute, len(cols))
+	for i, c := range cols {
+		attrs[i] = d.schema.attrs[c]
+	}
+	s, err := schemaOver(attrs)
+	if err != nil {
+		panic(err) // a repeated column
+	}
+	out := New(s, d.rows)
+	for r := 0; r < d.rows; r++ {
+		for i, c := range cols {
+			out.Set(r, i, d.At(r, c))
+		}
+	}
+	return out
 }
 
 // Equal reports whether both datasets have structurally equal schemas, the

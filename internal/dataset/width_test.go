@@ -152,3 +152,52 @@ func TestMismatchesAcrossWidthsPanics(t *testing.T) {
 	}()
 	narrow.Mismatches(wide, nil)
 }
+
+// TestProject: a projection's width follows the selected attributes'
+// domains, not the source's, its cells are the source's selected columns
+// in the order given, and it shares no cells with the source.
+func TestProject(t *testing.T) {
+	for _, card := range []int{256, 257} {
+		s := wideSchema(card)
+		d := New(s, 4)
+		for r := range d.Rows() {
+			d.Set(r, 0, r%3)
+			d.Set(r, 1, (r*97)%card)
+		}
+		for _, tc := range []struct {
+			cols  []int
+			width int
+		}{
+			{[]int{0}, 1},
+			{[]int{1}, BytesPerCell(d)},
+			{[]int{1, 0}, BytesPerCell(d)},
+		} {
+			p := d.Project(tc.cols)
+			if got := BytesPerCell(p); got != tc.width {
+				t.Fatalf("card %d: Project(%v) takes %d bytes per cell, want %d", card, tc.cols, got, tc.width)
+			}
+			if p.Rows() != d.Rows() || p.Cols() != len(tc.cols) {
+				t.Fatalf("card %d: Project(%v) is %dx%d, want %dx%d", card, tc.cols, p.Rows(), p.Cols(), d.Rows(), len(tc.cols))
+			}
+			for i, c := range tc.cols {
+				if p.Schema().Attr(i) != s.Attr(c) {
+					t.Fatalf("card %d: Project(%v) column %d is attribute %s, want %s", card, tc.cols, i, p.Schema().Attr(i).Name(), s.Attr(c).Name())
+				}
+				for r := range d.Rows() {
+					if p.At(r, i) != d.At(r, c) {
+						t.Fatalf("card %d: Project(%v) cell (%d,%d) = %d, want %d", card, tc.cols, r, i, p.At(r, i), d.At(r, c))
+					}
+				}
+			}
+			before := d.Clone()
+			p.Set(2, 0, (p.At(2, 0)+1)%p.Schema().Attr(0).Cardinality())
+			if !d.Equal(before) {
+				t.Fatalf("card %d: a Set on Project(%v) changed the source", card, tc.cols)
+			}
+			d.Set(3, tc.cols[0], (d.At(3, tc.cols[0])+1)%s.Attr(tc.cols[0]).Cardinality())
+			if p.At(3, 0) == d.At(3, tc.cols[0]) {
+				t.Fatalf("card %d: a Set on the source changed Project(%v)", card, tc.cols)
+			}
+		}
+	}
+}

@@ -60,15 +60,16 @@ type ctbilState struct {
 	attrs  []int
 	pos    map[int]int // column index -> position in attrs
 	tables []*ctbilTable
-	byPos  [][]int         // attr position -> indices of tables containing it
-	mc     [][]int         // masked protected columns, by attr position; owned
-	l1     []int           // Apply scratch, lazily built, never shared by clones
-	undo   measure.Journal // pending ApplyUndo; never shared by clones
+	byPos  [][]int          // attr position -> indices of tables containing it
+	mc     *dataset.Dataset // masked file projected onto attrs (Dataset.Project); owned
+	l1     []int            // Apply scratch, lazily built, never shared by clones
+	tuple  []int            // patchOne scratch: the edited record's tuple; never shared by clones
+	undo   measure.Journal  // pending ApplyUndo; never shared by clones
 }
 
 // CloneState implements State.
 func (s *ctbilState) CloneState() State {
-	out := &ctbilState{n: s.n, attrs: s.attrs, pos: s.pos, byPos: s.byPos}
+	out := &ctbilState{n: s.n, attrs: s.attrs, pos: s.pos, byPos: s.byPos, mc: s.mc.Clone(), tuple: make([]int, len(s.tuple))}
 	out.tables = make([]*ctbilTable, len(s.tables))
 	for i, t := range s.tables {
 		cells := make(map[stats.ContingencyKey]int, len(t.cells))
@@ -76,12 +77,6 @@ func (s *ctbilState) CloneState() State {
 			cells[k] = v
 		}
 		out.tables[i] = &ctbilTable{rel: t.rel, cards: t.cards, orig: t.orig, cells: cells, l1: t.l1}
-	}
-	out.mc = make([][]int, len(s.mc))
-	for i, col := range s.mc {
-		own := make([]int, len(col))
-		copy(own, col)
-		out.mc[i] = own
 	}
 	return out
 }
@@ -92,16 +87,15 @@ func (c *CTBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 	if n == 0 || len(attrs) == 0 {
 		return nil
 	}
-	st := &ctbilState{n: n, attrs: attrs, pos: make(map[int]int, len(attrs))}
+	st := &ctbilState{n: n, attrs: attrs, pos: make(map[int]int, len(attrs)), tuple: make([]int, len(attrs))}
 	for a, col := range attrs {
 		st.pos[col] = a
 	}
-	st.mc = columns(masked, attrs)
-	oc := columns(orig, attrs)
+	st.mc = masked.Project(attrs)
 	subsets := stats.SubsetsUpTo(len(attrs), c.maxDimOrDefault())
 	st.byPos = make([][]int, len(attrs))
 	for _, subset := range subsets {
-		to, tm := subsetTables(orig.Schema(), attrs, subset, oc, st.mc)
+		to, tm := subsetTables(orig, masked, attrs, subset)
 		rel := make([]int, len(subset))
 		copy(rel, subset)
 		t := &ctbilTable{rel: rel, cards: to.Cards, orig: to.Cells, cells: tm.Cells, l1: to.L1Distance(tm)}
@@ -113,16 +107,19 @@ func (c *CTBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 	return st
 }
 
-// patchOne advances the tables and masked columns by one cell change.
+// patchOne advances the tables and masked cells by one cell change.
 // The patch is its own inverse under CellChange.Inverted: replaying
 // inversions in reverse restores the exact integer summaries.
 func (st *ctbilState) patchOne(ch dataset.CellChange) {
 	a0 := st.pos[ch.Col]
+	for a := range st.tuple {
+		st.tuple[a] = st.mc.At(ch.Row, a)
+	}
 	for _, ti := range st.byPos[a0] {
 		t := st.tables[ti]
 		var oldKey, newKey stats.ContingencyKey
 		for i, a := range t.rel {
-			v := st.mc[a][ch.Row]
+			v := st.tuple[a]
 			if a == a0 {
 				v = ch.Old
 			}
@@ -135,7 +132,7 @@ func (st *ctbilState) patchOne(ch dataset.CellChange) {
 		t.bump(oldKey, -1)
 		t.bump(newKey, +1)
 	}
-	st.mc[a0][ch.Row] = ch.New
+	st.mc.Set(ch.Row, a0, ch.New)
 }
 
 // Apply implements Incremental. A plain Apply commits any pending

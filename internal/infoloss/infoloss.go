@@ -67,38 +67,24 @@ func (c *CTBIL) Loss(orig, masked *dataset.Dataset, attrs []int) float64 {
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
-	oc, mc := columns(orig, attrs), columns(masked, attrs)
 	subsets := stats.SubsetsUpTo(len(attrs), c.maxDimOrDefault())
 	l1 := make([]int, len(subsets))
 	for s, subset := range subsets {
-		to, tm := subsetTables(orig.Schema(), attrs, subset, oc, mc)
+		to, tm := subsetTables(orig, masked, attrs, subset)
 		l1[s] = to.L1Distance(tm)
 	}
 	return ctbilValue(l1, n)
 }
 
-// columns copies the given columns of d, by position in attrs.
-func columns(d *dataset.Dataset, attrs []int) [][]int {
-	out := make([][]int, len(attrs))
-	for a, c := range attrs {
-		out[a] = d.Column(c)
-	}
-	return out
-}
-
 // subsetTables tabulates the original and masked contingency tables of
-// one attribute subset (positions into attrs) from the columns of both
-// files, copied once per attribute by columns.
-func subsetTables(s *dataset.Schema, attrs, subset []int, oc, mc [][]int) (to, tm *stats.ContingencyTable) {
+// one attribute subset (positions into attrs), reading both files in
+// place.
+func subsetTables(orig, masked *dataset.Dataset, attrs, subset []int) (to, tm *stats.ContingencyTable) {
 	cols := make([]int, len(subset))
-	co := make([][]int, len(subset))
-	cm := make([][]int, len(subset))
 	for i, rel := range subset {
 		cols[i] = attrs[rel]
-		co[i], cm[i] = oc[rel], mc[rel]
 	}
-	cards := s.Cardinalities(cols)
-	return stats.NewContingencyTable(cols, co, cards), stats.NewContingencyTable(cols, cm, cards)
+	return stats.NewContingencyTable(orig, cols), stats.NewContingencyTable(masked, cols)
 }
 
 // ctbilValue folds the per-table L1 distances into the measure value. Both

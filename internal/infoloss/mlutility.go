@@ -287,12 +287,12 @@ type mlState struct {
 	nb      nbModel // trained on the masked file
 	hit     []bool  // per tested row: the classifier predicts its label
 	correct int
-	// label is the masked target column, owned when the target is
-	// protected and shared by clones otherwise (it never changes then).
-	label []int
-	// cols are the masked feature columns, kept only when the target is
-	// protected: moving a row between classes moves its feature counts.
-	cols   [][]int
+	// masked projects the masked file onto the target, at column 0, and,
+	// only when the target is protected, the features after it: moving a
+	// row between classes moves its feature counts. It is owned when the
+	// target is protected and shared by clones otherwise (it never
+	// changes then).
+	masked *dataset.Dataset
 	undo   measure.Journal // pending ApplyUndo; never shared by clones
 	all    bool            // Apply scratch: every tested row needs re-scoring
 	marked []bool          // Apply scratch, lazily built: tested rows queued in dirty
@@ -301,13 +301,9 @@ type mlState struct {
 
 // CloneState implements State.
 func (s *mlState) CloneState() State {
-	out := &mlState{o: s.o, nb: s.nb.clone(), hit: slices.Clone(s.hit), correct: s.correct, label: s.label}
-	if s.cols != nil {
-		out.label = slices.Clone(s.label)
-		out.cols = make([][]int, len(s.cols))
-		for f, col := range s.cols {
-			out.cols[f] = slices.Clone(col)
-		}
+	out := &mlState{o: s.o, nb: s.nb.clone(), hit: slices.Clone(s.hit), correct: s.correct, masked: s.masked}
+	if s.ownsFeatures() {
+		out.masked = s.masked.Clone()
 	}
 	return out
 }
@@ -349,17 +345,19 @@ func (m *MLUtility) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 		next[x]++
 	}
 
-	st := &mlState{o: o, nb: o.fit(masked), hit: make([]bool, len(o.labels)), label: masked.Column(m.Target)}
+	cols := []int{m.Target}
 	if slices.Contains(attrs, m.Target) {
-		st.cols = make([][]int, len(feats))
-		for f, c := range feats {
-			st.cols[f] = masked.Column(c)
-		}
+		cols = append(cols, feats...)
 	}
+	st := &mlState{o: o, nb: o.fit(masked), hit: make([]bool, len(o.labels)), masked: masked.Project(cols)}
 	st.all = true
 	st.rescore()
 	return st
 }
+
+// ownsFeatures reports whether the target is protected: the state then
+// keeps the masked features beside the target and owns them.
+func (st *mlState) ownsFeatures() bool { return st.masked.Cols() > 1 }
 
 // patch advances the counts and tables by one cell change and queues the
 // tested rows whose prediction it may move. It is exactly self-inverse
@@ -375,10 +373,10 @@ func (st *mlState) patch(ch dataset.CellChange) {
 		return
 	}
 	f := o.fpos[ch.Col]
-	if st.cols != nil {
-		st.cols[f][ch.Row] = ch.New
+	if st.ownsFeatures() {
+		st.masked.Set(ch.Row, 1+f, ch.New)
 	}
-	k := st.label[ch.Row]
+	k := st.masked.At(ch.Row, 0)
 	if k < 0 || k >= o.classes {
 		return
 	}
@@ -415,7 +413,7 @@ func (st *mlState) bump(k, f, v, d int) {
 // tested row.
 func (st *mlState) moveClass(r, from, to int) {
 	o := st.o
-	st.label[r] = to
+	st.masked.Set(r, 0, to)
 	for _, mv := range [2]struct{ k, d int }{{from, -1}, {to, +1}} {
 		if mv.k < 0 || mv.k >= o.classes {
 			continue
@@ -423,8 +421,8 @@ func (st *mlState) moveClass(r, from, to int) {
 		st.nb.classCount[mv.k] += mv.d
 		st.nb.trained += mv.d
 		block := st.nb.counts[mv.k*o.width:]
-		for f, col := range st.cols {
-			if v := col[r]; v >= 0 && v < o.cards[f] {
+		for f := range o.feats {
+			if v := st.masked.At(r, 1+f); v >= 0 && v < o.cards[f] {
 				block[o.off[f]+v] += mv.d
 			}
 		}

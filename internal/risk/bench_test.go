@@ -104,9 +104,12 @@ func BenchmarkLinkageDeltaWidth(b *testing.B) {
 // german and adult files: a single-cell ApplyUndo then Undo (an offspring
 // that loses), ApplyUndo then an empty Apply (Commit: the winner keeping
 // its pending edit), and the CloneState that hands a surviving child its
-// own state. All scale with the state's distinct original tuples, not
-// its records, so a return to per-record rows multiplies their ns/op and
-// B/op; Commit re-running PRL's EM shows in its ns/op too.
+// own state. The patches scale with the state's distinct original
+// tuples, not its records, so a return to per-record rows multiplies
+// their ns/op; Commit re-running PRL's EM shows in its ns/op too.
+// CloneState copies the per-tuple rows, the per-record true-match
+// summary and the masked cells, one byte each here: 14–26 KB, of which a
+// return to []int columns, eight bytes per cell, would add 21 KB.
 func BenchmarkLinkageDeltaPaperScale(b *testing.B) {
 	for _, name := range []string{"flare", "german", "adult"} {
 		orig, masked, attrs := benchPairOf(b, name, 1000)

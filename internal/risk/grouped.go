@@ -137,12 +137,12 @@ func groupOriginal(orig *dataset.Dataset, attrs []int) *tupleGroups {
 	return lg.orig.compact()
 }
 
-// pattern returns the agreement bitmask between original tuple k and
-// masked record j of mc: bit a is set when they agree on attribute a.
-func (g *tupleGroups) pattern(k int, mc [][]int, j int) int {
+// pattern returns the agreement bitmask between original tuple k and a
+// masked record's tuple: bit a is set when they agree on attribute a.
+func (g *tupleGroups) pattern(k int, tuple []int) int {
 	pat := 0
 	for a, col := range g.cols {
-		if col[k] == mc[a][j] {
+		if col[k] == tuple[a] {
 			pat |= 1 << a
 		}
 	}
@@ -150,11 +150,11 @@ func (g *tupleGroups) pattern(k int, mc [][]int, j int) int {
 }
 
 // distance returns the mixed categorical distance between original tuple
-// k and masked record j of mc.
-func (g *tupleGroups) distance(k int, mc [][]int, j int, tables []distTable) int64 {
+// k and a masked record's tuple.
+func (g *tupleGroups) distance(k int, tuple []int, tables []distTable) int64 {
 	var d int64
 	for a, col := range g.cols {
-		d += tables[a].at(col[k], mc[a][j])
+		d += tables[a].at(col[k], tuple[a])
 	}
 	return d
 }
@@ -162,17 +162,19 @@ func (g *tupleGroups) distance(k int, mc [][]int, j int, tables []distTable) int
 // linkGroups is the working memory of one grouped DBRL or PRL pass, of
 // the original grouping of a DBRL or PRL Prepare (groupOriginal), or of
 // one RSRL Prepare (its masked columns and original grouping only): the
-// protected columns of a full Risk call, the original records grouped by
-// tuple for a full Risk or a Prepare, the masked records grouped by tuple,
-// one original group's row of distances or patterns against every masked
-// group, per original group the best score found and how many masked
-// records attain it, and a full PRL's EM scratch. The kernels below read
-// the original grouping they are passed: full Risk passes lg.orig, a
-// DBRL or PRL state its own compact grouping, which lg never keeps. It
-// is pooled, so once warm a full Risk call on the evolution hot path
-// allocates no column copies or grouping buffers.
+// protected columns of a full Risk call, or a DBRL or PRL state's masked
+// cells unpacked for a re-link or a wide edit, one masked record's tuple,
+// the original records grouped by tuple for a full Risk or a Prepare, the
+// masked records grouped by tuple, one original group's row of distances
+// or patterns against every masked group, per original group the best
+// score found and how many masked records attain it, and a full PRL's EM
+// scratch. The kernels below read the original grouping they are passed:
+// full Risk passes lg.orig, a DBRL or PRL state its own compact grouping,
+// which lg never keeps. It is pooled, so once warm a full Risk call on the
+// evolution hot path allocates no column copies or grouping buffers.
 type linkGroups struct {
-	oc, mc       [][]int // Risk's copies of the protected columns
+	oc, mc       [][]int // protected columns
+	tuple        []int   // one masked record's tuple (record)
 	orig, masked tupleGroups
 	dist         []int64   // DBRL row: distance to each masked group
 	pats         []int     // PRL row: agreement pattern with each masked group
@@ -201,14 +203,33 @@ func (lg *linkGroups) columns(orig, masked *dataset.Dataset, attrs []int) (oc, m
 }
 
 // columnsInto extracts the given columns of d as int slices, reusing the
-// buffers of cols; a nil cols yields fresh copies.
+// buffers of cols; a nil cols yields fresh copies. A nil attrs extracts
+// every column of d in order: the masked projection a DBRL or PRL state
+// keeps.
 func columnsInto(cols [][]int, d *dataset.Dataset, attrs []int) [][]int {
-	cols = resize(cols, len(attrs))
-	for a, c := range attrs {
+	num := len(attrs)
+	if attrs == nil {
+		num = d.Cols()
+	}
+	cols = resize(cols, num)
+	for a := range cols {
+		c := a
+		if attrs != nil {
+			c = attrs[a]
+		}
 		cols[a] = resize(cols[a], d.Rows())
 		d.ColumnInto(cols[a], c)
 	}
 	return cols
+}
+
+// record fills lg.tuple with record i of the columns mc and returns it.
+func (lg *linkGroups) record(mc [][]int, i int) []int {
+	lg.tuple = resize(lg.tuple, len(mc))
+	for a, col := range mc {
+		lg.tuple[a] = col[i]
+	}
+	return lg.tuple
 }
 
 // distances returns original group g of o's distance to every masked

@@ -517,7 +517,7 @@ func TestLinkageStateTupleEdges(t *testing.T) {
 // from before-images, not by patching back. On the rescan fixture, where
 // the move rescans tuple (0,0) and changes record 0's true-match
 // distance, the state after ApplyUndo and Undo — on its own and followed
-// by a second move — must hold exactly the masked columns, rows and
+// by a second move — must hold exactly the masked cells, rows and
 // true-match distances a state prepared from the unedited file holds.
 func TestDBRLUndoRestoresRows(t *testing.T) {
 	fx, moveAway := rescanFixture()
@@ -530,10 +530,8 @@ func TestDBRLUndoRestoresRows(t *testing.T) {
 			t.Fatalf("%v: journalled %d rows and %d distances; the fixture must move both", changes, len(st.rowLog), len(st.distLog))
 		}
 		dl.Undo(st)
-		for a := range st.mc {
-			if !slices.Equal(st.mc[a], want.mc[a]) {
-				t.Fatalf("%v: masked column %d after Undo %v, want %v", changes, a, st.mc[a], want.mc[a])
-			}
+		if !st.mc.Equal(want.mc) {
+			t.Fatalf("%v: masked cells after Undo %v, want %v", changes, st.mc.Records(), want.mc.Records())
 		}
 		if !slices.Equal(st.best, want.best) || !slices.Equal(st.count, want.count) {
 			t.Fatalf("%v: rows after Undo best %v count %v, want %v %v", changes, st.best, st.count, want.best, want.count)

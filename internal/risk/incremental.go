@@ -13,7 +13,12 @@ package risk
 //     at Prepare, and keep that compact grouping (grouped.go), which
 //     every clone shares read-only. Their rows are per distinct original
 //     tuple, since records sharing a tuple link alike; only the
-//     true-match summary is per record.
+//     true-match summary is per record. Each owns the masked file's
+//     projection onto the protected attributes (Dataset.Project), stored
+//     at the width those attributes' domains allow: a byte per cell for
+//     every synthetic dataset, which is all a clone copies of the masked
+//     file. A patch reads the edited record's tuple from it once, into
+//     the state's scratch, before its per-tuple loop.
 //   - DBRL caches each original tuple's nearest-masked-record distance
 //     and tie count, and each record's true-match distance. A cell
 //     change moves one masked record, so exactly one distance per tuple
@@ -28,7 +33,7 @@ package risk
 //     are re-linked from their tuples' histograms in O(D·2^attrs + n) at
 //     worst: with the patterns ordered by weight, each tuple's scan stops
 //     at its strongest non-empty pattern. The value is kept until the
-//     masked columns change, so an empty Apply that commits a pending
+//     masked cells change, so an empty Apply that commits a pending
 //     ApplyUndo returns it without rerunning EM.
 //   - RSRL keeps the masked file's per-attribute category frequencies,
 //     mid-ranks, window intervals and candidate bitsets, plus per-profile
@@ -45,9 +50,10 @@ package risk
 // both in per-attribute comparisons, from the list and from the tuple
 // counts of its last full link, and re-links in full once patching would
 // cost more: a wide ApplyUndo writes the list into the state's masked
-// columns only, scores them with the kernel against the state's own
+// cells only, unpacks them into the pooled columns the kernel reads
+// (columnsInto, as full Risk does), scores them against the state's own
 // original grouping and leaves the rows or histograms stale for Undo,
-// which then restores just those columns. The next Apply or narrow
+// which then restores just those cells. The next Apply or narrow
 // ApplyUndo of a stale state (one committing a pending wide ApplyUndo, or
 // a clone of one) re-links and rebuilds the rows or histograms in place,
 // as Prepare does, before it patches. Apply itself picks no route: it
@@ -58,25 +64,28 @@ package risk
 //
 // Undo: ID and PRL rewind a measure.Journal, replaying the inverted
 // change list in reverse through the same exact integer patches (their
-// summaries are pure functions of the masked columns). DBRL rewinds only
-// its masked columns that way and then restores, newest first, the
+// summaries are pure functions of the masked cells). DBRL rewinds only
+// its masked cells that way and then restores, newest first, the
 // before-images of the rows and true-match distances its patches
 // overwrote, rescans included, so it never patches back. After a wide
-// DBRL or PRL ApplyUndo only the masked columns are rewound, and the
+// DBRL or PRL ApplyUndo only the masked cells are rewound, and the
 // stale flag returns to its value before that ApplyUndo. RSRL keeps its
 // own journal of word-level bitset diffs plus scalar row snapshots (see
 // rsrl_incremental.go), skipping the candidate re-intersections.
 //
-// Measured at bench_test.go scale (500 records, on a 2-vCPU Xeon), a
-// single-cell RSRL Apply costs ~4.5µs against ~61µs for a full RSRL Risk,
-// which prepares a fresh state (~9x, BenchmarkRankIntervalLinkageDeltaSpeedup),
-// and runs allocation-free. On 1000-record flare, german and adult files
-// (same machine) a single-cell DBRL ApplyUndo+Undo costs ~7–15µs and a
-// PRL one ~15–22µs, and ApplyUndo plus the committing empty Apply ~9–18µs
-// and ~14–16µs (BenchmarkLinkageDeltaPaperScale), against ~0.25–2.5ms and
-// ~0.5–6ms for their full Risk. The states keep reusable scratch
+// Measured at bench_test.go scale (500 records, on a 2-vCPU Xeon, one
+// CPU), a single-cell RSRL Apply costs ~6µs against ~58µs for a full RSRL
+// Risk, which prepares a fresh state (~10x,
+// BenchmarkRankIntervalLinkageDeltaSpeedup), and runs allocation-free. On
+// 1000-record flare, german and adult files (same machine, medians of
+// five runs) a single-cell DBRL ApplyUndo+Undo costs ~6–13µs and a PRL
+// one ~13–18µs, and ApplyUndo plus the committing empty Apply ~8–16µs
+// and ~12–17µs (BenchmarkLinkageDeltaPaperScale), against ~0.2–2.2ms and
+// ~0.5–5.4ms for their full Risk. The states keep reusable scratch
 // buffers, so cloning the state of a survivor whose parent lives on is
-// the only steady-state allocation of the delta chain.
+// the only steady-state allocation of the delta chain: 14–21 KB for DBRL
+// and 13–26 KB for PRL (~3–5µs), of which the masked cells, at a byte
+// each, are 3 KB.
 
 import (
 	"cmp"
@@ -115,11 +124,18 @@ var (
 	_ Reversible = (*RankIntervalLinkage)(nil)
 )
 
-// setCells writes changes, in order, into the protected columns mc, where
-// pos maps a dataset column to its position in mc.
-func setCells(mc [][]int, pos map[int]int, changes []dataset.CellChange) {
+// setCells writes changes, in order, into the masked projection mc, where
+// pos maps a dataset column to its column in mc.
+func setCells(mc *dataset.Dataset, pos map[int]int, changes []dataset.CellChange) {
 	for _, ch := range changes {
-		mc[pos[ch.Col]][ch.Row] = ch.New
+		mc.Set(ch.Row, pos[ch.Col], ch.New)
+	}
+}
+
+// readTuple fills tuple with record j of the masked projection mc.
+func readTuple(tuple []int, mc *dataset.Dataset, j int) {
+	for a := range tuple {
+		tuple[a] = mc.At(j, a)
 	}
 }
 
@@ -201,9 +217,9 @@ type dbrlState struct {
 	n      int
 	attrs  []int
 	pos    map[int]int
-	orig   *tupleGroups // original records grouped by tuple, shared read-only
-	mc     [][]int      // masked protected columns, owned
-	tables []distTable  // shared (schema-only)
+	orig   *tupleGroups     // original records grouped by tuple, shared read-only
+	mc     *dataset.Dataset // masked file projected onto attrs (Dataset.Project), owned
+	tables []distTable      // shared (schema-only)
 	// Per original tuple: distance to its nearest masked record and how
 	// many masked records tie at that distance.
 	best  []int64
@@ -218,8 +234,11 @@ type dbrlState struct {
 	// puts back wasStale, the flag's value before the wide ApplyUndo (a
 	// clone of a pending wide edit starts stale).
 	stale, wasStale bool
+	// tuple is patchOne's scratch: the edited masked record's tuple,
+	// never shared by clones.
+	tuple []int
 	// undo holds the pending ApplyUndo's change list, which Undo rewinds
-	// through the masked columns; rowLog and distLog hold the
+	// through the masked cells; rowLog and distLog hold the
 	// before-images of the rows and true-match distances its patches
 	// overwrote, oldest first. None of them is shared by clones.
 	undo    measure.Journal
@@ -244,21 +263,13 @@ type dbrlDist struct {
 func (s *dbrlState) CloneState() State {
 	return &dbrlState{
 		n: s.n, attrs: s.attrs, pos: s.pos, orig: s.orig, tables: s.tables,
-		mc:         cloneColumns(s.mc),
+		mc:         s.mc.Clone(),
+		tuple:      make([]int, len(s.tuple)),
 		best:       slices.Clone(s.best),
 		count:      slices.Clone(s.count),
 		trueDist:   slices.Clone(s.trueDist),
 		relinkCost: s.relinkCost, stale: s.stale,
 	}
-}
-
-// cloneColumns returns an owned copy of the columns cols.
-func cloneColumns(cols [][]int) [][]int {
-	out := make([][]int, len(cols))
-	for a, col := range cols {
-		out[a] = slices.Clone(col)
-	}
-	return out
 }
 
 // Prepare implements Incremental. The rows come from one grouped pass
@@ -270,7 +281,8 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 	}
 	st := &dbrlState{
 		n: n, attrs: attrs, pos: make(map[int]int, len(attrs)),
-		orig: groupOriginal(orig, attrs), mc: columnsInto(nil, masked, attrs),
+		orig: groupOriginal(orig, attrs), mc: masked.Project(attrs),
+		tuple:    make([]int, len(attrs)),
 		tables:   distanceTables(orig, attrs),
 		trueDist: make([]int64, n),
 	}
@@ -284,16 +296,17 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 }
 
 // relink rebuilds every tuple's row and every record's true-match
-// distance from the masked columns in one grouped pass.
+// distance from the masked cells in one grouped pass.
 func (st *dbrlState) relink() {
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	lg.masked.group(st.mc, st.n)
+	lg.mc = columnsInto(lg.mc, st.mc, nil)
+	lg.masked.group(lg.mc, st.n)
 	lg.nearest(st.orig, st.tables)
 	copy(st.best, lg.best)
 	copy(st.count, lg.count)
 	for i := 0; i < st.n; i++ {
-		st.trueDist[i] = st.orig.distance(int(st.orig.of[i]), st.mc, i, st.tables)
+		st.trueDist[i] = st.orig.distance(int(st.orig.of[i]), lg.record(lg.mc, i), st.tables)
 	}
 	st.relinkCost = lg.relinkCost(st.orig, st.n, len(st.attrs))
 	st.stale = false
@@ -309,11 +322,14 @@ func (st *dbrlState) wide(changes []dataset.CellChange) bool {
 }
 
 // rescan returns tuple g's nearest distance and tie count, recomputed
-// from scratch against the current masked columns.
+// from scratch against the current masked cells.
 func (s *dbrlState) rescan(g int) (best, count int64) {
 	best = int64(1) << 62
 	for j := 0; j < s.n; j++ {
-		d := s.orig.distance(g, s.mc, j, s.tables)
+		var d int64
+		for a, t := range s.tables {
+			d += t.at(s.orig.cols[a][g], s.mc.At(j, a))
+		}
 		switch {
 		case d < best:
 			best, count = d, 1
@@ -325,7 +341,7 @@ func (s *dbrlState) rescan(g int) (best, count int64) {
 }
 
 // patchOne advances the per-tuple rows and the true-match distances by
-// one cell change. The rows are pure functions of the masked columns
+// one cell change. The rows are pure functions of the masked cells
 // (minimum and multiplicity of each tuple's distance multiset, and each
 // record's true-match distance). Every row and distance the patch
 // overwrites is logged first, so Undo can restore it without patching
@@ -335,7 +351,9 @@ func (st *dbrlState) patchOne(ch dataset.CellChange) {
 	j0 := ch.Row
 	t := st.tables[a0]
 	o := st.orig
-	st.mc[a0][j0] = ch.New
+	st.mc.Set(j0, a0, ch.New)
+	tuple := st.tuple
+	readTuple(tuple, st.mc, j0)
 	for g, u := range o.cols[a0] {
 		dOldA, dNewA := t.at(u, ch.Old), t.at(u, ch.New)
 		if dOldA == dNewA {
@@ -344,7 +362,7 @@ func (st *dbrlState) patchOne(ch dataset.CellChange) {
 		var base int64
 		for a := range st.tables {
 			if a != a0 {
-				base += st.tables[a].at(o.cols[a][g], st.mc[a][j0])
+				base += st.tables[a].at(o.cols[a][g], tuple[a])
 			}
 		}
 		dOld, dNew := base+dOldA, base+dNewA
@@ -377,7 +395,7 @@ func (st *dbrlState) patchOne(ch dataset.CellChange) {
 		st.rowLog = append(st.rowLog, dbrlRow{int32(g), st.best[g], st.count[g]})
 		st.best[g], st.count[g] = best, count
 	}
-	if d := o.distance(int(o.of[j0]), st.mc, j0, st.tables); d != st.trueDist[j0] {
+	if d := o.distance(int(o.of[j0]), tuple, st.tables); d != st.trueDist[j0] {
 		st.distLog = append(st.distLog, dbrlDist{int32(j0), st.trueDist[j0]})
 		st.trueDist[j0] = d
 	}
@@ -430,16 +448,17 @@ func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) 
 	st.wasStale, st.stale = st.stale, true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	return dbrlGrouped(lg, st.orig, st.mc, st.tables, st.n)
+	lg.mc = columnsInto(lg.mc, st.mc, nil)
+	return dbrlGrouped(lg, st.orig, lg.mc, st.tables, st.n)
 }
 
 // Undo implements Reversible: the masked cells are rewound, then the
 // journalled rows and distances restored, newest first. After a wide
 // ApplyUndo (the only route that leaves the rows stale) only the masked
-// columns moved.
+// cells moved.
 func (dl *DistanceLinkage) Undo(state State) {
 	st := state.(*dbrlState)
-	if !st.undo.Rewind(func(ch dataset.CellChange) { st.mc[st.pos[ch.Col]][ch.Row] = ch.New }) {
+	if !st.undo.Rewind(func(ch dataset.CellChange) { st.mc.Set(ch.Row, st.pos[ch.Col], ch.New) }) {
 		return
 	}
 	if st.stale {
@@ -463,9 +482,9 @@ type prlState struct {
 	numAttrs int
 	iters    int
 	pos      map[int]int
-	orig     *tupleGroups // original records grouped by tuple, shared read-only
-	mc       [][]int      // owned
-	ocByCat  [][][]int32  // shared: per attr, per category, original tuple ids
+	orig     *tupleGroups     // original records grouped by tuple, shared read-only
+	mc       *dataset.Dataset // masked file projected onto the protected attributes, owned
+	ocByCat  [][][]int32      // shared: per attr, per category, original tuple ids
 	// cnt[g*numPat+pat] counts masked records j with pattern(g,j) == pat
 	// for original tuple g; patCount aggregates cnt over all records,
 	// weighting each tuple by its multiplicity (exact integers in
@@ -495,6 +514,7 @@ type prlState struct {
 	order []int32         // patterns by descending weight (strongestLinks)
 	bestW []float64       // per original tuple: highest weight of a masked record
 	ties  []int32         // per original tuple: masked records attaining bestW
+	tuple []int           // patchOne scratch: the edited masked record's tuple; never shared
 	undo  measure.Journal // pending ApplyUndo; never shared by clones
 }
 
@@ -502,7 +522,8 @@ type prlState struct {
 func (s *prlState) CloneState() State {
 	return &prlState{
 		n: s.n, numAttrs: s.numAttrs, iters: s.iters, pos: s.pos, orig: s.orig, ocByCat: s.ocByCat,
-		mc:         cloneColumns(s.mc),
+		mc:         s.mc.Clone(),
+		tuple:      make([]int, len(s.tuple)),
 		cnt:        slices.Clone(s.cnt),
 		patCount:   slices.Clone(s.patCount),
 		truePat:    slices.Clone(s.truePat),
@@ -537,7 +558,8 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 	st := &prlState{
 		n: n, numAttrs: len(attrs), iters: iters,
 		pos:  make(map[int]int, len(attrs)),
-		orig: groupOriginal(orig, attrs), mc: columnsInto(nil, masked, attrs),
+		orig: groupOriginal(orig, attrs), mc: masked.Project(attrs),
+		tuple:    make([]int, len(attrs)),
 		patCount: make([]float64, numPat),
 		truePat:  make([]int32, n),
 	}
@@ -552,14 +574,15 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 }
 
 // relink rebuilds every tuple's pattern histogram, the true-match
-// patterns and the pattern tally from the masked columns in one grouped
+// patterns and the pattern tally from the masked cells in one grouped
 // pass.
 func (st *prlState) relink() {
 	numPat := 1 << st.numAttrs
 	o := st.orig
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	lg.masked.group(st.mc, st.n)
+	lg.mc = columnsInto(lg.mc, st.mc, nil)
+	lg.masked.group(lg.mc, st.n)
 	clear(st.cnt)
 	clear(st.patCount)
 	for g, mult := range o.mult {
@@ -570,7 +593,7 @@ func (st *prlState) relink() {
 		}
 	}
 	for i, g := range o.of {
-		st.truePat[i] = int32(o.pattern(int(g), st.mc, i))
+		st.truePat[i] = int32(o.pattern(int(g), lg.record(lg.mc, i)))
 	}
 	st.relinkCost = lg.relinkCost(o, st.n, st.numAttrs)
 	st.stale = false
@@ -593,27 +616,21 @@ func (st *prlState) wide(changes []dataset.CellChange) bool {
 }
 
 // patchOne advances the pattern histograms by one cell change. All
-// tallies are exact integers and pure functions of the masked columns,
+// tallies are exact integers and pure functions of the masked cells,
 // so replaying inverted changes in reverse restores them exactly.
 func (st *prlState) patchOne(ch dataset.CellChange) {
 	numPat := 1 << st.numAttrs
 	a0 := st.pos[ch.Col]
 	j0 := ch.Row
 	o := st.orig
+	tuple := st.tuple
+	readTuple(tuple, st.mc, j0)
+	tuple[a0] = ch.Old
 	// Only original tuples agreeing with the old or new category see
 	// their pattern against masked record j0 flip bit a0.
 	for _, cat := range [2]int{ch.Old, ch.New} {
 		for _, g := range st.ocByCat[a0][cat] {
-			patOld := 0
-			for a, col := range o.cols {
-				v := st.mc[a][j0]
-				if a == a0 {
-					v = ch.Old
-				}
-				if col[g] == v {
-					patOld |= 1 << a
-				}
-			}
+			patOld := o.pattern(int(g), tuple)
 			patNew := patOld &^ (1 << a0)
 			if o.cols[a0][g] == ch.New {
 				patNew |= 1 << a0
@@ -626,13 +643,14 @@ func (st *prlState) patchOne(ch dataset.CellChange) {
 			st.patCount[patNew] += mult
 		}
 	}
-	st.mc[a0][j0] = ch.New
+	st.mc.Set(j0, a0, ch.New)
+	tuple[a0] = ch.New
 	st.valOK = false
 	// The true-match pattern of record j0 itself.
-	st.truePat[j0] = int32(o.pattern(int(o.of[j0]), st.mc, j0))
+	st.truePat[j0] = int32(o.pattern(int(o.of[j0]), tuple))
 }
 
-// edit writes changes into the masked columns alone.
+// edit writes changes into the masked cells alone.
 func (st *prlState) edit(changes []dataset.CellChange) {
 	if len(changes) > 0 {
 		setCells(st.mc, st.pos, changes)
@@ -725,7 +743,7 @@ func (pl *ProbabilisticLinkage) Apply(state State, changes []dataset.CellChange)
 }
 
 // ApplyUndo implements Reversible. A wide change list is written into the
-// masked columns alone and scored by the grouped kernel of full Risk
+// masked cells alone and scored by the grouped kernel of full Risk
 // against the state's own original grouping, leaving the histograms to
 // describe the unedited file.
 func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellChange) float64 {
@@ -740,17 +758,18 @@ func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellCha
 	st.wasStale, st.stale = st.stale, true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	st.val, st.valOK = prlGrouped(lg, &st.em, st.orig, st.mc, st.n, st.iters), true
+	lg.mc = columnsInto(lg.mc, st.mc, nil)
+	st.val, st.valOK = prlGrouped(lg, &st.em, st.orig, lg.mc, st.n, st.iters), true
 	return st.val
 }
 
 // Undo implements Reversible. The EM re-estimation and re-link are pure
 // reads of the tallies, so undo only reverses the integer patches — or,
-// after a wide ApplyUndo, only the masked columns.
+// after a wide ApplyUndo, only the masked cells.
 func (pl *ProbabilisticLinkage) Undo(state State) {
 	st := state.(*prlState)
 	if st.stale {
-		if st.undo.Rewind(func(ch dataset.CellChange) { st.mc[st.pos[ch.Col]][ch.Row] = ch.New }) {
+		if st.undo.Rewind(func(ch dataset.CellChange) { st.mc.Set(ch.Row, st.pos[ch.Col], ch.New) }) {
 			st.stale, st.valOK = st.wasStale, false
 		}
 		return

@@ -40,7 +40,7 @@ func dbrlGrouped(lg *linkGroups, o *tupleGroups, mc [][]int, tables []distTable,
 	credit := 0.0
 	for i := 0; i < n; i++ {
 		// The true counterpart is among the nearest.
-		if g := o.of[i]; o.distance(int(g), mc, i, tables) == lg.best[g] {
+		if g := o.of[i]; o.distance(int(g), lg.record(mc, i), tables) == lg.best[g] {
 			credit += 1 / float64(lg.count[g])
 		}
 	}

@@ -66,7 +66,7 @@ func prlGrouped(lg *linkGroups, em *emScratch, o *tupleGroups, mc [][]int, n, it
 	credit := 0.0
 	for i := 0; i < n; i++ {
 		// The true counterpart is among the strongest links.
-		if g := o.of[i]; weights[o.pattern(int(g), mc, i)] == lg.bestW[g] {
+		if g := o.of[i]; weights[o.pattern(int(g), lg.record(mc, i))] == lg.bestW[g] {
 			credit += 1 / float64(lg.count[g])
 		}
 	}

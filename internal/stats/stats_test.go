@@ -1,9 +1,12 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"evoprot/internal/dataset"
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -170,10 +173,30 @@ func TestIntHelpers(t *testing.T) {
 	}
 }
 
+// columnsFile builds a file whose column i holds cols[i], over an
+// attribute of cards[i] categories.
+func columnsFile(cols [][]int, cards []int) *dataset.Dataset {
+	attrs := make([]*dataset.Attribute, len(cols))
+	for i, card := range cards {
+		cats := make([]string, card)
+		for v := range cats {
+			cats[v] = fmt.Sprint(v)
+		}
+		attrs[i] = dataset.MustAttribute(fmt.Sprintf("a%d", i), cats, false)
+	}
+	d := dataset.New(dataset.MustSchema(attrs...), len(cols[0]))
+	for i, col := range cols {
+		for r, v := range col {
+			d.Set(r, i, v)
+		}
+	}
+	return d
+}
+
 func TestContingencyTableBasic(t *testing.T) {
 	colA := []int{0, 0, 1, 1}
 	colB := []int{0, 1, 0, 1}
-	tab := NewContingencyTable([]int{0, 1}, [][]int{colA, colB}, []int{2, 2})
+	tab := NewContingencyTable(columnsFile([][]int{colA, colB}, []int{2, 2}), []int{0, 1})
 	if tab.Total != 4 {
 		t.Fatalf("Total = %d, want 4", tab.Total)
 	}
@@ -189,15 +212,15 @@ func TestContingencyTableBasic(t *testing.T) {
 
 func TestContingencyL1SelfZero(t *testing.T) {
 	col := []int{0, 1, 2, 1, 0}
-	tab := NewContingencyTable([]int{0}, [][]int{col}, []int{3})
+	tab := NewContingencyTable(columnsFile([][]int{col}, []int{3}), []int{0})
 	if d := tab.L1Distance(tab); d != 0 {
 		t.Fatalf("self L1 = %d, want 0", d)
 	}
 }
 
 func TestContingencyL1Disjoint(t *testing.T) {
-	a := NewContingencyTable([]int{0}, [][]int{{0, 0, 0}}, []int{2})
-	b := NewContingencyTable([]int{0}, [][]int{{1, 1, 1}}, []int{2})
+	a := NewContingencyTable(columnsFile([][]int{{0, 0, 0}}, []int{2}), []int{0})
+	b := NewContingencyTable(columnsFile([][]int{{1, 1, 1}}, []int{2}), []int{0})
 	if d := a.L1Distance(b); d != 6 {
 		t.Fatalf("disjoint L1 = %d, want 6", d)
 	}
@@ -213,8 +236,8 @@ func TestContingencyL1Symmetric(t *testing.T) {
 		for i, v := range rawB {
 			colB[i] = int(v % 5)
 		}
-		ta := NewContingencyTable([]int{0}, [][]int{colA}, []int{5})
-		tb := NewContingencyTable([]int{0}, [][]int{colB}, []int{5})
+		ta := NewContingencyTable(columnsFile([][]int{colA}, []int{5}), []int{0})
+		tb := NewContingencyTable(columnsFile([][]int{colB}, []int{5}), []int{0})
 		return ta.L1Distance(tb) == tb.L1Distance(ta)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -1,5 +1,7 @@
 package stats
 
+import "evoprot/internal/dataset"
+
 // ContingencyKey encodes a tuple of category indices over a fixed attribute
 // subset into a single comparable value using mixed-radix positional
 // encoding. Keys are only comparable between tables built with the same
@@ -19,35 +21,31 @@ type ContingencyTable struct {
 	Total int
 }
 
-// NewContingencyTable tabulates the joint distribution of the given columns.
-// columns[i] must all have the same length; cards[i] is the domain
-// cardinality of columns[i]. Cell values outside [0, card) panic, as they
-// indicate a corrupted dataset.
-func NewContingencyTable(attrs []int, columns [][]int, cards []int) *ContingencyTable {
-	if len(columns) != len(cards) || len(attrs) != len(columns) {
-		panic("stats: mismatched contingency table inputs")
-	}
+// NewContingencyTable tabulates the joint distribution of the columns
+// attrs of d, reading its cells in place. Cell values outside their
+// attribute's domain panic, as they indicate a corrupted dataset.
+func NewContingencyTable(d *dataset.Dataset, attrs []int) *ContingencyTable {
+	cards := d.Schema().Cardinalities(attrs)
 	t := &ContingencyTable{
 		Attrs: attrs,
 		Cards: cards,
 		Cells: make(map[ContingencyKey]int),
 	}
-	if len(columns) == 0 || len(columns[0]) == 0 {
+	if len(attrs) == 0 || d.Rows() == 0 {
 		return t
 	}
-	n := len(columns[0])
-	for r := 0; r < n; r++ {
+	for r := range d.Rows() {
 		var key ContingencyKey
-		for c, col := range columns {
-			v := col[r]
-			if v < 0 || v >= cards[c] {
+		for i, c := range attrs {
+			v := d.At(r, c)
+			if v < 0 || v >= cards[i] {
 				panic("stats: category index out of domain in contingency table")
 			}
-			key = key*ContingencyKey(cards[c]) + ContingencyKey(v)
+			key = key*ContingencyKey(cards[i]) + ContingencyKey(v)
 		}
 		t.Cells[key]++
 	}
-	t.Total = n
+	t.Total = d.Rows()
 	return t
 }
 
