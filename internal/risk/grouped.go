@@ -16,10 +16,14 @@ package risk
 // (grouped_test.go keeps those as the oracles prlReference and
 // dbrlReference). The pair work drops from O(n²·attrs) to
 // O(D_orig·D_masked·attrs) for D distinct tuples, plus an O(n·attrs)
-// grouping pass; with all tuples distinct it is the old scan. Full Risk
-// groups both files on every call; the DBRL and PRL delta states group
-// the original file once, at Prepare, keep that grouping and pass it to
-// the same kernels, and key their own rows by its tuples.
+// grouping pass; with all tuples distinct it is the old scan. The
+// grouping pass and the kernels read each record's tuple straight from
+// the dataset they are given (readTuple), at its own cell width, with no
+// column copies. Full Risk groups both files on every call; the DBRL,
+// PRL and RSRL delta states group the original file once, at Prepare
+// (groupOriginal), and keep that compact grouping. DBRL and PRL pass it
+// to the same kernels and key their own rows by its tuples; RSRL keys its
+// candidate intersections by them.
 
 import (
 	"math"
@@ -39,47 +43,50 @@ type tupleGroups struct {
 	mult []int64
 	// of maps each record to its group.
 	of []int32
-	// first is the first record of each group.
-	first []int32
 	// slots is the open-addressing table of the grouping pass, sized by
-	// the record count: 0 marks a free slot, g+1 group g.
+	// the record count: 0 marks a free slot, g+1 group g. tuple holds the
+	// record being placed.
 	slots []int32
+	tuple []int
 }
 
-// group partitions the records 0 ... n-1 of cols.
-func (g *tupleGroups) group(cols [][]int, n int) {
+// group partitions the records of d by their tuple over the columns
+// cols, reading each cell once, in place.
+func (g *tupleGroups) group(d *dataset.Dataset, cols []int) {
+	n := d.Rows()
 	shift := uint(63)
 	for size := 2; size < 2*n; size <<= 1 {
 		shift--
 	}
 	g.slots = resize(g.slots, 1<<(64-shift))
 	clear(g.slots)
+	g.tuple = resize(g.tuple, len(cols))
 	g.cols = resize(g.cols, len(cols))
 	for a := range g.cols {
 		g.cols[a] = g.cols[a][:0]
 	}
-	g.mult, g.of, g.first = g.mult[:0], g.of[:0], g.first[:0]
+	g.mult, g.of = g.mult[:0], g.of[:0]
 	mask := uint64(len(g.slots) - 1)
 	for i := 0; i < n; i++ {
+		readTuple(g.tuple, d, cols, i)
 		var h uint64
-		for _, col := range cols {
-			h = (h ^ uint64(col[i])) * 0x9e3779b97f4a7c15
+		for _, v := range g.tuple {
+			h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
 		}
 		slot := h >> shift
 		for {
 			k := g.slots[slot]
 			if k == 0 {
-				for a, col := range cols {
-					g.cols[a] = append(g.cols[a], col[i])
+				for a, v := range g.tuple {
+					g.cols[a] = append(g.cols[a], v)
 				}
 				g.mult = append(g.mult, 1)
-				g.first = append(g.first, int32(len(g.of)))
 				k = int32(len(g.mult))
 				g.slots[slot] = k
 				g.of = append(g.of, k-1)
 				break
 			}
-			if g.holds(int(k-1), cols, i) {
+			if g.holds(int(k-1), g.tuple) {
 				g.mult[k-1]++
 				g.of = append(g.of, k-1)
 				break
@@ -89,10 +96,10 @@ func (g *tupleGroups) group(cols [][]int, n int) {
 	}
 }
 
-// holds reports whether group k's tuple is record i's of cols.
-func (g *tupleGroups) holds(k int, cols [][]int, i int) bool {
-	for a, col := range cols {
-		if col[i] != g.cols[a][k] {
+// holds reports whether group k's tuple is tuple.
+func (g *tupleGroups) holds(k int, tuple []int) bool {
+	for a, v := range tuple {
+		if v != g.cols[a][k] {
 			return false
 		}
 	}
@@ -109,9 +116,9 @@ func resize[T any](s []T, n int) []T {
 }
 
 // compact returns an exact-size copy of g's tuple columns,
-// multiplicities and record map, without the hash slots or the
-// first-record index: the original grouping a DBRL or PRL state keeps
-// and shares read-only with its clones.
+// multiplicities and record map, without the grouping pass's scratch:
+// the original grouping a linkage state keeps and shares read-only with
+// its clones.
 func (g *tupleGroups) compact() *tupleGroups {
 	num := len(g.mult)
 	out := &tupleGroups{
@@ -128,14 +135,43 @@ func (g *tupleGroups) compact() *tupleGroups {
 }
 
 // groupOriginal groups the original records of orig over attrs through
-// pooled scratch and returns the compact grouping.
+// pooled scratch and returns the compact grouping: the one every DBRL,
+// PRL and RSRL state keeps.
 func groupOriginal(orig *dataset.Dataset, attrs []int) *tupleGroups {
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	lg.oc = columnsInto(lg.oc, orig, attrs)
-	lg.orig.group(lg.oc, orig.Rows())
+	lg.orig.group(orig, attrs)
 	return lg.orig.compact()
 }
+
+// readTuple fills tuple with record j of d over the columns cols.
+func readTuple(tuple []int, d *dataset.Dataset, cols []int, j int) {
+	for a, c := range cols {
+		tuple[a] = d.At(j, c)
+	}
+}
+
+// positions returns the column positions 0 … k-1: the columns of a
+// state's masked projection, which holds the protected attributes alone.
+// Up to len(firstPositions) attributes it shares one read-only array, so
+// a Prepare allocates nothing for them.
+func positions(k int) []int {
+	if k <= len(firstPositions) {
+		return firstPositions[:k:k]
+	}
+	out := make([]int, k)
+	for a := range out {
+		out[a] = a
+	}
+	return out
+}
+
+var firstPositions = func() (p [64]int) {
+	for a := range p {
+		p[a] = a
+	}
+	return p
+}()
 
 // pattern returns the agreement bitmask between original tuple k and a
 // masked record's tuple: bit a is set when they agree on attribute a.
@@ -159,22 +195,21 @@ func (g *tupleGroups) distance(k int, tuple []int, tables []distTable) int64 {
 	return d
 }
 
-// linkGroups is the working memory of one grouped DBRL or PRL pass, of
-// the original grouping of a DBRL or PRL Prepare (groupOriginal), or of
-// one RSRL Prepare (its masked columns and original grouping only): the
-// protected columns of a full Risk call, or a DBRL or PRL state's masked
-// cells unpacked for a re-link or a wide edit, one masked record's tuple,
-// the original records grouped by tuple for a full Risk or a Prepare, the
-// masked records grouped by tuple, one original group's row of distances
-// or patterns against every masked group, per original group the best
-// score found and how many masked records attain it, and a full PRL's EM
-// scratch. The kernels below read the original grouping they are passed:
-// full Risk passes lg.orig, a DBRL or PRL state its own compact grouping,
-// which lg never keeps. It is pooled, so once warm a full Risk call on the
-// evolution hot path allocates no column copies or grouping buffers.
+// linkGroups is the working memory of one grouped DBRL or PRL pass and
+// of the original grouping of a Prepare (groupOriginal): the original
+// records grouped by tuple for a full Risk or a Prepare, the masked
+// records grouped by tuple, one masked record's tuple, one original
+// group's row of distances or patterns against every masked group, per
+// original group the best score found and how many masked records attain
+// it, and a full PRL's EM scratch. Every pass reads the cells of the
+// dataset it is given in place: the full files at the protected
+// attributes for a full Risk, or a DBRL or PRL state's masked projection
+// for a re-link or a wide edit. The kernels below read the original
+// grouping they are passed: full Risk passes lg.orig, a state its own
+// compact grouping, which lg never keeps. It is pooled, so once warm a
+// full Risk call on the evolution hot path allocates no grouping buffers.
 type linkGroups struct {
-	oc, mc       [][]int // protected columns
-	tuple        []int   // one masked record's tuple (record)
+	tuple        []int // one masked record's tuple
 	orig, masked tupleGroups
 	dist         []int64   // DBRL row: distance to each masked group
 	pats         []int     // PRL row: agreement pattern with each masked group
@@ -192,44 +227,6 @@ var linkGroupsPool = sync.Pool{New: func() any { return new(linkGroups) }}
 // to group the masked records and read back each record's summary.
 func (lg *linkGroups) relinkCost(o *tupleGroups, n, numAttrs int) int {
 	return (len(o.mult)*len(lg.masked.mult) + n) * numAttrs
-}
-
-// columns fills lg's column buffers with the protected columns of orig
-// and masked and returns them.
-func (lg *linkGroups) columns(orig, masked *dataset.Dataset, attrs []int) (oc, mc [][]int) {
-	lg.oc = columnsInto(lg.oc, orig, attrs)
-	lg.mc = columnsInto(lg.mc, masked, attrs)
-	return lg.oc, lg.mc
-}
-
-// columnsInto extracts the given columns of d as int slices, reusing the
-// buffers of cols; a nil cols yields fresh copies. A nil attrs extracts
-// every column of d in order: the masked projection a DBRL or PRL state
-// keeps.
-func columnsInto(cols [][]int, d *dataset.Dataset, attrs []int) [][]int {
-	num := len(attrs)
-	if attrs == nil {
-		num = d.Cols()
-	}
-	cols = resize(cols, num)
-	for a := range cols {
-		c := a
-		if attrs != nil {
-			c = attrs[a]
-		}
-		cols[a] = resize(cols[a], d.Rows())
-		d.ColumnInto(cols[a], c)
-	}
-	return cols
-}
-
-// record fills lg.tuple with record i of the columns mc and returns it.
-func (lg *linkGroups) record(mc [][]int, i int) []int {
-	lg.tuple = resize(lg.tuple, len(mc))
-	for a, col := range mc {
-		lg.tuple[a] = col[i]
-	}
-	return lg.tuple
 }
 
 // distances returns original group g of o's distance to every masked

@@ -22,6 +22,16 @@ func emEstimate(patCount []float64, numAttrs int, totalPairs, trueMatches float6
 	return m, u, p
 }
 
+// columns copies the columns attrs of d, in order: the record-by-record
+// form the pairwise oracles read.
+func columns(d *dataset.Dataset, attrs []int) [][]int {
+	out := make([][]int, len(attrs))
+	for a, c := range attrs {
+		out[a] = d.Column(c)
+	}
+	return out
+}
+
 // dbrlReference is the literal pairwise O(n²·attrs) distance-based record
 // linkage the grouped kernel in grouped.go replaced; kept as the oracle
 // for the equivalence properties below.
@@ -30,7 +40,7 @@ func dbrlReference(orig, masked *dataset.Dataset, attrs []int) float64 {
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
-	oc, mc := columnsInto(nil, orig, attrs), columnsInto(nil, masked, attrs)
+	oc, mc := columns(orig, attrs), columns(masked, attrs)
 	tables := distanceTables(orig, attrs)
 	credit := 0.0
 	for i := 0; i < n; i++ {
@@ -71,7 +81,7 @@ func prlReference(pl *ProbabilisticLinkage, orig, masked *dataset.Dataset, attrs
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
-	oc, mc := columnsInto(nil, orig, attrs), columnsInto(nil, masked, attrs)
+	oc, mc := columns(orig, attrs), columns(masked, attrs)
 	numPat := 1 << len(attrs)
 	patCount := make([]float64, numPat)
 	for i := 0; i < n; i++ {
@@ -342,34 +352,97 @@ func FuzzLinkageGrouped(f *testing.F) {
 // TestTupleGroupsPartition pins the grouping pass itself: groups are
 // numbered in first-seen order, every record maps to the group holding
 // its tuple, multiplicities add up, and reusing the scratch for a smaller
-// or larger file leaves nothing behind.
+// or larger file leaves nothing behind. The 1000-category file stores
+// its cells at four bytes, the others at one; the pass reads the columns
+// it is given, in their order, and skips the rest.
 func TestTupleGroupsPartition(t *testing.T) {
 	var g tupleGroups
 	rng := rand.New(rand.NewPCG(3, 3))
 	for _, size := range []struct{ n, card int }{{200, 3}, {7, 2}, {300, 5}, {1, 2}, {150, 1000}} {
-		cols := [][]int{make([]int, size.n), make([]int, size.n)}
+		d := dataset.New(dataset.MustSchema(
+			dataset.MustAttribute("skip", []string{"s0", "s1"}, false),
+			dataset.MustAttribute("b", categories(3), true),
+			dataset.MustAttribute("a", categories(size.card), false)), size.n)
 		for i := 0; i < size.n; i++ {
-			cols[0][i], cols[1][i] = rng.IntN(size.card), rng.IntN(3)
+			d.Set(i, 0, rng.IntN(2))
+			d.Set(i, 1, rng.IntN(3))
+			d.Set(i, 2, rng.IntN(size.card))
 		}
-		g.group(cols, size.n)
+		cols := []int{2, 1}
+		g.group(d, cols)
 		total := int64(0)
-		for k, m := range g.mult {
+		for _, m := range g.mult {
 			total += m
-			if f := g.first[k]; int(g.of[f]) != k || (k > 0 && f <= g.first[k-1]) {
-				t.Fatalf("%+v: group %d first seen at %d, out of order", size, k, f)
-			}
 		}
 		if int(total) != size.n || len(g.of) != size.n {
 			t.Fatalf("%+v: %d records grouped (%d mapped), want %d", size, total, len(g.of), size.n)
 		}
+		tuple := make([]int, len(cols))
+		next := int32(0) // the group the next unseen tuple must open
 		for i, k := range g.of {
-			if !g.holds(int(k), cols, i) {
+			if k > next {
+				t.Fatalf("%+v: record %d opens group %d before group %d, out of order", size, i, k, next)
+			}
+			if k == next {
+				next++
+			}
+			readTuple(tuple, d, cols, i)
+			if !g.holds(int(k), tuple) {
 				t.Fatalf("%+v: record %d mapped to group %d with another tuple", size, i, k)
 			}
 			for h := range g.mult {
-				if h != int(k) && g.holds(h, cols, i) {
+				if h != int(k) && g.holds(h, tuple) {
 					t.Fatalf("%+v: tuple of record %d split over groups %d and %d", size, i, k, h)
 				}
+			}
+		}
+		if int(next) != len(g.mult) {
+			t.Fatalf("%+v: records open %d groups, want %d", size, next, len(g.mult))
+		}
+	}
+}
+
+// categories returns card category labels.
+func categories(card int) []string {
+	cats := make([]string, card)
+	for i := range cats {
+		cats[i] = fmt.Sprintf("c%d", i)
+	}
+	return cats
+}
+
+// TestGroupedLinkageWideCells runs the grouped oracle on files whose
+// cells take four bytes: protected attribute 0 has 300 categories, more
+// than a byte holds, so full Risk reads both files, and the DBRL and PRL
+// states their masked projections, at that width. The protected columns
+// are 0 and 2, so the readers must map attribute positions to columns.
+// Full DBRL, PRL and RSRL Risk, Prepare then Apply(nil) and random
+// Apply/ApplyUndo/Undo chains, narrow and wide, must equal the pairwise
+// scans bit for bit.
+func TestGroupedLinkageWideCells(t *testing.T) {
+	rng := rand.New(rand.NewPCG(301, 7))
+	for _, n := range []int{1, 40, 150} {
+		specs := []*dataset.Attribute{
+			dataset.MustAttribute("wide", categories(300), n%2 == 0),
+			dataset.MustAttribute("unprotected", categories(4), false),
+			dataset.MustAttribute("narrow", categories(3), true),
+		}
+		d := dataset.New(dataset.MustSchema(specs...), n)
+		for r := 0; r < n; r++ {
+			// Categories come from a window of 20, so tuples repeat.
+			d.Set(r, 0, 140+rng.IntN(20))
+			d.Set(r, 1, rng.IntN(4))
+			d.Set(r, 2, rng.IntN(3))
+		}
+		attrs := []int{0, 2}
+		masked := d.Clone()
+		for k := rng.IntN(n*len(attrs) + 1); k > 0; k-- {
+			datasettest.RandomChange(rng, masked, attrs)
+		}
+		fx := linkageCase{name: fmt.Sprintf("wide/n=%d", n), orig: d, masked: masked, attrs: attrs}
+		for k, st := range checkGrouped(t, fx) {
+			if st != nil {
+				checkChain(t, groupedReferences()[k], st, fx, rng, 12, n*len(attrs))
 			}
 		}
 	}

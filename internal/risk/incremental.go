@@ -50,14 +50,17 @@ package risk
 // both in per-attribute comparisons, from the list and from the tuple
 // counts of its last full link, and re-links in full once patching would
 // cost more: a wide ApplyUndo writes the list into the state's masked
-// cells only, unpacks them into the pooled columns the kernel reads
-// (columnsInto, as full Risk does), scores them against the state's own
-// original grouping and leaves the rows or histograms stale for Undo,
-// which then restores just those cells. The next Apply or narrow
-// ApplyUndo of a stale state (one committing a pending wide ApplyUndo, or
-// a clone of one) re-links and rebuilds the rows or histograms in place,
-// as Prepare does, before it patches. Apply itself picks no route: it
-// commits an empty list or one its ApplyUndo has already judged narrow.
+// cells only, scores them with the grouped kernel of full Risk, which
+// reads the projection's cells in place as it reads full Risk's files,
+// against the state's own original grouping, and leaves the rows or
+// histograms stale for Undo, which then restores just those cells. Every
+// state reads its projection through the column positions 0 … attrs-1
+// (readTuple), full Risk the files through the protected attributes
+// themselves. The next Apply or narrow ApplyUndo of a stale state (one
+// committing a pending wide ApplyUndo, or a clone of one) re-links and
+// rebuilds the rows or histograms in place, as Prepare does, before it
+// patches. Apply itself picks no route: it commits an empty list or one
+// its ApplyUndo has already judged narrow.
 // The original file never changes, so neither route re-groups it.
 // The estimate reads counts only, never a clock, so the route of every
 // call is deterministic, and both routes give bit-identical values.
@@ -129,13 +132,6 @@ var (
 func setCells(mc *dataset.Dataset, pos map[int]int, changes []dataset.CellChange) {
 	for _, ch := range changes {
 		mc.Set(ch.Row, pos[ch.Col], ch.New)
-	}
-}
-
-// readTuple fills tuple with record j of the masked projection mc.
-func readTuple(tuple []int, mc *dataset.Dataset, j int) {
-	for a := range tuple {
-		tuple[a] = mc.At(j, a)
 	}
 }
 
@@ -215,10 +211,10 @@ func (id *IntervalDisclosure) Undo(state State) {
 
 type dbrlState struct {
 	n      int
-	attrs  []int
 	pos    map[int]int
 	orig   *tupleGroups     // original records grouped by tuple, shared read-only
 	mc     *dataset.Dataset // masked file projected onto attrs (Dataset.Project), owned
+	cols   []int            // mc's columns, 0 … attrs-1, shared
 	tables []distTable      // shared (schema-only)
 	// Per original tuple: distance to its nearest masked record and how
 	// many masked records tie at that distance.
@@ -262,7 +258,7 @@ type dbrlDist struct {
 // CloneState implements State.
 func (s *dbrlState) CloneState() State {
 	return &dbrlState{
-		n: s.n, attrs: s.attrs, pos: s.pos, orig: s.orig, tables: s.tables,
+		n: s.n, pos: s.pos, orig: s.orig, cols: s.cols, tables: s.tables,
 		mc:         s.mc.Clone(),
 		tuple:      make([]int, len(s.tuple)),
 		best:       slices.Clone(s.best),
@@ -280,8 +276,8 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 		return nil
 	}
 	st := &dbrlState{
-		n: n, attrs: attrs, pos: make(map[int]int, len(attrs)),
-		orig: groupOriginal(orig, attrs), mc: masked.Project(attrs),
+		n: n, pos: make(map[int]int, len(attrs)),
+		orig: groupOriginal(orig, attrs), mc: masked.Project(attrs), cols: positions(len(attrs)),
 		tuple:    make([]int, len(attrs)),
 		tables:   distanceTables(orig, attrs),
 		trueDist: make([]int64, n),
@@ -300,15 +296,15 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 func (st *dbrlState) relink() {
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	lg.mc = columnsInto(lg.mc, st.mc, nil)
-	lg.masked.group(lg.mc, st.n)
+	lg.masked.group(st.mc, st.cols)
 	lg.nearest(st.orig, st.tables)
 	copy(st.best, lg.best)
 	copy(st.count, lg.count)
-	for i := 0; i < st.n; i++ {
-		st.trueDist[i] = st.orig.distance(int(st.orig.of[i]), lg.record(lg.mc, i), st.tables)
+	for i, g := range st.orig.of {
+		readTuple(st.tuple, st.mc, st.cols, i)
+		st.trueDist[i] = st.orig.distance(int(g), st.tuple, st.tables)
 	}
-	st.relinkCost = lg.relinkCost(st.orig, st.n, len(st.attrs))
+	st.relinkCost = lg.relinkCost(st.orig, st.n, len(st.cols))
 	st.stale = false
 }
 
@@ -318,7 +314,7 @@ func (st *dbrlState) relink() {
 // masked record. The factor 2 is an uncalibrated margin towards the
 // re-link.
 func (st *dbrlState) wide(changes []dataset.CellChange) bool {
-	return 2*len(changes)*len(st.orig.mult)*len(st.attrs) > st.relinkCost
+	return 2*len(changes)*len(st.orig.mult)*len(st.cols) > st.relinkCost
 }
 
 // rescan returns tuple g's nearest distance and tie count, recomputed
@@ -353,7 +349,7 @@ func (st *dbrlState) patchOne(ch dataset.CellChange) {
 	o := st.orig
 	st.mc.Set(j0, a0, ch.New)
 	tuple := st.tuple
-	readTuple(tuple, st.mc, j0)
+	readTuple(tuple, st.mc, st.cols, j0)
 	for g, u := range o.cols[a0] {
 		dOldA, dNewA := t.at(u, ch.Old), t.at(u, ch.New)
 		if dOldA == dNewA {
@@ -448,8 +444,7 @@ func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) 
 	st.wasStale, st.stale = st.stale, true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	lg.mc = columnsInto(lg.mc, st.mc, nil)
-	return dbrlGrouped(lg, st.orig, lg.mc, st.tables, st.n)
+	return dbrlGrouped(lg, st.orig, st.mc, st.cols, st.tables)
 }
 
 // Undo implements Reversible: the masked cells are rewound, then the
@@ -484,6 +479,7 @@ type prlState struct {
 	pos      map[int]int
 	orig     *tupleGroups     // original records grouped by tuple, shared read-only
 	mc       *dataset.Dataset // masked file projected onto the protected attributes, owned
+	cols     []int            // mc's columns, 0 … attrs-1, shared
 	ocByCat  [][][]int32      // shared: per attr, per category, original tuple ids
 	// cnt[g*numPat+pat] counts masked records j with pattern(g,j) == pat
 	// for original tuple g; patCount aggregates cnt over all records,
@@ -521,7 +517,7 @@ type prlState struct {
 // CloneState implements State.
 func (s *prlState) CloneState() State {
 	return &prlState{
-		n: s.n, numAttrs: s.numAttrs, iters: s.iters, pos: s.pos, orig: s.orig, ocByCat: s.ocByCat,
+		n: s.n, numAttrs: s.numAttrs, iters: s.iters, pos: s.pos, orig: s.orig, cols: s.cols, ocByCat: s.ocByCat,
 		mc:         s.mc.Clone(),
 		tuple:      make([]int, len(s.tuple)),
 		cnt:        slices.Clone(s.cnt),
@@ -558,7 +554,7 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 	st := &prlState{
 		n: n, numAttrs: len(attrs), iters: iters,
 		pos:  make(map[int]int, len(attrs)),
-		orig: groupOriginal(orig, attrs), mc: masked.Project(attrs),
+		orig: groupOriginal(orig, attrs), mc: masked.Project(attrs), cols: positions(len(attrs)),
 		tuple:    make([]int, len(attrs)),
 		patCount: make([]float64, numPat),
 		truePat:  make([]int32, n),
@@ -581,8 +577,7 @@ func (st *prlState) relink() {
 	o := st.orig
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	lg.mc = columnsInto(lg.mc, st.mc, nil)
-	lg.masked.group(lg.mc, st.n)
+	lg.masked.group(st.mc, st.cols)
 	clear(st.cnt)
 	clear(st.patCount)
 	for g, mult := range o.mult {
@@ -593,7 +588,8 @@ func (st *prlState) relink() {
 		}
 	}
 	for i, g := range o.of {
-		st.truePat[i] = int32(o.pattern(int(g), lg.record(lg.mc, i)))
+		readTuple(st.tuple, st.mc, st.cols, i)
+		st.truePat[i] = int32(o.pattern(int(g), st.tuple))
 	}
 	st.relinkCost = lg.relinkCost(o, st.n, st.numAttrs)
 	st.stale = false
@@ -624,7 +620,7 @@ func (st *prlState) patchOne(ch dataset.CellChange) {
 	j0 := ch.Row
 	o := st.orig
 	tuple := st.tuple
-	readTuple(tuple, st.mc, j0)
+	readTuple(tuple, st.mc, st.cols, j0)
 	tuple[a0] = ch.Old
 	// Only original tuples agreeing with the old or new category see
 	// their pattern against masked record j0 flip bit a0.
@@ -758,8 +754,7 @@ func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellCha
 	st.wasStale, st.stale = st.stale, true
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	lg.mc = columnsInto(lg.mc, st.mc, nil)
-	st.val, st.valOK = prlGrouped(lg, &st.em, st.orig, lg.mc, st.n, st.iters), true
+	st.val, st.valOK = prlGrouped(lg, &st.em, st.orig, st.mc, st.cols, st.iters), true
 	return st.val
 }
 

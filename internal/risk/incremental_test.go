@@ -352,7 +352,7 @@ func rsrlReference(rl *RankIntervalLinkage, orig, masked *dataset.Dataset, attrs
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
-	oc, mc := columnsInto(nil, orig, attrs), columnsInto(nil, masked, attrs)
+	oc, mc := columns(orig, attrs), columns(masked, attrs)
 	lo, hi := rsrlWindows(orig, oc, mc, attrs, p)
 	credit := 0.0
 	for i := 0; i < n; i++ {

@@ -24,27 +24,30 @@ func (dl *DistanceLinkage) Risk(orig, masked *dataset.Dataset, attrs []int) floa
 	}
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	oc, mc := lg.columns(orig, masked, attrs)
-	lg.orig.group(oc, n)
-	return dbrlGrouped(lg, &lg.orig, mc, distanceTables(orig, attrs), n)
+	lg.orig.group(orig, attrs)
+	return dbrlGrouped(lg, &lg.orig, masked, attrs, distanceTables(orig, attrs))
 }
 
-// dbrlGrouped is DBRL of the n original records grouped in o against the
-// masked protected columns mc. It is the kernel of full Risk, which
-// passes its pooled grouping, and of the delta state's wide edits, which
-// pass the state's own. Nearest distances and tie counts depend only on
-// tuples, so it groups the masked records into lg first (grouped.go).
-func dbrlGrouped(lg *linkGroups, o *tupleGroups, mc [][]int, tables []distTable, n int) float64 {
-	lg.masked.group(mc, n)
+// dbrlGrouped is DBRL of the original records grouped in o against the
+// masked records, read in place from the columns cols of masked. It is
+// the kernel of full Risk, which passes its pooled grouping and the
+// masked file at the protected attributes, and of the delta state's wide
+// edits, which pass the state's own grouping and masked projection.
+// Nearest distances and tie counts depend only on tuples, so it groups
+// the masked records into lg first (grouped.go).
+func dbrlGrouped(lg *linkGroups, o *tupleGroups, masked *dataset.Dataset, cols []int, tables []distTable) float64 {
+	lg.masked.group(masked, cols)
 	lg.nearest(o, tables)
+	lg.tuple = resize(lg.tuple, len(cols))
 	credit := 0.0
-	for i := 0; i < n; i++ {
+	for i, g := range o.of {
 		// The true counterpart is among the nearest.
-		if g := o.of[i]; o.distance(int(g), lg.record(mc, i), tables) == lg.best[g] {
+		readTuple(lg.tuple, masked, cols, i)
+		if o.distance(int(g), lg.tuple, tables) == lg.best[g] {
 			credit += 1 / float64(lg.count[g])
 		}
 	}
-	return 100 * credit / float64(n)
+	return 100 * credit / float64(len(o.of))
 }
 
 // distTable is a dense card×card matrix of integer-scaled category

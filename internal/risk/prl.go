@@ -44,33 +44,37 @@ func (pl *ProbabilisticLinkage) Risk(orig, masked *dataset.Dataset, attrs []int)
 	}
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	oc, mc := lg.columns(orig, masked, attrs)
-	lg.orig.group(oc, n)
-	return prlGrouped(lg, &lg.em, &lg.orig, mc, n, iters)
+	lg.orig.group(orig, attrs)
+	return prlGrouped(lg, &lg.em, &lg.orig, masked, attrs, iters)
 }
 
-// prlGrouped is PRL of the n original records grouped in o against the
-// masked protected columns mc, with iters EM iterations. It is the kernel
-// of full Risk, which passes its pooled grouping, and of the delta
-// state's wide edits, which pass the state's own; em is the caller's EM
-// scratch. Agreement patterns depend only on tuples, so it groups the
-// masked records into lg first (grouped.go).
-func prlGrouped(lg *linkGroups, em *emScratch, o *tupleGroups, mc [][]int, n, iters int) float64 {
+// prlGrouped is PRL of the original records grouped in o against the
+// masked records, read in place from the columns cols of masked, with
+// iters EM iterations. It is the kernel of full Risk, which passes its
+// pooled grouping and the masked file at the protected attributes, and
+// of the delta state's wide edits, which pass the state's own grouping
+// and masked projection; em is the caller's EM scratch. Agreement
+// patterns depend only on tuples, so it groups the masked records into lg
+// first (grouped.go).
+func prlGrouped(lg *linkGroups, em *emScratch, o *tupleGroups, masked *dataset.Dataset, cols []int, iters int) float64 {
 	// Tally agreement patterns over all n² pairs, n of them true matches.
-	lg.masked.group(mc, n)
-	em.size(len(mc))
+	n := float64(len(o.of))
+	lg.masked.group(masked, cols)
+	em.size(len(cols))
 	clear(em.patCount)
 	lg.tally(o, em.patCount)
-	weights := em.matchWeights(em.patCount, float64(n)*float64(n), float64(n), iters)
+	weights := em.matchWeights(em.patCount, n*n, n, iters)
 	lg.strongest(o, weights)
+	lg.tuple = resize(lg.tuple, len(cols))
 	credit := 0.0
-	for i := 0; i < n; i++ {
+	for i, g := range o.of {
 		// The true counterpart is among the strongest links.
-		if g := o.of[i]; weights[o.pattern(int(g), lg.record(mc, i))] == lg.bestW[g] {
+		readTuple(lg.tuple, masked, cols, i)
+		if weights[o.pattern(int(g), lg.tuple)] == lg.bestW[g] {
 			credit += 1 / float64(lg.count[g])
 		}
 	}
-	return 100 * credit / float64(n)
+	return 100 * credit / n
 }
 
 // emScratch holds the buffers of one PRL linkage: a pattern tally, the

@@ -104,7 +104,7 @@ func idDisclosed(contrib [][]int, orig, masked *dataset.Dataset, c int) int {
 func idContrib(orig *dataset.Dataset, col, maxP int) [][]int {
 	card := orig.Schema().Attr(col).Cardinality()
 	n := orig.Rows()
-	ranks := stats.MidRanks(stats.Freq(orig.Column(col), card))
+	ranks := stats.MidRanks(columnFreq(orig, col, card))
 	out := make([][]int, card)
 	for u := 0; u < card; u++ {
 		out[u] = make([]int, card)
@@ -124,6 +124,16 @@ func idContrib(orig *dataset.Dataset, col, maxP int) [][]int {
 		}
 	}
 	return out
+}
+
+// columnFreq returns the frequency of each of the card categories in
+// column c of d, read in place.
+func columnFreq(d *dataset.Dataset, c, card int) []int {
+	counts := make([]int, card)
+	for r := range d.Rows() {
+		counts[d.At(r, c)]++
+	}
+	return counts
 }
 
 // idValue folds the exact disclosed-window count into the measure value;

@@ -237,10 +237,9 @@ func FuzzLinkageRoute(f *testing.F) {
 // TestLinkageWideRouteAllocs gates the allocations of the wide route on
 // the paper-scale flare file: once warm, a wide ApplyUndo+Undo, and an
 // Apply committing the same list cell by cell, allocate nothing on either
-// state, and full Risk no longer copies
-// the 2·attrs protected columns — PRL allocates nothing and DBRL only its
-// distance tables. The pooled scratch is dropped at random under the race
-// detector, so the gate runs without it.
+// state, and full Risk reads both files' cells in place — PRL allocates
+// nothing and DBRL only its distance tables. The pooled scratch is
+// dropped at random under the race detector, so the gate runs without it.
 func TestLinkageWideRouteAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -278,7 +277,7 @@ func TestLinkageWideRouteAllocs(t *testing.T) {
 		}
 		m.Risk(orig, masked, attrs)
 		if allocs := testing.AllocsPerRun(20, func() { m.Risk(orig, masked, attrs) }); allocs > float64(want) {
-			t.Errorf("%s: full Risk allocates %v times, want at most %d (the column copies cost %d)", m.Name(), allocs, want, 2*len(attrs))
+			t.Errorf("%s: full Risk allocates %v times, want at most %d: it reads cells in place and keeps its grouping scratch pooled", m.Name(), allocs, want)
 		}
 	}
 }

@@ -24,11 +24,14 @@ import (
 // The candidate predicate factors per attribute into "masked category v
 // is admissible for original category u", so instead of testing all n²
 // record pairs the measure intersects per-attribute candidate bitsets,
-// once per distinct original profile: records are grouped by profile with
-// the tupleGroups pass DBRL and PRL use (grouped.go), and each
-// intersection costs n/64 word operations per attribute. The candidate
-// counts, and therefore the result, are bit-identical to the pairwise
-// scan (incremental_test.go keeps it as the oracle rsrlReference).
+// once per distinct original profile: records are grouped by profile
+// into the compact original grouping DBRL and PRL keep (groupOriginal in
+// grouped.go), whose tuple columns give each group's profile, and each
+// intersection costs n/64 word operations per attribute. Frequencies and
+// per-category record sets are counted from the cells in place. The
+// candidate counts, and therefore the result, are bit-identical to the
+// pairwise scan (incremental_test.go keeps it as the oracle
+// rsrlReference).
 //
 // Risk and the Reversible delta path share that one kernel: Risk is the
 // value of a freshly prepared state, and Apply patches the state so a
@@ -92,18 +95,20 @@ func rsrlSweep(oRanks, mRanks []float64, window float64, lo, hi []int) {
 	}
 }
 
-// rsrlByCat builds the per-category record sets of one masked column:
-// byCat[v] holds the masked records whose value is v. The sets partition
-// the records — every record appears in exactly one — so interval unions
-// over them are disjoint unions, which is what lets the incremental state
-// subtract a category from a union exactly.
-func rsrlByCat(mcA []int, card, n int) []*stats.Bitset {
+// rsrlByCat builds the per-category record sets of column c of the
+// masked file, read in place: byCat[v] holds the masked records whose
+// value is v. The sets partition the records — every record appears in
+// exactly one — so interval unions over them are disjoint unions, which
+// is what lets the incremental state subtract a category from a union
+// exactly.
+func rsrlByCat(masked *dataset.Dataset, c, card int) []*stats.Bitset {
+	n := masked.Rows()
 	byCat := make([]*stats.Bitset, card)
 	for v := range byCat {
 		byCat[v] = stats.NewBitset(n)
 	}
-	for j, v := range mcA {
-		byCat[v].Set(j)
+	for j := range n {
+		byCat[masked.At(j, c)].Set(j)
 	}
 	return byCat
 }

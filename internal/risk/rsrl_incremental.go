@@ -18,7 +18,9 @@ package risk
 //     the moved record itself is one Clear+Set.
 //  3. Per-profile candidate intersections. Profiles are over the original
 //     file and therefore static: records are grouped once in Prepare, by
-//     the tupleGroups pass DBRL and PRL use, and a change invalidates
+//     groupOriginal as DBRL and PRL group them, and the state keeps only
+//     that compact grouping of the original file — its tuple columns are
+//     the profiles, its record map the groups. A change invalidates
 //     exactly the groups whose profile holds a category whose candidate
 //     union changed — those few groups re-intersect against a reusable
 //     scratch bitset; all others keep their counts.
@@ -39,17 +41,15 @@ package risk
 // re-intersections on the way back.
 
 import (
-	"slices"
-
 	"evoprot/internal/dataset"
 	"evoprot/internal/stats"
 )
 
 // rsrlGroup is one equivalence class of original records sharing a
 // protected-attribute profile, together with the size of the profile's
-// candidate set under the current masked file.
+// candidate set under the current masked file. Group g's profile is
+// orig.cols[·][g] of the state's original grouping.
 type rsrlGroup struct {
-	rep     int32   // representative record; the profile is oc[·][rep]
 	count   int32   // |candidate intersection| for this profile
 	members []int32 // records with this profile (shared, immutable)
 }
@@ -61,12 +61,14 @@ type rsrlState struct {
 	window float64
 	pos    map[int]int // protected column -> attribute position
 
-	// Original-file summaries: immutable, shared across clones.
-	oc          [][]int
+	// Original-file summaries: immutable, shared across clones. orig is
+	// the original records grouped by profile (groupOriginal): orig.of
+	// maps each record to its group and orig.cols[a][g] is group g's
+	// category of attribute a.
+	orig        *tupleGroups
 	cards       []int
 	oRanks      [][]float64
 	byCatGroups [][][]int32 // attr position -> category -> groups holding it
-	recGroup    []int32     // record -> its group
 
 	// Masked-file summaries: owned, deep-copied by CloneState.
 	mFreq  [][]int
@@ -74,7 +76,7 @@ type rsrlState struct {
 	lo, hi [][]int
 	byCat  [][]*stats.Bitset // partition of masked records by category
 	cand   [][]*stats.Bitset // per original category: ∪ byCat over [lo,hi]
-	groups []rsrlGroup       // count owned; rep/members shared
+	groups []rsrlGroup       // count owned; members shared
 	recHit []bool            // record i: candidate set contains masked record i
 
 	// Reusable scratch, lazily built and never shared between clones, so
@@ -112,15 +114,9 @@ func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []in
 		n:      n,
 		window: rl.pOrDefault() * float64(n) / 100,
 		pos:    make(map[int]int, len(attrs)),
-		oc:     columnsInto(nil, orig, attrs),
+		orig:   groupOriginal(orig, attrs),
 		cards:  orig.Schema().Cardinalities(attrs),
 	}
-	// The masked columns and the grouping pass are scratch: pooled, like
-	// the grouped DBRL and PRL passes.
-	lg := linkGroupsPool.Get().(*linkGroups)
-	defer linkGroupsPool.Put(lg)
-	lg.mc = columnsInto(lg.mc, masked, attrs)
-	mc := lg.mc
 	st.oRanks = make([][]float64, len(attrs))
 	st.mFreq = make([][]int, len(attrs))
 	st.mRanks = make([][]float64, len(attrs))
@@ -131,16 +127,16 @@ func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []in
 	for a, c := range attrs {
 		st.pos[c] = a
 		card := st.cards[a]
-		st.oRanks[a] = stats.MidRanks(stats.Freq(st.oc[a], card))
-		st.mFreq[a] = stats.Freq(mc[a], card)
+		st.oRanks[a] = stats.MidRanks(columnFreq(orig, c, card))
+		st.mFreq[a] = columnFreq(masked, c, card)
 		st.mRanks[a] = stats.MidRanks(st.mFreq[a])
 		st.lo[a] = make([]int, card)
 		st.hi[a] = make([]int, card)
 		rsrlSweep(st.oRanks[a], st.mRanks[a], st.window, st.lo[a], st.hi[a])
-		st.byCat[a] = rsrlByCat(mc[a], card, n)
+		st.byCat[a] = rsrlByCat(masked, c, card)
 		st.cand[a] = rsrlUnions(st.byCat[a], st.lo[a], st.hi[a], n)
 	}
-	st.buildGroups(&lg.orig)
+	st.buildGroups()
 	st.ensureScratch()
 	for g := range st.groups {
 		st.refreshGroup(int32(g))
@@ -148,20 +144,18 @@ func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []in
 	return st
 }
 
-// buildGroups partitions the records by their (static) original profile
-// with the grouping scratch tg (grouped.go) and indexes the groups by the
-// categories they hold, so a change can invalidate exactly the groups it
-// affects.
-func (st *rsrlState) buildGroups(tg *tupleGroups) {
-	tg.group(st.oc, st.n)
-	st.recGroup = slices.Clone(tg.of)
+// buildGroups lists the members of every group of the (static) original
+// grouping and indexes the groups by the categories they hold, so a
+// change can invalidate exactly the groups it affects.
+func (st *rsrlState) buildGroups() {
+	o := st.orig
 	st.recHit = make([]bool, st.n)
-	st.groups = make([]rsrlGroup, len(tg.mult))
-	for g, members := range buckets(st.recGroup, len(tg.mult)) {
-		st.groups[g] = rsrlGroup{rep: tg.first[g], members: members}
+	st.groups = make([]rsrlGroup, len(o.mult))
+	for g, members := range buckets(o.of, len(o.mult)) {
+		st.groups[g].members = members
 	}
-	st.byCatGroups = make([][][]int32, len(st.oc))
-	for a, col := range tg.cols {
+	st.byCatGroups = make([][][]int32, len(o.cols))
+	for a, col := range o.cols {
 		st.byCatGroups[a] = buckets(col, st.cards[a])
 	}
 }
@@ -216,9 +210,9 @@ func (st *rsrlState) ensureScratch() {
 // per refresh; membership tests check the two halves separately.
 func (st *rsrlState) refreshGroup(g int32) {
 	grp := &st.groups[g]
-	rep := int(grp.rep)
-	last := st.cand[len(st.oc)-1][st.oc[len(st.oc)-1][rep]]
-	if len(st.oc) == 1 {
+	prof := st.orig.cols
+	last := st.cand[len(prof)-1][prof[len(prof)-1][g]]
+	if len(prof) == 1 {
 		grp.count = int32(last.Count())
 		for _, i := range grp.members {
 			st.recHit[i] = last.Test(int(i))
@@ -226,9 +220,9 @@ func (st *rsrlState) refreshGroup(g int32) {
 		return
 	}
 	sc := st.scratch
-	sc.CopyFrom(st.cand[0][st.oc[0][rep]])
-	for a := 1; a < len(st.oc)-1; a++ {
-		sc.AndWith(st.cand[a][st.oc[a][rep]])
+	sc.CopyFrom(st.cand[0][prof[0][g]])
+	for a := 1; a < len(prof)-1; a++ {
+		sc.AndWith(st.cand[a][prof[a][g]])
 	}
 	grp.count = int32(sc.AndCount(last))
 	for _, i := range grp.members {
@@ -240,9 +234,9 @@ func (st *rsrlState) refreshGroup(g int32) {
 // in record order. It is the value of Risk as well as of every Apply.
 func (st *rsrlState) value() float64 {
 	credit := 0.0
-	for i := 0; i < st.n; i++ {
+	for i, g := range st.orig.of {
 		if st.recHit[i] {
-			credit += 1 / float64(st.groups[st.recGroup[i]].count)
+			credit += 1 / float64(st.groups[g].count)
 		}
 	}
 	return 100 * credit / float64(st.n)
@@ -254,8 +248,8 @@ func (st *rsrlState) value() float64 {
 func (s *rsrlState) CloneState() State {
 	out := &rsrlState{
 		n: s.n, window: s.window, pos: s.pos,
-		oc: s.oc, cards: s.cards, oRanks: s.oRanks,
-		byCatGroups: s.byCatGroups, recGroup: s.recGroup,
+		orig: s.orig, cards: s.cards, oRanks: s.oRanks,
+		byCatGroups: s.byCatGroups,
 	}
 	out.mFreq = make([][]int, len(s.mFreq))
 	out.mRanks = make([][]float64, len(s.mRanks))

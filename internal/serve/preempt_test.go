@@ -184,3 +184,46 @@ func TestPreemptionSparesEqualPriority(t *testing.T) {
 		t.Fatalf("queued peer finished as %s", peerDone.State)
 	}
 }
+
+// TestPreemptionVictimIsNewest: with every worker busy, the victim among
+// several running jobs of the lowest priority is the most recently
+// started one, then the one with the greatest id — whatever order the
+// job map happens to range in, so every round must cancel the same job.
+// A newer job of higher priority is spared.
+func TestPreemptionVictimIsNewest(t *testing.T) {
+	base := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	type running struct {
+		id      string
+		pri     int
+		started time.Duration
+	}
+	for _, tc := range []struct {
+		name   string
+		jobs   []running
+		victim string
+	}{
+		{"newest start", []running{{"a", 0, 3}, {"b", 0, 7}, {"c", 0, 5}, {"d", 0, 1}, {"e", 1, 9}}, "b"},
+		{"start tie", []running{{"a", 0, 3}, {"c", 0, 7}, {"b", 0, 7}, {"d", 0, 7}, {"e", 1, 9}}, "d"},
+		{"lowest first", []running{{"a", 1, 9}, {"b", -1, 2}, {"c", 0, 8}, {"d", -1, 1}}, "b"},
+	} {
+		for round := 0; round < 50; round++ {
+			var cancelled []string
+			s := &Server{cfg: Config{Workers: len(tc.jobs), Logf: func(string, ...any) {}}, jobs: make(map[string]*job)}
+			for _, r := range tc.jobs {
+				s.jobs[r.id] = &job{
+					id: r.id,
+					status: JobStatus{
+						ID: r.id, State: StateRunning,
+						Spec:    evoprot.JobSpec{Priority: r.pri},
+						Started: base.Add(r.started * time.Second),
+					},
+					cancel: func(error) { cancelled = append(cancelled, r.id) },
+				}
+			}
+			s.maybePreempt(2)
+			if len(cancelled) != 1 || cancelled[0] != tc.victim {
+				t.Fatalf("%s round %d: cancelled %v, want [%s]", tc.name, round, cancelled, tc.victim)
+			}
+		}
+	}
+}

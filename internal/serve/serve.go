@@ -500,29 +500,32 @@ func (s *Server) tenantActive(tenant string) int {
 // crash-safe resume machinery — final checkpoint, persisted queued,
 // ForcePush at its own priority — so its eventual completion is
 // bit-identical to a run that was never preempted. Nothing happens when
-// a worker is idle or no running job ranks strictly below pri.
+// a worker is idle or no running job ranks strictly below pri. Among
+// equally low jobs the most recently started one goes, then the greatest
+// id, as the cluster preempts the newest lease: the one that has done the
+// least work since it last started.
 func (s *Server) maybePreempt(pri int) {
+	var (
+		victim        *job
+		victimPri     int
+		victimStarted time.Time
+		running       int
+	)
 	s.mu.Lock()
-	var running []*job
 	for _, j := range s.jobs {
 		j.mu.Lock()
 		if j.status.State == StateRunning && j.cancel != nil {
-			running = append(running, j)
+			running++
+			p, started := j.status.Spec.Priority, j.status.Started
+			if victim == nil || p < victimPri || p == victimPri &&
+				(started.After(victimStarted) || started.Equal(victimStarted) && j.id > victim.id) {
+				victim, victimPri, victimStarted = j, p, started
+			}
 		}
 		j.mu.Unlock()
 	}
 	s.mu.Unlock()
-	if len(running) < s.cfg.Workers {
-		return
-	}
-	var victim *job
-	victimPri := 0
-	for _, j := range running {
-		if p := j.priority(); victim == nil || p < victimPri {
-			victim, victimPri = j, p
-		}
-	}
-	if victim == nil || victimPri >= pri {
+	if running < s.cfg.Workers || victim == nil || victimPri >= pri {
 		return
 	}
 	victim.mu.Lock()
