@@ -104,21 +104,27 @@ func BenchmarkLinkageDeltaWidth(b *testing.B) {
 }
 
 // BenchmarkLinkageDeltaPaperScale times the narrow route of every
-// mutation offspring on the DBRL and PRL states of 1000-record flare,
-// german and adult files: a single-cell ApplyUndo then Undo (an offspring
-// that loses), ApplyUndo then an empty Apply (Commit: the winner keeping
-// its pending edit), and the CloneState that hands a surviving child its
-// own state. The patches scale with the state's distinct original
-// tuples, not its records, so a return to per-record rows multiplies
-// their ns/op; Commit re-running PRL's EM shows in its ns/op too.
-// CloneState copies the per-tuple rows, the per-record true-match
-// summary and the masked cells, one byte each here: 14–26 KB, of which a
-// return to []int columns, eight bytes per cell, would add 21 KB.
+// mutation offspring on the DBRL, PRL and RSRL states of 1000-record
+// flare, german and adult files: a single-cell ApplyUndo then Undo (an
+// offspring that loses), ApplyUndo then an empty Apply (Commit: the
+// winner keeping its pending edit), and the CloneState that hands a
+// surviving child its own state. The DBRL and PRL patches scale with the
+// state's distinct original tuples, not its records, so a return to
+// per-record rows multiplies their ns/op; Commit re-running PRL's EM
+// shows in its ns/op too. Their CloneState copies the per-tuple rows,
+// the per-record true-match summary and the masked cells, one byte each
+// here: 14–26 KB, of which a return to []int columns, eight bytes per
+// cell, would add 21 KB. An RSRL single-cell edit that only flips the
+// moved record's bit in a candidate union shifts the counts of the
+// profiles holding it by bit tests; a return to re-intersecting every
+// such profile over n/64 words makes its ApplyUndo three to four times
+// slower. Its CloneState copies the per-category bitsets and rows:
+// 14–34 KB.
 func BenchmarkLinkageDeltaPaperScale(b *testing.B) {
 	for _, name := range []string{"flare", "german", "adult"} {
 		orig, masked, attrs := benchPairOf(b, name, 1000)
 		cells := singleChanges(masked, attrs, 64, 3)
-		for _, m := range []Reversible{&DistanceLinkage{}, &ProbabilisticLinkage{}} {
+		for _, m := range []Reversible{&DistanceLinkage{}, &ProbabilisticLinkage{}, &RankIntervalLinkage{}} {
 			st := m.Prepare(orig, masked, attrs)
 			if st == nil {
 				b.Fatalf("%s/%s: Prepare returned nil", m.Name(), name)

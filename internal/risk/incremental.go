@@ -39,9 +39,12 @@ package risk
 //     mid-ranks, window intervals and candidate bitsets, plus per-profile
 //     candidate counts. A cell change shifts only the mid-ranks between the
 //     old and new category, so the contiguous windows are re-derived by an
-//     O(card) two-pointer sweep, candidate unions are patched at the moved
-//     interval boundaries, and only profiles holding an affected category
-//     re-intersect (see rsrl_incremental.go).
+//     O(card) two-pointer sweep and candidate unions are patched at the
+//     moved interval boundaries. Only profiles holding an affected
+//     category change: past a slid window, or for a list of several
+//     cells, they re-intersect; when a one-cell list only flips the moved
+//     record's bit in a union, each profile's count moves by one after
+//     attrs−1 bit tests (see rsrl_incremental.go).
 //
 // DBRL and PRL route each change list themselves. Patching costs grow
 // with the list, about D_orig·attrs per cell, while a full re-link with
@@ -73,22 +76,24 @@ package risk
 // overwrote, rescans included, so it never patches back. After a wide
 // DBRL or PRL ApplyUndo only the masked cells are rewound, and the
 // stale flag returns to its value before that ApplyUndo. RSRL keeps its
-// own journal of word-level bitset diffs plus scalar row snapshots (see
-// rsrl_incremental.go), skipping the candidate re-intersections.
+// own journal of word-level bitset diffs, scalar row snapshots, and the
+// before-values of the counts and hit flags it re-intersected or shifted
+// (see rsrl_incremental.go), so Undo runs no candidate re-intersection.
 //
 // Measured at bench_test.go scale (500 records, on a 2-vCPU Xeon, one
-// CPU), a single-cell RSRL Apply costs ~6µs against ~58µs for a full RSRL
-// Risk, which prepares a fresh state (~10x,
-// BenchmarkRankIntervalLinkageDeltaSpeedup), and runs allocation-free. On
+// CPU), a single-cell RSRL Apply costs ~2µs against ~55µs for a full RSRL
+// Risk, which prepares a fresh state; BenchmarkRankIntervalLinkageDeltaSpeedup,
+// which clocks each call, reports ~20x. It runs allocation-free. On
 // 1000-record flare, german and adult files (same machine, medians of
-// five runs) a single-cell DBRL ApplyUndo+Undo costs ~6–13µs and a PRL
-// one ~13–18µs, and ApplyUndo plus the committing empty Apply ~8–16µs
-// and ~12–17µs (BenchmarkLinkageDeltaPaperScale), against ~0.2–2.2ms and
-// ~0.5–5.4ms for their full Risk. The states keep reusable scratch
-// buffers, so cloning the state of a survivor whose parent lives on is
-// the only steady-state allocation of the delta chain: 14–21 KB for DBRL
-// and 13–26 KB for PRL (~3–5µs), of which the masked cells, at a byte
-// each, are 3 KB.
+// five runs) a single-cell DBRL ApplyUndo+Undo costs ~6–13µs, a PRL one
+// ~13–18µs and an RSRL one ~3–7µs, and ApplyUndo plus the committing
+// empty Apply ~8–16µs, ~12–17µs and ~5–10µs
+// (BenchmarkLinkageDeltaPaperScale), against ~0.2–2.2ms and ~0.5–5.4ms
+// for full DBRL and PRL Risk. The states keep reusable scratch buffers,
+// so cloning the state of a survivor whose parent lives on is the only
+// steady-state allocation of the delta chain: 14–21 KB for DBRL, 13–26 KB
+// for PRL (~3–5µs), of which the masked cells, at a byte each, are 3 KB,
+// and 14–34 KB for RSRL's bitsets and rows (~7–15µs).
 
 import (
 	"cmp"

@@ -190,14 +190,21 @@ func TestStaleCloneStaysStale(t *testing.T) {
 // FuzzLinkageRoute drives the DBRL and PRL states of a random grid
 // through change lists whose widths the input draws, so that lists land
 // on both sides of each state's break-even, and demands every value equal
-// the pairwise oracle of the edited file. The RSRL state, which patches
-// every list cell by cell, runs the same lists after them. The seed picks the grid and the
-// cells; each width byte is one list, committed when its high bit is set
-// and applied then undone otherwise.
+// the pairwise oracle of the edited file. The RSRL state runs the same
+// lists after them: a one-cell list shifts the counts of the profiles
+// whose candidate union only flipped the moved record's bit, and any
+// other list re-intersects the profiles it touches. The seed picks the
+// grid and the cells; each width byte is one list of
+// 1 + (byte&0x7f)·rows/32 cells, committed when its high bit is set and
+// applied then undone otherwise, so 0x00 and 0x80 are one-cell
+// ApplyUndo and Apply at any grid size.
 func FuzzLinkageRoute(f *testing.F) {
 	f.Add(uint64(1), []byte{1, 0x90, 40, 0xff, 3})
 	f.Add(uint64(7), []byte{0x7f, 2, 0x81, 64})
 	f.Add(uint64(12), []byte{0xc0, 0x40, 1, 1, 0x85})
+	f.Add(uint64(3), []byte{0x00, 0x80, 0x00, 0x00, 0x80, 0x00, 0x80, 0x80})
+	f.Add(uint64(5), []byte{0x80, 0x00, 0x00, 0x80, 0x10, 0x00, 0x80, 0x00})
+	f.Add(uint64(10), []byte{0x00, 0x00, 0x80, 0x00, 0x90, 0x00, 0x80})
 	f.Fuzz(func(t *testing.T, seed uint64, widths []byte) {
 		rng := rand.New(rand.NewPCG(seed, 3))
 		shapes := []string{"dup", "mixed", "unique"}

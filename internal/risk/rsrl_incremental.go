@@ -20,10 +20,19 @@ package risk
 //     file and therefore static: records are grouped once in Prepare, by
 //     groupOriginal as DBRL and PRL group them, and the state keeps only
 //     that compact grouping of the original file — its tuple columns are
-//     the profiles, its record map the groups. A change invalidates
-//     exactly the groups whose profile holds a category whose candidate
-//     union changed — those few groups re-intersect against a reusable
-//     scratch bitset; all others keep their counts.
+//     the profiles, its record map the groups. Only groups whose profile
+//     holds a category whose candidate union changed can change; all
+//     others keep their counts. A union whose window slid gains or loses
+//     whole categories, so the groups holding it re-intersect against a
+//     reusable scratch bitset (refreshGroup). A union whose window stayed
+//     put differs only in the moved record's own bit, and when that is
+//     the list's only cell, no other union of another attribute changed:
+//     each group holding it moves its count by one exactly when the
+//     record lies in the group's other candidate unions — attrs−1 bit
+//     tests instead of an n/64-word intersection (shiftCounts). No other
+//     record's bit changed, so only the moved record's own hit flag is
+//     recomputed. Change lists of several cells re-intersect every group
+//     they touch, as sliding windows do.
 //
 // Every summary is exact (integer frequencies, exact half-integer ranks,
 // bitsets), and the credit sum is accumulated in record order from them
@@ -35,10 +44,14 @@ package risk
 // The state is also Reversible, through journaling rather than inverse
 // replay: ApplyUndo records word-level before-images of every byCat and
 // cand bitset mutation (stats.BitsetJournal), snapshots the scalar rows
-// (frequencies, mid-ranks, window bounds) of each touched attribute and
-// the counts/hit flags of each refreshed group, and Undo restores it
-// all directly — no rank sweeps, boundary patches or candidate
-// re-intersections on the way back.
+// (frequencies, mid-ranks, window bounds) of each touched attribute, the
+// counts/hit flags of each refreshed group, the count of each group
+// moved by one, and the moved record's hit flag. Every journaled count
+// and flag is its value before the list, so Undo restores them in any
+// order — refreshed groups, then the moved record, then the shifted
+// counts — and then the scalar rows and bitset words, all directly: no
+// rank sweeps, boundary patches or candidate re-intersections on the way
+// back.
 
 import (
 	"evoprot/internal/dataset"
@@ -52,6 +65,11 @@ import (
 type rsrlGroup struct {
 	count   int32   // |candidate intersection| for this profile
 	members []int32 // records with this profile (shared, immutable)
+}
+
+// rsrlCount is a journaled group count.
+type rsrlCount struct {
+	g, count int32
 }
 
 // rsrlState is the incremental state of RankIntervalLinkage for one masked
@@ -90,16 +108,21 @@ type rsrlState struct {
 	// reusable buffers, never shared between clones. The scalar rows of
 	// each touched attribute (undoFreq/undoRanks/undoLo/undoHi) are
 	// concatenated in first-touch order (undoAttrs); undoHits holds the
-	// refreshed groups' member flags concatenated in undoGroups order.
+	// refreshed groups' member flags concatenated in undoRefresh order;
+	// undoShifts holds the counts shiftCounts moved. A single-cell list
+	// journals its moved record's flag in undoRec/undoRecHit; undoRec is
+	// -1 after any other list.
 	undoBits       stats.BitsetJournal
 	undoAttrs      []int32
 	undoMark       []bool
 	undoFreq       []int
 	undoLo, undoHi []int
 	undoRanks      []float64
-	undoGroups     []int32
-	undoCounts     []int32
+	undoRefresh    []rsrlCount
 	undoHits       []bool
+	undoShifts     []rsrlCount
+	undoRec        int32
+	undoRecHit     bool
 	undoActive     bool
 }
 
@@ -230,6 +253,18 @@ func (st *rsrlState) refreshGroup(g int32) {
 	}
 }
 
+// hit reports whether masked record r lies in the candidate set of its
+// own original profile: the intersection of its group's candidate unions.
+func (st *rsrlState) hit(r int) bool {
+	g := st.orig.of[r]
+	for a, col := range st.orig.cols {
+		if !st.cand[a][col[g]].Test(r) {
+			return false
+		}
+	}
+	return true
+}
+
 // value folds the per-record hits into the measure value, summing credit
 // in record order. It is the value of Risk as well as of every Apply.
 func (st *rsrlState) value() float64 {
@@ -285,14 +320,7 @@ func (rl *RankIntervalLinkage) Apply(state State, changes []dataset.CellChange) 
 	st := state.(*rsrlState)
 	st.ensureScratch()
 	st.disarmUndo()
-	for _, ch := range changes {
-		st.applyOne(ch, nil)
-	}
-	for _, g := range st.dirtyList {
-		st.refreshGroup(g)
-		st.dirty[g] = false
-	}
-	st.dirtyList = st.dirtyList[:0]
+	st.applyList(changes, nil)
 	return st.value()
 }
 
@@ -304,26 +332,49 @@ func (rl *RankIntervalLinkage) ApplyUndo(state State, changes []dataset.CellChan
 	st.ensureUndo()
 	st.disarmUndo()
 	st.undoActive = true
+	st.applyList(changes, &st.undoBits)
+	return st.value()
+}
+
+// applyList patches the state for a change list, journaling every
+// overwritten value when jn is non-nil. A single-cell list moves the
+// counts of the groups whose union only flipped the record's bit
+// (shiftCounts) and recomputes that record's hit flag; every other
+// touched group re-intersects.
+func (st *rsrlState) applyList(changes []dataset.CellChange, jn *stats.BitsetJournal) {
+	single := len(changes) == 1
+	if jn != nil {
+		st.undoRec = -1
+		if single {
+			st.undoRec = int32(changes[0].Row)
+			st.undoRecHit = st.recHit[st.undoRec]
+		}
+	}
 	for _, ch := range changes {
-		st.applyOne(ch, &st.undoBits)
+		st.applyOne(ch, jn, single)
 	}
 	for _, g := range st.dirtyList {
-		grp := &st.groups[g]
-		st.undoGroups = append(st.undoGroups, g)
-		st.undoCounts = append(st.undoCounts, grp.count)
-		for _, i := range grp.members {
-			st.undoHits = append(st.undoHits, st.recHit[i])
+		if jn != nil {
+			grp := &st.groups[g]
+			st.undoRefresh = append(st.undoRefresh, rsrlCount{g, grp.count})
+			for _, i := range grp.members {
+				st.undoHits = append(st.undoHits, st.recHit[i])
+			}
 		}
 		st.refreshGroup(g)
 		st.dirty[g] = false
 	}
 	st.dirtyList = st.dirtyList[:0]
-	return st.value()
+	if single {
+		r := changes[0].Row
+		st.recHit[r] = st.hit(r)
+	}
 }
 
 // Undo implements Reversible: restore the journaled before-images —
-// group counts and hit flags, scalar attribute rows, then the bitset
-// word diffs (newest first). No sweeps or intersections run.
+// refreshed groups' counts and hit flags, the moved record's hit flag,
+// shifted counts, scalar attribute rows, then the bitset word diffs
+// (newest first). No sweeps or intersections run.
 func (rl *RankIntervalLinkage) Undo(state State) {
 	st := state.(*rsrlState)
 	if !st.undoActive {
@@ -331,13 +382,19 @@ func (rl *RankIntervalLinkage) Undo(state State) {
 	}
 	st.undoActive = false
 	hk := 0
-	for k, g := range st.undoGroups {
-		grp := &st.groups[g]
-		grp.count = st.undoCounts[k]
+	for _, c := range st.undoRefresh {
+		grp := &st.groups[c.g]
+		grp.count = c.count
 		for _, i := range grp.members {
 			st.recHit[i] = st.undoHits[hk]
 			hk++
 		}
+	}
+	if st.undoRec >= 0 {
+		st.recHit[st.undoRec] = st.undoRecHit
+	}
+	for _, c := range st.undoShifts {
+		st.groups[c.g].count = c.count
 	}
 	off := 0
 	for _, a32 := range st.undoAttrs {
@@ -356,9 +413,9 @@ func (rl *RankIntervalLinkage) Undo(state State) {
 	st.undoRanks = st.undoRanks[:0]
 	st.undoLo = st.undoLo[:0]
 	st.undoHi = st.undoHi[:0]
-	st.undoGroups = st.undoGroups[:0]
-	st.undoCounts = st.undoCounts[:0]
+	st.undoRefresh = st.undoRefresh[:0]
 	st.undoHits = st.undoHits[:0]
+	st.undoShifts = st.undoShifts[:0]
 }
 
 // ensureUndo sizes the per-attribute first-touch marks.
@@ -384,16 +441,19 @@ func (st *rsrlState) disarmUndo() {
 	st.undoRanks = st.undoRanks[:0]
 	st.undoLo = st.undoLo[:0]
 	st.undoHi = st.undoHi[:0]
-	st.undoGroups = st.undoGroups[:0]
-	st.undoCounts = st.undoCounts[:0]
+	st.undoRefresh = st.undoRefresh[:0]
 	st.undoHits = st.undoHits[:0]
+	st.undoShifts = st.undoShifts[:0]
 }
 
 // applyOne patches the state for one cell change: masked record ch.Row of
 // attribute ch.Col moves from category ch.Old to ch.New. With a non-nil
 // journal every bitset mutation records its word before-images and the
-// touched attribute's scalar rows are snapshotted on first touch.
-func (st *rsrlState) applyOne(ch dataset.CellChange, jn *stats.BitsetJournal) {
+// touched attribute's scalar rows are snapshotted on first touch. Groups
+// holding a category whose union changed are marked dirty, except that
+// when the change is the list's only one (single), a union that only
+// flipped the record's bit shifts its groups' counts in place.
+func (st *rsrlState) applyOne(ch dataset.CellChange, jn *stats.BitsetJournal, single bool) {
 	if ch.Old == ch.New {
 		return
 	}
@@ -422,12 +482,12 @@ func (st *rsrlState) applyOne(ch dataset.CellChange, jn *stats.BitsetJournal) {
 		loO, hiO := st.lo[a][u], st.hi[a][u]
 		loN, hiN := loNew[u], hiNew[u]
 		cand := st.cand[a][u]
-		changed := false
 		// First make cand the union of the *updated* byCat sets over the
 		// old interval: only the moved record's membership can differ.
 		wasIn := loO <= ch.Old && ch.Old <= hiO
 		nowIn := loO <= ch.New && ch.New <= hiO
-		if wasIn != nowIn {
+		flipped := wasIn != nowIn
+		if flipped {
 			switch {
 			case wasIn && jn != nil:
 				cand.ClearJ(ch.Row, jn)
@@ -438,12 +498,12 @@ func (st *rsrlState) applyOne(ch dataset.CellChange, jn *stats.BitsetJournal) {
 			default:
 				cand.Set(ch.Row)
 			}
-			changed = true
 		}
 		// Then slide the interval: byCat partitions the records, so
 		// categories leaving the window subtract exactly and categories
 		// entering add.
-		if loO != loN || hiO != hiN {
+		slid := loO != loN || hiO != hiN
+		if slid {
 			for v := loO; v <= hiO; v++ {
 				if v < loN || v > hiN {
 					if jn != nil {
@@ -463,9 +523,11 @@ func (st *rsrlState) applyOne(ch dataset.CellChange, jn *stats.BitsetJournal) {
 				}
 			}
 			st.lo[a][u], st.hi[a][u] = loN, hiN
-			changed = true
 		}
-		if changed {
+		switch {
+		case flipped && single && !slid:
+			st.shiftCounts(a, u, ch.Row, nowIn, jn != nil)
+		case flipped || slid:
 			for _, g := range st.byCatGroups[a][u] {
 				if !st.dirty[g] {
 					st.dirty[g] = true
@@ -473,5 +535,36 @@ func (st *rsrlState) applyOne(ch dataset.CellChange, jn *stats.BitsetJournal) {
 				}
 			}
 		}
+	}
+}
+
+// shiftCounts moves the counts of the groups holding category u of
+// attribute a after record r alone entered (added) or left cand[a][u],
+// every other union unchanged: a group's candidate intersection gains or
+// loses r exactly when r lies in the group's other candidate unions.
+// None of these groups is marked for refresh, since a profile holds one
+// category of a and the one-cell list touched no other attribute;
+// journal records each count it moves.
+func (st *rsrlState) shiftCounts(a, u, r int, added, journal bool) {
+	step := int32(-1)
+	if added {
+		step = 1
+	}
+	prof := st.orig.cols
+	for _, g := range st.byCatGroups[a][u] {
+		in := true
+		for b, col := range prof {
+			if b != a && !st.cand[b][col[g]].Test(r) {
+				in = false
+				break
+			}
+		}
+		if !in {
+			continue
+		}
+		if journal {
+			st.undoShifts = append(st.undoShifts, rsrlCount{g, st.groups[g].count})
+		}
+		st.groups[g].count += step
 	}
 }
