@@ -8,8 +8,27 @@ package infoloss
 // recompute. All three states are pure functions of the masked columns
 // (given the shared original), so Undo rewinds a measure.Journal through
 // the same exact integer patches.
+//
+// Shared and owned. Each measure binds (Bind, see the measure package)
+// to one original file and attribute list: its origData (ctbilOrig,
+// dbilOrig, ebilOrig, mlOrig) holds what depends on that pair alone and
+// is built once per bound value, or once per call of an unbound
+// Prepare, which binds first. Every state points at it and shares it
+// read-only with every other state of the bound value and every clone.
+//
+//   - Shared: the positions of the protected columns, CTBIL's original
+//     contingency tables and its tables per attribute, DBIL's and EBIL's
+//     original file and attributes, and ML utility's mlOrig: the layout,
+//     the original-trained accuracy and the held-out rows (mlutility.go).
+//   - Owned: CTBIL's masked cell counts with their L1 distances and its
+//     masked projection, DBIL's distance sums, EBIL's joint matrices and
+//     cached terms, ML utility's masked-trained classifier and hit flags,
+//     and every state's scratch and undo journal.
 
 import (
+	"maps"
+	"slices"
+
 	"evoprot/internal/dataset"
 	"evoprot/internal/measure"
 	"evoprot/internal/stats"
@@ -34,77 +53,155 @@ type Reversible interface {
 	measure.Reversible
 }
 
-// Compile-time capability checks: the whole default battery is
-// reversible.
+// Binder is an information-loss measure that binds to one original file
+// and attribute list (see the measure package's Binding): Bind computes
+// the measure's original-only summaries once and returns the measure
+// bound to the pair, whose states and full Loss share them.
+type Binder interface {
+	Bind(orig *dataset.Dataset, attrs []int) Reversible
+}
+
+// Compile-time capability checks: the whole default battery, and ML
+// utility, is reversible and binds.
 var (
 	_ Reversible = (*CTBIL)(nil)
 	_ Reversible = (*DBIL)(nil)
 	_ Reversible = (*EBIL)(nil)
+	_ Reversible = (*MLUtility)(nil)
+	_ Binder     = (*CTBIL)(nil)
+	_ Binder     = (*DBIL)(nil)
+	_ Binder     = (*EBIL)(nil)
+	_ Binder     = (*MLUtility)(nil)
 )
+
+// origData is one measure's original-only summaries for one bound pair,
+// read-only once built: ctbilOrig, dbilOrig, ebilOrig or mlOrig.
+type origData interface {
+	// prepare builds the state of masked, pointing at the summaries; nil
+	// when the measure keeps no state for the pair.
+	prepare(masked *dataset.Dataset) State
+	// loss is the measure's full Loss of masked.
+	loss(masked *dataset.Dataset) float64
+}
+
+// bound is a measure bound to one pair: Prepare and Loss check the pair
+// and read o; Name, Apply, ApplyUndo and Undo are the measure's own,
+// since each state points at the summaries it was prepared from.
+type bound struct {
+	Reversible
+	measure.Binding
+	o origData
+}
+
+// Prepare implements measure.Reversible for the bound pair.
+func (b *bound) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+	b.Check(orig, attrs)
+	return b.o.prepare(masked)
+}
+
+// Loss implements Measure for the bound pair.
+func (b *bound) Loss(orig, masked *dataset.Dataset, attrs []int) float64 {
+	b.Check(orig, attrs)
+	return b.o.loss(masked)
+}
 
 // --- CTBIL ---
 
-// ctbilTable is one contingency table of the CTBIL state: the masked
-// file's cell counts plus the running L1 distance to the original file's
-// (immutable, shared) table.
-type ctbilTable struct {
-	rel   []int // positions into attrs of the table's columns
-	cards []int
-	orig  map[stats.ContingencyKey]int // shared, never written
-	cells map[stats.ContingencyKey]int // owned
-	l1    int
+// ctbilOrig is CTBIL bound to one original file and attribute list: the
+// original file's contingency table of every attribute subset, shared
+// read-only by every state.
+type ctbilOrig struct {
+	n     int
+	attrs []int
+	pos   map[int]int // column index -> position in attrs
+	// tables[i] is the original's table of subset i; its Attrs are
+	// dataset columns, rel[i] their positions in attrs.
+	tables []*stats.ContingencyTable
+	rel    [][]int
+	byPos  [][]int // attr position -> indices of tables containing it
 }
 
+// ctbilState keeps, per table, the masked file's cell counts and their
+// running L1 distance to the original's.
 type ctbilState struct {
-	n      int
-	attrs  []int
-	pos    map[int]int // column index -> position in attrs
-	tables []*ctbilTable
-	byPos  [][]int          // attr position -> indices of tables containing it
-	mc     *dataset.Dataset // masked file projected onto attrs (Dataset.Project); owned
-	l1     []int            // Apply scratch, lazily built, never shared by clones
-	tuple  []int            // patchOne scratch: the edited record's tuple; never shared by clones
-	undo   measure.Journal  // pending ApplyUndo; never shared by clones
+	*ctbilOrig                                // shared
+	cells      []map[stats.ContingencyKey]int // owned
+	l1         []int
+	mc         *dataset.Dataset // masked file projected onto attrs (Dataset.Project); owned
+	tuple      []int            // patchOne scratch: the edited record's tuple; never shared by clones
+	undo       measure.Journal  // pending ApplyUndo; never shared by clones
 }
 
 // CloneState implements State.
 func (s *ctbilState) CloneState() State {
-	out := &ctbilState{n: s.n, attrs: s.attrs, pos: s.pos, byPos: s.byPos, mc: s.mc.Clone(), tuple: make([]int, len(s.tuple))}
-	out.tables = make([]*ctbilTable, len(s.tables))
-	for i, t := range s.tables {
-		cells := make(map[stats.ContingencyKey]int, len(t.cells))
-		for k, v := range t.cells {
-			cells[k] = v
-		}
-		out.tables[i] = &ctbilTable{rel: t.rel, cards: t.cards, orig: t.orig, cells: cells, l1: t.l1}
+	out := &ctbilState{ctbilOrig: s.ctbilOrig, cells: make([]map[stats.ContingencyKey]int, len(s.cells)),
+		l1: slices.Clone(s.l1), mc: s.mc.Clone(), tuple: make([]int, len(s.tuple))}
+	for i, cells := range s.cells {
+		out.cells[i] = maps.Clone(cells)
 	}
 	return out
 }
 
-// Prepare implements Incremental.
-func (c *CTBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
-	n := orig.Rows()
-	if n == 0 || len(attrs) == 0 {
+// Bind implements Binder.
+func (c *CTBIL) Bind(orig *dataset.Dataset, attrs []int) Reversible {
+	b := measure.NewBinding(orig, attrs)
+	return &bound{Reversible: c, Binding: b, o: c.bind(orig, b.Attrs())}
+}
+
+// bind tabulates the original's table of every attribute subset up to
+// MaxDim attributes.
+func (c *CTBIL) bind(orig *dataset.Dataset, attrs []int) *ctbilOrig {
+	o := &ctbilOrig{n: orig.Rows(), attrs: attrs}
+	if o.n == 0 || len(attrs) == 0 {
+		return o
+	}
+	o.pos = measure.Positions(attrs)
+	o.rel = stats.SubsetsUpTo(len(attrs), c.maxDimOrDefault())
+	o.tables = make([]*stats.ContingencyTable, len(o.rel))
+	o.byPos = make([][]int, len(attrs))
+	for i, subset := range o.rel {
+		cols := make([]int, len(subset))
+		for k, a := range subset {
+			cols[k] = attrs[a]
+			o.byPos[a] = append(o.byPos[a], i)
+		}
+		o.tables[i] = stats.NewContingencyTable(orig, cols)
+	}
+	return o
+}
+
+// masked tabulates masked's table of every subset and its L1 distance to
+// the original's.
+func (o *ctbilOrig) masked(masked *dataset.Dataset) (cells []map[stats.ContingencyKey]int, l1 []int) {
+	cells = make([]map[stats.ContingencyKey]int, len(o.tables))
+	l1 = make([]int, len(o.tables))
+	for i, to := range o.tables {
+		tm := stats.NewContingencyTable(masked, to.Attrs)
+		cells[i], l1[i] = tm.Cells, to.L1Distance(tm)
+	}
+	return cells, l1
+}
+
+func (o *ctbilOrig) loss(masked *dataset.Dataset) float64 {
+	if o.tables == nil {
+		return 0
+	}
+	_, l1 := o.masked(masked)
+	return ctbilValue(l1, o.n)
+}
+
+func (o *ctbilOrig) prepare(masked *dataset.Dataset) State {
+	if o.tables == nil {
 		return nil
 	}
-	st := &ctbilState{n: n, attrs: attrs, pos: make(map[int]int, len(attrs)), tuple: make([]int, len(attrs))}
-	for a, col := range attrs {
-		st.pos[col] = a
-	}
-	st.mc = masked.Project(attrs)
-	subsets := stats.SubsetsUpTo(len(attrs), c.maxDimOrDefault())
-	st.byPos = make([][]int, len(attrs))
-	for _, subset := range subsets {
-		to, tm := subsetTables(orig, masked, attrs, subset)
-		rel := make([]int, len(subset))
-		copy(rel, subset)
-		t := &ctbilTable{rel: rel, cards: to.Cards, orig: to.Cells, cells: tm.Cells, l1: to.L1Distance(tm)}
-		for _, a := range rel {
-			st.byPos[a] = append(st.byPos[a], len(st.tables))
-		}
-		st.tables = append(st.tables, t)
-	}
+	st := &ctbilState{ctbilOrig: o, mc: masked.Project(o.attrs), tuple: make([]int, len(o.attrs))}
+	st.cells, st.l1 = o.masked(masked)
 	return st
+}
+
+// Prepare implements Incremental: it binds, then prepares.
+func (c *CTBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+	return c.bind(orig, attrs).prepare(masked)
 }
 
 // patchOne advances the tables and masked cells by one cell change.
@@ -116,21 +213,21 @@ func (st *ctbilState) patchOne(ch dataset.CellChange) {
 		st.tuple[a] = st.mc.At(ch.Row, a)
 	}
 	for _, ti := range st.byPos[a0] {
-		t := st.tables[ti]
+		cards := st.tables[ti].Cards
 		var oldKey, newKey stats.ContingencyKey
-		for i, a := range t.rel {
+		for i, a := range st.rel[ti] {
 			v := st.tuple[a]
 			if a == a0 {
 				v = ch.Old
 			}
-			oldKey = oldKey*stats.ContingencyKey(t.cards[i]) + stats.ContingencyKey(v)
+			oldKey = oldKey*stats.ContingencyKey(cards[i]) + stats.ContingencyKey(v)
 			if a == a0 {
 				v = ch.New
 			}
-			newKey = newKey*stats.ContingencyKey(t.cards[i]) + stats.ContingencyKey(v)
+			newKey = newKey*stats.ContingencyKey(cards[i]) + stats.ContingencyKey(v)
 		}
-		t.bump(oldKey, -1)
-		t.bump(newKey, +1)
+		st.bump(ti, oldKey, -1)
+		st.bump(ti, newKey, +1)
 	}
 	st.mc.Set(ch.Row, a0, ch.New)
 }
@@ -142,12 +239,6 @@ func (c *CTBIL) Apply(state State, changes []dataset.CellChange) float64 {
 	st.undo.Disarm()
 	for _, ch := range changes {
 		st.patchOne(ch)
-	}
-	if st.l1 == nil {
-		st.l1 = make([]int, len(st.tables))
-	}
-	for i, t := range st.tables {
-		st.l1[i] = t.l1
 	}
 	return ctbilValue(st.l1, st.n)
 }
@@ -165,60 +256,72 @@ func (c *CTBIL) Undo(state State) {
 	st.undo.Rewind(st.patchOne)
 }
 
-// bump adjusts one masked cell count by ±1, keeping the L1 distance to the
-// original table in sync.
-func (t *ctbilTable) bump(key stats.ContingencyKey, delta int) {
-	o := t.orig[key]
-	m := t.cells[key]
-	t.l1 += stats.AbsInt(m+delta-o) - stats.AbsInt(m-o)
+// bump adjusts one masked cell count of table ti by ±1, keeping the L1
+// distance to the original table in sync.
+func (st *ctbilState) bump(ti int, key stats.ContingencyKey, delta int) {
+	cells := st.cells[ti]
+	o := st.tables[ti].Cells[key]
+	m := cells[key]
+	st.l1[ti] += stats.AbsInt(m+delta-o) - stats.AbsInt(m-o)
 	if m+delta == 0 {
-		delete(t.cells, key)
+		delete(cells, key)
 	} else {
-		t.cells[key] = m + delta
+		cells[key] = m + delta
 	}
 }
 
 // --- DBIL ---
 
-type dbilState struct {
+// fileOrig is DBIL or EBIL bound to one original file and attribute
+// list, shared read-only by every state: the file, the attributes and
+// their positions. dbilOrig and ebilOrig give it each measure's
+// prepare and loss.
+type fileOrig struct {
 	n     int
-	orig  *dataset.Dataset // read-only
+	orig  *dataset.Dataset
 	attrs []int
 	pos   map[int]int
-	sums  []int64         // per attr position: rank-displacement sum or mismatch count
-	undo  measure.Journal // pending ApplyUndo; never shared by clones
+}
+
+// bindFile records the pair and the attributes' positions.
+func bindFile(orig *dataset.Dataset, attrs []int) *fileOrig {
+	return &fileOrig{n: orig.Rows(), orig: orig, attrs: attrs, pos: measure.Positions(attrs)}
+}
+
+type dbilState struct {
+	*fileOrig                 // shared
+	sums      []int64         // per attr position: rank-displacement sum or mismatch count
+	undo      measure.Journal // pending ApplyUndo; never shared by clones
 }
 
 // CloneState implements State.
 func (s *dbilState) CloneState() State {
-	sums := make([]int64, len(s.sums))
-	copy(sums, s.sums)
-	return &dbilState{n: s.n, orig: s.orig, attrs: s.attrs, pos: s.pos, sums: sums}
+	return &dbilState{fileOrig: s.fileOrig, sums: slices.Clone(s.sums)}
 }
 
-// Prepare implements Incremental.
-func (d *DBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
-	n := orig.Rows()
-	if n == 0 || len(attrs) == 0 {
+// Bind implements Binder.
+func (d *DBIL) Bind(orig *dataset.Dataset, attrs []int) Reversible {
+	b := measure.NewBinding(orig, attrs)
+	return &bound{Reversible: d, Binding: b, o: dbilOrig{bindFile(orig, b.Attrs())}}
+}
+
+// dbilOrig is DBIL's origData.
+type dbilOrig struct{ *fileOrig }
+
+func (o dbilOrig) loss(masked *dataset.Dataset) float64 {
+	return (&DBIL{}).Loss(o.orig, masked, o.attrs)
+}
+
+func (o dbilOrig) prepare(masked *dataset.Dataset) State {
+	if o.n == 0 || len(o.attrs) == 0 {
 		return nil
 	}
-	st := &dbilState{n: n, orig: orig, attrs: attrs, pos: make(map[int]int, len(attrs)), sums: make([]int64, len(attrs))}
-	for a, c := range attrs {
-		st.pos[c] = a
-		attr := orig.Schema().Attr(c)
-		if attr.Ordered() && attr.Cardinality() > 1 {
-			for r := 0; r < n; r++ {
-				st.sums[a] += int64(stats.AbsInt(orig.At(r, c) - masked.At(r, c)))
-			}
-		} else {
-			for r := 0; r < n; r++ {
-				if orig.At(r, c) != masked.At(r, c) {
-					st.sums[a]++
-				}
-			}
-		}
-	}
-	return st
+	return &dbilState{fileOrig: o.fileOrig, sums: dbilSums(o.orig, masked, o.attrs)}
+}
+
+// Prepare implements Incremental: it binds, then prepares.
+func (d *DBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+	return dbilOrig{bindFile(orig, attrs)}.prepare(masked)
 }
 
 // patchOne adjusts one attribute sum by one cell change; exactly
@@ -266,19 +369,16 @@ func (d *DBIL) Undo(state State) {
 // --- EBIL ---
 
 type ebilState struct {
-	n     int
-	orig  *dataset.Dataset // read-only
-	attrs []int
-	pos   map[int]int
-	joint [][][]int       // per attr position (nil when card < 2): card x card
-	terms []float64       // cached ebilTerm per attr position
-	dirty []bool          // Apply scratch, lazily built, never shared by clones
-	undo  measure.Journal // pending ApplyUndo; never shared by clones
+	*fileOrig                 // shared
+	joint     [][][]int       // per attr position (nil when card < 2): card x card
+	terms     []float64       // cached ebilTerm per attr position
+	dirty     []bool          // Apply scratch, lazily built, never shared by clones
+	undo      measure.Journal // pending ApplyUndo; never shared by clones
 }
 
 // CloneState implements State.
 func (s *ebilState) CloneState() State {
-	out := &ebilState{n: s.n, orig: s.orig, attrs: s.attrs, pos: s.pos}
+	out := &ebilState{fileOrig: s.fileOrig}
 	out.joint = make([][][]int, len(s.joint))
 	for a, j := range s.joint {
 		if j == nil {
@@ -298,28 +398,42 @@ func (s *ebilState) CloneState() State {
 	return out
 }
 
-// Prepare implements Incremental.
-func (e *EBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
-	n := orig.Rows()
-	if n == 0 || len(attrs) == 0 {
+// Bind implements Binder.
+func (e *EBIL) Bind(orig *dataset.Dataset, attrs []int) Reversible {
+	b := measure.NewBinding(orig, attrs)
+	return &bound{Reversible: e, Binding: b, o: ebilOrig{bindFile(orig, b.Attrs())}}
+}
+
+// ebilOrig is EBIL's origData.
+type ebilOrig struct{ *fileOrig }
+
+func (o ebilOrig) loss(masked *dataset.Dataset) float64 {
+	return (&EBIL{}).Loss(o.orig, masked, o.attrs)
+}
+
+func (o ebilOrig) prepare(masked *dataset.Dataset) State {
+	if o.n == 0 || len(o.attrs) == 0 {
 		return nil
 	}
 	st := &ebilState{
-		n: n, orig: orig, attrs: attrs,
-		pos:   make(map[int]int, len(attrs)),
-		joint: make([][][]int, len(attrs)),
-		terms: make([]float64, len(attrs)),
+		fileOrig: o.fileOrig,
+		joint:    make([][][]int, len(o.attrs)),
+		terms:    make([]float64, len(o.attrs)),
 	}
-	for a, c := range attrs {
-		st.pos[c] = a
-		card := orig.Schema().Attr(c).Cardinality()
+	for a, c := range o.attrs {
+		card := o.orig.Schema().Attr(c).Cardinality()
 		if card < 2 {
 			continue // mirrors Loss: constant attributes are skipped
 		}
-		st.joint[a] = jointCounts(orig, masked, c, card)
-		st.terms[a] = ebilTerm(st.joint[a], card, n)
+		st.joint[a] = jointCounts(o.orig, masked, c, card)
+		st.terms[a] = ebilTerm(st.joint[a], card, o.n)
 	}
 	return st
+}
+
+// Prepare implements Incremental: it binds, then prepares.
+func (e *EBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+	return ebilOrig{bindFile(orig, attrs)}.prepare(masked)
 }
 
 // patchOne adjusts one joint transition matrix by one cell change and

@@ -115,22 +115,30 @@ func (d *DBIL) Loss(orig, masked *dataset.Dataset, attrs []int) float64 {
 	if n == 0 || len(attrs) == 0 {
 		return 0
 	}
+	return dbilValue(orig.Schema(), attrs, dbilSums(orig, masked, attrs), n)
+}
+
+// dbilSums returns, per attribute, the exact distance sum between the
+// two files' cells: rank displacements for an ordered attribute,
+// mismatches for a nominal one. Shared by Loss and the delta state's
+// Prepare.
+func dbilSums(orig, masked *dataset.Dataset, attrs []int) []int64 {
 	sums := make([]int64, len(attrs))
 	for a, c := range attrs {
 		attr := orig.Schema().Attr(c)
 		if attr.Ordered() && attr.Cardinality() > 1 {
-			for r := 0; r < n; r++ {
+			for r := range orig.Rows() {
 				sums[a] += int64(stats.AbsInt(orig.At(r, c) - masked.At(r, c)))
 			}
 		} else {
-			for r := 0; r < n; r++ {
+			for r := range orig.Rows() {
 				if orig.At(r, c) != masked.At(r, c) {
 					sums[a]++
 				}
 			}
 		}
 	}
-	return dbilValue(orig.Schema(), attrs, sums, n)
+	return sums
 }
 
 // dbilValue folds the exact per-attribute distance sums — rank

@@ -24,12 +24,12 @@ package infoloss
 // MLUtility is Reversible. Its state keeps the masked file's integer
 // training counts, the log tables derived from them and one hit flag per
 // held-out row; the held-out rows and the original-trained accuracy are
-// built once per Prepare and shared by every clone. A feature edit of a
-// training row re-derives two log entries of one class and re-scores only
-// the held-out rows holding the old or the new category; an edit of a
-// held-out row moves nothing, since the classifier never trains on it;
-// an edit of a protected target moves the row between two classes and
-// re-scores every held-out row. Both routes derive entries and score rows
+// built once, when the measure binds (mlOrig), and shared by every state
+// and clone. A feature edit of a training row re-derives two log entries
+// of one class and re-scores only the held-out rows holding the old or
+// the new category; an edit of a held-out row moves nothing, since the
+// classifier never trains on it; an edit of a protected target moves the
+// row between two classes and re-scores every held-out row. Both routes derive entries and score rows
 // through the same helpers (logLikelihood, nbModel.predict), so a delta
 // value is bit-for-bit identical to Loss.
 
@@ -49,8 +49,6 @@ type MLUtility struct {
 	// protected attribute.
 	Target int
 }
-
-var _ Reversible = (*MLUtility)(nil)
 
 // testStride holds out every testStride-th row (rows with
 // index % testStride == 0) as the test split, a 25% hold-out; the rest
@@ -268,10 +266,14 @@ func (nb *nbModel) predict(width int, slots []int) int {
 	return best
 }
 
-// mlOrig is the original-only half of an ML-utility state, built once per
-// Prepare and shared read-only by its clones.
+// mlOrig is ML utility bound to one original file and attribute list:
+// the original-only half of an ML-utility state, shared read-only by
+// every state.
 type mlOrig struct {
 	nbLayout
+	// cols are the masked columns a state projects: the target, then,
+	// only when the target is protected, the features.
+	cols   []int
 	labels []int // per tested row (a held-out row with an in-range label): its label
 	slots  []int // per tested row: its len(feats) slots, row after row
 	// rowsOf[start[x]:start[x+1]] lists the tested rows holding slot x.
@@ -308,12 +310,19 @@ func (s *mlState) CloneState() State {
 	return out
 }
 
-// Prepare implements Reversible. Degenerate configurations (see
-// features) get no state.
-func (m *MLUtility) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+// Bind implements Binder.
+func (m *MLUtility) Bind(orig *dataset.Dataset, attrs []int) Reversible {
+	b := measure.NewBinding(orig, attrs)
+	return &bound{Reversible: m, Binding: b, o: m.bind(orig, b.Attrs())}
+}
+
+// bind trains the original's classifier, scores it, and indexes the
+// tested rows by slot. Degenerate configurations (see features) bind
+// no features: they score 0 and get no state.
+func (m *MLUtility) bind(orig *dataset.Dataset, attrs []int) *mlOrig {
 	feats := m.features(orig, attrs)
 	if feats == nil {
-		return nil
+		return &mlOrig{}
 	}
 	o := &mlOrig{nbLayout: newNBLayout(orig.Schema(), m.Target, feats), accOrig: m.accuracy(orig, orig, feats)}
 	o.fpos = slices.Repeat([]int{-1}, orig.Cols())
@@ -344,15 +353,35 @@ func (m *MLUtility) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 		o.rowsOf[next[x]] = i / len(feats)
 		next[x]++
 	}
-
-	cols := []int{m.Target}
+	o.cols = []int{m.Target}
 	if slices.Contains(attrs, m.Target) {
-		cols = append(cols, feats...)
+		o.cols = append(o.cols, feats...)
 	}
-	st := &mlState{o: o, nb: o.fit(masked), hit: make([]bool, len(o.labels)), masked: masked.Project(cols)}
+	return o
+}
+
+// loss is Loss against the bound classifier's accuracy: the value of a
+// freshly prepared state.
+func (o *mlOrig) loss(masked *dataset.Dataset) float64 {
+	if o.feats == nil {
+		return 0
+	}
+	return o.prepare(masked).(*mlState).value()
+}
+
+func (o *mlOrig) prepare(masked *dataset.Dataset) State {
+	if o.feats == nil {
+		return nil
+	}
+	st := &mlState{o: o, nb: o.fit(masked), hit: make([]bool, len(o.labels)), masked: masked.Project(o.cols)}
 	st.all = true
 	st.rescore()
 	return st
+}
+
+// Prepare implements Reversible: it binds, then prepares.
+func (m *MLUtility) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+	return m.bind(orig, attrs).prepare(masked)
 }
 
 // ownsFeatures reports whether the target is protected: the state then

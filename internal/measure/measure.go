@@ -17,9 +17,57 @@
 // value arithmetic of the measure's full Loss or Risk, so a delta value
 // is bit-for-bit identical to a full recompute, and Apply with an empty
 // change list on a freshly prepared state reads the full value itself.
+//
+// Binding. Every measure compares against one fixed original file, so
+// part of each state is a function of the original and the protected
+// attributes alone: tuple groupings, distance and contribution tables,
+// the original's contingency tables, a classifier trained on it. A
+// measure that can share that part offers Bind(orig, attrs) (each
+// battery declares its own Binder), which computes it once and returns
+// the measure bound to the pair: a Measure and Reversible whose Prepare
+// builds states that point at the bound data instead of rebuilding it,
+// and whose full Loss or Risk reads it too. score.NewEvaluator binds
+// every measure that offers it, once per evaluator. The bound data is
+// read-only: every state the bound value prepares, and every clone of
+// those states, shares it, and the bound value may be used from several
+// goroutines at once. A state owns only what describes its masked file.
+// A bound value serves its own pair only: handed another original file
+// (by pointer) or another attribute list, its Prepare, Loss or Risk
+// panics (Binding.Check). An unbound measure's Prepare binds and then
+// prepares, so there is one way to build a state.
 package measure
 
-import "evoprot/internal/dataset"
+import (
+	"slices"
+
+	"evoprot/internal/dataset"
+)
+
+// Binding is the (original file, protected attributes) pair a bound
+// measure serves.
+type Binding struct {
+	orig  *dataset.Dataset
+	attrs []int
+}
+
+// NewBinding records the pair; it keeps its own copy of attrs.
+func NewBinding(orig *dataset.Dataset, attrs []int) Binding {
+	return Binding{orig: orig, attrs: slices.Clone(attrs)}
+}
+
+// Attrs returns the bound attribute list, the binding's own copy: a bound
+// measure builds its precomputation over it. Callers must not modify it.
+func (b Binding) Attrs() []int { return b.attrs }
+
+// Check panics unless orig is the bound original file and attrs lists
+// the bound attributes in the bound order: a bound measure's
+// precomputation describes that pair alone, and scoring another with it
+// would silently give wrong values.
+func (b Binding) Check(orig *dataset.Dataset, attrs []int) {
+	if orig != b.orig || !slices.Equal(attrs, b.attrs) {
+		panic("measure: a bound measure was handed another original file or attribute list")
+	}
+}
 
 // State is an opaque per-masked-file summary maintained by a Reversible
 // measure. States are single-goroutine values; CloneState branches one
@@ -92,4 +140,15 @@ func (j *Journal) Rewind(patch func(dataset.CellChange)) bool {
 		patch(j.changes[k].Inverted())
 	}
 	return true
+}
+
+// Positions maps each protected column of attrs to its position in
+// attrs: the index of the column's summaries in a state, and its column
+// in a state's masked projection (Dataset.Project).
+func Positions(attrs []int) map[int]int {
+	pos := make(map[int]int, len(attrs))
+	for a, c := range attrs {
+		pos[c] = a
+	}
+	return pos
 }

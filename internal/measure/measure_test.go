@@ -46,3 +46,41 @@ func TestJournalRewind(t *testing.T) {
 		t.Fatal("Rewind after Disarm replayed")
 	}
 }
+
+// TestBindingCheck: a binding accepts its own pair, with the attributes
+// passed as any equal list, and panics on another original file, even an
+// equal copy, and on another attribute list: reordered, shorter or
+// changed. It keeps its own copy of the attributes.
+func TestBindingCheck(t *testing.T) {
+	s := dataset.MustSchema(
+		dataset.MustAttribute("a", []string{"x", "y"}, false),
+		dataset.MustAttribute("b", []string{"x", "y"}, false),
+	)
+	orig := dataset.New(s, 3)
+	attrs := []int{0, 1}
+	b := NewBinding(orig, attrs)
+	attrs[0] = 1 // the binding keeps its own copy
+	b.Check(orig, []int{0, 1})
+	if !slices.Equal(b.Attrs(), []int{0, 1}) {
+		t.Fatalf("Attrs = %v, want [0 1]", b.Attrs())
+	}
+	for _, tc := range []struct {
+		what  string
+		orig  *dataset.Dataset
+		attrs []int
+	}{
+		{"an equal copy of the file", orig.Clone(), []int{0, 1}},
+		{"reordered attributes", orig, []int{1, 0}},
+		{"fewer attributes", orig, []int{0}},
+		{"changed attributes", orig, attrs},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Check with %s did not panic", tc.what)
+				}
+			}()
+			b.Check(tc.orig, tc.attrs)
+		}()
+	}
+}

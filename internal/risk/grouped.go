@@ -19,10 +19,13 @@ package risk
 // grouping pass; with all tuples distinct it is the old scan. The
 // grouping pass and the kernels read each record's tuple straight from
 // the dataset they are given (readTuple), at its own cell width, with no
-// column copies. Full Risk groups both files on every call; the DBRL,
-// PRL and RSRL delta states group the original file once, at Prepare
-// (groupOriginal), and keep that compact grouping. DBRL and PRL pass it
-// to the same kernels and key their own rows by its tuples; RSRL keys its
+// column copies. An unbound full DBRL or PRL Risk groups both files on
+// every call. Binding (see the measure package) groups the original file
+// once (groupOriginal) into a compact grouping that the bound value
+// keeps, shared read-only by the bound full Risk and by every state it
+// prepares and their clones; only the masked grouping is per call, in
+// pooled scratch (linkGroups). DBRL and PRL pass the shared grouping to
+// the same kernels and key their own rows by its tuples; RSRL keys its
 // candidate intersections by them.
 
 import (
@@ -135,8 +138,8 @@ func (g *tupleGroups) compact() *tupleGroups {
 }
 
 // groupOriginal groups the original records of orig over attrs through
-// pooled scratch and returns the compact grouping: the one every DBRL,
-// PRL and RSRL state keeps.
+// pooled scratch and returns the compact grouping: the one a bound DBRL,
+// PRL or RSRL keeps and its states share.
 func groupOriginal(orig *dataset.Dataset, attrs []int) *tupleGroups {
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
@@ -153,25 +156,13 @@ func readTuple(tuple []int, d *dataset.Dataset, cols []int, j int) {
 
 // positions returns the column positions 0 … k-1: the columns of a
 // state's masked projection, which holds the protected attributes alone.
-// Up to len(firstPositions) attributes it shares one read-only array, so
-// a Prepare allocates nothing for them.
 func positions(k int) []int {
-	if k <= len(firstPositions) {
-		return firstPositions[:k:k]
-	}
 	out := make([]int, k)
 	for a := range out {
 		out[a] = a
 	}
 	return out
 }
-
-var firstPositions = func() (p [64]int) {
-	for a := range p {
-		p[a] = a
-	}
-	return p
-}()
 
 // pattern returns the agreement bitmask between original tuple k and a
 // masked record's tuple: bit a is set when they agree on attribute a.
@@ -196,8 +187,8 @@ func (g *tupleGroups) distance(k int, tuple []int, tables []distTable) int64 {
 }
 
 // linkGroups is the working memory of one grouped DBRL or PRL pass and
-// of the original grouping of a Prepare (groupOriginal): the original
-// records grouped by tuple for a full Risk or a Prepare, the masked
+// of the original grouping of a bind (groupOriginal): the original
+// records grouped by tuple for an unbound full Risk or a bind, the masked
 // records grouped by tuple, one masked record's tuple, one original
 // group's row of distances or patterns against every masked group, per
 // original group the best score found and how many masked records attain
@@ -205,9 +196,10 @@ func (g *tupleGroups) distance(k int, tuple []int, tables []distTable) int64 {
 // dataset it is given in place: the full files at the protected
 // attributes for a full Risk, or a DBRL or PRL state's masked projection
 // for a re-link or a wide edit. The kernels below read the original
-// grouping they are passed: full Risk passes lg.orig, a state its own
-// compact grouping, which lg never keeps. It is pooled, so once warm a
-// full Risk call on the evolution hot path allocates no grouping buffers.
+// grouping they are passed: an unbound full Risk passes lg.orig, a
+// bound Risk or a state the shared compact grouping, which lg never
+// keeps. It is pooled, so once warm a full Risk call on the evolution
+// hot path allocates no grouping buffers.
 type linkGroups struct {
 	tuple        []int // one masked record's tuple
 	orig, masked tupleGroups

@@ -5,13 +5,30 @@ package risk
 // every state keeps exact integer summaries, so delta values are
 // bit-for-bit identical to a full recompute.
 //
+// Shared and owned. Each measure binds (Bind, see the measure package)
+// to one original file and attribute list: its origData (idOrig,
+// dbrlOrig, prlOrig, rsrlOrig) holds what depends on that pair alone and
+// is built once per bound value, or once per call of an unbound Prepare
+// or RSRL Risk, which bind first; the other unbound Risk methods compute
+// what they need as they go (DBRL and PRL group the original in pooled
+// scratch, grouped.go). Every state embeds a pointer to it and shares it
+// read-only with every other state of the bound value and every clone;
+// a state owns only what describes its masked file, its scratch and its
+// undo journal.
+//
+//   - Shared: the positions of the protected columns, ID's contribution
+//     tables, DBRL's distance tables, the compact original grouping of
+//     DBRL, PRL and RSRL (grouped.go), PRL's original tuples per category,
+//     and RSRL's original mid-ranks, group members and groups per
+//     category.
+//   - Owned: ID's disclosed-window count, the DBRL, PRL and RSRL rows,
+//     histograms, bitsets and counts below, and the masked projections.
+//
 // Coverage:
 //
-//   - ID keeps one integer (the disclosed-window count) and per-attribute
-//     contribution tables that depend only on the original file.
-//   - DBRL and PRL group the original records by protected tuple once,
-//     at Prepare, and keep that compact grouping (grouped.go), which
-//     every clone shares read-only. Their rows are per distinct original
+//   - ID keeps one integer (the disclosed-window count).
+//   - DBRL and PRL read the shared grouping of the original records by
+//     protected tuple. Their rows are per distinct original
 //     tuple, since records sharing a tuple link alike; only the
 //     true-match summary is per record. Each owns the masked file's
 //     projection onto the protected attributes (Dataset.Project), stored
@@ -55,7 +72,7 @@ package risk
 // cost more: a wide ApplyUndo writes the list into the state's masked
 // cells only, scores them with the grouped kernel of full Risk, which
 // reads the projection's cells in place as it reads full Risk's files,
-// against the state's own original grouping, and leaves the rows or
+// against the shared original grouping, and leaves the rows or
 // histograms stale for Undo, which then restores just those cells. Every
 // state reads its projection through the column positions 0 … attrs-1
 // (readTuple), full Risk the files through the protected attributes
@@ -93,7 +110,9 @@ package risk
 // so cloning the state of a survivor whose parent lives on is the only
 // steady-state allocation of the delta chain: 14–21 KB for DBRL, 13–26 KB
 // for PRL (~3–5µs), of which the masked cells, at a byte each, are 3 KB,
-// and 14–34 KB for RSRL's bitsets and rows (~7–15µs).
+// and 10–18 KB for RSRL's bitsets and rows (~3–5µs), which it copies
+// in 11 allocations whatever the domains: one backing array per family
+// (stats.CloneBitsets for the bitsets).
 
 import (
 	"cmp"
@@ -123,14 +142,57 @@ type Reversible interface {
 	measure.Reversible
 }
 
+// Binder is a disclosure-risk measure that binds to one original file
+// and attribute list (see the measure package's Binding): Bind computes
+// the measure's original-only summaries once and returns the measure
+// bound to the pair, whose states and full Risk share them.
+type Binder interface {
+	Bind(orig *dataset.Dataset, attrs []int) Reversible
+}
+
 // Compile-time capability checks: the whole default battery is
-// reversible.
+// reversible and binds.
 var (
 	_ Reversible = (*IntervalDisclosure)(nil)
 	_ Reversible = (*DistanceLinkage)(nil)
 	_ Reversible = (*ProbabilisticLinkage)(nil)
 	_ Reversible = (*RankIntervalLinkage)(nil)
+	_ Binder     = (*IntervalDisclosure)(nil)
+	_ Binder     = (*DistanceLinkage)(nil)
+	_ Binder     = (*ProbabilisticLinkage)(nil)
+	_ Binder     = (*RankIntervalLinkage)(nil)
 )
+
+// origData is one measure's original-only summaries for one bound pair,
+// read-only once built: idOrig, dbrlOrig, prlOrig or rsrlOrig.
+type origData interface {
+	// prepare builds the state of masked, pointing at the summaries; nil
+	// when the measure keeps no state for the pair.
+	prepare(masked *dataset.Dataset) State
+	// risk is the measure's full Risk of masked.
+	risk(masked *dataset.Dataset) float64
+}
+
+// bound is a measure bound to one pair: Prepare and Risk check the pair
+// and read o; Name, Apply, ApplyUndo and Undo are the measure's own,
+// since each state points at the summaries it was prepared from.
+type bound struct {
+	Reversible
+	measure.Binding
+	o origData
+}
+
+// Prepare implements measure.Reversible for the bound pair.
+func (b *bound) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+	b.Check(orig, attrs)
+	return b.o.prepare(masked)
+}
+
+// Risk implements Measure for the bound pair.
+func (b *bound) Risk(orig, masked *dataset.Dataset, attrs []int) float64 {
+	b.Check(orig, attrs)
+	return b.o.risk(masked)
+}
 
 // setCells writes changes, in order, into the masked projection mc, where
 // pos maps a dataset column to its column in mc.
@@ -142,42 +204,74 @@ func setCells(mc *dataset.Dataset, pos map[int]int, changes []dataset.CellChange
 
 // --- ID (interval disclosure) ---
 
+// idOrig is ID bound to one original file and attribute list: the
+// per-attribute contribution tables and positions, shared read-only by
+// every state.
+type idOrig struct {
+	n, maxP int
+	orig    *dataset.Dataset
+	attrs   []int
+	pos     map[int]int
+	contrib [][][]int // per attr position: card x card (idContrib)
+}
+
 type idState struct {
-	n         int
-	orig      *dataset.Dataset // read-only
-	numAttrs  int
-	maxP      int
-	pos       map[int]int
-	contrib   [][][]int // per attr position: card x card, shared (orig-only)
+	*idOrig   // shared
 	disclosed int
 	undo      measure.Journal // pending ApplyUndo; never shared by clones
 }
 
 // CloneState implements State.
 func (s *idState) CloneState() State {
-	out := *s
-	out.undo = measure.Journal{}
-	return &out
+	return &idState{idOrig: s.idOrig, disclosed: s.disclosed}
 }
 
-// Prepare implements Incremental.
-func (id *IntervalDisclosure) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
-	n := orig.Rows()
-	if n == 0 || len(attrs) == 0 {
+// Bind implements Binder.
+func (id *IntervalDisclosure) Bind(orig *dataset.Dataset, attrs []int) Reversible {
+	b := measure.NewBinding(orig, attrs)
+	return &bound{Reversible: id, Binding: b, o: id.bind(orig, b.Attrs())}
+}
+
+// bind builds the contribution tables of every attribute.
+func (id *IntervalDisclosure) bind(orig *dataset.Dataset, attrs []int) *idOrig {
+	o := &idOrig{n: orig.Rows(), maxP: id.maxPOrDefault(), orig: orig, attrs: attrs}
+	if o.n == 0 || len(attrs) == 0 {
+		return o
+	}
+	o.pos = measure.Positions(attrs)
+	o.contrib = make([][][]int, len(attrs))
+	for a, c := range attrs {
+		o.contrib[a] = idContrib(orig, c, o.maxP)
+	}
+	return o
+}
+
+// count counts masked's disclosing windows over every attribute.
+func (o *idOrig) count(masked *dataset.Dataset) int {
+	disclosed := 0
+	for a, c := range o.attrs {
+		disclosed += idDisclosed(o.contrib[a], o.orig, masked, c)
+	}
+	return disclosed
+}
+
+func (o *idOrig) risk(masked *dataset.Dataset) float64 {
+	if o.contrib == nil {
+		return 0
+	}
+	return idValue(o.count(masked), o.n, len(o.attrs), o.maxP)
+}
+
+func (o *idOrig) prepare(masked *dataset.Dataset) State {
+	if o.contrib == nil {
 		return nil
 	}
-	maxP := id.maxPOrDefault()
-	st := &idState{
-		n: n, orig: orig, numAttrs: len(attrs), maxP: maxP,
-		pos:     make(map[int]int, len(attrs)),
-		contrib: make([][][]int, len(attrs)),
-	}
-	for a, c := range attrs {
-		st.pos[c] = a
-		st.contrib[a] = idContrib(orig, c, maxP)
-		st.disclosed += idDisclosed(st.contrib[a], orig, masked, c)
-	}
-	return st
+	return &idState{idOrig: o, disclosed: o.count(masked)}
+}
+
+// Prepare implements Incremental: it binds, then prepares.
+func (id *IntervalDisclosure) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+	return id.bind(orig, attrs).prepare(masked)
 }
 
 // patchOne adjusts the disclosed count by one cell change; self-inverse
@@ -196,7 +290,7 @@ func (id *IntervalDisclosure) Apply(state State, changes []dataset.CellChange) f
 	for _, ch := range changes {
 		st.patchOne(ch)
 	}
-	return idValue(st.disclosed, st.n, st.numAttrs, st.maxP)
+	return idValue(st.disclosed, st.n, len(st.attrs), st.maxP)
 }
 
 // ApplyUndo implements Reversible.
@@ -214,13 +308,21 @@ func (id *IntervalDisclosure) Undo(state State) {
 
 // --- DBRL (distance-based record linkage) ---
 
-type dbrlState struct {
+// dbrlOrig is DBRL bound to one original file and attribute list: the
+// compact original grouping, the distance tables and the positions,
+// shared read-only by every state.
+type dbrlOrig struct {
 	n      int
+	attrs  []int // full Risk's columns
 	pos    map[int]int
-	orig   *tupleGroups     // original records grouped by tuple, shared read-only
-	mc     *dataset.Dataset // masked file projected onto attrs (Dataset.Project), owned
-	cols   []int            // mc's columns, 0 … attrs-1, shared
-	tables []distTable      // shared (schema-only)
+	orig   *tupleGroups // original records grouped by tuple
+	cols   []int        // a state's projection columns, 0 … attrs-1
+	tables []distTable
+}
+
+type dbrlState struct {
+	*dbrlOrig                  // shared
+	mc        *dataset.Dataset // masked file projected onto attrs (Dataset.Project), owned
 	// Per original tuple: distance to its nearest masked record and how
 	// many masked records tie at that distance.
 	best  []int64
@@ -263,7 +365,7 @@ type dbrlDist struct {
 // CloneState implements State.
 func (s *dbrlState) CloneState() State {
 	return &dbrlState{
-		n: s.n, pos: s.pos, orig: s.orig, cols: s.cols, tables: s.tables,
+		dbrlOrig:   s.dbrlOrig,
 		mc:         s.mc.Clone(),
 		tuple:      make([]int, len(s.tuple)),
 		best:       slices.Clone(s.best),
@@ -273,27 +375,56 @@ func (s *dbrlState) CloneState() State {
 	}
 }
 
-// Prepare implements Incremental. The rows come from one grouped pass
-// (grouped.go).
-func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+// Bind implements Binder.
+func (dl *DistanceLinkage) Bind(orig *dataset.Dataset, attrs []int) Reversible {
+	b := measure.NewBinding(orig, attrs)
+	return &bound{Reversible: dl, Binding: b, o: dl.bind(orig, b.Attrs())}
+}
+
+// bind groups the original records by tuple and builds the distance
+// tables.
+func (dl *DistanceLinkage) bind(orig *dataset.Dataset, attrs []int) *dbrlOrig {
 	n := orig.Rows()
 	if n == 0 || len(attrs) == 0 {
+		return &dbrlOrig{}
+	}
+	return &dbrlOrig{
+		n: n, attrs: attrs, pos: measure.Positions(attrs),
+		orig: groupOriginal(orig, attrs), cols: positions(len(attrs)),
+		tables: distanceTables(orig, attrs),
+	}
+}
+
+// risk is full Risk against the bound grouping and tables.
+func (o *dbrlOrig) risk(masked *dataset.Dataset) float64 {
+	if o.n == 0 {
+		return 0
+	}
+	lg := linkGroupsPool.Get().(*linkGroups)
+	defer linkGroupsPool.Put(lg)
+	return dbrlGrouped(lg, o.orig, masked, o.attrs, o.tables)
+}
+
+// prepare builds the rows from one grouped pass (grouped.go).
+func (o *dbrlOrig) prepare(masked *dataset.Dataset) State {
+	if o.n == 0 {
 		return nil
 	}
 	st := &dbrlState{
-		n: n, pos: make(map[int]int, len(attrs)),
-		orig: groupOriginal(orig, attrs), mc: masked.Project(attrs), cols: positions(len(attrs)),
-		tuple:    make([]int, len(attrs)),
-		tables:   distanceTables(orig, attrs),
-		trueDist: make([]int64, n),
-	}
-	st.best = make([]int64, len(st.orig.mult))
-	st.count = make([]int64, len(st.orig.mult))
-	for a, c := range attrs {
-		st.pos[c] = a
+		dbrlOrig: o,
+		mc:       masked.Project(o.attrs),
+		tuple:    make([]int, len(o.attrs)),
+		best:     make([]int64, len(o.orig.mult)),
+		count:    make([]int64, len(o.orig.mult)),
+		trueDist: make([]int64, o.n),
 	}
 	st.relink()
 	return st
+}
+
+// Prepare implements Incremental: it binds, then prepares.
+func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+	return dl.bind(orig, attrs).prepare(masked)
 }
 
 // relink rebuilds every tuple's row and every record's true-match
@@ -326,10 +457,11 @@ func (st *dbrlState) wide(changes []dataset.CellChange) bool {
 // from scratch against the current masked cells.
 func (s *dbrlState) rescan(g int) (best, count int64) {
 	best = int64(1) << 62
+	tables, cols := s.tables, s.orig.cols
 	for j := 0; j < s.n; j++ {
 		var d int64
-		for a, t := range s.tables {
-			d += t.at(s.orig.cols[a][g], s.mc.At(j, a))
+		for a, t := range tables {
+			d += t.at(cols[a][g], s.mc.At(j, a))
 		}
 		switch {
 		case d < best:
@@ -350,8 +482,8 @@ func (s *dbrlState) rescan(g int) (best, count int64) {
 func (st *dbrlState) patchOne(ch dataset.CellChange) {
 	a0 := st.pos[ch.Col]
 	j0 := ch.Row
-	t := st.tables[a0]
-	o := st.orig
+	tables, o := st.tables, st.orig
+	t := tables[a0]
 	st.mc.Set(j0, a0, ch.New)
 	tuple := st.tuple
 	readTuple(tuple, st.mc, st.cols, j0)
@@ -361,9 +493,9 @@ func (st *dbrlState) patchOne(ch dataset.CellChange) {
 			continue // the replaced distance is unchanged
 		}
 		var base int64
-		for a := range st.tables {
+		for a, ta := range tables {
 			if a != a0 {
-				base += st.tables[a].at(o.cols[a][g], tuple[a])
+				base += ta.at(o.cols[a][g], tuple[a])
 			}
 		}
 		dOld, dNew := base+dOldA, base+dNewA
@@ -477,15 +609,25 @@ func (dl *DistanceLinkage) Undo(state State) {
 
 // --- PRL (probabilistic record linkage) ---
 
-type prlState struct {
+// prlOrig is PRL bound to one original file and attribute list: the
+// compact original grouping, its tuples per category and the positions,
+// shared read-only by every state.
+type prlOrig struct {
 	n        int
 	numAttrs int
 	iters    int
+	attrs    []int // full Risk's columns
 	pos      map[int]int
-	orig     *tupleGroups     // original records grouped by tuple, shared read-only
+	orig     *tupleGroups // original records grouped by tuple
+	cols     []int        // a state's projection columns, 0 … attrs-1
+	// ocByCat lists, per attribute position and category, the original
+	// tuples holding it; nil when the pair gets no state (see bind).
+	ocByCat [][][]int32
+}
+
+type prlState struct {
+	*prlOrig                  // shared
 	mc       *dataset.Dataset // masked file projected onto the protected attributes, owned
-	cols     []int            // mc's columns, 0 … attrs-1, shared
-	ocByCat  [][][]int32      // shared: per attr, per category, original tuple ids
 	// cnt[g*numPat+pat] counts masked records j with pattern(g,j) == pat
 	// for original tuple g; patCount aggregates cnt over all records,
 	// weighting each tuple by its multiplicity (exact integers in
@@ -522,7 +664,7 @@ type prlState struct {
 // CloneState implements State.
 func (s *prlState) CloneState() State {
 	return &prlState{
-		n: s.n, numAttrs: s.numAttrs, iters: s.iters, pos: s.pos, orig: s.orig, cols: s.cols, ocByCat: s.ocByCat,
+		prlOrig:    s.prlOrig,
 		mc:         s.mc.Clone(),
 		tuple:      make([]int, len(s.tuple)),
 		cnt:        slices.Clone(s.cnt),
@@ -533,45 +675,78 @@ func (s *prlState) CloneState() State {
 	}
 }
 
-// Prepare implements Incremental. The histograms come from one grouped
-// pass (grouped.go).
-func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
-	n := orig.Rows()
-	if n == 0 || len(attrs) == 0 || len(attrs) > MaxPRLAttrs {
-		return nil
+// Bind implements Binder.
+func (pl *ProbabilisticLinkage) Bind(orig *dataset.Dataset, attrs []int) Reversible {
+	b := measure.NewBinding(orig, attrs)
+	return &bound{Reversible: pl, Binding: b, o: pl.bind(orig, b.Attrs())}
+}
+
+// bind groups the original records by tuple and, when the pair gets a
+// state, lists each category's tuples.
+func (pl *ProbabilisticLinkage) bind(orig *dataset.Dataset, attrs []int) *prlOrig {
+	o := &prlOrig{n: orig.Rows(), numAttrs: len(attrs), iters: pl.EMIters, attrs: attrs}
+	if o.iters <= 0 {
+		o.iters = 30
 	}
-	if 1<<len(attrs) > n {
+	if o.n == 0 || len(attrs) == 0 || len(attrs) > MaxPRLAttrs {
+		return o
+	}
+	o.pos = measure.Positions(attrs)
+	o.orig = groupOriginal(orig, attrs)
+	o.cols = positions(len(attrs))
+	if 1<<len(attrs) > o.n {
 		// Every value call runs EM over the 2^attrs patterns and scans
 		// the D×2^attrs tuple histograms, which also set the cost of a
 		// clone and a re-link, while a full recompute costs O(n·attrs)
 		// grouping plus O(D_orig·D_masked·attrs) for D distinct tuples.
 		// Once the pattern space outgrows the record count the full
-		// recompute is the cheaper path. The guard counts records, not
-		// tuples, so whether an evaluator holds a PRL state depends on
-		// the file's size and attributes only.
+		// recompute is the cheaper path, and the pair gets no state. The
+		// guard counts records, not tuples, so whether an evaluator
+		// holds a PRL state depends on the file's size and attributes
+		// only.
+		return o
+	}
+	o.ocByCat = make([][][]int32, len(attrs))
+	for a, c := range attrs {
+		o.ocByCat[a] = buckets(o.orig.cols[a], orig.Schema().Attr(c).Cardinality())
+	}
+	return o
+}
+
+// risk is full Risk against the bound grouping.
+func (o *prlOrig) risk(masked *dataset.Dataset) float64 {
+	if o.n == 0 || o.numAttrs == 0 {
+		return 0
+	}
+	if o.numAttrs > MaxPRLAttrs {
+		panic(errPRLAttrs)
+	}
+	lg := linkGroupsPool.Get().(*linkGroups)
+	defer linkGroupsPool.Put(lg)
+	return prlGrouped(lg, &lg.em, o.orig, masked, o.attrs, o.iters)
+}
+
+// prepare builds the histograms from one grouped pass (grouped.go).
+func (o *prlOrig) prepare(masked *dataset.Dataset) State {
+	if o.ocByCat == nil {
 		return nil
 	}
-	iters := pl.EMIters
-	if iters <= 0 {
-		iters = 30
-	}
-	numPat := 1 << len(attrs)
+	numPat := 1 << o.numAttrs
 	st := &prlState{
-		n: n, numAttrs: len(attrs), iters: iters,
-		pos:  make(map[int]int, len(attrs)),
-		orig: groupOriginal(orig, attrs), mc: masked.Project(attrs), cols: positions(len(attrs)),
-		tuple:    make([]int, len(attrs)),
+		prlOrig:  o,
+		mc:       masked.Project(o.attrs),
+		tuple:    make([]int, o.numAttrs),
+		cnt:      make([]int32, len(o.orig.mult)*numPat),
 		patCount: make([]float64, numPat),
-		truePat:  make([]int32, n),
-	}
-	st.cnt = make([]int32, len(st.orig.mult)*numPat)
-	st.ocByCat = make([][][]int32, len(attrs))
-	for a, c := range attrs {
-		st.pos[c] = a
-		st.ocByCat[a] = buckets(st.orig.cols[a], orig.Schema().Attr(c).Cardinality())
+		truePat:  make([]int32, o.n),
 	}
 	st.relink()
 	return st
+}
+
+// Prepare implements Incremental: it binds, then prepares.
+func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+	return pl.bind(orig, attrs).prepare(masked)
 }
 
 // relink rebuilds every tuple's pattern histogram, the true-match

@@ -25,6 +25,10 @@ type ProbabilisticLinkage struct {
 // links over: its agreement patterns index 2^attrs-entry tables.
 const MaxPRLAttrs = 16
 
+// errPRLAttrs is the panic of a PRL Risk over more than MaxPRLAttrs
+// attributes.
+const errPRLAttrs = "risk: probabilistic linkage over more than MaxPRLAttrs attributes"
+
 // Name implements Measure.
 func (pl *ProbabilisticLinkage) Name() string { return "PRL" }
 
@@ -40,7 +44,7 @@ func (pl *ProbabilisticLinkage) Risk(orig, masked *dataset.Dataset, attrs []int)
 	}
 	if len(attrs) > MaxPRLAttrs {
 		// Callers validate the attribute count (score.NewEvaluator does).
-		panic("risk: probabilistic linkage over more than MaxPRLAttrs attributes")
+		panic(errPRLAttrs)
 	}
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)

@@ -245,7 +245,8 @@ func FuzzLinkageRoute(f *testing.F) {
 // the paper-scale flare file: once warm, a wide ApplyUndo+Undo, and an
 // Apply committing the same list cell by cell, allocate nothing on either
 // state, and full Risk reads both files' cells in place — PRL allocates
-// nothing and DBRL only its distance tables. The pooled scratch is
+// nothing and DBRL only its distance tables, and bound (the evaluator's
+// route for a wide edit) neither allocates at all. The pooled scratch is
 // dropped at random under the race detector, so the gate runs without it.
 func TestLinkageWideRouteAllocs(t *testing.T) {
 	if racecheck.Enabled {
@@ -285,6 +286,11 @@ func TestLinkageWideRouteAllocs(t *testing.T) {
 		m.Risk(orig, masked, attrs)
 		if allocs := testing.AllocsPerRun(20, func() { m.Risk(orig, masked, attrs) }); allocs > float64(want) {
 			t.Errorf("%s: full Risk allocates %v times, want at most %d: it reads cells in place and keeps its grouping scratch pooled", m.Name(), allocs, want)
+		}
+		b := m.(Binder).Bind(orig, attrs)
+		b.Risk(orig, masked, attrs)
+		if allocs := testing.AllocsPerRun(20, func() { b.Risk(orig, masked, attrs) }); allocs != 0 {
+			t.Errorf("%s: bound full Risk allocates %v times: it reads the bound grouping and tables", m.Name(), allocs)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package risk
 
-import (
-	"evoprot/internal/dataset"
-	"evoprot/internal/stats"
-)
+import "evoprot/internal/dataset"
 
 // RankIntervalLinkage is the rank-swapping-specific re-identification
 // attack of Nin, Herranz & Torra (2008), generalized to any masked file:
@@ -25,7 +22,7 @@ import (
 // is admissible for original category u", so instead of testing all n²
 // record pairs the measure intersects per-attribute candidate bitsets,
 // once per distinct original profile: records are grouped by profile
-// into the compact original grouping DBRL and PRL keep (groupOriginal in
+// into the compact original grouping DBRL and PRL bind (groupOriginal in
 // grouped.go), whose tuple columns give each group's profile, and each
 // intersection costs n/64 word operations per attribute. Frequencies and
 // per-category record sets are counted from the cells in place. The
@@ -55,14 +52,11 @@ func (rl *RankIntervalLinkage) pOrDefault() float64 {
 	return rl.P
 }
 
-// Risk implements Measure. It is the value of a freshly prepared state
-// (rsrl_incremental.go), so full and delta evaluation share one kernel.
+// Risk implements Measure. It binds, then reads the value of a freshly
+// prepared state (rsrl_incremental.go), so full and delta evaluation
+// share one kernel.
 func (rl *RankIntervalLinkage) Risk(orig, masked *dataset.Dataset, attrs []int) float64 {
-	st := rl.Prepare(orig, masked, attrs)
-	if st == nil {
-		return 0
-	}
-	return st.(*rsrlState).value()
+	return rl.bind(orig, attrs).risk(masked)
 }
 
 // rsrlSweep fills lo/hi with the admissible masked-category interval for
@@ -93,36 +87,4 @@ func rsrlSweep(oRanks, mRanks []float64, window float64, lo, hi []int) {
 			lo[u], hi[u] = card, -1
 		}
 	}
-}
-
-// rsrlByCat builds the per-category record sets of column c of the
-// masked file, read in place: byCat[v] holds the masked records whose
-// value is v. The sets partition the records — every record appears in
-// exactly one — so interval unions over them are disjoint unions, which
-// is what lets the incremental state subtract a category from a union
-// exactly.
-func rsrlByCat(masked *dataset.Dataset, c, card int) []*stats.Bitset {
-	n := masked.Rows()
-	byCat := make([]*stats.Bitset, card)
-	for v := range byCat {
-		byCat[v] = stats.NewBitset(n)
-	}
-	for j := range n {
-		byCat[masked.At(j, c)].Set(j)
-	}
-	return byCat
-}
-
-// rsrlUnions assembles the per-original-category candidate sets
-// cand[u] = ∪ byCat[v] over v in [lo[u], hi[u]].
-func rsrlUnions(byCat []*stats.Bitset, lo, hi []int, n int) []*stats.Bitset {
-	cand := make([]*stats.Bitset, len(lo))
-	for u := range cand {
-		acc := stats.NewBitset(n)
-		for v := lo[u]; v <= hi[u]; v++ {
-			acc.OrWith(byCat[v])
-		}
-		cand[u] = acc
-	}
-	return cand
 }

@@ -17,12 +17,12 @@ package risk
 //     subtract exactly (AndNotWith) and categories entering add (OrWith);
 //     the moved record itself is one Clear+Set.
 //  3. Per-profile candidate intersections. Profiles are over the original
-//     file and therefore static: records are grouped once in Prepare, by
-//     groupOriginal as DBRL and PRL group them, and the state keeps only
-//     that compact grouping of the original file — its tuple columns are
-//     the profiles, its record map the groups. Only groups whose profile
-//     holds a category whose candidate union changed can change; all
-//     others keep their counts. A union whose window slid gains or loses
+//     file and therefore static: records are grouped once, when the
+//     measure binds, by groupOriginal as DBRL and PRL group them — its
+//     tuple columns are the profiles, its record map the groups. Only
+//     groups whose profile holds a category whose candidate union
+//     changed can change; all others keep their counts. A union whose
+//     window slid gains or loses
 //     whole categories, so the groups holding it re-intersect against a
 //     reusable scratch bitset (refreshGroup). A union whose window stayed
 //     put differs only in the moved record's own bit, and when that is
@@ -33,6 +33,15 @@ package risk
 //     record's bit changed, so only the moved record's own hit flag is
 //     recomputed. Change lists of several cells re-intersect every group
 //     they touch, as sliding windows do.
+//
+// Shared and owned: the bound rsrlOrig holds the original-file
+// summaries — the grouping, the original mid-ranks, each group's member
+// records and, per attribute and category, the groups holding it — read
+// by every state and clone. A state owns the masked-file summaries of
+// layers 1 and 2, one candidate count per group and one hit flag per
+// record; it keeps each family of rows in one backing array (ints,
+// ranks, bits), so CloneState copies it in a fixed handful of
+// allocations.
 //
 // Every summary is exact (integer frequencies, exact half-integer ranks,
 // bitsets), and the credit sum is accumulated in record order from them
@@ -54,47 +63,55 @@ package risk
 // back.
 
 import (
+	"slices"
+
 	"evoprot/internal/dataset"
+	"evoprot/internal/measure"
 	"evoprot/internal/stats"
 )
-
-// rsrlGroup is one equivalence class of original records sharing a
-// protected-attribute profile, together with the size of the profile's
-// candidate set under the current masked file. Group g's profile is
-// orig.cols[·][g] of the state's original grouping.
-type rsrlGroup struct {
-	count   int32   // |candidate intersection| for this profile
-	members []int32 // records with this profile (shared, immutable)
-}
 
 // rsrlCount is a journaled group count.
 type rsrlCount struct {
 	g, count int32
 }
 
+// rsrlOrig is RSRL bound to one original file and attribute list: the
+// original-file summaries, shared read-only by every state. orig is the
+// original records grouped by profile (groupOriginal): orig.of maps each
+// record to its group and orig.cols[a][g] is group g's category of
+// attribute a.
+type rsrlOrig struct {
+	n           int
+	window      float64
+	attrs       []int
+	pos         map[int]int // protected column -> attribute position
+	orig        *tupleGroups
+	cards       []int
+	maxCard     int
+	oRanks      [][]float64
+	members     [][]int32   // group -> its records, in increasing order
+	byCatGroups [][][]int32 // attr position -> category -> groups holding it
+}
+
 // rsrlState is the incremental state of RankIntervalLinkage for one masked
 // file. See the file comment for the update strategy.
 type rsrlState struct {
-	n      int
-	window float64
-	pos    map[int]int // protected column -> attribute position
+	*rsrlOrig // shared
 
-	// Original-file summaries: immutable, shared across clones. orig is
-	// the original records grouped by profile (groupOriginal): orig.of
-	// maps each record to its group and orig.cols[a][g] is group g's
-	// category of attribute a.
-	orig        *tupleGroups
-	cards       []int
-	oRanks      [][]float64
-	byCatGroups [][][]int32 // attr position -> category -> groups holding it
-
-	// Masked-file summaries: owned, deep-copied by CloneState.
+	// Masked-file summaries: owned, deep-copied by CloneState. Each
+	// family's rows view one backing array (ints, ranks, bits), in
+	// attribute order: mFreq, lo and hi rows in ints, mRanks rows in
+	// ranks, byCat then cand bitsets in bits. A clone copies each
+	// backing array once.
+	ints   []int
+	ranks  []float64
+	bits   []*stats.Bitset
 	mFreq  [][]int
 	mRanks [][]float64
 	lo, hi [][]int
 	byCat  [][]*stats.Bitset // partition of masked records by category
 	cand   [][]*stats.Bitset // per original category: ∪ byCat over [lo,hi]
-	groups []rsrlGroup       // count owned; members shared
+	counts []int32           // per group: |candidate intersection| of its profile
 	recHit []bool            // record i: candidate set contains masked record i
 
 	// Reusable scratch, lazily built and never shared between clones, so
@@ -126,61 +143,120 @@ type rsrlState struct {
 	undoActive     bool
 }
 
-// Prepare implements Incremental. Building the state is the whole cost of
-// a full Risk; every Apply then costs a small fraction of that.
-func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+// Bind implements Binder.
+func (rl *RankIntervalLinkage) Bind(orig *dataset.Dataset, attrs []int) Reversible {
+	b := measure.NewBinding(orig, attrs)
+	return &bound{Reversible: rl, Binding: b, o: rl.bind(orig, b.Attrs())}
+}
+
+// bind groups the original records by profile, lists each group's
+// members, indexes the groups by the categories they hold, so a change
+// can invalidate exactly the groups it affects, and ranks the original
+// categories.
+func (rl *RankIntervalLinkage) bind(orig *dataset.Dataset, attrs []int) *rsrlOrig {
 	n := orig.Rows()
 	if n == 0 || len(attrs) == 0 {
-		return nil
+		return &rsrlOrig{}
 	}
-	st := &rsrlState{
+	o := &rsrlOrig{
 		n:      n,
 		window: rl.pOrDefault() * float64(n) / 100,
-		pos:    make(map[int]int, len(attrs)),
+		attrs:  attrs,
+		pos:    measure.Positions(attrs),
 		orig:   groupOriginal(orig, attrs),
 		cards:  orig.Schema().Cardinalities(attrs),
+		oRanks: make([][]float64, len(attrs)),
 	}
-	st.oRanks = make([][]float64, len(attrs))
-	st.mFreq = make([][]int, len(attrs))
-	st.mRanks = make([][]float64, len(attrs))
-	st.lo = make([][]int, len(attrs))
-	st.hi = make([][]int, len(attrs))
-	st.byCat = make([][]*stats.Bitset, len(attrs))
-	st.cand = make([][]*stats.Bitset, len(attrs))
+	o.maxCard = slices.Max(o.cards)
 	for a, c := range attrs {
-		st.pos[c] = a
-		card := st.cards[a]
-		st.oRanks[a] = stats.MidRanks(columnFreq(orig, c, card))
-		st.mFreq[a] = columnFreq(masked, c, card)
-		st.mRanks[a] = stats.MidRanks(st.mFreq[a])
-		st.lo[a] = make([]int, card)
-		st.hi[a] = make([]int, card)
-		rsrlSweep(st.oRanks[a], st.mRanks[a], st.window, st.lo[a], st.hi[a])
-		st.byCat[a] = rsrlByCat(masked, c, card)
-		st.cand[a] = rsrlUnions(st.byCat[a], st.lo[a], st.hi[a], n)
+		o.oRanks[a] = stats.MidRanks(columnFreq(orig, c, o.cards[a]))
 	}
-	st.buildGroups()
+	o.members = buckets(o.orig.of, len(o.orig.mult))
+	o.byCatGroups = make([][][]int32, len(attrs))
+	for a, col := range o.orig.cols {
+		o.byCatGroups[a] = buckets(col, o.cards[a])
+	}
+	return o
+}
+
+// risk is the value of a freshly prepared state.
+func (o *rsrlOrig) risk(masked *dataset.Dataset) float64 {
+	if o.n == 0 {
+		return 0
+	}
+	return o.prepare(masked).(*rsrlState).value()
+}
+
+// prepare builds the state of masked. Building it is the whole cost of a
+// full Risk; every Apply then costs a small fraction of that.
+func (o *rsrlOrig) prepare(masked *dataset.Dataset) State {
+	if o.n == 0 {
+		return nil
+	}
+	sum := 0
+	for _, c := range o.cards {
+		sum += c
+	}
+	st := &rsrlState{
+		rsrlOrig: o,
+		ints:     make([]int, 3*sum),
+		ranks:    make([]float64, sum),
+		bits:     stats.NewBitsets(2*sum, o.n),
+		counts:   make([]int32, len(o.orig.mult)),
+		recHit:   make([]bool, o.n),
+	}
+	st.viewRows()
+	// byCat[a][v] holds the masked records whose value of attribute a is
+	// v, read in place. The sets partition the records, so interval
+	// unions over them are disjoint unions, which is what lets Apply
+	// subtract a category from a union exactly.
+	for a, c := range o.attrs {
+		for j := range o.n {
+			v := masked.At(j, c)
+			st.mFreq[a][v]++
+			st.byCat[a][v].Set(j)
+		}
+		stats.MidRanksInto(st.mRanks[a], st.mFreq[a])
+		rsrlSweep(o.oRanks[a], st.mRanks[a], o.window, st.lo[a], st.hi[a])
+		for u, acc := range st.cand[a] {
+			for v := st.lo[a][u]; v <= st.hi[a][u]; v++ {
+				acc.OrWith(st.byCat[a][v])
+			}
+		}
+	}
 	st.ensureScratch()
-	for g := range st.groups {
+	for g := range st.counts {
 		st.refreshGroup(int32(g))
 	}
 	return st
 }
 
-// buildGroups lists the members of every group of the (static) original
-// grouping and indexes the groups by the categories they hold, so a
-// change can invalidate exactly the groups it affects.
-func (st *rsrlState) buildGroups() {
-	o := st.orig
-	st.recHit = make([]bool, st.n)
-	st.groups = make([]rsrlGroup, len(o.mult))
-	for g, members := range buckets(o.of, len(o.mult)) {
-		st.groups[g].members = members
+// viewRows cuts the backing arrays into the per-attribute rows.
+func (st *rsrlState) viewRows() {
+	k := len(st.cards)
+	ints := rowViews(st.ints, st.cards, 3)
+	st.mFreq, st.lo, st.hi = ints[:k:k], ints[k:2*k:2*k], ints[2*k:]
+	st.mRanks = rowViews(st.ranks, st.cards, 1)
+	bits := rowViews(st.bits, st.cards, 2)
+	st.byCat, st.cand = bits[:k:k], bits[k:]
+}
+
+// rowViews cuts flat into families consecutive runs of len(cards) rows,
+// row a of each run cards[a] long.
+func rowViews[T any](flat []T, cards []int, families int) [][]T {
+	rows := make([][]T, families*len(cards))
+	off := 0
+	for i := range rows {
+		c := cards[i%len(cards)]
+		rows[i] = flat[off : off+c : off+c]
+		off += c
 	}
-	st.byCatGroups = make([][][]int32, len(o.cols))
-	for a, col := range o.cols {
-		st.byCatGroups[a] = buckets(col, st.cards[a])
-	}
+	return rows
+}
+
+// Prepare implements Incremental: it binds, then prepares.
+func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
+	return rl.bind(orig, attrs).prepare(masked)
 }
 
 // buckets lists, for every k < num, the positions i with keys[i] == k in
@@ -211,18 +287,12 @@ func (st *rsrlState) ensureScratch() {
 	if st.scratch == nil {
 		st.scratch = stats.NewBitset(st.n)
 	}
-	if len(st.dirty) < len(st.groups) {
-		st.dirty = make([]bool, len(st.groups))
+	if len(st.dirty) < len(st.counts) {
+		st.dirty = make([]bool, len(st.counts))
 	}
-	maxCard := 0
-	for _, c := range st.cards {
-		if c > maxCard {
-			maxCard = c
-		}
-	}
-	if len(st.loNew) < maxCard {
-		st.loNew = make([]int, maxCard)
-		st.hiNew = make([]int, maxCard)
+	if len(st.loNew) < st.maxCard {
+		st.loNew = make([]int, st.maxCard)
+		st.hiNew = make([]int, st.maxCard)
 	}
 }
 
@@ -232,12 +302,11 @@ func (st *rsrlState) ensureScratch() {
 // full intersection bitset is never materialized, saving one word pass
 // per refresh; membership tests check the two halves separately.
 func (st *rsrlState) refreshGroup(g int32) {
-	grp := &st.groups[g]
 	prof := st.orig.cols
 	last := st.cand[len(prof)-1][prof[len(prof)-1][g]]
 	if len(prof) == 1 {
-		grp.count = int32(last.Count())
-		for _, i := range grp.members {
+		st.counts[g] = int32(last.Count())
+		for _, i := range st.members[g] {
 			st.recHit[i] = last.Test(int(i))
 		}
 		return
@@ -247,8 +316,8 @@ func (st *rsrlState) refreshGroup(g int32) {
 	for a := 1; a < len(prof)-1; a++ {
 		sc.AndWith(st.cand[a][prof[a][g]])
 	}
-	grp.count = int32(sc.AndCount(last))
-	for _, i := range grp.members {
+	st.counts[g] = int32(sc.AndCount(last))
+	for _, i := range st.members[g] {
 		st.recHit[i] = sc.Test(int(i)) && last.Test(int(i))
 	}
 }
@@ -271,45 +340,26 @@ func (st *rsrlState) value() float64 {
 	credit := 0.0
 	for i, g := range st.orig.of {
 		if st.recHit[i] {
-			credit += 1 / float64(st.groups[g].count)
+			credit += 1 / float64(st.counts[g])
 		}
 	}
 	return 100 * credit / float64(st.n)
 }
 
 // CloneState implements State. Original-file summaries are shared;
-// masked-file summaries are deep-copied; scratch stays with the original
-// so clones are independent single-goroutine values.
+// masked-file summaries are deep-copied, one backing array per family;
+// scratch stays with the original so clones are independent
+// single-goroutine values.
 func (s *rsrlState) CloneState() State {
 	out := &rsrlState{
-		n: s.n, window: s.window, pos: s.pos,
-		orig: s.orig, cards: s.cards, oRanks: s.oRanks,
-		byCatGroups: s.byCatGroups,
+		rsrlOrig: s.rsrlOrig,
+		ints:     slices.Clone(s.ints),
+		ranks:    slices.Clone(s.ranks),
+		bits:     stats.CloneBitsets(s.bits),
+		counts:   slices.Clone(s.counts),
+		recHit:   slices.Clone(s.recHit),
 	}
-	out.mFreq = make([][]int, len(s.mFreq))
-	out.mRanks = make([][]float64, len(s.mRanks))
-	out.lo = make([][]int, len(s.lo))
-	out.hi = make([][]int, len(s.hi))
-	out.byCat = make([][]*stats.Bitset, len(s.byCat))
-	out.cand = make([][]*stats.Bitset, len(s.cand))
-	for a := range s.mFreq {
-		out.mFreq[a] = append([]int(nil), s.mFreq[a]...)
-		out.mRanks[a] = append([]float64(nil), s.mRanks[a]...)
-		out.lo[a] = append([]int(nil), s.lo[a]...)
-		out.hi[a] = append([]int(nil), s.hi[a]...)
-		out.byCat[a] = cloneBitsets(s.byCat[a])
-		out.cand[a] = cloneBitsets(s.cand[a])
-	}
-	out.groups = append([]rsrlGroup(nil), s.groups...)
-	out.recHit = append([]bool(nil), s.recHit...)
-	return out
-}
-
-func cloneBitsets(in []*stats.Bitset) []*stats.Bitset {
-	out := make([]*stats.Bitset, len(in))
-	for i, b := range in {
-		out[i] = b.Clone()
-	}
+	out.viewRows()
 	return out
 }
 
@@ -355,9 +405,8 @@ func (st *rsrlState) applyList(changes []dataset.CellChange, jn *stats.BitsetJou
 	}
 	for _, g := range st.dirtyList {
 		if jn != nil {
-			grp := &st.groups[g]
-			st.undoRefresh = append(st.undoRefresh, rsrlCount{g, grp.count})
-			for _, i := range grp.members {
+			st.undoRefresh = append(st.undoRefresh, rsrlCount{g, st.counts[g]})
+			for _, i := range st.members[g] {
 				st.undoHits = append(st.undoHits, st.recHit[i])
 			}
 		}
@@ -383,9 +432,8 @@ func (rl *RankIntervalLinkage) Undo(state State) {
 	st.undoActive = false
 	hk := 0
 	for _, c := range st.undoRefresh {
-		grp := &st.groups[c.g]
-		grp.count = c.count
-		for _, i := range grp.members {
+		st.counts[c.g] = c.count
+		for _, i := range st.members[c.g] {
 			st.recHit[i] = st.undoHits[hk]
 			hk++
 		}
@@ -394,7 +442,7 @@ func (rl *RankIntervalLinkage) Undo(state State) {
 		st.recHit[st.undoRec] = st.undoRecHit
 	}
 	for _, c := range st.undoShifts {
-		st.groups[c.g].count = c.count
+		st.counts[c.g] = c.count
 	}
 	off := 0
 	for _, a32 := range st.undoAttrs {
@@ -563,8 +611,8 @@ func (st *rsrlState) shiftCounts(a, u, r int, added, journal bool) {
 			continue
 		}
 		if journal {
-			st.undoShifts = append(st.undoShifts, rsrlCount{g, st.groups[g].count})
+			st.undoShifts = append(st.undoShifts, rsrlCount{g, st.counts[g]})
 		}
-		st.groups[g].count += step
+		st.counts[g] += step
 	}
 }

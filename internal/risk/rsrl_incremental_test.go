@@ -12,8 +12,8 @@ import (
 // rsrlStateDiff describes the first group count, record hit flag or value
 // in which st differs from want, a state prepared afresh; "" when none.
 func rsrlStateDiff(st, want *rsrlState) string {
-	for g := range want.groups {
-		if got, w := st.groups[g].count, want.groups[g].count; got != w {
+	for g := range want.counts {
+		if got, w := st.counts[g], want.counts[g]; got != w {
 			return fmt.Sprintf("group %d count %d, prepared %d", g, got, w)
 		}
 	}

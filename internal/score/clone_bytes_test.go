@@ -62,3 +62,52 @@ func TestDeltaStateCloneBytes(t *testing.T) {
 		t.Fatalf("DeltaState.Clone allocates %d B, want at most %d", perClone, bound)
 	}
 }
+
+// TestPrepareRetainedBytes gates the heap one Evaluator.Prepare keeps
+// alive on paper-scale adult under the paper's battery, measured with 50
+// states alive. The evaluator binds every measure once, so a state holds
+// only what describes its masked file: about 87 KB here. A Prepare that
+// rebuilds the original file's summaries for each state (the tuple
+// groupings of DBRL, PRL and RSRL, their tables and indexes, CTBIL's
+// original tables) keeps about 218 KB and fails the bound. Flare and
+// german are logged.
+func TestPrepareRetainedBytes(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const states = 50
+	for _, name := range []string{"adult", "flare", "german"} {
+		orig := datagentest.MustByName(name, 0, 3)
+		names, _ := datagen.ProtectedAttrs(name)
+		attrs, err := orig.Schema().Indices(names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval, err := score.NewEvaluator(orig, attrs, score.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		masked, err := protectiontest.Must("pram:theta=0.7").Protect(orig, attrs, rand.New(rand.NewPCG(3, 3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := make([]*score.DeltaState, states)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			if keep[i], err = eval.Prepare(masked); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(keep)
+		perState := int64(after.HeapAlloc-before.HeapAlloc) / states
+		t.Logf("%s: %d B retained per Evaluator.Prepare", name, perState)
+		const bound = 150 << 10
+		if name == "adult" && perState > bound {
+			t.Errorf("%s: Evaluator.Prepare retains %d B, want at most %d", name, perState, bound)
+		}
+	}
+}

@@ -95,7 +95,8 @@ type Config struct {
 }
 
 // Evaluator computes evaluations of masked datasets against one fixed
-// original file. It is safe for concurrent use.
+// original file. It is safe for concurrent use: the bound measures it
+// holds are read-only.
 type Evaluator struct {
 	orig  *dataset.Dataset
 	attrs []int
@@ -109,10 +110,12 @@ type Evaluator struct {
 // slot is one measure of the resolved battery.
 type slot struct {
 	name string
-	// full is the measure's full recompute, Loss or Risk.
+	// full is the measure's full recompute, Loss or Risk, of the bound
+	// measure when it binds.
 	full func(orig, masked *dataset.Dataset, attrs []int) float64
-	// rev is the measure's delta-state contract; nil when it has none,
-	// and the slot is then recomputed in full on every route.
+	// rev is the measure's delta-state contract, the bound measure's
+	// when it binds; nil when it has none, and the slot is then
+	// recomputed in full on every route.
 	rev measure.Reversible
 }
 
@@ -157,12 +160,20 @@ func NewEvaluator(orig *dataset.Dataset, attrs []int, cfg Config) (*Evaluator, e
 	}
 	own := make([]int, len(attrs))
 	copy(own, attrs)
+	// Each measure that binds is bound here, once: its states and its
+	// full recomputes then share its original-only summaries.
 	slots := make([]slot, 0, len(cfg.IL)+len(cfg.DR))
 	for _, m := range cfg.IL {
+		if b, ok := m.(infoloss.Binder); ok {
+			m = b.Bind(orig, own)
+		}
 		rev, _ := m.(measure.Reversible)
 		slots = append(slots, slot{name: m.Name(), full: m.Loss, rev: rev})
 	}
 	for _, m := range cfg.DR {
+		if b, ok := m.(risk.Binder); ok {
+			m = b.Bind(orig, own)
+		}
 		rev, _ := m.(measure.Reversible)
 		slots = append(slots, slot{name: m.Name(), full: m.Risk, rev: rev})
 	}

@@ -24,6 +24,40 @@ func NewBitset(n int) *Bitset {
 	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// NewBitsets returns k empty bitsets over [0, n) in three allocations:
+// the pointers, one array of Bitset values and one word array the
+// values share, each bitset owning its own run of words. A state
+// holding many bitsets of one universe is built and copied
+// (CloneBitsets) at that fixed cost instead of two allocations per
+// bitset.
+func NewBitsets(k, n int) []*Bitset {
+	if n < 0 {
+		panic("stats: negative bitset size")
+	}
+	per := (n + 63) / 64
+	words := make([]uint64, k*per)
+	vals := make([]Bitset, k)
+	out := make([]*Bitset, k)
+	for i := range vals {
+		vals[i] = Bitset{words: words[i*per : (i+1)*per : (i+1)*per], n: n}
+		out[i] = &vals[i]
+	}
+	return out
+}
+
+// CloneBitsets returns independent copies of bs, which must share one
+// universe size, laid out as NewBitsets lays them out.
+func CloneBitsets(bs []*Bitset) []*Bitset {
+	if len(bs) == 0 {
+		return nil
+	}
+	out := NewBitsets(len(bs), bs[0].n)
+	for i, b := range bs {
+		out[i].CopyFrom(b)
+	}
+	return out
+}
+
 // Len returns the universe size n.
 func (b *Bitset) Len() int { return b.n }
 

@@ -149,3 +149,34 @@ func TestBitsetCopyFromAndReset(t *testing.T) {
 		t.Fatalf("Reset left count=%d len=%d", a.Count(), a.Len())
 	}
 }
+
+// TestCloneBitsets: the copies hold their sources' elements, in three
+// allocations whatever their number, and share storage neither with the
+// sources nor with each other: setting the last element of one copy
+// leaves its source and its neighbours untouched.
+func TestCloneBitsets(t *testing.T) {
+	src := NewBitsets(5, 130)
+	for k, b := range src {
+		if b.Len() != 130 || b.Count() != 0 {
+			t.Fatalf("NewBitsets[%d]: len=%d count=%d", k, b.Len(), b.Count())
+		}
+		b.Set(k)
+		b.Set(64 + k)
+	}
+	clones := CloneBitsets(src)
+	for k, c := range clones {
+		if c.Len() != 130 || c.Count() != 2 || !c.Test(k) || !c.Test(64+k) {
+			t.Fatalf("clone %d: len=%d count=%d, want the elements %d and %d", k, c.Len(), c.Count(), k, 64+k)
+		}
+	}
+	clones[2].Set(129)
+	if src[2].Test(129) || clones[1].Count() != 2 || clones[3].Count() != 2 {
+		t.Fatal("a clone shares storage with its source or its neighbour")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { CloneBitsets(src) }); allocs != 3 {
+		t.Fatalf("CloneBitsets of %d bitsets allocates %v times, want 3", len(src), allocs)
+	}
+	if CloneBitsets(nil) != nil {
+		t.Fatal("CloneBitsets(nil) is not nil")
+	}
+}
