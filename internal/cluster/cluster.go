@@ -523,23 +523,6 @@ func (c *Coordinator) sweep() {
 	}
 }
 
-// expire force-expires job's lease right now — the sweep path on
-// demand, used by tests to make mid-run lease loss deterministic.
-func (c *Coordinator) expire(job string) bool {
-	c.mu.Lock()
-	l, ok := c.leases[job]
-	if ok {
-		delete(c.leases, job)
-	}
-	c.mu.Unlock()
-	if !ok {
-		return false
-	}
-	c.logf("cluster: job %s: lease %s (worker %q) force-expired; re-queueing", job, l.token, l.worker)
-	c.requeue(job)
-	return true
-}
-
 // handleHealth overrides the embedded server's health answer with the
 // cluster view: queue pressure plus the live lease count.
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {

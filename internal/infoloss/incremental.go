@@ -13,13 +13,18 @@ package infoloss
 // to one original file and attribute list: its origData (ctbilOrig,
 // dbilOrig, ebilOrig, mlOrig) holds what depends on that pair alone and
 // is built once per bound value, or once per call of an unbound
-// Prepare, which binds first. Every state points at it and shares it
-// read-only with every other state of the bound value and every clone.
+// Prepare, or of CTBIL's unbound Loss, all of which bind first. DBIL's
+// and EBIL's unbound Loss read both files directly (they have no
+// original-only summary to build), and ML utility's unbound Loss stays
+// the independent accuracy oracle its delta tests compare against. Every
+// state points at its origData and shares it read-only with every other
+// state of the bound value and every clone.
 //
-//   - Shared: the positions of the protected columns, CTBIL's original
-//     contingency tables and its tables per attribute, DBIL's and EBIL's
-//     original file and attributes, and ML utility's mlOrig: the layout,
-//     the original-trained accuracy and the held-out rows (mlutility.go).
+//   - Shared: CTBIL's original contingency tables and their attribute
+//     positions (a patch visits the tables holding the changed
+//     attribute), DBIL's and EBIL's original file, attributes and
+//     positions, and ML utility's mlOrig: the layout, the
+//     original-trained accuracy and the held-out rows (mlutility.go).
 //   - Owned: CTBIL's masked cell counts with their L1 distances and its
 //     masked projection, DBIL's distance sums, EBIL's joint matrices and
 //     cached terms, ML utility's masked-trained classifier and hit flags,
@@ -109,16 +114,14 @@ func (b *bound) Loss(orig, masked *dataset.Dataset, attrs []int) float64 {
 
 // ctbilOrig is CTBIL bound to one original file and attribute list: the
 // original file's contingency table of every attribute subset, shared
-// read-only by every state.
+// read-only by every state and read by full Loss.
 type ctbilOrig struct {
 	n     int
 	attrs []int
-	pos   map[int]int // column index -> position in attrs
 	// tables[i] is the original's table of subset i; its Attrs are
 	// dataset columns, rel[i] their positions in attrs.
 	tables []*stats.ContingencyTable
 	rel    [][]int
-	byPos  [][]int // attr position -> indices of tables containing it
 }
 
 // ctbilState keeps, per table, the masked file's cell counts and their
@@ -149,53 +152,53 @@ func (c *CTBIL) Bind(orig *dataset.Dataset, attrs []int) Reversible {
 }
 
 // bind tabulates the original's table of every attribute subset up to
-// MaxDim attributes.
+// MaxDim attributes. The tables' columns share one array, so a full
+// Loss, which binds first, allocates no more than tabulating each subset
+// directly would.
 func (c *CTBIL) bind(orig *dataset.Dataset, attrs []int) *ctbilOrig {
 	o := &ctbilOrig{n: orig.Rows(), attrs: attrs}
 	if o.n == 0 || len(attrs) == 0 {
 		return o
 	}
-	o.pos = measure.Positions(attrs)
-	o.rel = stats.SubsetsUpTo(len(attrs), c.maxDimOrDefault())
+	maxDim := min(c.maxDimOrDefault(), len(attrs))
+	o.rel = stats.SubsetsUpTo(len(attrs), maxDim)
 	o.tables = make([]*stats.ContingencyTable, len(o.rel))
-	o.byPos = make([][]int, len(attrs))
+	cols := make([]int, 0, len(o.rel)*maxDim)
 	for i, subset := range o.rel {
-		cols := make([]int, len(subset))
-		for k, a := range subset {
-			cols[k] = attrs[a]
-			o.byPos[a] = append(o.byPos[a], i)
+		start := len(cols)
+		for _, a := range subset {
+			cols = append(cols, attrs[a])
 		}
-		o.tables[i] = stats.NewContingencyTable(orig, cols)
+		o.tables[i] = stats.NewContingencyTable(orig, cols[start:len(cols):len(cols)])
 	}
 	return o
-}
-
-// masked tabulates masked's table of every subset and its L1 distance to
-// the original's.
-func (o *ctbilOrig) masked(masked *dataset.Dataset) (cells []map[stats.ContingencyKey]int, l1 []int) {
-	cells = make([]map[stats.ContingencyKey]int, len(o.tables))
-	l1 = make([]int, len(o.tables))
-	for i, to := range o.tables {
-		tm := stats.NewContingencyTable(masked, to.Attrs)
-		cells[i], l1[i] = tm.Cells, to.L1Distance(tm)
-	}
-	return cells, l1
 }
 
 func (o *ctbilOrig) loss(masked *dataset.Dataset) float64 {
 	if o.tables == nil {
 		return 0
 	}
-	_, l1 := o.masked(masked)
+	l1 := make([]int, len(o.tables))
+	for i, to := range o.tables {
+		l1[i] = to.L1Distance(stats.NewContingencyTable(masked, to.Attrs))
+	}
 	return ctbilValue(l1, o.n)
 }
 
+// prepare tabulates masked's table of every subset and its L1 distance
+// to the original's.
 func (o *ctbilOrig) prepare(masked *dataset.Dataset) State {
 	if o.tables == nil {
 		return nil
 	}
-	st := &ctbilState{ctbilOrig: o, mc: masked.Project(o.attrs), tuple: make([]int, len(o.attrs))}
-	st.cells, st.l1 = o.masked(masked)
+	st := &ctbilState{
+		ctbilOrig: o, mc: masked.Project(o.attrs), tuple: make([]int, len(o.attrs)),
+		cells: make([]map[stats.ContingencyKey]int, len(o.tables)), l1: make([]int, len(o.tables)),
+	}
+	for i, to := range o.tables {
+		tm := stats.NewContingencyTable(masked, to.Attrs)
+		st.cells[i], st.l1[i] = tm.Cells, to.L1Distance(tm)
+	}
 	return st
 }
 
@@ -204,18 +207,22 @@ func (c *CTBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 	return c.bind(orig, attrs).prepare(masked)
 }
 
-// patchOne advances the tables and masked cells by one cell change.
-// The patch is its own inverse under CellChange.Inverted: replaying
-// inversions in reverse restores the exact integer summaries.
+// patchOne advances the tables holding the changed attribute, and the
+// masked cells, by one cell change. The patch is its own inverse under
+// CellChange.Inverted: replaying inversions in reverse restores the
+// exact integer summaries.
 func (st *ctbilState) patchOne(ch dataset.CellChange) {
-	a0 := st.pos[ch.Col]
+	a0 := slices.Index(st.attrs, ch.Col)
 	for a := range st.tuple {
 		st.tuple[a] = st.mc.At(ch.Row, a)
 	}
-	for _, ti := range st.byPos[a0] {
+	for ti, rel := range st.rel {
+		if !slices.Contains(rel, a0) {
+			continue
+		}
 		cards := st.tables[ti].Cards
 		var oldKey, newKey stats.ContingencyKey
-		for i, a := range st.rel[ti] {
+		for i, a := range rel {
 			v := st.tuple[a]
 			if a == a0 {
 				v = ch.Old

@@ -61,30 +61,11 @@ func (c *CTBIL) maxDimOrDefault() int {
 	return c.MaxDim
 }
 
-// Loss implements Measure.
+// Loss implements Measure. It binds, then reads (ctbilOrig in
+// incremental.go), so full and delta evaluation tabulate the original
+// the same way.
 func (c *CTBIL) Loss(orig, masked *dataset.Dataset, attrs []int) float64 {
-	n := orig.Rows()
-	if n == 0 || len(attrs) == 0 {
-		return 0
-	}
-	subsets := stats.SubsetsUpTo(len(attrs), c.maxDimOrDefault())
-	l1 := make([]int, len(subsets))
-	for s, subset := range subsets {
-		to, tm := subsetTables(orig, masked, attrs, subset)
-		l1[s] = to.L1Distance(tm)
-	}
-	return ctbilValue(l1, n)
-}
-
-// subsetTables tabulates the original and masked contingency tables of
-// one attribute subset (positions into attrs), reading both files in
-// place.
-func subsetTables(orig, masked *dataset.Dataset, attrs, subset []int) (to, tm *stats.ContingencyTable) {
-	cols := make([]int, len(subset))
-	for i, rel := range subset {
-		cols[i] = attrs[rel]
-	}
-	return stats.NewContingencyTable(orig, cols), stats.NewContingencyTable(masked, cols)
+	return c.bind(orig, attrs).loss(masked)
 }
 
 // ctbilValue folds the per-table L1 distances into the measure value. Both

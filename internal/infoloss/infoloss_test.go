@@ -114,6 +114,44 @@ func TestCTBILHandComputed(t *testing.T) {
 	}
 }
 
+// TestEBILHandComputed pins EBIL to its definition, the conditional
+// entropy H(orig | masked) of each attribute over log2(card), averaged
+// over the attributes, on four records worked by hand:
+//
+//	record  x orig  x masked  y orig  y masked
+//	0       a       a         p       p
+//	1       b       a         q       p
+//	2       a       b         r       s
+//	3       b       b         s       s
+//
+// x (card 2): masked a holds originals {a, b} and masked b holds {a, b},
+// each half the records with entropy 1 bit, so H = 1/2·1 + 1/2·1 = 1 and
+// the term is 1/log2(2) = 1: the masking erased x.
+// y (card 4): masked p holds originals {p, q} and masked s holds {r, s},
+// each 1 bit, so H = 1 again, but the term is 1/log2(4) = 0.5: one of
+// y's two bits survives.
+// EBIL = 100·(1 + 0.5)/2 = 75. Every probability is 1/2, so every value
+// is exact in floating point.
+func TestEBILHandComputed(t *testing.T) {
+	s := dataset.MustSchema(
+		dataset.MustAttribute("x", []string{"a", "b"}, true),
+		dataset.MustAttribute("y", []string{"p", "q", "r", "s"}, false),
+	)
+	orig, _ := dataset.FromRecords(s, [][]string{{"a", "p"}, {"b", "q"}, {"a", "r"}, {"b", "s"}})
+	masked, _ := dataset.FromRecords(s, [][]string{{"a", "p"}, {"a", "p"}, {"b", "s"}, {"b", "s"}})
+	var e EBIL
+	if got := e.Loss(orig, masked, []int{0, 1}); got != 75 {
+		t.Fatalf("EBIL = %v, want 75", got)
+	}
+	st := e.Prepare(orig, masked, []int{0, 1}).(*ebilState)
+	if st.terms[0] != 1 || st.terms[1] != 0.5 {
+		t.Fatalf("EBIL terms = %v, want [1 0.5]", st.terms)
+	}
+	if got := e.Apply(st, nil); got != 75 {
+		t.Fatalf("EBIL state = %v, want 75", got)
+	}
+}
+
 func TestCTBILDimensionSensitivity(t *testing.T) {
 	// Swapping values of two perfectly-correlated columns between records
 	// preserves one-way tables but destroys the two-way table.

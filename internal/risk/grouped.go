@@ -21,12 +21,17 @@ package risk
 // the dataset they are given (readTuple), at its own cell width, with no
 // column copies. An unbound full DBRL or PRL Risk groups both files on
 // every call. Binding (see the measure package) groups the original file
-// once (groupOriginal) into a compact grouping that the bound value
-// keeps, shared read-only by the bound full Risk and by every state it
-// prepares and their clones; only the masked grouping is per call, in
-// pooled scratch (linkGroups). DBRL and PRL pass the shared grouping to
-// the same kernels and key their own rows by its tuples; RSRL keys its
-// candidate intersections by them.
+// once: bindLink builds the linkage core (linkOrig) that a bound DBRL,
+// PRL and RSRL each embed — the compact grouping, the positions of the
+// protected columns and, for the measures that read them, a state's
+// projection columns and the original tuples per category — shared
+// read-only by the bound full Risk and by every state it prepares and
+// their clones; only the masked grouping is per call, in pooled scratch
+// (linkGroups). DBRL and PRL pass the shared grouping to the same
+// kernels and key their own rows by its tuples; RSRL keys its candidate
+// intersections by them. The masked side DBRL and PRL keep alike — the
+// projection, the patch scratch and the wide-route bookkeeping — is one
+// embedded linkState.
 
 import (
 	"math"
@@ -34,6 +39,7 @@ import (
 	"sync"
 
 	"evoprot/internal/dataset"
+	"evoprot/internal/measure"
 )
 
 // tupleGroups partitions a record set by protected tuple. Groups are
@@ -137,14 +143,72 @@ func (g *tupleGroups) compact() *tupleGroups {
 	return out
 }
 
-// groupOriginal groups the original records of orig over attrs through
-// pooled scratch and returns the compact grouping: the one a bound DBRL,
-// PRL or RSRL keeps and its states share.
-func groupOriginal(orig *dataset.Dataset, attrs []int) *tupleGroups {
+// linkOrig is the linkage core of a bound DBRL, PRL or RSRL: what the
+// three build alike from the original file, read-only once built.
+// dbrlOrig, prlOrig and rsrlOrig embed it.
+type linkOrig struct {
+	n     int
+	attrs []int        // the protected columns: full Risk reads them
+	pos   map[int]int  // protected column -> attribute position
+	orig  *tupleGroups // original records grouped by tuple; nil for an empty pair
+	// cols are the columns 0 … attrs-1 of a DBRL or PRL state's masked
+	// projection, which holds the protected attributes alone.
+	cols []int
+	// catTuples[a][v] lists the original tuples holding category v of
+	// attribute a (PRL and RSRL).
+	catTuples [][][]int32
+}
+
+// bindLink builds the linkage core of (orig, attrs): for a pair with
+// records and attributes, the compact grouping (grouped in pooled
+// scratch) and the positions, plus the projection columns when proj and
+// the tuples per category when catTuples — only what the calling measure
+// reads.
+func bindLink(orig *dataset.Dataset, attrs []int, proj, catTuples bool) linkOrig {
+	o := linkOrig{n: orig.Rows(), attrs: attrs}
+	if o.n == 0 || len(attrs) == 0 {
+		return o
+	}
+	o.pos = measure.Positions(attrs)
 	lg := linkGroupsPool.Get().(*linkGroups)
-	defer linkGroupsPool.Put(lg)
 	lg.orig.group(orig, attrs)
-	return lg.orig.compact()
+	o.orig = lg.orig.compact()
+	linkGroupsPool.Put(lg)
+	if proj {
+		o.cols = make([]int, len(attrs))
+		for a := range o.cols {
+			o.cols[a] = a
+		}
+	}
+	if catTuples {
+		o.catTuples = make([][][]int32, len(attrs))
+		for a, c := range attrs {
+			o.catTuples[a] = buckets(o.orig.cols[a], orig.Schema().Attr(c).Cardinality())
+		}
+	}
+	return o
+}
+
+// buckets lists, for every k < num, the positions i with keys[i] == k in
+// increasing order. One counting pass sizes the lists, which share one
+// backing array.
+func buckets[K int | int32](keys []K, num int) [][]int32 {
+	end := make([]int, num+1)
+	for _, k := range keys {
+		end[k+1]++
+	}
+	for k := 1; k <= num; k++ {
+		end[k] += end[k-1]
+	}
+	flat := make([]int32, len(keys))
+	out := make([][]int32, num)
+	for k := range out {
+		out[k] = flat[end[k]:end[k]:end[k+1]]
+	}
+	for i, k := range keys {
+		out[k] = append(out[k], int32(i))
+	}
+	return out
 }
 
 // readTuple fills tuple with record j of d over the columns cols.
@@ -152,16 +216,6 @@ func readTuple(tuple []int, d *dataset.Dataset, cols []int, j int) {
 	for a, c := range cols {
 		tuple[a] = d.At(j, c)
 	}
-}
-
-// positions returns the column positions 0 … k-1: the columns of a
-// state's masked projection, which holds the protected attributes alone.
-func positions(k int) []int {
-	out := make([]int, k)
-	for a := range out {
-		out[a] = a
-	}
-	return out
 }
 
 // pattern returns the agreement bitmask between original tuple k and a
@@ -178,7 +232,7 @@ func (g *tupleGroups) pattern(k int, tuple []int) int {
 
 // distance returns the mixed categorical distance between original tuple
 // k and a masked record's tuple.
-func (g *tupleGroups) distance(k int, tuple []int, tables []distTable) int64 {
+func (g *tupleGroups) distance(k int, tuple []int, tables []pairTable) int64 {
 	var d int64
 	for a, col := range g.cols {
 		d += tables[a].at(col[k], tuple[a])
@@ -187,8 +241,9 @@ func (g *tupleGroups) distance(k int, tuple []int, tables []distTable) int64 {
 }
 
 // linkGroups is the working memory of one grouped DBRL or PRL pass and
-// of the original grouping of a bind (groupOriginal): the original
-// records grouped by tuple for an unbound full Risk or a bind, the masked
+// of the original grouping of a bind (bindLink): the original records
+// grouped by tuple, which serves only bindLink and DBRL's and PRL's
+// unbound full Risk, the masked
 // records grouped by tuple, one masked record's tuple, one original
 // group's row of distances or patterns against every masked group, per
 // original group the best score found and how many masked records attain
@@ -213,17 +268,9 @@ type linkGroups struct {
 
 var linkGroupsPool = sync.Pool{New: func() any { return new(linkGroups) }}
 
-// relinkCost estimates the work of one grouped pass against the original
-// grouping o from the tuple counts of the last masked grouping:
-// D_orig·D_masked·attrs to compare the distinct tuple pairs plus n·attrs
-// to group the masked records and read back each record's summary.
-func (lg *linkGroups) relinkCost(o *tupleGroups, n, numAttrs int) int {
-	return (len(o.mult)*len(lg.masked.mult) + n) * numAttrs
-}
-
 // distances returns original group g of o's distance to every masked
 // group.
-func (lg *linkGroups) distances(o *tupleGroups, g int, tables []distTable) []int64 {
+func (lg *linkGroups) distances(o *tupleGroups, g int, tables []pairTable) []int64 {
 	dist := resize(lg.dist, len(lg.masked.mult))
 	clear(dist)
 	for a, col := range lg.masked.cols {
@@ -265,7 +312,7 @@ func markAgreement(pats, col []int, u, bit int) {
 // nearest sets, for every original group of o, best to its smallest
 // distance to a masked record and count to how many masked records lie
 // at it.
-func (lg *linkGroups) nearest(o *tupleGroups, tables []distTable) {
+func (lg *linkGroups) nearest(o *tupleGroups, tables []pairTable) {
 	numOrig := len(o.mult)
 	lg.best = resize(lg.best, numOrig)
 	lg.count = resize(lg.count, numOrig)

@@ -8,21 +8,26 @@ package risk
 // Shared and owned. Each measure binds (Bind, see the measure package)
 // to one original file and attribute list: its origData (idOrig,
 // dbrlOrig, prlOrig, rsrlOrig) holds what depends on that pair alone and
-// is built once per bound value, or once per call of an unbound Prepare
-// or RSRL Risk, which bind first; the other unbound Risk methods compute
-// what they need as they go (DBRL and PRL group the original in pooled
-// scratch, grouped.go). Every state embeds a pointer to it and shares it
+// is built once per bound value, or once per call of an unbound Prepare,
+// or of an unbound ID or RSRL Risk, all of which bind first. Only DBRL's
+// and PRL's unbound Risk compute what they need as they go, grouping the
+// original in pooled scratch (grouped.go), so that they allocate next to
+// nothing. Every state embeds a pointer to its origData and shares it
 // read-only with every other state of the bound value and every clone;
 // a state owns only what describes its masked file, its scratch and its
 // undo journal.
 //
-//   - Shared: the positions of the protected columns, ID's contribution
-//     tables, DBRL's distance tables, the compact original grouping of
-//     DBRL, PRL and RSRL (grouped.go), PRL's original tuples per category,
-//     and RSRL's original mid-ranks, group members and groups per
-//     category.
-//   - Owned: ID's disclosed-window count, the DBRL, PRL and RSRL rows,
-//     histograms, bitsets and counts below, and the masked projections.
+//   - Shared: ID's positions and contribution tables (one flat card×card
+//     table per attribute); the linkage core of DBRL, PRL and RSRL
+//     (linkOrig, built by bindLink in grouped.go: the compact original
+//     grouping, the positions, and, for the measures that read them, the
+//     projection columns and the original tuples per category); DBRL's
+//     distance tables; and RSRL's original mid-ranks and group members.
+//     Each bound measure holds its own copy of the core.
+//   - Owned: ID's disclosed-window count; the masked side DBRL and PRL
+//     keep alike (linkState: the masked projection, the patch scratch,
+//     the re-link cost, the stale flags and the undo journal); and the
+//     DBRL, PRL and RSRL rows, histograms, bitsets and counts below.
 //
 // Coverage:
 //
@@ -30,12 +35,13 @@ package risk
 //   - DBRL and PRL read the shared grouping of the original records by
 //     protected tuple. Their rows are per distinct original
 //     tuple, since records sharing a tuple link alike; only the
-//     true-match summary is per record. Each owns the masked file's
-//     projection onto the protected attributes (Dataset.Project), stored
-//     at the width those attributes' domains allow: a byte per cell for
-//     every synthetic dataset, which is all a clone copies of the masked
-//     file. A patch reads the edited record's tuple from it once, into
-//     the state's scratch, before its per-tuple loop.
+//     true-match summary is per record. Each embeds a linkState, which
+//     owns the masked file's projection onto the protected attributes
+//     (Dataset.Project), stored at the width those attributes' domains
+//     allow: a byte per cell for every synthetic dataset, which is all a
+//     clone copies of the masked file. A patch reads the edited record's
+//     tuple from it once, into the state's scratch, before its per-tuple
+//     loop.
 //   - DBRL caches each original tuple's nearest-masked-record distance
 //     and tie count, and each record's true-match distance. A cell
 //     change moves one masked record, so exactly one distance per tuple
@@ -69,17 +75,19 @@ package risk
 // D_orig·D_masked·attrs + n·attrs, whatever the list. Each state counts
 // both in per-attribute comparisons, from the list and from the tuple
 // counts of its last full link, and re-links in full once patching would
-// cost more: a wide ApplyUndo writes the list into the state's masked
-// cells only, scores them with the grouped kernel of full Risk, which
-// reads the projection's cells in place as it reads full Risk's files,
-// against the shared original grouping, and leaves the rows or
-// histograms stale for Undo, which then restores just those cells. Every
-// state reads its projection through the column positions 0 … attrs-1
-// (readTuple), full Risk the files through the protected attributes
-// themselves. The next Apply or narrow ApplyUndo of a stale state (one
-// committing a pending wide ApplyUndo, or a clone of one) re-links and
-// rebuilds the rows or histograms in place, as Prepare does, before it
-// patches. Apply itself picks no route: it commits an empty list or one
+// cost more. The wide route is one skeleton, linkState's, for both: a
+// wide ApplyUndo writes the list into the state's masked cells only
+// (editWide), scores them with the grouped kernel of full Risk (the
+// bound value's link), which reads the projection's cells in place as it
+// reads full Risk's files, against the shared original grouping, and
+// leaves the rows or histograms stale for Undo, which then restores just
+// those cells (undoWide). Every state reads its projection through the
+// column positions 0 … attrs-1 (readTuple), full Risk the files through
+// the protected attributes themselves. The next Apply or narrow
+// ApplyUndo of a stale state (one committing a pending wide ApplyUndo,
+// or a clone of one) re-links and rebuilds the rows or histograms in
+// place, as Prepare does, before it patches (regroup starts each
+// re-link). Apply itself picks no route: it commits an empty list or one
 // its ApplyUndo has already judged narrow.
 // The original file never changes, so neither route re-groups it.
 // The estimate reads counts only, never a clock, so the route of every
@@ -194,30 +202,22 @@ func (b *bound) Risk(orig, masked *dataset.Dataset, attrs []int) float64 {
 	return b.o.risk(masked)
 }
 
-// setCells writes changes, in order, into the masked projection mc, where
-// pos maps a dataset column to its column in mc.
-func setCells(mc *dataset.Dataset, pos map[int]int, changes []dataset.CellChange) {
-	for _, ch := range changes {
-		mc.Set(ch.Row, pos[ch.Col], ch.New)
-	}
-}
-
 // --- ID (interval disclosure) ---
 
 // idOrig is ID bound to one original file and attribute list: the
 // per-attribute contribution tables and positions, shared read-only by
-// every state.
+// every state and read by full Risk.
 type idOrig struct {
 	n, maxP int
 	orig    *dataset.Dataset
 	attrs   []int
 	pos     map[int]int
-	contrib [][][]int // per attr position: card x card (idContrib)
+	contrib []pairTable // per attr position (idContrib)
 }
 
 type idState struct {
 	*idOrig   // shared
-	disclosed int
+	disclosed int64
 	undo      measure.Journal // pending ApplyUndo; never shared by clones
 }
 
@@ -239,18 +239,23 @@ func (id *IntervalDisclosure) bind(orig *dataset.Dataset, attrs []int) *idOrig {
 		return o
 	}
 	o.pos = measure.Positions(attrs)
-	o.contrib = make([][][]int, len(attrs))
+	o.contrib = make([]pairTable, len(attrs))
 	for a, c := range attrs {
 		o.contrib[a] = idContrib(orig, c, o.maxP)
 	}
 	return o
 }
 
-// count counts masked's disclosing windows over every attribute.
-func (o *idOrig) count(masked *dataset.Dataset) int {
-	disclosed := 0
+// count counts masked's disclosing windows over every attribute and
+// record, reading the cells of both files in place.
+func (o *idOrig) count(masked *dataset.Dataset) int64 {
+	var disclosed int64
+	orig := o.orig
 	for a, c := range o.attrs {
-		disclosed += idDisclosed(o.contrib[a], o.orig, masked, c)
+		t := o.contrib[a]
+		for r := range o.n {
+			disclosed += t.at(orig.At(r, c), masked.At(r, c))
+		}
 	}
 	return disclosed
 }
@@ -277,9 +282,9 @@ func (id *IntervalDisclosure) Prepare(orig, masked *dataset.Dataset, attrs []int
 // patchOne adjusts the disclosed count by one cell change; self-inverse
 // under CellChange.Inverted (integer arithmetic only).
 func (s *idState) patchOne(ch dataset.CellChange) {
-	a := s.pos[ch.Col]
+	t := s.contrib[s.pos[ch.Col]]
 	u := s.orig.At(ch.Row, ch.Col)
-	s.disclosed += s.contrib[a][u][ch.New] - s.contrib[a][u][ch.Old]
+	s.disclosed += t.at(u, ch.New) - t.at(u, ch.Old)
 }
 
 // Apply implements Incremental. A plain Apply commits any pending
@@ -306,45 +311,109 @@ func (id *IntervalDisclosure) Undo(state State) {
 	st.undo.Rewind(st.patchOne)
 }
 
+// --- DBRL and PRL: the masked side ---
+
+// linkState is the masked side a DBRL and a PRL state keep alike: the
+// masked file's projection, the patch scratch, the wide-route
+// bookkeeping and the undo journal. dbrlState and prlState embed it.
+type linkState struct {
+	// mc is the masked file projected onto the protected attributes
+	// (Dataset.Project), owned.
+	mc *dataset.Dataset
+	// tuple is the patches' scratch: the edited masked record's tuple,
+	// never shared by clones.
+	tuple []int
+	// relinkCost is the estimated cost of a full grouped re-link, from
+	// the tuple counts of the last one (regroup).
+	relinkCost int
+	// stale marks rows that lag mc: a wide ApplyUndo wrote its edits into
+	// mc only (editWide). The next Apply or narrow ApplyUndo re-links
+	// first; Undo puts back wasStale, the flag's value before the wide
+	// ApplyUndo (a clone of a pending wide edit starts stale).
+	stale, wasStale bool
+	// undo holds the pending ApplyUndo's change list; never shared by
+	// clones.
+	undo measure.Journal
+}
+
+// newLinkState projects masked onto the protected columns attrs.
+func newLinkState(masked *dataset.Dataset, attrs []int) linkState {
+	return linkState{mc: masked.Project(attrs), tuple: make([]int, len(attrs))}
+}
+
+// clone copies the masked cells and the route bookkeeping, with fresh
+// scratch and an empty journal.
+func (ls *linkState) clone() linkState {
+	return linkState{mc: ls.mc.Clone(), tuple: make([]int, len(ls.tuple)), relinkCost: ls.relinkCost, stale: ls.stale}
+}
+
+// regroup starts a full re-link against the core o: it groups the masked
+// cells into pooled scratch, which the caller puts back once it has
+// rebuilt its rows from it, marks the rows fresh, and records the cost
+// of the pass: D_orig·D_masked·attrs to compare the distinct tuple pairs
+// plus n·attrs to group the masked records and read back each record's
+// summary.
+func (ls *linkState) regroup(o *linkOrig) *linkGroups {
+	lg := linkGroupsPool.Get().(*linkGroups)
+	lg.masked.group(ls.mc, o.cols)
+	ls.relinkCost = (len(o.orig.mult)*len(lg.masked.mult) + o.n) * len(o.cols)
+	ls.stale = false
+	return lg
+}
+
+// editWide is the wide route of ApplyUndo up to its scoring: it writes
+// changes, in order, into the masked cells alone, where pos maps a
+// dataset column to its column in mc, and arms the journal, leaving the
+// rows stale, still describing the unedited file.
+func (ls *linkState) editWide(pos map[int]int, changes []dataset.CellChange) {
+	for _, ch := range changes {
+		ls.mc.Set(ch.Row, pos[ch.Col], ch.New)
+	}
+	ls.undo.Arm(changes)
+	ls.wasStale, ls.stale = ls.stale, true
+}
+
+// rewindCells rewinds the pending ApplyUndo's change list through the
+// masked cells alone, newest first, and reports whether one was pending.
+func (ls *linkState) rewindCells(pos map[int]int) bool {
+	return ls.undo.Rewind(func(ch dataset.CellChange) { ls.mc.Set(ch.Row, pos[ch.Col], ch.New) })
+}
+
+// undoWide is Undo of a stale state, whose pending ApplyUndo, if any, was
+// wide and moved the masked cells alone: it rewinds them and puts back
+// the stale flag. It reports whether the state was stale; a fresh state
+// rewinds its narrow ApplyUndo itself.
+func (ls *linkState) undoWide(pos map[int]int) bool {
+	if !ls.stale {
+		return false
+	}
+	if ls.rewindCells(pos) {
+		ls.stale = ls.wasStale
+	}
+	return true
+}
+
 // --- DBRL (distance-based record linkage) ---
 
 // dbrlOrig is DBRL bound to one original file and attribute list: the
-// compact original grouping, the distance tables and the positions,
-// shared read-only by every state.
+// linkage core and the distance tables, shared read-only by every state.
 type dbrlOrig struct {
-	n      int
-	attrs  []int // full Risk's columns
-	pos    map[int]int
-	orig   *tupleGroups // original records grouped by tuple
-	cols   []int        // a state's projection columns, 0 … attrs-1
-	tables []distTable
+	linkOrig
+	tables []pairTable
 }
 
 type dbrlState struct {
-	*dbrlOrig                  // shared
-	mc        *dataset.Dataset // masked file projected onto attrs (Dataset.Project), owned
+	*dbrlOrig // shared
+	linkState // owned
 	// Per original tuple: distance to its nearest masked record and how
 	// many masked records tie at that distance.
 	best  []int64
 	count []int64
 	// Per original record: the distance to its true masked counterpart.
 	trueDist []int64
-	// relinkCost is the estimated cost of a full grouped re-link, from
-	// the tuple counts of the last one (linkGroups.relinkCost).
-	relinkCost int
-	// stale marks rows that lag mc: a wide ApplyUndo wrote its edits into
-	// mc only. The next Apply or narrow ApplyUndo re-links first; Undo
-	// puts back wasStale, the flag's value before the wide ApplyUndo (a
-	// clone of a pending wide edit starts stale).
-	stale, wasStale bool
-	// tuple is patchOne's scratch: the edited masked record's tuple,
-	// never shared by clones.
-	tuple []int
-	// undo holds the pending ApplyUndo's change list, which Undo rewinds
-	// through the masked cells; rowLog and distLog hold the
-	// before-images of the rows and true-match distances its patches
-	// overwrote, oldest first. None of them is shared by clones.
-	undo    measure.Journal
+	// rowLog and distLog hold the before-images of the rows and
+	// true-match distances the pending ApplyUndo's patches overwrote,
+	// oldest first; never shared by clones.
 	rowLog  []dbrlRow
 	distLog []dbrlDist
 }
@@ -365,13 +434,11 @@ type dbrlDist struct {
 // CloneState implements State.
 func (s *dbrlState) CloneState() State {
 	return &dbrlState{
-		dbrlOrig:   s.dbrlOrig,
-		mc:         s.mc.Clone(),
-		tuple:      make([]int, len(s.tuple)),
-		best:       slices.Clone(s.best),
-		count:      slices.Clone(s.count),
-		trueDist:   slices.Clone(s.trueDist),
-		relinkCost: s.relinkCost, stale: s.stale,
+		dbrlOrig:  s.dbrlOrig,
+		linkState: s.clone(),
+		best:      slices.Clone(s.best),
+		count:     slices.Clone(s.count),
+		trueDist:  slices.Clone(s.trueDist),
 	}
 }
 
@@ -381,42 +448,43 @@ func (dl *DistanceLinkage) Bind(orig *dataset.Dataset, attrs []int) Reversible {
 	return &bound{Reversible: dl, Binding: b, o: dl.bind(orig, b.Attrs())}
 }
 
-// bind groups the original records by tuple and builds the distance
-// tables.
+// bind builds the linkage core, with the projection columns, and the
+// distance tables.
 func (dl *DistanceLinkage) bind(orig *dataset.Dataset, attrs []int) *dbrlOrig {
-	n := orig.Rows()
-	if n == 0 || len(attrs) == 0 {
-		return &dbrlOrig{}
+	o := &dbrlOrig{linkOrig: bindLink(orig, attrs, true, false)}
+	if o.orig != nil {
+		o.tables = distanceTables(orig, attrs)
 	}
-	return &dbrlOrig{
-		n: n, attrs: attrs, pos: measure.Positions(attrs),
-		orig: groupOriginal(orig, attrs), cols: positions(len(attrs)),
-		tables: distanceTables(orig, attrs),
-	}
+	return o
 }
 
-// risk is full Risk against the bound grouping and tables.
-func (o *dbrlOrig) risk(masked *dataset.Dataset) float64 {
-	if o.n == 0 {
-		return 0
-	}
+// link is DBRL of masked, read at its columns cols, against the bound
+// grouping and tables: full Risk passes the file at the protected
+// attributes, a wide ApplyUndo the state's projection.
+func (o *dbrlOrig) link(masked *dataset.Dataset, cols []int) float64 {
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	return dbrlGrouped(lg, o.orig, masked, o.attrs, o.tables)
+	return dbrlGrouped(lg, o.orig, masked, cols, o.tables)
+}
+
+func (o *dbrlOrig) risk(masked *dataset.Dataset) float64 {
+	if o.orig == nil {
+		return 0
+	}
+	return o.link(masked, o.attrs)
 }
 
 // prepare builds the rows from one grouped pass (grouped.go).
 func (o *dbrlOrig) prepare(masked *dataset.Dataset) State {
-	if o.n == 0 {
+	if o.orig == nil {
 		return nil
 	}
 	st := &dbrlState{
-		dbrlOrig: o,
-		mc:       masked.Project(o.attrs),
-		tuple:    make([]int, len(o.attrs)),
-		best:     make([]int64, len(o.orig.mult)),
-		count:    make([]int64, len(o.orig.mult)),
-		trueDist: make([]int64, o.n),
+		dbrlOrig:  o,
+		linkState: newLinkState(masked, o.attrs),
+		best:      make([]int64, len(o.orig.mult)),
+		count:     make([]int64, len(o.orig.mult)),
+		trueDist:  make([]int64, o.n),
 	}
 	st.relink()
 	return st
@@ -430,9 +498,8 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 // relink rebuilds every tuple's row and every record's true-match
 // distance from the masked cells in one grouped pass.
 func (st *dbrlState) relink() {
-	lg := linkGroupsPool.Get().(*linkGroups)
+	lg := st.regroup(&st.linkOrig)
 	defer linkGroupsPool.Put(lg)
-	lg.masked.group(st.mc, st.cols)
 	lg.nearest(st.orig, st.tables)
 	copy(st.best, lg.best)
 	copy(st.count, lg.count)
@@ -440,8 +507,6 @@ func (st *dbrlState) relink() {
 		readTuple(st.tuple, st.mc, st.cols, i)
 		st.trueDist[i] = st.orig.distance(int(g), st.tuple, st.tables)
 	}
-	st.relinkCost = lg.relinkCost(st.orig, st.n, len(st.cols))
-	st.stale = false
 }
 
 // wide reports whether patching changes would cost more than a full
@@ -566,8 +631,8 @@ func (dl *DistanceLinkage) Apply(state State, changes []dataset.CellChange) floa
 
 // ApplyUndo implements Reversible. A narrow change list is patched with
 // its before-images journalled. A wide one is written into the masked
-// columns alone and scored by the grouped kernel of full Risk against the
-// state's own original grouping, leaving the rows to describe the
+// cells alone (editWide) and scored by the grouped kernel of full Risk
+// against the shared original grouping, leaving the rows to describe the
 // unedited file.
 func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) float64 {
 	st := state.(*dbrlState)
@@ -576,12 +641,8 @@ func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) 
 		st.undo.Arm(changes)
 		return v
 	}
-	setCells(st.mc, st.pos, changes)
-	st.undo.Arm(changes)
-	st.wasStale, st.stale = st.stale, true
-	lg := linkGroupsPool.Get().(*linkGroups)
-	defer linkGroupsPool.Put(lg)
-	return dbrlGrouped(lg, st.orig, st.mc, st.cols, st.tables)
+	st.editWide(st.pos, changes)
+	return st.link(st.mc, st.cols)
 }
 
 // Undo implements Reversible: the masked cells are rewound, then the
@@ -590,11 +651,7 @@ func (dl *DistanceLinkage) ApplyUndo(state State, changes []dataset.CellChange) 
 // cells moved.
 func (dl *DistanceLinkage) Undo(state State) {
 	st := state.(*dbrlState)
-	if !st.undo.Rewind(func(ch dataset.CellChange) { st.mc.Set(ch.Row, st.pos[ch.Col], ch.New) }) {
-		return
-	}
-	if st.stale {
-		st.stale = st.wasStale
+	if st.undoWide(st.pos) || !st.rewindCells(st.pos) {
 		return
 	}
 	for k := len(st.rowLog) - 1; k >= 0; k-- {
@@ -610,24 +667,16 @@ func (dl *DistanceLinkage) Undo(state State) {
 // --- PRL (probabilistic record linkage) ---
 
 // prlOrig is PRL bound to one original file and attribute list: the
-// compact original grouping, its tuples per category and the positions,
-// shared read-only by every state.
+// linkage core, with the projection columns and, when the pair gets a
+// state, the tuples per category, shared read-only by every state.
 type prlOrig struct {
-	n        int
-	numAttrs int
-	iters    int
-	attrs    []int // full Risk's columns
-	pos      map[int]int
-	orig     *tupleGroups // original records grouped by tuple
-	cols     []int        // a state's projection columns, 0 … attrs-1
-	// ocByCat lists, per attribute position and category, the original
-	// tuples holding it; nil when the pair gets no state (see bind).
-	ocByCat [][][]int32
+	linkOrig
+	iters int
 }
 
 type prlState struct {
-	*prlOrig                  // shared
-	mc       *dataset.Dataset // masked file projected onto the protected attributes, owned
+	*prlOrig  // shared
+	linkState // owned
 	// cnt[g*numPat+pat] counts masked records j with pattern(g,j) == pat
 	// for original tuple g; patCount aggregates cnt over all records,
 	// weighting each tuple by its multiplicity (exact integers in
@@ -635,14 +684,6 @@ type prlState struct {
 	cnt      []int32
 	patCount []float64
 	truePat  []int32 // per original record i: pattern(i, i)
-	// relinkCost is the estimated cost of a full grouped re-link, from
-	// the tuple counts of the last one (linkGroups.relinkCost).
-	relinkCost int
-	// stale marks histograms that lag mc: a wide ApplyUndo wrote its
-	// edits into mc only. The next Apply re-links; Undo puts back
-	// wasStale, the flag's value before the wide ApplyUndo (a clone of a
-	// pending wide edit starts stale).
-	stale, wasStale bool
 	// val is the linkage value of mc while valOK: the last Apply or
 	// ApplyUndo computed it, and no edit of mc has happened since. A
 	// re-link leaves it valid, as it rebuilds the tallies of the same
@@ -654,24 +695,20 @@ type prlState struct {
 	// wide ApplyUndo, lazily sized and never shared: CloneState leaves it
 	// empty, so steady-state Apply calls allocate nothing.
 	em    emScratch
-	order []int32         // patterns by descending weight (strongestLinks)
-	bestW []float64       // per original tuple: highest weight of a masked record
-	ties  []int32         // per original tuple: masked records attaining bestW
-	tuple []int           // patchOne scratch: the edited masked record's tuple; never shared
-	undo  measure.Journal // pending ApplyUndo; never shared by clones
+	order []int32   // patterns by descending weight (strongestLinks)
+	bestW []float64 // per original tuple: highest weight of a masked record
+	ties  []int32   // per original tuple: masked records attaining bestW
 }
 
 // CloneState implements State.
 func (s *prlState) CloneState() State {
 	return &prlState{
-		prlOrig:    s.prlOrig,
-		mc:         s.mc.Clone(),
-		tuple:      make([]int, len(s.tuple)),
-		cnt:        slices.Clone(s.cnt),
-		patCount:   slices.Clone(s.patCount),
-		truePat:    slices.Clone(s.truePat),
-		relinkCost: s.relinkCost, stale: s.stale,
-		val: s.val, valOK: s.valOK,
+		prlOrig:   s.prlOrig,
+		linkState: s.clone(),
+		cnt:       slices.Clone(s.cnt),
+		patCount:  slices.Clone(s.patCount),
+		truePat:   slices.Clone(s.truePat),
+		val:       s.val, valOK: s.valOK,
 	}
 }
 
@@ -681,64 +718,62 @@ func (pl *ProbabilisticLinkage) Bind(orig *dataset.Dataset, attrs []int) Reversi
 	return &bound{Reversible: pl, Binding: b, o: pl.bind(orig, b.Attrs())}
 }
 
-// bind groups the original records by tuple and, when the pair gets a
-// state, lists each category's tuples.
+// bind builds the linkage core with the projection columns and, when the
+// pair gets a state, each category's tuples.
 func (pl *ProbabilisticLinkage) bind(orig *dataset.Dataset, attrs []int) *prlOrig {
-	o := &prlOrig{n: orig.Rows(), numAttrs: len(attrs), iters: pl.EMIters, attrs: attrs}
+	o := &prlOrig{iters: pl.EMIters}
 	if o.iters <= 0 {
 		o.iters = 30
 	}
-	if o.n == 0 || len(attrs) == 0 || len(attrs) > MaxPRLAttrs {
-		return o
-	}
-	o.pos = measure.Positions(attrs)
-	o.orig = groupOriginal(orig, attrs)
-	o.cols = positions(len(attrs))
-	if 1<<len(attrs) > o.n {
-		// Every value call runs EM over the 2^attrs patterns and scans
-		// the D×2^attrs tuple histograms, which also set the cost of a
-		// clone and a re-link, while a full recompute costs O(n·attrs)
-		// grouping plus O(D_orig·D_masked·attrs) for D distinct tuples.
-		// Once the pattern space outgrows the record count the full
-		// recompute is the cheaper path, and the pair gets no state. The
-		// guard counts records, not tuples, so whether an evaluator
-		// holds a PRL state depends on the file's size and attributes
-		// only.
-		return o
-	}
-	o.ocByCat = make([][][]int32, len(attrs))
-	for a, c := range attrs {
-		o.ocByCat[a] = buckets(o.orig.cols[a], orig.Schema().Attr(c).Cardinality())
-	}
+	// Every value call runs EM over the 2^attrs patterns and scans the
+	// D×2^attrs tuple histograms, which also set the cost of a clone and
+	// a re-link, while a full recompute costs O(n·attrs) grouping plus
+	// O(D_orig·D_masked·attrs) for D distinct tuples. Once the pattern
+	// space outgrows the record count the full recompute is the cheaper
+	// path, and the pair gets no state. The guard counts records, not
+	// tuples, so whether an evaluator holds a PRL state depends on the
+	// file's size and attributes only.
+	state := len(attrs) <= MaxPRLAttrs && 1<<len(attrs) <= orig.Rows()
+	o.linkOrig = bindLink(orig, attrs, true, state)
 	return o
 }
 
-// risk is full Risk against the bound grouping.
-func (o *prlOrig) risk(masked *dataset.Dataset) float64 {
-	if o.n == 0 || o.numAttrs == 0 {
-		return 0
-	}
-	if o.numAttrs > MaxPRLAttrs {
-		panic(errPRLAttrs)
-	}
+// link is PRL of masked, read at its columns cols, against the bound
+// grouping, with the EM scratch em, or the pooled one when em is nil:
+// full Risk passes the file at the protected attributes, a wide
+// ApplyUndo the state's projection and its own scratch, which the
+// state's value calls keep sized, so the wide route allocates nothing.
+func (o *prlOrig) link(masked *dataset.Dataset, cols []int, em *emScratch) float64 {
 	lg := linkGroupsPool.Get().(*linkGroups)
 	defer linkGroupsPool.Put(lg)
-	return prlGrouped(lg, &lg.em, o.orig, masked, o.attrs, o.iters)
+	if em == nil {
+		em = &lg.em
+	}
+	return prlGrouped(lg, em, o.orig, masked, cols, o.iters)
+}
+
+func (o *prlOrig) risk(masked *dataset.Dataset) float64 {
+	if o.orig == nil {
+		return 0
+	}
+	if len(o.attrs) > MaxPRLAttrs {
+		panic(errPRLAttrs)
+	}
+	return o.link(masked, o.attrs, nil)
 }
 
 // prepare builds the histograms from one grouped pass (grouped.go).
 func (o *prlOrig) prepare(masked *dataset.Dataset) State {
-	if o.ocByCat == nil {
+	if o.catTuples == nil {
 		return nil
 	}
-	numPat := 1 << o.numAttrs
+	numPat := 1 << len(o.attrs)
 	st := &prlState{
-		prlOrig:  o,
-		mc:       masked.Project(o.attrs),
-		tuple:    make([]int, o.numAttrs),
-		cnt:      make([]int32, len(o.orig.mult)*numPat),
-		patCount: make([]float64, numPat),
-		truePat:  make([]int32, o.n),
+		prlOrig:   o,
+		linkState: newLinkState(masked, o.attrs),
+		cnt:       make([]int32, len(o.orig.mult)*numPat),
+		patCount:  make([]float64, numPat),
+		truePat:   make([]int32, o.n),
 	}
 	st.relink()
 	return st
@@ -753,11 +788,10 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 // patterns and the pattern tally from the masked cells in one grouped
 // pass.
 func (st *prlState) relink() {
-	numPat := 1 << st.numAttrs
+	numPat := 1 << len(st.cols)
 	o := st.orig
-	lg := linkGroupsPool.Get().(*linkGroups)
+	lg := st.regroup(&st.linkOrig)
 	defer linkGroupsPool.Put(lg)
-	lg.masked.group(st.mc, st.cols)
 	clear(st.cnt)
 	clear(st.patCount)
 	for g, mult := range o.mult {
@@ -771,8 +805,6 @@ func (st *prlState) relink() {
 		readTuple(st.tuple, st.mc, st.cols, i)
 		st.truePat[i] = int32(o.pattern(int(g), st.tuple))
 	}
-	st.relinkCost = lg.relinkCost(o, st.n, st.numAttrs)
-	st.stale = false
 }
 
 // wide reports whether patching changes in and out again would cost more
@@ -782,8 +814,8 @@ func (st *prlState) relink() {
 func (st *prlState) wide(changes []dataset.CellChange) bool {
 	cost := 0
 	for _, ch := range changes {
-		byCat := st.ocByCat[st.pos[ch.Col]]
-		cost += 2 * (len(byCat[ch.Old]) + len(byCat[ch.New])) * st.numAttrs
+		byCat := st.catTuples[st.pos[ch.Col]]
+		cost += 2 * (len(byCat[ch.Old]) + len(byCat[ch.New])) * len(st.cols)
 		if cost > st.relinkCost {
 			return true
 		}
@@ -795,7 +827,7 @@ func (st *prlState) wide(changes []dataset.CellChange) bool {
 // tallies are exact integers and pure functions of the masked cells,
 // so replaying inverted changes in reverse restores them exactly.
 func (st *prlState) patchOne(ch dataset.CellChange) {
-	numPat := 1 << st.numAttrs
+	numPat := 1 << len(st.cols)
 	a0 := st.pos[ch.Col]
 	j0 := ch.Row
 	o := st.orig
@@ -805,7 +837,7 @@ func (st *prlState) patchOne(ch dataset.CellChange) {
 	// Only original tuples agreeing with the old or new category see
 	// their pattern against masked record j0 flip bit a0.
 	for _, cat := range [2]int{ch.Old, ch.New} {
-		for _, g := range st.ocByCat[a0][cat] {
+		for _, g := range st.catTuples[a0][cat] {
 			patOld := o.pattern(int(g), tuple)
 			patNew := patOld &^ (1 << a0)
 			if o.cols[a0][g] == ch.New {
@@ -826,14 +858,6 @@ func (st *prlState) patchOne(ch dataset.CellChange) {
 	st.truePat[j0] = int32(o.pattern(int(o.of[j0]), tuple))
 }
 
-// edit writes changes into the masked cells alone.
-func (st *prlState) edit(changes []dataset.CellChange) {
-	if len(changes) > 0 {
-		setCells(st.mc, st.pos, changes)
-		st.valOK = false
-	}
-}
-
 // value returns the linkage value of mc: the cached one while valid,
 // otherwise a re-estimate and re-link from the pattern tallies —
 // identical inputs and arithmetic to the full Risk, so identical m/u
@@ -843,8 +867,8 @@ func (st *prlState) value() float64 {
 	if st.valOK {
 		return st.val
 	}
-	numPat := 1 << st.numAttrs
-	st.em.size(st.numAttrs)
+	numPat := 1 << len(st.cols)
+	st.em.size(len(st.cols))
 	weights := st.em.matchWeights(st.patCount, float64(st.n)*float64(st.n), float64(st.n), st.iters)
 	numOrig := len(st.orig.mult)
 	st.bestW = resize(st.bestW, numOrig)
@@ -900,27 +924,25 @@ func strongestLinks(weights []float64, cnt []int32, order []int32, bestW []float
 }
 
 // Apply implements Incremental. A plain Apply commits any pending
-// ApplyUndo and patches the histograms by every change; a stale state (a
-// pending wide ApplyUndo, or a clone of one) re-links them in full
-// instead. An empty Apply committing a pending ApplyUndo returns its
-// cached value.
+// ApplyUndo and patches the histograms by every change. Stale histograms
+// (a pending wide ApplyUndo, or a clone of one) re-link first, so an
+// empty Apply committing a pending ApplyUndo re-links once and returns
+// its cached value.
 func (pl *ProbabilisticLinkage) Apply(state State, changes []dataset.CellChange) float64 {
 	st := state.(*prlState)
 	st.undo.Disarm()
 	if st.stale {
-		st.edit(changes)
 		st.relink()
-	} else {
-		for _, ch := range changes {
-			st.patchOne(ch)
-		}
+	}
+	for _, ch := range changes {
+		st.patchOne(ch)
 	}
 	return st.value()
 }
 
 // ApplyUndo implements Reversible. A wide change list is written into the
-// masked cells alone and scored by the grouped kernel of full Risk
-// against the state's own original grouping, leaving the histograms to
+// masked cells alone (editWide) and scored by the grouped kernel of full
+// Risk against the shared original grouping, leaving the histograms to
 // describe the unedited file.
 func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellChange) float64 {
 	st := state.(*prlState)
@@ -929,24 +951,19 @@ func (pl *ProbabilisticLinkage) ApplyUndo(state State, changes []dataset.CellCha
 		st.undo.Arm(changes)
 		return v
 	}
-	st.edit(changes)
-	st.undo.Arm(changes)
-	st.wasStale, st.stale = st.stale, true
-	lg := linkGroupsPool.Get().(*linkGroups)
-	defer linkGroupsPool.Put(lg)
-	st.val, st.valOK = prlGrouped(lg, &st.em, st.orig, st.mc, st.cols, st.iters), true
+	st.editWide(st.pos, changes)
+	st.val, st.valOK = st.link(st.mc, st.cols, &st.em), true
 	return st.val
 }
 
 // Undo implements Reversible. The EM re-estimation and re-link are pure
 // reads of the tallies, so undo only reverses the integer patches — or,
-// after a wide ApplyUndo, only the masked cells.
+// on a stale state, only the masked cells, after which the cached value
+// is dropped.
 func (pl *ProbabilisticLinkage) Undo(state State) {
 	st := state.(*prlState)
-	if st.stale {
-		if st.undo.Rewind(func(ch dataset.CellChange) { st.mc.Set(ch.Row, st.pos[ch.Col], ch.New) }) {
-			st.stale, st.valOK = st.wasStale, false
-		}
+	if st.undoWide(st.pos) {
+		st.valOK = false
 		return
 	}
 	st.undo.Rewind(st.patchOne)

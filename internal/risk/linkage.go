@@ -30,12 +30,13 @@ func (dl *DistanceLinkage) Risk(orig, masked *dataset.Dataset, attrs []int) floa
 
 // dbrlGrouped is DBRL of the original records grouped in o against the
 // masked records, read in place from the columns cols of masked. It is
-// the kernel of full Risk, which passes its pooled grouping and the
-// masked file at the protected attributes, and of the delta state's wide
-// edits, which pass the state's own grouping and masked projection.
+// the kernel of full Risk, which passes the masked file at the protected
+// attributes and either its pooled grouping (unbound) or the shared one
+// (bound), and of the delta state's wide edits, which pass the shared
+// grouping and the state's masked projection.
 // Nearest distances and tie counts depend only on tuples, so it groups
 // the masked records into lg first (grouped.go).
-func dbrlGrouped(lg *linkGroups, o *tupleGroups, masked *dataset.Dataset, cols []int, tables []distTable) float64 {
+func dbrlGrouped(lg *linkGroups, o *tupleGroups, masked *dataset.Dataset, cols []int, tables []pairTable) float64 {
 	lg.masked.group(masked, cols)
 	lg.nearest(o, tables)
 	lg.tuple = resize(lg.tuple, len(cols))
@@ -50,15 +51,17 @@ func dbrlGrouped(lg *linkGroups, o *tupleGroups, masked *dataset.Dataset, cols [
 	return 100 * credit / float64(len(o.of))
 }
 
-// distTable is a dense card×card matrix of integer-scaled category
-// distances. Integer distances keep tie detection exact — float sums of
-// per-attribute fractions would make "equal distance" depend on rounding.
-type distTable struct {
+// pairTable is a dense card×card matrix of integers indexed by an
+// (original, masked) category pair: DBRL's integer-scaled category
+// distances and ID's disclosing-window counts. Integer distances keep
+// tie detection exact — float sums of per-attribute fractions would make
+// "equal distance" depend on rounding.
+type pairTable struct {
 	card int
 	d    []int64
 }
 
-func (t distTable) at(u, v int) int64 { return t.d[u*t.card+v] }
+func (t pairTable) at(u, v int) int64 { return t.d[u*t.card+v] }
 
 // scaleUnit is one full category-range of distance. It is divisible by
 // card-1 for every cardinality up to 25 (the largest domain in the paper's
@@ -68,12 +71,12 @@ const scaleUnit = 720720
 // distanceTables precomputes per-attribute category distance tables:
 // ordered attributes use rank displacement scaled by scaleUnit/(card−1),
 // nominal attributes 0/scaleUnit.
-func distanceTables(d *dataset.Dataset, attrs []int) []distTable {
-	out := make([]distTable, len(attrs))
+func distanceTables(d *dataset.Dataset, attrs []int) []pairTable {
+	out := make([]pairTable, len(attrs))
 	for a, c := range attrs {
 		attr := d.Schema().Attr(c)
 		card := attr.Cardinality()
-		t := distTable{card: card, d: make([]int64, card*card)}
+		t := pairTable{card: card, d: make([]int64, card*card)}
 		for u := 0; u < card; u++ {
 			for v := 0; v < card; v++ {
 				var dist int64

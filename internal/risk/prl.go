@@ -54,12 +54,13 @@ func (pl *ProbabilisticLinkage) Risk(orig, masked *dataset.Dataset, attrs []int)
 
 // prlGrouped is PRL of the original records grouped in o against the
 // masked records, read in place from the columns cols of masked, with
-// iters EM iterations. It is the kernel of full Risk, which passes its
-// pooled grouping and the masked file at the protected attributes, and
-// of the delta state's wide edits, which pass the state's own grouping
-// and masked projection; em is the caller's EM scratch. Agreement
-// patterns depend only on tuples, so it groups the masked records into lg
-// first (grouped.go).
+// iters EM iterations. It is the kernel of full Risk, which passes the
+// masked file at the protected attributes and either its pooled grouping
+// (unbound) or the shared one (bound), and of the delta state's wide
+// edits, which pass the shared grouping and the state's masked
+// projection; em is the caller's EM scratch. Agreement patterns depend
+// only on tuples, so it groups the masked records into lg first
+// (grouped.go).
 func prlGrouped(lg *linkGroups, em *emScratch, o *tupleGroups, masked *dataset.Dataset, cols []int, iters int) float64 {
 	// Tally agreement patterns over all n² pairs, n of them true matches.
 	n := float64(len(o.of))

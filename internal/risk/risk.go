@@ -73,41 +73,23 @@ func (id *IntervalDisclosure) maxPOrDefault() int {
 	return id.MaxP
 }
 
-// Risk implements Measure.
+// Risk implements Measure. It binds, then reads (idOrig in
+// incremental.go), so full and delta evaluation share one contribution
+// table per attribute.
 func (id *IntervalDisclosure) Risk(orig, masked *dataset.Dataset, attrs []int) float64 {
-	maxP := id.maxPOrDefault()
-	n := orig.Rows()
-	if n == 0 || len(attrs) == 0 {
-		return 0
-	}
-	disclosed := 0
-	for _, c := range attrs {
-		disclosed += idDisclosed(idContrib(orig, c, maxP), orig, masked, c)
-	}
-	return idValue(disclosed, n, len(attrs), maxP)
-}
-
-// idDisclosed counts one attribute's disclosing windows over every
-// record, reading the cells of both files in place.
-func idDisclosed(contrib [][]int, orig, masked *dataset.Dataset, c int) int {
-	disclosed := 0
-	for r := range orig.Rows() {
-		disclosed += contrib[orig.At(r, c)][masked.At(r, c)]
-	}
-	return disclosed
+	return id.bind(orig, attrs).risk(masked)
 }
 
 // idContrib precomputes, for one attribute, how many of the window sizes
 // 1..maxP disclose a cell whose original category is u and published
-// category is v. The table depends only on the original file's mid-ranks,
-// so the full and incremental paths share it and stay bit-identical.
-func idContrib(orig *dataset.Dataset, col, maxP int) [][]int {
+// category is v: one flat card×card table. It depends only on the
+// original file's mid-ranks.
+func idContrib(orig *dataset.Dataset, col, maxP int) pairTable {
 	card := orig.Schema().Attr(col).Cardinality()
 	n := orig.Rows()
 	ranks := stats.MidRanks(columnFreq(orig, col, card))
-	out := make([][]int, card)
+	t := pairTable{card: card, d: make([]int64, card*card)}
 	for u := 0; u < card; u++ {
-		out[u] = make([]int, card)
 		for v := 0; v < card; v++ {
 			gap := ranks[u] - ranks[v]
 			if gap < 0 {
@@ -117,13 +99,13 @@ func idContrib(orig *dataset.Dataset, col, maxP int) [][]int {
 				if gap <= float64(p)*float64(n)/100 {
 					// Larger windows contain smaller ones: all remaining
 					// window sizes disclose too.
-					out[u][v] = maxP - p + 1
+					t.d[u*card+v] = int64(maxP - p + 1)
 					break
 				}
 			}
 		}
 	}
-	return out
+	return t
 }
 
 // columnFreq returns the frequency of each of the card categories in
@@ -138,6 +120,6 @@ func columnFreq(d *dataset.Dataset, c, card int) []int {
 
 // idValue folds the exact disclosed-window count into the measure value;
 // shared by the full and incremental paths.
-func idValue(disclosed, n, numAttrs, maxP int) float64 {
+func idValue(disclosed int64, n, numAttrs, maxP int) float64 {
 	return 100 * float64(disclosed) / float64(n*numAttrs*maxP)
 }

@@ -3,6 +3,7 @@ package risk
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"evoprot/internal/datagen"
@@ -232,6 +233,89 @@ func TestRSRLWindowExtremes(t *testing.T) {
 	narrow := RankIntervalLinkage{P: 0.5}
 	if got := narrow.Risk(d, d, attrs); got != 100 {
 		t.Fatalf("RSRL(P=0.5, identity) = %v, want 100", got)
+	}
+}
+
+// TestRSRLHandComputed pins RSRL to its published definition on five
+// records and two attributes, worked by hand with P = 20, so the window
+// is 20% of 5 records = 1 rank:
+//
+//	record  orig (x, y)  masked (x, y)
+//	0       a p          b p
+//	1       a q          a q
+//	2       b p          b p
+//	3       c q          c p
+//	4       c p          a p
+//
+// Mid-ranks, 0-based (a category of f records starting at rank c sits at
+// c + (f-1)/2):
+//
+//	x orig   a:2 → 0.5  b:1 → 2    c:2 → 3.5
+//	x masked a:2 → 0.5  b:2 → 2.5  c:1 → 4
+//	y orig   p:3 → 1    q:2 → 3.5
+//	y masked p:4 → 1.5  q:1 → 4
+//
+// A masked category v is admissible for an original category u when
+// |rank(u) − rank(v)| ≤ 1:
+//
+//	x: a → {a} (b is 2 away); b → {b} (a is 1.5 away, c 2);
+//	   c → {b, c} (b exactly 1 away: the bound is inclusive)
+//	y: p → {p} (q is 3 away); q → {q} (p is 2 away)
+//
+// So x admits masked records a → {1, 4}, b → {0, 2}, c → {0, 2, 3}, and
+// y admits p → {0, 2, 3, 4}, q → {1}. Each original record's candidates
+// are the intersection over both attributes:
+//
+//	record 0 (a, p): {1, 4} ∩ {0, 2, 3, 4} = {4}        misses 0: 0
+//	record 1 (a, q): {1, 4} ∩ {1} = {1}                 hits 1: 1
+//	record 2 (b, p): {0, 2} ∩ {0, 2, 3, 4} = {0, 2}     hits 2: 1/2
+//	record 3 (c, q): {0, 2, 3} ∩ {1} = {}               misses: 0
+//	record 4 (c, p): {0, 2, 3} ∩ {0, 2, 3, 4} = {0, 2, 3}  misses 4: 0
+//
+// RSRL = 100·(1 + 1/2)/5 = 30. This check is independent of
+// stats.MidRanks and rsrlSweep, which the pairwise oracle
+// (rsrlReference) calls.
+func TestRSRLHandComputed(t *testing.T) {
+	s := dataset.MustSchema(
+		dataset.MustAttribute("x", []string{"a", "b", "c"}, true),
+		dataset.MustAttribute("y", []string{"p", "q"}, false),
+	)
+	orig, _ := dataset.FromRecords(s, [][]string{{"a", "p"}, {"a", "q"}, {"b", "p"}, {"c", "q"}, {"c", "p"}})
+	masked, _ := dataset.FromRecords(s, [][]string{{"b", "p"}, {"a", "q"}, {"b", "p"}, {"c", "p"}, {"a", "p"}})
+	rl := &RankIntervalLinkage{P: 20}
+	attrs := []int{0, 1}
+	if got := rl.Risk(orig, masked, attrs); got != 30 {
+		t.Fatalf("RSRL = %v, want 30", got)
+	}
+	st := rl.Prepare(orig, masked, attrs).(*rsrlState)
+	if st.window != 1 {
+		t.Fatalf("window = %v ranks, want 1", st.window)
+	}
+	for a, want := range [][]float64{{0.5, 2, 3.5}, {1, 3.5}} {
+		if !slices.Equal(st.oRanks[a], want) {
+			t.Errorf("attribute %d: original mid-ranks %v, want %v", a, st.oRanks[a], want)
+		}
+	}
+	for a, want := range [][]float64{{0.5, 2.5, 4}, {1.5, 4}} {
+		if !slices.Equal(st.mRanks[a], want) {
+			t.Errorf("attribute %d: masked mid-ranks %v, want %v", a, st.mRanks[a], want)
+		}
+	}
+	// Admissible masked categories per original category, as [lo, hi].
+	for a, want := range [][2][]int{{{0, 1, 1}, {0, 1, 2}}, {{0, 1}, {0, 1}}} {
+		if !slices.Equal(st.lo[a], want[0]) || !slices.Equal(st.hi[a], want[1]) {
+			t.Errorf("attribute %d: windows lo %v hi %v, want %v %v", a, st.lo[a], st.hi[a], want[0], want[1])
+		}
+	}
+	// The five profiles are distinct, so group g is record g.
+	if want := []int32{1, 1, 2, 0, 3}; !slices.Equal(st.counts, want) {
+		t.Errorf("candidate counts %v, want %v", st.counts, want)
+	}
+	if want := []bool{false, true, true, false, false}; !slices.Equal(st.recHit, want) {
+		t.Errorf("true-match hits %v, want %v", st.recHit, want)
+	}
+	if got := rl.Apply(st, nil); got != 30 {
+		t.Fatalf("RSRL state = %v, want 30", got)
 	}
 }
 

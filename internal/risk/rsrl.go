@@ -22,8 +22,9 @@ import "evoprot/internal/dataset"
 // is admissible for original category u", so instead of testing all n²
 // record pairs the measure intersects per-attribute candidate bitsets,
 // once per distinct original profile: records are grouped by profile
-// into the compact original grouping DBRL and PRL bind (groupOriginal in
-// grouped.go), whose tuple columns give each group's profile, and each
+// into the compact original grouping DBRL and PRL bind (the linkage core
+// bindLink builds, grouped.go), whose tuple columns give each group's
+// profile, and each
 // intersection costs n/64 word operations per attribute. Frequencies and
 // per-category record sets are counted from the cells in place. The
 // candidate counts, and therefore the result, are bit-identical to the

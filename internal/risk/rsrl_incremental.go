@@ -18,8 +18,9 @@ package risk
 //     the moved record itself is one Clear+Set.
 //  3. Per-profile candidate intersections. Profiles are over the original
 //     file and therefore static: records are grouped once, when the
-//     measure binds, by groupOriginal as DBRL and PRL group them — its
-//     tuple columns are the profiles, its record map the groups. Only
+//     measure binds, by the linkage core DBRL and PRL bind too (bindLink)
+//     — its tuple columns are the profiles, its record map the groups,
+//     its tuples per category the groups each category reaches. Only
 //     groups whose profile holds a category whose candidate union
 //     changed can change; all others keep their counts. A union whose
 //     window slid gains or loses
@@ -35,9 +36,11 @@ package risk
 //     they touch, as sliding windows do.
 //
 // Shared and owned: the bound rsrlOrig holds the original-file
-// summaries — the grouping, the original mid-ranks, each group's member
-// records and, per attribute and category, the groups holding it — read
-// by every state and clone. A state owns the masked-file summaries of
+// summaries, read by every state and clone: the linkage core (linkOrig,
+// grouped.go) it embeds — the grouping, the positions and, per attribute
+// and category, the groups holding it, but no projection columns, since
+// RSRL keeps no masked projection — plus the original mid-ranks and each
+// group's member records. A state owns the masked-file summaries of
 // layers 1 and 2, one candidate count per group and one hit flag per
 // record; it keeps each family of rows in one backing array (ints,
 // ranks, bits), so CloneState copies it in a fixed handful of
@@ -76,21 +79,18 @@ type rsrlCount struct {
 }
 
 // rsrlOrig is RSRL bound to one original file and attribute list: the
-// original-file summaries, shared read-only by every state. orig is the
-// original records grouped by profile (groupOriginal): orig.of maps each
-// record to its group and orig.cols[a][g] is group g's category of
-// attribute a.
+// original-file summaries, shared read-only by every state. Its linkage
+// core (bindLink) groups the original records by profile: orig.of maps
+// each record to its group, orig.cols[a][g] is group g's category of
+// attribute a, and catTuples[a][u] lists the groups holding category u
+// of attribute a.
 type rsrlOrig struct {
-	n           int
-	window      float64
-	attrs       []int
-	pos         map[int]int // protected column -> attribute position
-	orig        *tupleGroups
-	cards       []int
-	maxCard     int
-	oRanks      [][]float64
-	members     [][]int32   // group -> its records, in increasing order
-	byCatGroups [][][]int32 // attr position -> category -> groups holding it
+	linkOrig
+	window  float64
+	cards   []int
+	maxCard int
+	oRanks  [][]float64
+	members [][]int32 // group -> its records, in increasing order
 }
 
 // rsrlState is the incremental state of RankIntervalLinkage for one masked
@@ -149,39 +149,28 @@ func (rl *RankIntervalLinkage) Bind(orig *dataset.Dataset, attrs []int) Reversib
 	return &bound{Reversible: rl, Binding: b, o: rl.bind(orig, b.Attrs())}
 }
 
-// bind groups the original records by profile, lists each group's
-// members, indexes the groups by the categories they hold, so a change
-// can invalidate exactly the groups it affects, and ranks the original
-// categories.
+// bind builds the linkage core with the groups per category, so a
+// change can invalidate exactly the groups it affects, lists each
+// group's members, and ranks the original categories.
 func (rl *RankIntervalLinkage) bind(orig *dataset.Dataset, attrs []int) *rsrlOrig {
-	n := orig.Rows()
-	if n == 0 || len(attrs) == 0 {
-		return &rsrlOrig{}
+	o := &rsrlOrig{linkOrig: bindLink(orig, attrs, false, true)}
+	if o.orig == nil {
+		return o
 	}
-	o := &rsrlOrig{
-		n:      n,
-		window: rl.pOrDefault() * float64(n) / 100,
-		attrs:  attrs,
-		pos:    measure.Positions(attrs),
-		orig:   groupOriginal(orig, attrs),
-		cards:  orig.Schema().Cardinalities(attrs),
-		oRanks: make([][]float64, len(attrs)),
-	}
+	o.window = rl.pOrDefault() * float64(o.n) / 100
+	o.cards = orig.Schema().Cardinalities(attrs)
 	o.maxCard = slices.Max(o.cards)
+	o.oRanks = make([][]float64, len(attrs))
 	for a, c := range attrs {
 		o.oRanks[a] = stats.MidRanks(columnFreq(orig, c, o.cards[a]))
 	}
 	o.members = buckets(o.orig.of, len(o.orig.mult))
-	o.byCatGroups = make([][][]int32, len(attrs))
-	for a, col := range o.orig.cols {
-		o.byCatGroups[a] = buckets(col, o.cards[a])
-	}
 	return o
 }
 
 // risk is the value of a freshly prepared state.
 func (o *rsrlOrig) risk(masked *dataset.Dataset) float64 {
-	if o.n == 0 {
+	if o.orig == nil {
 		return 0
 	}
 	return o.prepare(masked).(*rsrlState).value()
@@ -190,7 +179,7 @@ func (o *rsrlOrig) risk(masked *dataset.Dataset) float64 {
 // prepare builds the state of masked. Building it is the whole cost of a
 // full Risk; every Apply then costs a small fraction of that.
 func (o *rsrlOrig) prepare(masked *dataset.Dataset) State {
-	if o.n == 0 {
+	if o.orig == nil {
 		return nil
 	}
 	sum := 0
@@ -257,28 +246,6 @@ func rowViews[T any](flat []T, cards []int, families int) [][]T {
 // Prepare implements Incremental: it binds, then prepares.
 func (rl *RankIntervalLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 	return rl.bind(orig, attrs).prepare(masked)
-}
-
-// buckets lists, for every k < num, the positions i with keys[i] == k in
-// increasing order. One counting pass sizes the lists, which share one
-// backing array.
-func buckets[K int | int32](keys []K, num int) [][]int32 {
-	end := make([]int, num+1)
-	for _, k := range keys {
-		end[k+1]++
-	}
-	for k := 1; k <= num; k++ {
-		end[k] += end[k-1]
-	}
-	flat := make([]int32, len(keys))
-	out := make([][]int32, num)
-	for k := range out {
-		out[k] = flat[end[k]:end[k]:end[k+1]]
-	}
-	for i, k := range keys {
-		out[k] = append(out[k], int32(i))
-	}
-	return out
 }
 
 // ensureScratch (re)builds the reusable scratch buffers; clones drop them,
@@ -576,7 +543,7 @@ func (st *rsrlState) applyOne(ch dataset.CellChange, jn *stats.BitsetJournal, si
 		case flipped && single && !slid:
 			st.shiftCounts(a, u, ch.Row, nowIn, jn != nil)
 		case flipped || slid:
-			for _, g := range st.byCatGroups[a][u] {
+			for _, g := range st.catTuples[a][u] {
 				if !st.dirty[g] {
 					st.dirty[g] = true
 					st.dirtyList = append(st.dirtyList, g)
@@ -599,7 +566,7 @@ func (st *rsrlState) shiftCounts(a, u, r int, added, journal bool) {
 		step = 1
 	}
 	prof := st.orig.cols
-	for _, g := range st.byCatGroups[a][u] {
+	for _, g := range st.catTuples[a][u] {
 		in := true
 		for b, col := range prof {
 			if b != a && !st.cand[b][col[g]].Test(r) {

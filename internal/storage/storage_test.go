@@ -183,7 +183,7 @@ func TestFSCompatibleLayout(t *testing.T) {
 	if err != nil || string(raw) != "{}" {
 		t.Fatalf("layout moved: %q, %v", raw, err)
 	}
-	if p := st.Path("jnew", "result.json"); p != filepath.Join(st.Root(), "jobs", "jnew", "result.json") {
+	if p := st.Path("jnew", "result.json"); p != filepath.Join(root, "jobs", "jnew", "result.json") {
 		t.Fatalf("Path = %q", p)
 	}
 	if !filepath.IsAbs(st.Path("jnew", "result.json")) {
@@ -260,7 +260,7 @@ func TestFSErrorPaths(t *testing.T) {
 	}
 	// A job id shadowed by a regular file refuses writes instead of
 	// corrupting it.
-	if err := os.WriteFile(filepath.Join(st.Root(), "jobs", "jfile"), []byte("x"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(st.jobsDir(), "jfile"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Put("jfile", "k", []byte("v")); err == nil {
@@ -275,7 +275,7 @@ func TestFSErrorPaths(t *testing.T) {
 		t.Fatalf("List = %v, %v", jobs, err)
 	}
 	// A vanished root fails List loudly rather than reporting no jobs.
-	if err := os.RemoveAll(filepath.Join(st.Root(), "jobs")); err != nil {
+	if err := os.RemoveAll(st.jobsDir()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.List(); err == nil {
