@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -163,6 +165,33 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "resumed 1 island(s) at generation 10") {
 		t.Fatalf("resume banner missing:\n%s", out.String())
+	}
+}
+
+// TestSameSeedWritesIdenticalCheckpoints: two -checkpoint runs of one
+// seed write byte-identical files, nothing zeroed. The run has two
+// islands with per-island overrides, so the in-place islands document
+// (version 4) and the packed engine documents are both compared.
+func TestSameSeedWritesIdenticalCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	var files [2][]byte
+	for i := range files {
+		ckpt := filepath.Join(dir, fmt.Sprintf("run%d.ckpt", i))
+		var out strings.Builder
+		err := runCLI(t, []string{
+			"-dataset", "flare", "-rows", "80", "-gens", "12", "-seed", "3",
+			"-islands", "2", "-migrate-every", "4", "-per-island", `[{},{"selection":"rank"}]`,
+			"-checkpoint", ckpt, "-checkpoint-every", "4",
+		}, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if files[i], err = os.ReadFile(ckpt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("same-seed checkpoints differ (%d and %d bytes)", len(files[0]), len(files[1]))
 	}
 }
 

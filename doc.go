@@ -57,7 +57,11 @@
 // island's engine state: WithCheckpoint writes them to a file atomically
 // and durably (internal/storage.WriteFile, the same writer as the
 // service's filesystem store), WithCheckpointSink hands their bytes to
-// any sink, and Runner.Resume loads one.
+// any sink, and Runner.Resume loads one. Checkpoints written by this
+// build carry core snapshot version 3, which packs each individual's
+// protected cells into one base64 byte string (a byte per cell, or four
+// when a protected domain exceeds 256 categories); checkpoints with
+// version-2 engines, whose cells are JSON integers, still resume.
 //
 //	res, _ := evoprot.Run(ctx, orig, attrs,
 //		evoprot.WithGrid("flare"),

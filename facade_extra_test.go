@@ -6,6 +6,7 @@ package evoprot
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -204,5 +205,76 @@ func TestRunnerCheckpointSinkFacade(t *testing.T) {
 	}
 	if r2.Best().Eval.Score != res.Best.Eval.Score || r2.Generation() != 6 {
 		t.Fatalf("resumed best %v at generation %d, want %v at 6", r2.Best().Eval.Score, r2.Generation(), res.Best.Eval.Score)
+	}
+}
+
+// TestCheckpointSinkGenerationMatchesRunner pins the invariant a service's
+// feed marker relies on: at every sink call the snapshot's peeked
+// Generation equals the Runner's Generation, so the marker can be tagged
+// without decoding the snapshot. The first run has one island on a
+// smaller per-island budget, so checkpoints hold unequal generations
+// (Generation != MinGeneration); the second is cancelled mid-run, so its
+// only write is the final one after the cancellation.
+func TestCheckpointSinkGenerationMatchesRunner(t *testing.T) {
+	orig, _ := GenerateDataset("flare", 60, 43)
+	attrs, _ := ProtectedAttributes("flare")
+	var r *Runner
+	var writes, uneven int
+	sink := func(snapshot []byte) error {
+		// The sink may run on the islands' coordinator goroutine: report
+		// with t.Errorf, not t.Fatal.
+		meta, err := PeekCheckpoint(bytes.NewReader(snapshot))
+		if err != nil {
+			t.Errorf("peeking a sink checkpoint: %v", err)
+			return err
+		}
+		if meta.Generation != r.Generation() {
+			t.Errorf("snapshot generation %d, runner generation %d", meta.Generation, r.Generation())
+		}
+		writes++
+		if meta.Generation != meta.MinGeneration {
+			uneven++
+		}
+		return nil
+	}
+
+	var err error
+	r, err = NewRunner(orig, attrs,
+		WithGrid("flare"), WithGenerations(12), WithSeed(43),
+		WithIslands(2), WithMigration(3, 1),
+		WithPerIsland(IslandConfig{}, IslandConfig{Generations: 4}),
+		WithCheckpointSink(sink, 3),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if writes < 2 || uneven == 0 {
+		t.Fatalf("%d writes, %d with unequal island generations; want several and some", writes, uneven)
+	}
+
+	writes = 0
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r, err = NewRunner(orig, attrs,
+		WithGrid("flare"), WithGenerations(200), WithSeed(43),
+		WithIslands(2), WithMigration(3, 1),
+		WithCheckpointSink(sink, 1000),
+		WithProgress(func(ev Event) {
+			if ev.Stats.Gen >= 5 {
+				cancel()
+			}
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	if writes != 1 || r.Generation() >= 200 {
+		t.Fatalf("cancelled run: %d writes at generation %d, want the one final write mid-run", writes, r.Generation())
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
 
+	"evoprot/internal/dataset"
 	"evoprot/internal/score"
 )
 
@@ -26,26 +28,48 @@ import (
 // layouts or trajectories. Version 2: the mutation gene draw spans only
 // mutable columns and DBIL accumulates exact per-attribute integer sums,
 // so version-1 snapshots would silently resume on a different stochastic
-// trajectory with incomparable cached scores.
-const snapshotVersion = 2
+// trajectory with incomparable cached scores. Version 3 (written by this
+// build) packs each individual's protected cells into one byte string,
+// base64 in JSON, at cellWidth bytes per cell; version 2 wrote them as a
+// JSON integer array and still resumes.
+const snapshotVersion = 3
 
-type snapshotJSON struct {
-	Version     int              `json:"version"`
-	Gen         int              `json:"gen"`
-	Evals       int              `json:"evals"`
-	Accepted    int              `json:"accepted"`
-	Offspring   int              `json:"offspring"`
-	Attrs       []int            `json:"attrs"`
-	Rows        int              `json:"rows"`
-	RNG         []byte           `json:"rng"`
-	History     []GenStats       `json:"history"`
-	Individuals []individualJSON `json:"individuals"`
+// minSnapshotVersion is the oldest layout Resume still reads.
+const minSnapshotVersion = 2
+
+// snapshotJSON is the snapshot document; C is the type an individual's
+// cells take: []byte when writing, json.RawMessage when reading, which
+// decodes them by version (see unpackCells).
+type snapshotJSON[C any] struct {
+	Version     int                 `json:"version"`
+	Gen         int                 `json:"gen"`
+	Evals       int                 `json:"evals"`
+	Accepted    int                 `json:"accepted"`
+	Offspring   int                 `json:"offspring"`
+	Attrs       []int               `json:"attrs"`
+	Rows        int                 `json:"rows"`
+	RNG         []byte              `json:"rng"`
+	History     []GenStats          `json:"history"`
+	Individuals []individualJSON[C] `json:"individuals"`
 }
 
-type individualJSON struct {
+type individualJSON[C any] struct {
 	Origin string           `json:"origin"`
-	Cells  []int            `json:"cells"` // protected columns, row-major
+	Cells  C                `json:"cells"` // protected columns, row-major
 	Eval   score.Evaluation `json:"eval"`
+}
+
+// cellWidth is the bytes a version-3 snapshot spends per protected cell:
+// one when every protected domain has at most 256 categories, else four,
+// little-endian (the width rule of dataset storage, over the protected
+// columns only).
+func cellWidth(s *dataset.Schema, attrs []int) int {
+	for _, card := range s.Cardinalities(attrs) {
+		if card > 1<<8 {
+			return 4
+		}
+	}
+	return 1
 }
 
 // Snapshot serializes the engine state. The original dataset and the
@@ -56,33 +80,85 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("core: marshaling RNG state: %w", err)
 	}
-	snap := snapshotJSON{
+	rows := e.eval.Orig().Rows()
+	snap := snapshotJSON[[]byte]{
 		Version:   snapshotVersion,
 		Gen:       e.gen,
 		Evals:     e.evals,
 		Accepted:  e.accepted,
 		Offspring: e.offspring,
 		Attrs:     e.attrs,
-		Rows:      e.eval.Orig().Rows(),
+		Rows:      rows,
 		RNG:       rngState,
 		History:   e.history,
 	}
-	for _, ind := range e.pop {
-		cells := make([]int, 0, ind.Data.Rows()*len(e.attrs))
-		for r := 0; r < ind.Data.Rows(); r++ {
+	width := cellWidth(e.eval.Orig().Schema(), e.attrs)
+	cells := make([]byte, len(e.pop)*rows*len(e.attrs)*width)
+	snap.Individuals = make([]individualJSON[[]byte], len(e.pop))
+	for i, ind := range e.pop {
+		own := cells[:rows*len(e.attrs)*width]
+		cells = cells[len(own):]
+		k := 0
+		for r := 0; r < rows; r++ {
 			for _, c := range e.attrs {
-				cells = append(cells, ind.Data.At(r, c))
+				if width == 1 {
+					own[k] = byte(ind.Data.At(r, c))
+				} else {
+					binary.LittleEndian.PutUint32(own[k:], uint32(ind.Data.At(r, c)))
+				}
+				k += width
 			}
 		}
-		snap.Individuals = append(snap.Individuals, individualJSON{
-			Origin: ind.Origin,
-			Cells:  cells,
-			Eval:   ind.Eval,
-		})
+		snap.Individuals[i] = individualJSON[[]byte]{Origin: ind.Origin, Cells: own, Eval: ind.Eval}
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(snap); err != nil {
+	if err := json.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("core: encoding snapshot: %w", err)
+	}
+	return nil
+}
+
+// unpackCells reads one individual's protected cells into data: rows
+// records of len(attrs) cells each, packed at width bytes per cell
+// (version 3) or as JSON integers (version 2). Every value must lie in
+// its attribute's domain.
+func unpackCells(data *dataset.Dataset, attrs []int, version, width int, raw json.RawMessage) error {
+	rows := data.Rows()
+	want := rows * len(attrs)
+	var ints []int
+	var packed []byte
+	if version == 2 {
+		if err := json.Unmarshal(raw, &ints); err != nil {
+			return err
+		}
+		if len(ints) != want {
+			return fmt.Errorf("%d cells, want %d", len(ints), want)
+		}
+	} else {
+		if err := json.Unmarshal(raw, &packed); err != nil {
+			return err
+		}
+		if len(packed) != want*width {
+			return fmt.Errorf("%d packed bytes, want %d (%d cells of %d)", len(packed), want*width, want, width)
+		}
+	}
+	k := 0
+	for r := 0; r < rows; r++ {
+		for _, col := range attrs {
+			var v int
+			switch {
+			case ints != nil:
+				v = ints[k]
+			case width == 1:
+				v = int(packed[k])
+			default:
+				v = int(binary.LittleEndian.Uint32(packed[k*4:]))
+			}
+			k++
+			if v < 0 || v >= data.Schema().Attr(col).Cardinality() {
+				return fmt.Errorf("cell (%d,%d) value %d outside domain", r, col, v)
+			}
+			data.Set(r, col, v)
+		}
 	}
 	return nil
 }
@@ -100,13 +176,13 @@ func Resume(eval *score.Evaluator, r io.Reader, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var snap snapshotJSON
+	var snap snapshotJSON[json.RawMessage]
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&snap); err != nil {
 		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("core: snapshot version %d, this build reads %d", snap.Version, snapshotVersion)
+	if snap.Version < minSnapshotVersion || snap.Version > snapshotVersion {
+		return nil, fmt.Errorf("core: snapshot version %d, this build reads %d..%d", snap.Version, minSnapshotVersion, snapshotVersion)
 	}
 	attrs := eval.Attrs()
 	if len(snap.Attrs) != len(attrs) {
@@ -131,22 +207,11 @@ func Resume(eval *score.Evaluator, r io.Reader, cfg Config) (*Engine, error) {
 	}
 
 	pop := make([]*Individual, len(snap.Individuals))
-	wantCells := snap.Rows * len(attrs)
+	width := cellWidth(orig.Schema(), attrs)
 	for i, ij := range snap.Individuals {
-		if len(ij.Cells) != wantCells {
-			return nil, fmt.Errorf("core: individual %d has %d cells, want %d", i, len(ij.Cells), wantCells)
-		}
 		data := orig.Clone()
-		k := 0
-		for r := 0; r < snap.Rows; r++ {
-			for _, col := range attrs {
-				v := ij.Cells[k]
-				k++
-				if v < 0 || v >= data.Schema().Attr(col).Cardinality() {
-					return nil, fmt.Errorf("core: individual %d cell (%d,%d) value %d outside domain", i, r, col, v)
-				}
-				data.Set(r, col, v)
-			}
+		if err := unpackCells(data, attrs, snap.Version, width, ij.Cells); err != nil {
+			return nil, fmt.Errorf("core: individual %d: %w", i, err)
 		}
 		pop[i] = &Individual{Data: data, Eval: ij.Eval, Origin: ij.Origin}
 	}

@@ -1,6 +1,7 @@
 package islands
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -87,4 +88,37 @@ func BenchmarkIslands(b *testing.B) {
 			b.ReportMetric(best, "best_score")
 		})
 	}
+}
+
+// BenchmarkRunnerSnapshot times one checkpoint document of a paper-scale
+// flare run on 2 islands after 40 generations, written into a reused
+// buffer; a warm-up encode before the loop leaves allocs/op at its steady
+// state even at -benchtime 1x.
+func BenchmarkRunnerSnapshot(b *testing.B) {
+	eval, pop := benchSetup(b, 0)
+	r, err := New(context.Background(), eval, pop, Config{
+		Islands:      2,
+		MigrateEvery: 10,
+		Migrants:     2,
+		Engine:       core.Config{Generations: 40, Seed: 42},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := r.Run(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.Snapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := r.Snapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "bytes/snapshot")
 }

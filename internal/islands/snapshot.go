@@ -1,6 +1,7 @@
 package islands
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -30,7 +31,11 @@ import (
 // "crossover_points" (the removed k-point crossover), "force_op",
 // "disable_delta" or "lazy_prepare"; decoding ignores them all, so such a
 // run resumes on the fixed migration schedule with 2-point crossover and
-// the fair operator coin.
+// the fair operator coin. The engines are core snapshots, each versioned
+// on its own: this build writes core version 3 (packed cells) inside a
+// version-1 or -4 document, and core.Resume still reads the version-2
+// engines of older checkpoints, so a version number here never changes
+// with the engine layout.
 const snapshotVersion = 4
 
 // minSnapshotVersion is the oldest layout Resume still reads.
@@ -81,23 +86,47 @@ func decodeSnapshot(rd io.Reader) (snapshotJSON, error) {
 
 // Snapshot serializes every island's engine state plus the per-island
 // overrides. Only safe while the islands are quiescent: between runs, or
-// inside Config.OnEpoch.
+// inside Config.OnEpoch. It writes the document's header and then each
+// engine's own snapshot in place, so the output is byte for byte what
+// encoding a snapshotJSON would give, without re-compacting every engine
+// through a json.RawMessage. On error w may hold a partial document.
 func (r *Runner) Snapshot(w io.Writer) error {
-	snap := snapshotJSON{Version: minSnapshotVersion, Islands: len(r.engines), Configs: r.cfg.PerIsland}
-	if len(snap.Configs) > 0 {
-		snap.Version = snapshotVersion
+	bw := bufio.NewWriter(w)
+	if len(r.cfg.PerIsland) == 0 {
+		fmt.Fprintf(bw, `{"version":%d,"islands":%d,"engines":[`, minSnapshotVersion, len(r.engines))
+	} else {
+		configs, err := json.Marshal(r.cfg.PerIsland)
+		if err != nil {
+			return fmt.Errorf("islands: encoding snapshot: %w", err)
+		}
+		fmt.Fprintf(bw, `{"version":%d,"islands":%d,"configs":%s,"engines":[`, snapshotVersion, len(r.engines), configs)
 	}
 	for i, e := range r.engines {
-		var buf bytes.Buffer
-		if err := e.Snapshot(&buf); err != nil {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		if err := e.Snapshot(trimNewline{bw}); err != nil {
 			return fmt.Errorf("islands: snapshotting island %d: %w", i, err)
 		}
-		snap.Engines = append(snap.Engines, json.RawMessage(buf.Bytes()))
 	}
-	if err := json.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("islands: encoding snapshot: %w", err)
+	bw.WriteString("]}\n")
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("islands: writing snapshot: %w", err)
 	}
 	return nil
+}
+
+// trimNewline drops the newline that ends an engine's JSON document, so
+// the document nests as an array element. Compact JSON escapes newlines
+// inside strings, so a newline can only end a document.
+type trimNewline struct{ w io.Writer }
+
+func (t trimNewline) Write(p []byte) (int, error) {
+	n, err := t.w.Write(bytes.TrimSuffix(p, []byte("\n")))
+	if err == nil {
+		n = len(p)
+	}
+	return n, err
 }
 
 // Resume rebuilds a runner from a Snapshot. The evaluator must wrap the

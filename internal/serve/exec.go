@@ -185,6 +185,7 @@ func (e *engine) executeJob(ctx context.Context, j *job) (*evoprot.RunResult, er
 	}
 
 	count, _, _ := j.log.state()
+	var runner *evoprot.Runner
 	opts = append(opts,
 		// Checkpoints route through the store, not a private file path —
 		// Put's atomicity and durability replace the facade's tmp+rename.
@@ -192,7 +193,7 @@ func (e *engine) executeJob(ctx context.Context, j *job) (*evoprot.RunResult, er
 			if err := e.st.be.Put(j.id, checkpointKey, snapshot); err != nil {
 				return err
 			}
-			e.writeFeedMark(j, snapshot)
+			e.writeFeedMark(j, runner.Generation())
 			return nil
 		}, e.ckptEvery),
 		evoprot.WithFirstEventSeq(count),
@@ -206,7 +207,7 @@ func (e *engine) executeJob(ctx context.Context, j *job) (*evoprot.RunResult, er
 		opts = append(opts, evoprot.WithGenerations(remaining))
 	}
 
-	runner, err := evoprot.NewRunner(orig, spec.Attributes, opts...)
+	runner, err = evoprot.NewRunner(orig, spec.Attributes, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -230,15 +231,15 @@ func (e *engine) executeJob(ctx context.Context, j *job) (*evoprot.RunResult, er
 // runs at its quiescent barrier, the (events, bytes) pair is the feed
 // prefix the snapshot accounts for. The marker is tagged with the
 // snapshot's generation so a resume can tell whether the two documents
-// belong together; losing the marker only degrades a crash resume to the
-// legacy at-least-once feed, so its write failure is non-fatal.
-func (e *engine) writeFeedMark(j *job, snapshot []byte) {
-	meta, err := evoprot.PeekCheckpoint(bytes.NewReader(snapshot))
-	if err != nil {
-		return
-	}
+// belong together. The sink passes the runner's Generation, read at that
+// barrier or after Run returns: the largest per-island generation, which
+// is the Generation PeekCheckpoint would read back from the snapshot, so
+// the marker costs no decode. Losing the marker only degrades a crash
+// resume to the legacy at-least-once feed, so its write failure is
+// non-fatal.
+func (e *engine) writeFeedMark(j *job, generation int) {
 	events, bytes := j.log.position()
-	mark := ckptMeta{Events: events, Bytes: bytes, Generation: meta.Generation}
+	mark := ckptMeta{Events: events, Bytes: bytes, Generation: generation}
 	if err := e.st.saveJSON(j.id, ckptMetaKey, mark); err != nil {
 		e.logf("serve: job %s: persisting checkpoint feed marker: %v", j.id, err)
 	}

@@ -7,6 +7,7 @@ package serve
 // these tests pin their contracts at the package boundary.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
@@ -61,18 +62,30 @@ func TestExecutorRunsPersistedJob(t *testing.T) {
 	}
 }
 
+// interruptAtCheckpoint is a store that cancels its run with
+// ErrInterrupted when the first checkpoint is written: the run is then
+// interrupted mid-way however fast its generations are.
+type interruptAtCheckpoint struct {
+	storage.Store
+	cancel context.CancelCauseFunc
+}
+
+func (s interruptAtCheckpoint) Put(job, key string, data []byte) error {
+	if key == checkpointKey {
+		s.cancel(ErrInterrupted)
+	}
+	return s.Store.Put(job, key, data)
+}
+
 func TestExecutorInterruptLeavesResumable(t *testing.T) {
 	be := storage.NewMem()
 	_, _, id := queuedJob(t, be)
 
-	// Interrupt the run shortly after it starts: ErrInterrupted is the
+	// Interrupt the run at its first checkpoint: ErrInterrupted is the
 	// shutdown cause, so the job must persist resumable, not terminal.
-	x := NewExecutor(be, 5, t.Logf)
 	ctx, cancel := context.WithCancelCause(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel(ErrInterrupted)
-	}()
+	defer cancel(nil)
+	x := NewExecutor(interruptAtCheckpoint{Store: be, cancel: cancel}, 5, t.Logf)
 	interrupted, err := x.Execute(ctx, id)
 	if err != nil {
 		t.Fatal(err)
@@ -80,11 +93,28 @@ func TestExecutorInterruptLeavesResumable(t *testing.T) {
 	if interrupted.State.Terminal() {
 		t.Fatalf("interrupted job persisted terminal %s", interrupted.State)
 	}
+	// The feed marker carries the final checkpoint's own generation, so a
+	// crash resume from that checkpoint trusts it and rewinds the feed.
+	st := &store{be: be}
+	ckpt, err := be.Get(id, checkpointKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := evoprot.PeekCheckpoint(bytes.NewReader(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mark ckptMeta
+	if err := st.loadJSON(id, ckptMetaKey, &mark); err != nil {
+		t.Fatal(err)
+	}
+	if mark.Generation != meta.Generation || meta.Generation == 0 {
+		t.Fatalf("feed marker at generation %d, checkpoint at %d", mark.Generation, meta.Generation)
+	}
 
 	// A second executor claims and finishes it — the worker-handoff flow.
 	// Claiming requires the queued state a coordinator's requeue restores.
 	var status JobStatus
-	st := &store{be: be}
 	if err := st.loadJSON(id, statusKey, &status); err != nil {
 		t.Fatal(err)
 	}
